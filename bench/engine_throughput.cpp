@@ -24,23 +24,13 @@
 //                      # store, measuring the decode-replay tier between
 //                      # warm (memory) and cold (full compile).  The
 //                      # default JSON schema is unchanged without --store.
-//   $ ./build/bench/engine_throughput --dist 3
-//                      # adds one "dist" row: the same batch serialized to
-//                      # DSL text and pushed through the lease exchange to
-//                      # 3 spawned msysd worker processes (process-level
-//                      # scaling, spawn + IPC overhead included).  The
-//                      # msysd binary is found next to this bench's
-//                      # sibling examples/ dir, or via --msysd.
 //
 // Rows report speedup against the serial cold pass.  On a single-core
 // container only the warm-cache rows can beat 1x; on real multicore
 // hardware the cold rows scale with threads as well (the JSON records
 // hardware_threads so trajectories stay comparable).
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -49,10 +39,8 @@
 #include <string>
 #include <vector>
 
-#include "msys/appdsl/parser.hpp"
 #include "msys/common/error.hpp"
 #include "msys/common/table.hpp"
-#include "msys/dist/driver.hpp"
 #include "msys/engine/batch_runner.hpp"
 #include "msys/obs/chrome_trace.hpp"
 #include "msys/obs/metrics.hpp"
@@ -105,39 +93,6 @@ std::vector<engine::Job> build_jobs(std::size_t n_workloads, std::size_t dup) {
     }
   }
   return jobs;
-}
-
-/// The same deterministic workload family as build_jobs, serialized back
-/// to the DSL text (appdsl::write round-trips), as the distributed fleet's
-/// job payloads.  Must mirror build_jobs' seed/order exactly so the dist
-/// row's results fingerprint-match the in-process rows.
-std::vector<dist::JobSpec> build_specs(std::size_t n_workloads, std::size_t dup) {
-  std::vector<dist::JobSpec> specs;
-  specs.reserve(n_workloads * dup);
-  for (std::size_t d = 0; d < dup; ++d) {
-    for (std::size_t i = 0; i < n_workloads; ++i) {
-      workloads::RandomSpec spec;
-      spec.seed = 1000 + i;
-      spec.min_kernels = 8;
-      spec.max_kernels = 14;
-      spec.min_iterations = 8;
-      spec.max_iterations = 32;
-      spec.reuse_percent = 60;
-      spec.shared_inputs = 3;
-      workloads::RandomExperiment exp = workloads::make_random(spec);
-      std::vector<std::vector<std::string>> partition;
-      for (const model::Cluster& c : exp.sched.clusters()) {
-        std::vector<std::string> names;
-        for (KernelId id : c.kernels) names.push_back(exp.app->kernel(id).name);
-        partition.push_back(std::move(names));
-      }
-      dist::JobSpec js;
-      js.name = "random-" + std::to_string(spec.seed) + ".mapp";
-      js.text = appdsl::write(*exp.app, partition, exp.cfg);
-      specs.push_back(std::move(js));
-    }
-  }
-  return specs;
 }
 
 /// Fingerprint of a batch's semantic output, used to assert that every
@@ -237,8 +192,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string trace_path;
   std::string store_dir;
-  int dist_procs = 0;
-  std::string msysd_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
@@ -255,15 +208,10 @@ int main(int argc, char** argv) {
       repeats = std::max<std::size_t>(1, std::stoul(argv[++i]));
     } else if (arg == "--store" && i + 1 < argc) {
       store_dir = argv[++i];
-    } else if (arg == "--dist" && i + 1 < argc) {
-      dist_procs = static_cast<int>(std::stoul(argv[++i]));
-    } else if (arg == "--msysd" && i + 1 < argc) {
-      msysd_path = argv[++i];
     } else {
       std::cerr << "usage: engine_throughput [--workloads N] [--dup N] "
                    "[--max-threads N] [--repeat N] [--json <path>] "
-                   "[--trace <path>] [--store <dir>] [--dist N] "
-                   "[--msysd <path>]\n";
+                   "[--trace <path>] [--store <dir>]\n";
       return 1;
     }
   }
@@ -332,62 +280,6 @@ int main(int argc, char** argv) {
     rows.push_back(*best_cold);
     rows.push_back(*best_warm);
     if (best_disk) rows.push_back(*best_disk);
-  }
-
-  // Optional distributed row: the same batch as DSL text through the lease
-  // exchange to `dist_procs` spawned msysd processes.  Process-level
-  // scaling with spawn + IPC overhead included — expected to trail the
-  // in-process rows on small batches; the row exists to track that the
-  // distributed path's overhead stays bounded.
-  if (dist_procs > 0) {
-    namespace fs = std::filesystem;
-    if (msysd_path.empty()) {
-      const fs::path self(argv[0]);
-      const fs::path base_dir = self.has_parent_path() ? self.parent_path() : fs::path(".");
-      msysd_path = (base_dir / ".." / "examples" / "msysd").lexically_normal().string();
-    }
-    const std::vector<dist::JobSpec> specs = build_specs(n_workloads, dup);
-    std::optional<Row> best_dist;
-    for (std::size_t rep = 0; rep < repeats; ++rep) {
-      const fs::path exchange =
-          fs::temp_directory_path() /
-          ("engine_throughput_dist_" + std::to_string(::getpid()) + "_" +
-           std::to_string(rep));
-      fs::remove_all(exchange);
-      dist::DriverConfig dist_cfg;
-      dist_cfg.dir = exchange.string();
-      dist_cfg.workers = dist_procs;
-      dist_cfg.msysd_path = msysd_path;
-      std::string dist_error;
-      std::unique_ptr<dist::Driver> driver = dist::Driver::create(dist_cfg, &dist_error);
-      MSYS_REQUIRE(driver != nullptr, "cannot open dist exchange: " + dist_error);
-      const auto start = std::chrono::steady_clock::now();
-      const std::optional<dist::DriverReport> report =
-          driver->run(specs, {}, &dist_error);
-      const auto end = std::chrono::steady_clock::now();
-      MSYS_REQUIRE(report.has_value(), "distributed bench batch failed: " + dist_error);
-      std::ostringstream fp;
-      for (const dist::ResultRecord& record : report->records) {
-        MSYS_REQUIRE(record.exit_code == 0,
-                     "distributed bench job failed: " + record.name);
-        fp << record.scheduler << ':' << record.cycles << ';';
-      }
-      MSYS_REQUIRE(fingerprint.empty() || fp.str() == fingerprint,
-                   "distributed results diverged from in-process results");
-      Row row;
-      row.threads = static_cast<unsigned>(dist_procs);
-      row.cache = "dist";
-      row.millis = std::chrono::duration_cast<
-                       std::chrono::duration<double, std::milli>>(end - start)
-                       .count();
-      row.jobs_per_sec =
-          row.millis > 0.0
-              ? static_cast<double>(specs.size()) / (row.millis / 1000.0)
-              : 0.0;
-      if (!best_dist || row.millis < best_dist->millis) best_dist = row;
-      fs::remove_all(exchange);
-    }
-    rows.push_back(*best_dist);
   }
 
   const double base = rows.front().jobs_per_sec;

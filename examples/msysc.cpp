@@ -17,18 +17,11 @@
 //                                       # a rerun is served from disk)
 //   $ ./build/examples/msysc --batch examples/apps --deadline-ms 50 --retries 1
 //                                       # per-job wall-clock budget + retry
-//   $ ./build/examples/msysc --batch examples/apps --dist /tmp/mex --workers 3
-//                                       # distributed: shard the batch into a
-//                                       # lease exchange, spawn 3 msysd
-//                                       # processes, merge results in input
-//                                       # order (byte-identical to -j 1)
 //   $ ./build/examples/msysc --gen-trace /tmp/a.trace --trace-jobs 32
 //                                       # deterministic arrival trace
 //   $ ./build/examples/msysc --serve /tmp/a.trace --tenants 2 -j 2
 //                                       # multi-tenant serving replay
 //   $ ./build/examples/msysc --verify-store /tmp/msr           # fsck sweep
-//   $ ./build/examples/msysc --verify-store /tmp/msr --dist /tmp/mex
-//                                       # ... plus the lease/heartbeat sweep
 //   $ ./build/examples/msysc --trace out.json --stats examples/apps/demo.mapp
 //                                       # Chrome-trace JSON + counter table
 //
@@ -44,6 +37,8 @@
 // --batch compiles every file through the engine's BatchRunner (shared
 // schedule cache, -j N worker threads), prints one summary table instead of
 // interleaved per-file output, and exits with the worst per-file code.
+// --results-out writes one canonical line per file; those bytes depend only
+// on the inputs, never on -j, the cache tier or a degraded store.
 //
 // $MSYS_FAULTS (see msys/common/fault_injector.hpp) arms deterministic
 // fault injection for smoke tests: store corruption, short writes, compile
@@ -67,7 +62,6 @@
 #include "msys/common/fault_injector.hpp"
 #include "msys/common/strfmt.hpp"
 #include "msys/common/table.hpp"
-#include "msys/dist/driver.hpp"
 #include "msys/dsched/validate.hpp"
 #include "msys/engine/batch_runner.hpp"
 #include "msys/extract/analysis.hpp"
@@ -102,22 +96,152 @@ struct BatchFtOptions {
   int deadline_ms{0};
   /// Extra attempts for deadline-expired jobs.
   int retries{0};
-  /// Lease exchange directory ("" => run the batch in this process).
-  std::string dist_dir;
-  /// Worker processes for --dist (0 => attach to externally started ones).
-  int workers{3};
-  /// msysd binary ("" => next to this msysc).
-  std::string msysd_path;
   /// Canonical per-job result lines are written here when non-empty.
   std::string results_out;
 };
 
-/// Compiles every .mapp under `dir` — on the in-process batch engine, or
-/// through the distributed lease exchange when --dist is set — and prints
-/// one File/Scheduler/RF/Cycles/Cache/Status summary table.  Returns the
-/// worst per-file exit code (internal > infeasible > parse error > ok).
-int run_batch(const std::string& dir, unsigned n_threads, const BatchFtOptions& ft,
-              const std::string& argv0) {
+/// Front-end product for one --batch file: an engine::Job when the file
+/// parsed and a kernel schedule exists, else the structured early failure.
+struct PreparedJob {
+  /// Present iff the job reached the engine.
+  std::optional<msys::engine::Job> job;
+  int exit_code{kExitOk};
+  std::string status{"ok"};
+  /// Parse (or open) diagnostics when the front end failed.
+  msys::Diagnostics diagnostics;
+};
+
+/// Parses the file at `path` and builds the engine job, mirroring the
+/// single-file flow: explicit `cluster` lines win, otherwise the Kernel
+/// Scheduler searches for a partition.
+PreparedJob prepare_job(const std::string& path) {
+  using namespace msys;
+  PreparedJob prepared;
+  appdsl::ParseResult parsed = appdsl::parse_file_collect(path);
+  if (!parsed.ok()) {
+    prepared.exit_code = kExitParse;
+    prepared.status = "parse-error";
+    prepared.diagnostics = std::move(parsed.diagnostics);
+    return prepared;
+  }
+  std::vector<std::vector<KernelId>> partition;
+  if (parsed.experiment->partition.empty()) {
+    ksched::SearchResult found =
+        ksched::find_best_schedule(parsed.experiment->app, parsed.experiment->cfg);
+    if (!found.found()) {
+      prepared.exit_code = kExitInfeasible;
+      prepared.status = "no-schedule";
+      return prepared;
+    }
+    for (const model::Cluster& c : found.best->clusters()) partition.push_back(c.kernels);
+  } else {
+    for (const std::vector<std::string>& cluster : parsed.experiment->partition) {
+      std::vector<KernelId> ids;
+      for (const std::string& kernel_name : cluster) {
+        ids.push_back(*parsed.experiment->app.find_kernel(kernel_name));
+      }
+      partition.push_back(std::move(ids));
+    }
+  }
+  engine::Job job;
+  job.input = engine::make_input(std::move(parsed.experiment->app), std::move(partition),
+                                 parsed.experiment->cfg);
+  job.kind = engine::SchedulerKind::kFallback;
+  prepared.job = std::move(job);
+  return prepared;
+}
+
+/// One file's row of the batch report.
+struct ResultRecord {
+  std::uint64_t index{0};
+  /// Leaf filename (what the summary table shows).
+  std::string name;
+  std::string status{"ok"};
+  int exit_code{kExitOk};
+  std::string scheduler{"-"};
+  std::string rf{"-"};
+  std::string cycles{"-"};
+  /// Run-dependent: which tier served the job ("hit"/"miss"/"disk", "-"
+  /// when it never reached the engine).  Excluded from canonical_line.
+  std::string cache{"-"};
+  /// Rendered diagnostic lines (parse errors, infeasibility chain, ...).
+  std::vector<std::string> diagnostics;
+};
+
+/// Fills status / exit code / scheduler / RF / cycles / diagnostics from an
+/// engine result.
+ResultRecord classify_result(std::uint64_t index, const std::string& path,
+                             const msys::engine::JobResult& result) {
+  using namespace msys;
+  ResultRecord record;
+  record.index = index;
+  record.name = std::filesystem::path(path).filename().string();
+  record.cache = result.cache_hit
+                     ? "hit"
+                     : (result.tier == engine::CacheTier::kDisk ? "disk" : "miss");
+  if (result.feasible()) {
+    record.scheduler = result.result->outcome.chosen_rung();
+    record.rf = std::to_string(result.result->outcome.schedule.rf);
+    record.cycles = std::to_string(result.result->predicted.total.value());
+  } else {
+    const Diagnostics& diags = result.result->outcome.diagnostics;
+    for (const Diagnostic& d : diags) record.diagnostics.push_back(d.to_string());
+    if (result.cancelled()) {
+      // The job did not fit its wall-clock budget: structured data, same
+      // exit class as "does not fit the machine".
+      record.exit_code = kExitInfeasible;
+      record.status = result.result->outcome.cancel_cause == CancelCause::kDeadline
+                          ? "timeout"
+                          : "cancelled";
+    } else {
+      const bool internal =
+          std::any_of(diags.begin(), diags.end(), [](const Diagnostic& d) {
+            return d.code == "schedule.internal";
+          });
+      record.exit_code = internal ? kExitInternal : kExitInfeasible;
+      record.status = internal ? "internal-error" : "infeasible";
+    }
+  }
+  if (result.store_degraded) {
+    // Run-dependent (so not part of the canonical line), but structured: a
+    // store fault reads differently from infeasibility.
+    record.diagnostics.push_back(
+        make_warning("store.read.exhausted",
+                     "store read retry budget exhausted for " + record.name +
+                         "; result was recomputed (store degraded)")
+            .to_string());
+  }
+  return record;
+}
+
+/// The record for a file that failed before reaching the engine.
+ResultRecord classify_prepared_failure(std::uint64_t index, const std::string& path,
+                                       const PreparedJob& prepared) {
+  ResultRecord record;
+  record.index = index;
+  record.name = std::filesystem::path(path).filename().string();
+  record.status = prepared.status;
+  record.exit_code = prepared.exit_code;
+  for (const msys::Diagnostic& d : prepared.diagnostics) {
+    record.diagnostics.push_back(d.to_string());
+  }
+  return record;
+}
+
+/// The deterministic --results-out line: index, name, scheduler, RF,
+/// cycles, status, exit code — tab-separated, newline-terminated.
+std::string canonical_line(const ResultRecord& record) {
+  std::ostringstream out;
+  out << record.index << '\t' << record.name << '\t' << record.scheduler << '\t'
+      << record.rf << '\t' << record.cycles << '\t' << record.status << '\t'
+      << record.exit_code << '\n';
+  return out.str();
+}
+
+/// Compiles every .mapp under `dir` on the in-process batch engine and
+/// prints one File/Scheduler/RF/Cycles/Cache/Status summary table.  Returns
+/// the worst per-file exit code (internal > infeasible > parse error > ok).
+int run_batch(const std::string& dir, unsigned n_threads, const BatchFtOptions& ft) {
   namespace fs = std::filesystem;
   using namespace msys;
 
@@ -138,155 +262,77 @@ int run_batch(const std::string& dir, unsigned n_threads, const BatchFtOptions& 
     return kExitUsage;
   }
 
-  // Shared front end: read every file once.  An unreadable file gets its
-  // record here, identically in both modes, so local and distributed runs
-  // stay byte-comparable even on that path.
-  std::vector<dist::JobSpec> specs(paths.size());
-  std::vector<std::optional<dist::ResultRecord>> overrides(paths.size());
+  std::vector<PreparedJob> prepared(paths.size());
+  // Index into `jobs` when the file reached the engine, else -1.
+  std::vector<int> job_index(paths.size(), -1);
+  std::vector<engine::Job> jobs;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    specs[i].name = paths[i];
-    std::ifstream in(paths[i], std::ios::binary);
-    if (!in) {
-      dist::ResultRecord record;
-      record.index = i;
-      record.name = fs::path(paths[i]).filename().string();
-      record.status = "parse-error";
-      record.exit_code = kExitParse;
-      record.diagnostics.push_back(
-          make_error("io.open", "cannot open " + paths[i], SourceLoc{paths[i], 0})
-              .to_string());
-      overrides[i] = std::move(record);
-      continue;
+    prepared[i] = prepare_job(paths[i]);
+    if (prepared[i].job.has_value()) {
+      job_index[i] = static_cast<int>(jobs.size());
+      jobs.push_back(std::move(*prepared[i].job));
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    specs[i].text = text.str();
   }
 
-  std::vector<dist::ResultRecord> records;
-  bool printed_engine_lines = false;
-  engine::ScheduleCache::Stats cache_stats;
-  engine::BatchStats batch_stats;
-  std::shared_ptr<store::DiskScheduleStore> store_handle;
-
-  if (!ft.dist_dir.empty()) {
-    // Distributed mode: shard into the exchange and let the fleet race.
-    dist::DriverConfig cfg;
-    cfg.dir = ft.dist_dir;
-    cfg.workers = ft.workers;
-    cfg.store_dir = ft.store_dir;
-    cfg.deadline_ms = ft.deadline_ms;
-    cfg.retries = ft.retries;
-    cfg.msysd_path = ft.msysd_path;
-    if (cfg.msysd_path.empty()) {
-      const fs::path self(argv0);
-      cfg.msysd_path = (self.has_parent_path() ? self.parent_path() / "msysd"
-                                               : fs::path("msysd"))
-                           .string();
-    }
-    std::string error;
-    const std::unique_ptr<dist::Driver> driver = dist::Driver::create(cfg, &error);
-    if (driver == nullptr) {
-      std::cerr << "msysc: cannot open --dist " << ft.dist_dir << ": " << error << '\n';
+  engine::ScheduleCache::Config cache_cfg;
+  cache_cfg.name = "msysc";
+  if (!ft.store_dir.empty()) {
+    store::StoreConfig store_cfg;
+    store_cfg.dir = ft.store_dir;
+    std::string store_error;
+    cache_cfg.store = store::DiskScheduleStore::open(store_cfg, &store_error);
+    if (cache_cfg.store == nullptr) {
+      std::cerr << "msysc: cannot open --store " << ft.store_dir << ": " << store_error
+                << '\n';
       return kExitUsage;
     }
-    std::optional<dist::DriverReport> report = driver->run(specs, {}, &error);
-    if (!report.has_value()) {
-      std::cerr << "msysc: distributed batch failed: " << error << '\n';
-      return kExitInternal;
-    }
-    const dist::LeaseStats ls = driver->leases().stats();
-    std::cout << "dist: " << specs.size() << " jobs, " << report->workers_spawned
-              << " workers spawned, " << report->workers_died << " died, "
-              << report->heartbeats_missed << " heartbeats missed, "
-              << report->requeued + ls.requeues << " requeued, " << report->reissued
-              << " reissued, " << report->corrupt_results << " corrupt results\n";
-    records = std::move(report->records);
-  } else {
-    // Local mode: the same prepare/classify front end, engine in-process.
-    struct FileCase {
-      dist::PreparedJob prepared;
-      /// Index into `jobs` when the file reached the engine, else -1.
-      int job_index{-1};
-    };
-    std::vector<FileCase> files(paths.size());
-    std::vector<engine::Job> jobs;
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      if (overrides[i].has_value()) continue;
-      files[i].prepared = dist::prepare_job(specs[i].name, specs[i].text);
-      if (files[i].prepared.job.has_value()) {
-        files[i].job_index = static_cast<int>(jobs.size());
-        jobs.push_back(std::move(*files[i].prepared.job));
-      }
-    }
-
-    engine::ScheduleCache::Config cache_cfg;
-    cache_cfg.name = "msysc";
-    if (!ft.store_dir.empty()) {
-      store::StoreConfig store_cfg;
-      store_cfg.dir = ft.store_dir;
-      std::string store_error;
-      cache_cfg.store = store::DiskScheduleStore::open(store_cfg, &store_error);
-      if (cache_cfg.store == nullptr) {
-        std::cerr << "msysc: cannot open --store " << ft.store_dir << ": "
-                  << store_error << '\n';
-        return kExitUsage;
-      }
-    }
-
-    engine::ThreadPool pool(n_threads);
-    engine::ScheduleCache cache(cache_cfg);
-    engine::BatchRunner runner(pool, &cache);
-    engine::RunOptions run_options;
-    if (ft.deadline_ms > 0) {
-      run_options.job_deadline = std::chrono::milliseconds(ft.deadline_ms);
-    }
-    run_options.retries = ft.retries;
-    const std::vector<engine::JobResult> results =
-        runner.run(jobs, run_options, &batch_stats);
-
-    records.reserve(paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      if (overrides[i].has_value()) {
-        records.push_back(dist::ResultRecord{});  // replaced below
-      } else if (files[i].job_index >= 0) {
-        records.push_back(dist::classify_result(
-            i, specs[i].name, results[static_cast<std::size_t>(files[i].job_index)]));
-      } else {
-        records.push_back(dist::classify_prepared_failure(i, files[i].prepared));
-      }
-    }
-    cache_stats = cache.stats();
-    std::cout << "batch: " << paths.size() << " files, " << pool.size()
-              << " threads, cache " << cache_stats.hits << " hits / "
-              << cache_stats.misses << " misses\n";
-    std::cout << "batch: " << batch_stats.summary() << '\n';
-    printed_engine_lines = true;
-    store_handle = cache_cfg.store;
   }
 
+  engine::ThreadPool pool(n_threads);
+  engine::ScheduleCache cache(cache_cfg);
+  engine::BatchRunner runner(pool, &cache);
+  engine::RunOptions run_options;
+  if (ft.deadline_ms > 0) {
+    run_options.job_deadline = std::chrono::milliseconds(ft.deadline_ms);
+  }
+  run_options.retries = ft.retries;
+  engine::BatchStats batch_stats;
+  const std::vector<engine::JobResult> results =
+      runner.run(jobs, run_options, &batch_stats);
+
+  std::vector<ResultRecord> records;
+  records.reserve(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (overrides[i].has_value()) records[i] = std::move(*overrides[i]);
+    if (job_index[i] >= 0) {
+      const auto& result = results[static_cast<std::size_t>(job_index[i])];
+      records.push_back(classify_result(i, paths[i], result));
+    } else {
+      records.push_back(classify_prepared_failure(i, paths[i], prepared[i]));
+    }
   }
+  const engine::ScheduleCache::Stats cache_stats = cache.stats();
+  std::cout << "batch: " << paths.size() << " files, " << pool.size()
+            << " threads, cache " << cache_stats.hits << " hits / "
+            << cache_stats.misses << " misses\n";
+  std::cout << "batch: " << batch_stats.summary() << '\n';
 
   TextTable table({"File", "Scheduler", "RF", "Cycles", "Cache", "Status"});
   int worst = kExitOk;
-  for (const dist::ResultRecord& record : records) {
+  for (const ResultRecord& record : records) {
     if (!record.diagnostics.empty()) {
-      std::cerr << specs[record.index].name << ":\n";
+      std::cerr << paths[record.index] << ":\n";
       for (const std::string& line : record.diagnostics) std::cerr << line << '\n';
     }
-    table.add_row({record.name, record.scheduler, record.rf, record.cycles,
-                   record.cache,
+    table.add_row({record.name, record.scheduler, record.rf, record.cycles, record.cache,
                    record.status + " (" + std::to_string(record.exit_code) + ")"});
     worst = std::max(worst, record.exit_code);
   }
-  if (printed_engine_lines && store_handle != nullptr) {
-    const store::StoreStats ss = store_handle->stats();
+  if (cache_cfg.store != nullptr) {
+    const store::StoreStats ss = cache_cfg.store->stats();
     std::cout << "store: " << ss.hits << " hits / " << ss.misses << " misses, "
               << ss.saves << " saves (" << ss.save_failures << " failed), "
               << ss.quarantined << " quarantined, " << ss.retry_attempts
-              << " retried ops; " << store_handle->entry_count() << " entries in "
+              << " retried ops; " << cache_cfg.store->entry_count() << " entries in "
               << ft.store_dir << '\n';
   }
   std::cout << '\n';
@@ -298,9 +344,7 @@ int run_batch(const std::string& dir, unsigned n_threads, const BatchFtOptions& 
       std::cerr << "msysc: cannot write --results-out " << ft.results_out << '\n';
       worst = std::max(worst, kExitUsage);
     } else {
-      for (const dist::ResultRecord& record : records) {
-        out << dist::canonical_line(record);
-      }
+      for (const ResultRecord& record : records) out << canonical_line(record);
     }
   }
   return worst;
@@ -455,11 +499,10 @@ int run_serve_chaos(std::size_t cases, std::uint64_t seed, std::string scratch_d
 /// bad entry and removing stale temp files *is* the repair, so the sweep
 /// itself exits 0 whenever it completed; only an unopenable directory is
 /// an error.
-int run_verify_store(const std::string& dir, const std::string& dist_dir) {
+int run_verify_store(const std::string& dir) {
   using namespace msys;
   store::StoreConfig store_cfg;
   store_cfg.dir = dir;
-  store_cfg.dist_dir = dist_dir;
   std::string store_error;
   const std::unique_ptr<store::DiskScheduleStore> disk =
       store::DiskScheduleStore::open(store_cfg, &store_error);
@@ -472,13 +515,6 @@ int run_verify_store(const std::string& dir, const std::string& dist_dir) {
             << report.valid << " valid, " << report.quarantined << " quarantined, "
             << report.removed_tmp << " temp files removed — "
             << (report.clean() ? "clean" : "repaired") << '\n';
-  if (!dist_dir.empty()) {
-    // Expired/orphaned leases are advisory: a live fleet repairs them by
-    // re-claiming, so they never make the sweep "repaired" on their own.
-    std::cout << "verify-store dist " << dist_dir << ": " << report.expired_leases
-              << " expired leases, " << report.orphaned_claims
-              << " orphaned claims\n";
-  }
   return kExitOk;
 }
 
@@ -803,24 +839,6 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       verify_store_dir = argv[++i];
-    } else if (arg == "--dist") {
-      if (i + 1 >= argc) {
-        std::cerr << "msysc: --dist needs an exchange directory\n";
-        return kExitUsage;
-      }
-      ft.dist_dir = argv[++i];
-    } else if (arg == "--workers") {
-      if (i + 1 >= argc || !parse_nonneg(argv[i + 1], &ft.workers)) {
-        std::cerr << "msysc: --workers needs a non-negative integer\n";
-        return kExitUsage;
-      }
-      ++i;
-    } else if (arg == "--msysd") {
-      if (i + 1 >= argc) {
-        std::cerr << "msysc: --msysd needs a path\n";
-        return kExitUsage;
-      }
-      ft.msysd_path = argv[++i];
     } else if (arg == "--results-out") {
       if (i + 1 >= argc) {
         std::cerr << "msysc: --results-out needs a file\n";
@@ -942,7 +960,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!verify_store_dir.empty()) {
-    return run_verify_store(verify_store_dir, ft.dist_dir);
+    return run_verify_store(verify_store_dir);
   }
   if (!gen_trace_out.empty()) {
     return run_gen_trace(gen_trace_out, gen_spec);
@@ -954,9 +972,8 @@ int main(int argc, char** argv) {
                  "[--seed N] [-j N]] <file.mapp>\n"
                  "       msysc --batch <dir> [-j N] [--store dir] [--deadline-ms N]\n"
                  "             [--retries N] [--results-out file] [--trace out.json]\n"
-                 "             [--stats] [--dist <exchange> [--workers N] "
-                 "[--msysd path]]\n"
-                 "       msysc --verify-store <dir> [--dist <exchange>]\n"
+                 "             [--stats]\n"
+                 "       msysc --verify-store <dir>\n"
                  "       msysc --serve <file.trace> [--tenants N] [-j N]\n"
                  "             [--deadline-ms N] [--store dir] [--serve-out file]\n"
                  "             [--shed-cycles N] [--degraded-cycles N]\n"
@@ -990,7 +1007,7 @@ int main(int argc, char** argv) {
                      degraded_cycles);
   } else if (!batch_dir.empty()) {
     try {
-      code = run_batch(batch_dir, n_threads, ft, argv[0]);
+      code = run_batch(batch_dir, n_threads, ft);
     } catch (const std::exception& e) {
       std::cerr << "msysc: internal error: " << e.what() << '\n';
       code = kExitInternal;

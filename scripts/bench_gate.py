@@ -39,15 +39,6 @@ threshold.  The serve bench's cycle fields are *virtual time* — fully
 deterministic, zero measurement noise — so the tight threshold flags any
 real scheduling change while wall-clock noise only touches jobs_per_sec.
 
-The engine bench's "dist" row measures a different thing than its in-process
-rows: each job round-trips through a spawned msysd worker process, so on a
-small (1-core CI) container the figure is process-spawn dominated and swings
-far beyond the in-process noise band.  Dist rows therefore gate at
---dist-threshold (default 0.70: up to ~3x slower passes) on every watched
-field — wide enough to absorb spawn jitter, tight enough to catch the
-exchange-protocol regressions (retry storms, lost leases) that move the row
-an order of magnitude.
-
 The anneal_quality cycle fields are a pure function of (workload, seed,
 islands, budget) — zero measurement noise — so they compare exactly on any
 hardware, even when hardware_threads differ; walltime_ms is deliberately
@@ -155,11 +146,6 @@ def main():
     parser.add_argument("--latency-threshold", type=float, default=1.00,
                         help="allowed relative regression for per-job "
                              "latency fields (default 1.00, i.e. 2x)")
-    parser.add_argument("--dist-threshold", type=float, default=0.70,
-                        help="allowed relative regression for dist rows "
-                             "(engine_throughput; default 0.70 = up to ~3x "
-                             "slower passes — process-spawn dominated on "
-                             "small containers)")
     parser.add_argument("--min-cold-speedup", type=float, default=1.00,
                         help="floor for speedup_vs_serial_cold on cold rows "
                              "above 1 thread (engine_throughput; default 1.0 "
@@ -229,8 +215,6 @@ def main():
             delta = (b - c) / b if direction == "higher" else (c - b) / b
             limit = (args.latency_threshold if field in latency_fields
                      else args.threshold)
-            if dict(zip(key_fields, key)).get("cache") == "dist":
-                limit = max(limit, args.dist_threshold)
             checked += 1
             if delta > limit:
                 regressions.append(

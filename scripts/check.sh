@@ -72,40 +72,6 @@ for preset in "${presets[@]}"; do
   [ "$rc" = "1" ]
   rm -rf "$smoke"
 
-  # Distributed smoke: a 3-worker fleet over the lease exchange produces
-  # the same --results-out bytes as a single-process run, even when one
-  # worker is SIGKILLed mid-compile (engine.compile.stall pins a lease
-  # long enough to pick a victim deterministically).  Afterwards the
-  # exchange must fsck clean: one repair pass for the victim's debris,
-  # then zero expired leases / orphaned claims.
-  echo "==> [$preset] distributed smoke (3 workers, one SIGKILLed mid-batch)"
-  msysd="./$bindir/examples/msysd"
-  dsmoke=$(mktemp -d)
-  "$msysc" --batch examples/apps --results-out "$dsmoke/ref.tsv" >/dev/null
-  MSYS_FAULTS="seed=5;engine.compile.stall=always:500" \
-    "$msysc" --batch examples/apps --dist "$dsmoke/ex" --workers 3 \
-    --msysd "$msysd" --results-out "$dsmoke/got.tsv" >/dev/null &
-  driver=$!
-  victim=""
-  for _ in $(seq 1 400); do
-    lease=$(ls "$dsmoke/ex/active" 2>/dev/null | head -n 1 || true)
-    if [ -n "$lease" ]; then
-      worker=${lease#*.}
-      worker=${worker%%.*}
-      victim=$(awk '{print $2}' "$dsmoke/ex/hb/$worker.hb" 2>/dev/null || true)
-      [ -n "$victim" ] && break
-    fi
-    sleep 0.01
-  done
-  [ -n "$victim" ]
-  kill -9 "$victim" 2>/dev/null || true
-  wait "$driver"
-  cmp "$dsmoke/ref.tsv" "$dsmoke/got.tsv"
-  "$msysc" --verify-store "$dsmoke/ex/store" --dist "$dsmoke/ex" >/dev/null
-  "$msysc" --verify-store "$dsmoke/ex/store" --dist "$dsmoke/ex" \
-    | grep -q "0 expired leases, 0 orphaned claims"
-  rm -rf "$dsmoke"
-
   # Annealing smoke: the parallel simulated-annealing search must produce
   # byte-identical reports at 1/2/4 pool threads (the islands contract),
   # and must actually run (the "anneal:" report lines are part of the
@@ -173,7 +139,7 @@ for preset in "${presets[@]}"; do
       # --repeat 7: the gate's speedup_vs_serial_cold floor sits right at
       # 1.0 on a single-core box, so best-of needs enough repetitions to
       # filter preemption noise out of both the serial and parallel rows.
-      ./build/bench/engine_throughput --dist 3 --repeat 7 --json /tmp/bench_engine_current.json >/dev/null
+      ./build/bench/engine_throughput --repeat 7 --json /tmp/bench_engine_current.json >/dev/null
       if python3 scripts/bench_gate.py BENCH_engine.json /tmp/bench_engine_current.json; then
         gate_ok=1
         break

@@ -31,15 +31,6 @@
 //                           (checksum must catch it; entry is quarantined)
 //   engine.compile.stall  — compile_job sleeps PARAM milliseconds before
 //                           scheduling (turns deadlines deterministic)
-//   dist.claim.lost       — a lease claim that won the rename is treated as
-//                           lost (worker behaves as if another worker won;
-//                           exercises the claim-conflict path)
-//   dist.heartbeat.stall  — the worker's heartbeat thread sleeps PARAM
-//                           milliseconds before each beat (forces lease
-//                           expiry + re-claim without killing a process)
-//   dist.publish.torn     — a published result record is durably written
-//                           truncated (the driver must detect the torn
-//                           frame and re-issue the job)
 //   serve.compile.stall   — the serve loop's prepare pass sleeps PARAM
 //                           milliseconds before handing an event to the
 //                           compile phase (wall-clock delay only: virtual

@@ -41,10 +41,6 @@ struct StoreConfig {
   /// Directory holding the entries; created (with its quarantine/
   /// subdirectory) by open() when absent.
   std::string dir;
-  /// Optional distributed-exchange directory (the msys/dist lease
-  /// directory) swept by verify_store(): expired leases and orphaned
-  /// claims are flagged, dead temp files removed.  "" => no sweep.
-  std::string dist_dir;
   /// Transient-failure budgets, one per I/O class so a flaky read path
   /// cannot exhaust the write budget or vice versa.
   RetryPolicy read_retry{.max_attempts = 3,
@@ -75,16 +71,7 @@ struct FsckReport {
   std::uint64_t valid{0};
   std::uint64_t quarantined{0};
   std::uint64_t removed_tmp{0};
-  /// Distributed-exchange findings (StoreConfig::dist_dir sweep only).
-  /// Leases whose filename deadline has passed: flagged, left in place —
-  /// a live fleet re-claims them, the driver's requeue is the backstop.
-  std::uint64_t expired_leases{0};
-  /// Leases held by a worker with no heartbeat file at all: the claim's
-  /// owner never checked in (or its heartbeat was lost).  Flagged.
-  std::uint64_t orphaned_claims{0};
   /// True when every scanned entry validated and nothing needed cleanup.
-  /// Expired/orphaned leases are advisory (legitimate mid-run states) and
-  /// do not dirty the report.
   [[nodiscard]] bool clean() const {
     return quarantined == 0 && removed_tmp == 0;
   }
@@ -163,8 +150,6 @@ class DiskScheduleStore {
   /// the two apart).
   bool load_attempt(std::uint64_t key, std::optional<std::string>* out,
                     bool* corrupt);
-  /// The StoreConfig::dist_dir sweep verify_store() runs when configured.
-  void sweep_dist_dir(FsckReport* report);
 
   StoreConfig config_;
   std::filesystem::path dir_;

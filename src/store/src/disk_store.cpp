@@ -1,10 +1,7 @@
 #include "msys/store/disk_store.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <limits>
-#include <set>
 #include <system_error>
 
 #include "msys/common/fault_injector.hpp"
@@ -31,8 +28,6 @@ struct StoreMetrics {
   obs::Counter& retry_attempts = obs::counter("store.retry.attempts");
   obs::Counter& retry_exhausted = obs::counter("store.retry.exhausted");
   obs::Counter& fsck_removed_tmp = obs::counter("store.fsck.removed_tmp");
-  obs::Counter& fsck_expired_leases = obs::counter("store.fsck.expired_leases");
-  obs::Counter& fsck_orphaned_claims = obs::counter("store.fsck.orphaned_claims");
 
   static StoreMetrics& get() {
     static StoreMetrics m;
@@ -95,46 +90,6 @@ bool read_file(const fs::path& path, std::string* out) {
   out->assign(std::istreambuf_iterator<char>(in),
               std::istreambuf_iterator<char>());
   return in.good() || in.eof();
-}
-
-/// Fields of an `active/NNNN.<worker>.<expiry_ms>.lease` filename from the
-/// msys/dist exchange directory.  dist::parse_lease_name is the canonical
-/// parser; this layer cannot link msys_dist (dist depends on the store),
-/// so the trivial parse is re-implemented here — keep the format in sync.
-struct DistLeaseName {
-  std::uint64_t index{0};
-  std::uint64_t expiry_ms{0};
-  std::string worker;
-};
-
-std::optional<std::uint64_t> parse_dist_u64(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    if (value > (std::numeric_limits<std::uint64_t>::max() - (c - '0')) / 10) {
-      return std::nullopt;
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-std::optional<DistLeaseName> parse_dist_lease_name(const std::string& filename) {
-  if (!filename.ends_with(".lease")) return std::nullopt;
-  const std::string stem = filename.substr(0, filename.size() - 6);
-  const std::size_t first_dot = stem.find('.');
-  const std::size_t last_dot = stem.rfind('.');
-  if (first_dot == std::string::npos || last_dot <= first_dot) return std::nullopt;
-  DistLeaseName name;
-  const std::optional<std::uint64_t> index = parse_dist_u64(stem.substr(0, first_dot));
-  const std::optional<std::uint64_t> expiry = parse_dist_u64(stem.substr(last_dot + 1));
-  if (!index || !expiry) return std::nullopt;
-  name.index = *index;
-  name.expiry_ms = *expiry;
-  name.worker = stem.substr(first_dot + 1, last_dot - first_dot - 1);
-  if (name.worker.empty()) return std::nullopt;
-  return name;
 }
 
 }  // namespace
@@ -378,75 +333,7 @@ FsckReport DiskScheduleStore::verify_store() {
       ++report.quarantined;
     }
   }
-  if (!config_.dist_dir.empty()) sweep_dist_dir(&report);
   return report;
-}
-
-void DiskScheduleStore::sweep_dist_dir(FsckReport* report) {
-  const fs::path dist_dir(config_.dist_dir);
-  const std::uint64_t now_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-  auto& m = StoreMetrics::get();
-
-  // Dead temp files from crashed writers, in any exchange subdirectory:
-  // never published, safe to discard.
-  for (const char* sub : {"jobs", "active", "results", "hb"}) {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dist_dir / sub, ec)) {
-      if (!entry.is_regular_file(ec)) continue;
-      if (entry.path().extension() != ".tmp") continue;
-      std::error_code rm;
-      fs::remove(entry.path(), rm);
-      ++report->removed_tmp;
-      m.fsck_removed_tmp.add();
-    }
-  }
-
-  // The set of workers that ever heartbeated — a claim by anyone else is
-  // an orphan (its owner never checked in, or the heartbeat was lost).
-  std::set<std::string> heartbeat_workers;
-  {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dist_dir / "hb", ec)) {
-      if (!entry.is_regular_file(ec)) continue;
-      if (entry.path().extension() != ".hb") continue;
-      heartbeat_workers.insert(entry.path().stem().string());
-    }
-  }
-
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dist_dir / "active", ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const fs::path& path = entry.path();
-    if (path.extension() != ".lease") continue;
-    const std::optional<DistLeaseName> lease =
-        parse_dist_lease_name(path.filename().string());
-    if (!lease.has_value()) {
-      // Malformed lease filename: no worker can claim or expire it, so it
-      // would pin its job forever — preserve it for post-mortems.
-      const fs::path dest = dist_dir / "quarantine" /
-                            (path.filename().string() + "." +
-                             std::to_string(op_counter_.fetch_add(
-                                 1, std::memory_order_relaxed)));
-      std::error_code mv;
-      fs::rename(path, dest, mv);
-      if (mv) fs::remove(path, mv);
-      ++report->quarantined;
-      m.quarantined.add();
-      quarantined_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (lease->expiry_ms < now_ms) {
-      ++report->expired_leases;
-      m.fsck_expired_leases.add();
-    }
-    if (!heartbeat_workers.contains(lease->worker)) {
-      ++report->orphaned_claims;
-      m.fsck_orphaned_claims.add();
-    }
-  }
 }
 
 std::uint64_t DiskScheduleStore::entry_count() const {

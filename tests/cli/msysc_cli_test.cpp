@@ -2,9 +2,9 @@
 // the hardened --batch / -j argument handling, and the --trace output
 // (which must parse and pass the Chrome-trace schema check).
 //
-// The binary path and the example app locations come in as compile
-// definitions (MSYSC_BIN, MSYS_DEMO_APP, MSYS_APPS_DIR) so the test runs
-// from any working directory.
+// The binary path, the example app locations and the batch golden come in
+// as compile definitions (MSYSC_BIN, MSYS_DEMO_APP, MSYS_APPS_DIR,
+// MSYS_BATCH_GOLDEN) so the test runs from any working directory.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -259,7 +259,7 @@ TEST(MsyscCli, KilledBatchRunRecoversOnRerunWithTheSameStore) {
 }
 
 // ---------------------------------------------------------------------------
-// Distributed mode: the lease-based worker fleet behind --dist.
+// Batch results: the --results-out bytes, pinned by a committed golden.
 // ---------------------------------------------------------------------------
 
 /// Reads a whole file ("" when missing/unreadable).
@@ -270,99 +270,53 @@ std::string slurp(const fs::path& path) {
   return text.str();
 }
 
-TEST(MsyscCli, DistFlagsRejectMissingOperands) {
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --dist"), 1);
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --workers nope"), 1);
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out"), 1);
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --msysd"), 1);
+TEST(MsyscCli, BatchResultsMatchTheGoldenAcrossThreadsAndStoreTiers) {
+  // The canonical line excludes the cache tier, so a cold run at any -j
+  // and a warm rerun served from the store all write the golden's bytes.
+  const std::string golden = slurp(MSYS_BATCH_GOLDEN);
+  ASSERT_FALSE(golden.empty());
+  const std::string store = " --store " + scratch("store").string();
+  // -j 1, -j 4, then a cold and a warm run over the same store.
+  for (const std::string& flags :
+       {std::string(" -j 1"), std::string(" -j 4"), store, store}) {
+    const fs::path got = scratch("got.tsv");
+    const std::string args = "--batch " MSYS_APPS_DIR + flags;
+    ASSERT_EQ(msysc(args + " --results-out " + got.string()), 0) << args;
+    EXPECT_EQ(slurp(got), golden) << args;
+  }
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out"), 1);  // missing operand
 }
 
-TEST(MsyscCli, DistributedBatchMatchesSingleProcessByteForByte) {
-  const fs::path ref = scratch("ref.txt");
-  const fs::path got = scratch("dist.txt");
-  const fs::path exchange = scratch("exchange");
-  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out " + ref.string()), 0);
-  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --dist " + exchange.string() +
-                  " --workers 3 --results-out " + got.string() + " --msysd " MSYSD_BIN),
-            0);
-  const std::string expected = slurp(ref);
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(slurp(got), expected);
-  // The exchange's shared store passes fsck, lease sweep included.
-  EXPECT_EQ(msysc("--verify-store " + (exchange / "store").string() + " --dist " +
-                  exchange.string()),
-            0);
+TEST(MsyscCli, UnparsableFileInABatchIsAParseErrorRow) {
+  const fs::path apps = scratch("apps");
+  fs::create_directories(apps);
+  for (const fs::directory_entry& entry : fs::directory_iterator(MSYS_APPS_DIR)) {
+    fs::copy_file(entry.path(), apps / entry.path().filename());
+  }
+  std::ofstream(apps / "broken.mapp") << "this is not an application\n";
+  const fs::path got = scratch("got.tsv");
+  EXPECT_EQ(msysc("--batch " + apps.string() + " --results-out " + got.string()), 2);
+  // broken.mapp sorts first; the healthy files keep their golden rows,
+  // shifted down by one index.
+  const std::string results = slurp(got);
+  EXPECT_TRUE(results.starts_with("0\tbroken.mapp\t-\t-\t-\tparse-error\t2\n"))
+      << results;
+  EXPECT_NE(results.find("1\tdemo.mapp\tCDS\t"), std::string::npos) << results;
 }
 
-TEST(MsyscCli, DistributedBatchSurvivesWorkerSigkill) {
-  // The acceptance scenario: three workers, one SIGKILL'd while it holds a
-  // lease mid-compile.  The survivors must re-claim the orphaned lease and
-  // the merged results must be byte-identical to a single-process run.
-  const fs::path ref = scratch("ref.txt");
-  const fs::path got = scratch("dist.txt");
-  const fs::path exchange = scratch("exchange");
-  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out " + ref.string()), 0);
-
-  const pid_t driver_pid = fork();
-  ASSERT_GE(driver_pid, 0);
-  if (driver_pid == 0) {
-    // Every compile stalls 500ms so the kill below always lands while the
-    // victim is mid-job (deterministic via the fault injector).
-    ::setenv("MSYS_FAULTS", "seed=5;engine.compile.stall=always:500", 1);
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, 1);
-      ::dup2(devnull, 2);
-    }
-    ::execl(MSYSC_BIN, "msysc", "--batch", MSYS_APPS_DIR, "--dist",
-            exchange.c_str(), "--workers", "3", "--results-out", got.c_str(),
-            "--msysd", MSYSD_BIN, static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-
-  // Find a worker that actually holds a lease: parse the worker name out
-  // of an active/NNNN.<worker>.<expiry>.lease filename, then its pid out
-  // of hb/<worker>.hb ("<worker> <pid> <seq> <ms>").
-  pid_t victim = -1;
-  for (int tries = 0; tries < 400 && victim < 0; ++tries) {
-    ::usleep(10 * 1000);
-    std::error_code ec;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(exchange / "active", ec)) {
-      const std::string leaf = entry.path().filename().string();
-      // NNNNNNNN.<worker>.<expiry>.lease
-      const std::size_t first = leaf.find('.');
-      const std::size_t second = leaf.find('.', first + 1);
-      if (first == std::string::npos || second == std::string::npos) continue;
-      const std::string worker = leaf.substr(first + 1, second - first - 1);
-      std::istringstream hb(slurp(exchange / "hb" / (worker + ".hb")));
-      std::string name;
-      long long pid = 0;
-      if (hb >> name >> pid && pid > 0) victim = static_cast<pid_t>(pid);
-      break;
-    }
-  }
-  ASSERT_GT(victim, 0) << "no leased worker appeared to kill";
-  ASSERT_EQ(::kill(victim, SIGKILL), 0);
-
-  int status = 0;
-  ASSERT_EQ(::waitpid(driver_pid, &status, 0), driver_pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // Byte-identical merge despite the crash.
-  const std::string expected = slurp(ref);
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(slurp(got), expected);
-
-  // fsck: the first sweep may repair (dead temp files from the killed
-  // worker); the second must be fully clean.
-  const std::string verify_args = "--verify-store " + (exchange / "store").string() +
-                                  " --dist " + exchange.string();
-  EXPECT_EQ(msysc(verify_args), 0);
+TEST(MsyscCli, ExhaustedStoreReadsWarnAndKeepTheResultBytes) {
+  // Every read of a warm store fails: each job exhausts its retry budget,
+  // recomputes, and says so on stderr — yet the results are unchanged.
+  const fs::path store = scratch("store");
+  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --store " + store.string()), 0);
+  const fs::path got = scratch("got.tsv");
   std::string out;
-  EXPECT_EQ(msysc_capture(verify_args, &out), 0);
-  EXPECT_NE(out.find("clean"), std::string::npos) << out;
+  ASSERT_EQ(msysc_capture("--batch " MSYS_APPS_DIR " --store " + store.string() +
+                              " --results-out " + got.string(),
+                          &out, "MSYS_FAULTS='seed=11;store.read.io_error=always'"),
+            0);
+  EXPECT_NE(out.find("warning[store.read.exhausted]"), std::string::npos) << out;
+  EXPECT_EQ(slurp(got), slurp(MSYS_BATCH_GOLDEN));
 }
 
 TEST(MsyscCli, ServeFlagsRejectMissingOperands) {

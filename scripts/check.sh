@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # CI-style verification: configure + build + ctest for the default preset
-# and for ThreadSanitizer, both with warnings promoted to errors.
+# and for ThreadSanitizer, both with warnings promoted to errors, plus a
+# narrow ASan/UBSan run of the simulator-facing test binaries.
 #
-#   scripts/check.sh            # default + tsan
+#   scripts/check.sh            # default + tsan + narrow san
 #   scripts/check.sh default    # just one preset
 #   scripts/check.sh tsan
 #
 # Exits non-zero on the first failing step.  Build directories follow the
-# presets (build/, build-tsan/), so a plain developer build and a check
-# run do not clobber each other's cache variables: the script always
-# re-runs configure with -DMSYS_WERROR=ON.
+# presets (build/, build-tsan/, build-san/), so a plain developer build and
+# a check run do not clobber each other's cache variables: the script
+# always re-runs configure with -DMSYS_WERROR=ON.
 #
 # After a green default-preset run the engine throughput, serving and
 # annealing benches are measured and gated against the committed
@@ -167,5 +168,22 @@ for preset in "${presets[@]}"; do
     python3 scripts/bench_gate.py BENCH_anneal.json /tmp/bench_anneal_current.json
   fi
 done
+
+# Narrow ASan/UBSan pass on every default run: the simulator indexes its
+# dense residency tables and FB-occupancy bitset with program-supplied
+# values, so the suites that drive it with real and adversarial programs
+# (simulator, functional RC array, fuzz harness, end to end) run under the
+# sanitizers.  Only those four test binaries are built in build-san/.
+if [ "$#" -eq 0 ]; then
+  san_tests=(sim_test rcarray_test fuzzing_test integration_test)
+  echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
+  cmake --preset san -DMSYS_WERROR=ON
+  cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"
+  for t in "${san_tests[@]}"; do
+    ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      "./build-san/tests/$t" >/dev/null
+  done
+  presets+=(san-narrow)
+fi
 
 echo "==> all checks passed: ${presets[*]}"

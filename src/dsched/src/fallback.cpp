@@ -39,6 +39,30 @@ DataSchedule split_rung_schedule(const extract::ScheduleAnalysis& analysis,
   return out;
 }
 
+/// dsched.fallback.selected.<rung>, resolved once per rung on its first
+/// selection.  Indexed by position in the fixed rung order built by
+/// schedule_with_fallback: CDS, DS, Basic, DS+split.
+obs::Counter& selected_counter(std::size_t rung) {
+  switch (rung) {
+    case 0: {
+      static obs::Counter& c = obs::counter("dsched.fallback.selected.CDS");
+      return c;
+    }
+    case 1: {
+      static obs::Counter& c = obs::counter("dsched.fallback.selected.DS");
+      return c;
+    }
+    case 2: {
+      static obs::Counter& c = obs::counter("dsched.fallback.selected.Basic");
+      return c;
+    }
+    default: {
+      static obs::Counter& c = obs::counter("dsched.fallback.selected.DS+split");
+      return c;
+    }
+  }
+}
+
 }  // namespace
 
 std::string to_string(FallbackEntry entry) {
@@ -149,7 +173,7 @@ ScheduleOutcome schedule_with_fallback(const extract::ScheduleAnalysis& analysis
         attempt.succeeded = true;
         attempt.reason = "selected";
         outcome.schedule = std::move(candidate);
-        obs::counter("dsched.fallback.selected." + rung.name).add();
+        selected_counter(ri).add();
       } else {
         attempt.reason = candidate.infeasible_reason.empty()
                              ? "infeasible"

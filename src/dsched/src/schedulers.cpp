@@ -130,7 +130,8 @@ DataSchedule BasicScheduler::schedule(const ScheduleAnalysis& analysis,
                                       const arch::M1Config& cfg,
                                       const CancelToken& cancel) const {
   MSYS_TRACE_SPAN(span, "dsched.basic", "dsched");
-  obs::counter("dsched.runs.basic").add();
+  static obs::Counter& runs = obs::counter("dsched.runs.basic");
+  runs.add();
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
@@ -146,7 +147,8 @@ DataSchedule DataScheduler::schedule(const ScheduleAnalysis& analysis,
                                      const arch::M1Config& cfg,
                                      const CancelToken& cancel) const {
   MSYS_TRACE_SPAN(span, "dsched.ds", "dsched");
-  obs::counter("dsched.runs.ds").add();
+  static obs::Counter& runs = obs::counter("dsched.runs.ds");
+  runs.add();
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
@@ -175,7 +177,8 @@ DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
                                              const arch::M1Config& cfg,
                                              const CancelToken& cancel) const {
   MSYS_TRACE_SPAN(span, "dsched.cds", "dsched");
-  obs::counter("dsched.runs.cds").add();
+  static obs::Counter& runs = obs::counter("dsched.runs.cds");
+  runs.add();
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }

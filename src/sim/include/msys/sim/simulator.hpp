@@ -21,6 +21,19 @@
 //     slot's execution has released the set;
 //   * a store waits for its slot's execution;
 //   * the first execution of a slot waits for the slot's full IN batch.
+//
+// Functional pass (cost proportional to the ops run):
+//   * effects apply in (time, phase, op) order, phases at equal times being
+//     removals, then insertions, then checks.  The DMA channel and the RC
+//     array are each serial, so each stream's events are emitted in
+//     nondecreasing time (checked); only equal-time runs are ordered, and
+//     the two streams merge with two cursors;
+//   * FB occupancy is a bitset of words per set, checked and marked with
+//     64-bit masks.  Extent::overlaps semantics hold exactly, including its
+//     rule for empty extents;
+//   * residency tables are dense vectors indexed by (data, iter) and
+//     (round, data, iter), sized from the program;
+//   * failure descriptions are built only when a check fails.
 #pragma once
 
 #include <cstdint>

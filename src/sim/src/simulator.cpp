@@ -1,10 +1,9 @@
 #include "msys/sim/simulator.hpp"
 
 #include <algorithm>
-#include <map>
+#include <charconv>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "msys/common/error.hpp"
@@ -32,48 +31,108 @@ struct TimedOp {
   Cycles end{};
 };
 
-/// Functional FB-set state: which words are occupied by which instance.
+/// Functional FB-set state: a word bitset of occupied words, checked and
+/// marked with 64-bit masks, plus the extents each resident instance holds
+/// (a pointer into the schedule's placement), indexed densely by instance.
 class FbState {
  public:
-  explicit FbState(SizeWords capacity) : capacity_(capacity) {}
+  FbState(SizeWords capacity, std::size_t instances)
+      : capacity_(capacity),
+        words_((capacity.value() + 63) / 64, 0),
+        resident_(instances, nullptr) {}
 
-  void insert(std::uint64_t key, const std::vector<Extent>& extents,
-              const std::string& what) {
-    MSYS_REQUIRE(!instances_.contains(key), "instance already resident: " + what);
+  /// `what` builds the failure description; it runs only on failure.
+  /// Every extent is checked before any is marked, so an instance's own
+  /// extents are never compared with each other.
+  template <class Describe>
+  void insert(std::size_t inst, const std::vector<Extent>& extents, const Describe& what) {
+    MSYS_REQUIRE(resident_[inst] == nullptr, "instance already resident: " + what());
     for (const Extent& e : extents) {
-      MSYS_REQUIRE(e.end() <= capacity_.value(), "placement out of range: " + what);
-      for (const auto& [other_key, other] : instances_) {
-        for (const Extent& o : other) {
-          MSYS_REQUIRE(!e.overlaps(o), "FB words doubly occupied: " + what);
-        }
+      MSYS_REQUIRE(e.begin() <= e.end() && e.end() <= capacity_.value(),
+                   "placement out of range: " + what());
+      MSYS_REQUIRE(!collides(e), "FB words doubly occupied: " + what());
+    }
+    for (const Extent& e : extents) {
+      if (e.empty()) {
+        ++empty_extents_;
+      } else {
+        mark(e, true);
       }
     }
     used_ += total_size(extents).value();
     peak_ = std::max(peak_, used_);
-    instances_.emplace(key, extents);
+    resident_[inst] = &extents;
   }
 
-  void remove(std::uint64_t key, const std::string& what) {
-    auto it = instances_.find(key);
-    MSYS_REQUIRE(it != instances_.end(), "releasing a non-resident instance: " + what);
-    used_ -= total_size(it->second).value();
-    instances_.erase(it);
+  template <class Describe>
+  void remove(std::size_t inst, const Describe& what) {
+    const std::vector<Extent>* extents = resident_[inst];
+    MSYS_REQUIRE(extents != nullptr, "releasing a non-resident instance: " + what());
+    for (const Extent& e : *extents) {
+      if (e.empty()) {
+        --empty_extents_;
+      } else {
+        mark(e, false);
+      }
+    }
+    used_ -= total_size(*extents).value();
+    resident_[inst] = nullptr;
   }
 
-  [[nodiscard]] bool resident(std::uint64_t key) const { return instances_.contains(key); }
+  [[nodiscard]] bool resident(std::size_t inst) const { return resident_[inst] != nullptr; }
   [[nodiscard]] std::uint64_t peak_words() const { return peak_; }
 
  private:
+  /// Extent::overlaps against every resident extent.  Set bits are exactly
+  /// the words of resident non-empty extents, which decides every pair of
+  /// non-empty extents.  An empty extent covers no word yet overlaps an
+  /// extent that strictly contains its address, so while one is involved
+  /// on either side the pairwise rule is applied directly.
+  [[nodiscard]] bool collides(const Extent& e) const {
+    if (e.empty() || empty_extents_ > 0) {
+      for (const std::vector<Extent>* other : resident_) {
+        if (other == nullptr) continue;
+        for (const Extent& o : *other) {
+          if (e.overlaps(o)) return true;
+        }
+      }
+      return false;
+    }
+    return for_each_chunk(e, [&](std::size_t w, std::uint64_t mask) {
+      return (words_[w] & mask) != 0;
+    });
+  }
+
+  /// Sets (or clears) the bits of a non-empty, in-range extent.
+  void mark(const Extent& e, bool occupied) {
+    for_each_chunk(e, [&](std::size_t w, std::uint64_t mask) {
+      words_[w] = occupied ? (words_[w] | mask) : (words_[w] & ~mask);
+      return false;
+    });
+  }
+
+  /// Calls fn(word, mask) for each 64-bit word a non-empty, in-range extent
+  /// touches, `mask` selecting the extent's bits; stops once fn returns true.
+  template <class Fn>
+  static bool for_each_chunk(const Extent& e, Fn fn) {
+    const std::size_t first = e.begin() / 64;
+    const std::size_t last = (e.end() - 1) / 64;
+    for (std::size_t w = first; w <= last; ++w) {
+      std::uint64_t mask = ~std::uint64_t{0};
+      if (w == first) mask &= ~std::uint64_t{0} << (e.begin() % 64);
+      if (w == last) mask &= ~std::uint64_t{0} >> (63 - (e.end() - 1) % 64);
+      if (fn(w, mask)) return true;
+    }
+    return false;
+  }
+
   SizeWords capacity_;
-  std::unordered_map<std::uint64_t, std::vector<Extent>> instances_;
+  std::vector<std::uint64_t> words_;
+  std::vector<const std::vector<Extent>*> resident_;
+  std::size_t empty_extents_{0};
   std::uint64_t used_{0};
   std::uint64_t peak_{0};
 };
-
-/// Residency key for a (data, iter) instance within one FB set.
-std::uint64_t inst_key(DataId data, std::uint32_t iter) {
-  return (static_cast<std::uint64_t>(data.index()) << 32) | iter;
-}
 
 /// Functional Context Memory state.
 class CmState {
@@ -128,6 +187,28 @@ class CmState {
   std::uint32_t peak_{0};
 };
 
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, end);
+}
+
+/// One-line op description: "<KIND> <kernel-or-data name> slot=S iter=I".
+std::string describe(const model::Application& app, const Op& op) {
+  const std::string& name = op.kind == OpKind::kLoadContext || op.kind == OpKind::kExec
+                                ? app.kernel(op.kernel).name
+                                : app.data(op.data).name;
+  std::string out = to_string(op.kind);
+  out.reserve(out.size() + name.size() + 32);
+  out += ' ';
+  out += name;
+  out += " slot=";
+  append_uint(out, op.slot);
+  out += " iter=";
+  append_uint(out, op.iter);
+  return out;
+}
+
 }  // namespace
 
 std::string SimReport::summary() const {
@@ -166,11 +247,13 @@ SimReport Simulator::run(const ScheduleProgram& program) {
   std::vector<std::uint32_t> in_remaining(n_slots, 0);
   std::vector<std::uint32_t> exec_remaining(n_slots, 0);
   for (const Op& op : program.dma_ops) {
+    MSYS_REQUIRE(op.slot < n_slots, "op slot outside the program");
     if (op.kind == OpKind::kLoadContext || op.kind == OpKind::kLoadData) {
       ++in_remaining[op.slot];
     }
   }
   for (const Op& op : program.rc_ops) {
+    MSYS_REQUIRE(op.slot < n_slots, "op slot outside the program");
     if (op.kind == OpKind::kExec) ++exec_remaining[op.slot];
   }
   for (std::size_t s = 0; s < n_slots; ++s) {
@@ -224,10 +307,11 @@ SimReport Simulator::run(const ScheduleProgram& program) {
       if (op.kind == OpKind::kExec) {
         if (!in_known[op.slot]) break;
         const Cycles start = std::max(rc_t, in_done[op.slot]);
-        const Cycles end = start + op_duration(op);
+        const Cycles duration = op_duration(op);
+        const Cycles end = start + duration;
         timed.push_back({&op, start, end});
         rc_t = end;
-        report.compute += op_duration(op);
+        report.compute += duration;
         ++report.exec_count;
         if (--exec_remaining[op.slot] == 0) {
           exec_done[op.slot] = end;
@@ -265,10 +349,11 @@ SimReport Simulator::run(const ScheduleProgram& program) {
         if (!exec_known[op.slot]) break;
         start = std::max(start, exec_done[op.slot]);
       }
-      const Cycles end = start + op_duration(op);
+      const Cycles duration = op_duration(op);
+      const Cycles end = start + duration;
       timed.push_back({&op, start, end});
       dma_t = end;
-      report.dma_busy += op_duration(op);
+      report.dma_busy += duration;
       ++report.dma_requests;
       if (op.kind == OpKind::kLoadContext) {
         report.context_words += app.kernel(op.kernel).context_words;
@@ -295,68 +380,111 @@ SimReport Simulator::run(const ScheduleProgram& program) {
 
   // ---- Functional pass: apply effects in simulated-time order. ----
   // Phases at equal timestamps: removals, then insertions, then checks.
-  enum Phase : int { kRemove = 0, kInsert = 1, kCheck = 2 };
-  struct Event {
+  enum Phase : std::uint8_t { kRemove = 0, kInsert = 1, kCheck = 2 };
+  struct Event {  // 16 bytes: the largest transient buffer of a run
     Cycles time;
-    int phase;
-    std::size_t seq;  // stable order within a phase
-    const TimedOp* op;
+    std::uint32_t seq;  // index into `timed`; stable order within a phase
+    Phase phase;
   };
-  std::vector<Event> events;
-  events.reserve(timed.size() * 2);
-  for (std::size_t i = 0; i < timed.size(); ++i) {
-    const TimedOp& t = timed[i];
-    switch (t.op->kind) {
-      case OpKind::kLoadData:
-        events.push_back({t.start, kCheck, i, &t});   // external availability
-        events.push_back({t.start, kInsert, i, &t});  // FB words occupied
-        break;
-      case OpKind::kExec:
-        events.push_back({t.start, kCheck, i, &t});   // inputs + contexts
-        events.push_back({t.start, kInsert, i, &t});  // outputs appear
-        break;
-      case OpKind::kStoreData:
-        events.push_back({t.start, kCheck, i, &t});   // instance resident
-        events.push_back({t.end, kInsert, i, &t});    // reaches external memory
-        if (t.op->release_after_store) events.push_back({t.end, kRemove, i, &t});
-        break;
-      case OpKind::kRelease:
-        events.push_back({t.start, kRemove, i, &t});
-        break;
-      case OpKind::kLoadContext:
-        events.push_back({t.end, kInsert, i, &t});
-        break;
-    }
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+  MSYS_REQUIRE(timed.size() <= UINT32_MAX, "program too large to simulate");
+  // The total order is (time, phase, seq).  The DMA channel and the RC
+  // array are each serial, so each stream's events come out in
+  // nondecreasing time and only equal-time runs need ordering; the two
+  // streams then merge with two cursors.  Both live in one buffer: the
+  // DMA stream first, then the RC stream.
+  auto before = [](const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
     if (a.phase != b.phase) return a.phase < b.phase;
     return a.seq < b.seq;
-  });
+  };
+  std::vector<Event> events;
+  std::size_t n_events = 0;  // reserved exactly: a regrowth would double the peak
+  for (const TimedOp& t : timed) {
+    const OpKind kind = t.op->kind;
+    n_events += kind == OpKind::kRelease || kind == OpKind::kLoadContext
+                    ? 1
+                    : 2 + (kind == OpKind::kStoreData && t.op->release_after_store);
+  }
+  events.reserve(n_events);
+  auto emit_stream = [&](bool rc_stream) {
+    const std::size_t first = events.size();
+    for (std::uint32_t i = 0; i < timed.size(); ++i) {
+      const TimedOp& t = timed[i];
+      const OpKind kind = t.op->kind;
+      if ((kind == OpKind::kExec || kind == OpKind::kRelease) != rc_stream) continue;
+      switch (kind) {
+        case OpKind::kLoadData:
+          events.push_back({t.start, i, kCheck});   // external availability
+          events.push_back({t.start, i, kInsert});  // FB words occupied
+          break;
+        case OpKind::kExec:
+          events.push_back({t.start, i, kCheck});   // inputs + contexts
+          events.push_back({t.start, i, kInsert});  // outputs appear
+          break;
+        case OpKind::kStoreData:
+          events.push_back({t.start, i, kCheck});   // instance resident
+          events.push_back({t.end, i, kInsert});    // reaches external memory
+          if (t.op->release_after_store) events.push_back({t.end, i, kRemove});
+          break;
+        case OpKind::kRelease:
+          events.push_back({t.start, i, kRemove});
+          break;
+        case OpKind::kLoadContext:
+          events.push_back({t.end, i, kInsert});
+          break;
+      }
+    }
+    for (std::size_t run = first; run < events.size();) {
+      std::size_t next = run + 1;
+      while (next < events.size() && events[next].time == events[run].time) ++next;
+      MSYS_REQUIRE(next == events.size() || events[run].time < events[next].time,
+                   "simulator stream emitted events out of time order");
+      // Insertion sort: runs are short and already ascend by seq.
+      for (std::size_t i = run + 1; i < next; ++i) {
+        for (std::size_t j = i; j > run && before(events[j], events[j - 1]); --j) {
+          std::swap(events[j], events[j - 1]);
+        }
+      }
+      run = next;
+    }
+    return events.size();
+  };
+  const std::size_t dma_end = emit_stream(/*rc_stream=*/false);
+  const std::size_t rc_end = emit_stream(/*rc_stream=*/true);
 
-  FbState fb[2] = {FbState(cfg_->fb_set_size), FbState(cfg_->fb_set_size)};
+  // Dense residency tables, sized from the program itself: FB instances by
+  // (data, iter), and results present in external memory by (round, data,
+  // iter) — each round produces fresh instances, so a load of a produced
+  // object must follow this round's store.  Every round runs at least one
+  // of the application's iterations, which bounds both dimensions.
+  std::uint64_t n_iters = 1;
+  for (const auto* stream : {&program.dma_ops, &program.rc_ops}) {
+    for (const Op& op : *stream) n_iters = std::max(n_iters, std::uint64_t{op.iter} + 1);
+  }
+  MSYS_REQUIRE(n_iters <= app.total_iterations(), "op iteration outside the application");
+  std::uint64_t n_rounds = 1;
+  for (const codegen::Slot& slot : program.slots) {
+    n_rounds = std::max(n_rounds, std::uint64_t{slot.round} + 1);
+  }
+  MSYS_REQUIRE(n_rounds <= app.total_iterations(), "slot round outside the application");
+  const std::size_t n_instances = app.data_count() * n_iters;
+  auto inst = [&](DataId data, std::uint32_t iter) -> std::size_t {
+    MSYS_REQUIRE(data.index() < app.data_count() && iter < n_iters,
+                 "object instance outside the program");
+    return static_cast<std::size_t>(data.index()) * n_iters + iter;
+  };
+  FbState fb[2] = {FbState(cfg_->fb_set_size, n_instances),
+                   FbState(cfg_->fb_set_size, n_instances)};
   CmState cm(cfg_->cm_capacity_words,
              ctx_plan_->regime() == csched::ContextRegime::kPersistent);
-  // Results present in external memory, per round (each round produces
-  // fresh instances): a load of a produced object must follow its store.
-  std::unordered_set<std::uint64_t> in_external;
-  auto external_key = [&](std::uint32_t slot, DataId data, std::uint32_t iter) {
-    return (static_cast<std::uint64_t>(program.slots[slot].round) << 48) |
-           inst_key(data, iter);
+  std::vector<bool> in_external(n_rounds * n_instances, false);
+  auto external = [&](std::uint32_t slot, DataId data, std::uint32_t iter) {
+    return program.slots[slot].round * n_instances + inst(data, iter);
   };
 
-  auto describe = [&](const Op& op) {
-    std::ostringstream out;
-    out << to_string(op.kind) << ' '
-        << (op.kind == OpKind::kLoadContext || op.kind == OpKind::kExec
-                ? app.kernel(op.kernel).name
-                : app.data(op.data).name)
-        << " slot=" << op.slot << " iter=" << op.iter;
-    return out.str();
-  };
-
-  for (const Event& ev : events) {
-    const Op& op = *ev.op->op;
+  auto apply = [&](const Event& ev) {
+    const Op& op = *timed[ev.seq].op;
+    const auto what = [&] { return describe(app, op); };
     const codegen::Slot& slot = program.slots[op.slot];
     const FbSet slot_set = sched.cluster(slot.cluster).set;
     switch (op.kind) {
@@ -365,37 +493,31 @@ SimReport Simulator::run(const ScheduleProgram& program) {
           // Data produced inside the application exists in external memory
           // only once this round's store has completed.
           const KernelId producer = app.data(op.data).producer;
-          MSYS_REQUIRE(!producer.valid() ||
-                           in_external.contains(external_key(op.slot, op.data, op.iter)),
-                       "loading a result before its store: " + describe(op));
+          MSYS_REQUIRE(!producer.valid() || in_external[external(op.slot, op.data, op.iter)],
+                       "loading a result before its store: " + what());
           break;
         }
         const Placement& p = schedule.placement(op.cluster, {op.data, op.iter});
-        fb[static_cast<std::size_t>(p.set)].insert(inst_key(op.data, op.iter), p.extents,
-                                                   describe(op));
-        if (hooks_.on_load) hooks_.on_load(op, program.slots[op.slot].round);
+        fb[static_cast<std::size_t>(p.set)].insert(inst(op.data, op.iter), p.extents, what);
+        if (hooks_.on_load) hooks_.on_load(op, slot.round);
         break;
       }
       case OpKind::kExec: {
         const model::Kernel& kernel = app.kernel(op.kernel);
         if (ev.phase == kCheck) {
-          MSYS_REQUIRE(cm.resident(op.kernel),
-                       "contexts not CM-resident for " + describe(op));
+          MSYS_REQUIRE(cm.resident(op.kernel), "contexts not CM-resident for " + what());
           for (DataId in : kernel.inputs) {
-            const bool home = fb[static_cast<std::size_t>(slot_set)].resident(
-                inst_key(in, op.iter));
-            const bool across =
-                cfg_->cross_set_reads &&
-                fb[static_cast<std::size_t>(other_set(slot_set))].resident(
-                    inst_key(in, op.iter));
-            MSYS_REQUIRE(home || across, "input '" + app.data(in).name +
-                                             "' not resident for " + describe(op));
+            const std::size_t i = inst(in, op.iter);
+            const bool home = fb[static_cast<std::size_t>(slot_set)].resident(i);
+            const bool across = cfg_->cross_set_reads &&
+                                fb[static_cast<std::size_t>(other_set(slot_set))].resident(i);
+            MSYS_REQUIRE(home || across,
+                         "input '" + app.data(in).name + "' not resident for " + what());
           }
         } else {
           for (DataId out : kernel.outputs) {
             const Placement& p = schedule.placement(slot.cluster, {out, op.iter});
-            fb[static_cast<std::size_t>(p.set)].insert(inst_key(out, op.iter), p.extents,
-                                                       describe(op));
+            fb[static_cast<std::size_t>(p.set)].insert(inst(out, op.iter), p.extents, what);
           }
           if (hooks_.on_exec) hooks_.on_exec(op, slot);
         }
@@ -404,20 +526,19 @@ SimReport Simulator::run(const ScheduleProgram& program) {
       case OpKind::kStoreData: {
         const std::size_t set = static_cast<std::size_t>(slot_set);
         if (ev.phase == kCheck) {
-          MSYS_REQUIRE(fb[set].resident(inst_key(op.data, op.iter)),
-                       "storing a non-resident instance: " + describe(op));
+          MSYS_REQUIRE(fb[set].resident(inst(op.data, op.iter)),
+                       "storing a non-resident instance: " + what());
         } else if (ev.phase == kInsert) {
-          in_external.insert(external_key(op.slot, op.data, op.iter));
-          if (hooks_.on_store) hooks_.on_store(op, program.slots[op.slot].round);
+          in_external[external(op.slot, op.data, op.iter)] = true;
+          if (hooks_.on_store) hooks_.on_store(op, slot.round);
         } else {
-          fb[set].remove(inst_key(op.data, op.iter), describe(op));
+          fb[set].remove(inst(op.data, op.iter), what);
         }
         break;
       }
       case OpKind::kRelease: {
         const Placement& p = schedule.placement(op.cluster, {op.data, op.iter});
-        fb[static_cast<std::size_t>(p.set)].remove(inst_key(op.data, op.iter),
-                                                   describe(op));
+        fb[static_cast<std::size_t>(p.set)].remove(inst(op.data, op.iter), what);
         break;
       }
       case OpKind::kLoadContext: {
@@ -428,6 +549,13 @@ SimReport Simulator::run(const ScheduleProgram& program) {
         break;
       }
     }
+  };
+  for (std::size_t d = 0, r = dma_end; d < dma_end || r < rc_end;) {
+    if (r == rc_end || (d < dma_end && before(events[d], events[r]))) {
+      apply(events[d++]);
+    } else {
+      apply(events[r++]);
+    }
   }
 
   report.max_resident_words[0] = fb[0].peak_words();
@@ -435,7 +563,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
   report.max_cm_words = cm.peak_words();
 
   if (trace_) {
-    for (const TimedOp& t : timed) trace_(t.start, t.end, describe(*t.op));
+    for (const TimedOp& t : timed) trace_(t.start, t.end, describe(app, *t.op));
   }
 
   // ---- Observability. ----  Counters mirror the SimReport fields so the
@@ -465,7 +593,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
       if (t.op->kind == OpKind::kRelease || t.start == t.end) continue;
       const obs::SimLane lane =
           t.op->kind == OpKind::kExec ? obs::SimLane::kRc : obs::SimLane::kDma;
-      rec->sim_complete(describe(*t.op), "sim", t.start.value(),
+      rec->sim_complete(describe(app, *t.op), "sim", t.start.value(),
                         (t.end - t.start).value(), lane);
     }
   }

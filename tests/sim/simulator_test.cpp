@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "msys/common/error.hpp"
 #include "msys/dsched/cost.hpp"
@@ -158,6 +162,209 @@ TEST(Simulator, DetectsOutOfRangePlacement) {
   ScheduleProgram program = codegen::generate(s, plan);
   Simulator simulator(cfg, plan);
   EXPECT_THROW((void)simulator.run(program), Error);
+}
+
+// ---- FB occupancy edge cases.  The occupancy check works on 64-word
+// bitset chunks, so word 63/64 boundaries, abutting extents, split
+// placements, the end of the set, same-timestamp release/re-insert and
+// empty extents each get a verdict and the exact failure message. ----
+
+/// TwoClusterApp(1) under `scheduler`, with every cluster-0 placement moved
+/// to words 512+ so a test can place the first slot's inputs `b` and `a`
+/// (loaded in that order, both resident while p1 runs) anywhere in words
+/// [0, 512).
+class FbOccupancy : public ::testing::Test {
+ protected:
+  void build(const dsched::DataSchedulerBase& scheduler) {
+    analysis_ = std::make_unique<ScheduleAnalysis>(app_.sched);
+    schedule_ = scheduler.schedule(*analysis_, cfg_);
+    ASSERT_TRUE(schedule_.feasible);
+    FbAddr next = 512;
+    for (auto& [key, placement] : schedule_.placements) {
+      if (((key >> 16) & 0xffff) != 0) continue;  // DataSchedule::key's cluster field
+      const SizeWords size = total_size(placement.extents);
+      placement.extents = {Extent{next, size}};
+      next += size.value();
+    }
+    ASSERT_LE(next, 1024u);
+  }
+
+  std::vector<Extent>& extents(const char* data) {
+    const DataId id = *app_.app->find_data(data);
+    return schedule_.placements.at(dsched::DataSchedule::key(ClusterId{0}, {id, 0})).extents;
+  }
+
+  /// Empty on success, else the failing MSYS_REQUIRE's message.
+  std::string run() {
+    const ScheduleProgram program = codegen::generate(schedule_, plan_);
+    Simulator simulator(cfg_, plan_);
+    const Simulator::Outcome outcome = simulator.try_run(program);
+    if (outcome.ok()) return {};
+    const std::string& what = outcome.diagnostics.front().message;
+    const std::string prefix = "MSYS_REQUIRE failed: ";
+    if (what.rfind(prefix, 0) != 0) return what;
+    return what.substr(prefix.size(), what.find(" [") - prefix.size());
+  }
+
+  TwoClusterApp app_ = TwoClusterApp::make(/*iterations=*/1);
+  arch::M1Config cfg_ = test_cfg(1024);
+  csched::ContextPlan plan_ = csched::ContextPlan::build(app_.sched, cfg_.cm_capacity_words);
+  std::unique_ptr<ScheduleAnalysis> analysis_;
+  dsched::DataSchedule schedule_;
+};
+
+// With Basic, `a` is loaded after `b`, so a collision names the load of a.
+constexpr const char* kADoubly = "FB words doubly occupied: LOAD a slot=0 iter=0";
+
+TEST_F(FbOccupancy, ExtentStraddlingA64WordBoundary) {
+  build(dsched::BasicScheduler{});
+  extents("a") = {Extent{30, SizeWords{100}}};  // words 30..129: chunks 0, 1 and 2
+  extents("b") = {Extent{200, SizeWords{50}}};
+  EXPECT_EQ(run(), "");
+  extents("b") = {Extent{64, SizeWords{50}}};  // entirely inside a's middle chunk
+  EXPECT_EQ(run(), kADoubly);
+  extents("b") = {Extent{129, SizeWords{50}}};  // shares only a's last word
+  EXPECT_EQ(run(), kADoubly);
+}
+
+TEST_F(FbOccupancy, OverlapExactlyAtWords63And64) {
+  build(dsched::BasicScheduler{});
+  extents("a") = {Extent{0, SizeWords{64}}};  // words 0..63
+  extents("b") = {Extent{63, SizeWords{50}}};
+  EXPECT_EQ(run(), kADoubly);
+  extents("a") = {Extent{0, SizeWords{65}}};  // words 0..64
+  extents("b") = {Extent{64, SizeWords{50}}};
+  EXPECT_EQ(run(), kADoubly);
+}
+
+TEST_F(FbOccupancy, AbuttingExtentsAreNotAnOverlap) {
+  build(dsched::BasicScheduler{});
+  extents("a") = {Extent{0, SizeWords{64}}};
+  extents("b") = {Extent{64, SizeWords{50}}};  // first word of the next chunk
+  EXPECT_EQ(run(), "");
+  extents("a") = {Extent{14, SizeWords{100}}};  // ends at word 113
+  extents("b") = {Extent{114, SizeWords{50}}};
+  EXPECT_EQ(run(), "");
+  extents("b") = {Extent{0, SizeWords{14}}, Extent{114, SizeWords{36}}};  // both sides
+  EXPECT_EQ(run(), "");
+}
+
+TEST_F(FbOccupancy, SplitPlacement) {
+  build(dsched::BasicScheduler{});
+  extents("a") = {Extent{0, SizeWords{30}}, Extent{128, SizeWords{70}}};
+  extents("b") = {Extent{30, SizeWords{50}}};  // fills the gap, abutting the first piece
+  EXPECT_EQ(run(), "");
+  extents("b") = {Extent{78, SizeWords{50}}};  // abuts the second piece
+  EXPECT_EQ(run(), "");
+  extents("b") = {Extent{190, SizeWords{50}}};  // overlaps the second piece's tail
+  EXPECT_EQ(run(), kADoubly);
+  extents("b") = {Extent{300, SizeWords{20}}, Extent{20, SizeWords{30}}};  // second piece hits
+  EXPECT_EQ(run(), kADoubly);
+}
+
+TEST_F(FbOccupancy, PlacementEndingAtTheEndOfTheSet) {
+  build(dsched::BasicScheduler{});
+  extents("a") = {Extent{924, SizeWords{100}}};  // ends at fb_set_size
+  EXPECT_EQ(run(), "");
+  extents("a") = {Extent{925, SizeWords{100}}};  // ends at fb_set_size + 1
+  EXPECT_EQ(run(), "placement out of range: LOAD a slot=0 iter=0");
+  // Extent by extent, out of range is checked before overlap.
+  extents("b") = {Extent{0, SizeWords{50}}};
+  extents("a") = {Extent{25, SizeWords{50}}, Extent{1000, SizeWords{50}}};
+  EXPECT_EQ(run(), kADoubly);
+  extents("a") = {Extent{1000, SizeWords{50}}, Extent{25, SizeWords{50}}};
+  EXPECT_EQ(run(), "placement out of range: LOAD a slot=0 iter=0");
+}
+
+TEST_F(FbOccupancy, ReleaseAndReinsertAtOneTimestamp) {
+  // DS releases `a` right after p1, at the cycle p2 starts and its output
+  // r1 appears: removals run before insertions, so r1 may take a's words.
+  build(dsched::DataScheduler{});
+  const ScheduleProgram program = codegen::generate(schedule_, plan_);
+  const DataId a = *app_.app->find_data("a");
+  const auto release_a =
+      std::find_if(program.rc_ops.begin(), program.rc_ops.end(), [&](const Op& op) {
+        return op.kind == OpKind::kRelease && op.data == a;
+      });
+  ASSERT_NE(release_a, program.rc_ops.end());
+  const auto next_exec = std::find_if(release_a, program.rc_ops.end(),
+                                      [](const Op& op) { return op.kind == OpKind::kExec; });
+  ASSERT_NE(next_exec, program.rc_ops.end());
+  ASSERT_EQ(next_exec->kernel, *app_.app->find_kernel("p2"));
+  Simulator tracer(cfg_, plan_);
+  std::vector<std::pair<std::string, Cycles>> starts;
+  tracer.set_trace([&](Cycles start, Cycles, const std::string& what) {
+    starts.emplace_back(what, start);
+  });
+  (void)tracer.run(program);
+  const auto start_of = [&](const std::string& what) {
+    for (const auto& [w, t] : starts) {
+      if (w == what) return t;
+    }
+    ADD_FAILURE() << "no timed op " << what;
+    return Cycles::zero();
+  };
+  ASSERT_EQ(start_of("RELEASE a slot=0 iter=0"), start_of("EXEC p2 slot=0 iter=0"));
+
+  extents("a") = {Extent{0, SizeWords{100}}};
+  extents("r1") = {Extent{0, SizeWords{70}}};
+  EXPECT_EQ(run(), "");
+  // b is still resident (p2 reads it): taking its words must fail.
+  extents("b") = {Extent{100, SizeWords{50}}};
+  extents("r1") = {Extent{120, SizeWords{70}}};
+  EXPECT_EQ(run(), "FB words doubly occupied: EXEC p2 slot=0 iter=0");
+}
+
+TEST_F(FbOccupancy, EmptyExtentStrictlyInsideAResidentOneCollides) {
+  // Extent::overlaps semantics: an empty extent overlaps an extent that
+  // strictly contains its address, but not one it merely touches.
+  build(dsched::BasicScheduler{});
+  extents("a") = {Extent{0, SizeWords{100}}};
+  extents("b") = {Extent{50, SizeWords{0}}};
+  EXPECT_EQ(run(), kADoubly);
+  extents("b") = {Extent{0, SizeWords{0}}};
+  EXPECT_EQ(run(), "");
+  extents("b") = {Extent{100, SizeWords{0}}};
+  EXPECT_EQ(run(), "");
+  // A resident empty extent collides with a later extent strictly around it.
+  extents("b") = {Extent{200, SizeWords{0}}};
+  extents("a") = {Extent{150, SizeWords{100}}};
+  EXPECT_EQ(run(), kADoubly);
+  extents("a") = {Extent{200, SizeWords{100}}};
+  EXPECT_EQ(run(), "");
+}
+
+TEST(Simulator, RejectsOpsOutsideTheApplication) {
+  // Residency tables are sized from the program; ops or slots naming
+  // iterations, rounds, slots or data the application does not have are
+  // faults, never out-of-bounds accesses.
+  TwoClusterApp t = TwoClusterApp::make(/*iterations=*/2);
+  ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(1024);
+  dsched::DataSchedule s = dsched::DataScheduler{}.schedule(analysis, cfg);
+  csched::ContextPlan plan = csched::ContextPlan::build(t.sched, cfg.cm_capacity_words);
+  const ScheduleProgram clean = codegen::generate(s, plan);
+  for (const std::uint32_t iter : {2u, 1000000u, 0xffffffffu}) {
+    ScheduleProgram program = clean;
+    program.rc_ops.back().iter = iter;
+    Simulator simulator(cfg, plan);
+    EXPECT_FALSE(simulator.try_run(program).ok()) << iter;
+  }
+  ScheduleProgram program = clean;
+  auto release = std::find_if(program.rc_ops.begin(), program.rc_ops.end(),
+                              [](const Op& op) { return op.kind == OpKind::kRelease; });
+  ASSERT_NE(release, program.rc_ops.end());
+  release->data = DataId{1000};
+  Simulator simulator(cfg, plan);
+  EXPECT_FALSE(simulator.try_run(program).ok());
+  program = clean;
+  program.dma_ops.front().slot = static_cast<std::uint32_t>(program.slots.size());
+  EXPECT_FALSE(simulator.try_run(program).ok());
+  for (const std::uint32_t round : {2u, 0xffffffffu}) {
+    program = clean;
+    program.slots.back().round = round;
+    EXPECT_FALSE(simulator.try_run(program).ok()) << round;
+  }
 }
 
 TEST(Simulator, StallAccountsForNonOverlappedDma) {

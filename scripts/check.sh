@@ -171,11 +171,14 @@ done
 
 # Narrow ASan/UBSan pass on every default run: the simulator indexes its
 # dense residency tables and FB-occupancy bitset with program-supplied
-# values, so the suites that drive it with real and adversarial programs
-# (simulator, functional RC array, fuzz harness, end to end) run under the
-# sanitizers.  Only those four test binaries are built in build-san/.
+# values, and the Figure-4 walk's flat results are indexed by per-cluster
+# offsets the walk computes, so the suites that drive them with real and
+# adversarial programs (simulator, functional RC array, fuzz harness, end
+# to end, schedulers, annealing) run under the sanitizers.  Only those six
+# test binaries are built in build-san/; plan_alloc_test stays out because
+# it replaces operator new, which ASan owns.
 if [ "$#" -eq 0 ]; then
-  san_tests=(sim_test rcarray_test fuzzing_test integration_test)
+  san_tests=(sim_test rcarray_test fuzzing_test integration_test dsched_test search_test)
   echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
   cmake --preset san -DMSYS_WERROR=ON
   cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"

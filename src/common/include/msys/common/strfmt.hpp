@@ -18,6 +18,9 @@ namespace msys {
 /// "2K"/"0.8K"/"0.1K", smaller values as plain word counts.
 [[nodiscard]] std::string size_kb(SizeWords words);
 
+/// Appends the decimal digits of `value` to `out` (no locale, no stream).
+void append_uint(std::string& out, std::uint64_t value);
+
 /// Left/right pad to a column width (no truncation).
 [[nodiscard]] std::string pad_left(const std::string& s, std::size_t width);
 [[nodiscard]] std::string pad_right(const std::string& s, std::size_t width);

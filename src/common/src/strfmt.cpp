@@ -1,5 +1,6 @@
 #include "msys/common/strfmt.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 namespace msys {
@@ -8,6 +9,12 @@ std::string fixed(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
   return buf;
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[20];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, end);
 }
 
 std::string percent(double fraction) { return fixed(fraction * 100.0, 1) + "%"; }

@@ -20,6 +20,7 @@
 
 #include "msys/arch/m1.hpp"
 #include "msys/csched/context_plan.hpp"
+#include "msys/dsched/alloc_driver.hpp"
 #include "msys/dsched/schedule_types.hpp"
 
 namespace msys::dsched {
@@ -53,15 +54,13 @@ struct CostBreakdown {
                                          const arch::M1Config& cfg,
                                          const csched::ContextPlan& ctx_plan);
 
-/// Core overload on the fields the model actually reads — the kernel
-/// schedule, the reuse factor and the per-cluster round plan — so callers
-/// holding a memoized DriverResult (the annealer re-costing thousands of
-/// mutations per second) can price it without materializing a DataSchedule
-/// (whose placements map is the expensive part of a copy and is never read
-/// here).  The DataSchedule overload above forwards to this one.
+/// Prices one planning walk directly, without building a DataSchedule:
+/// the RF scan and the annealer cost many walks of which at most one
+/// becomes a schedule.  `plan` must be a successful walk at `rf` over
+/// `sched`.  Both overloads run the same core over per-cluster load/store
+/// spans, so they agree exactly on the same plan.
 [[nodiscard]] CostBreakdown predict_cost(const model::KernelSchedule& sched,
-                                         std::uint32_t rf,
-                                         const std::vector<ClusterRoundPlan>& round_plan,
+                                         std::uint32_t rf, const DriverResult& plan,
                                          const arch::M1Config& cfg,
                                          const csched::ContextPlan& ctx_plan);
 

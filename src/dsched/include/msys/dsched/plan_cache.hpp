@@ -17,6 +17,12 @@
 // provably unchanged (tests/dsched/rf_search_property_test.cpp replays the
 // fuzz corpus against unmemoized references).
 //
+// What the memo holds: flat DriverResults (see alloc_driver.hpp) — six
+// exactly-sized arrays per successful walk, and only ok/fail_reason/summary
+// for a failed one.  No DataSchedule is built here; callers price a walk
+// through the reference plan() returns and turn at most one into a
+// schedule with to_schedule().
+//
 // Scope: one PlanCache per schedule() call, on the stack.  Not
 // thread-safe; concurrent schedule() calls each own their cache.
 #pragma once
@@ -45,8 +51,10 @@ class PlanCache {
   ~PlanCache();
 
   /// The memoized Figure-4 walk for `options`; computes and stores on
-  /// miss.  The reference stays valid until the next plan() call that
-  /// misses past the entry bound (callers copy what they keep).
+  /// miss.  Reference lifetime: valid until the cache is destroyed or the
+  /// next plan() call that misses past the entry bound (which overwrites
+  /// the overflow slot), so read or to_schedule() it before planning again
+  /// when the cache may be full.
   [[nodiscard]] const DriverResult& plan(const DriverOptions& options);
 
   struct Stats {

@@ -43,6 +43,8 @@ struct StoreEvent {
   /// Free the instance's FB words once stored; false for retained final
   /// results that later clusters still read in place.
   bool release_after{true};
+
+  friend bool operator==(const StoreEvent&, const StoreEvent&) = default;
 };
 
 /// An FB-space release, triggered when `trigger_kernel` (local index in
@@ -55,6 +57,8 @@ struct ReleaseEvent {
   /// Cluster under which the instance's placement is keyed (differs from
   /// the releasing cluster for retained objects freed at span end).
   ClusterId placement_cluster{};
+
+  friend bool operator==(const ReleaseEvent&, const ReleaseEvent&) = default;
 };
 
 /// Per-cluster steady-round transfer plan.  Execution itself is implied:

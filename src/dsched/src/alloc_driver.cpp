@@ -1,9 +1,9 @@
 #include "msys/dsched/alloc_driver.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "msys/common/error.hpp"
+#include "msys/common/strfmt.hpp"
 #include "msys/obs/metrics.hpp"
 
 namespace msys::dsched {
@@ -27,18 +27,15 @@ struct LiveSlot {
 };
 
 /// Mutable walk state shared across clusters of the round.  All
-/// bookkeeping lives in the caller's PlanScratch — a flat arena-backed
-/// live table indexed by (set, data, iter) and a pooled extent vector —
-/// so the walk's inner loops never touch the heap (the previous
-/// implementation hashed into a node-based map and built a std::vector
-/// per allocation, which serialized concurrent cold compiles on the
-/// global allocator).
+/// bookkeeping and output live in the caller's PlanScratch — a flat
+/// arena-backed live table indexed by (set, data, iter), a pooled extent
+/// vector and the flat load/store/release/placement arrays — so once the
+/// scratch has grown to the workload the walk never touches the heap.
 struct Walk {
   const ScheduleAnalysis* analysis;
   const DriverOptions* options;
   PlanScratch* scratch;
   FrameBufferAllocator allocators[2];
-  DriverResult result;
   std::span<LiveSlot> live;
   std::uint32_t data_count{0};
   std::size_t live_count{0};
@@ -50,6 +47,11 @@ struct Walk {
         allocators{FrameBufferAllocator(fbs, opt.fit), FrameBufferAllocator(fbs, opt.fit)} {
     scratch->arena.reset();
     scratch->extent_pool.clear();
+    scratch->loads.clear();
+    scratch->stores.clear();
+    scratch->releases.clear();
+    scratch->placements.clear();
+    scratch->cluster_ends.clear();
     data_count = static_cast<std::uint32_t>(a.app().data_count());
     // An instance may be resident in both sets at once (e.g. a result
     // retained on its producer's set while the other set holds the copy it
@@ -118,9 +120,10 @@ struct Walk {
     s.extent_count = static_cast<std::uint32_t>(n);
     s.placed_by = cluster.index();
     ++live_count;
-    result.placements.emplace(
-        DataSchedule::key(cluster, {d, iter}),
-        Placement{.set = set, .extents = {pool.begin() + begin, pool.end()}});
+    scratch->placements.push_back(PlacementRecord{.key = DataSchedule::key(cluster, {d, iter}),
+                                                  .extent_begin = s.extent_begin,
+                                                  .extent_count = s.extent_count,
+                                                  .set = set});
     return true;
   }
 
@@ -135,16 +138,16 @@ struct Walk {
     return true;
   }
 
-  /// Frees the instance's FB words.  When `record_into` is non-null, a
-  /// ReleaseEvent replayable by code generation is appended to that plan.
-  void release_instance(DataId d, std::uint32_t iter, FbSet set,
-                        ClusterRoundPlan* record_into, std::uint32_t trigger_kernel,
-                        std::uint32_t trigger_iter) {
+  /// Frees the instance's FB words.  When `record` is set, a ReleaseEvent
+  /// replayable by code generation is appended to the current cluster's
+  /// releases.
+  void release_instance(DataId d, std::uint32_t iter, FbSet set, bool record,
+                        std::uint32_t trigger_kernel, std::uint32_t trigger_iter) {
     LiveSlot& s = slot(set, d, iter);
     MSYS_REQUIRE(s.extent_count != 0, "releasing an instance that is not live");
     allocators[static_cast<std::size_t>(set)].release_span(extents_of(s));
-    if (record_into != nullptr) {
-      record_into->releases.push_back(
+    if (record) {
+      scratch->releases.push_back(
           ReleaseEvent{.trigger_kernel = trigger_kernel,
                        .trigger_iter = trigger_iter,
                        .inst = {d, iter},
@@ -154,27 +157,24 @@ struct Walk {
     --live_count;
   }
 
-  void release_all_instances(DataId d, FbSet set, ClusterRoundPlan* record_into,
+  void release_all_instances(DataId d, FbSet set, bool record,
                              std::uint32_t trigger_kernel, std::uint32_t trigger_iter) {
     for (std::uint32_t iter = 0; iter < options->rf; ++iter) {
-      release_instance(d, iter, set, record_into, trigger_kernel, trigger_iter);
+      release_instance(d, iter, set, record, trigger_kernel, trigger_iter);
     }
   }
 
-  void fail(std::string reason) {
-    result.ok = false;
-    result.fail_reason = std::move(reason);
-  }
-
-  void fold_stats() {
+  [[nodiscard]] AllocSummary summary() const {
+    AllocSummary out;
     for (std::size_t s = 0; s < 2; ++s) {
       const FrameBufferAllocator::Stats& st = allocators[s].stats();
-      result.summary.allocations += st.allocations;
-      result.summary.splits += st.splits;
-      result.summary.preferred_hits += st.preferred_hits;
-      result.summary.preferred_misses += st.preferred_misses;
-      result.summary.peak_used_words[s] = st.peak_used_words;
+      out.allocations += st.allocations;
+      out.splits += st.splits;
+      out.preferred_hits += st.preferred_hits;
+      out.preferred_misses += st.preferred_misses;
+      out.peak_used_words[s] = st.peak_used_words;
     }
+    return out;
   }
 };
 
@@ -185,8 +185,9 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
   const Cluster& cluster = analysis.sched().cluster(cluster_id);
   const ClusterDataflow& flow = analysis.dataflow(cluster_id);
   const FbSet set = cluster.set;
-  ClusterRoundPlan& plan = walk.result.round_plan[cluster_id.index()];
-  plan.cluster = cluster_id;
+  PlanScratch& emit = *walk.scratch;
+  MSYS_REQUIRE(emit.cluster_ends.size() == cluster_id.index(),
+               "clusters must be walked in ClusterId order");
 
   // ---- Phase 1: input loading (overlapped with the previous slot). ----
   // Partition the cluster's inputs into: retained objects already resident
@@ -242,7 +243,7 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
       return false;
     }
     for (std::uint32_t iter = 0; iter < opt.rf; ++iter) {
-      plan.loads.push_back({load.data, iter});
+      emit.loads.push_back({load.data, iter});
     }
   }
 
@@ -270,12 +271,12 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
       for (DataId in : flow.inputs) {
         if (walk.reads_in_place(in, set)) continue;
         if (flow.last_local_use[in.index()] == local_pos) {
-          walk.release_instance(in, iter, set, &plan, local, iter);
+          walk.release_instance(in, iter, set, true, local, iter);
         }
       }
       for (DataId mid : flow.intermediates) {
         if (flow.last_local_use[mid.index()] == local_pos) {
-          walk.release_instance(mid, iter, set, &plan, local, iter);
+          walk.release_instance(mid, iter, set, true, local, iter);
         }
       }
     }
@@ -294,13 +295,13 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
       const bool store_needed = !retained || analysis.candidate_for(out).store_required;
       if (store_needed) {
         for (std::uint32_t iter = 0; iter < opt.rf; ++iter) {
-          plan.stores.push_back(StoreEvent{.inst = {out, iter}, .release_after = !retained});
+          emit.stores.push_back(StoreEvent{.inst = {out, iter}, .release_after = !retained});
         }
       }
       if (!retained) {
         // Freed by the store itself (release_after above): update the
         // walk's allocator state without recording a ReleaseEvent.
-        walk.release_all_instances(out, set, nullptr, 0, 0);
+        walk.release_all_instances(out, set, false, 0, 0);
       }
     }
   }
@@ -310,11 +311,11 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
     // Basic Scheduler: everything not already released dies only now.
     for (DataId in : flow.inputs) {
       if (!walk.reads_in_place(in, set)) {
-        walk.release_all_instances(in, set, &plan, last_kernel, last_iter);
+        walk.release_all_instances(in, set, true, last_kernel, last_iter);
       }
     }
     for (DataId mid : flow.intermediates) {
-      walk.release_all_instances(mid, set, &plan, last_kernel, last_iter);
+      walk.release_all_instances(mid, set, true, last_kernel, last_iter);
     }
   }
   // Retained objects whose occupancy span ends at this cluster die now.
@@ -325,10 +326,27 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
     if (!walk.retained_here(d, set)) continue;
     const RetentionCandidate& cand = analysis.candidate_for(d);
     if (cand.occupancy_span.back() == cluster_id) {
-      walk.release_all_instances(d, set, &plan, last_kernel, last_iter);
+      walk.release_all_instances(d, set, true, last_kernel, last_iter);
     }
   }
+  emit.cluster_ends.push_back(
+      ClusterEnds{.loads = static_cast<std::uint32_t>(emit.loads.size()),
+                  .stores = static_cast<std::uint32_t>(emit.stores.size()),
+                  .releases = static_cast<std::uint32_t>(emit.releases.size())});
   return true;
+}
+
+/// "cluster Cl<n> does not fit a <words>-word FB set at RF=<rf>" — part of
+/// fallback chain summaries and the batch results golden, so the bytes
+/// are fixed.
+std::string fit_failure_reason(ClusterId cluster, SizeWords fb_set_size, std::uint32_t rf) {
+  std::string reason = "cluster Cl";
+  append_uint(reason, std::uint64_t{cluster.index()} + 1);
+  reason += " does not fit a ";
+  append_uint(reason, fb_set_size.value());
+  reason += "-word FB set at RF=";
+  append_uint(reason, rf);
+  return reason;
 }
 
 }  // namespace
@@ -341,19 +359,14 @@ DriverResult plan_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
   rounds.add();
 
   Walk walk(analysis, fb_set_size, options, scratch);
-  walk.result.round_plan.resize(analysis.sched().cluster_count());
-  walk.result.ok = true;
-
+  DriverResult result;
   for (const Cluster& cluster : analysis.sched().clusters()) {
     if (!process_cluster(walk, cluster.id)) {
-      std::ostringstream reason;
-      reason << "cluster Cl" << (cluster.id.index() + 1) << " does not fit a "
-             << fb_set_size.value() << "-word FB set at RF=" << options.rf;
-      walk.fail(reason.str());
-      walk.fold_stats();
+      result.fail_reason = fit_failure_reason(cluster.id, fb_set_size, options.rf);
+      result.summary = walk.summary();
       arena_reserved.update_max(
           static_cast<std::int64_t>(scratch.arena.stats().bytes_reserved));
-      return std::move(walk.result);
+      return result;
     }
   }
 
@@ -362,15 +375,54 @@ DriverResult plan_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
   MSYS_REQUIRE(walk.live_count == 0, "objects leaked past the end of the round");
   MSYS_REQUIRE(walk.allocators[0].all_free() && walk.allocators[1].all_free(),
                "allocators must drain by round end");
-  walk.fold_stats();
+  result.ok = true;
+  result.summary = walk.summary();
+  // One exactly-sized copy per array; the scratch keeps its capacity.
+  result.cluster_ends_.assign(scratch.cluster_ends.begin(), scratch.cluster_ends.end());
+  result.loads_.assign(scratch.loads.begin(), scratch.loads.end());
+  result.stores_.assign(scratch.stores.begin(), scratch.stores.end());
+  result.releases_.assign(scratch.releases.begin(), scratch.releases.end());
+  result.placements_.assign(scratch.placements.begin(), scratch.placements.end());
+  result.extents_.assign(scratch.extent_pool.begin(), scratch.extent_pool.end());
   arena_reserved.update_max(static_cast<std::int64_t>(scratch.arena.stats().bytes_reserved));
-  return std::move(walk.result);
+  return result;
 }
 
 DriverResult plan_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
                         const DriverOptions& options) {
   PlanScratch scratch;
   return plan_round(analysis, fb_set_size, options, scratch);
+}
+
+DataSchedule to_schedule(const DriverResult& result, std::string scheduler_name,
+                         const model::KernelSchedule& sched, const DriverOptions& options) {
+  MSYS_REQUIRE(result.ok, "only a successful walk becomes a schedule");
+  DataSchedule out;
+  out.scheduler_name = std::move(scheduler_name);
+  out.sched = &sched;
+  out.feasible = true;
+  out.rf = options.rf;
+  out.retained = options.retained;
+  out.round_plan.resize(result.cluster_count());
+  for (std::uint32_t c = 0; c < out.round_plan.size(); ++c) {
+    const ClusterId id{c};
+    ClusterRoundPlan& plan = out.round_plan[c];
+    plan.cluster = id;
+    const std::span<const ObjInstance> loads = result.loads(id);
+    const std::span<const StoreEvent> stores = result.stores(id);
+    const std::span<const ReleaseEvent> releases = result.releases(id);
+    plan.loads.assign(loads.begin(), loads.end());
+    plan.stores.assign(stores.begin(), stores.end());
+    plan.releases.assign(releases.begin(), releases.end());
+  }
+  out.placements.reserve(result.placements().size());
+  for (const PlacementRecord& p : result.placements()) {
+    const std::span<const Extent> extents = result.extents(p);
+    out.placements.emplace(
+        p.key, Placement{.set = p.set, .extents = {extents.begin(), extents.end()}});
+  }
+  out.alloc_summary = result.summary;
+  return out;
 }
 
 }  // namespace msys::dsched

@@ -1,7 +1,9 @@
 #include "msys/dsched/cost.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "msys/common/error.hpp"
@@ -38,21 +40,14 @@ std::string CostBreakdown::summary() const {
   return out.str();
 }
 
-CostBreakdown predict_cost(const DataSchedule& schedule, const arch::M1Config& cfg,
-                           const csched::ContextPlan& ctx_plan) {
-  if (!schedule.feasible) {
-    CostBreakdown out;
-    out.feasible = false;
-    out.infeasible_reason = schedule.infeasible_reason;
-    return out;
-  }
-  return predict_cost(*schedule.sched, schedule.rf, schedule.round_plan, cfg, ctx_plan);
-}
+namespace {
 
-CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
-                           const std::vector<ClusterRoundPlan>& round_plan,
-                           const arch::M1Config& cfg,
-                           const csched::ContextPlan& ctx_plan) {
+/// The model proper.  `plan_of(cluster)` yields that cluster's round-plan
+/// load and store spans, which is all the model reads of a plan.
+template <class PlanOf>
+CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_t rf,
+                                PlanOf plan_of, const arch::M1Config& cfg,
+                                const csched::ContextPlan& ctx_plan) {
   CostBreakdown out;
   if (!ctx_plan.feasible()) {
     out.feasible = false;
@@ -100,8 +95,8 @@ CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
     slot.ctx_cycles = ctx;
     Cycles in = Cycles::zero();
     Cycles late = Cycles::zero();
-    const ClusterRoundPlan& plan = round_plan[cluster_id.index()];
-    for (ObjInstance inst : plan.loads) {
+    const auto [loads, stores] = plan_of(cluster_id);
+    for (ObjInstance inst : loads) {
       if (inst.iter >= iters) continue;
       const SizeWords size = app.data(inst.data).size;
       const KernelId producer = app.data(inst.data).producer;
@@ -117,7 +112,7 @@ CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
     slot.late_load_cycles = late;
 
     Cycles st = Cycles::zero();
-    for (const StoreEvent& store : plan.stores) {
+    for (const StoreEvent& store : stores) {
       if (store.inst.iter >= iters) continue;
       const SizeWords size = app.data(store.inst.data).size;
       st += cfg.dma.data_cycles(size);
@@ -218,6 +213,36 @@ CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
   out.total = std::max(exec_done[n_slots - 1], dma_t);
   out.stall = out.total - out.compute;
   return out;
+}
+
+using PlanSpans = std::pair<std::span<const ObjInstance>, std::span<const StoreEvent>>;
+
+}  // namespace
+
+CostBreakdown predict_cost(const DataSchedule& schedule, const arch::M1Config& cfg,
+                           const csched::ContextPlan& ctx_plan) {
+  if (!schedule.feasible) {
+    CostBreakdown out;
+    out.feasible = false;
+    out.infeasible_reason = schedule.infeasible_reason;
+    return out;
+  }
+  return predict_cost_core(
+      *schedule.sched, schedule.rf,
+      [&](ClusterId c) {
+        const ClusterRoundPlan& plan = schedule.round_plan[c.index()];
+        return PlanSpans{plan.loads, plan.stores};
+      },
+      cfg, ctx_plan);
+}
+
+CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
+                           const DriverResult& plan, const arch::M1Config& cfg,
+                           const csched::ContextPlan& ctx_plan) {
+  MSYS_REQUIRE(plan.ok, "only a successful walk can be priced");
+  return predict_cost_core(
+      sched, rf, [&](ClusterId c) { return PlanSpans{plan.loads(c), plan.stores(c)}; }, cfg,
+      ctx_plan);
 }
 
 }  // namespace msys::dsched

@@ -24,19 +24,11 @@ DataSchedule split_rung_schedule(const extract::ScheduleAnalysis& analysis,
   options.regularity_hints = false;
   options.fit = alloc::FitPolicy::kBestFit;
   options.allow_split = true;
-  DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
+  const DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
   if (!result.ok) {
     return infeasible("DS+split", analysis.sched(), result.fail_reason);
   }
-  DataSchedule out;
-  out.scheduler_name = "DS+split";
-  out.sched = &analysis.sched();
-  out.feasible = true;
-  out.rf = 1;
-  out.round_plan = std::move(result.round_plan);
-  out.placements = std::move(result.placements);
-  out.alloc_summary = result.summary;
-  return out;
+  return to_schedule(result, "DS+split", analysis.sched(), options);
 }
 
 /// dsched.fallback.selected.<rung>, resolved once per rung on its first

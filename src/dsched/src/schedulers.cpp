@@ -14,25 +14,6 @@ namespace msys::dsched {
 using extract::RetentionCandidate;
 using extract::ScheduleAnalysis;
 
-namespace {
-
-/// Packs a successful driver result into a DataSchedule.
-DataSchedule finish(std::string name, const ScheduleAnalysis& analysis,
-                    const DriverOptions& options, DriverResult result) {
-  DataSchedule out;
-  out.scheduler_name = std::move(name);
-  out.sched = &analysis.sched();
-  out.feasible = true;
-  out.rf = options.rf;
-  out.retained = options.retained;
-  out.round_plan = std::move(result.round_plan);
-  out.placements = std::move(result.placements);
-  out.alloc_summary = result.summary;
-  return out;
-}
-
-}  // namespace
-
 std::uint32_t compute_max_rf(const ScheduleAnalysis& analysis, const arch::M1Config& cfg,
                              DriverOptions base_options, const CancelToken& cancel) {
   PlanCache plans(analysis, cfg.fb_set_size);
@@ -106,10 +87,9 @@ std::uint32_t pick_rf_by_cost(const ScheduleAnalysis& analysis, const arch::M1Co
     // scan degrades to "best of what was evaluated".
     if (cancel.cancelled()) break;
     options.rf = rf;
-    DriverResult result = plans.plan(options);
+    const DriverResult& result = plans.plan(options);
     MSYS_REQUIRE(result.ok, "RF below the feasible maximum must plan");
-    DataSchedule tentative = finish("tentative", analysis, options, std::move(result));
-    const CostBreakdown cost = predict_cost(tentative, cfg, ctx_plan);
+    const CostBreakdown cost = predict_cost(analysis.sched(), rf, result, cfg, ctx_plan);
     rf_evaluated.add();
     if (cost.feasible && (best_rf == 0 || cost.total <= best_cost)) {
       best_cost = cost.total;
@@ -138,9 +118,9 @@ DataSchedule BasicScheduler::schedule(const ScheduleAnalysis& analysis,
   DriverOptions options;
   options.rf = 1;
   options.release_at_last_use = false;  // no replacement within a cluster
-  DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
+  const DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
   if (!result.ok) return infeasible(name(), analysis.sched(), result.fail_reason);
-  return finish(name(), analysis, options, std::move(result));
+  return to_schedule(result, name(), analysis.sched(), options);
 }
 
 DataSchedule DataScheduler::schedule(const ScheduleAnalysis& analysis,
@@ -168,9 +148,9 @@ DataSchedule DataScheduler::schedule(const ScheduleAnalysis& analysis,
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
   if (span.active()) span.add_arg(obs::arg("rf", std::uint64_t{options.rf}));
-  DriverResult result = plans.plan(options);  // memo hit from the RF scan
+  const DriverResult& result = plans.plan(options);  // memo hit from the RF scan
   MSYS_REQUIRE(result.ok, "re-planning at the feasible RF must succeed");
-  return finish(name(), analysis, options, std::move(result));
+  return to_schedule(result, name(), analysis.sched(), options);
 }
 
 DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
@@ -228,10 +208,12 @@ DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
   }
 
   // Greedy §4 selection at a fixed RF: keep a candidate iff every cluster
-  // still fits (the Figure-4 walk is the ground-truth fit check).
+  // still fits (the Figure-4 walk is the ground-truth fit check).  Returns
+  // the winning options; every accepted set was planned and memoized, so
+  // the caller reads the winning walk from `plans` by reference.
   static obs::Counter& retention_kept = obs::counter("dsched.retention.kept");
   static obs::Counter& retention_rejected = obs::counter("dsched.retention.rejected");
-  auto retain_at_rf = [&](std::uint32_t rf) -> std::pair<DriverOptions, DriverResult> {
+  auto retain_at_rf = [&](std::uint32_t rf) -> DriverOptions {
     DriverOptions opt = options;
     opt.rf = rf;
     opt.retained.clear();
@@ -255,50 +237,46 @@ DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
                            obs::arg("tf", cand.tf), obs::arg("rf", std::uint64_t{rf}));
       }
     }
-    // Copy the winning walk once from the memo (every accepted set above
-    // was planned and cached) — the previous code copied the full
-    // DriverResult after *every* accepted candidate, which dominated cold
-    // compiles on retention-heavy workloads.
-    return {opt, plans.plan(opt)};
+    return opt;
   };
 
   if (!options_.joint_rf_retention) {
     // §4: secure the cheapest RF first (context-transfer minimisation
     // dominates), then spend remaining FB space on retention.
-    auto [opt, best] =
+    const DriverOptions opt =
         retain_at_rf(pick_rf_by_cost(analysis, cfg, options, max_rf, plans, cancel));
     if (cancel.cancelled()) {
       return cancelled_schedule(name(), analysis.sched(), cancel.reason());
     }
-    return finish(name(), analysis, opt, std::move(best));
+    return to_schedule(plans.plan(opt), name(), analysis.sched(), opt);
   }
 
   // Extension: jointly pick (RF, retained set) by predicted cost.
   const csched::ContextPlan ctx_plan =
       csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words);
-  std::optional<DataSchedule> best_schedule;
+  std::optional<DriverOptions> best;
   Cycles best_cost = Cycles::max();
   for (std::uint32_t rf = 1; rf <= max_rf; ++rf) {
     if (cancel.cancelled()) break;
-    auto [opt, result] = retain_at_rf(rf);
-    DataSchedule candidate = finish(name(), analysis, opt, std::move(result));
+    DriverOptions opt = retain_at_rf(rf);
     if (!ctx_plan.feasible()) {
       // No cost model available: fall back to the paper ordering (largest
       // RF wins) by keeping the last feasible candidate.
-      best_schedule = std::move(candidate);
+      best = std::move(opt);
       continue;
     }
-    const CostBreakdown cost = predict_cost(candidate, cfg, ctx_plan);
-    if (cost.feasible && (!best_schedule || cost.total <= best_cost)) {
+    const CostBreakdown cost =
+        predict_cost(analysis.sched(), rf, plans.plan(opt), cfg, ctx_plan);
+    if (cost.feasible && (!best || cost.total <= best_cost)) {
       best_cost = cost.total;
-      best_schedule = std::move(candidate);
+      best = std::move(opt);
     }
   }
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
-  MSYS_REQUIRE(best_schedule.has_value(), "at least RF=1 must produce a schedule");
-  return std::move(*best_schedule);
+  MSYS_REQUIRE(best.has_value(), "at least RF=1 must produce a schedule");
+  return to_schedule(plans.plan(*best), name(), analysis.sched(), *best);
 }
 
 std::vector<std::unique_ptr<DataSchedulerBase>> all_schedulers() {

@@ -238,18 +238,11 @@ std::shared_ptr<const CompiledResult> decode_result(std::string_view payload,
   try {
     const extract::ScheduleAnalysis analysis(*job.input.sched,
                                              job.input.cfg.cross_set_reads);
-    dsched::DriverResult planned =
+    const dsched::DriverResult planned =
         dsched::plan_round(analysis, job.input.cfg.fb_set_size, opts);
     if (!planned.ok) return nullptr;
-    dsched::DataSchedule schedule;
-    schedule.scheduler_name = std::move(scheduler_name);
-    schedule.sched = &analysis.sched();
-    schedule.feasible = true;
-    schedule.rf = opts.rf;
-    schedule.retained = opts.retained;
-    schedule.round_plan = std::move(planned.round_plan);
-    schedule.placements = std::move(planned.placements);
-    schedule.alloc_summary = planned.summary;
+    dsched::DataSchedule schedule =
+        dsched::to_schedule(planned, std::move(scheduler_name), analysis.sched(), opts);
     const csched::ContextPlan ctx_plan = csched::ContextPlan::build(
         *job.input.sched, job.input.cfg.cm_capacity_words);
     result->predicted = dsched::predict_cost(schedule, job.input.cfg, ctx_plan);

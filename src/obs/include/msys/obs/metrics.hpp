@@ -86,9 +86,17 @@ class MetricsRegistry {
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
 
+  /// By-name lookups served so far (every counter()/gauge() call).  Hot
+  /// paths cache their handles, so this stays flat across warm work; tests
+  /// diff it to prove a path performs no lookups.
+  [[nodiscard]] std::uint64_t lookups() const {
+    return lookups_.load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
+  std::atomic<std::uint64_t> lookups_{0};
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;

@@ -31,6 +31,7 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) return *it->second;
@@ -39,6 +40,7 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return *it->second;

@@ -211,7 +211,7 @@ class Island {
     const DriverResult& result = ctx.plans->plan(opt);
     if (!result.ok) return {false, 0};
     const dsched::CostBreakdown cost =
-        dsched::predict_cost(*ctx.sched, rf, result.round_plan, cfg_, ctx.ctx_plan);
+        dsched::predict_cost(*ctx.sched, rf, result, cfg_, ctx.ctx_plan);
     if (!cost.feasible) return {false, 0};
     return {true, cost.total.value()};
   }
@@ -222,18 +222,9 @@ class Island {
     opt.release_at_last_use = true;
     opt.rf = sk.rf;
     opt.retained = sk.retained;
-    DriverResult result = ctx.plans->plan(opt);  // memo hit: eval planned it
+    const DriverResult& result = ctx.plans->plan(opt);  // memo hit: eval planned it
     MSYS_REQUIRE(result.ok, "packing a skeleton that evaluated feasible must plan");
-    dsched::DataSchedule out;
-    out.scheduler_name = "CDS+anneal";
-    out.sched = ctx.sched;
-    out.feasible = true;
-    out.rf = sk.rf;
-    out.retained = sk.retained;
-    out.round_plan = std::move(result.round_plan);
-    out.placements = std::move(result.placements);
-    out.alloc_summary = result.summary;
-    return out;
+    return dsched::to_schedule(result, "CDS+anneal", *ctx.sched, opt);
   }
 
  private:

@@ -1,12 +1,12 @@
 #include "msys/sim/simulator.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
 
 #include "msys/common/error.hpp"
+#include "msys/common/strfmt.hpp"
 #include "msys/dsched/schedule_types.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
@@ -186,12 +186,6 @@ class CmState {
   std::uint32_t used_{0};
   std::uint32_t peak_{0};
 };
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[20];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, end);
-}
 
 /// One-line op description: "<KIND> <kernel-or-data name> slot=S iter=I".
 std::string describe(const model::Application& app, const Op& op) {

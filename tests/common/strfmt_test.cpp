@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace msys {
 namespace {
 
@@ -27,6 +30,16 @@ TEST(StrFmt, SizeKbFractional) {
   EXPECT_EQ(size_kb(SizeWords{1536}), "1.5K");
   EXPECT_EQ(size_kb(SizeWords{819}), "819");  // below 1K: plain words
   EXPECT_EQ(size_kb(SizeWords{0}), "0");
+}
+
+TEST(StrFmt, AppendUint) {
+  std::string out = "RF=";
+  append_uint(out, 0);
+  append_uint(out, 42);
+  EXPECT_EQ(out, "RF=042");
+  out.clear();
+  append_uint(out, UINT64_MAX);  // all 20 digits fit
+  EXPECT_EQ(out, "18446744073709551615");
 }
 
 TEST(StrFmt, Pad) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "msys/extract/analysis.hpp"
 #include "testing/apps.hpp"
@@ -14,13 +15,25 @@ using extract::ScheduleAnalysis;
 using testing::RetentionApp;
 using testing::TwoClusterApp;
 
+/// Extents of the instance `inst` allocated by `cluster` (first record of
+/// its key, as in a DataSchedule's placements map).
+std::span<const Extent> extents_at(const DriverResult& result, ClusterId cluster,
+                                   ObjInstance inst) {
+  const std::uint64_t key = DataSchedule::key(cluster, inst);
+  for (const PlacementRecord& p : result.placements()) {
+    if (p.key == key) return result.extents(p);
+  }
+  ADD_FAILURE() << "no placement for key " << key;
+  return {};
+}
+
 TEST(AllocDriver, PlansFeasibleRound) {
   TwoClusterApp t = TwoClusterApp::make();
   ScheduleAnalysis analysis(t.sched);
   DriverOptions opt;
   DriverResult result = plan_round(analysis, SizeWords{512}, opt);
   ASSERT_TRUE(result.ok) << result.fail_reason;
-  EXPECT_EQ(result.round_plan.size(), 2u);
+  EXPECT_EQ(result.cluster_count(), 2u);
   EXPECT_EQ(result.summary.splits, 0u);
 }
 
@@ -29,9 +42,8 @@ TEST(AllocDriver, LoadsCoverClusterInputs) {
   ScheduleAnalysis analysis(t.sched);
   DriverResult result = plan_round(analysis, SizeWords{512}, DriverOptions{});
   ASSERT_TRUE(result.ok);
-  const ClusterRoundPlan& plan = result.round_plan[0];
   std::vector<DataId> loaded;
-  for (ObjInstance inst : plan.loads) loaded.push_back(inst.data);
+  for (ObjInstance inst : result.loads(ClusterId{0})) loaded.push_back(inst.data);
   for (const char* name : {"a", "b", "shared"}) {
     EXPECT_TRUE(std::count(loaded.begin(), loaded.end(), *t.app->find_data(name)))
         << name;
@@ -45,9 +57,10 @@ TEST(AllocDriver, StoresCoverOutgoingOnly) {
   ScheduleAnalysis analysis(t.sched);
   DriverResult result = plan_round(analysis, SizeWords{512}, DriverOptions{});
   ASSERT_TRUE(result.ok);
-  ASSERT_EQ(result.round_plan[0].stores.size(), 1u);
-  EXPECT_EQ(result.round_plan[0].stores[0].inst.data, *t.app->find_data("r1"));
-  EXPECT_TRUE(result.round_plan[0].stores[0].release_after);
+  const std::span<const StoreEvent> stores = result.stores(ClusterId{0});
+  ASSERT_EQ(stores.size(), 1u);
+  EXPECT_EQ(stores[0].inst.data, *t.app->find_data("r1"));
+  EXPECT_TRUE(stores[0].release_after);
 }
 
 TEST(AllocDriver, RfMultipliesInstances) {
@@ -58,8 +71,8 @@ TEST(AllocDriver, RfMultipliesInstances) {
   DriverResult result = plan_round(analysis, SizeWords{1024}, opt);
   ASSERT_TRUE(result.ok) << result.fail_reason;
   // 3 inputs x 3 iterations.
-  EXPECT_EQ(result.round_plan[0].loads.size(), 9u);
-  EXPECT_EQ(result.round_plan[0].stores.size(), 3u);
+  EXPECT_EQ(result.loads(ClusterId{0}).size(), 9u);
+  EXPECT_EQ(result.stores(ClusterId{0}).size(), 3u);
 }
 
 TEST(AllocDriver, FailsCleanlyWhenTooSmall) {
@@ -67,7 +80,22 @@ TEST(AllocDriver, FailsCleanlyWhenTooSmall) {
   ScheduleAnalysis analysis(t.sched);
   DriverResult result = plan_round(analysis, SizeWords{128}, DriverOptions{});
   EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.fail_reason.find("does not fit"), std::string::npos);
+  // Byte-exact: the reason reaches fallback chain summaries and the batch
+  // results golden.
+  EXPECT_EQ(result.fail_reason, "cluster Cl1 does not fit a 128-word FB set at RF=1");
+  // A failed walk carries no plan.
+  EXPECT_EQ(result.cluster_count(), 0u);
+  EXPECT_TRUE(result.placements().empty());
+}
+
+TEST(AllocDriver, FailureReasonNamesClusterSizeAndRf) {
+  TwoClusterApp t = TwoClusterApp::make();
+  ScheduleAnalysis analysis(t.sched);
+  DriverOptions opt;
+  opt.rf = 3;
+  const DriverResult result = plan_round(analysis, SizeWords{300}, opt);
+  ASSERT_FALSE(result.ok);
+  EXPECT_EQ(result.fail_reason, "cluster Cl1 does not fit a 300-word FB set at RF=3");
 }
 
 TEST(AllocDriver, BasicModeNeedsMoreSpace) {
@@ -96,20 +124,20 @@ TEST(AllocDriver, RetainedObjectLoadedOnceAndReleasedAtSpanEnd) {
   // d loaded only by Cl1 (its first span cluster).
   auto count_loads = [&](ClusterId c, const char* name) {
     const DataId id = *r.app->find_data(name);
-    return std::count_if(result.round_plan[c.index()].loads.begin(),
-                         result.round_plan[c.index()].loads.end(),
+    const std::span<const ObjInstance> loads = result.loads(c);
+    return std::count_if(loads.begin(), loads.end(),
                          [&](ObjInstance i) { return i.data == id; });
   };
   EXPECT_EQ(count_loads(ClusterId{0}, "d"), 1);
   EXPECT_EQ(count_loads(ClusterId{2}, "d"), 0);
   EXPECT_EQ(count_loads(ClusterId{2}, "sr"), 0);
   // sr's store disappears (consumed only on its own set, not final).
-  EXPECT_TRUE(std::none_of(result.round_plan[0].stores.begin(),
-                           result.round_plan[0].stores.end(), [&](const StoreEvent& s) {
-                             return s.inst.data == *r.app->find_data("sr");
-                           }));
+  const std::span<const StoreEvent> stores = result.stores(ClusterId{0});
+  EXPECT_TRUE(std::none_of(stores.begin(), stores.end(), [&](const StoreEvent& s) {
+    return s.inst.data == *r.app->find_data("sr");
+  }));
   // Span-end releases recorded in Cl3's plan for both retained objects.
-  const auto& releases = result.round_plan[2].releases;
+  const std::span<const ReleaseEvent> releases = result.releases(ClusterId{2});
   EXPECT_TRUE(std::any_of(releases.begin(), releases.end(), [&](const ReleaseEvent& e) {
     return e.inst.data == *r.app->find_data("d");
   }));
@@ -125,14 +153,14 @@ TEST(AllocDriver, WithoutRetentionSharedDataLoadedTwice) {
   ASSERT_TRUE(result.ok);
   const DataId d = *r.app->find_data("d");
   int loads = 0;
-  for (const ClusterRoundPlan& plan : result.round_plan) {
-    for (ObjInstance inst : plan.loads) {
+  for (std::uint32_t c = 0; c < result.cluster_count(); ++c) {
+    for (ObjInstance inst : result.loads(ClusterId{c})) {
       if (inst.data == d) ++loads;
     }
   }
   EXPECT_EQ(loads, 2);
   // And sr is stored by Cl1 and loaded by Cl3.
-  EXPECT_EQ(result.round_plan[0].stores.size(), 2u);  // out1 + sr
+  EXPECT_EQ(result.stores(ClusterId{0}).size(), 2u);  // out1 + sr
 }
 
 TEST(AllocDriver, PlacementsAreDisjointPerSet) {
@@ -142,9 +170,11 @@ TEST(AllocDriver, PlacementsAreDisjointPerSet) {
   opt.rf = 2;
   DriverResult result = plan_round(analysis, SizeWords{512}, opt);
   ASSERT_TRUE(result.ok);
-  for (const auto& [key, placement] : result.placements) {
-    EXPECT_TRUE(disjoint(placement.extents));
-    for (const Extent& e : placement.extents) {
+  ASSERT_FALSE(result.placements().empty());
+  for (const PlacementRecord& placement : result.placements()) {
+    const std::span<const Extent> extents = result.extents(placement);
+    EXPECT_TRUE(disjoint({extents.begin(), extents.end()}));
+    for (const Extent& e : extents) {
       EXPECT_LE(e.end(), 512u);
     }
   }
@@ -160,12 +190,14 @@ TEST(AllocDriver, RegularityHintsGiveAdjacentIterations) {
   // Consecutive iterations of input `a` in Cl1 occupy adjacent descending
   // addresses (Figure 5's layout).
   const DataId a = *t.app->find_data("a");
-  const Placement& p0 = result.placements.at(DataSchedule::key(ClusterId{0}, {a, 0}));
-  const Placement& p1 = result.placements.at(DataSchedule::key(ClusterId{0}, {a, 1}));
-  const Placement& p2 = result.placements.at(DataSchedule::key(ClusterId{0}, {a, 2}));
-  ASSERT_EQ(p0.extents.size(), 1u);
-  EXPECT_EQ(p1.extents[0].end(), p0.extents[0].begin());
-  EXPECT_EQ(p2.extents[0].end(), p1.extents[0].begin());
+  const std::span<const Extent> p0 = extents_at(result, ClusterId{0}, {a, 0});
+  const std::span<const Extent> p1 = extents_at(result, ClusterId{0}, {a, 1});
+  const std::span<const Extent> p2 = extents_at(result, ClusterId{0}, {a, 2});
+  ASSERT_EQ(p0.size(), 1u);
+  ASSERT_EQ(p1.size(), 1u);
+  ASSERT_EQ(p2.size(), 1u);
+  EXPECT_EQ(p1[0].end(), p0[0].begin());
+  EXPECT_EQ(p2[0].end(), p1[0].begin());
   EXPECT_GT(result.summary.preferred_hits, 0u);
 }
 
@@ -188,21 +220,58 @@ TEST(AllocDriver, InputsPlacedTopResultsPlacedBottom) {
   ASSERT_TRUE(result.ok);
   // Inputs go to the top, longest-lived first: b (consumed by the last
   // kernel) sits topmost, then a and shared below it.
-  const Placement& a =
-      result.placements.at(DataSchedule::key(ClusterId{0}, {*t.app->find_data("a"), 0}));
-  const Placement& b =
-      result.placements.at(DataSchedule::key(ClusterId{0}, {*t.app->find_data("b"), 0}));
-  const Placement& final_result =
-      result.placements.at(DataSchedule::key(ClusterId{0}, {*t.app->find_data("r1"), 0}));
-  const Placement& t_mid =
-      result.placements.at(DataSchedule::key(ClusterId{0}, {*t.app->find_data("t"), 0}));
-  EXPECT_EQ(b.extents[0].end(), 512u);  // top first-fit, last consumer first
-  EXPECT_EQ(a.extents[0].end(), b.extents[0].begin());
+  auto first_extent = [&](const char* name) {
+    const std::span<const Extent> extents =
+        extents_at(result, ClusterId{0}, {*t.app->find_data(name), 0});
+    return extents.empty() ? Extent{} : extents.front();
+  };
+  const Extent a = first_extent("a");
+  const Extent b = first_extent("b");
+  const Extent final_result = first_extent("r1");
+  const Extent t_mid = first_extent("t");
+  EXPECT_EQ(b.end(), 512u);  // top first-fit, last consumer first
+  EXPECT_EQ(a.end(), b.begin());
   // Results grow from the bottom: the intermediate t first, then r1 right
   // above it (t is still live when r1 is produced).
-  EXPECT_EQ(t_mid.extents[0].begin(), 0u);
-  EXPECT_EQ(final_result.extents[0].begin(), t_mid.extents[0].end());
-  EXPECT_GT(a.extents[0].begin(), final_result.extents[0].end());
+  EXPECT_EQ(t_mid.begin(), 0u);
+  EXPECT_EQ(final_result.begin(), t_mid.end());
+  EXPECT_GT(a.begin(), final_result.end());
+}
+
+TEST(AllocDriver, ToScheduleMaterializesTheFlatWalk) {
+  RetentionApp r = RetentionApp::make();
+  ScheduleAnalysis analysis(r.sched);
+  DriverOptions opt;
+  opt.rf = 2;
+  opt.retained = {*r.app->find_data("d"), *r.app->find_data("sr")};
+  const DriverResult result = plan_round(analysis, SizeWords{512}, opt);
+  ASSERT_TRUE(result.ok) << result.fail_reason;
+  const DataSchedule s = to_schedule(result, "CDS", r.sched, opt);
+  EXPECT_EQ(s.scheduler_name, "CDS");
+  EXPECT_EQ(s.sched, &r.sched);
+  EXPECT_TRUE(s.feasible);
+  EXPECT_EQ(s.rf, 2u);
+  EXPECT_EQ(s.retained, opt.retained);
+  EXPECT_EQ(s.alloc_summary.allocations, result.summary.allocations);
+  ASSERT_EQ(s.round_plan.size(), result.cluster_count());
+  for (std::uint32_t c = 0; c < result.cluster_count(); ++c) {
+    const ClusterId id{c};
+    const ClusterRoundPlan& plan = s.round_plan[c];
+    EXPECT_EQ(plan.cluster, id);
+    EXPECT_TRUE(std::ranges::equal(plan.loads, result.loads(id)));
+    EXPECT_TRUE(std::ranges::equal(plan.stores, result.stores(id)));
+    EXPECT_TRUE(std::ranges::equal(plan.releases, result.releases(id)));
+  }
+  ASSERT_EQ(s.placements.size(), result.placements().size());
+  for (const PlacementRecord& p : result.placements()) {
+    const Placement& placed = s.placements.at(p.key);
+    EXPECT_EQ(placed.set, p.set);
+    EXPECT_TRUE(std::ranges::equal(placed.extents, result.extents(p)));
+  }
+  // Only a successful walk becomes a schedule.
+  const DriverResult failed = plan_round(analysis, SizeWords{16}, opt);
+  ASSERT_FALSE(failed.ok);
+  EXPECT_THROW((void)to_schedule(failed, "CDS", r.sched, opt), Error);
 }
 
 }  // namespace

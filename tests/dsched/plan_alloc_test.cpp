@@ -1,0 +1,94 @@
+// Heap allocations of a warm Figure-4 walk.
+//
+// plan_round writes its output into reusable PlanScratch storage and
+// copies a successful walk into one exactly-sized array per field, so a
+// walk over warm scratch allocates a small constant number of blocks —
+// those arrays plus the two FB allocators' free lists — however many
+// object instances it places.  A walk that builds a schedule per call
+// (a map node and an extent vector per instance, growing per-cluster
+// vectors) allocates in proportion to the instances instead.  This test
+// pins the constant.
+//
+// It replaces the global operator new to count, so it is a test binary of
+// its own; sanitizer builds that own the allocator leave it out.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <string>
+
+#include "msys/dsched/alloc_driver.hpp"
+#include "msys/dsched/schedulers.hpp"
+#include "msys/extract/analysis.hpp"
+#include "msys/workloads/experiments.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so the compiler never pairs the free() with a visible new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+
+namespace msys::dsched {
+namespace {
+
+/// Most heap blocks one warm walk may allocate: the six flat result
+/// arrays, and the free lists of the two FB allocators (one block each,
+/// plus a few doublings while fragmented).  Table 1's walks take 10-14;
+/// walks that build a schedule per call take 74-482 on the same rows.
+constexpr std::uint64_t kWarmWalkAllocationBound = 14;
+
+TEST(PlanAllocations, WarmWalkAllocatesAConstant) {
+  std::uint64_t worst = 0;
+  std::string worst_row;
+  for (const std::string& name : workloads::table1_experiment_names()) {
+    const workloads::Experiment exp = workloads::make_experiment(name);
+    const extract::ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
+    const DataSchedule chosen = CompleteDataScheduler{}.schedule(analysis, exp.cfg);
+    ASSERT_TRUE(chosen.feasible) << name;
+    DriverOptions options;
+    options.rf = chosen.rf;
+    options.retained = chosen.retained;
+
+    PlanScratch scratch;
+    {
+      const DriverResult warm = plan_round(analysis, exp.cfg.fb_set_size, options, scratch);
+      ASSERT_TRUE(warm.ok) << name;
+    }
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    const DriverResult again = plan_round(analysis, exp.cfg.fb_set_size, options, scratch);
+    g_counting.store(false, std::memory_order_relaxed);
+    const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
+
+    ASSERT_TRUE(again.ok) << name;
+    EXPECT_LE(allocations, kWarmWalkAllocationBound)
+        << name << " at RF=" << options.rf << " placing " << again.placements().size()
+        << " instances";
+    if (allocations > worst) {
+      worst = allocations;
+      worst_row = name;
+    }
+  }
+  std::cout << "worst warm walk: " << worst << " allocations (" << worst_row << ")\n";
+}
+
+}  // namespace
+}  // namespace msys::dsched

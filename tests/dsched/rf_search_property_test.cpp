@@ -28,6 +28,7 @@
 #include "msys/extract/analysis.hpp"
 #include "msys/fuzzing/fuzzing.hpp"
 #include "testing/apps.hpp"
+#include "testing/fingerprint.hpp"
 
 namespace msys::dsched {
 namespace {
@@ -89,53 +90,6 @@ std::uint32_t linear_max_rf(const extract::ScheduleAnalysis& analysis,
   return best;
 }
 
-/// Canonical byte-level description of everything a DriverResult/schedule
-/// decided: the round plan's load/store/release streams and the placement
-/// of every object instance.
-std::string plan_fingerprint(const std::vector<ClusterRoundPlan>& round_plan,
-                             const std::unordered_map<std::uint64_t, Placement>& placements) {
-  std::ostringstream out;
-  for (const ClusterRoundPlan& cp : round_plan) {
-    out << "C" << cp.cluster.index() << "{L:";
-    for (const ObjInstance& inst : cp.loads) {
-      out << inst.data.index() << '.' << inst.iter << ' ';
-    }
-    out << "S:";
-    for (const StoreEvent& s : cp.stores) {
-      out << s.inst.data.index() << '.' << s.inst.iter << (s.release_after ? "r" : "k")
-          << ' ';
-    }
-    out << "R:";
-    for (const ReleaseEvent& r : cp.releases) {
-      out << r.trigger_kernel << '@' << r.trigger_iter << ':' << r.inst.data.index()
-          << '.' << r.inst.iter << '/' << r.placement_cluster.index() << ' ';
-    }
-    out << "}";
-  }
-  std::vector<std::uint64_t> keys;
-  keys.reserve(placements.size());
-  for (const auto& [key, placement] : placements) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    const Placement& p = placements.at(key);
-    out << 'P' << key << ':' << static_cast<int>(p.set) << '[';
-    for (const Extent& e : p.extents) out << e.begin() << '+' << e.size.value() << ' ';
-    out << ']';
-  }
-  return out.str();
-}
-
-std::string schedule_fingerprint(const DataSchedule& s) {
-  std::ostringstream out;
-  out << s.feasible << '|' << s.rf << '|';
-  std::vector<std::uint32_t> retained;
-  for (const DataId d : s.retained) retained.push_back(d.index());
-  std::sort(retained.begin(), retained.end());
-  for (const std::uint32_t d : retained) out << d << ',';
-  out << '|' << plan_fingerprint(s.round_plan, s.placements);
-  return out.str();
-}
-
 TEST(RfSearchProperty, BinarySearchMatchesLinearScan) {
   const std::vector<Case> cases = gather_cases();
   ASSERT_GE(cases.size(), 8u);
@@ -183,8 +137,8 @@ TEST(RfSearchProperty, MemoizedScheduleMatchesFreshWalk) {
       options.release_at_last_use = true;  // DS and CDS both replace
       const DriverResult fresh = plan_round(analysis, c.cfg.fb_set_size, options);
       ASSERT_TRUE(fresh.ok) << c.name << " " << scheduler->name();
-      EXPECT_EQ(plan_fingerprint(shipped.round_plan, shipped.placements),
-                plan_fingerprint(fresh.round_plan, fresh.placements))
+      EXPECT_EQ(testing::plan_fingerprint(shipped.round_plan, shipped.placements),
+                testing::plan_fingerprint(fresh))
           << c.name << " " << scheduler->name();
       ++verified;
     }
@@ -210,7 +164,7 @@ TEST(RfSearchProperty, SchedulerRunsAreDeterministic) {
         continue;
       }
       const DataSchedule second = scheduler->schedule(analysis, c.cfg);
-      EXPECT_EQ(schedule_fingerprint(first), schedule_fingerprint(second))
+      EXPECT_EQ(testing::schedule_fingerprint(first), testing::schedule_fingerprint(second))
           << c.name << " " << scheduler->name();
     }
   }

@@ -19,6 +19,18 @@ TEST(Metrics, CounterHandleIsStableAndShared) {
   EXPECT_EQ(a.value(), before + 3);
 }
 
+TEST(Metrics, EveryByNameLookupIsCounted) {
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.lookups(), 0u);
+  Counter& c = registry.counter("test.lookups.counter");
+  (void)registry.counter("test.lookups.counter");  // existing name: still a lookup
+  (void)registry.gauge("test.lookups.gauge");
+  EXPECT_EQ(registry.lookups(), 3u);
+  c.add();  // using a cached handle is not a lookup
+  (void)registry.snapshot();
+  EXPECT_EQ(registry.lookups(), 3u);
+}
+
 TEST(Metrics, GaugeSetAddAndPeak) {
   Gauge& g = gauge("test.metrics.gauge");
   g.set(10);

@@ -15,6 +15,7 @@
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
 #include "msys/sim/simulator.hpp"
+#include "msys/workloads/experiments.hpp"
 #include "testing/apps.hpp"
 
 namespace msys {
@@ -29,6 +30,56 @@ engine::Job retention_job() {
                                  testing::test_cfg());
   job.kind = engine::SchedulerKind::kFallback;
   return job;
+}
+
+engine::Job fallback_job(model::Application app, const model::KernelSchedule& sched,
+                         arch::M1Config cfg) {
+  std::vector<std::vector<KernelId>> partition;
+  for (const model::Cluster& c : sched.clusters()) partition.push_back(c.kernels);
+  engine::Job job;
+  job.input = engine::make_input(std::move(app), std::move(partition), std::move(cfg));
+  job.kind = engine::SchedulerKind::kFallback;
+  return job;
+}
+
+engine::Job table1_job(std::string_view row) {
+  workloads::Experiment exp = workloads::make_experiment(row);
+  return fallback_job(std::move(*exp.app), exp.sched, exp.cfg);
+}
+
+/// A job no rung fits: the chain tries CDS, DS, Basic and DS+split.
+engine::Job ladder_job(std::uint64_t fb_words) {
+  testing::TwoClusterApp made = testing::TwoClusterApp::make();
+  return fallback_job(std::move(*made.app), made.sched, testing::test_cfg(fb_words));
+}
+
+/// Registry lookups performed by `job`'s compile.  The job is built before
+/// counting: only the compile itself is measured.
+std::uint64_t lookups_during_compile(const engine::Job& job) {
+  const std::uint64_t before = obs::MetricsRegistry::global().lookups();
+  (void)engine::compile_job(job);
+  return obs::MetricsRegistry::global().lookups() - before;
+}
+
+TEST(ObsIntegration, WarmCompilePerformsNoRegistryLookups) {
+  // The first compile resolves every instrumentation handle; a cold compile
+  // of a different Table-1 row must then reuse them all.
+  (void)lookups_during_compile(table1_job("E1"));
+  const engine::Job job = table1_job("MPEG");
+  EXPECT_EQ(lookups_during_compile(job), 0u);
+  EXPECT_TRUE(engine::compile_job(job)->feasible());
+}
+
+TEST(ObsIntegration, WarmFallbackLadderPerformsNoRegistryLookups) {
+  (void)lookups_during_compile(ladder_job(100));
+  const engine::Job job = ladder_job(90);
+  EXPECT_EQ(lookups_during_compile(job), 0u);
+  const auto result = engine::compile_job(job);
+  EXPECT_FALSE(result->feasible());
+  ASSERT_EQ(result->outcome.attempts.size(), 4u);
+  for (const dsched::FallbackAttempt& attempt : result->outcome.attempts) {
+    EXPECT_TRUE(attempt.attempted) << attempt.rung;
+  }
 }
 
 TEST(ObsIntegration, CacheCountersAgreeWithCacheStats) {

@@ -6,38 +6,57 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "msys/dsched/alloc_driver.hpp"
 #include "msys/dsched/schedule_types.hpp"
 
 namespace msys::testing {
 
-/// Canonical byte-level description of everything a DriverResult/schedule
-/// decided: the round plan's load/store/release streams and the placement
-/// of every object instance.
+namespace detail {
+
+inline void append_cluster(std::ostringstream& out, ClusterId cluster,
+                           std::span<const dsched::ObjInstance> loads,
+                           std::span<const dsched::StoreEvent> stores,
+                           std::span<const dsched::ReleaseEvent> releases) {
+  out << "C" << cluster.index() << "{L:";
+  for (const dsched::ObjInstance& inst : loads) {
+    out << inst.data.index() << '.' << inst.iter << ' ';
+  }
+  out << "S:";
+  for (const dsched::StoreEvent& s : stores) {
+    out << s.inst.data.index() << '.' << s.inst.iter << (s.release_after ? "r" : "k") << ' ';
+  }
+  out << "R:";
+  for (const dsched::ReleaseEvent& r : releases) {
+    out << r.trigger_kernel << '@' << r.trigger_iter << ':' << r.inst.data.index() << '.'
+        << r.inst.iter << '/' << r.placement_cluster.index() << ' ';
+  }
+  out << "}";
+}
+
+inline void append_placement(std::ostringstream& out, std::uint64_t key, FbSet set,
+                             std::span<const Extent> extents) {
+  out << 'P' << key << ':' << static_cast<int>(set) << '[';
+  for (const Extent& e : extents) out << e.begin() << '+' << e.size.value() << ' ';
+  out << ']';
+}
+
+}  // namespace detail
+
+/// Canonical byte-level description of everything a schedule decided: the
+/// round plan's load/store/release streams and the placement of every
+/// object instance.
 inline std::string plan_fingerprint(
     const std::vector<dsched::ClusterRoundPlan>& round_plan,
     const std::unordered_map<std::uint64_t, dsched::Placement>& placements) {
   std::ostringstream out;
   for (const dsched::ClusterRoundPlan& cp : round_plan) {
-    out << "C" << cp.cluster.index() << "{L:";
-    for (const dsched::ObjInstance& inst : cp.loads) {
-      out << inst.data.index() << '.' << inst.iter << ' ';
-    }
-    out << "S:";
-    for (const dsched::StoreEvent& s : cp.stores) {
-      out << s.inst.data.index() << '.' << s.inst.iter << (s.release_after ? "r" : "k")
-          << ' ';
-    }
-    out << "R:";
-    for (const dsched::ReleaseEvent& r : cp.releases) {
-      out << r.trigger_kernel << '@' << r.trigger_iter << ':' << r.inst.data.index()
-          << '.' << r.inst.iter << '/' << r.placement_cluster.index() << ' ';
-    }
-    out << "}";
+    detail::append_cluster(out, cp.cluster, cp.loads, cp.stores, cp.releases);
   }
   std::vector<std::uint64_t> keys;
   keys.reserve(placements.size());
@@ -45,9 +64,26 @@ inline std::string plan_fingerprint(
   std::sort(keys.begin(), keys.end());
   for (const std::uint64_t key : keys) {
     const dsched::Placement& p = placements.at(key);
-    out << 'P' << key << ':' << static_cast<int>(p.set) << '[';
-    for (const Extent& e : p.extents) out << e.begin() << '+' << e.size.value() << ' ';
-    out << ']';
+    detail::append_placement(out, key, p.set, p.extents);
+  }
+  return out.str();
+}
+
+/// The same encoding read straight from a walk's flat arrays (not through
+/// to_schedule), so comparing it with a shipped schedule's fingerprint
+/// also checks the packer.
+inline std::string plan_fingerprint(const dsched::DriverResult& walk) {
+  std::ostringstream out;
+  for (std::uint32_t c = 0; c < walk.cluster_count(); ++c) {
+    const ClusterId id{c};
+    detail::append_cluster(out, id, walk.loads(id), walk.stores(id), walk.releases(id));
+  }
+  std::vector<dsched::PlacementRecord> records(walk.placements().begin(),
+                                               walk.placements().end());
+  std::sort(records.begin(), records.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  for (const dsched::PlacementRecord& p : records) {
+    detail::append_placement(out, p.key, p.set, walk.extents(p));
   }
   return out.str();
 }

@@ -39,15 +39,21 @@ enum class SchedulerKind : std::uint8_t {
 
 /// Shared-ownership bundle of everything a compilation reads.
 /// `sched` references `*app`; both stay alive while anyone holds the input
-/// (or a CompiledResult derived from it).
+/// (or a CompiledResult derived from it).  Build it with make_input: the
+/// input is immutable once made, and many jobs may share one.
 struct CompileInput {
   std::shared_ptr<const model::Application> app;
   std::shared_ptr<const model::KernelSchedule> sched;
   arch::M1Config cfg;
+  /// model::canonical_hash(*sched), computed once by make_input so that
+  /// cache_key never re-walks the schedule.  0 marks an input that did not
+  /// come from make_input; cache_key rejects it.
+  std::uint64_t sched_digest{0};
 };
 
 /// Builds a CompileInput from an application and a cluster partition
-/// (kernel ids, or kernel names as the appdsl parser produces them).
+/// (kernel ids, or kernel names as the appdsl parser produces them), and
+/// records the schedule's canonical digest.
 /// Throws msys::Error on an invalid partition, exactly like
 /// model::KernelSchedule::from_partition.
 [[nodiscard]] CompileInput make_input(model::Application app,
@@ -80,10 +86,12 @@ struct CompiledResult {
   }
 };
 
-/// Canonical 64-bit content key of a job: canonical schedule hash (see
-/// msys/model/canonical.hpp) + machine config + scheduler kind + options.
-/// Two jobs with equal keys are semantically identical compilations, no
-/// matter how their applications were assembled.
+/// Canonical 64-bit content key of a job (domain tag "msys.engine.Job/v3"):
+/// the input's schedule digest (the canonical schedule hash of
+/// msys/model/canonical.hpp, computed once in make_input) + machine config
+/// + scheduler kind + options.  Two jobs with equal keys are semantically
+/// identical compilations, no matter how their applications were
+/// assembled.  Throws msys::Error on an input without a digest.
 [[nodiscard]] std::uint64_t cache_key(const Job& job);
 
 /// Executes one job.  Pure (same job content => same result) and total:

@@ -155,6 +155,13 @@ class ScheduleCache {
       CacheTier* tier = nullptr, bool* store_degraded = nullptr,
       std::uint64_t* inflight_wait_ns = nullptr);
 
+  /// The same, for a caller that already holds `key == cache_key(job)`
+  /// (BatchRunner keys each job once and reports that key).
+  [[nodiscard]] std::shared_ptr<const CompiledResult> get_or_compile(
+      const Job& job, std::uint64_t key, bool* was_hit = nullptr,
+      const CancelToken& cancel = {}, CacheTier* tier = nullptr,
+      bool* store_degraded = nullptr, std::uint64_t* inflight_wait_ns = nullptr);
+
   /// Produces a result for a key on the first miss.  Must be pure with
   /// respect to the key: every caller racing on one key receives the one
   /// result the in-flight winner computed.  May return nullptr (e.g. a

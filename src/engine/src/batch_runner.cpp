@@ -85,8 +85,8 @@ std::vector<JobResult> BatchRunner::run(const std::vector<Job>& jobs,
                               : options.cancel;
       if (cache_ != nullptr) {
         std::uint64_t wait_ns = 0;
-        out.result = cache_->get_or_compile(job, &out.cache_hit, token, &out.tier,
-                                            &out.store_degraded, &wait_ns);
+        out.result = cache_->get_or_compile(job, out.key, &out.cache_hit, token,
+                                            &out.tier, &out.store_degraded, &wait_ns);
         // Accumulated, not assigned: a retried attempt may wait again.
         out.inflight_wait_ms += static_cast<double>(wait_ns) / 1e6;
       } else {

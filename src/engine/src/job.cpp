@@ -36,6 +36,7 @@ CompileInput make_input(model::Application app,
   input.sched = std::make_shared<const model::KernelSchedule>(
       model::KernelSchedule::from_partition(*input.app, std::move(partition)));
   input.cfg = std::move(cfg);
+  input.sched_digest = model::canonical_hash(*input.sched);
   return input;
 }
 
@@ -58,9 +59,11 @@ CompileInput make_input(model::Application app,
 }
 
 std::uint64_t cache_key(const Job& job) {
+  MSYS_REQUIRE(job.input.sched_digest != 0,
+               "cache_key needs a CompileInput built by make_input");
   Hasher h;
-  hash_append(h, "msys.engine.Job/v2");
-  model::hash_append(h, *job.input.sched);
+  hash_append(h, "msys.engine.Job/v3");
+  hash_append(h, job.input.sched_digest);
   arch::hash_append(h, job.input.cfg);
   hash_append(h, job.kind);
   hash_append(h, job.options.cds.ranking);

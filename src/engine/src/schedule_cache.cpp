@@ -164,8 +164,14 @@ void ScheduleCache::insert(std::uint64_t key,
 std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
     const Job& job, bool* was_hit, const CancelToken& cancel, CacheTier* tier,
     bool* store_degraded, std::uint64_t* inflight_wait_ns) {
+  return get_or_compile(job, cache_key(job), was_hit, cancel, tier, store_degraded,
+                        inflight_wait_ns);
+}
+
+std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
+    const Job& job, std::uint64_t key, bool* was_hit, const CancelToken& cancel,
+    CacheTier* tier, bool* store_degraded, std::uint64_t* inflight_wait_ns) {
   store::DiskScheduleStore* disk = config_.store.get();
-  const std::uint64_t key = cache_key(job);
   CacheTier served = CacheTier::kCompute;
   if (store_degraded != nullptr) *store_degraded = false;
   // The disk probe runs inside the single-flight compute, so a thundering

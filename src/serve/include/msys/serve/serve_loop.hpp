@@ -7,8 +7,10 @@
 //   engine::Job against its tenant's virtual machine and the whole set is
 //   compiled through BatchRunner over the ThreadPool + single-flight
 //   ScheduleCache (duplicate workloads coalesce; an optional
-//   DiskScheduleStore gives warm restarts).  Per-job compile deadlines
-//   ride the existing CancelToken plumbing.
+//   DiskScheduleStore gives warm restarts).  Inputs are prepared once per
+//   (workload, tenant) pair and shared by that pair's arrivals, so a warm
+//   restart costs work per distinct input, not per arrival.  Per-job
+//   compile deadlines ride the existing CancelToken plumbing.
 //
 //   Phase 2 (virtual time, serial) — a discrete-event pass replays the
 //   arrivals against each tenant's timeline: deadline-aware admission
@@ -37,6 +39,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -166,6 +169,23 @@ struct ServeReport {
   ServeStats stats;
 };
 
+/// The output of ServeLoop's serial prepare pass: one compile job per
+/// arrival, in trace order.  Only the first arrival of each (workload,
+/// tenant) pair resolves the workload, rescales it to the tenant's row
+/// share and runs engine::make_input; every later arrival of the pair
+/// shares that CompileInput (the same app and sched pointers, hence the
+/// same schedule digest) and sets only its own fallback entry rung.
+struct PreparedTrace {
+  std::vector<engine::Job> jobs;
+  /// jobs[i]'s prepared-input index in [0, inputs): equal indices share
+  /// one CompileInput.
+  std::vector<std::size_t> input_of;
+  /// Distinct prepared inputs, i.e. distinct (workload, tenant) pairs.
+  std::size_t inputs{0};
+  /// "serve.store.read" faults fired during the pass.
+  std::size_t store_faults{0};
+};
+
 class ServeLoop {
  public:
   ServeLoop(TenantPartition partition, ServeOptions options = {});
@@ -174,6 +194,10 @@ class ServeLoop {
   /// failures (unknown registry name) throw msys::Error — a malformed
   /// trace is a usage error; everything per-job is data in the outcomes.
   [[nodiscard]] ServeReport run(const TraceFile& trace);
+
+  /// run()'s prepare pass on its own (it consults the same serve fault
+  /// sites, once per arrival).  Throws like run() on an unknown workload.
+  [[nodiscard]] PreparedTrace prepare(const TraceFile& trace) const;
 
   [[nodiscard]] const TenantPartition& partition() const { return partition_; }
 

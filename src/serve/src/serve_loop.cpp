@@ -362,6 +362,68 @@ std::string ServeStats::summary() const {
 ServeLoop::ServeLoop(TenantPartition partition, ServeOptions options)
     : partition_(std::move(partition)), options_(std::move(options)) {}
 
+PreparedTrace ServeLoop::prepare(const TraceFile& trace) const {
+  MSYS_TRACE_SPAN(prep, "serve.prepare", "serve");
+  const std::size_t n_tenants = partition_.tenant_count();
+  PreparedTrace out;
+  out.jobs.reserve(trace.events.size());
+  out.input_of.reserve(trace.events.size());
+  std::map<std::string, ResolvedWorkload> resolved;
+  std::map<std::pair<std::string, std::size_t>, std::size_t> index;
+  std::vector<engine::CompileInput> inputs;
+  for (const TraceEvent& e : trace.events) {
+    const std::size_t t = e.stream % n_tenants;
+
+    if (auto& faults = FaultInjector::global(); faults.armed()) {
+      // Fault site: stall the prepare pass.  Wall-clock delay only — the
+      // virtual replay must produce the same bytes with or without it.
+      if (const std::uint64_t ms = faults.fire_param("serve.compile.stall"); ms != 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      }
+      // Fault site: a serve-level degraded store read for this event.
+      // Accounting-only (results are unchanged): it feeds the same
+      // store-fault tally that real BatchStats::store_faults land in, so
+      // summaries can be exercised without a disk store.
+      if (faults.should_fail("serve.store.read")) ++out.store_faults;
+    }
+
+    const auto [slot, fresh] = index.try_emplace({e.workload, t}, inputs.size());
+    if (fresh) {
+      auto it = resolved.find(e.workload);
+      if (it == resolved.end()) {
+        it = resolved.emplace(e.workload, resolve_workload(e.workload)).first;
+      }
+      const TenantSpec& spec = partition_.tenant(t);
+      model::Application app =
+          spec.rc_rows == partition_.full_rows()
+              ? model::Application(*it->second.app)
+              : scale_application(*it->second.app, partition_.full_rows(), spec.rc_rows);
+      inputs.push_back(engine::make_input(std::move(app), it->second.partition,
+                                          partition_.virtual_config(t)));
+    }
+    out.input_of.push_back(slot->second);
+    engine::Job job;
+    job.input = inputs[slot->second];
+    // Degraded-compile routing is decided here, in the serial prepare pass,
+    // from the trace event alone — a virtual-time policy, so the decision
+    // (and with it every outcome byte) is identical at any thread count.
+    if (options_.degraded_threshold_cycles != 0 && e.deadline_cycles != 0 &&
+        e.deadline_cycles < options_.degraded_threshold_cycles) {
+      // Deadline budget under the watermark: enter the fallback ladder at
+      // a cheaper rung (Basic below half the watermark, DS otherwise) —
+      // a worse schedule now beats a perfect one after the deadline.
+      // The entry rung is part of the cache key, so degraded and full
+      // compilations never share cache or store entries.
+      job.options.entry = e.deadline_cycles * 2 < options_.degraded_threshold_cycles
+                              ? dsched::FallbackEntry::kBasic
+                              : dsched::FallbackEntry::kDS;
+    }
+    out.jobs.push_back(std::move(job));
+  }
+  out.inputs = inputs.size();
+  return out;
+}
+
 ServeReport ServeLoop::run(const TraceFile& trace) {
   MSYS_TRACE_SPAN(span, "serve.run", "serve");
   const auto wall_start = std::chrono::steady_clock::now();
@@ -378,64 +440,7 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
 
   // --- Phase 1: compile every arrival against its tenant's virtual
   // machine (parallel, cached, single-flight; wall clock).
-  std::vector<engine::Job> jobs;
-  jobs.reserve(n_events);
-  std::vector<std::size_t> tenant_of(n_events, 0);
-  // Degraded-compile routing is decided here, in the serial prepare pass,
-  // from the trace event alone — a virtual-time policy, so the decision
-  // (and with it every outcome byte) is identical at any thread count.
-  std::vector<char> degraded_of(n_events, 0);
-  std::size_t serve_store_faults = 0;
-  std::map<std::string, ResolvedWorkload> resolved;
-  {
-    MSYS_TRACE_SPAN(prep, "serve.prepare", "serve");
-    for (std::size_t i = 0; i < n_events; ++i) {
-      const TraceEvent& e = trace.events[i];
-      const std::size_t t = e.stream % n_tenants;
-      tenant_of[i] = t;
-
-      if (auto& faults = FaultInjector::global(); faults.armed()) {
-        // Fault site: stall the prepare pass.  Wall-clock delay only — the
-        // virtual replay must produce the same bytes with or without it.
-        if (const std::uint64_t ms = faults.fire_param("serve.compile.stall"); ms != 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        }
-        // Fault site: a serve-level degraded store read for this event.
-        // Accounting-only (results are unchanged): it feeds the same
-        // store-fault tally that real BatchStats::store_faults land in, so
-        // summaries can be exercised without a disk store.
-        if (faults.should_fail("serve.store.read")) ++serve_store_faults;
-      }
-
-      if (options_.degraded_threshold_cycles != 0 && e.deadline_cycles != 0 &&
-          e.deadline_cycles < options_.degraded_threshold_cycles) {
-        degraded_of[i] = 1;
-      }
-      auto it = resolved.find(e.workload);
-      if (it == resolved.end()) {
-        it = resolved.emplace(e.workload, resolve_workload(e.workload)).first;
-      }
-      const TenantSpec& spec = partition_.tenant(t);
-      model::Application app =
-          spec.rc_rows == partition_.full_rows()
-              ? model::Application(*it->second.app)
-              : scale_application(*it->second.app, partition_.full_rows(), spec.rc_rows);
-      engine::Job job;
-      job.input = engine::make_input(std::move(app), it->second.partition,
-                                     partition_.virtual_config(t));
-      if (degraded_of[i] != 0) {
-        // Deadline budget under the watermark: enter the fallback ladder at
-        // a cheaper rung (Basic below half the watermark, DS otherwise) —
-        // a worse schedule now beats a perfect one after the deadline.
-        // The entry rung is part of the cache key, so degraded and full
-        // compilations never share cache or store entries.
-        job.options.entry = e.deadline_cycles * 2 < options_.degraded_threshold_cycles
-                                ? dsched::FallbackEntry::kBasic
-                                : dsched::FallbackEntry::kDS;
-      }
-      jobs.push_back(std::move(job));
-    }
-  }
+  const PreparedTrace prepared = prepare(trace);
 
   engine::BatchStats& cstats = report.stats.compile;
   std::vector<engine::JobResult> results;
@@ -450,7 +455,7 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
     engine::RunOptions ropts;
     ropts.cancel = options_.cancel;
     ropts.job_deadline = options_.compile_deadline;
-    results = runner.run(jobs, ropts, &cstats);
+    results = runner.run(prepared.jobs, ropts, &cstats);
   }
 
   // --- Phase 2: deterministic virtual-time replay per tenant.
@@ -478,9 +483,13 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
 
   {
     MSYS_TRACE_SPAN(replay, "serve.replay", "serve");
+    // One context plan per prepared input, built on its first feasible
+    // arrival: every result for that input carries a content-identical
+    // schedule (same cache key), so the plan is the same for all of them.
+    std::vector<std::optional<csched::ContextPlan>> plans(prepared.inputs);
     for (std::size_t i = 0; i < n_events; ++i) {
       const TraceEvent& e = trace.events[i];
-      const std::size_t t = tenant_of[i];
+      const std::size_t t = e.stream % n_tenants;
       const TenantSpec& spec = partition_.tenant(t);
       const engine::JobResult& r = results[i];
       JobOutcome& o = report.outcomes[i];
@@ -491,7 +500,7 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
       o.priority = spec.priority + e.priority;
       o.arrive_cycles = e.at_cycles;
       o.rung = "-";
-      o.degraded = degraded_of[i] != 0;
+      o.degraded = prepared.jobs[i].options.entry != dsched::FallbackEntry::kCDS;
       ++report.stats.tenants[t].jobs;
 
       if (r.cancelled()) {
@@ -512,8 +521,11 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
 
       const dsched::ScheduleOutcome& outcome = r.result->outcome;
       o.rung = outcome.chosen_rung();
-      const csched::ContextPlan plan = csched::ContextPlan::build(
-          *r.result->input.sched, partition_.virtual_config(t).cm_capacity_words);
+      std::optional<csched::ContextPlan>& plan = plans[prepared.input_of[i]];
+      if (!plan) {
+        const engine::CompileInput& input = prepared.jobs[i].input;
+        plan = csched::ContextPlan::build(*input.sched, input.cfg.cm_capacity_words);
+      }
 
       PendingJob j;
       j.idx = i;
@@ -522,7 +534,7 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
       j.service = r.result->predicted.total.value();
       j.remaining = j.service;
       j.mode = r.key;
-      j.fp = footprint_of(outcome.schedule, plan);
+      j.fp = footprint_of(outcome.schedule, *plan);
       j.priority = o.priority;
       timelines[t].arrive(std::move(j));
     }
@@ -572,7 +584,7 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
   // Store degradation observed by this run: real store faults from the
   // compile phase plus serve-level injected read faults — surfaced here so
   // a degraded store shows up in the serve summary instead of vanishing.
-  report.stats.store_faults = report.stats.compile.store_faults + serve_store_faults;
+  report.stats.store_faults = report.stats.compile.store_faults + prepared.store_faults;
 
   c_completed.add(report.stats.completed);
   c_rejected.add(report.stats.rejected);

@@ -53,6 +53,17 @@ TEST(BatchRunner, ResultsComeBackInInputOrder) {
   EXPECT_NE(results[0].key, results[3].key);
 }
 
+TEST(BatchRunner, ReportedKeyIsTheKeyTheCacheUsed) {
+  ThreadPool pool(2);
+  ScheduleCache cache;
+  BatchRunner runner(pool, &cache);
+  const std::vector<JobResult> results = runner.run(mixed_batch());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    // The cache filed each result under exactly the key the runner reports.
+    EXPECT_EQ(cache.lookup(results[i].key), results[i].result) << "job " << i;
+  }
+}
+
 TEST(BatchRunner, InfeasibleJobDoesNotAbortTheBatch) {
   ThreadPool pool(2);
   BatchRunner runner(pool);

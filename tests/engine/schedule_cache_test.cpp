@@ -8,10 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "msys/common/error.hpp"
 #include "msys/engine/thread_pool.hpp"
+#include "msys/model/canonical.hpp"
 #include "testing/apps.hpp"
 
 namespace msys::engine {
@@ -68,6 +71,65 @@ TEST(CacheKey, DiffersByContentMachineKindAndOptions) {
   basic.options.entry = dsched::FallbackEntry::kBasic;
   EXPECT_NE(base_key, cache_key(basic));
   EXPECT_NE(cache_key(degraded), cache_key(basic));
+}
+
+/// a -> k1 -> t -> k2 -> r, plus input b to k2, two clusters.  `reordered`
+/// declares the same DAG in a different builder order (ids differ, content
+/// does not); `k2_cycles` stands in for a tenant's row-share rescale.
+Job two_kernel_job(bool reordered, std::uint64_t k2_cycles = 200) {
+  model::ApplicationBuilder b("demo", 8);
+  DataId a;
+  DataId bb;
+  if (reordered) {
+    bb = b.external_input("b", SizeWords{32});
+    a = b.external_input("a", SizeWords{64});
+  } else {
+    a = b.external_input("a", SizeWords{64});
+    bb = b.external_input("b", SizeWords{32});
+  }
+  const KernelId k1 = b.kernel("k1", 16, Cycles{100}, {a});
+  const DataId t = b.output(k1, "t", SizeWords{48});
+  const KernelId k2 = b.kernel("k2", 24, Cycles{k2_cycles}, {t});
+  b.add_input(k2, bb);
+  b.output(k2, "r", SizeWords{16}, true);
+  Job job;
+  job.input = make_input(std::move(b).build(),
+                         std::vector<std::vector<std::string>>{{"k1"}, {"k2"}},
+                         testing::test_cfg());
+  return job;
+}
+
+TEST(CacheKey, MakeInputRecordsTheCanonicalScheduleDigest) {
+  const Job job = retention_job();
+  EXPECT_NE(job.input.sched_digest, 0u);
+  EXPECT_EQ(job.input.sched_digest, model::canonical_hash(*job.input.sched));
+}
+
+TEST(CacheKey, IndependentOfDeclarationOrder) {
+  const Job in_order = two_kernel_job(false);
+  const Job reordered = two_kernel_job(true);
+  EXPECT_NE(in_order.input.app->data_objects().front().name,
+            reordered.input.app->data_objects().front().name);
+  EXPECT_EQ(in_order.input.sched_digest, reordered.input.sched_digest);
+  EXPECT_EQ(cache_key(in_order), cache_key(reordered));
+}
+
+TEST(CacheKey, RowShareRescaleChangesTheKey) {
+  // A tenant owning half the rows runs each kernel at twice the cycles;
+  // its compile must never share a key with the full-rows tenant's.
+  const Job full_rows = two_kernel_job(false);
+  const Job rescaled = two_kernel_job(false, 400);
+  EXPECT_NE(full_rows.input.sched_digest, rescaled.input.sched_digest);
+  EXPECT_NE(cache_key(full_rows), cache_key(rescaled));
+}
+
+TEST(CacheKey, RejectsAnInputWithoutADigest) {
+  EXPECT_THROW((void)cache_key(Job{}), Error);
+  // A hand-assembled input that skipped make_input must not alias the
+  // all-zero digest of every other such input.
+  Job hand_built = retention_job();
+  hand_built.input.sched_digest = 0;
+  EXPECT_THROW((void)cache_key(hand_built), Error);
 }
 
 TEST(ScheduleCache, MissThenHitReturnsSameResultObject) {

@@ -3,7 +3,10 @@
 // charges, and mode-transition accounting on the virtual timelines.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "msys/serve/partition.hpp"
@@ -97,6 +100,55 @@ TEST(ServeLoopTest, StreamsMapToTenantsModulo) {
   EXPECT_EQ(report.outcomes[3].tenant, "t1");
   EXPECT_EQ(report.stats.tenants[0].jobs, 2u);
   EXPECT_EQ(report.stats.tenants[1].jobs, 2u);
+}
+
+TEST(ServeLoopTest, ArrivalsOfOnePairShareOnePreparedInput) {
+  TraceGenSpec spec;
+  spec.seed = 31;
+  spec.jobs = 40;
+  spec.streams = 4;
+  spec.deadline_cycles = 2000000;
+  spec.workloads = 3;
+  TraceFile trace = generate_trace(spec);
+  trace.events[5].workload = "E1";
+  trace.events[17].workload = "E1";
+  ServeOptions options;
+  // Part of the arrivals compile degraded: the entry rung is per arrival,
+  // the input is not.
+  options.degraded_threshold_cycles = 2000000;
+  const PreparedTrace prepared = ServeLoop(make_partition(2), options).prepare(trace);
+  ASSERT_EQ(prepared.jobs.size(), trace.events.size());
+  ASSERT_EQ(prepared.input_of.size(), trace.events.size());
+
+  std::map<std::pair<std::string, std::uint32_t>, std::size_t> first_of;
+  std::set<const model::KernelSchedule*> distinct;
+  std::set<dsched::FallbackEntry> entries;
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const TraceEvent& e = trace.events[i];
+    const engine::Job& job = prepared.jobs[i];
+    entries.insert(job.options.entry);
+    const auto [it, fresh] = first_of.try_emplace({e.workload, e.stream % 2}, i);
+    if (fresh) {
+      EXPECT_TRUE(distinct.insert(job.input.sched.get()).second) << "arrival " << i;
+      continue;
+    }
+    const engine::Job& first = prepared.jobs[it->second];
+    EXPECT_EQ(job.input.sched.get(), first.input.sched.get()) << "arrival " << i;
+    EXPECT_EQ(job.input.app.get(), first.input.app.get()) << "arrival " << i;
+    EXPECT_EQ(prepared.input_of[i], prepared.input_of[it->second]) << "arrival " << i;
+  }
+  EXPECT_EQ(prepared.inputs, first_of.size());
+  EXPECT_LT(prepared.inputs, trace.events.size());
+  EXPECT_GT(entries.size(), 1u);
+}
+
+TEST(ServeLoopTest, RescaledTenantInputsHaveTheirOwnDigest) {
+  TraceFile trace;
+  trace.events.push_back(event(0, 0, "random:1000"));
+  const PreparedTrace full_rows = ServeLoop(make_partition(1)).prepare(trace);
+  const PreparedTrace half_rows = ServeLoop(make_partition(2)).prepare(trace);
+  EXPECT_NE(full_rows.jobs[0].input.sched_digest, half_rows.jobs[0].input.sched_digest);
+  EXPECT_NE(engine::cache_key(full_rows.jobs[0]), engine::cache_key(half_rows.jobs[0]));
 }
 
 TEST(ServeLoopTest, LoneJobPaysOneSwitchInAndFinishesOnTime) {

@@ -74,11 +74,7 @@ ScheduleProgram generate(const DataSchedule& schedule, const csched::ContextPlan
     const ClusterRoundPlan& plan = schedule.round_plan[cluster_id.index()];
     for (ObjInstance inst : plan.loads) {
       if (inst.iter >= iters) continue;
-      const KernelId producer = sched.app().data(inst.data).producer;
-      const bool produced_by_prev_slot =
-          producer.valid() && s > 0 &&
-          sched.cluster_of(producer) == program.slots[s - 1].cluster;
-      auto& batch = produced_by_prev_slot ? in_late[s] : in_early[s];
+      auto& batch = dsched::is_late_load(sched, s, inst.data) ? in_late[s] : in_early[s];
       batch.push_back(Op{.kind = OpKind::kLoadData,
                          .slot = s,
                          .cluster = cluster_id,

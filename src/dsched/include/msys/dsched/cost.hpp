@@ -9,10 +9,11 @@
 //   still occupied); stores ST(s) queue when slot s's execution finishes.
 //
 // where IN(s) = context loads + data loads of slot s and ST(s) = its
-// result stores.  Execution of slot s starts when slot s-1 finished and
-// IN(s) completed.  The event simulator (src/sim) implements the same
-// discipline operationally; tests assert cycle-exact agreement between the
-// two independent implementations.
+// result stores (an empty ST(s) is no DMA op and holds nothing back).
+// Execution of slot s starts when slot s-1 finished and IN(s) completed.
+// The event simulator (src/sim) implements the same discipline
+// operationally; sim::cross_check asserts exact agreement between the two
+// independent implementations.
 #pragma once
 
 #include <cstdint>

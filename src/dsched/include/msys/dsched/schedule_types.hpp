@@ -139,6 +139,19 @@ struct DataSchedule {
   [[nodiscard]] std::string summary() const;
 };
 
+/// Slots run round-major (slot s executes cluster s % n_clusters).  A load
+/// in slot s is *late* when it loads a result of the cluster of slot s-1:
+/// that result reaches external memory only when slot s-1's stores finish,
+/// so it cannot be prefetched and queues behind them.  The cost model and
+/// the code generator both split a slot's loads with this one predicate.
+[[nodiscard]] inline bool is_late_load(const model::KernelSchedule& sched, std::uint32_t s,
+                                       DataId data) {
+  const KernelId producer = sched.app().data(data).producer;
+  const auto n_clusters = static_cast<std::uint32_t>(sched.cluster_count());
+  return producer.valid() && s > 0 &&
+         sched.cluster_of(producer) == ClusterId{(s - 1) % n_clusters};
+}
+
 /// Marks a schedule infeasible with a reason (helper for schedulers).
 [[nodiscard]] DataSchedule infeasible(std::string scheduler_name,
                                       const model::KernelSchedule& sched,

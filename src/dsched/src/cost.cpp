@@ -99,12 +99,7 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
     for (ObjInstance inst : loads) {
       if (inst.iter >= iters) continue;
       const SizeWords size = app.data(inst.data).size;
-      const KernelId producer = app.data(inst.data).producer;
-      const bool produced_by_prev_slot =
-          producer.valid() && s > 0 &&
-          sched.cluster_of(producer) == ClusterId{(s - 1) % n_clusters} &&
-          (s % n_clusters) != 0;
-      (produced_by_prev_slot ? late : in) += cfg.dma.data_cycles(size);
+      (is_late_load(sched, s, inst.data) ? late : in) += cfg.dma.data_cycles(size);
       out.data_words_loaded += size.value();
       ++out.dma_requests;
     }
@@ -150,7 +145,10 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
       order.push_back({Kind::kInEarly, s + 1});
       emitted[s + 1] = true;
     }
-    order.push_back({Kind::kStore, s});
+    // No store item for a slot that stores nothing (cycles_per_data_word
+    // > 0): codegen emits no DMA op for an empty store batch, so the
+    // channel never waits for exec(s) there.
+    if (slots[s].store_cycles.value() > 0) order.push_back({Kind::kStore, s});
     if (s + 1 < n_slots) {
       if (!emitted[s + 1]) {
         order.push_back({Kind::kInEarly, s + 1});

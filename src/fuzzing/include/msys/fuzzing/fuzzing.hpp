@@ -9,12 +9,12 @@
 // extremes, and malformed texts that must die as parser diagnostics.
 //
 // run_case() pushes the case through all three schedulers plus the
-// CDS->DS->Basic->DS+split fallback chain and cross-checks every feasible
-// schedule three independent ways:
+// CDS->DS->Basic->DS+split fallback chain and runs every feasible schedule
+// through sim::cross_check, the three-way oracle:
 //   1. dsched::validate_schedule must report no violations,
 //   2. the event-driven simulator must complete without functional faults,
-//   3. dsched::predict_cost must agree with the simulator cycle-exactly
-//      (and word- and request-exactly).
+//   3. dsched::predict_cost must equal the simulator on all eight shared
+//      cycle, word and request fields.
 // Infeasible inputs must resolve into structured diagnostics — an uncaught
 // throw anywhere is itself a failure ("uncaught-throw").
 //

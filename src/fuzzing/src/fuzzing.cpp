@@ -10,17 +10,14 @@
 #include <unordered_set>
 
 #include "msys/appdsl/parser.hpp"
-#include "msys/codegen/program.hpp"
 #include "msys/common/cancel.hpp"
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
 #include "msys/csched/context_plan.hpp"
-#include "msys/dsched/cost.hpp"
 #include "msys/dsched/fallback.hpp"
-#include "msys/dsched/validate.hpp"
 #include "msys/engine/schedule_cache.hpp"
 #include "msys/engine/thread_pool.hpp"
-#include "msys/sim/simulator.hpp"
+#include "msys/sim/cross_check.hpp"
 #include "msys/store/disk_store.hpp"
 #include "msys/workloads/random.hpp"
 
@@ -149,43 +146,21 @@ FuzzCase make_case(std::uint64_t seed) {
 
 namespace {
 
-/// Cross-checks one feasible schedule three ways; returns the first broken
-/// check, if any.
-std::optional<CheckFailure> check_schedule(const dsched::DataSchedule& schedule,
-                                           const extract::ScheduleAnalysis& analysis,
-                                           const arch::M1Config& cfg,
-                                           const csched::ContextPlan& ctx_plan) {
-  const std::string who = schedule.scheduler_name;
-  // 1. Structural validation.
-  const Diagnostics violations = dsched::validate_schedule(schedule, analysis, cfg);
-  if (!violations.empty()) {
-    return CheckFailure{who, "validator", render(violations)};
-  }
-  // 2/3. Cost model vs event simulator, cycle- and word-exact.
-  const dsched::CostBreakdown predicted = dsched::predict_cost(schedule, cfg, ctx_plan);
-  if (!predicted.feasible) {
-    if (predicted.infeasible_reason.empty()) {
-      return CheckFailure{who, "missing-diagnostic",
-                          "cost model reports infeasible without a reason"};
+/// Records one cross_check verdict under the harness's failure kinds; a
+/// structured "does not run on this machine" is not a failure.
+void record(const sim::CrossCheck& check, const std::string& who, CaseResult& result) {
+  using Stage = sim::CrossCheck::Stage;
+  if (check.ok()) return;
+  if (check.stage == Stage::kInfeasible) {
+    if (check.predicted.infeasible_reason.empty()) {
+      result.failures.push_back({who, "missing-diagnostic", "infeasible without a reason"});
     }
-    return std::nullopt;  // structured "does not run on this machine"
+    return;
   }
-  const codegen::ScheduleProgram program = codegen::generate(schedule, ctx_plan);
-  sim::Simulator simulator(cfg, ctx_plan);
-  sim::Simulator::Outcome sim_outcome = simulator.try_run(program);
-  if (!sim_outcome.ok()) {
-    return CheckFailure{who, "simulator", render(sim_outcome.diagnostics)};
-  }
-  const sim::SimReport& m = *sim_outcome.report;
-  std::ostringstream why;
-  why << "predicted " << predicted.summary() << " vs measured " << m.summary();
-  if (predicted.total != m.total || predicted.data_words_loaded != m.data_words_loaded ||
-      predicted.data_words_stored != m.data_words_stored ||
-      predicted.context_words != m.context_words ||
-      predicted.dma_requests != m.dma_requests) {
-    return CheckFailure{who, "cost-mismatch", why.str()};
-  }
-  return std::nullopt;
+  const char* kind = check.stage == Stage::kValidator   ? "validator"
+                     : check.stage == Stage::kSimulator ? "simulator"
+                                                        : "cost-mismatch";
+  result.failures.push_back({who, kind, check.why()});
 }
 
 }  // namespace
@@ -215,19 +190,9 @@ CaseResult run_case(const FuzzCase& c) {
     // The three paper schedulers, each fully cross-checked.
     for (const auto& scheduler : dsched::all_schedulers()) {
       try {
-        dsched::DataSchedule schedule = scheduler->schedule(analysis, cfg);
-        if (!schedule.feasible) {
-          if (schedule.infeasible_reason.empty()) {
-            result.failures.push_back({scheduler->name(), "missing-diagnostic",
-                                       "infeasible schedule without a reason"});
-          }
-          continue;
-        }
-        ++result.feasible_schedulers;
-        if (std::optional<CheckFailure> failure =
-                check_schedule(schedule, analysis, cfg, ctx_plan)) {
-          result.failures.push_back(std::move(*failure));
-        }
+        const dsched::DataSchedule schedule = scheduler->schedule(analysis, cfg);
+        if (schedule.feasible) ++result.feasible_schedulers;
+        record(sim::cross_check(schedule, analysis, cfg, ctx_plan), scheduler->name(), result);
       } catch (const std::exception& e) {
         result.failures.push_back({scheduler->name(), "uncaught-throw", e.what()});
       }
@@ -245,14 +210,9 @@ CaseResult run_case(const FuzzCase& c) {
       }
     }
     if (outcome.feasible()) {
-      if (std::optional<CheckFailure> failure =
-              check_schedule(outcome.schedule, analysis, cfg, ctx_plan)) {
-        failure->scheduler = "fallback/" + failure->scheduler;
-        result.failures.push_back(std::move(*failure));
-      }
-      const dsched::CostBreakdown predicted =
-          dsched::predict_cost(outcome.schedule, cfg, ctx_plan);
-      if (predicted.feasible) result.fallback_total_cycles = predicted.total.value();
+      const sim::CrossCheck check = sim::cross_check(outcome.schedule, analysis, cfg, ctx_plan);
+      record(check, "fallback/" + outcome.schedule.scheduler_name, result);
+      if (check.predicted.feasible) result.fallback_total_cycles = check.predicted.total.value();
     } else {
       result.infeasibility = outcome.diagnostics;
       if (!has_errors(outcome.diagnostics)) {

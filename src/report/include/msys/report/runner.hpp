@@ -1,7 +1,9 @@
 // Experiment runner: pushes one (application, kernel schedule, machine)
-// triple through all three data schedulers, generates code, executes it on
-// the simulator, cross-checks the analytic cost model against the measured
-// cycles, and derives the metrics Table 1 / Figure 6 report.
+// triple through all three data schedulers and derives the metrics Table 1
+// / Figure 6 report.  Every feasible schedule goes through sim::cross_check,
+// the one three-way oracle (validator clean, simulator fault-free, and
+// predict_cost equal to the simulator on all eight shared fields); any
+// failure but plain infeasibility throws msys::Error.
 #pragma once
 
 #include <optional>
@@ -27,7 +29,7 @@ struct SchedulerOutcome {
   std::optional<sim::SimReport> measured;
 
   [[nodiscard]] bool feasible() const { return schedule.feasible && predicted.feasible; }
-  /// Simulated cycles (predicted == measured is asserted by run_experiment).
+  /// Simulated cycles (predicted == measured is asserted by cross_check).
   [[nodiscard]] Cycles cycles() const;
 };
 
@@ -57,32 +59,23 @@ struct ExperimentResult {
   [[nodiscard]] std::uint32_t rf() const { return cds.schedule.rf; }
 };
 
-struct RunOptions {
-  /// Assert cycle-exact agreement between predict_cost and the simulator
-  /// (on by default; the ablation benches disable it when comparing
-  /// deliberately non-paper policies).
-  bool check_prediction{true};
-};
-
 /// Runs Basic, DS and CDS on the experiment.  Throws msys::Error on any
-/// simulator functional violation or prediction mismatch.
+/// cross_check failure.
 [[nodiscard]] ExperimentResult run_experiment(std::string name,
                                               const model::KernelSchedule& sched,
-                                              const arch::M1Config& cfg,
-                                              const RunOptions& options = {});
+                                              const arch::M1Config& cfg);
 
 /// Runs one specific scheduler end to end (used by ablations).
 [[nodiscard]] SchedulerOutcome run_scheduler(const dsched::DataSchedulerBase& scheduler,
                                              const model::KernelSchedule& sched,
-                                             const arch::M1Config& cfg,
-                                             const RunOptions& options = {});
+                                             const arch::M1Config& cfg);
 
 /// End-to-end run of the CDS -> DS -> Basic -> DS+split degradation chain:
 /// schedules via dsched::schedule_with_fallback, then (when a rung fits)
-/// validates, generates code and simulates the winning schedule exactly as
-/// run_scheduler does.  Infeasibility is data: the returned outcome
-/// carries the per-rung attempts and structured diagnostics; nothing
-/// throws for a machine that is merely too small.
+/// cross-checks the winning schedule exactly as run_scheduler does.
+/// Infeasibility is data: the returned outcome carries the per-rung
+/// attempts and structured diagnostics; nothing throws for a machine that
+/// is merely too small.
 struct FallbackRunResult {
   dsched::ScheduleOutcome outcome;
   dsched::CostBreakdown predicted;
@@ -95,8 +88,7 @@ struct FallbackRunResult {
 };
 
 [[nodiscard]] FallbackRunResult run_with_fallback(const model::KernelSchedule& sched,
-                                                  const arch::M1Config& cfg,
-                                                  const RunOptions& options = {});
+                                                  const arch::M1Config& cfg);
 
 /// One experiment of a run_all batch.  `sched` is non-owning; the caller's
 /// experiment objects must outlive the call (the Table-1/Fig-6 benches
@@ -109,7 +101,7 @@ struct ExperimentSpec {
 
 /// Runs every spec through run_experiment, in order.
 [[nodiscard]] std::vector<ExperimentResult> run_all(
-    const std::vector<ExperimentSpec>& specs, const RunOptions& options = {});
+    const std::vector<ExperimentSpec>& specs);
 
 /// Parallel overload: fans the specs across `pool`, returning results in
 /// spec order regardless of completion order (results are deterministic —
@@ -117,7 +109,6 @@ struct ExperimentSpec {
 /// internal invariants rethrows after the batch drains, earliest spec
 /// first, exactly as the serial loop would have thrown it.
 [[nodiscard]] std::vector<ExperimentResult> run_all(
-    const std::vector<ExperimentSpec>& specs, engine::ThreadPool& pool,
-    const RunOptions& options = {});
+    const std::vector<ExperimentSpec>& specs, engine::ThreadPool& pool);
 
 }  // namespace msys::report

@@ -3,13 +3,11 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
-#include "msys/codegen/program.hpp"
 #include "msys/common/error.hpp"
-#include "msys/dsched/validate.hpp"
 #include "msys/extract/analysis.hpp"
+#include "msys/sim/cross_check.hpp"
 
 namespace msys::report {
 
@@ -40,92 +38,50 @@ SizeWords ExperimentResult::dt_words_avoided_per_iteration() const {
   return SizeWords{(b > c ? b - c : 0) / iterations};
 }
 
+namespace {
+
+/// The check behind every runner entry point: cross-checks `schedule` into
+/// `out.predicted` / `out.measured` and throws msys::Error on anything but
+/// a pass or plain infeasibility.
+template <class Out>
+void check_into(Out& out, const dsched::DataSchedule& schedule, const std::string& who,
+                const extract::ScheduleAnalysis& analysis, const arch::M1Config& cfg) {
+  sim::CrossCheck check = sim::cross_check(
+      schedule, analysis, cfg,
+      csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words));
+  MSYS_REQUIRE(check.ok() || check.stage == sim::CrossCheck::Stage::kInfeasible,
+               who + " on " + analysis.sched().app().name() + ": " + check.why());
+  out.predicted = std::move(check.predicted);
+  out.measured = std::move(check.measured);
+}
+
+}  // namespace
+
 SchedulerOutcome run_scheduler(const dsched::DataSchedulerBase& scheduler,
                                const model::KernelSchedule& sched,
-                               const arch::M1Config& cfg, const RunOptions& options) {
+                               const arch::M1Config& cfg) {
   const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
-  const csched::ContextPlan ctx_plan =
-      csched::ContextPlan::build(sched, cfg.cm_capacity_words);
-
   SchedulerOutcome outcome;
   outcome.scheduler = scheduler.name();
   outcome.schedule = scheduler.schedule(analysis, cfg);
-  outcome.predicted = dsched::predict_cost(outcome.schedule, cfg, ctx_plan);
-  if (!outcome.feasible()) return outcome;
-
-  // Structural validation of the plan itself (the simulator then checks
-  // the generated program operationally).
-  const Diagnostics violations =
-      dsched::validate_schedule(outcome.schedule, analysis, cfg);
-  MSYS_REQUIRE(violations.empty(), scheduler.name() + " produced an invalid plan: " +
-                                       violations.front().message);
-
-  const codegen::ScheduleProgram program = codegen::generate(outcome.schedule, ctx_plan);
-  sim::Simulator simulator(cfg, ctx_plan);
-  outcome.measured = simulator.run(program);
-
-  if (options.check_prediction) {
-    const sim::SimReport& m = *outcome.measured;
-    const dsched::CostBreakdown& p = outcome.predicted;
-    std::ostringstream why;
-    why << scheduler.name() << " on " << sched.app().name() << ": predicted "
-        << p.summary() << " vs measured " << m.summary();
-    MSYS_REQUIRE(p.total == m.total, "cycle mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_loaded == m.data_words_loaded,
-                 "load-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_stored == m.data_words_stored,
-                 "store-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.context_words == m.context_words, "context-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.dma_requests == m.dma_requests, "request-count mismatch: " + why.str());
-  }
+  check_into(outcome, outcome.schedule, outcome.scheduler, analysis, cfg);
   return outcome;
 }
 
 FallbackRunResult run_with_fallback(const model::KernelSchedule& sched,
-                                    const arch::M1Config& cfg,
-                                    const RunOptions& options) {
+                                    const arch::M1Config& cfg) {
   const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
-  const csched::ContextPlan ctx_plan =
-      csched::ContextPlan::build(sched, cfg.cm_capacity_words);
-
   FallbackRunResult result;
   result.outcome = dsched::schedule_with_fallback(analysis, cfg);
-  if (!result.outcome.feasible()) return result;
-
-  result.predicted = dsched::predict_cost(result.outcome.schedule, cfg, ctx_plan);
-  if (!result.predicted.feasible) return result;
-
-  const Diagnostics violations =
-      dsched::validate_schedule(result.outcome.schedule, analysis, cfg);
-  MSYS_REQUIRE(violations.empty(),
-               result.outcome.chosen_rung() + " (via fallback) produced an invalid plan: " +
-                   violations.front().message);
-
-  const codegen::ScheduleProgram program =
-      codegen::generate(result.outcome.schedule, ctx_plan);
-  sim::Simulator simulator(cfg, ctx_plan);
-  result.measured = simulator.run(program);
-
-  if (options.check_prediction) {
-    const sim::SimReport& m = *result.measured;
-    const dsched::CostBreakdown& p = result.predicted;
-    std::ostringstream why;
-    why << result.outcome.chosen_rung() << " (via fallback) on " << sched.app().name()
-        << ": predicted " << p.summary() << " vs measured " << m.summary();
-    MSYS_REQUIRE(p.total == m.total, "cycle mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_loaded == m.data_words_loaded,
-                 "load-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_stored == m.data_words_stored,
-                 "store-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.context_words == m.context_words,
-                 "context-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.dma_requests == m.dma_requests, "request-count mismatch: " + why.str());
+  if (result.outcome.feasible()) {
+    check_into(result, result.outcome.schedule, result.outcome.chosen_rung() + " (via fallback)",
+               analysis, cfg);
   }
   return result;
 }
 
 ExperimentResult run_experiment(std::string name, const model::KernelSchedule& sched,
-                                const arch::M1Config& cfg, const RunOptions& options) {
+                                const arch::M1Config& cfg) {
   ExperimentResult result;
   result.name = std::move(name);
   result.cfg = cfg;
@@ -134,26 +90,24 @@ ExperimentResult run_experiment(std::string name, const model::KernelSchedule& s
   result.total_iterations = sched.app().total_iterations();
   result.data_size_per_iteration = sched.app().total_data_size();
 
-  result.basic = run_scheduler(dsched::BasicScheduler{}, sched, cfg, options);
-  result.ds = run_scheduler(dsched::DataScheduler{}, sched, cfg, options);
-  result.cds = run_scheduler(dsched::CompleteDataScheduler{}, sched, cfg, options);
+  result.basic = run_scheduler(dsched::BasicScheduler{}, sched, cfg);
+  result.ds = run_scheduler(dsched::DataScheduler{}, sched, cfg);
+  result.cds = run_scheduler(dsched::CompleteDataScheduler{}, sched, cfg);
   return result;
 }
 
-std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs,
-                                      const RunOptions& options) {
+std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs) {
   std::vector<ExperimentResult> results;
   results.reserve(specs.size());
   for (const ExperimentSpec& spec : specs) {
     MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
-    results.push_back(run_experiment(spec.name, *spec.sched, spec.cfg, options));
+    results.push_back(run_experiment(spec.name, *spec.sched, spec.cfg));
   }
   return results;
 }
 
 std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs,
-                                      engine::ThreadPool& pool,
-                                      const RunOptions& options) {
+                                      engine::ThreadPool& pool) {
   std::vector<ExperimentResult> results(specs.size());
   std::vector<std::exception_ptr> errors(specs.size());
 
@@ -167,7 +121,7 @@ std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs,
       try {
         const ExperimentSpec& spec = specs[i];
         MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
-        results[i] = run_experiment(spec.name, *spec.sched, spec.cfg, options);
+        results[i] = run_experiment(spec.name, *spec.sched, spec.cfg);
       } catch (...) {
         errors[i] = std::current_exception();
       }

@@ -27,11 +27,12 @@
 // the minimum (predicted cycles, island index) over island bests.
 //
 // Never-worse guarantee: an island best must (a) strictly beat the greedy
-// CDS baseline's predicted cycles and (b) survive the simulator
-// cross-check — validate_schedule clean, codegen succeeds, and the
-// simulator's measured cycle/word/request counts equal the prediction —
-// before it can win.  When no island clears both bars (or the search is
-// cancelled mid-flight), the greedy schedule is returned unchanged.
+// CDS baseline's predicted cycles and (b) pass sim::cross_check, the one
+// three-way oracle — validate_schedule clean, the simulator fault-free,
+// and the simulator equal to the prediction on all eight shared cycle,
+// word and request fields — before it can win.  When no island clears
+// both bars (or the search is cancelled mid-flight), the greedy schedule
+// is returned unchanged.
 #pragma once
 
 #include <cstdint>

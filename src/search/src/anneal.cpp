@@ -8,15 +8,13 @@
 #include <mutex>
 #include <utility>
 
-#include "msys/codegen/program.hpp"
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
 #include "msys/csched/context_plan.hpp"
 #include "msys/dsched/plan_cache.hpp"
-#include "msys/dsched/validate.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
-#include "msys/sim/simulator.hpp"
+#include "msys/sim/cross_check.hpp"
 
 namespace msys::search {
 
@@ -399,27 +397,14 @@ class Island {
 
  public:
   /// The simulator cross-check: an accepted improvement only becomes the
-  /// island best when the structural validator is clean, code generation
-  /// succeeds, and the simulator's measured cycles/words/requests equal
-  /// the analytic prediction exactly.
+  /// island best when sim::cross_check passes and its prediction is the
+  /// cycle count the search priced.
   bool verify_in_simulator(PartitionContext& ctx, const Skeleton& sk,
                            std::uint64_t predicted_cycles) {
     MSYS_TRACE_SPAN(span, "search.verify", "search");
-    const dsched::DataSchedule schedule = pack(ctx, sk);
-    const Diagnostics violations = dsched::validate_schedule(schedule, *ctx.analysis, cfg_);
-    if (!violations.empty()) return false;
-    const dsched::CostBreakdown predicted =
-        dsched::predict_cost(schedule, cfg_, ctx.ctx_plan);
-    if (!predicted.feasible || predicted.total.value() != predicted_cycles) return false;
-    const codegen::ScheduleProgram program = codegen::generate(schedule, ctx.ctx_plan);
-    sim::Simulator simulator(cfg_, ctx.ctx_plan);
-    const sim::Simulator::Outcome outcome = simulator.try_run(program);
-    if (!outcome.ok()) return false;
-    const sim::SimReport& m = *outcome.report;
-    return m.total == predicted.total && m.data_words_loaded == predicted.data_words_loaded &&
-           m.data_words_stored == predicted.data_words_stored &&
-           m.context_words == predicted.context_words &&
-           m.dma_requests == predicted.dma_requests;
+    const sim::CrossCheck check =
+        sim::cross_check(pack(ctx, sk), *ctx.analysis, cfg_, ctx.ctx_plan);
+    return check.ok() && check.predicted.total.value() == predicted_cycles;
   }
 
  private:

@@ -1,0 +1,70 @@
+#include "msys/sim/cross_check.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "msys/dsched/schedulers.hpp"
+#include "msys/engine/thread_pool.hpp"
+#include "msys/search/anneal.hpp"
+#include "testing/apps.hpp"
+#include "testing/oracle.hpp"
+
+namespace msys::sim {
+namespace {
+
+using extract::ScheduleAnalysis;
+using testing::TwoClusterApp;
+using testing::test_cfg;
+
+TEST(CrossCheck, CorruptedScheduleStopsAtValidator) {
+  TwoClusterApp t = TwoClusterApp::make();
+  const ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(1024);
+  const csched::ContextPlan ctx = csched::ContextPlan::build(t.sched, cfg.cm_capacity_words);
+  dsched::DataSchedule schedule = dsched::DataScheduler{}.schedule(analysis, cfg);
+  ASSERT_TRUE(schedule.feasible);
+  schedule.round_plan[0].loads.pop_back();
+  const CrossCheck check = cross_check(schedule, analysis, cfg, ctx);
+  EXPECT_EQ(check.stage, CrossCheck::Stage::kValidator);
+  EXPECT_FALSE(check.diagnostics.empty());
+  EXPECT_FALSE(check.measured.has_value());
+}
+
+// Fallback schedules with slots that store nothing: a model that charges
+// a store barrier there overstates stall (and total) on exactly these
+// two inputs of the screened ranges.
+TEST(CrossCheck, EmptyStoreSlotsAgree) {
+  for (const workloads::RandomSpec& spec :
+       {testing::family_spec(103695), testing::large_spec(300056)}) {
+    const CrossCheck check = testing::fallback_cross_check(spec);
+    EXPECT_TRUE(check.ok()) << "seed " << spec.seed << ": " << check.why();
+  }
+}
+
+// Seeds whose annealing search meets candidates with empty-store slots:
+// an empty-store barrier in the model makes cross_check reject them.
+TEST(CrossCheck, AnnealerRejectsNoCandidate) {
+  engine::ThreadPool pool(2);
+  search::AnnealOptions options;
+  options.budget = 256;
+  options.islands = 4;
+  for (const std::uint64_t seed : {29,  43,  64,  68,  83,  97,  113, 163, 165, 175, 212, 221,
+                                   241, 303, 312, 349, 369, 378, 402, 414, 422, 430, 454}) {
+    workloads::RandomSpec spec;
+    spec.seed = seed;
+    spec.min_kernels = 6;
+    spec.max_kernels = 10;
+    spec.reuse_percent = 40;
+    const workloads::RandomExperiment exp = workloads::make_random(spec);
+    const ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
+    const search::AnnealResult result =
+        search::anneal_schedule(analysis, exp.cfg, options, &pool);
+    std::uint32_t rejects = 0;
+    for (const search::IslandStats& island : result.islands) rejects += island.sim_rejects;
+    EXPECT_EQ(rejects, 0u) << "seed " << seed;
+  }
+}
+
+}  // namespace
+}  // namespace msys::sim

@@ -170,21 +170,23 @@ for preset in "${presets[@]}"; do
 done
 
 # Narrow ASan/UBSan pass on every default run: the simulator indexes its
-# dense residency tables and FB-occupancy bitset with program-supplied
-# values, and the Figure-4 walk's flat results are indexed by per-cluster
-# offsets the walk computes, so the suites that drive them with real and
+# dense residency and placement tables and FB-occupancy bitset with
+# program-supplied values, and the Figure-4 walk's flat results are
+# indexed by per-cluster offsets the walk computes, so the suites that drive them with real and
 # adversarial programs (simulator, functional RC array, fuzz harness, end
 # to end, schedulers, annealing) run under the sanitizers.  The oracle
 # screen joins them: it drives the simulator's dense tables with 5,500
 # real programs through sim::cross_check.  The engine and serve suites
 # join them because many jobs share one CompileInput (a serve run
 # prepares one per (workload, tenant)) and the serve replay caches one
-# context plan per input, so a lifetime bug there trips ASan.  Only those
-# nine test binaries are built in build-san/; plan_alloc_test stays out
-# because it replaces operator new, which ASan owns.
+# context plan per input, so a lifetime bug there trips ASan.  The code
+# generator joins them because it indexes its per-round release buckets
+# with offsets computed from the plan.  Only those ten test binaries are
+# built in build-san/; plan_alloc_test stays out because it replaces
+# operator new, which ASan owns.
 if [ "$#" -eq 0 ]; then
-  san_tests=(sim_test oracle_screen_test rcarray_test fuzzing_test integration_test
-             dsched_test search_test engine_test serve_test)
+  san_tests=(sim_test codegen_test oracle_screen_test rcarray_test fuzzing_test
+             integration_test dsched_test search_test engine_test serve_test)
   echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
   cmake --preset san -DMSYS_WERROR=ON
   cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"

@@ -7,6 +7,12 @@
 // instance occupies, when instances die, and which contexts must be CM
 // resident.  The TinyRISC control processor is the implicit sequencer: the
 // op order *is* the instruction order it would issue.
+//
+// generate() writes each stream once, into storage reserved from per-round
+// op counts: a slot's early loads, late loads and stores are emitted where
+// the double-buffering weave places them, and each execution is followed
+// by the releases it fires, taken from buckets built once per round length
+// (cluster, local kernel, clamped trigger iteration), in plan order.
 #pragma once
 
 #include <cstdint>

@@ -18,6 +18,7 @@ SizeWords total_size(const std::vector<Extent>& extents) {
 }
 
 bool disjoint(const std::vector<Extent>& extents) {
+  if (extents.size() < 2) return true;  // the common unsplit placement: no copy
   std::vector<Extent> sorted = extents;
   std::sort(sorted.begin(), sorted.end(),
             [](const Extent& a, const Extent& b) { return a.addr < b.addr; });

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "msys/common/extent.hpp"
@@ -121,6 +122,12 @@ struct DataSchedule {
   [[nodiscard]] static std::uint64_t key(ClusterId cluster, ObjInstance inst) {
     return (static_cast<std::uint64_t>(inst.data.index()) << 32) |
            (static_cast<std::uint64_t>(cluster.index()) << 16) | inst.iter;
+  }
+  /// Inverse of key(): the allocating cluster and instance a key names.
+  [[nodiscard]] static std::pair<ClusterId, ObjInstance> unkey(std::uint64_t key) {
+    return {ClusterId{static_cast<std::uint32_t>((key >> 16) & 0xffff)},
+            ObjInstance{DataId{static_cast<std::uint32_t>(key >> 32)},
+                        static_cast<std::uint32_t>(key & 0xffff)}};
   }
   [[nodiscard]] const Placement& placement(ClusterId cluster, ObjInstance inst) const;
   [[nodiscard]] bool has_placement(ClusterId cluster, ObjInstance inst) const {

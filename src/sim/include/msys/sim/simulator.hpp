@@ -28,11 +28,23 @@
 //     array are each serial, so each stream's events are emitted in
 //     nondecreasing time (checked); only equal-time runs are ordered, and
 //     the two streams merge with two cursors;
+//   * events are emitted in one pass: the timing pass writes each op's
+//     events as it times the op, by index into the DMA and RC parts of one
+//     buffer counted exactly beforehand;
 //   * FB occupancy is a bitset of words per set, checked and marked with
 //     64-bit masks.  Extent::overlaps semantics hold exactly, including its
 //     rule for empty extents;
 //   * residency tables are dense vectors indexed by (data, iter) and
-//     (round, data, iter), sized from the program;
+//     (round, data, iter), sized from the program; CM residency is a
+//     per-kernel flag (the keyed map is walked only to evict, in the order
+//     that decides max_cm_words);
+//   * placements come from a dense (cluster, data, iter < RF) index built
+//     once per run from the schedule's keyed map; every decoded field is
+//     bounds-checked, and a missing entry is the "no placement for object
+//     instance" fault;
+//   * the buffers proportional to the program (timed ops, events, the
+//     placement index) belong to the thread, not the Simulator, so the
+//     usual fresh Simulator per check reuses them;
 //   * failure descriptions are built only when a check fails.
 #pragma once
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "msys/common/error.hpp"
@@ -30,6 +31,81 @@ struct TimedOp {
   Cycles start{};
   Cycles end{};
 };
+
+/// Functional-pass event phases: at equal timestamps removals apply first,
+/// then insertions, then checks.
+enum Phase : std::uint8_t { kRemove = 0, kInsert = 1, kCheck = 2 };
+
+struct Event {  // 16 bytes: the largest transient buffer of a run
+  Cycles time;
+  std::uint32_t seq;  // index of the op's TimedOp; stable order within a phase
+  Phase phase;
+};
+
+/// The total event order: (time, phase, seq).
+bool before(const Event& a, const Event& b) {
+  if (a.time != b.time) return a.time < b.time;
+  if (a.phase != b.phase) return a.phase < b.phase;
+  return a.seq < b.seq;
+}
+
+/// Events of the RC-array kinds (executions and releases) form one stream,
+/// every other kind the DMA stream.
+bool rc_kind(OpKind kind) { return kind == OpKind::kExec || kind == OpKind::kRelease; }
+
+/// Number of functional-pass events an op emits (see write_events).
+std::size_t event_count(const Op& op) {
+  switch (op.kind) {
+    case OpKind::kRelease:
+    case OpKind::kLoadContext: return 1;
+    case OpKind::kStoreData: return op.release_after_store ? 3 : 2;
+    case OpKind::kLoadData:
+    case OpKind::kExec: return 2;
+  }
+  return 0;
+}
+
+/// Writes an op's events, in emission order, to `out`; returns their count.
+std::size_t write_events(const TimedOp& t, std::uint32_t seq, Event* out) {
+  switch (t.op->kind) {
+    case OpKind::kLoadData:
+      out[0] = {t.start, seq, kCheck};   // external availability
+      out[1] = {t.start, seq, kInsert};  // FB words occupied
+      return 2;
+    case OpKind::kExec:
+      out[0] = {t.start, seq, kCheck};   // inputs + contexts
+      out[1] = {t.start, seq, kInsert};  // outputs appear
+      return 2;
+    case OpKind::kStoreData:
+      out[0] = {t.start, seq, kCheck};  // instance resident
+      out[1] = {t.end, seq, kInsert};   // reaches external memory
+      if (!t.op->release_after_store) return 2;
+      out[2] = {t.end, seq, kRemove};
+      return 3;
+    case OpKind::kRelease:
+      out[0] = {t.start, seq, kRemove};
+      return 1;
+    case OpKind::kLoadContext:
+      out[0] = {t.end, seq, kInsert};
+      return 1;
+  }
+  return 0;
+}
+
+/// The buffers a run needs in proportion to its program.  Callers build a
+/// fresh Simulator per check, so the buffers live per thread, not per
+/// Simulator: a run takes the thread's spare set and hands it back when it
+/// returns, so back-to-back runs on a thread reuse their capacity.  A run
+/// started inside another (from a data hook or trace callback) finds no
+/// spare and allocates its own; a run that throws frees its set.
+struct RunBuffers {
+  std::vector<TimedOp> timed;
+  /// Grown, never shrunk: a run uses a prefix, so reuse writes no filler.
+  std::vector<Event> events;
+  /// Dense placement index: (cluster, data, iter) -> placement or null.
+  std::vector<const Placement*> placements;
+};
+thread_local RunBuffers spare_buffers;
 
 /// Functional FB-set state: a word bitset of occupied words, checked and
 /// marked with 64-bit masks, plus the extents each resident instance holds
@@ -137,12 +213,13 @@ class FbState {
 /// Functional Context Memory state.
 class CmState {
  public:
-  CmState(std::uint32_t capacity, bool persistent) : capacity_(capacity),
-                                                     persistent_(persistent) {}
+  CmState(std::uint32_t capacity, bool persistent, std::size_t kernels)
+      : capacity_(capacity), persistent_(persistent), is_resident_(kernels, false) {}
 
   void load(KernelId kernel, std::uint32_t words, ClusterId cluster,
             ClusterId prev_cluster, const model::KernelSchedule& sched) {
-    if (resident_.contains(kernel)) return;  // persistent regime reload
+    MSYS_REQUIRE(kernel.index() < is_resident_.size(), "kernel id out of range");
+    if (is_resident_[kernel.index()]) return;  // persistent regime reload
     // Make room: evict kernels belonging to neither the loading cluster
     // nor the one still executing (its contexts are live until its slot
     // ends).  The per-slot-serial regime may additionally evict the
@@ -158,11 +235,14 @@ class CmState {
     MSYS_REQUIRE(used_ + words <= capacity_,
                  "context memory overflow loading kernel contexts");
     resident_.emplace(kernel, words);
+    is_resident_[kernel.index()] = true;
     used_ += words;
     peak_ = std::max(peak_, used_);
   }
 
-  [[nodiscard]] bool resident(KernelId kernel) const { return resident_.contains(kernel); }
+  [[nodiscard]] bool resident(KernelId kernel) const {
+    return kernel.index() < is_resident_.size() && is_resident_[kernel.index()];
+  }
   [[nodiscard]] std::uint32_t peak_words() const { return peak_; }
 
  private:
@@ -173,6 +253,7 @@ class CmState {
       if (used_ + needed <= capacity_) return;
       if (pred(it->first)) {
         used_ -= it->second;
+        is_resident_[it->first.index()] = false;
         it = resident_.erase(it);
       } else {
         ++it;
@@ -182,7 +263,11 @@ class CmState {
 
   std::uint32_t capacity_;
   bool persistent_;
+  /// Resident kernels and their words.  Only eviction walks it, and its
+  /// iteration order decides which kernels go (and so max_cm_words).
   std::unordered_map<KernelId, std::uint32_t> resident_;
+  /// resident_ as a per-kernel flag, for the per-execution check.
+  std::vector<bool> is_resident_;
   std::uint32_t used_{0};
   std::uint32_t peak_{0};
 };
@@ -225,30 +310,39 @@ SimReport Simulator::run(const ScheduleProgram& program) {
   const model::Application& app = sched.app();
   const std::size_t n_slots = program.slots.size();
   MSYS_REQUIRE(n_slots > 0, "empty program");
+  MSYS_REQUIRE(program.dma_ops.size() + program.rc_ops.size() <= UINT32_MAX,
+               "program too large to simulate");
 
   SimReport report;
+  RunBuffers buffers = std::exchange(spare_buffers, {});
 
   // ---- Static slot bookkeeping. ----
   std::vector<std::size_t> prev_same_set(n_slots, kNone);
+  std::vector<FbSet> slot_set(n_slots);
   {
     std::size_t last_on_set[2] = {kNone, kNone};
     for (std::size_t s = 0; s < n_slots; ++s) {
-      const auto set = static_cast<std::size_t>(sched.cluster(program.slots[s].cluster).set);
+      slot_set[s] = sched.cluster(program.slots[s].cluster).set;
+      const auto set = static_cast<std::size_t>(slot_set[s]);
       prev_same_set[s] = last_on_set[set];
       last_on_set[set] = s;
     }
   }
   std::vector<std::uint32_t> in_remaining(n_slots, 0);
   std::vector<std::uint32_t> exec_remaining(n_slots, 0);
+  // Functional-pass events, counted by stream: DMA kinds, then RC kinds.
+  std::size_t n_events[2] = {0, 0};
   for (const Op& op : program.dma_ops) {
     MSYS_REQUIRE(op.slot < n_slots, "op slot outside the program");
     if (op.kind == OpKind::kLoadContext || op.kind == OpKind::kLoadData) {
       ++in_remaining[op.slot];
     }
+    n_events[rc_kind(op.kind)] += event_count(op);
   }
   for (const Op& op : program.rc_ops) {
     MSYS_REQUIRE(op.slot < n_slots, "op slot outside the program");
     if (op.kind == OpKind::kExec) ++exec_remaining[op.slot];
+    n_events[rc_kind(op.kind)] += event_count(op);
   }
   for (std::size_t s = 0; s < n_slots; ++s) {
     MSYS_REQUIRE(exec_remaining[s] > 0, "slot with no executions");
@@ -278,13 +372,30 @@ SimReport Simulator::run(const ScheduleProgram& program) {
     return Cycles::zero();
   };
 
+  // Each timed op's events are written once, as it is timed, to its
+  // stream's part of one exactly sized buffer: DMA kinds in [0, dma_end),
+  // RC kinds in [dma_end, rc_end).  Either part receives its events in
+  // timing order, i.e. in ascending seq.
+  std::vector<TimedOp>& timed = buffers.timed;
+  timed.clear();
+  timed.reserve(program.dma_ops.size() + program.rc_ops.size());
+  const std::size_t dma_end = n_events[0];
+  const std::size_t rc_end = n_events[0] + n_events[1];
+  std::vector<Event>& events = buffers.events;
+  if (events.size() < rc_end) events.resize(rc_end);
+  std::size_t written[2] = {0, dma_end};
+  auto record = [&](const Op& op, Cycles start, Cycles end) {
+    const auto seq = static_cast<std::uint32_t>(timed.size());
+    timed.push_back({&op, start, end});
+    std::size_t& w = written[rc_kind(op.kind)];
+    w += write_events(timed.back(), seq, &events[w]);
+  };
+
   // ---- Timing pass: two cursors over the FIFO streams, advancing
   // whichever head op has all of its dependencies resolved. ----
   const bool ctx_serial = !ctx_plan_->overlaps_compute();
   const bool ctx_persistent =
       ctx_plan_->regime() == csched::ContextRegime::kPersistent;
-  std::vector<TimedOp> timed;
-  timed.reserve(program.dma_ops.size() + program.rc_ops.size());
 
   std::size_t di = 0;
   std::size_t ri = 0;
@@ -303,7 +414,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
         const Cycles start = std::max(rc_t, in_done[op.slot]);
         const Cycles duration = op_duration(op);
         const Cycles end = start + duration;
-        timed.push_back({&op, start, end});
+        record(op, start, end);
         rc_t = end;
         report.compute += duration;
         ++report.exec_count;
@@ -312,7 +423,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
           exec_known[op.slot] = true;
         }
       } else {  // kRelease: bookkeeping at the current RC time
-        timed.push_back({&op, rc_t, rc_t});
+        record(op, rc_t, rc_t);
         ++report.release_count;
       }
       ++ri;
@@ -345,7 +456,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
       }
       const Cycles duration = op_duration(op);
       const Cycles end = start + duration;
-      timed.push_back({&op, start, end});
+      record(op, start, end);
       dma_t = end;
       report.dma_busy += duration;
       ++report.dma_requests;
@@ -373,65 +484,15 @@ SimReport Simulator::run(const ScheduleProgram& program) {
   report.stall = report.total - report.compute;
 
   // ---- Functional pass: apply effects in simulated-time order. ----
-  // Phases at equal timestamps: removals, then insertions, then checks.
-  enum Phase : std::uint8_t { kRemove = 0, kInsert = 1, kCheck = 2 };
-  struct Event {  // 16 bytes: the largest transient buffer of a run
-    Cycles time;
-    std::uint32_t seq;  // index into `timed`; stable order within a phase
-    Phase phase;
-  };
-  MSYS_REQUIRE(timed.size() <= UINT32_MAX, "program too large to simulate");
   // The total order is (time, phase, seq).  The DMA channel and the RC
   // array are each serial, so each stream's events come out in
   // nondecreasing time and only equal-time runs need ordering; the two
-  // streams then merge with two cursors.  Both live in one buffer: the
-  // DMA stream first, then the RC stream.
-  auto before = [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.phase != b.phase) return a.phase < b.phase;
-    return a.seq < b.seq;
-  };
-  std::vector<Event> events;
-  std::size_t n_events = 0;  // reserved exactly: a regrowth would double the peak
-  for (const TimedOp& t : timed) {
-    const OpKind kind = t.op->kind;
-    n_events += kind == OpKind::kRelease || kind == OpKind::kLoadContext
-                    ? 1
-                    : 2 + (kind == OpKind::kStoreData && t.op->release_after_store);
-  }
-  events.reserve(n_events);
-  auto emit_stream = [&](bool rc_stream) {
-    const std::size_t first = events.size();
-    for (std::uint32_t i = 0; i < timed.size(); ++i) {
-      const TimedOp& t = timed[i];
-      const OpKind kind = t.op->kind;
-      if ((kind == OpKind::kExec || kind == OpKind::kRelease) != rc_stream) continue;
-      switch (kind) {
-        case OpKind::kLoadData:
-          events.push_back({t.start, i, kCheck});   // external availability
-          events.push_back({t.start, i, kInsert});  // FB words occupied
-          break;
-        case OpKind::kExec:
-          events.push_back({t.start, i, kCheck});   // inputs + contexts
-          events.push_back({t.start, i, kInsert});  // outputs appear
-          break;
-        case OpKind::kStoreData:
-          events.push_back({t.start, i, kCheck});   // instance resident
-          events.push_back({t.end, i, kInsert});    // reaches external memory
-          if (t.op->release_after_store) events.push_back({t.end, i, kRemove});
-          break;
-        case OpKind::kRelease:
-          events.push_back({t.start, i, kRemove});
-          break;
-        case OpKind::kLoadContext:
-          events.push_back({t.end, i, kInsert});
-          break;
-      }
-    }
-    for (std::size_t run = first; run < events.size();) {
+  // streams then merge with two cursors.
+  auto order_stream = [&](std::size_t first, std::size_t last) {
+    for (std::size_t run = first; run < last;) {
       std::size_t next = run + 1;
-      while (next < events.size() && events[next].time == events[run].time) ++next;
-      MSYS_REQUIRE(next == events.size() || events[run].time < events[next].time,
+      while (next < last && events[next].time == events[run].time) ++next;
+      MSYS_REQUIRE(next == last || events[run].time < events[next].time,
                    "simulator stream emitted events out of time order");
       // Insertion sort: runs are short and already ascend by seq.
       for (std::size_t i = run + 1; i < next; ++i) {
@@ -441,10 +502,9 @@ SimReport Simulator::run(const ScheduleProgram& program) {
       }
       run = next;
     }
-    return events.size();
   };
-  const std::size_t dma_end = emit_stream(/*rc_stream=*/false);
-  const std::size_t rc_end = emit_stream(/*rc_stream=*/true);
+  order_stream(0, dma_end);
+  order_stream(dma_end, rc_end);
 
   // Dense residency tables, sized from the program itself: FB instances by
   // (data, iter), and results present in external memory by (round, data,
@@ -470,17 +530,41 @@ SimReport Simulator::run(const ScheduleProgram& program) {
   FbState fb[2] = {FbState(cfg_->fb_set_size, n_instances),
                    FbState(cfg_->fb_set_size, n_instances)};
   CmState cm(cfg_->cm_capacity_words,
-             ctx_plan_->regime() == csched::ContextRegime::kPersistent);
+             ctx_plan_->regime() == csched::ContextRegime::kPersistent, app.kernel_count());
   std::vector<bool> in_external(n_rounds * n_instances, false);
   auto external = [&](std::uint32_t slot, DataId data, std::uint32_t iter) {
     return program.slots[slot].round * n_instances + inst(data, iter);
+  };
+
+  // Placements by (cluster, data, iter < RF), from the schedule's keyed
+  // map.  A key whose decoded fields fall outside those bounds names no
+  // instance of the steady round, so it stays out of the index.
+  const std::size_t n_clusters = sched.cluster_count();
+  const std::size_t rf = schedule.rf;
+  std::vector<const Placement*>& placements = buffers.placements;
+  placements.assign(n_clusters * app.data_count() * rf, nullptr);
+  auto slot_of = [&](ClusterId cluster, DataId data, std::uint32_t iter) -> std::size_t {
+    if (cluster.index() >= n_clusters || data.index() >= app.data_count() || iter >= rf) {
+      return kNone;
+    }
+    return (cluster.index() * app.data_count() + data.index()) * rf + iter;
+  };
+  for (const auto& [key, p] : schedule.placements) {
+    const auto [cluster, instance] = DataSchedule::unkey(key);
+    const std::size_t at = slot_of(cluster, instance.data, instance.iter);
+    if (at != kNone) placements[at] = &p;
+  }
+  auto placement = [&](ClusterId cluster, DataId data, std::uint32_t iter) -> const Placement& {
+    const std::size_t at = slot_of(cluster, data, iter);
+    MSYS_REQUIRE(at != kNone && placements[at] != nullptr, "no placement for object instance");
+    return *placements[at];
   };
 
   auto apply = [&](const Event& ev) {
     const Op& op = *timed[ev.seq].op;
     const auto what = [&] { return describe(app, op); };
     const codegen::Slot& slot = program.slots[op.slot];
-    const FbSet slot_set = sched.cluster(slot.cluster).set;
+    const FbSet home_set = slot_set[op.slot];
     switch (op.kind) {
       case OpKind::kLoadData: {
         if (ev.phase == kCheck) {
@@ -491,7 +575,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
                        "loading a result before its store: " + what());
           break;
         }
-        const Placement& p = schedule.placement(op.cluster, {op.data, op.iter});
+        const Placement& p = placement(op.cluster, op.data, op.iter);
         fb[static_cast<std::size_t>(p.set)].insert(inst(op.data, op.iter), p.extents, what);
         if (hooks_.on_load) hooks_.on_load(op, slot.round);
         break;
@@ -502,15 +586,15 @@ SimReport Simulator::run(const ScheduleProgram& program) {
           MSYS_REQUIRE(cm.resident(op.kernel), "contexts not CM-resident for " + what());
           for (DataId in : kernel.inputs) {
             const std::size_t i = inst(in, op.iter);
-            const bool home = fb[static_cast<std::size_t>(slot_set)].resident(i);
+            const bool home = fb[static_cast<std::size_t>(home_set)].resident(i);
             const bool across = cfg_->cross_set_reads &&
-                                fb[static_cast<std::size_t>(other_set(slot_set))].resident(i);
+                                fb[static_cast<std::size_t>(other_set(home_set))].resident(i);
             MSYS_REQUIRE(home || across,
                          "input '" + app.data(in).name + "' not resident for " + what());
           }
         } else {
           for (DataId out : kernel.outputs) {
-            const Placement& p = schedule.placement(slot.cluster, {out, op.iter});
+            const Placement& p = placement(slot.cluster, out, op.iter);
             fb[static_cast<std::size_t>(p.set)].insert(inst(out, op.iter), p.extents, what);
           }
           if (hooks_.on_exec) hooks_.on_exec(op, slot);
@@ -518,7 +602,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
         break;
       }
       case OpKind::kStoreData: {
-        const std::size_t set = static_cast<std::size_t>(slot_set);
+        const std::size_t set = static_cast<std::size_t>(home_set);
         if (ev.phase == kCheck) {
           MSYS_REQUIRE(fb[set].resident(inst(op.data, op.iter)),
                        "storing a non-resident instance: " + what());
@@ -531,7 +615,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
         break;
       }
       case OpKind::kRelease: {
-        const Placement& p = schedule.placement(op.cluster, {op.data, op.iter});
+        const Placement& p = placement(op.cluster, op.data, op.iter);
         fb[static_cast<std::size_t>(p.set)].remove(inst(op.data, op.iter), what);
         break;
       }
@@ -595,6 +679,7 @@ SimReport Simulator::run(const ScheduleProgram& program) {
     span.add_arg(obs::arg("total_cycles", report.total.value()));
     span.add_arg(obs::arg("execs", std::uint64_t{report.exec_count}));
   }
+  spare_buffers = std::move(buffers);
   return report;
 }
 

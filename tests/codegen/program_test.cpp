@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "msys/common/error.hpp"
 #include "msys/dsched/schedulers.hpp"
@@ -175,6 +177,94 @@ TEST(Codegen, ReleasesBalanceNonStoreResidency) {
   for (const auto& [k, net] : balance) {
     EXPECT_EQ(net, 0) << "instance leaked or double-freed in round";
   }
+}
+
+/// (data, iter) of the releases that directly follow the execution of
+/// `kernel` at `iter` in `slot`, in stream order.
+std::vector<std::pair<DataId, std::uint32_t>> releases_after(const ScheduleProgram& program,
+                                                             std::uint32_t slot,
+                                                             KernelId kernel,
+                                                             std::uint32_t iter) {
+  std::vector<std::pair<DataId, std::uint32_t>> out;
+  bool after = false;
+  for (const Op& op : program.rc_ops) {
+    if (op.kind == OpKind::kExec) {
+      after = op.slot == slot && op.kernel == kernel && op.iter == iter;
+    } else if (after) {
+      out.emplace_back(op.data, op.iter);
+    }
+  }
+  return out;
+}
+
+TEST(Codegen, ReleasesSharingATriggerKeepPlanOrder) {
+  TwoClusterApp t = TwoClusterApp::make(/*iterations=*/3);
+  ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(600, /*cm=*/127);  // RF=2: rounds of 2 and 1
+  DataSchedule s = dsched::DataScheduler{}.schedule(analysis, cfg);
+  ASSERT_EQ(s.rf, 2u);
+  const DataId a = *t.app->find_data("a");
+  const DataId b = *t.app->find_data("b");
+  const DataId shared = *t.app->find_data("shared");
+  // Three releases fired by p1's iteration 0, interleaved in the plan with
+  // one fired by p2's iteration 1.
+  s.round_plan[0].releases = {
+      {.trigger_kernel = 0, .trigger_iter = 0, .inst = {shared, 0}},
+      {.trigger_kernel = 1, .trigger_iter = 1, .inst = {b, 1}},
+      {.trigger_kernel = 0, .trigger_iter = 0, .inst = {a, 0}},
+      {.trigger_kernel = 0, .trigger_iter = 0, .inst = {b, 0}},
+  };
+  const ScheduleProgram program =
+      generate(s, csched::ContextPlan::build(t.sched, cfg.cm_capacity_words));
+  const KernelId p1 = *t.app->find_kernel("p1");
+  const KernelId p2 = *t.app->find_kernel("p2");
+  using Released = std::vector<std::pair<DataId, std::uint32_t>>;
+  EXPECT_EQ(releases_after(program, 0, p1, 0), (Released{{shared, 0}, {a, 0}, {b, 0}}));
+  EXPECT_EQ(releases_after(program, 0, p1, 1), Released{});
+  EXPECT_EQ(releases_after(program, 0, p2, 1), (Released{{b, 1}}));
+  // Every round replays the plan: cluster 0's slot in the next round too.
+  ASSERT_EQ(program.slots.size(), 4u);
+  EXPECT_EQ(releases_after(program, 2, p1, 0), (Released{{shared, 0}, {a, 0}, {b, 0}}));
+}
+
+TEST(Codegen, PartialLastRoundClampsReleaseTriggers) {
+  TwoClusterApp t = TwoClusterApp::make(/*iterations=*/3);
+  ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(600, /*cm=*/127);  // RF=2: rounds of 2 and 1
+  DataSchedule s = dsched::DataScheduler{}.schedule(analysis, cfg);
+  ASSERT_EQ(s.rf, 2u);
+  const DataId a = *t.app->find_data("a");
+  const DataId b = *t.app->find_data("b");
+  s.round_plan[0].releases = {
+      {.trigger_kernel = 0, .trigger_iter = 1, .inst = {a, 0}},
+      {.trigger_kernel = 0, .trigger_iter = 1, .inst = {a, 1}},
+      {.trigger_kernel = 1, .trigger_iter = 0, .inst = {b, 0}},
+      {.trigger_kernel = 1, .trigger_iter = 1, .inst = {b, 1}},
+      // No kernel 2 in the cluster: never fired.
+      {.trigger_kernel = 2, .trigger_iter = 0, .inst = {b, 0}},
+  };
+  const ScheduleProgram program =
+      generate(s, csched::ContextPlan::build(t.sched, cfg.cm_capacity_words));
+  ASSERT_EQ(program.slots.size(), 4u);
+  ASSERT_EQ(program.slots[2].iterations, 1u);
+  const KernelId p1 = *t.app->find_kernel("p1");
+  const KernelId p2 = *t.app->find_kernel("p2");
+  using Released = std::vector<std::pair<DataId, std::uint32_t>>;
+  // Full round: every release at its own trigger.
+  EXPECT_EQ(releases_after(program, 0, p1, 0), Released{});
+  EXPECT_EQ(releases_after(program, 0, p1, 1), (Released{{a, 0}, {a, 1}}));
+  EXPECT_EQ(releases_after(program, 0, p2, 0), (Released{{b, 0}}));
+  EXPECT_EQ(releases_after(program, 0, p2, 1), (Released{{b, 1}}));
+  // One-iteration round: triggers at iteration 1 move to iteration 0, and
+  // releases of iteration-1 instances, which the round never runs, go.
+  EXPECT_EQ(releases_after(program, 2, p1, 0), (Released{{a, 0}}));
+  EXPECT_EQ(releases_after(program, 2, p2, 0), (Released{{b, 0}}));
+  // The release of kernel 2, which the cluster does not have, never fires.
+  std::size_t cluster0_releases = 0;
+  for (const Op& op : program.rc_ops) {
+    cluster0_releases += op.kind == OpKind::kRelease && op.slot % 2 == 0;
+  }
+  EXPECT_EQ(cluster0_releases, 4u + 2u);
 }
 
 TEST(Codegen, SummaryCountsOps) {

@@ -43,6 +43,8 @@ TEST(Extent, TotalSize) {
 
 TEST(Extent, Disjoint) {
   EXPECT_TRUE(disjoint({}));
+  EXPECT_TRUE(disjoint({{0, SizeWords{5}}}));
+  EXPECT_TRUE(disjoint({{3, SizeWords{0}}}));
   EXPECT_TRUE(disjoint({{0, SizeWords{5}}, {5, SizeWords{5}}}));
   EXPECT_TRUE(disjoint({{10, SizeWords{5}}, {0, SizeWords{5}}}));  // order-independent
   EXPECT_FALSE(disjoint({{0, SizeWords{6}}, {5, SizeWords{5}}}));

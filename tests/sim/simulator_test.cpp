@@ -3,16 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "msys/common/error.hpp"
+#include "msys/common/hash.hpp"
 #include "msys/dsched/cost.hpp"
+#include "msys/dsched/fallback.hpp"
 #include "msys/dsched/schedulers.hpp"
 #include "msys/extract/analysis.hpp"
+#include "msys/workloads/random.hpp"
 #include "testing/apps.hpp"
+#include "testing/oracle.hpp"
 
 namespace msys::sim {
 namespace {
@@ -364,6 +372,207 @@ TEST(Simulator, RejectsOpsOutsideTheApplication) {
     program = clean;
     program.slots.back().round = round;
     EXPECT_FALSE(simulator.try_run(program).ok()) << round;
+  }
+}
+
+// ---- Dense placement index.  The functional pass looks placements up in
+// a table built from the schedule; a missing entry, or an instance outside
+// the table's (cluster, data, iter < RF) bounds, is the same fault the
+// keyed map gave: "no placement for object instance". ----
+
+/// Two clusters under Basic (RF = 1, three iterations): `gen` produces g
+/// from nothing, `use` reads g and the external input x, and the second
+/// cluster's `tail` turns use's result into the final z.
+class PlacementIndex : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    model::ApplicationBuilder b("placement-index", /*total_iterations=*/3);
+    const DataId x = b.external_input("x", SizeWords{50});
+    const KernelId gen = b.kernel("gen", 32, Cycles{100});
+    const DataId g = b.output(gen, "g", SizeWords{40});
+    const KernelId use = b.kernel("use", 32, Cycles{100}, {g, x});
+    const DataId r = b.output(use, "r", SizeWords{30});
+    const KernelId tail = b.kernel("tail", 32, Cycles{100}, {r});
+    b.output(tail, "z", SizeWords{20}, true);
+    app_ = std::make_unique<model::Application>(std::move(b).build());
+    sched_.emplace(model::KernelSchedule::from_partition(*app_, {{gen, use}, {tail}}));
+    analysis_ = std::make_unique<ScheduleAnalysis>(*sched_);
+    schedule_ = dsched::BasicScheduler{}.schedule(*analysis_, cfg_);
+    ASSERT_TRUE(schedule_.feasible);
+    ASSERT_EQ(schedule_.rf, 1u);
+    plan_.emplace(csched::ContextPlan::build(*sched_, cfg_.cm_capacity_words));
+    program_ = codegen::generate(schedule_, *plan_);
+    ASSERT_TRUE(Simulator(cfg_, *plan_).try_run(program_).ok());
+  }
+
+  DataId data(const char* name) const { return *app_->find_data(name); }
+
+  /// The first op of `stream` of `kind` on `name` (a kernel for kExec).
+  Op& first(std::vector<Op>& stream, OpKind kind, const char* name) {
+    const auto it = std::find_if(stream.begin(), stream.end(), [&](const Op& op) {
+      return op.kind == kind && (kind == OpKind::kExec ? op.kernel == *app_->find_kernel(name)
+                                                       : op.data == data(name));
+    });
+    EXPECT_NE(it, stream.end()) << name;
+    return *it;
+  }
+
+  void erase_placement(ClusterId cluster, const char* name) {
+    ASSERT_EQ(schedule_.placements.erase(dsched::DataSchedule::key(cluster, {data(name), 0})),
+              1u);
+  }
+
+  /// The fault `program` raises, and the ops whose data hooks fired first.
+  std::pair<std::string, std::vector<std::string>> fault(const ScheduleProgram& program) {
+    std::vector<std::string> hooks;
+    DataHooks data_hooks;
+    const auto record = [&](const Op& op) {
+      hooks.push_back(to_string(op.kind) + ' ' +
+                      (op.kind == OpKind::kExec ? app_->kernel(op.kernel).name
+                                                : app_->data(op.data).name));
+    };
+    data_hooks.on_load = [&](const Op& op, std::uint32_t) { record(op); };
+    data_hooks.on_exec = [&](const Op& op, const codegen::Slot&) { record(op); };
+    data_hooks.on_store = [&](const Op& op, std::uint32_t) { record(op); };
+    Simulator simulator(cfg_, *plan_);
+    simulator.set_data_hooks(std::move(data_hooks));
+    const Simulator::Outcome outcome = simulator.try_run(program);
+    EXPECT_FALSE(outcome.ok());
+    if (outcome.ok()) return {};
+    EXPECT_EQ(outcome.diagnostics.front().code, "sim.fault");
+    const std::string& what = outcome.diagnostics.front().message;
+    const std::string prefix = "MSYS_REQUIRE failed: ";
+    EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+    return {what.substr(prefix.size(), what.find(" [") - prefix.size()), std::move(hooks)};
+  }
+
+  using Hooks = std::vector<std::string>;
+  static constexpr const char* kNoPlacement = "no placement for object instance";
+
+  std::unique_ptr<model::Application> app_;
+  std::optional<model::KernelSchedule> sched_;
+  arch::M1Config cfg_ = test_cfg(1024);
+  std::unique_ptr<ScheduleAnalysis> analysis_;
+  dsched::DataSchedule schedule_;
+  std::optional<csched::ContextPlan> plan_;
+  ScheduleProgram program_;
+};
+
+TEST_F(PlacementIndex, ErasedPlacementOfALoad) {
+  erase_placement(ClusterId{0}, "x");
+  EXPECT_EQ(fault(program_), std::make_pair(std::string(kNoPlacement), Hooks{}));
+}
+
+TEST_F(PlacementIndex, ErasedPlacementOfAnExecOutput) {
+  erase_placement(ClusterId{0}, "g");
+  EXPECT_EQ(fault(program_), std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x"}));
+}
+
+TEST_F(PlacementIndex, ReleaseOfAnInstanceWithNoPlacement) {
+  // An instance's insertion and its release look up one key, so erasing
+  // its placement faults at the insertion.  Pointing the release at the
+  // second cluster, which holds no placement of x, leaves it the only
+  // lookup that misses: both executions have run when it faults.
+  first(program_.rc_ops, OpKind::kRelease, "x").cluster = ClusterId{1};
+  EXPECT_EQ(fault(program_),
+            std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x", "EXEC gen", "EXEC use"}));
+}
+
+TEST_F(PlacementIndex, IterationsPastTheReuseFactor) {
+  // RF = 1: no placement names iteration 1, though the application runs it.
+  ScheduleProgram program = program_;
+  first(program.dma_ops, OpKind::kLoadData, "x").iter = 1;
+  EXPECT_EQ(fault(program), std::make_pair(std::string(kNoPlacement), Hooks{}));
+  program = program_;
+  first(program.rc_ops, OpKind::kExec, "gen").iter = 1;
+  EXPECT_EQ(fault(program), std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x"}));
+  program = program_;
+  first(program.rc_ops, OpKind::kRelease, "x").iter = 1;
+  EXPECT_EQ(fault(program),
+            std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x", "EXEC gen", "EXEC use"}));
+}
+
+// ---- Per-thread run buffers.  Runs reuse one thread's buffers whatever
+// the size of the previous program, and threads never share them. ----
+
+/// Every SimReport field, then a hash of every trace callback's arguments.
+using RunRecord = std::array<std::uint64_t, 14>;
+
+RunRecord record_run(const arch::M1Config& cfg, const SimRun& run) {
+  Simulator simulator(cfg, run.ctx_plan);
+  Hasher trace;
+  simulator.set_trace([&](Cycles start, Cycles end, const std::string& what) {
+    trace.update_u64(start.value());
+    trace.update_u64(end.value());
+    trace.update_bytes(what);
+  });
+  const SimReport r = simulator.run(run.program);
+  return {r.total.value(), r.compute.value(), r.stall.value(), r.dma_busy.value(),
+          r.data_words_loaded, r.data_words_stored, r.context_words, r.dma_requests,
+          r.exec_count, r.release_count, r.max_resident_words[0], r.max_resident_words[1],
+          std::uint64_t{r.max_cm_words}, trace.finalize()};
+}
+
+/// A program of thousands of ops and one of a few dozen, with their
+/// schedules and context plans.
+struct TwoPrograms {
+  workloads::RandomExperiment large_exp = workloads::make_random(testing::large_spec(300001));
+  TwoClusterApp small_app = TwoClusterApp::make(/*iterations=*/2);
+  SimRun large;
+  SimRun small;
+
+  TwoPrograms() {
+    const ScheduleAnalysis analysis(large_exp.sched, large_exp.cfg.cross_set_reads);
+    large.schedule = dsched::schedule_with_fallback(analysis, large_exp.cfg).schedule;
+    large.ctx_plan = csched::ContextPlan::build(large_exp.sched, large_exp.cfg.cm_capacity_words);
+    large.program = codegen::generate(large.schedule, large.ctx_plan);
+    small = simulate(small_app.sched, test_cfg(1024), dsched::DataScheduler{});
+    small.program.schedule = &small.schedule;  // moved from simulate()'s copy
+  }
+
+  [[nodiscard]] RunRecord run_large() const { return record_run(large_exp.cfg, large); }
+  [[nodiscard]] RunRecord run_small() const { return record_run(test_cfg(1024), small); }
+};
+
+TEST(SimulatorBuffers, LargeSmallLargeOnOneThread) {
+  const TwoPrograms p;
+  ASSERT_GT(p.large.program.dma_ops.size() + p.large.program.rc_ops.size(), 1000u);
+  ASSERT_LT(p.small.program.dma_ops.size() + p.small.program.rc_ops.size(), 100u);
+  const RunRecord first = p.run_large();
+  const RunRecord small = p.run_small();
+  const RunRecord again = p.run_large();
+  EXPECT_EQ(first, again);
+  // The small program's run matches one on a fresh thread.
+  RunRecord fresh{};
+  std::thread([&] { fresh = p.run_small(); }).join();
+  EXPECT_EQ(small, fresh);
+  EXPECT_EQ(small[0], p.small.report.total.value());
+}
+
+TEST(SimulatorBuffers, ConcurrentThreadsAgree) {
+  const TwoPrograms p;
+  const RunRecord large = p.run_large();
+  const RunRecord small = p.run_small();
+  constexpr int kRuns = 16;
+  std::vector<RunRecord> seen[2];
+  std::vector<std::thread> threads;
+  std::atomic<int> ready{0};
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();  // start together
+      for (int i = 0; i < kRuns; ++i) {
+        // The threads alternate program sizes out of step with each other.
+        seen[t].push_back((i + t) % 2 == 0 ? p.run_large() : p.run_small());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_EQ(seen[t].size(), static_cast<std::size_t>(kRuns));
+    for (int i = 0; i < kRuns; ++i) {
+      EXPECT_EQ(seen[t][i], (i + t) % 2 == 0 ? large : small) << "thread " << t << " run " << i;
+    }
   }
 }
 

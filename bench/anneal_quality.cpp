@@ -6,8 +6,9 @@
 //   $ ./build/bench/anneal_quality --budgets 64,256 -j 4
 //
 // Cycle counts are deterministic — a pure function of (workload, seed,
-// islands, budget) — so the JSON gate compares them exactly; only the
-// per-row walltime is a measurement.  Every annealed row is re-verified
+// islands, budget) — so search_test's AnnealGolden suite pins them exactly
+// (tests/search/golden/anneal_quality.tsv, the same cases and options);
+// only the per-row walltime is a measurement.  Every annealed row is re-verified
 // here against the greedy baseline: a row where the annealer returns a
 // worse schedule aborts the bench (the never-worse contract is the point
 // of the search, not a statistic).

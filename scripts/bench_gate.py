@@ -25,10 +25,6 @@ picked by the record's "bench" name:
     * shed                 — regression = current above baseline
     * degraded             — regression = current above baseline
 
-  anneal_quality (rows keyed by app, budget):
-    * cycles_saved         — regression = current below baseline
-    * annealed_cycles      — regression = current above baseline
-
 The per-job latency columns use a wider band (--latency-threshold,
 default 1.0 = 2x): at the ~10us (hit) and ~1ms (miss) scales a
 preemption on a shared box moves a single measurement far more than 30%,
@@ -38,12 +34,6 @@ Throughput and queue depth aggregate a whole batch and hold the tight
 threshold.  The serve bench's cycle fields are *virtual time* — fully
 deterministic, zero measurement noise — so the tight threshold flags any
 real scheduling change while wall-clock noise only touches jobs_per_sec.
-
-The anneal_quality cycle fields are a pure function of (workload, seed,
-islands, budget) — zero measurement noise — so they compare exactly on any
-hardware, even when hardware_threads differ; walltime_ms is deliberately
-unwatched (budget tiers exist so walltime scaling is visible to humans, but
-machine speed is not a schedule-quality regression).
 
 Latency baselines below MIN_MS (warm rows report avg_miss_ms = 0) carry no
 signal at millisecond resolution and are skipped.  Rows present in only
@@ -98,16 +88,6 @@ SCHEMAS = {
             "degraded": "lower",
         },
         "latency_fields": set(),
-    },
-    "anneal_quality": {
-        "key": ("app", "budget"),
-        "watched": {
-            "cycles_saved": "higher",
-            "annealed_cycles": "lower",
-        },
-        "latency_fields": set(),
-        # Cycle counts are deterministic — compare on any hardware.
-        "deterministic": True,
     },
 }
 
@@ -167,7 +147,6 @@ def main():
     key_fields = schema["key"]
     watched = schema["watched"]
     latency_fields = schema["latency_fields"]
-    deterministic = schema.get("deterministic", False)
 
     key_defaults = schema.get("key_defaults", {})
     base = index_rows(args.baseline, base_doc, key_fields, key_defaults)
@@ -179,8 +158,7 @@ def main():
     # unknown hardware.
     base_hw = base_doc.get("hardware_threads")
     cur_hw = cur_doc.get("hardware_threads")
-    compare_absolute = (deterministic
-                        or (base_hw is not None and base_hw == cur_hw))
+    compare_absolute = base_hw is not None and base_hw == cur_hw
     if not compare_absolute:
         reason = (f"baseline hardware_threads={base_hw} vs current "
                   f"hardware_threads={cur_hw}" if base_hw is not None

@@ -48,7 +48,10 @@ class ContextPlan {
   [[nodiscard]] ContextRegime regime() const { return regime_; }
 
   /// Context words DMA-loaded before slot (round, cluster) executes
-  /// (0 when already resident).
+  /// (0 when already resident).  The answer depends on the round only
+  /// through round == 0: every round after the first loads the same
+  /// words, which dsched::predict_cost relies on to ask once per cluster
+  /// about rounds 0 and 1.
   [[nodiscard]] std::uint32_t words_for_slot(std::uint32_t round, ClusterId cluster) const;
 
   /// True when the slot's context load may overlap the previous slot's

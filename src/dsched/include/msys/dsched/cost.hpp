@@ -10,10 +10,22 @@
 //
 // where IN(s) = context loads + data loads of slot s and ST(s) = its
 // result stores (an empty ST(s) is no DMA op and holds nothing back).
+// Loads of slot s-1's own results are *late*: they queue behind ST(s-1).
 // Execution of slot s starts when slot s-1 finished and IN(s) completed.
+// A context load waits for the CM to free up (exec(s-1) when the CM holds
+// one cluster, exec(s-2) when it holds two), and a data load waits for the
+// execution of the previous slot on the same FB set.
 // The event simulator (src/sim) implements the same discipline
 // operationally; sim::cross_check asserts exact agreement between the two
 // independent implementations.
+//
+// Pricing: all rounds replay one round plan and only the last may run
+// fewer iterations, so each cluster's plan is priced once per call (exec,
+// context and late/early/store figures for the full round and for the
+// short last round).  Totals are those figures times round counts, and the
+// weave is walked in DMA order with the timeline recurrence run in
+// place, so a call costs O(plan entries + slots), not O(rounds x plan
+// entries).
 #pragma once
 
 #include <cstdint>

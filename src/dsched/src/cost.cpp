@@ -1,6 +1,7 @@
 #include "msys/dsched/cost.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -13,20 +14,49 @@ namespace msys::dsched {
 
 namespace {
 
-/// Per-slot transfer/compute quantities, precomputed before the weave.
-struct SlotCost {
-  FbSet set{FbSet::kA};
-  Cycles exec{};
-  Cycles ctx_cycles{};        // context-load DMA time
-  Cycles load_cycles{};       // prefetchable data-load DMA time
-  Cycles late_load_cycles{};  // loads of the previous slot's results: they
-                              // reach external memory only after ST(s-1),
-                              // so they queue behind it
-  Cycles store_cycles{};
-  bool has_ctx_load{false};
-  /// Previous slot on the same FB set (SIZE_MAX when none): data loads
+/// One cluster's data transfers over one round length: the steady round
+/// (RF iterations) or the last round (possibly fewer).
+struct RoundDma {
+  Cycles early{};  // prefetchable data loads
+  Cycles late{};   // loads of the previous slot's results: they reach
+                   // external memory only after ST(s-1), so they queue
+                   // behind it
+  Cycles store{};
+  std::uint64_t words_loaded{0};
+  std::uint64_t words_stored{0};
+  std::uint64_t requests{0};
+
+  [[nodiscard]] Cycles busy() const { return early + late + store; }
+};
+
+/// One cluster's round plan, priced once per call.
+struct ClusterCost {
+  Cycles exec_per_iter{};
+  /// Context-load DMA time, words and requests of one load of the cluster.
+  Cycles ctx_cycles{};
+  std::uint64_t ctx_words{0};
+  std::uint64_t ctx_requests{0};
+  /// Whether the cluster's slot loads contexts in round 0 / in each later
+  /// round.
+  bool ctx_first{false};
+  bool ctx_later{false};
+  RoundDma full;  // rounds 0 .. rounds-2
+  RoundDma last;  // the last round: instances with iter < its iterations
+  /// Slots back to the previous slot on the same FB set (1..n_clusters;
+  /// n_clusters is the cluster's own slot one round earlier): data loads
   /// must wait for its execution to release the set's space.
-  std::size_t prev_same_set{SIZE_MAX};
+  std::uint32_t back{0};
+};
+
+/// What the weave reads of one slot.
+struct SlotCost {
+  Cycles exec{};
+  Cycles ctx{};
+  Cycles early{};
+  Cycles late{};
+  Cycles store{};
+  bool has_ctx{false};
+  std::uint32_t back{0};
 };
 
 }  // namespace
@@ -62,150 +92,166 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
   const std::uint32_t n_clusters = static_cast<std::uint32_t>(sched.cluster_count());
   const std::uint32_t rounds = (total_iterations + rf - 1) / rf;
   const std::uint32_t n_slots = rounds * n_clusters;
-  // iterations_in_round, inlined: RF except possibly the last round.
-  auto iters_in_round = [&](std::uint32_t round) {
-    return std::min(rf, total_iterations - round * rf);
-  };
+  const std::uint32_t last_iters = total_iterations - (rounds - 1) * rf;
 
-  // ---- Per-slot quantities. ----
-  std::vector<SlotCost> slots(n_slots);
-  for (std::uint32_t s = 0; s < n_slots; ++s) {
-    const std::uint32_t round = s / n_clusters;
-    const ClusterId cluster_id{s % n_clusters};
-    const model::Cluster& cluster = sched.cluster(cluster_id);
-    const std::uint32_t iters = iters_in_round(round);
-    SlotCost& slot = slots[s];
-    slot.set = cluster.set;
-
-    Cycles exec = Cycles::zero();
-    for (KernelId k : cluster.kernels) exec += app.kernel(k).exec_cycles;
-    slot.exec = exec * iters;
-    out.compute += slot.exec;
-
-    Cycles ctx = Cycles::zero();
-    if (ctx_plan.words_for_slot(round, cluster_id) > 0) {
-      slot.has_ctx_load = true;
-      for (KernelId k : cluster.kernels) {
-        const std::uint32_t words = app.kernel(k).context_words;
-        ctx += cfg.dma.context_cycles(words);
-        out.context_words += words;
-        ++out.dma_requests;
-      }
+  // ---- Per-cluster pricing: each round plan is walked once. ----
+  std::vector<ClusterCost> clusters(n_clusters);
+  for (std::uint32_t c = 0; c < n_clusters; ++c) {
+    const ClusterId cluster_id{c};
+    ClusterCost& cc = clusters[c];
+    for (KernelId k : sched.cluster(cluster_id).kernels) {
+      const model::Kernel& kernel = app.kernel(k);
+      cc.exec_per_iter += kernel.exec_cycles;
+      cc.ctx_cycles += cfg.dma.context_cycles(kernel.context_words);
+      cc.ctx_words += kernel.context_words;
+      ++cc.ctx_requests;
     }
-    slot.ctx_cycles = ctx;
-    Cycles in = Cycles::zero();
-    Cycles late = Cycles::zero();
+    // words_for_slot depends on the round only through round == 0.
+    cc.ctx_first = ctx_plan.words_for_slot(0, cluster_id) > 0;
+    cc.ctx_later = ctx_plan.words_for_slot(1, cluster_id) > 0;
+
+    // is_late_load depends on the slot only through the previous slot's
+    // cluster, so any slot > 0 of this cluster answers for all of them
+    // (slot 0, which has no previous slot, folds its late loads into its
+    // early ones in the weave).
+    const std::uint32_t any_slot = c == 0 ? n_clusters : c;
     const auto [loads, stores] = plan_of(cluster_id);
     for (ObjInstance inst : loads) {
-      if (inst.iter >= iters) continue;
       const SizeWords size = app.data(inst.data).size;
-      (is_late_load(sched, s, inst.data) ? late : in) += cfg.dma.data_cycles(size);
-      out.data_words_loaded += size.value();
-      ++out.dma_requests;
+      const Cycles cycles = cfg.dma.data_cycles(size);
+      const bool late = is_late_load(sched, any_slot, inst.data);
+      auto add = [&](RoundDma& dma) {
+        (late ? dma.late : dma.early) += cycles;
+        dma.words_loaded += size.value();
+        ++dma.requests;
+      };
+      if (inst.iter < rf) add(cc.full);
+      if (inst.iter < last_iters) add(cc.last);
     }
-    slot.load_cycles = in;
-    slot.late_load_cycles = late;
-
-    Cycles st = Cycles::zero();
     for (const StoreEvent& store : stores) {
-      if (store.inst.iter >= iters) continue;
       const SizeWords size = app.data(store.inst.data).size;
-      st += cfg.dma.data_cycles(size);
-      out.data_words_stored += size.value();
-      ++out.dma_requests;
+      const Cycles cycles = cfg.dma.data_cycles(size);
+      auto add = [&](RoundDma& dma) {
+        dma.store += cycles;
+        dma.words_stored += size.value();
+        ++dma.requests;
+      };
+      if (store.inst.iter < rf) add(cc.full);
+      if (store.inst.iter < last_iters) add(cc.last);
     }
-    slot.store_cycles = st;
-    out.dma_busy += ctx + in + late + st;
   }
-  // Same-set predecessor links.
+  // Same-set back-distances over the cyclic slot order: position i of the
+  // doubled cluster sequence is cluster i % n_clusters, so the second pass
+  // sees every cluster's previous same-set slot.
   {
-    std::size_t last_on_set[2] = {SIZE_MAX, SIZE_MAX};
-    for (std::uint32_t s = 0; s < n_slots; ++s) {
-      const auto set_idx = static_cast<std::size_t>(slots[s].set);
-      slots[s].prev_same_set = last_on_set[set_idx];
-      last_on_set[set_idx] = s;
+    std::uint32_t last_on_set[2] = {0, 0};
+    for (std::uint32_t i = 0; i < 2 * n_clusters; ++i) {
+      const std::uint32_t c = i < n_clusters ? i : i - n_clusters;
+      const auto set_idx = static_cast<std::size_t>(sched.cluster(ClusterId{c}).set);
+      if (i >= n_clusters) clusters[c].back = i - last_on_set[set_idx];
+      last_on_set[set_idx] = i;
     }
   }
 
-  // ---- The double-buffering weave (see header): IN_early may prefetch
-  // during the previous slot; IN_late (loads of the previous slot's own
-  // results) always queues behind that slot's stores. ----
-  enum class Kind { kInEarly, kStore, kInLate };
-  struct Item {
-    Kind kind;
-    std::uint32_t slot;
+  // ---- Totals: per-cluster figures times round counts. ----
+  const std::uint64_t steady_rounds = rounds - 1;
+  for (const ClusterCost& cc : clusters) {
+    const std::uint64_t ctx_loads = (cc.ctx_first ? 1 : 0) + (cc.ctx_later ? steady_rounds : 0);
+    out.compute += cc.exec_per_iter * total_iterations;
+    out.dma_busy += cc.ctx_cycles * ctx_loads + cc.full.busy() * steady_rounds + cc.last.busy();
+    out.data_words_loaded += cc.full.words_loaded * steady_rounds + cc.last.words_loaded;
+    out.data_words_stored += cc.full.words_stored * steady_rounds + cc.last.words_stored;
+    out.context_words += cc.ctx_words * ctx_loads;
+    out.dma_requests +=
+        cc.ctx_requests * ctx_loads + cc.full.requests * steady_rounds + cc.last.requests;
+  }
+
+  auto slot_cost = [&](std::uint32_t s, std::uint32_t round, std::uint32_t c) {
+    const ClusterCost& cc = clusters[c];
+    const bool last_round = round + 1 == rounds;
+    const RoundDma& dma = last_round ? cc.last : cc.full;
+    SlotCost slot;
+    slot.exec = cc.exec_per_iter * (last_round ? last_iters : rf);
+    slot.has_ctx = round == 0 ? cc.ctx_first : cc.ctx_later;
+    slot.ctx = slot.has_ctx ? cc.ctx_cycles : Cycles::zero();
+    slot.early = s == 0 ? dma.early + dma.late : dma.early;
+    slot.late = s == 0 ? Cycles::zero() : dma.late;
+    slot.store = dma.store;
+    slot.back = cc.back;
+    return slot;
   };
-  std::vector<Item> order;
-  order.reserve(3 * n_slots);
-  std::vector<bool> emitted(n_slots, false);
-  order.push_back({Kind::kInEarly, 0});
-  emitted[0] = true;
-  for (std::uint32_t s = 0; s < n_slots; ++s) {
-    if (s + 1 < n_slots && slots[s + 1].set != slots[s].set && !emitted[s + 1]) {
-      order.push_back({Kind::kInEarly, s + 1});
-      emitted[s + 1] = true;
-    }
-    // No store item for a slot that stores nothing (cycles_per_data_word
-    // > 0): codegen emits no DMA op for an empty store batch, so the
-    // channel never waits for exec(s) there.
-    if (slots[s].store_cycles.value() > 0) order.push_back({Kind::kStore, s});
-    if (s + 1 < n_slots) {
-      if (!emitted[s + 1]) {
-        order.push_back({Kind::kInEarly, s + 1});
-        emitted[s + 1] = true;
-      }
-      if (slots[s + 1].late_load_cycles.value() > 0) {
-        order.push_back({Kind::kInLate, s + 1});
-      }
-    }
-  }
 
-  // ---- Timeline recurrence over the weave. ----
+  // ---- The double-buffering weave (see header), walked in DMA order
+  // with the timeline recurrence run as each transfer starts: IN_early
+  // may prefetch during the previous slot; IN_late (loads of the previous
+  // slot's own results) always queues behind that slot's stores. ----
   const bool ctx_serial = !ctx_plan.overlaps_compute();
   const bool ctx_persistent = ctx_plan.regime() == csched::ContextRegime::kPersistent;
-  std::vector<Cycles> in_done(n_slots), exec_done(n_slots);
+  std::vector<Cycles> exec_done(n_slots);
   Cycles dma_t = Cycles::zero();
-  auto finish_exec = [&](std::uint32_t s) {
+  Cycles in_done = Cycles::zero();  // completion of the IN in flight
+  auto finish_exec = [&](std::uint32_t s, const SlotCost& slot) {
     const Cycles prev_exec = (s == 0) ? Cycles::zero() : exec_done[s - 1];
-    exec_done[s] = std::max(prev_exec, in_done[s]) + slots[s].exec;
+    exec_done[s] = std::max(prev_exec, in_done) + slot.exec;
   };
-  for (const Item& item : order) {
-    const std::uint32_t s = item.slot;
-    if (item.kind == Kind::kInEarly) {
-      Cycles ctx_start = dma_t;
-      if (ctx_serial && s > 0 && slots[s].has_ctx_load) {
-        // The CM cannot hold two clusters: this slot's context load must
-        // wait for the previous slot's execution to release the CM.
-        ctx_start = std::max(ctx_start, exec_done[s - 1]);
-      } else if (!ctx_persistent && s >= 2 && slots[s].has_ctx_load) {
-        // The CM holds at most two adjacent clusters' contexts: prefetch
-        // reaches one slot ahead, never two — loading slot s's contexts
-        // would evict slot s-2's, so it must wait for that execution.
-        ctx_start = std::max(ctx_start, exec_done[s - 2]);
-      }
-      const Cycles ctx_done = ctx_start + slots[s].ctx_cycles;
-      Cycles load_start = ctx_done;
-      if (slots[s].load_cycles.value() > 0 && slots[s].prev_same_set != SIZE_MAX) {
-        // Data loads overwrite FB words of the previous same-set cluster;
-        // they must wait until its execution has released them.  (Its
-        // stores precede these loads on the DMA channel by construction.)
-        load_start = std::max(load_start, exec_done[slots[s].prev_same_set]);
-      }
-      in_done[s] = load_start + slots[s].load_cycles;
-      dma_t = in_done[s];
-      if (slots[s].late_load_cycles.value() == 0) finish_exec(s);
-    } else if (item.kind == Kind::kInLate) {
-      Cycles start = dma_t;
-      if (slots[s].prev_same_set != SIZE_MAX) {
-        start = std::max(start, exec_done[slots[s].prev_same_set]);
-      }
-      in_done[s] = start + slots[s].late_load_cycles;
-      dma_t = in_done[s];
-      finish_exec(s);
-    } else {
-      const Cycles start = std::max(dma_t, exec_done[s]);
-      dma_t = start + slots[s].store_cycles;
+  auto run_in_early = [&](std::uint32_t s, const SlotCost& slot) {
+    Cycles ctx_start = dma_t;
+    if (ctx_serial && s > 0 && slot.has_ctx) {
+      // The CM cannot hold two clusters: this slot's context load must
+      // wait for the previous slot's execution to release the CM.
+      ctx_start = std::max(ctx_start, exec_done[s - 1]);
+    } else if (!ctx_persistent && s >= 2 && slot.has_ctx) {
+      // The CM holds at most two adjacent clusters' contexts: prefetch
+      // reaches one slot ahead, never two — loading slot s's contexts
+      // would evict slot s-2's, so it must wait for that execution.
+      ctx_start = std::max(ctx_start, exec_done[s - 2]);
     }
+    Cycles load_start = ctx_start + slot.ctx;
+    if (slot.early.value() > 0 && s >= slot.back) {
+      // Data loads overwrite FB words of the previous same-set cluster;
+      // they must wait until its execution has released them.  (Its
+      // stores precede these loads on the DMA channel by construction.)
+      load_start = std::max(load_start, exec_done[s - slot.back]);
+    }
+    in_done = load_start + slot.early;
+    dma_t = in_done;
+    if (slot.late.value() == 0) finish_exec(s, slot);
+  };
+  auto run_in_late = [&](std::uint32_t s, const SlotCost& slot) {
+    Cycles start = dma_t;
+    if (s >= slot.back) start = std::max(start, exec_done[s - slot.back]);
+    in_done = start + slot.late;
+    dma_t = in_done;
+    finish_exec(s, slot);
+  };
+
+  SlotCost current = slot_cost(0, 0, 0);
+  run_in_early(0, current);
+  std::uint32_t next_round = 0;
+  std::uint32_t next_cluster = 0;
+  for (std::uint32_t s = 0; s < n_slots; ++s) {
+    const bool has_next = s + 1 < n_slots;
+    SlotCost next;
+    if (has_next) {
+      if (++next_cluster == n_clusters) {
+        next_cluster = 0;
+        ++next_round;
+      }
+      next = slot_cost(s + 1, next_round, next_cluster);
+    }
+    // Slot s+1 on the other FB set (its same-set predecessor is further
+    // back than s): its IN prefetches ahead of ST(s).
+    const bool prefetch = has_next && next.back > 1;
+    if (prefetch) run_in_early(s + 1, next);
+    // No store for a slot that stores nothing (cycles_per_data_word > 0):
+    // codegen emits no DMA op for an empty store batch, so the channel
+    // never waits for exec(s) there.
+    if (current.store.value() > 0) dma_t = std::max(dma_t, exec_done[s]) + current.store;
+    if (has_next) {
+      if (!prefetch) run_in_early(s + 1, next);
+      if (next.late.value() > 0) run_in_late(s + 1, next);
+    }
+    current = next;
   }
 
   out.total = std::max(exec_done[n_slots - 1], dma_t);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "msys/common/error.hpp"
 #include "testing/apps.hpp"
 
@@ -98,6 +100,39 @@ TEST(ContextPlan, WrapAroundPairConsidered) {
   EXPECT_EQ(plan.regime(), ContextRegime::kPerSlotSerial);
   ContextPlan plan2 = ContextPlan::build(sched, 120);
   EXPECT_EQ(plan2.regime(), ContextRegime::kPerSlotOverlap);
+}
+
+TEST(ContextPlan, RoundMattersOnlyThroughRoundZero) {
+  // dsched::predict_cost asks about rounds 0 and 1 once per cluster and
+  // reuses the round-1 answer for every later round.  Three 64-word
+  // clusters put the plan in each regime in turn.
+  model::ApplicationBuilder b("x", 2);
+  std::vector<KernelId> ks;
+  for (int i = 0; i < 3; ++i) {
+    DataId d = b.external_input("d" + std::to_string(i), SizeWords{8});
+    KernelId k = b.kernel("k" + std::to_string(i), 64, Cycles{10}, {d});
+    b.output(k, "o" + std::to_string(i), SizeWords{4}, true);
+    ks.push_back(k);
+  }
+  model::Application app = std::move(b).build();
+  model::KernelSchedule sched =
+      model::KernelSchedule::from_partition(app, {{ks[0]}, {ks[1]}, {ks[2]}});
+  const std::pair<std::uint32_t, ContextRegime> regimes[] = {
+      {192, ContextRegime::kPersistent},
+      {128, ContextRegime::kPerSlotOverlap},
+      {64, ContextRegime::kPerSlotSerial}};
+  for (const auto& [cm, regime] : regimes) {
+    ContextPlan plan = ContextPlan::build(sched, cm);
+    ASSERT_TRUE(plan.feasible());
+    ASSERT_EQ(plan.regime(), regime);
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      for (std::uint32_t round = 1; round <= 8; ++round) {
+        EXPECT_EQ(plan.words_for_slot(round, ClusterId{c}),
+                  plan.words_for_slot(1, ClusterId{c}))
+            << to_string(regime) << " cluster " << c << " round " << round;
+      }
+    }
+  }
 }
 
 }  // namespace

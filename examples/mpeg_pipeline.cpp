@@ -6,7 +6,7 @@
 // Shows the cluster structure, the Information Extractor's retention
 // candidates with their TF factors, the three schedulers' results, and
 // the first DMA/RC events of the simulated execution.
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <vector>
 
@@ -22,11 +22,12 @@ int main(int argc, char** argv) {
   using namespace msys;
   SizeWords fb = kilowords(2);
   if (argc > 1) {
-    fb = SizeWords{std::strtoull(argv[1], nullptr, 10)};
-    if (fb.value() == 0) {
+    std::uint64_t words = 0;
+    if (!parse_int(argv[1], words) || words == 0) {
       std::cerr << "usage: mpeg_pipeline [fb_set_words > 0]\n";
       return 2;
     }
+    fb = SizeWords{words};
   }
 
   workloads::Experiment exp = workloads::make_mpeg(fb);

@@ -48,7 +48,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -685,53 +684,21 @@ void print_stats(const msys::obs::MetricsSnapshot& delta) {
   table.print(std::cout);
 }
 
-/// `-j` must be a positive base-10 integer: std::stoi would accept "4abc"
-/// or "+4xyz", so parse strictly and reject anything else loudly.
+/// `-j` must be a positive base-10 integer (std::stoi would accept "4abc").
 bool parse_thread_count(const std::string& value, unsigned* out) {
-  if (value.empty() ||
-      !std::all_of(value.begin(), value.end(),
-                   [](unsigned char c) { return std::isdigit(c) != 0; })) {
-    return false;
-  }
-  try {
-    const int n = std::stoi(value);
-    if (n < 1) return false;
-    *out = static_cast<unsigned>(n);
-    return true;
-  } catch (const std::exception&) {
-    return false;  // out of range
-  }
+  int n = 0;
+  if (!msys::parse_int(value, n) || n < 1) return false;
+  *out = static_cast<unsigned>(n);
+  return true;
 }
 
 /// Strict non-negative integer for --deadline-ms / --retries (0 allowed —
 /// it means "off").
 bool parse_nonneg(const std::string& value, int* out) {
-  if (value.empty() ||
-      !std::all_of(value.begin(), value.end(),
-                   [](unsigned char c) { return std::isdigit(c) != 0; })) {
-    return false;
-  }
-  try {
-    *out = std::stoi(value);
-    return true;
-  } catch (const std::exception&) {
-    return false;  // out of range
-  }
-}
-
-/// Strict non-negative 64-bit integer for the trace-generator cycle knobs.
-bool parse_u64(const std::string& value, std::uint64_t* out) {
-  if (value.empty() ||
-      !std::all_of(value.begin(), value.end(),
-                   [](unsigned char c) { return std::isdigit(c) != 0; })) {
-    return false;
-  }
-  try {
-    *out = std::stoull(value);
-    return true;
-  } catch (const std::exception&) {
-    return false;  // out of range
-  }
+  int n = 0;
+  if (!msys::parse_int(value, n) || n < 0) return false;
+  *out = n;
+  return true;
 }
 
 }  // namespace
@@ -866,13 +833,13 @@ int main(int argc, char** argv) {
       }
       chaos_dir = argv[++i];
     } else if (arg == "--shed-cycles") {
-      if (i + 1 >= argc || !parse_u64(argv[i + 1], &shed_cycles)) {
+      if (i + 1 >= argc || !parse_int(argv[i + 1], shed_cycles)) {
         std::cerr << "msysc: --shed-cycles needs a non-negative integer (cycles)\n";
         return kExitUsage;
       }
       ++i;
     } else if (arg == "--degraded-cycles") {
-      if (i + 1 >= argc || !parse_u64(argv[i + 1], &degraded_cycles)) {
+      if (i + 1 >= argc || !parse_int(argv[i + 1], degraded_cycles)) {
         std::cerr << "msysc: --degraded-cycles needs a non-negative integer (cycles)\n";
         return kExitUsage;
       }
@@ -890,7 +857,7 @@ int main(int argc, char** argv) {
       }
       gen_trace_out = argv[++i];
     } else if (arg == "--seed") {
-      if (i + 1 >= argc || !parse_u64(argv[i + 1], &gen_spec.seed)) {
+      if (i + 1 >= argc || !parse_int(argv[i + 1], gen_spec.seed)) {
         std::cerr << "msysc: --seed needs a non-negative integer\n";
         return kExitUsage;
       }
@@ -913,13 +880,13 @@ int main(int argc, char** argv) {
       gen_spec.streams = static_cast<unsigned>(v);
       ++i;
     } else if (arg == "--mean-gap") {
-      if (i + 1 >= argc || !parse_u64(argv[i + 1], &gen_spec.mean_gap_cycles)) {
+      if (i + 1 >= argc || !parse_int(argv[i + 1], gen_spec.mean_gap_cycles)) {
         std::cerr << "msysc: --mean-gap needs a non-negative integer (cycles)\n";
         return kExitUsage;
       }
       ++i;
     } else if (arg == "--deadline-cycles") {
-      if (i + 1 >= argc || !parse_u64(argv[i + 1], &gen_spec.deadline_cycles)) {
+      if (i + 1 >= argc || !parse_int(argv[i + 1], gen_spec.deadline_cycles)) {
         std::cerr << "msysc: --deadline-cycles needs a non-negative integer\n";
         return kExitUsage;
       }

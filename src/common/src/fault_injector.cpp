@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "msys/common/hash.hpp"
+#include "msys/common/strfmt.hpp"
 
 namespace msys {
 
@@ -61,23 +62,6 @@ std::uint64_t FaultInjector::total_injected() const {
   return total;
 }
 
-namespace {
-
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
 bool FaultInjector::arm_from_spec(std::string_view spec, std::string* error) {
   auto fail = [&](const std::string& why) {
     disarm();
@@ -100,7 +84,7 @@ bool FaultInjector::arm_from_spec(std::string_view spec, std::string* error) {
     const std::string_view key = directive.substr(0, eq);
     std::string_view value = directive.substr(eq + 1);
     if (key == "seed") {
-      if (!parse_u64(value, &seed)) {
+      if (!parse_int(value, seed)) {
         return fail("bad seed: " + std::string(value));
       }
       continue;
@@ -108,7 +92,7 @@ bool FaultInjector::arm_from_spec(std::string_view spec, std::string* error) {
     SiteSpec site;
     const std::size_t colon = value.find(':');
     if (colon != std::string_view::npos) {
-      if (!parse_u64(value.substr(colon + 1), &site.param)) {
+      if (!parse_int(value.substr(colon + 1), site.param)) {
         return fail("bad param for " + std::string(key));
       }
       value = value.substr(0, colon);
@@ -121,8 +105,8 @@ bool FaultInjector::arm_from_spec(std::string_view spec, std::string* error) {
     } else {
       const std::size_t slash = value.find('/');
       if (slash == std::string_view::npos ||
-          !parse_u64(value.substr(0, slash), &site.num) ||
-          !parse_u64(value.substr(slash + 1), &site.den) || site.den == 0) {
+          !parse_int(value.substr(0, slash), site.num) ||
+          !parse_int(value.substr(slash + 1), site.den) || site.den == 0) {
         return fail("bad rate for " + std::string(key) + " (want num/den, always or never)");
       }
     }

@@ -75,10 +75,11 @@ struct CompiledResult {
   /// Keep-alive for every non-owning pointer inside `outcome`.
   CompileInput input;
   dsched::ScheduleOutcome outcome;
-  /// Analytic cost of the winning schedule (predict_cost is asserted
-  /// cycle-exact against the simulator by the report/fuzz layers, so the
-  /// engine does not re-simulate).  feasible == false when no rung fit or
-  /// the context plan does not.
+  /// Analytic cost of the winning schedule.  The engine does not
+  /// re-simulate: sim::cross_check holds the model cycle- and word-exact
+  /// to the simulator, and it runs in the report runner, the fuzz harness
+  /// and oracle_screen_test, not here.  feasible == false when no rung fit
+  /// or the context plan does not.
   dsched::CostBreakdown predicted;
 
   [[nodiscard]] bool feasible() const {

@@ -10,6 +10,7 @@
 
 #include "msys/common/error.hpp"
 #include "msys/common/fault_injector.hpp"
+#include "msys/common/strfmt.hpp"
 #include "msys/csched/context_plan.hpp"
 #include "msys/engine/schedule_cache.hpp"
 #include "msys/engine/thread_pool.hpp"
@@ -33,9 +34,7 @@ ResolvedWorkload resolve_workload(const std::string& ref) {
   ResolvedWorkload out;
   if (ref.starts_with("random:")) {
     std::uint64_t seed = 0;
-    try {
-      seed = std::stoull(ref.substr(7));
-    } catch (const std::exception&) {
+    if (!parse_int(std::string_view(ref).substr(7), seed)) {
       raise("malformed workload reference '" + ref + "'");
     }
     workloads::RandomExperiment exp = workloads::make_random(serve_random_spec(seed));

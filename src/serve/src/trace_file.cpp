@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <sstream>
 
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
+#include "msys/common/strfmt.hpp"
 
 namespace msys::serve {
 
@@ -30,14 +30,6 @@ std::vector<std::string_view> split_fields(std::string_view s) {
     i = j;
   }
   return fields;
-}
-
-template <class Int>
-bool parse_int(std::string_view s, Int& out) {
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
 }
 
 /// Integer exponential sample with the given mean: for u uniform in

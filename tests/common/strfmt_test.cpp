@@ -42,6 +42,29 @@ TEST(StrFmt, AppendUint) {
   EXPECT_EQ(out, "18446744073709551615");
 }
 
+TEST(StrFmt, ParseIntAcceptsWholeDecimals) {
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_int("0", u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(parse_int("18446744073709551615", u));
+  EXPECT_EQ(u, UINT64_MAX);
+  int i = 0;
+  EXPECT_TRUE(parse_int("-1", i));  // a sign is fine for signed types
+  EXPECT_EQ(i, -1);
+}
+
+TEST(StrFmt, ParseIntRejectsEverythingElse) {
+  for (const char* bad : {"", " 7", "7 ", "+3", "-1", "12abc", "18446744073709551616"}) {
+    std::uint64_t u = 99;
+    EXPECT_FALSE(parse_int(bad, u)) << '"' << bad << '"';
+    EXPECT_EQ(u, 99u) << "written on failure: \"" << bad << '"';
+  }
+  unsigned narrow = 0;
+  EXPECT_FALSE(parse_int("4294967296", narrow));  // 2^32 overflows 32 bits
+  int i = 0;
+  EXPECT_FALSE(parse_int("+3", i));
+}
+
 TEST(StrFmt, Pad) {
   EXPECT_EQ(pad_left("ab", 5), "   ab");
   EXPECT_EQ(pad_right("ab", 5), "ab   ");

@@ -157,7 +157,8 @@ TEST(Anneal, NeverWorseThanGreedyOnTable1) {
     if (result.improved) ++improved;
   }
   // The acceptance bar: the default budget must beat greedy on at least
-  // three of the paper's rows (see BENCH_anneal.json for the margins).
+  // three of the paper's rows (tests/search/golden/anneal_quality.tsv
+  // pins the margins).
   EXPECT_GE(improved, 3u);
 }
 

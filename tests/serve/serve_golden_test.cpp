@@ -1,19 +1,27 @@
-// Pins serve output bytes across commits: the canonical outcome lines and
-// ServeStats::summary() of one fixed trace, served cold into a fresh
-// DiskScheduleStore and then as a warm restart over it, must match
-// tests/serve/golden/serve_outcomes.tsv byte for byte.
+// Pins serve output bytes across commits.  Each test renders canonical
+// outcome lines plus ServeStats::summary() and must match its committed
+// golden byte for byte:
 //
-// The trace mixes generated "random:<seed>" workloads with Table-1
-// experiments across 8 streams, 3 priorities and 2 tenants, with the shed
-// and degraded watermarks armed, so admission, shedding, preemption,
-// degraded rungs and infeasibility all reach the file.
+//   serve_outcomes.tsv — one fixed trace, served cold into a fresh
+//     DiskScheduleStore and then as a warm restart over it.  The trace
+//     mixes generated "random:<seed>" workloads with Table-1 experiments
+//     across 8 streams, 3 priorities and 2 tenants, with the shed and
+//     degraded watermarks armed, so admission, shedding, preemption,
+//     degraded rungs and infeasibility all reach the file.
+//   serve_modes.tsv — the virtual-cycle serving table: a steady 48-job
+//     trace and its ~10x hotter overload variant (shed and degraded
+//     watermarks armed) on 1, 2 and 4 even tenants, plus the p99 latency
+//     of the top priority class per row.
 //
-// Regenerate only with an intentional output change:
-//   MSYS_WRITE_GOLDEN=$PWD/tests/serve/golden/serve_outcomes.tsv
+// Regenerate only with an intentional output change, e.g.
+//   MSYS_WRITE_GOLDEN=$PWD/tests/serve/golden/serve_modes.tsv
 //     ./build/tests/serve_test --gtest_filter='ServeGolden.*'
-// (one command line).
+// (one command line).  Only the test whose golden has that file name
+// rewrites it; the other still compares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -62,6 +70,36 @@ std::string golden_block(const std::string& pass, const ServeReport& report) {
   return out;
 }
 
+/// Compares `current` with the golden at `path`, or rewrites it (and
+/// skips) when MSYS_WRITE_GOLDEN names a file of the same name.
+void expect_golden(const std::string& current, const char* path) {
+  const char* write_path = std::getenv("MSYS_WRITE_GOLDEN");
+  if (write_path != nullptr && fs::path(write_path).filename() == fs::path(path).filename()) {
+    std::ofstream(write_path) << current;
+    GTEST_SKIP() << "golden file rewritten: " << write_path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(current, golden.str()) << "serve outcomes diverged from " << path;
+}
+
+/// p99 latency over the completed jobs of the trace's highest priority
+/// class, or 0 if none completed: the "sheds instead of collapsing"
+/// yardstick of the overload rows.
+std::uint64_t p99_top_priority(const ServeReport& report) {
+  int top = 0;
+  for (const JobOutcome& o : report.outcomes) top = std::max(top, o.priority);
+  std::vector<std::uint64_t> latencies;
+  for (const JobOutcome& o : report.outcomes) {
+    if (o.priority == top && o.completed()) latencies.push_back(o.finish_cycles - o.arrive_cycles);
+  }
+  if (latencies.empty()) return 0;
+  std::sort(latencies.begin(), latencies.end());
+  return latencies[(latencies.size() - 1) * 99 / 100];
+}
+
 TEST(ServeGolden, ColdAndWarmRestartMatchTheCommittedBytes) {
   const fs::path dir = fs::temp_directory_path() / "msys_serve_golden_test";
   fs::remove_all(dir);
@@ -94,16 +132,63 @@ TEST(ServeGolden, ColdAndWarmRestartMatchTheCommittedBytes) {
   EXPECT_GT(cold.stats.degraded_serves, 0u);
   EXPECT_GT(cold.stats.preemptions, 0u);
 
-  const std::string current = golden_block("cold", cold) + golden_block("warm", warm);
-  if (const char* write_path = std::getenv("MSYS_WRITE_GOLDEN")) {
-    std::ofstream(write_path) << current;
-    GTEST_SKIP() << "golden file rewritten: " << write_path;
+  expect_golden(golden_block("cold", cold) + golden_block("warm", warm),
+                MSYS_SERVE_GOLDEN_FILE);
+}
+
+TEST(ServeGolden, ModeTableMatchesTheCommittedBytes) {
+  TraceGenSpec steady;
+  steady.seed = 42;
+  steady.jobs = 48;
+  steady.streams = 8;
+  steady.mean_gap_cycles = 150000;
+  // Tight enough that the 4-tenant row (stretched service on 2-row
+  // tenants) sees real admission pressure.
+  steady.deadline_cycles = 1000000;
+  steady.priorities = 2;
+  steady.workloads = 6;
+  // Same job mix, arrivals ~10x hotter, deadlines generous enough that
+  // admission passes and the shed watermark does the dropping; the
+  // degraded watermark (2.2M) cuts through the deadline band (2M ± 25%),
+  // so the tighter deadlines take the cheaper DS entry.
+  TraceGenSpec hot = steady;
+  hot.mean_gap_cycles = 15000;
+  hot.deadline_cycles = 2000000;
+  hot.priorities = 3;
+  const TraceFile steady_trace = generate_trace(steady);
+  const TraceFile hot_trace = generate_trace(hot);
+
+  const arch::M1Config machine = arch::M1Config::m1_default();
+  std::string current;
+  for (const bool overload : {false, true}) {
+    for (const unsigned tenants : {1u, 2u, 4u}) {
+      TenantPartition::BuildResult built = TenantPartition::build(
+          machine, TenantPartition::even_specs(machine, tenants));
+      ASSERT_TRUE(built.ok()) << render(built.diagnostics);
+      ServeOptions options;
+      options.threads = 2;
+      if (overload) {
+        options.shed_threshold_cycles = 600000;
+        options.degraded_threshold_cycles = 2200000;
+      }
+      const ServeReport report =
+          ServeLoop(*built.partition, options).run(overload ? hot_trace : steady_trace);
+      const std::string row =
+          (overload ? "overload/" : "steady/") + std::to_string(tenants);
+      const std::uint64_t p99_top = p99_top_priority(report);
+      if (overload) {
+        // Overload must shed instead of collapsing, and still finish
+        // top-priority work.
+        EXPECT_GT(report.stats.shed, 0u) << row;
+        EXPECT_GT(p99_top, 0u) << row;
+      } else {
+        EXPECT_EQ(report.stats.shed, 0u) << row;
+      }
+      current += golden_block(row, report);
+      current += "p99_top_priority\t" + std::to_string(p99_top) + "\n";
+    }
   }
-  std::ifstream in(MSYS_SERVE_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << MSYS_SERVE_GOLDEN_FILE;
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(current, golden.str()) << "serve outcomes diverged from the committed golden";
+  expect_golden(current, MSYS_SERVE_MODES_GOLDEN_FILE);
 }
 
 }  // namespace

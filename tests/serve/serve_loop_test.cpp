@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "msys/common/error.hpp"
 #include "msys/serve/partition.hpp"
 #include "msys/serve/serve_loop.hpp"
 #include "msys/serve/trace_file.hpp"
@@ -149,6 +150,23 @@ TEST(ServeLoopTest, RescaledTenantInputsHaveTheirOwnDigest) {
   const PreparedTrace half_rows = ServeLoop(make_partition(2)).prepare(trace);
   EXPECT_NE(full_rows.jobs[0].input.sched_digest, half_rows.jobs[0].input.sched_digest);
   EXPECT_NE(engine::cache_key(full_rows.jobs[0]), engine::cache_key(half_rows.jobs[0]));
+}
+
+TEST(ServeLoopTest, MalformedRandomSeedsAreRejected) {
+  // The seed must be the whole rest of the reference: no trailing bytes,
+  // no sign, not empty.
+  const ServeLoop loop(make_partition(1));
+  for (const char* ref : {"random:12abc", "random:-1", "random:"}) {
+    TraceFile trace;
+    trace.events.push_back(event(0, 0, ref));
+    try {
+      (void)loop.prepare(trace);
+      ADD_FAILURE() << ref << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed workload reference"), std::string::npos)
+          << ref << ": " << e.what();
+    }
+  }
 }
 
 TEST(ServeLoopTest, LoneJobPaysOneSwitchInAndFinishesOnTime) {

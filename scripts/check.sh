@@ -174,20 +174,20 @@ done
 # per-cluster offsets the walk computes, and the cost model indexes its
 # execution timeline by per-cluster same-set back-distances (dsched_test's
 # CostReference suite drives it), so the suites that drive them with real and
-# adversarial programs (simulator, functional RC array, fuzz harness, end
-# to end, schedulers, annealing) run under the sanitizers.  The oracle
-# screen joins them: it drives the simulator's dense tables with 5,500
-# real programs through sim::cross_check.  The engine and serve suites
+# adversarial programs (simulator, fuzz harness, end to end, schedulers,
+# annealing) run under the sanitizers.  The oracle screen joins them: it
+# drives the simulator's dense tables with 5,500 real programs through
+# sim::cross_check.  The engine and serve suites
 # join them because many jobs share one CompileInput (a serve run
 # prepares one per (workload, tenant)) and the serve replay caches one
 # context plan per input, so a lifetime bug there trips ASan.  The code
 # generator joins them because it indexes its per-round release buckets
-# with offsets computed from the plan.  Only those ten test binaries are
+# with offsets computed from the plan.  Only those nine test binaries are
 # built in build-san/; plan_alloc_test stays out because it replaces
 # operator new, which ASan owns.
 if [ "$#" -eq 0 ]; then
-  san_tests=(sim_test codegen_test oracle_screen_test rcarray_test fuzzing_test
-             integration_test dsched_test search_test engine_test serve_test)
+  san_tests=(sim_test codegen_test oracle_screen_test fuzzing_test integration_test
+             dsched_test search_test engine_test serve_test)
   echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
   cmake --preset san -DMSYS_WERROR=ON
   cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"

@@ -84,15 +84,6 @@ struct SimReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Optional value-level hooks, invoked in simulated-time order from the
-/// functional pass: the rcarray::FunctionalMachine uses these to move real
-/// data through the modelled machine.
-struct DataHooks {
-  std::function<void(const codegen::Op& op, std::uint32_t round)> on_load;
-  std::function<void(const codegen::Op& op, std::uint32_t round)> on_store;
-  std::function<void(const codegen::Op& op, const codegen::Slot& slot)> on_exec;
-};
-
 class Simulator {
  public:
   /// Called for every timed op when tracing: [start, end) and a one-line
@@ -102,7 +93,6 @@ class Simulator {
   Simulator(const arch::M1Config& cfg, const csched::ContextPlan& ctx_plan);
 
   void set_trace(TraceFn trace) { trace_ = std::move(trace); }
-  void set_data_hooks(DataHooks hooks) { hooks_ = std::move(hooks); }
 
   /// Runs the program to completion; throws msys::Error on any functional
   /// violation.
@@ -123,7 +113,6 @@ class Simulator {
   const arch::M1Config* cfg_;
   const csched::ContextPlan* ctx_plan_;
   TraceFn trace_;
-  DataHooks hooks_;
 };
 
 }  // namespace msys::sim

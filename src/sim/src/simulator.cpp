@@ -96,8 +96,8 @@ std::size_t write_events(const TimedOp& t, std::uint32_t seq, Event* out) {
 /// fresh Simulator per check, so the buffers live per thread, not per
 /// Simulator: a run takes the thread's spare set and hands it back when it
 /// returns, so back-to-back runs on a thread reuse their capacity.  A run
-/// started inside another (from a data hook or trace callback) finds no
-/// spare and allocates its own; a run that throws frees its set.
+/// started inside another (from a trace callback) finds no spare and
+/// allocates its own; a run that throws frees its set.
 struct RunBuffers {
   std::vector<TimedOp> timed;
   /// Grown, never shrunk: a run uses a prefix, so reuse writes no filler.
@@ -577,7 +577,6 @@ SimReport Simulator::run(const ScheduleProgram& program) {
         }
         const Placement& p = placement(op.cluster, op.data, op.iter);
         fb[static_cast<std::size_t>(p.set)].insert(inst(op.data, op.iter), p.extents, what);
-        if (hooks_.on_load) hooks_.on_load(op, slot.round);
         break;
       }
       case OpKind::kExec: {
@@ -597,7 +596,6 @@ SimReport Simulator::run(const ScheduleProgram& program) {
             const Placement& p = placement(slot.cluster, out, op.iter);
             fb[static_cast<std::size_t>(p.set)].insert(inst(out, op.iter), p.extents, what);
           }
-          if (hooks_.on_exec) hooks_.on_exec(op, slot);
         }
         break;
       }
@@ -608,7 +606,6 @@ SimReport Simulator::run(const ScheduleProgram& program) {
                        "storing a non-resident instance: " + what());
         } else if (ev.phase == kInsert) {
           in_external[external(op.slot, op.data, op.iter)] = true;
-          if (hooks_.on_store) hooks_.on_store(op, slot.round);
         } else {
           fb[set].remove(inst(op.data, op.iter), what);
         }

@@ -3,9 +3,9 @@
 // Pins everything codegen::generate decides, per case: the slot table
 // (round, cluster, iterations, context-load flag of every slot) and every
 // field of every op of the DMA and RC streams, in stream order.  The
-// simulator golden (sim_test) sees the programs only through their timing
-// and data hooks; this one catches any reordering of the weave or of the
-// release bookkeeping directly.
+// simulator golden (sim_test) sees the programs only through their
+// reports; this one catches any reordering of the weave or of the release
+// bookkeeping directly.
 //
 // Cases: the shared golden case set (testing/golden_cases.hpp).
 //

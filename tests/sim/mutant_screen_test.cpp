@@ -1,0 +1,381 @@
+// Mutant screen: what the three-way oracle catches when a schedule is
+// wrong in one field.
+//
+// Each family edits one part of a scheduler's output without re-planning:
+// a load, a release, a store, a placement, the retained set or the RF.
+// Every edit is run through sim::cross_check.  A mutant is caught when the
+// check stops at the validator, the simulator or a prediction mismatch.
+// It passes when the edit leaves a schedule the oracle accepts, e.g. a
+// reordered pair of loads or a placement moved into free words.
+//
+// Eight families change which instances move, or where a result comes
+// from, in ways no correct run survives: a dropped, duplicated or
+// misdirected load, a release of the wrong iteration, a dropped or
+// misdirected store, and an RF above the planned one.  No mutant of theirs
+// may pass.  The per-(family, scheduler) caught and passed counts of every
+// family are pinned in golden/mutant_screen.tsv.
+//
+// The workload is a six-kernel multimedia pipeline (FIR -> DCT ->
+// quantise, SAD motion estimation, correlation, merge), run by Basic, DS
+// and CDS under three partitions, 5 and 8 iterations, FB sets of 700 and
+// 1024 words, CM 160 (per-slot context reloads) and 4096, and with and
+// without cross-set reads: 144 schedules, ~92k mutants, ~2 s.
+//
+// Regenerating the golden file (only when an intentional change to the
+// families or to the oracle ships): run sim_test with MSYS_WRITE_GOLDEN
+// set to the path of tests/sim/golden/mutant_screen.tsv.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "msys/csched/context_plan.hpp"
+#include "msys/dsched/schedulers.hpp"
+#include "msys/extract/analysis.hpp"
+#include "msys/model/application.hpp"
+#include "msys/sim/cross_check.hpp"
+#include "testing/golden_cases.hpp"
+
+namespace msys::sim {
+namespace {
+
+using dsched::DataSchedule;
+using dsched::Placement;
+
+/// The families no mutant may pass.
+const std::set<std::string> kAlwaysFatal = {
+    "drop_load",          "dup_load",   "load_wrong_iter",  "load_wrong_data",
+    "release_wrong_iter", "drop_store", "store_wrong_iter", "rf_plus"};
+
+/// Called once per mutant with its family, a one-line label and the
+/// mutated schedule.
+using MutantFn =
+    std::function<void(const std::string& family, const std::string& label, const DataSchedule&)>;
+
+/// Emits every mutant of `base`.  Loads, releases and stores are edited per
+/// cluster plan entry; placements in key order; swaps and aliases only pair
+/// placements of equal size (a size mismatch is a plain validator error).
+void for_each_mutant(const DataSchedule& base, const extract::ScheduleAnalysis& analysis,
+                     const MutantFn& visit) {
+  const model::KernelSchedule& sched = *base.sched;
+  const model::Application& app = sched.app();
+  const auto n_clusters = static_cast<std::uint32_t>(sched.cluster_count());
+  const std::uint32_t rf = base.rf;
+  auto mutate = [&](const char* family, const std::string& label, const auto& edit) {
+    DataSchedule m = base;
+    edit(m);
+    visit(family, label, m);
+  };
+
+  for (std::uint32_t c = 0; c < n_clusters; ++c) {
+    const dsched::ClusterRoundPlan& plan = base.round_plan[c];
+    const auto n_kernels = static_cast<std::uint32_t>(sched.cluster(ClusterId{c}).kernels.size());
+    const std::string cl = "Cl" + std::to_string(c + 1) + ' ';
+    auto loads = [c](DataSchedule& m) -> auto& { return m.round_plan[c].loads; };
+    auto releases = [c](DataSchedule& m) -> auto& { return m.round_plan[c].releases; };
+    auto stores = [c](DataSchedule& m) -> auto& { return m.round_plan[c].stores; };
+
+    for (std::size_t i = 0; i < plan.loads.size(); ++i) {
+      const std::string at = cl + "load " + std::to_string(i);
+      mutate("drop_load", at, [&](DataSchedule& m) { loads(m).erase(loads(m).begin() + i); });
+      mutate("dup_load", at,
+             [&](DataSchedule& m) { loads(m).insert(loads(m).begin() + i, plan.loads[i]); });
+      if (i + 1 < plan.loads.size()) {
+        mutate("swap_loads", at, [&](DataSchedule& m) { std::swap(loads(m)[i], loads(m)[i + 1]); });
+      }
+      for (std::uint32_t j = 0; j < rf; ++j) {
+        if (j == plan.loads[i].iter) continue;
+        mutate("load_wrong_iter", at + " iter " + std::to_string(j),
+               [&](DataSchedule& m) { loads(m)[i].iter = j; });
+      }
+      for (const model::DataObject& d : app.data_objects()) {
+        if (d.id == plan.loads[i].data) continue;
+        mutate("load_wrong_data", at + " as " + d.name,
+               [&](DataSchedule& m) { loads(m)[i].data = d.id; });
+      }
+    }
+
+    for (std::size_t i = 0; i < plan.releases.size(); ++i) {
+      const dsched::ReleaseEvent& r = plan.releases[i];
+      const std::string at = cl + "release " + std::to_string(i);
+      mutate("drop_release", at,
+             [&](DataSchedule& m) { releases(m).erase(releases(m).begin() + i); });
+      // One execution earlier: kernels run their iterations back to back
+      // (loop fission), so the step before (k, 0) is (k - 1, RF - 1).
+      if (r.trigger_iter > 0 || r.trigger_kernel > 0) {
+        mutate("early_release", at, [&](DataSchedule& m) {
+          dsched::ReleaseEvent& e = releases(m)[i];
+          if (e.trigger_iter > 0) {
+            --e.trigger_iter;
+          } else {
+            --e.trigger_kernel;
+            e.trigger_iter = rf - 1;
+          }
+        });
+      }
+      for (std::uint32_t j = 0; j < rf; ++j) {
+        if (j != r.inst.iter) {
+          mutate("release_wrong_iter", at + " iter " + std::to_string(j),
+                 [&](DataSchedule& m) { releases(m)[i].inst.iter = j; });
+        }
+        if (j != r.trigger_iter) {
+          mutate("release_trigger_iter", at + " after iter " + std::to_string(j),
+                 [&](DataSchedule& m) { releases(m)[i].trigger_iter = j; });
+        }
+      }
+      for (std::uint32_t k = 0; k < n_kernels; ++k) {
+        if (k == r.trigger_kernel) continue;
+        mutate("release_trigger_kernel", at + " after kernel " + std::to_string(k),
+               [&](DataSchedule& m) { releases(m)[i].trigger_kernel = k; });
+      }
+      for (std::uint32_t other = 0; other < n_clusters; ++other) {
+        if (ClusterId{other} == r.placement_cluster) continue;
+        mutate("release_placement_cluster", at + " keyed Cl" + std::to_string(other + 1),
+               [&](DataSchedule& m) { releases(m)[i].placement_cluster = ClusterId{other}; });
+      }
+    }
+
+    for (std::size_t i = 0; i < plan.stores.size(); ++i) {
+      const std::string at = cl + "store " + std::to_string(i);
+      mutate("drop_store", at, [&](DataSchedule& m) { stores(m).erase(stores(m).begin() + i); });
+      mutate("flip_release_after", at, [&](DataSchedule& m) {
+        stores(m)[i].release_after = !stores(m)[i].release_after;
+      });
+      for (std::uint32_t j = 0; j < rf; ++j) {
+        if (j == plan.stores[i].inst.iter) continue;
+        mutate("store_wrong_iter", at + " iter " + std::to_string(j),
+               [&](DataSchedule& m) { stores(m)[i].inst.iter = j; });
+      }
+      if (i + 1 < plan.stores.size()) {
+        mutate("swap_stores", at,
+               [&](DataSchedule& m) { std::swap(stores(m)[i], stores(m)[i + 1]); });
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> keys;
+  for (const auto& entry : base.placements) keys.push_back(entry.first);
+  std::sort(keys.begin(), keys.end());
+  auto name = [&](std::uint64_t key) {
+    const auto [cluster, inst] = DataSchedule::unkey(key);
+    return "Cl" + std::to_string(cluster.index() + 1) + ':' + app.data(inst.data).name + '#' +
+           std::to_string(inst.iter);
+  };
+  auto same_place = [](const Placement& a, const Placement& b) {
+    return a.set == b.set && a.extents == b.extents;
+  };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Placement& p = base.placements.at(keys[i]);
+    for (const int delta : {-1, 1}) {
+      if (delta < 0 && std::any_of(p.extents.begin(), p.extents.end(),
+                                   [](const Extent& e) { return e.addr == 0; })) {
+        continue;
+      }
+      mutate("placement_shift", name(keys[i]) + (delta < 0 ? " -1" : " +1"),
+             [&](DataSchedule& m) {
+               for (Extent& e : m.placements.at(keys[i]).extents) e.addr += delta;
+             });
+    }
+    mutate("placement_flip_set", name(keys[i]), [&](DataSchedule& m) {
+      Placement& q = m.placements.at(keys[i]);
+      q.set = other_set(q.set);
+    });
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+      const Placement& o = base.placements.at(keys[j]);
+      if (j == i || total_size(o.extents) != total_size(p.extents) || same_place(p, o)) continue;
+      const std::string pair = name(keys[i]) + " / " + name(keys[j]);
+      if (i < j) {
+        mutate("placement_swap", pair, [&](DataSchedule& m) {
+          std::swap(m.placements.at(keys[i]), m.placements.at(keys[j]));
+        });
+      }
+      mutate("placement_alias", pair,
+             [&](DataSchedule& m) { m.placements.at(keys[i]) = o; });
+    }
+  }
+
+  for (const extract::RetentionCandidate& cand : analysis.retention_candidates()) {
+    const DataId d = cand.data;
+    const bool retained = base.retained.contains(d);
+    mutate(retained ? "unretain" : "retain", app.data(d).name, [&](DataSchedule& m) {
+      if (retained) {
+        m.retained.erase(d);
+      } else {
+        m.retained.insert(d);
+      }
+    });
+  }
+  if (rf > 1) mutate("rf_minus", "", [](DataSchedule& m) { --m.rf; });
+  if (rf < app.total_iterations()) mutate("rf_plus", "", [](DataSchedule& m) { ++m.rf; });
+}
+
+/// The six-kernel pipeline.  Object sizes are those of a FIR (8 taps over
+/// 71 samples), an 8x8 DCT, a quantiser, an 8x8 SAD search over a 16x16
+/// window, an 8x8 correlation and a 64-word merge.
+std::unique_ptr<model::Application> pipeline(std::uint32_t iterations) {
+  model::ApplicationBuilder b("mutant-screen", iterations);
+  const DataId sig = b.external_input("sig", SizeWords{71});
+  const DataId fcoef = b.external_input("fcoef", SizeWords{8});
+  const KernelId fir = b.kernel("fir", 32, Cycles{200}, {sig, fcoef});
+  const DataId firout = b.output(fir, "firout", SizeWords{64});
+
+  const DataId cur = b.external_input("cur", SizeWords{64});
+  const DataId ref = b.external_input("ref", SizeWords{256});
+  const KernelId sad_k = b.kernel("sad", 40, Cycles{300}, {cur, ref});
+  const DataId sad = b.output(sad_k, "sad", SizeWords{64});
+  b.output(sad_k, "best", SizeWords{1}, /*final=*/true);
+
+  const DataId dcoef = b.external_input("dcoef", SizeWords{64});
+  const KernelId dct = b.kernel("dct", 36, Cycles{250}, {firout, dcoef});
+  const DataId coefblk = b.output(dct, "coefblk", SizeWords{64});
+
+  const DataId gain = b.external_input("gain", SizeWords{1});
+  const KernelId q = b.kernel("q", 24, Cycles{120}, {coefblk, gain});
+  const DataId qblk = b.output(q, "qblk", SizeWords{64}, /*final=*/true);
+
+  const DataId img = b.external_input("img", SizeWords{256});
+  const KernelId corr = b.kernel("corr", 40, Cycles{300}, {qblk, img});
+  const DataId score = b.output(corr, "score", SizeWords{64});
+
+  const KernelId sum = b.kernel("sum", 16, Cycles{80}, {sad, score});
+  b.output(sum, "final", SizeWords{64}, /*final=*/true);
+  return std::make_unique<model::Application>(std::move(b).build());
+}
+
+/// Kernel ids in builder order: fir, sad, dct, q, corr, sum.
+const std::vector<std::vector<std::vector<std::uint32_t>>> kPartitions = {
+    {{0}, {1}, {2, 3}, {4, 5}},      // four clusters, two of them pairs
+    {{0}, {1}, {2}, {3}, {4}, {5}},  // one kernel per cluster
+    {{0, 1}, {2}, {3, 4}, {5}},      // pairs across the two chains
+};
+
+struct ScreenConfig {
+  std::size_t partition;
+  std::uint32_t iterations;
+  std::uint64_t fb_words;
+  bool cross_set;
+  std::uint32_t cm_words;
+
+  [[nodiscard]] std::string name() const {
+    return "P" + std::to_string(partition) + " it" + std::to_string(iterations) + " fb" +
+           std::to_string(fb_words) + (cross_set ? " xset" : "") + " cm" +
+           std::to_string(cm_words);
+  }
+};
+
+std::vector<ScreenConfig> screen_configs() {
+  std::vector<ScreenConfig> configs;
+  for (std::size_t partition = 0; partition < kPartitions.size(); ++partition) {
+    for (const std::uint32_t iterations : {5u, 8u}) {
+      for (const std::uint64_t fb_words : {700u, 1024u}) {
+        for (const bool cross_set : {false, true}) {
+          for (const std::uint32_t cm_words : {160u, 4096u}) {
+            configs.push_back({partition, iterations, fb_words, cross_set, cm_words});
+          }
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+/// One configuration's application, partition, machine and analysis.
+struct Screened {
+  std::unique_ptr<model::Application> app;
+  std::optional<model::KernelSchedule> sched;
+  arch::M1Config cfg;
+  std::optional<extract::ScheduleAnalysis> analysis;
+  std::optional<csched::ContextPlan> ctx_plan;
+
+  explicit Screened(const ScreenConfig& c) : app(pipeline(c.iterations)) {
+    std::vector<std::vector<KernelId>> partition;
+    for (const auto& cluster : kPartitions[c.partition]) {
+      partition.emplace_back();
+      for (const std::uint32_t k : cluster) partition.back().push_back(KernelId{k});
+    }
+    sched.emplace(model::KernelSchedule::from_partition(*app, std::move(partition)));
+    arch::M1Config m = arch::M1Config::m1_default();
+    m.fb_set_size = SizeWords{c.fb_words};
+    m.cm_capacity_words = c.cm_words;
+    cfg = arch::M1Config::validated(m).with_cross_set_reads(c.cross_set);
+    analysis.emplace(*sched, c.cross_set);
+    ctx_plan.emplace(csched::ContextPlan::build(*sched, cfg.cm_capacity_words));
+  }
+};
+
+struct Tally {
+  std::uint64_t caught{0};
+  std::uint64_t passed{0};
+};
+
+TEST(MutantScreen, OracleCatchesEveryFatalMutant) {
+  // (family, scheduler) -> counts.
+  std::map<std::pair<std::string, std::string>, Tally> tallies;
+  std::string fatal_passes;
+  for (const ScreenConfig& config : screen_configs()) {
+    const Screened s(config);
+    for (const auto& scheduler : dsched::all_schedulers()) {
+      const DataSchedule base = scheduler->schedule(*s.analysis, s.cfg);
+      ASSERT_TRUE(base.feasible) << config.name() << ' ' << scheduler->name();
+      const CrossCheck unmutated = cross_check(base, *s.analysis, s.cfg, *s.ctx_plan);
+      ASSERT_TRUE(unmutated.ok()) << config.name() << ' ' << scheduler->name() << ": "
+                                  << unmutated.why();
+      for_each_mutant(base, *s.analysis,
+                      [&](const std::string& family, const std::string& label,
+                          const DataSchedule& mutant) {
+                        const bool caught =
+                            !cross_check(mutant, *s.analysis, s.cfg, *s.ctx_plan).ok();
+                        Tally& t = tallies[{family, scheduler->name()}];
+                        ++(caught ? t.caught : t.passed);
+                        if (!caught && kAlwaysFatal.contains(family)) {
+                          fatal_passes += config.name() + ' ' + scheduler->name() + ' ' +
+                                          family + ' ' + label + '\n';
+                        }
+                      });
+    }
+  }
+  EXPECT_EQ(fatal_passes, "") << "mutants of always-fatal families passed cross_check";
+  for (const std::string& family : kAlwaysFatal) {
+    std::uint64_t caught = 0;
+    for (const auto& [key, t] : tallies) caught += key.first == family ? t.caught : 0;
+    EXPECT_GT(caught, 0u) << family << " produced no mutant";
+  }
+
+  testing::GoldenTable current;
+  for (const auto& [key, t] : tallies) {
+    current.emplace(key, std::to_string(t.caught) + '\t' + std::to_string(t.passed));
+  }
+  if (const char* write_path = std::getenv("MSYS_WRITE_GOLDEN")) {
+    if (std::string(write_path).ends_with("mutant_screen.tsv")) {
+      ASSERT_TRUE(testing::write_golden(write_path,
+                                        "family\tscheduler\tcaught\tpassed — see "
+                                        "mutant_screen_test.cpp; regenerate only with an "
+                                        "intentional change to the families or the oracle",
+                                        current))
+          << write_path;
+      GTEST_SKIP() << "golden file rewritten: " << write_path;
+    }
+  }
+  std::string error;
+  const testing::GoldenTable golden = testing::read_golden(MSYS_MUTANT_GOLDEN_FILE, error);
+  ASSERT_EQ(error, "");
+  for (const auto& [key, value] : current) {
+    const auto it = golden.find(key);
+    EXPECT_TRUE(it != golden.end() && it->second == value)
+        << key.first << " / " << key.second << ": caught/passed " << value << ", golden "
+        << (it == golden.end() ? "none" : it->second);
+  }
+  EXPECT_EQ(golden.size(), current.size()) << "a family or scheduler left the screen";
+}
+
+}  // namespace
+}  // namespace msys::sim

@@ -422,31 +422,18 @@ class PlacementIndex : public ::testing::Test {
               1u);
   }
 
-  /// The fault `program` raises, and the ops whose data hooks fired first.
-  std::pair<std::string, std::vector<std::string>> fault(const ScheduleProgram& program) {
-    std::vector<std::string> hooks;
-    DataHooks data_hooks;
-    const auto record = [&](const Op& op) {
-      hooks.push_back(to_string(op.kind) + ' ' +
-                      (op.kind == OpKind::kExec ? app_->kernel(op.kernel).name
-                                                : app_->data(op.data).name));
-    };
-    data_hooks.on_load = [&](const Op& op, std::uint32_t) { record(op); };
-    data_hooks.on_exec = [&](const Op& op, const codegen::Slot&) { record(op); };
-    data_hooks.on_store = [&](const Op& op, std::uint32_t) { record(op); };
-    Simulator simulator(cfg_, *plan_);
-    simulator.set_data_hooks(std::move(data_hooks));
-    const Simulator::Outcome outcome = simulator.try_run(program);
+  /// The fault `program` raises.
+  std::string fault(const ScheduleProgram& program) {
+    const Simulator::Outcome outcome = Simulator(cfg_, *plan_).try_run(program);
     EXPECT_FALSE(outcome.ok());
     if (outcome.ok()) return {};
     EXPECT_EQ(outcome.diagnostics.front().code, "sim.fault");
     const std::string& what = outcome.diagnostics.front().message;
     const std::string prefix = "MSYS_REQUIRE failed: ";
     EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
-    return {what.substr(prefix.size(), what.find(" [") - prefix.size()), std::move(hooks)};
+    return what.substr(prefix.size(), what.find(" [") - prefix.size());
   }
 
-  using Hooks = std::vector<std::string>;
   static constexpr const char* kNoPlacement = "no placement for object instance";
 
   std::unique_ptr<model::Application> app_;
@@ -460,36 +447,34 @@ class PlacementIndex : public ::testing::Test {
 
 TEST_F(PlacementIndex, ErasedPlacementOfALoad) {
   erase_placement(ClusterId{0}, "x");
-  EXPECT_EQ(fault(program_), std::make_pair(std::string(kNoPlacement), Hooks{}));
+  EXPECT_EQ(fault(program_), kNoPlacement);
 }
 
 TEST_F(PlacementIndex, ErasedPlacementOfAnExecOutput) {
   erase_placement(ClusterId{0}, "g");
-  EXPECT_EQ(fault(program_), std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x"}));
+  EXPECT_EQ(fault(program_), kNoPlacement);
 }
 
 TEST_F(PlacementIndex, ReleaseOfAnInstanceWithNoPlacement) {
   // An instance's insertion and its release look up one key, so erasing
   // its placement faults at the insertion.  Pointing the release at the
   // second cluster, which holds no placement of x, leaves it the only
-  // lookup that misses: both executions have run when it faults.
+  // lookup that misses.
   first(program_.rc_ops, OpKind::kRelease, "x").cluster = ClusterId{1};
-  EXPECT_EQ(fault(program_),
-            std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x", "EXEC gen", "EXEC use"}));
+  EXPECT_EQ(fault(program_), kNoPlacement);
 }
 
 TEST_F(PlacementIndex, IterationsPastTheReuseFactor) {
   // RF = 1: no placement names iteration 1, though the application runs it.
   ScheduleProgram program = program_;
   first(program.dma_ops, OpKind::kLoadData, "x").iter = 1;
-  EXPECT_EQ(fault(program), std::make_pair(std::string(kNoPlacement), Hooks{}));
+  EXPECT_EQ(fault(program), kNoPlacement);
   program = program_;
   first(program.rc_ops, OpKind::kExec, "gen").iter = 1;
-  EXPECT_EQ(fault(program), std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x"}));
+  EXPECT_EQ(fault(program), kNoPlacement);
   program = program_;
   first(program.rc_ops, OpKind::kRelease, "x").iter = 1;
-  EXPECT_EQ(fault(program),
-            std::make_pair(std::string(kNoPlacement), Hooks{"LOAD x", "EXEC gen", "EXEC use"}));
+  EXPECT_EQ(fault(program), kNoPlacement);
 }
 
 // ---- Per-thread run buffers.  Runs reuse one thread's buffers whatever

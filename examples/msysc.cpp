@@ -6,7 +6,6 @@
 //   $ ./build/examples/msysc --emit examples/apps/demo.mapp    # dump DSL back
 //   $ ./build/examples/msysc --timeline examples/apps/demo.mapp
 //   $ ./build/examples/msysc --cross-set examples/apps/demo.mapp
-//   $ ./build/examples/msysc --control examples/apps/demo.mapp # TinyRISC listing
 //   $ ./build/examples/msysc --search examples/apps/demo.mapp  # ignore clusters,
 //                                                              # let ksched pick
 //   $ ./build/examples/msysc --validate examples/apps/demo.mapp
@@ -76,7 +75,6 @@
 #include "msys/serve/serve_loop.hpp"
 #include "msys/serve/trace_file.hpp"
 #include "msys/store/disk_store.hpp"
-#include "msys/trisc/control.hpp"
 
 namespace {
 
@@ -570,7 +568,7 @@ void run_anneal(const msys::extract::ScheduleAnalysis& analysis,
 /// Single-file flow: parse, schedule (with the fallback chain), simulate,
 /// and print the requested reports.
 int run_single(const std::string& path, bool emit, bool timeline, bool cross_set,
-               bool search, bool control, bool validate,
+               bool search, bool validate,
                const AnnealCliOptions& anneal, unsigned n_threads) {
   using namespace msys;
   try {
@@ -651,13 +649,6 @@ int run_single(const std::string& path, bool emit, bool timeline, bool cross_set
       std::cout << '\n';
       run_anneal(analysis, parsed.cfg, anneal, n_threads);
     }
-    if (control && r.cds.feasible()) {
-      csched::ContextPlan plan =
-          csched::ContextPlan::build(sched, parsed.cfg.cm_capacity_words);
-      trisc::ControlProgram cp = trisc::emit_control_program(r.cds.schedule, plan);
-      std::cout << "\nTinyRISC control program (" << cp.summary() << "):\n"
-                << trisc::disassemble(cp.code);
-    }
   } catch (const std::exception& e) {
     // Anything that escapes to here is a broken internal invariant, not a
     // bad input: bad inputs surface as parse or infeasibility diagnostics.
@@ -717,7 +708,6 @@ int main(int argc, char** argv) {
   bool timeline = false;
   bool cross_set = false;
   bool search = false;
-  bool control = false;
   bool validate = false;
   bool stats = false;
   std::string trace_path;
@@ -746,8 +736,6 @@ int main(int argc, char** argv) {
       cross_set = true;
     } else if (arg == "--search") {
       search = true;
-    } else if (arg == "--control") {
-      control = true;
     } else if (arg == "--validate") {
       validate = true;
     } else if (arg == "--stats") {
@@ -921,8 +909,8 @@ int main(int argc, char** argv) {
     return run_gen_trace(gen_trace_out, gen_spec);
   }
   if (batch_dir.empty() && path.empty() && serve_trace.empty() && chaos_cases == 0) {
-    std::cerr << "usage: msysc [--emit|--timeline|--cross-set|--search|--control|"
-                 "--validate] [--trace out.json] [--stats]\n"
+    std::cerr << "usage: msysc [--emit|--timeline|--cross-set|--search|--validate]"
+                 " [--trace out.json] [--stats]\n"
                  "             [--anneal [--anneal-budget N] [--anneal-islands N] "
                  "[--seed N] [-j N]] <file.mapp>\n"
                  "       msysc --batch <dir> [-j N] [--store dir] [--deadline-ms N]\n"
@@ -968,8 +956,7 @@ int main(int argc, char** argv) {
       code = kExitInternal;
     }
   } else {
-    code = run_single(path, emit, timeline, cross_set, search, control, validate, anneal,
-                      n_threads);
+    code = run_single(path, emit, timeline, cross_set, search, validate, anneal, n_threads);
   }
 
   session.reset();  // stop recording before exporting

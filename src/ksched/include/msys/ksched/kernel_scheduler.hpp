@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "msys/arch/m1.hpp"
-#include "msys/dsched/schedulers.hpp"
 #include "msys/model/schedule.hpp"
 
 namespace msys::ksched {
@@ -31,9 +30,6 @@ struct Options {
   Strategy strategy{Strategy::kAuto};
   /// Maximum number of candidate partitions kAuto evaluates exhaustively.
   std::uint64_t exhaustive_budget{4096};
-  /// Data scheduler used to cost each candidate (defaults to the Complete
-  /// Data Scheduler when null).
-  const dsched::DataSchedulerBase* evaluator{nullptr};
 };
 
 struct Candidate {
@@ -61,11 +57,5 @@ struct SearchResult {
 [[nodiscard]] SearchResult find_best_schedule(const model::Application& app,
                                               const arch::M1Config& cfg,
                                               const Options& options = {});
-
-/// Estimated cycles of one concrete schedule under `evaluator` (CDS when
-/// null); nullopt when infeasible.  Exposed for examples and tests.
-[[nodiscard]] std::optional<Cycles> estimate_cycles(
-    const model::KernelSchedule& sched, const arch::M1Config& cfg,
-    const dsched::DataSchedulerBase* evaluator = nullptr);
 
 }  // namespace msys::ksched

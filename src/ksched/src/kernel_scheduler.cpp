@@ -1,10 +1,12 @@
 #include "msys/ksched/kernel_scheduler.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "msys/common/error.hpp"
 #include "msys/csched/context_plan.hpp"
 #include "msys/dsched/cost.hpp"
+#include "msys/dsched/schedulers.hpp"
 #include "msys/extract/analysis.hpp"
 #include "msys/obs/trace.hpp"
 
@@ -32,14 +34,15 @@ std::unique_ptr<KernelSchedule> schedule_from_shape(const Application& app,
   return std::make_unique<KernelSchedule>(KernelSchedule::from_partition(app, partition));
 }
 
+/// Cycles `cds` predicts for `sched`; nullopt when infeasible.
 std::optional<Cycles> estimate(const KernelSchedule& sched, const arch::M1Config& cfg,
-                               const dsched::DataSchedulerBase& evaluator) {
+                               const dsched::CompleteDataScheduler& cds) {
   MSYS_TRACE_SPAN(span, "ksched.estimate", "ksched");
   const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
   const csched::ContextPlan ctx_plan =
       csched::ContextPlan::build(sched, cfg.cm_capacity_words);
   if (!ctx_plan.feasible()) return std::nullopt;
-  const dsched::DataSchedule schedule = evaluator.schedule(analysis, cfg);
+  const dsched::DataSchedule schedule = cds.schedule(analysis, cfg);
   if (!schedule.feasible) return std::nullopt;
   const dsched::CostBreakdown cost = dsched::predict_cost(schedule, cfg, ctx_plan);
   if (!cost.feasible) return std::nullopt;
@@ -48,25 +51,17 @@ std::optional<Cycles> estimate(const KernelSchedule& sched, const arch::M1Config
 
 }  // namespace
 
-std::optional<Cycles> estimate_cycles(const KernelSchedule& sched, const arch::M1Config& cfg,
-                                      const dsched::DataSchedulerBase* evaluator) {
-  const dsched::CompleteDataScheduler default_eval;
-  return estimate(sched, cfg, evaluator ? *evaluator : default_eval);
-}
-
 SearchResult find_best_schedule(const Application& app, const arch::M1Config& cfg,
                                 const Options& options) {
   MSYS_TRACE_SPAN(span, "ksched.search", "ksched");
-  const dsched::CompleteDataScheduler default_eval;
-  const dsched::DataSchedulerBase& evaluator =
-      options.evaluator ? *options.evaluator : default_eval;
+  const dsched::CompleteDataScheduler cds;
   const std::size_t n = app.kernel_count();
   MSYS_REQUIRE(n >= 1, "application has no kernels");
 
   SearchResult result;
   auto consider = [&](const std::vector<std::uint32_t>& shape) -> std::optional<Cycles> {
     std::unique_ptr<KernelSchedule> sched = schedule_from_shape(app, shape);
-    std::optional<Cycles> cycles = estimate(*sched, cfg, evaluator);
+    std::optional<Cycles> cycles = estimate(*sched, cfg, cds);
     ++result.evaluated;
     Candidate cand{shape, cycles.value_or(Cycles::zero()), cycles.has_value()};
     result.candidates.push_back(cand);

@@ -55,23 +55,6 @@ struct AnnealOptions {
   std::uint32_t islands{4};
   /// Moves per island — the budget.  Total work is islands * budget.
   std::uint32_t budget{256};
-  /// Allow cluster merge/split moves (partition mutations re-run
-  /// extraction once per new shape; RF/retained moves never do).
-  bool explore_partitions{true};
-  /// Geometric cooling from t0 to t1 over the budget; temperatures are
-  /// relative to the greedy baseline cost (acceptance of an uphill move of
-  /// delta cycles has probability exp(-delta / (T * greedy_cycles))).
-  double t0{0.10};
-  double t1{0.002};
-  /// Plan memo entries per island context (the annealer revisits option
-  /// sets far more often than one greedy pass — see
-  /// dsched.plan_cache.evictions when tuning).
-  std::size_t plan_cache_capacity{16384};
-  /// Distinct partitions one island may derive contexts for; at the cap,
-  /// further partition moves are rejected (deterministically).
-  std::size_t max_partitions{64};
-  /// Options for the greedy CDS baseline the search starts from.
-  dsched::CompleteDataScheduler::Options cds{};
 };
 
 /// Per-island tallies, reported in island order (part of the deterministic
@@ -90,7 +73,8 @@ struct IslandStats {
   std::uint32_t improvements{0};
   /// Distinct partitions this island derived contexts for.
   std::uint32_t partitions_explored{0};
-  /// Partition moves rejected because max_partitions was reached.
+  /// Partition moves rejected because the island's partition cap was
+  /// reached.
   std::uint32_t partition_cap_rejects{0};
   /// Island-local plan memo behaviour (PlanCache::Stats totals across the
   /// island's partition contexts).

@@ -27,6 +27,19 @@ using extract::RetainedSet;
 using extract::ScheduleAnalysis;
 using model::KernelSchedule;
 
+/// Geometric cooling from kT0 to kT1 over the budget; temperatures are
+/// relative to the greedy baseline cost (acceptance of an uphill move of
+/// delta cycles has probability exp(-delta / (T * greedy_cycles))).
+constexpr double kT0 = 0.10;
+constexpr double kT1 = 0.002;
+/// Plan memo entries per island context (the annealer revisits option
+/// sets far more often than one greedy pass — see
+/// dsched.plan_cache.evictions when tuning).
+constexpr std::size_t kPlanCacheCapacity = 16384;
+/// Distinct partitions one island may derive contexts for; at the cap,
+/// further partition moves are rejected (deterministically).
+constexpr std::size_t kMaxPartitions = 64;
+
 /// The mutable state a move operates on.  Everything else (extraction,
 /// context plan, plan memo) is derived per partition and cached.
 struct Skeleton {
@@ -131,12 +144,12 @@ class Island {
         out.cancelled = true;
         break;
       }
-      // Geometric cooling — a pure function of (step, budget, t0, t1).
+      // Geometric cooling — a pure function of (step, budget).
       const double frac =
           options_.budget > 1
               ? static_cast<double>(step) / static_cast<double>(options_.budget - 1)
               : 0.0;
-      const double temp = options_.t0 * std::pow(options_.t1 / options_.t0, frac);
+      const double temp = kT0 * std::pow(kT1 / kT0, frac);
 
       const std::vector<std::pair<MoveKind, std::uint32_t>> avail = available_moves(*ctx, cur);
       if (avail.empty()) break;  // nothing left to mutate
@@ -247,13 +260,11 @@ class Island {
       avail.emplace_back(MoveKind::kRfJump, 2);
     }
     if (!ctx.candidate_ids.empty()) avail.emplace_back(MoveKind::kToggle, 4);
-    if (options_.explore_partitions) {
-      if (cur.shape.size() > 1) avail.emplace_back(MoveKind::kMerge, 1);
-      for (std::uint32_t size : cur.shape) {
-        if (size > 1) {
-          avail.emplace_back(MoveKind::kSplit, 1);
-          break;
-        }
+    if (cur.shape.size() > 1) avail.emplace_back(MoveKind::kMerge, 1);
+    for (std::uint32_t size : cur.shape) {
+      if (size > 1) {
+        avail.emplace_back(MoveKind::kSplit, 1);
+        break;
       }
     }
     return avail;
@@ -344,7 +355,7 @@ class Island {
     if (const auto it = contexts_.find(shape); it != contexts_.end()) {
       return it->second.get();
     }
-    if (contexts_.size() >= options_.max_partitions) return nullptr;
+    if (contexts_.size() >= kMaxPartitions) return nullptr;
 
     auto ctx = std::make_unique<PartitionContext>();
     if (shape == original_shape()) {
@@ -372,8 +383,8 @@ class Island {
       ctx->analysis = ctx->analysis_owned.get();
     }
     ctx->ctx_plan = csched::ContextPlan::build(*ctx->sched, cfg_.cm_capacity_words);
-    ctx->plans = std::make_unique<PlanCache>(*ctx->analysis, cfg_.fb_set_size,
-                                             options_.plan_cache_capacity);
+    ctx->plans =
+        std::make_unique<PlanCache>(*ctx->analysis, cfg_.fb_set_size, kPlanCacheCapacity);
     for (const extract::RetentionCandidate& cand : ctx->analysis->retention_candidates()) {
       ctx->candidate_ids.push_back(cand.data);
     }
@@ -428,7 +439,7 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
   AnnealResult result;
 
   // Greedy CDS baseline: the floor the search must never fall below.
-  const dsched::CompleteDataScheduler greedy_scheduler(options.cds);
+  const dsched::CompleteDataScheduler greedy_scheduler;
   result.greedy = greedy_scheduler.schedule(analysis, cfg, cancel);
   const csched::ContextPlan ctx_plan =
       csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words);

@@ -156,6 +156,12 @@ class FbState {
   }
 
   [[nodiscard]] bool resident(std::size_t inst) const { return resident_[inst] != nullptr; }
+  /// The lowest resident instance, or the instance count when none is.
+  [[nodiscard]] std::size_t first_resident() const {
+    return static_cast<std::size_t>(
+        std::find_if(resident_.begin(), resident_.end(), [](const auto* e) { return e; }) -
+        resident_.begin());
+  }
   [[nodiscard]] std::uint64_t peak_words() const { return peak_; }
 
  private:
@@ -631,6 +637,15 @@ SimReport Simulator::run(const ScheduleProgram& program) {
     } else {
       apply(events[r++]);
     }
+  }
+  // Every instance a run brings into the Frame Buffer leaves it again, by a
+  // store or a release, before the run ends.
+  for (const FbSet set : {FbSet::kA, FbSet::kB}) {
+    const std::size_t i = fb[static_cast<std::size_t>(set)].first_resident();
+    MSYS_REQUIRE(i == n_instances,
+                 "instance still resident at the end of the run: " +
+                     app.data(DataId(static_cast<DataId::rep>(i / n_iters))).name +
+                     " iter=" + std::to_string(i % n_iters) + " set=" + to_string(set));
   }
 
   report.max_resident_words[0] = fb[0].peak_words();

@@ -1,10 +1,16 @@
 // End-to-end contract for the msysc binary: exit codes for usage errors,
-// the hardened --batch / -j argument handling, and the --trace output
-// (which must parse and pass the Chrome-trace schema check).
+// the hardened --batch / -j argument handling, the --trace output (which
+// must parse and pass the Chrome-trace schema check), and the single-file
+// output of every report mode, pinned by a committed golden.
 //
-// The binary path, the example app locations and the batch golden come in
-// as compile definitions (MSYSC_BIN, MSYS_DEMO_APP, MSYS_APPS_DIR,
-// MSYS_BATCH_GOLDEN) so the test runs from any working directory.
+// The binary path, the source root, the example app locations and the
+// goldens come in as compile definitions (MSYSC_BIN, MSYS_SOURCE_DIR,
+// MSYS_DEMO_APP, MSYS_APPS_DIR, MSYS_BATCH_GOLDEN, MSYS_SINGLE_FILE_GOLDEN)
+// so the test runs from any working directory.
+//
+// Regenerating the single-file golden (only when an intentional change to
+// msysc's output is being shipped): run msysc_cli_test with
+// MSYS_WRITE_GOLDEN set to the path of tests/cli/golden/single_file.tsv.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -18,9 +24,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "msys/common/hash.hpp"
 #include "msys/obs/chrome_trace.hpp"
 #include "msys/obs/json.hpp"
+#include "testing/golden_cases.hpp"
 
 namespace msys {
 namespace {
@@ -285,6 +294,82 @@ TEST(MsyscCli, BatchResultsMatchTheGoldenAcrossThreadsAndStoreTiers) {
     EXPECT_EQ(slurp(got), golden) << args;
   }
   EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out"), 1);  // missing operand
+}
+
+// ---------------------------------------------------------------------------
+// Single-file output: every report mode over the example apps and the fuzz
+// corpus, pinned by a committed golden.
+// ---------------------------------------------------------------------------
+
+/// "<exit>\t<stdout hash>\t<stderr hash>" of `msysc <args>`, run from the
+/// source root so diagnostics name the input by its relative path.
+std::string single_file_outcome(const std::string& args) {
+  const fs::path out = scratch("stdout");
+  const fs::path err = scratch("stderr");
+  const std::string cmd = "cd " MSYS_SOURCE_DIR " && " MSYSC_BIN " " + args + " >" +
+                          out.string() + " 2>" + err.string();
+  const int status = std::system(cmd.c_str());
+  const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::string outcome = std::to_string(code);
+  for (const fs::path& stream : {out, err}) {
+    Hasher h;
+    h.update_bytes(slurp(stream));
+    outcome += '\t' + testing::hex(h.finalize());
+  }
+  return outcome;
+}
+
+TEST(MsyscCli, SingleFileOutputMatchesTheGolden) {
+  std::vector<std::string> inputs;
+  for (const char* dir : {"examples/apps", "tests/fuzzing/corpus"}) {
+    for (const fs::directory_entry& entry :
+         fs::directory_iterator(fs::path(MSYS_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() == ".mapp") {
+        inputs.push_back(std::string(dir) + "/" + entry.path().filename().string());
+      }
+    }
+  }
+  ASSERT_GE(inputs.size(), 8u);
+  const std::vector<std::pair<std::string, std::string>> modes = {
+      {"plain", ""},
+      {"--emit", "--emit"},
+      {"--timeline", "--timeline"},
+      {"--cross-set", "--cross-set"},
+      {"--search", "--search"},
+      {"--validate", "--validate"},
+      {"--anneal", "--anneal --anneal-budget 48"}};
+
+  testing::GoldenTable current;
+  for (const auto& [mode, flags] : modes) {
+    for (const std::string& input : inputs) {
+      current.emplace(std::make_pair(mode, input), single_file_outcome(flags + " " + input));
+    }
+  }
+
+  if (const char* write_path = std::getenv("MSYS_WRITE_GOLDEN")) {
+    if (std::string(write_path).ends_with("single_file.tsv")) {
+      ASSERT_TRUE(testing::write_golden(write_path,
+                                        "mode\tinput\texit\tstdout-hash\tstderr-hash\t— "
+                                        "see msysc_cli_test.cpp; regenerate only with an "
+                                        "intentional output change",
+                                        current))
+          << write_path;
+      GTEST_SKIP() << "golden file rewritten: " << write_path;
+    }
+  }
+
+  std::string error;
+  const testing::GoldenTable golden = testing::read_golden(MSYS_SINGLE_FILE_GOLDEN, error);
+  ASSERT_EQ(error, "");
+  EXPECT_EQ(golden.size(), current.size());
+  for (const auto& [key, value] : current) {
+    const auto it = golden.find(key);
+    if (it == golden.end()) {
+      ADD_FAILURE() << key.first << " " << key.second << ": missing from the golden";
+    } else {
+      EXPECT_EQ(value, it->second) << key.first << " " << key.second;
+    }
+  }
 }
 
 TEST(MsyscCli, UnparsableFileInABatchIsAParseErrorRow) {

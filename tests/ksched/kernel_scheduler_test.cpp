@@ -97,39 +97,6 @@ TEST(KernelScheduler, AutoSwitchesToGreedyOverBudget) {
   EXPECT_LT(result.evaluated, 32u);
 }
 
-TEST(KernelScheduler, EvaluatorCanBeSwapped) {
-  model::Application app = chain_app(4);
-  dsched::BasicScheduler basic;
-  Options options;
-  options.strategy = Options::Strategy::kExhaustive;
-  options.evaluator = &basic;
-  SearchResult with_basic = find_best_schedule(app, test_cfg(1024), options);
-  SearchResult with_cds = find_best_schedule(app, test_cfg(1024),
-                                             {.strategy = Options::Strategy::kExhaustive});
-  ASSERT_TRUE(with_basic.found());
-  ASSERT_TRUE(with_cds.found());
-  // CDS never loses to Basic on the same best partition.
-  EXPECT_LE(with_cds.best_cycles, with_basic.best_cycles);
-}
-
-TEST(KernelScheduler, EstimateCyclesMatchesSearch) {
-  model::Application app = chain_app(4);
-  Options options;
-  options.strategy = Options::Strategy::kExhaustive;
-  SearchResult result = find_best_schedule(app, test_cfg(1024), options);
-  ASSERT_TRUE(result.found());
-  std::optional<Cycles> estimate = estimate_cycles(*result.best, test_cfg(1024));
-  ASSERT_TRUE(estimate.has_value());
-  EXPECT_EQ(*estimate, result.best_cycles);
-}
-
-TEST(KernelScheduler, EstimateCyclesNulloptWhenInfeasible) {
-  model::Application app = chain_app(3);
-  model::KernelSchedule sched =
-      model::KernelSchedule::one_kernel_per_cluster(app, app.topological_order());
-  EXPECT_FALSE(estimate_cycles(sched, test_cfg(16)).has_value());
-}
-
 TEST(KernelScheduler, SingleKernelApp) {
   model::Application app = chain_app(1);
   SearchResult result = find_best_schedule(app, test_cfg(1024));

@@ -141,6 +141,28 @@ TEST(Simulator, DetectsDoubleRelease) {
   EXPECT_THROW((void)simulator.run(program), Error);
 }
 
+TEST(Simulator, DetectsAnInstanceLeftInTheFrameBuffer) {
+  TwoClusterApp t = TwoClusterApp::make(/*iterations=*/1);
+  ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(1024);
+  dsched::DataSchedule s = dsched::DataScheduler{}.schedule(analysis, cfg);
+  csched::ContextPlan plan = csched::ContextPlan::build(t.sched, cfg.cm_capacity_words);
+  ScheduleProgram program = codegen::generate(s, plan);
+  // Drop the last release: nothing after it reuses the words, so only the
+  // end-of-run check sees the instance it leaves behind.
+  auto it = std::find_if(program.rc_ops.rbegin(), program.rc_ops.rend(),
+                         [](const Op& op) { return op.kind == OpKind::kRelease; });
+  ASSERT_NE(it, program.rc_ops.rend());
+  const std::string leaked = t.app->data(it->data).name + " iter=0";
+  program.rc_ops.erase(std::next(it).base());
+  const Simulator::Outcome outcome = Simulator(cfg, plan).try_run(program);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_NE(outcome.diagnostics.front().message.find(
+                "instance still resident at the end of the run: " + leaked),
+            std::string::npos)
+      << outcome.diagnostics.front().message;
+}
+
 TEST(Simulator, DetectsOverlappingPlacements) {
   TwoClusterApp t = TwoClusterApp::make(/*iterations=*/1);
   ScheduleAnalysis analysis(t.sched);

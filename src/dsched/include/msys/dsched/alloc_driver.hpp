@@ -69,10 +69,11 @@ struct ClusterEnds {
 };
 
 /// Reusable scratch memory for plan_round.  A cold schedule() runs the
-/// Figure-4 walk many times (RF probes × greedy retention candidates); the
-/// scratch keeps the walk's live table in arena storage and its output in
-/// vectors that are cleared per walk but keep their capacity, so a
-/// steady-state walk allocates only the flat copy of a successful result.
+/// Figure-4 walk many times (RF probes, the cost scan, retention's prefix
+/// probes); the scratch keeps the walk's live table in arena storage and
+/// its output in vectors that are cleared per walk but keep their
+/// capacity, so a steady-state walk allocates only the flat copy of a
+/// successful result.
 /// Not thread-safe: one per PlanCache / schedule() call (concurrent
 /// compiles each own their own, which is what makes the cold batch path
 /// scale instead of serializing on the global allocator).

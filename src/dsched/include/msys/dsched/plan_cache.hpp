@@ -2,15 +2,17 @@
 //
 // A single cold schedule() performs many plan_round calls over a small
 // option space: compute_max_rf probes RF feasibility, pick_rf_by_cost
-// re-plans every candidate RF, and §4's greedy retention re-plans after
-// every accepted/rejected candidate.  Several of those calls repeat an
-// (RF, retained-set) pair the walk has already planned — most notably the
-// final re-plan at the chosen RF, and the empty-retained-set plan at each
-// RF the feasibility search already probed.  PlanCache memoizes the walk
-// on exactly the options that vary within one schedule() call (RF, the
-// retained set, and the driver flags), so identical options return the
-// stored DriverResult instead of re-running an O(clusters · kernels · RF)
-// walk that drives the allocator.
+// re-plans every candidate RF, and §4's retention walks the remaining
+// candidates and binary-searches the longest prefix that fits whenever
+// they do not (one walk per candidate with cross-set reads).  Several of
+// those calls repeat an (RF, retained-set) pair the walk has already
+// planned — most notably the final re-plan at the chosen RF, and the
+// empty-retained-set plan at each RF the feasibility search already
+// probed.  PlanCache memoizes the walk on exactly the options that vary
+// within one schedule() call (RF, the retained set, and the driver
+// flags), so identical options return the stored DriverResult instead of
+// re-running an O(clusters · kernels · RF) walk that drives the
+// allocator.
 //
 // plan_round is a pure function of (analysis, fb_set_size, options), so a
 // memo hit is byte-identical to a recompute — the schedulers' outputs are

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,19 @@ class PlanCache;
                                            const arch::M1Config& cfg,
                                            DriverOptions base_options, PlanCache& plans,
                                            const CancelToken& cancel = {});
+
+/// §4's greedy retention at the fixed RF `options.rf` (which must plan
+/// with nothing retained): keeps each of `candidates`, in order, iff the
+/// Figure-4 walk with it and every candidate kept before it still fits,
+/// and rejects the rest.  Returns `options` with the kept set, which was
+/// planned through `plans`, so the caller reads the winning walk from the
+/// memo.  `monotone_fit` (true unless the machine reads across FB sets)
+/// decides a run of keeps in one walk and each rejection in O(log k)
+/// walks; false walks once per candidate.  If `cancel` fires, the
+/// candidates decided so far stay decided and the rest are dropped.
+[[nodiscard]] DriverOptions retain_at_rf(std::span<const extract::RetentionCandidate> candidates,
+                                         DriverOptions options, bool monotone_fit,
+                                         PlanCache& plans, const CancelToken& cancel = {});
 
 /// All three schedulers, in Basic, DS, CDS order (reporting convenience).
 [[nodiscard]] std::vector<std::unique_ptr<DataSchedulerBase>> all_schedulers();

@@ -64,6 +64,84 @@ std::uint32_t compute_max_rf(const ScheduleAnalysis& analysis,
   return static_cast<std::uint32_t>(lo);
 }
 
+// Why one walk can decide a whole run of candidates.  With splitting
+// allowed (DriverOptions::allow_split, on for every CDS walk) an allocation
+// fails only when its set's free_words() < size (fb_allocator.cpp), so a
+// walk fits iff the live words never exceed the FB set at any allocation.
+// Retaining one more object replaces its per-cluster copies in its own
+// set by one copy live across its whole span — §4's full-occupancy charge
+// in DS(C_c) ≤ FBS — and changes nothing else in either set, so the live
+// words at every point of the walk can only grow: if K ∪ S fits, so does
+// K ∪ S' for every S' ⊆ S.
+// Greedy over c_i..c_n from a fitting kept set K therefore keeps the
+// longest prefix c_i..c_{i+p-1} for which K ∪ prefix fits and rejects
+// c_{i+p}: walk the whole suffix first (one walk when everything fits,
+// the common case), else binary-search p between "K fits" and "the
+// suffix does not", then go on from c_{i+p+1}.  Same decisions, O(log k)
+// walks per rejection instead of one walk per candidate.
+//
+// Cross-set reads break the argument: retaining an object in one set also
+// drops its reloads in the other set's clusters (Walk::reads_in_place),
+// which can free space there.  That mode probes a window of one
+// candidate, which is exactly the per-candidate greedy.
+DriverOptions retain_at_rf(std::span<const RetentionCandidate> candidates,
+                           DriverOptions options, bool monotone_fit, PlanCache& plans,
+                           const CancelToken& cancel) {
+  static obs::Counter& retention_kept = obs::counter("dsched.retention.kept");
+  static obs::Counter& retention_rejected = obs::counter("dsched.retention.rejected");
+  MSYS_REQUIRE(options.allow_split || !monotone_fit,
+               "the prefix search needs walks that fail only on free words");
+  options.retained.clear();
+  MSYS_REQUIRE(plans.plan(options).ok, "re-planning at a feasible RF must succeed");
+  const std::uint64_t rf = options.rf;
+  std::size_t next = 0;  // first undecided candidate
+  while (next < candidates.size()) {
+    // Checkpoint per probe window: the set kept so far already planned
+    // feasibly, so breaking leaves `options` consistent; the caller's
+    // checkpoint turns the firing into a cancelled result.
+    if (cancel.cancelled()) break;
+    const std::size_t width = monotone_fit ? candidates.size() - next : 1;
+    // Grows or shrinks the probed prefix candidates[next, next + taken).
+    std::size_t taken = 0;
+    auto take = [&](std::size_t len) {
+      for (; taken < len; ++taken) options.retained.insert(candidates[next + taken].data);
+      for (; taken > len; --taken) options.retained.erase(candidates[next + taken - 1].data);
+    };
+    take(width);
+    std::size_t fits = width;
+    if (!plans.plan(options).ok) {
+      std::size_t lo = 0;      // prefix known to fit (the kept set alone)
+      std::size_t hi = width;  // prefix known not to fit
+      while (hi - lo > 1) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        take(mid);
+        if (plans.plan(options).ok) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      fits = lo;
+      take(fits);
+    }
+    retention_kept.add(fits);
+    for (std::size_t i = next; i < next + fits; ++i) {
+      MSYS_TRACE_INSTANT("dsched.retain.keep", "dsched",
+                         obs::arg("data", std::uint64_t{candidates[i].data.index()}),
+                         obs::arg("tf", candidates[i].tf), obs::arg("rf", rf));
+    }
+    next += fits;
+    if (fits < width) {
+      retention_rejected.add();
+      MSYS_TRACE_INSTANT("dsched.retain.reject", "dsched",
+                         obs::arg("data", std::uint64_t{candidates[next].data.index()}),
+                         obs::arg("tf", candidates[next].tf), obs::arg("rf", rf));
+      ++next;
+    }
+  }
+  return options;
+}
+
 namespace {
 
 /// The paper raises RF as high as the FB allows because each step divides
@@ -207,44 +285,17 @@ DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
       break;
   }
 
-  // Greedy §4 selection at a fixed RF: keep a candidate iff every cluster
-  // still fits (the Figure-4 walk is the ground-truth fit check).  Returns
-  // the winning options; every accepted set was planned and memoized, so
-  // the caller reads the winning walk from `plans` by reference.
-  static obs::Counter& retention_kept = obs::counter("dsched.retention.kept");
-  static obs::Counter& retention_rejected = obs::counter("dsched.retention.rejected");
-  auto retain_at_rf = [&](std::uint32_t rf) -> DriverOptions {
+  auto retain = [&](std::uint32_t rf) {
     DriverOptions opt = options;
     opt.rf = rf;
-    opt.retained.clear();
-    MSYS_REQUIRE(plans.plan(opt).ok, "re-planning at a feasible RF must succeed");
-    for (const RetentionCandidate& cand : candidates) {
-      // Checkpoint per retention candidate: the set kept so far already
-      // re-planned feasibly, so breaking leaves `opt` consistent; the
-      // caller's checkpoint turns the firing into a cancelled result.
-      if (cancel.cancelled()) break;
-      opt.retained.insert(cand.data);
-      if (plans.plan(opt).ok) {
-        retention_kept.add();
-        MSYS_TRACE_INSTANT("dsched.retain.keep", "dsched",
-                           obs::arg("data", std::uint64_t{cand.data.index()}),
-                           obs::arg("tf", cand.tf), obs::arg("rf", std::uint64_t{rf}));
-      } else {
-        opt.retained.erase(cand.data);
-        retention_rejected.add();
-        MSYS_TRACE_INSTANT("dsched.retain.reject", "dsched",
-                           obs::arg("data", std::uint64_t{cand.data.index()}),
-                           obs::arg("tf", cand.tf), obs::arg("rf", std::uint64_t{rf}));
-      }
-    }
-    return opt;
+    return retain_at_rf(candidates, std::move(opt), !analysis.cross_set_reads(), plans, cancel);
   };
 
   if (!options_.joint_rf_retention) {
     // §4: secure the cheapest RF first (context-transfer minimisation
     // dominates), then spend remaining FB space on retention.
     const DriverOptions opt =
-        retain_at_rf(pick_rf_by_cost(analysis, cfg, options, max_rf, plans, cancel));
+        retain(pick_rf_by_cost(analysis, cfg, options, max_rf, plans, cancel));
     if (cancel.cancelled()) {
       return cancelled_schedule(name(), analysis.sched(), cancel.reason());
     }
@@ -258,7 +309,7 @@ DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
   Cycles best_cost = Cycles::max();
   for (std::uint32_t rf = 1; rf <= max_rf; ++rf) {
     if (cancel.cancelled()) break;
-    DriverOptions opt = retain_at_rf(rf);
+    DriverOptions opt = retain(rf);
     if (!ctx_plan.feasible()) {
       // No cost model available: fall back to the paper ordering (largest
       // RF wins) by keeping the last feasible candidate.

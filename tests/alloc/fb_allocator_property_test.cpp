@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "msys/alloc/fb_allocator.hpp"
@@ -12,11 +13,18 @@
 namespace msys::alloc {
 namespace {
 
+// gtest prints a Params as its raw bytes into each case's ctest name
+// ("# GetParam() = 16-byte object <...>"), so the padding after the two
+// one-byte fields is spelled out and zeroed: left implicit, it carried
+// whatever the stack held and the names changed from build to build.
 struct Params {
   std::uint64_t seed;
   FitPolicy policy;
   bool allow_split;
+  std::uint8_t padding[6]{};
 };
+static_assert(std::has_unique_object_representations_v<Params>,
+              "every byte of Params is a named, initialised field");
 
 class AllocatorFuzz : public ::testing::TestWithParam<Params> {};
 

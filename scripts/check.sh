@@ -24,19 +24,20 @@ set -euo pipefail
 # perfbench ops_per_s floors: 0.7 x the median of three 5 s seed-1 runs
 # (rounded down) on a 4-vCPU x86-64 container.  verify, serve-warm and
 # anneal were measured 2026-10-17 at commit 0665a49 (medians 3076 / 152755
-# / 204 ops/s); cold-compile was re-measured 2026-10-18 on the first commit
-# after a95385d, whose §4 retention decides a run of keeps in one walk
-# (median 6824 ops/s, up from 4760).  The timing step
-# compares the same statistic, a median of three runs.  perfbench rescales
-# its timings by a reference kernel it runs alongside, so the floors carry
-# over to machines of another single-core speed.  0.7 rather than a looser
-# factor because engine::compile_job is only part of a cold-compile
-# operation (parse and make_input are the rest): at 0665a49 it was ~70%
-# and running it twice slowed the operation only 1.6-1.7x, to 0.57-0.75 x
-# the median in single runs; since the retention change it is ~60% (a
-# traced run: miss 96 of ~160 us), so a doubled compile lands near 0.62 x.
+# / 204 ops/s); cold-compile was re-measured 2026-10-19 on the first commit
+# after e8e3538, whose .mapp reader works on views of the text (median
+# 8365 ops/s, up from 6824 after the 2026-10-18 retention change).  The
+# timing step compares the same statistic, a median of three runs.
+# perfbench rescales its timings by a reference kernel it runs alongside,
+# so the floors carry over to machines of another single-core speed.  0.7
+# rather than a looser factor because engine::compile_job is only part of
+# a cold-compile operation (parse and make_input are the rest): at 0665a49
+# it was ~70% and running it twice slowed the operation only 1.6-1.7x, to
+# 0.57-0.75 x the median in single runs; with parse down to ~30 us it is
+# ~65% again (a traced run: miss ~87 of ~135 us), so a doubled compile
+# lands near 0.6 x.
 declare -A ops_floor=(
-  [cold-compile]=4777
+  [cold-compile]=5855
   [verify]=2150
   [serve-warm]=106900
   [anneal]=142
@@ -188,8 +189,8 @@ done
 # context plan per input, so a lifetime bug there trips ASan.  The code
 # generator joins them because it indexes its per-round release buckets
 # with offsets computed from the plan.  Only those nine test binaries are
-# built in build-san/; plan_alloc_test stays out because it replaces
-# operator new, which ASan owns.
+# built in build-san/; plan_alloc_test and parse_alloc_test stay out
+# because they replace operator new, which ASan owns.
 if [ "$#" -eq 0 ]; then
   san_tests=(sim_test codegen_test oracle_screen_test fuzzing_test integration_test
              dsched_test search_test engine_test serve_test)

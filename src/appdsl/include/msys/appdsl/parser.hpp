@@ -68,12 +68,14 @@ struct ParseResult {
 };
 
 /// Parses the format above, collecting all diagnostics instead of stopping
-/// at the first problem.  Never throws on malformed input.
+/// at the first problem.  Never throws on malformed input.  The reader
+/// works on views into `text` while it runs, but everything it returns
+/// owns its strings: no reference to `text` is kept after the call.
 [[nodiscard]] ParseResult parse_collect(std::string_view text,
                                         std::string file = "<input>");
 
-/// Reads and parses a file, collecting diagnostics (an unreadable file
-/// yields a single "io.open" diagnostic).
+/// Reads a file into one string and parses it, collecting diagnostics (an
+/// unreadable file yields a single "io.open" diagnostic).
 [[nodiscard]] ParseResult parse_file_collect(const std::string& path);
 
 /// Parses the format above.  Throws msys::Error carrying every collected

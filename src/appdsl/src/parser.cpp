@@ -1,8 +1,13 @@
 #include "msys/appdsl/parser.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory_resource>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -17,21 +22,29 @@ using model::ApplicationBuilder;
 
 namespace {
 
+/// Concatenates diagnostic message pieces (strings, views and literals).
+template <class... Parts>
+std::string concat(const Parts&... parts) {
+  std::string out;
+  (out.append(std::string_view(parts)), ...);
+  return out;
+}
+
+using Tokens = std::pmr::vector<std::string_view>;
+
 /// Splits a line into whitespace-separated tokens, dropping '#' comments.
-std::vector<std::string> tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : line) {
-    if (c == '#') break;
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
+/// The tokens are views into `line`.
+void tokenize(std::string_view line, Tokens& tokens) {
+  tokens.clear();
+  std::size_t begin = 0;
+  std::size_t i = 0;
+  for (; i < line.size() && line[i] != '#'; ++i) {
+    if (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
+      if (i > begin) tokens.push_back(line.substr(begin, i - begin));
+      begin = i + 1;
     }
   }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
+  if (i > begin) tokens.push_back(line.substr(begin, i - begin));
 }
 
 /// Internal control flow only: aborts the current *line*, never escapes
@@ -42,25 +55,28 @@ struct LineAbort {
 };
 
 struct OutSpec {
-  std::string name;
+  std::string_view name;
   SizeWords size;
   bool final{false};
 };
 
-/// Parser state threaded through the line handlers.
+/// Parser state threaded through the line handlers.  Tokens and the keys
+/// of the name maps are views into the text passed to run(), which
+/// outlives the Parser.
 class Parser {
  public:
   explicit Parser(std::string file) : file_(std::move(file)) {}
 
   ParseResult run(std::string_view text) {
-    std::istringstream stream{std::string(text)};
-    std::string line;
-    while (std::getline(stream, line)) {
+    for (std::size_t begin = 0; begin < text.size();) {
+      std::size_t end = text.find('\n', begin);
+      if (end == std::string_view::npos) end = text.size();
       ++line_no_;
-      const std::vector<std::string> tok = tokenize(line);
-      if (tok.empty()) continue;
+      tokenize(text.substr(begin, end - begin), tokens_);
+      begin = end + 1;
+      if (tokens_.empty()) continue;
       try {
-        dispatch(tok);
+        dispatch(tokens_);
       } catch (const LineAbort& abort) {
         diags_.push_back(abort.diagnostic);
       }
@@ -74,21 +90,20 @@ class Parser {
                                SourceLoc{file_, line_no_})};
   }
 
-  std::uint64_t parse_u64(const std::string& token, const char* what) const {
-    if (token.empty()) fail("parse.number.missing", std::string(what) + " missing");
+  std::uint64_t parse_u64(std::string_view token, const char* what) const {
+    if (token.empty()) fail("parse.number.missing", concat(what, " missing"));
     if (token[0] == '-') {
-      fail("parse.number.negative",
-           std::string(what) + " must not be negative: " + token);
+      fail("parse.number.negative", concat(what, " must not be negative: ", token));
     }
     constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t value = 0;
     for (char c : token) {
       if (c < '0' || c > '9') {
-        fail("parse.number.garbage", std::string(what) + " must be a number: " + token);
+        fail("parse.number.garbage", concat(what, " must be a number: ", token));
       }
       const auto digit = static_cast<std::uint64_t>(c - '0');
       if (value > (kMax - digit) / 10) {
-        fail("parse.number.overflow", std::string(what) + " overflows: " + token);
+        fail("parse.number.overflow", concat(what, " overflows: ", token));
       }
       value = value * 10 + digit;
     }
@@ -98,50 +113,50 @@ class Parser {
   /// Bounded number with an explicit inclusive range; every numeric field
   /// of the format has a hard floor of 1 (zero-iteration apps, zero-size
   /// objects and zero-latency kernels are all structurally invalid).
-  std::uint64_t parse_bounded(const std::string& token, const char* what,
-                              std::uint64_t min, std::uint64_t max) const {
+  std::uint64_t parse_bounded(std::string_view token, const char* what, std::uint64_t min,
+                              std::uint64_t max) const {
     const std::uint64_t value = parse_u64(token, what);
     if (value < min) {
       fail("parse.number.range",
-           std::string(what) + " must be at least " + std::to_string(min) + ": " + token);
+           concat(what, " must be at least ", std::to_string(min), ": ", token));
     }
     if (value > max) {
-      fail("parse.number.overflow", std::string(what) + " exceeds the supported maximum " +
-                                        std::to_string(max) + ": " + token);
+      fail("parse.number.overflow", concat(what, " exceeds the supported maximum ",
+                                           std::to_string(max), ": ", token));
     }
     return value;
   }
 
-  std::uint32_t parse_u32(const std::string& token, const char* what,
+  std::uint32_t parse_u32(std::string_view token, const char* what,
                           std::uint64_t min = 1) const {
     return static_cast<std::uint32_t>(
         parse_bounded(token, what, min, std::numeric_limits<std::uint32_t>::max()));
   }
 
-  OutSpec parse_out_spec(const std::string& token) const {
+  OutSpec parse_out_spec(std::string_view token) const {
     OutSpec spec;
-    std::size_t first = token.find(':');
-    if (first == std::string::npos) {
-      fail("parse.syntax", "out spec needs <name>:<size>: " + token);
+    const std::size_t first = token.find(':');
+    if (first == std::string_view::npos) {
+      fail("parse.syntax", concat("out spec needs <name>:<size>: ", token));
     }
     spec.name = token.substr(0, first);
-    if (spec.name.empty()) fail("parse.syntax", "out spec has an empty name: " + token);
-    std::size_t second = token.find(':', first + 1);
-    std::string size_str = second == std::string::npos
-                               ? token.substr(first + 1)
-                               : token.substr(first + 1, second - first - 1);
+    if (spec.name.empty()) fail("parse.syntax", concat("out spec has an empty name: ", token));
+    const std::size_t second = token.find(':', first + 1);
+    const std::string_view size_str = second == std::string_view::npos
+                                          ? token.substr(first + 1)
+                                          : token.substr(first + 1, second - first - 1);
     spec.size = SizeWords{
         parse_bounded(size_str, "out size", 1, std::numeric_limits<std::uint64_t>::max())};
-    if (second != std::string::npos) {
-      const std::string flag = token.substr(second + 1);
-      if (flag != "final") fail("parse.syntax", "unknown out flag: " + flag);
+    if (second != std::string_view::npos) {
+      const std::string_view flag = token.substr(second + 1);
+      if (flag != "final") fail("parse.syntax", concat("unknown out flag: ", flag));
       spec.final = true;
     }
     return spec;
   }
 
-  void dispatch(const std::vector<std::string>& tok) {
-    const std::string& kw = tok[0];
+  void dispatch(const Tokens& tok) {
+    const std::string_view kw = tok[0];
     if (kw == "app") {
       handle_app(tok);
       return;
@@ -167,11 +182,11 @@ class Parser {
       cfg_.dma.cycles_per_context_word = Cycles{parse_bounded(
           tok[1], "ctxcost", 1, std::numeric_limits<std::uint64_t>::max())};
     } else {
-      fail("parse.syntax", "unknown keyword: " + kw);
+      fail("parse.syntax", concat("unknown keyword: ", kw));
     }
   }
 
-  void handle_app(const std::vector<std::string>& tok) {
+  void handle_app(const Tokens& tok) {
     if (builder_.has_value()) fail("parse.duplicate", "duplicate app line");
     if (tok.size() != 4 || tok[2] != "iterations") {
       fail("parse.syntax", "expected: app <name> iterations <count>");
@@ -182,76 +197,76 @@ class Parser {
     try {
       iterations = parse_u32(tok[3], "iterations");
     } catch (const LineAbort&) {
-      builder_.emplace(tok[1], 1u);
+      builder_.emplace(std::string(tok[1]), 1u);
       throw;
     }
-    builder_.emplace(tok[1], iterations);
+    builder_.emplace(std::string(tok[1]), iterations);
   }
 
-  void handle_input(const std::vector<std::string>& tok) {
+  void handle_input(const Tokens& tok) {
     if (tok.size() != 3) fail("parse.syntax", "expected: input <name> <size>");
     if (data_by_name_.contains(tok[1])) {
-      fail("parse.duplicate", "duplicate data name: " + tok[1]);
+      fail("parse.duplicate", concat("duplicate data name: ", tok[1]));
     }
     const SizeWords size{parse_bounded(tok[2], "input size", 1,
                                        std::numeric_limits<std::uint64_t>::max())};
-    data_by_name_.emplace(tok[1], builder_->external_input(tok[1], size));
+    data_by_name_.emplace(tok[1], builder_->external_input(std::string(tok[1]), size));
   }
 
-  void handle_kernel(const std::vector<std::string>& tok) {
+  void handle_kernel(const Tokens& tok) {
     // kernel <name> ctx <words> cycles <cycles> in <data>... [out <spec>...]
     if (tok.size() < 7 || tok[2] != "ctx" || tok[4] != "cycles" || tok[6] != "in") {
       fail("parse.syntax",
            "expected: kernel <name> ctx <w> cycles <c> in <data>... [out ...]");
     }
     if (kernels_by_name_.contains(tok[1])) {
-      fail("parse.duplicate", "duplicate kernel name: " + tok[1]);
+      fail("parse.duplicate", concat("duplicate kernel name: ", tok[1]));
     }
     const std::uint32_t ctx_words = parse_u32(tok[3], "ctx words");
     const Cycles cycles{parse_bounded(tok[5], "cycles", 1,
                                       std::numeric_limits<std::uint64_t>::max())};
-    std::size_t i = 7;
+    const auto out = std::find(tok.begin() + 7, tok.end(), "out");
     std::vector<DataId> inputs;
-    for (; i < tok.size() && tok[i] != "out"; ++i) {
-      auto it = data_by_name_.find(tok[i]);
-      if (it == data_by_name_.end()) {
-        fail("parse.unknown-ref", "unknown data object: " + tok[i]);
+    inputs.reserve(static_cast<std::size_t>(out - (tok.begin() + 7)));
+    for (auto it = tok.begin() + 7; it != out; ++it) {
+      const auto found = data_by_name_.find(*it);
+      if (found == data_by_name_.end()) {
+        fail("parse.unknown-ref", concat("unknown data object: ", *it));
       }
-      inputs.push_back(it->second);
+      inputs.push_back(found->second);
     }
     if (inputs.empty()) fail("parse.syntax", "kernel needs at least one input");
     // Validate the out specs *before* mutating the builder, so a bad spec
     // does not leave a half-declared kernel behind.
-    std::vector<OutSpec> specs;
-    if (i < tok.size()) {
-      ++i;  // skip "out"
-      if (i >= tok.size()) fail("parse.syntax", "out with no specs");
-      for (; i < tok.size(); ++i) {
-        OutSpec spec = parse_out_spec(tok[i]);
+    specs_.clear();
+    if (out != tok.end()) {
+      if (out + 1 == tok.end()) fail("parse.syntax", "out with no specs");
+      for (auto it = out + 1; it != tok.end(); ++it) {
+        const OutSpec spec = parse_out_spec(*it);
         if (data_by_name_.contains(spec.name)) {
-          fail("parse.duplicate", "duplicate data name: " + spec.name);
+          fail("parse.duplicate", concat("duplicate data name: ", spec.name));
         }
-        for (const OutSpec& earlier : specs) {
+        for (const OutSpec& earlier : specs_) {
           if (earlier.name == spec.name) {
-            fail("parse.duplicate", "duplicate data name: " + spec.name);
+            fail("parse.duplicate", concat("duplicate data name: ", spec.name));
           }
         }
-        specs.push_back(std::move(spec));
+        specs_.push_back(spec);
       }
     }
-    KernelId k = builder_->kernel(tok[1], ctx_words, cycles, std::move(inputs));
+    const KernelId k = builder_->kernel(std::string(tok[1]), ctx_words, cycles, std::move(inputs));
     kernels_by_name_.emplace(tok[1], k);
-    for (const OutSpec& spec : specs) {
-      data_by_name_.emplace(spec.name,
-                            builder_->output(k, spec.name, spec.size, spec.final));
+    for (const OutSpec& spec : specs_) {
+      data_by_name_.emplace(
+          spec.name, builder_->output(k, std::string(spec.name), spec.size, spec.final));
     }
   }
 
-  void handle_cluster(const std::vector<std::string>& tok) {
+  void handle_cluster(const Tokens& tok) {
     if (tok.size() < 2) fail("parse.syntax", "cluster needs at least one kernel");
     for (std::size_t i = 1; i < tok.size(); ++i) {
       if (!kernels_by_name_.contains(tok[i])) {
-        fail("parse.unknown-ref", "cluster references unknown kernel: " + tok[i]);
+        fail("parse.unknown-ref", concat("cluster references unknown kernel: ", tok[i]));
       }
     }
     partition_.emplace_back(tok.begin() + 1, tok.end());
@@ -283,8 +298,15 @@ class Parser {
   int line_no_{0};
   Diagnostics diags_;
   std::optional<ApplicationBuilder> builder_;
-  std::unordered_map<std::string, DataId> data_by_name_;
-  std::unordered_map<std::string, KernelId> kernels_by_name_;
+  // The parser's own containers (tokens, out specs, the name maps' nodes
+  // and buckets) bump-allocate from a buffer inside the Parser and spill
+  // to the heap only on a large text; nothing in them outlives run().
+  std::array<std::byte, 4096> scratch_buffer_;
+  std::pmr::monotonic_buffer_resource scratch_{scratch_buffer_.data(), scratch_buffer_.size()};
+  Tokens tokens_{&scratch_};
+  std::pmr::vector<OutSpec> specs_{&scratch_};
+  std::pmr::unordered_map<std::string_view, DataId> data_by_name_{&scratch_};
+  std::pmr::unordered_map<std::string_view, KernelId> kernels_by_name_{&scratch_};
   std::vector<std::vector<std::string>> partition_;
   arch::M1Config cfg_ = arch::M1Config::m1_default();
 };
@@ -319,9 +341,20 @@ ParseResult parse_file_collect(const std::string& path) {
         make_error("io.open", "cannot open " + path, SourceLoc{path, 0}));
     return result;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_collect(text.str(), path);
+  // One byte past the size the file system reports, so a single read
+  // reaches end of file; a pipe, or a file that grew meanwhile, is read on
+  // in doubling chunks.  A read error (a directory) ends the text, which
+  // then parses as empty.
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  std::string text(size_error ? 4096 : size + 1, '\0');
+  std::size_t filled = 0;
+  while (in.read(text.data() + filled, static_cast<std::streamsize>(text.size() - filled))) {
+    filled = text.size();
+    text.resize(2 * text.size());
+  }
+  text.resize(filled + static_cast<std::size_t>(in.gcount()));
+  return parse_collect(text, path);
 }
 
 ParsedExperiment parse(std::string_view text) {

@@ -1,7 +1,6 @@
 #include "msys/model/application.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "msys/common/error.hpp"
 
@@ -45,6 +44,7 @@ KernelId ApplicationBuilder::kernel(std::string name, std::uint32_t context_word
                             .exec_cycles = exec_cycles,
                             .inputs = {},
                             .outputs = {}});
+  kernels_.back().inputs.reserve(inputs.size());
   for (DataId in : inputs) add_input(id, in);
   return id;
 }
@@ -97,20 +97,18 @@ std::vector<KernelId> topo_sort(const std::vector<Kernel>& kernels,
       if (consumer != d.producer) ++indegree[consumer.index()];
     }
   }
-  std::queue<KernelId> ready;
-  for (const Kernel& k : kernels) {
-    if (indegree[k.id.index()] == 0) ready.push(k.id);
-  }
+  // `order` is its own FIFO: kernels [head, end) are ready, not yet expanded.
   std::vector<KernelId> order;
   order.reserve(kernels.size());
-  while (!ready.empty()) {
-    KernelId k = ready.front();
-    ready.pop();
-    order.push_back(k);
+  for (const Kernel& k : kernels) {
+    if (indegree[k.id.index()] == 0) order.push_back(k.id);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const KernelId k = order[head];
     for (DataId out : kernels[k.index()].outputs) {
       for (KernelId consumer : data[out.index()].consumers) {
         if (consumer == k) continue;
-        if (--indegree[consumer.index()] == 0) ready.push(consumer);
+        if (--indegree[consumer.index()] == 0) order.push_back(consumer);
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace msys::model {
@@ -39,7 +40,8 @@ void hash_append(Hasher& h, const Application& app) {
     const DataObject& d = data[i];
     hash_append(h, d.name);
     hash_append(h, d.size.value());
-    hash_append(h, d.producer.valid() ? app.kernel(d.producer).name : std::string());
+    hash_append(h, d.producer.valid() ? std::string_view(app.kernel(d.producer).name)
+                                      : std::string_view());
     hash_append(h, d.required_in_external_memory);
     // Consumers are derivable from the kernels' input lists, but hashing
     // them keeps the encoding robust against future builder extensions.

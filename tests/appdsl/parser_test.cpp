@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "msys/common/error.hpp"
@@ -185,6 +188,38 @@ TEST(Writer, RoundTripsDemo) {
   EXPECT_EQ(again.app.total_data_size(), parsed.app.total_data_size());
   EXPECT_EQ(again.cfg.fb_set_size, parsed.cfg.fb_set_size);
   EXPECT_EQ(again.partition, parsed.partition);
+}
+
+TEST(ParseFile, ReadsTheWholeFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "msys_parse_file_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // About 9 kB, without a trailing newline.
+  std::string text = kDemo;
+  for (int i = 0; i < 400; ++i) text += "# padding comment line\n";
+  text += "ctxcost 3";
+  const fs::path file = dir / "big.mapp";
+  std::ofstream(file, std::ios::binary) << text;
+
+  const ParseResult from_file = parse_file_collect(file.string());
+  ASSERT_TRUE(from_file.ok()) << render(from_file.diagnostics);
+  EXPECT_EQ(from_file.experiment->cfg.dma.cycles_per_context_word, Cycles{3});
+  const ParseResult from_text = parse_collect(text, file.string());
+  EXPECT_EQ(write(from_file.experiment->app, from_file.experiment->partition,
+                  from_file.experiment->cfg),
+            write(from_text.experiment->app, from_text.experiment->partition,
+                  from_text.experiment->cfg));
+
+  // A directory opens but reads nothing: it parses as empty input.
+  const ParseResult from_dir = parse_file_collect(dir.string());
+  ASSERT_EQ(from_dir.diagnostics.size(), 1u);
+  EXPECT_EQ(from_dir.diagnostics[0].code, "parse.syntax");
+
+  const ParseResult missing = parse_file_collect((dir / "missing.mapp").string());
+  ASSERT_EQ(missing.diagnostics.size(), 1u);
+  EXPECT_EQ(missing.diagnostics[0].code, "io.open");
+  fs::remove_all(dir);
 }
 
 class RegistryRoundTrip : public ::testing::TestWithParam<std::string> {};

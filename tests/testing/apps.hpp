@@ -76,6 +76,23 @@ struct RetentionApp {
   }
 };
 
+/// Chain of n kernels, each feeding the next, identical shapes.
+inline model::Application chain_app(int n, std::uint32_t iterations = 8) {
+  model::ApplicationBuilder b("chain" + std::to_string(n), iterations);
+  DataId carry{};
+  for (int i = 0; i < n; ++i) {
+    DataId priv = b.external_input("in" + std::to_string(i), SizeWords{40});
+    KernelId k = b.kernel("k" + std::to_string(i), 24, Cycles{120}, {priv});
+    if (i > 0) b.add_input(k, carry);
+    if (i + 1 < n) {
+      carry = b.output(k, "t" + std::to_string(i), SizeWords{20});
+    } else {
+      b.output(k, "r", SizeWords{16}, true);
+    }
+  }
+  return std::move(b).build();
+}
+
 /// Default machine for unit tests: 1K FB sets, roomy CM.
 inline arch::M1Config test_cfg(std::uint64_t fb_words = 1024, std::uint32_t cm_words = 256) {
   arch::M1Config cfg = arch::M1Config::m1_default();

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       options.budget = budget;
 
       const search::AnnealResult result =
-          dsched::schedule_annealed(analysis, c.cfg, options, &pool);
+          search::anneal_schedule(analysis, c.cfg, options, &pool);
 
       MSYS_REQUIRE(result.feasible(), "annealer lost feasibility on " + c.name);
       MSYS_REQUIRE(result.annealed_cycles() <= result.greedy_cycles(),

@@ -11,8 +11,8 @@
 
 #include "msys/common/strfmt.hpp"
 #include "msys/common/table.hpp"
-#include "msys/ksched/kernel_scheduler.hpp"
 #include "msys/report/runner.hpp"
+#include "msys/search/kernel_search.hpp"
 #include "msys/workloads/experiments.hpp"
 
 int main() {
@@ -36,9 +36,7 @@ int main() {
   }
 
   // ---- Automatic search over contiguous partitions. ----
-  ksched::Options options;
-  options.strategy = ksched::Options::Strategy::kExhaustive;
-  ksched::SearchResult search = ksched::find_best_schedule(*base.app, base.cfg, options);
+  search::SearchResult search = search::exhaustive_search(*base.app, base.cfg);
   std::cout << "searched " << search.evaluated << " candidate schedules, "
             << search.feasible_count << " feasible\n\n";
   if (search.found()) {

@@ -7,7 +7,7 @@
 //   $ ./build/examples/msysc --timeline examples/apps/demo.mapp
 //   $ ./build/examples/msysc --cross-set examples/apps/demo.mapp
 //   $ ./build/examples/msysc --search examples/apps/demo.mapp  # ignore clusters,
-//                                                              # let ksched pick
+//                                                              # let the search pick
 //   $ ./build/examples/msysc --validate examples/apps/demo.mapp
 //   $ ./build/examples/msysc --batch examples/apps -j 4        # every .mapp in
 //                                                              # the dir, 4 workers
@@ -62,7 +62,6 @@
 #include "msys/common/table.hpp"
 #include "msys/engine/batch_runner.hpp"
 #include "msys/extract/analysis.hpp"
-#include "msys/ksched/kernel_scheduler.hpp"
 #include "msys/obs/chrome_trace.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
@@ -70,6 +69,7 @@
 #include "msys/report/tables.hpp"
 #include "msys/report/timeline.hpp"
 #include "msys/search/anneal.hpp"
+#include "msys/search/kernel_search.hpp"
 #include "msys/serve/chaos.hpp"
 #include "msys/serve/partition.hpp"
 #include "msys/serve/serve_loop.hpp"
@@ -122,8 +122,8 @@ PreparedJob prepare_job(const std::string& path) {
   }
   std::vector<std::vector<KernelId>> partition;
   if (parsed.experiment->partition.empty()) {
-    ksched::SearchResult found =
-        ksched::find_best_schedule(parsed.experiment->app, parsed.experiment->cfg);
+    search::SearchResult found =
+        search::find_best_schedule(parsed.experiment->app, parsed.experiment->cfg);
     if (!found.found()) {
       prepared.exit_code = kExitInfeasible;
       prepared.status = "no-schedule";
@@ -528,7 +528,7 @@ void run_anneal(const msys::extract::ScheduleAnalysis& analysis,
                 unsigned n_threads) {
   using namespace msys;
   engine::ThreadPool pool(n_threads);
-  const search::AnnealResult r = dsched::schedule_annealed(analysis, cfg, opt.search, &pool);
+  const search::AnnealResult r = search::anneal_schedule(analysis, cfg, opt.search, &pool);
   const std::string budget_str = std::to_string(opt.search.islands) + " islands x " +
                                  std::to_string(opt.search.budget) + " moves";
   if (!r.greedy.feasible || !r.greedy_predicted.feasible) {
@@ -588,7 +588,7 @@ int run_single(const std::string& path, bool emit, bool timeline, bool cross_set
     if (parsed.partition.empty() || search) {
       // No cluster lines: let the Kernel Scheduler find one.
       std::cout << "no schedule in file; searching...\n";
-      ksched::SearchResult found = ksched::find_best_schedule(parsed.app, parsed.cfg);
+      search::SearchResult found = search::find_best_schedule(parsed.app, parsed.cfg);
       if (!found.found()) {
         std::cerr << "msysc: no feasible kernel schedule on this machine\n";
         return kExitInfeasible;

@@ -19,17 +19,17 @@ class Error : public std::runtime_error {
 [[noreturn]] void raise(const std::string& message);
 
 namespace detail {
-[[noreturn]] void require_failed(const char* condition, const char* file, int line,
-                                 const std::string& message);
+[[noreturn]] void require_failed(const char* condition, const std::string& message);
 }  // namespace detail
 
 }  // namespace msys
 
 /// Precondition check that survives NDEBUG: scheduling bugs must never be
-/// silently costed, they must abort the run with a located message.
+/// silently costed, they must abort the run with the message and the failed
+/// condition (no source location: a diagnostic reads the same everywhere).
 #define MSYS_REQUIRE(cond, msg)                                              \
   do {                                                                       \
     if (!(cond)) {                                                           \
-      ::msys::detail::require_failed(#cond, __FILE__, __LINE__, (msg));      \
+      ::msys::detail::require_failed(#cond, (msg));                          \
     }                                                                        \
   } while (false)

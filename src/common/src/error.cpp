@@ -1,19 +1,13 @@
 #include "msys/common/error.hpp"
 
-#include <sstream>
-
 namespace msys {
 
 void raise(const std::string& message) { throw Error(message); }
 
 namespace detail {
 
-void require_failed(const char* condition, const char* file, int line,
-                    const std::string& message) {
-  std::ostringstream out;
-  out << "MSYS_REQUIRE failed: " << message << " [" << condition << "] at " << file << ':'
-      << line;
-  throw Error(out.str());
+void require_failed(const char* condition, const std::string& message) {
+  throw Error("MSYS_REQUIRE failed: " + message + " [" + condition + ']');
 }
 
 }  // namespace detail

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,6 +30,8 @@
 #include "msys/extract/analysis.hpp"
 
 namespace msys::dsched {
+
+class PlanCache;
 
 class DataSchedulerBase {
  public:
@@ -94,11 +97,16 @@ class CompleteDataScheduler final : public DataSchedulerBase {
                                       const arch::M1Config& cfg,
                                       const CancelToken& cancel) const override;
 
+  /// schedule()'s RF and retained set, planned through the caller's memo
+  /// `plans` over `analysis`; nullopt when even RF = 1 does not fit.  If
+  /// `cancel` fires the result is partial; the caller checks the token.
+  [[nodiscard]] std::optional<DriverOptions> decide(const extract::ScheduleAnalysis& analysis,
+                                                    const arch::M1Config& cfg, PlanCache& plans,
+                                                    const CancelToken& cancel = {}) const;
+
  private:
   Options options_{};
 };
-
-class PlanCache;
 
 /// Largest common RF (<= total_iterations) for which the Figure-4 walk
 /// succeeds on both FB sets with the given base options; returns 0 when

@@ -182,6 +182,65 @@ std::uint32_t pick_rf_by_cost(const ScheduleAnalysis& analysis, const arch::M1Co
   return chosen;
 }
 
+/// The decision step DS and CDS share, on the caller's memo `plans`: the
+/// max-RF search, then the RF pick and §4 retention of `candidates` (in
+/// order; DS passes none) at that RF — or, `joint`, retention at every RF,
+/// keeping the cheapest.  nullopt when even RF = 1 does not fit; partial if
+/// `cancel` fires.
+std::optional<DriverOptions> decide_rf_and_retention(
+    std::span<const RetentionCandidate> candidates, bool joint,
+    const ScheduleAnalysis& analysis, const arch::M1Config& cfg, PlanCache& plans,
+    const CancelToken& cancel) {
+  DriverOptions options;
+  options.release_at_last_use = true;
+  const std::uint32_t max_rf = compute_max_rf(analysis, cfg, options, plans, cancel);
+  if (max_rf == 0) return std::nullopt;
+  const bool monotone_fit = !analysis.cross_set_reads();
+  if (!joint) {
+    // §4: secure the cheapest RF first (context-transfer minimisation
+    // dominates), then spend remaining FB space on retention.
+    options.rf = pick_rf_by_cost(analysis, cfg, options, max_rf, plans, cancel);
+    return retain_at_rf(candidates, std::move(options), monotone_fit, plans, cancel);
+  }
+
+  // Extension: jointly pick (RF, retained set) by predicted cost.
+  const csched::ContextPlan ctx_plan =
+      csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words);
+  std::optional<DriverOptions> best;
+  Cycles best_cost = Cycles::max();
+  for (std::uint32_t rf = 1; rf <= max_rf; ++rf) {
+    if (cancel.cancelled()) break;
+    options.rf = rf;
+    DriverOptions opt = retain_at_rf(candidates, options, monotone_fit, plans, cancel);
+    if (!ctx_plan.feasible()) {
+      // No cost model available: fall back to the paper ordering (largest
+      // RF wins) by keeping the last feasible candidate.
+      best = std::move(opt);
+      continue;
+    }
+    const CostBreakdown cost =
+        predict_cost(analysis.sched(), rf, plans.plan(opt), cfg, ctx_plan);
+    if (cost.feasible && (!best || cost.total <= best_cost)) {
+      best_cost = cost.total;
+      best = std::move(opt);
+    }
+  }
+  MSYS_REQUIRE(best.has_value() || cancel.cancelled(), "at least RF=1 must produce a schedule");
+  return best;
+}
+
+/// The schedule of the options DS or CDS decided on `plans`, or why there
+/// is none.
+DataSchedule decided_schedule(const std::string& name, const ScheduleAnalysis& analysis,
+                              PlanCache& plans, const std::optional<DriverOptions>& options,
+                              const CancelToken& cancel) {
+  if (cancel.cancelled()) return cancelled_schedule(name, analysis.sched(), cancel.reason());
+  if (!options) {
+    return infeasible(name, analysis.sched(), "a cluster does not fit the FB set even at RF=1");
+  }
+  return to_schedule(plans.plan(*options), name, analysis.sched(), *options);
+}
+
 }  // namespace
 
 DataSchedule BasicScheduler::schedule(const ScheduleAnalysis& analysis,
@@ -210,48 +269,18 @@ DataSchedule DataScheduler::schedule(const ScheduleAnalysis& analysis,
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
-  DriverOptions options;
-  options.release_at_last_use = true;
   PlanCache plans(analysis, cfg.fb_set_size);
-  const std::uint32_t max_rf = compute_max_rf(analysis, cfg, options, plans, cancel);
-  if (max_rf == 0) {
-    if (cancel.cancelled()) {
-      return cancelled_schedule(name(), analysis.sched(), cancel.reason());
-    }
-    return infeasible(name(), analysis.sched(),
-                      "a cluster does not fit the FB set even at RF=1");
-  }
-  options.rf = pick_rf_by_cost(analysis, cfg, options, max_rf, plans, cancel);
-  if (cancel.cancelled()) {
-    return cancelled_schedule(name(), analysis.sched(), cancel.reason());
-  }
-  if (span.active()) span.add_arg(obs::arg("rf", std::uint64_t{options.rf}));
-  const DriverResult& result = plans.plan(options);  // memo hit from the RF scan
-  MSYS_REQUIRE(result.ok, "re-planning at the feasible RF must succeed");
-  return to_schedule(result, name(), analysis.sched(), options);
+  DataSchedule out =
+      decided_schedule(name(), analysis, plans,
+                       decide_rf_and_retention({}, false, analysis, cfg, plans, cancel), cancel);
+  if (span.active() && out.feasible) span.add_arg(obs::arg("rf", std::uint64_t{out.rf}));
+  return out;
 }
 
-DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
-                                             const arch::M1Config& cfg,
-                                             const CancelToken& cancel) const {
-  MSYS_TRACE_SPAN(span, "dsched.cds", "dsched");
-  static obs::Counter& runs = obs::counter("dsched.runs.cds");
-  runs.add();
-  if (cancel.cancelled()) {
-    return cancelled_schedule(name(), analysis.sched(), cancel.reason());
-  }
-  DriverOptions options;
-  options.release_at_last_use = true;
-  PlanCache plans(analysis, cfg.fb_set_size);
-  const std::uint32_t max_rf = compute_max_rf(analysis, cfg, options, plans, cancel);
-  if (max_rf == 0) {
-    if (cancel.cancelled()) {
-      return cancelled_schedule(name(), analysis.sched(), cancel.reason());
-    }
-    return infeasible(name(), analysis.sched(),
-                      "a cluster does not fit the FB set even at RF=1");
-  }
-
+std::optional<DriverOptions> CompleteDataScheduler::decide(const ScheduleAnalysis& analysis,
+                                                           const arch::M1Config& cfg,
+                                                           PlanCache& plans,
+                                                           const CancelToken& cancel) const {
   // Rank the retention candidates.
   std::vector<RetentionCandidate> candidates = analysis.retention_candidates();
   switch (options_.ranking) {
@@ -284,50 +313,21 @@ DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
                 });
       break;
   }
+  return decide_rf_and_retention(candidates, options_.joint_rf_retention, analysis, cfg,
+                                 plans, cancel);
+}
 
-  auto retain = [&](std::uint32_t rf) {
-    DriverOptions opt = options;
-    opt.rf = rf;
-    return retain_at_rf(candidates, std::move(opt), !analysis.cross_set_reads(), plans, cancel);
-  };
-
-  if (!options_.joint_rf_retention) {
-    // §4: secure the cheapest RF first (context-transfer minimisation
-    // dominates), then spend remaining FB space on retention.
-    const DriverOptions opt =
-        retain(pick_rf_by_cost(analysis, cfg, options, max_rf, plans, cancel));
-    if (cancel.cancelled()) {
-      return cancelled_schedule(name(), analysis.sched(), cancel.reason());
-    }
-    return to_schedule(plans.plan(opt), name(), analysis.sched(), opt);
-  }
-
-  // Extension: jointly pick (RF, retained set) by predicted cost.
-  const csched::ContextPlan ctx_plan =
-      csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words);
-  std::optional<DriverOptions> best;
-  Cycles best_cost = Cycles::max();
-  for (std::uint32_t rf = 1; rf <= max_rf; ++rf) {
-    if (cancel.cancelled()) break;
-    DriverOptions opt = retain(rf);
-    if (!ctx_plan.feasible()) {
-      // No cost model available: fall back to the paper ordering (largest
-      // RF wins) by keeping the last feasible candidate.
-      best = std::move(opt);
-      continue;
-    }
-    const CostBreakdown cost =
-        predict_cost(analysis.sched(), rf, plans.plan(opt), cfg, ctx_plan);
-    if (cost.feasible && (!best || cost.total <= best_cost)) {
-      best_cost = cost.total;
-      best = std::move(opt);
-    }
-  }
+DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
+                                             const arch::M1Config& cfg,
+                                             const CancelToken& cancel) const {
+  MSYS_TRACE_SPAN(span, "dsched.cds", "dsched");
+  static obs::Counter& runs = obs::counter("dsched.runs.cds");
+  runs.add();
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
-  MSYS_REQUIRE(best.has_value(), "at least RF=1 must produce a schedule");
-  return to_schedule(plans.plan(*best), name(), analysis.sched(), *best);
+  PlanCache plans(analysis, cfg.fb_set_size);
+  return decided_schedule(name(), analysis, plans, decide(analysis, cfg, plans, cancel), cancel);
 }
 
 std::vector<std::unique_ptr<DataSchedulerBase>> all_schedulers() {

@@ -2,21 +2,13 @@
 //
 // CDS (§4) is a one-pass greedy heuristic: retention and RF selection
 // never revisit an early decision, so its cycle counts are a local
-// optimum, not a floor.  The annealer mutates a cheap *plan skeleton* —
-//
-//   * the cluster partition, as a composition of the incumbent schedule's
-//     flattened kernel order (merge/split of adjacent clusters; any such
-//     composition is a valid schedule because the flattened order of a
-//     valid schedule is a topological order, and from_partition rebinds
-//     cluster i to FB set i % 2),
-//   * the context-reuse factor RF,
-//   * the retained-set membership (IdSet<DataId>),
-//
-// — and re-costs each mutation through the existing PlanCache +
-// predict_cost memo path: an (RF, retained) move on a known partition is
-// one hash lookup plus the analytic model, with no extraction and no
-// placement copy.  Partition moves re-derive extraction once per new
-// shape and cache the derived context per island.
+// optimum, not a floor.  The annealer mutates a Skeleton of the schedule
+// space (space.hpp) — the shape of the incumbent's flattened kernel order
+// (merge/split of adjacent clusters; that order is topological, so every
+// shape is valid), RF and the retained set — and re-costs each mutation
+// with ShapeContext::price: an (RF, retained) move on a known shape is one
+// plan-memo lookup plus the analytic model.  Partition moves derive a
+// ShapeContext once per new shape and cache it per island.
 //
 // Determinism contract: the search result is a pure function of
 // (options, analysis, cfg) — byte-identical across 1/2/4 pool threads.
@@ -131,14 +123,3 @@ struct AnnealResult {
                                            const CancelToken& cancel = {});
 
 }  // namespace msys::search
-
-namespace msys::dsched {
-
-/// The dsched-facing surface of the annealing search (defined in
-/// msys_search; dsched itself does not depend on the search module).
-[[nodiscard]] search::AnnealResult schedule_annealed(
-    const extract::ScheduleAnalysis& analysis, const arch::M1Config& cfg,
-    const search::AnnealOptions& options = {}, engine::ThreadPool* pool = nullptr,
-    const CancelToken& cancel = {});
-
-}  // namespace msys::dsched

@@ -11,62 +11,49 @@
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
 #include "msys/csched/context_plan.hpp"
-#include "msys/dsched/plan_cache.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
+#include "msys/search/space.hpp"
 #include "msys/sim/cross_check.hpp"
 
 namespace msys::search {
 
 namespace {
 
-using dsched::DriverOptions;
-using dsched::DriverResult;
 using dsched::PlanCache;
 using extract::RetainedSet;
 using extract::ScheduleAnalysis;
-using model::KernelSchedule;
 
 /// Geometric cooling from kT0 to kT1 over the budget; temperatures are
 /// relative to the greedy baseline cost (acceptance of an uphill move of
 /// delta cycles has probability exp(-delta / (T * greedy_cycles))).
 constexpr double kT0 = 0.10;
 constexpr double kT1 = 0.002;
-/// Plan memo entries per island context (the annealer revisits option
-/// sets far more often than one greedy pass — see
-/// dsched.plan_cache.evictions when tuning).
-constexpr std::size_t kPlanCacheCapacity = 16384;
 /// Distinct partitions one island may derive contexts for; at the cap,
 /// further partition moves are rejected (deterministically).
 constexpr std::size_t kMaxPartitions = 64;
 
-/// The mutable state a move operates on.  Everything else (extraction,
-/// context plan, plan memo) is derived per partition and cached.
-struct Skeleton {
-  /// Cluster sizes along the incumbent schedule's flattened kernel order.
-  std::vector<std::uint32_t> shape;
-  std::uint32_t rf{1};
-  RetainedSet retained;
-};
+/// The context of `shape`, a composition of the caller's flattened kernel
+/// order (a topological order, so any composition is dependency-valid);
+/// the caller's own shape borrows its analysis.
+std::unique_ptr<ShapeContext> context_of(const ScheduleAnalysis& analysis,
+                                         const Shape& own_shape, const Shape& shape,
+                                         const arch::M1Config& cfg) {
+  if (shape == own_shape) return std::make_unique<ShapeContext>(analysis, cfg);
+  return std::make_unique<ShapeContext>(analysis.app(), analysis.sched().flattened_order(),
+                                        shape, cfg);
+}
 
-/// Everything derived from one cluster partition.  Owned per island so
-/// the non-thread-safe PlanCache (and its arena scratch) never crosses a
-/// thread; the original partition's schedule/analysis are the caller's.
-struct PartitionContext {
-  std::unique_ptr<KernelSchedule> sched_owned;         // null for the original
-  std::unique_ptr<ScheduleAnalysis> analysis_owned;    // null for the original
-  const KernelSchedule* sched{nullptr};
-  const ScheduleAnalysis* analysis{nullptr};
-  csched::ContextPlan ctx_plan;
-  std::unique_ptr<PlanCache> plans;
-  /// Retention-candidate ids under this partition, in the analysis's
-  /// ranking order (the toggle move indexes into this).
-  std::vector<DataId> candidate_ids;
-  std::uint32_t max_rf{0};
-  /// False when the partition cannot execute at all (context plan
-  /// infeasible or no RF fits) — moves into it are rejected.
-  bool usable{false};
-};
+/// The simulator cross-check: an accepted improvement only becomes the
+/// island best when sim::cross_check passes and its prediction is the
+/// cycle count the search priced.
+bool verify_in_simulator(ShapeContext& ctx, const Skeleton& sk,
+                         std::uint64_t predicted_cycles) {
+  MSYS_TRACE_SPAN(span, "search.verify", "search");
+  const sim::CrossCheck check =
+      sim::cross_check(ctx.pack(sk, "CDS+anneal"), *ctx.analysis, *ctx.cfg, ctx.ctx_plan);
+  return check.ok() && check.predicted.total.value() == predicted_cycles;
+}
 
 /// Uniform double in [0, 1) from one SplitMix64 draw (53 mantissa bits).
 double to_unit(std::uint64_t x) {
@@ -125,7 +112,7 @@ class Island {
     out.best = start_;
     out.best_cycles = greedy_cycles_;
 
-    PartitionContext* ctx = get_context(start_.shape);
+    ShapeContext* ctx = get_context(start_.shape);
     if (ctx == nullptr || !ctx->usable) {
       // The greedy baseline planned on this very partition, so an unusable
       // start context cannot happen; bail defensively with "no change".
@@ -135,8 +122,8 @@ class Island {
 
     Skeleton cur = start_;
     std::uint64_t cur_cycles = greedy_cycles_;
-    if (const auto ev = eval(*ctx, cur.rf, cur.retained); ev.first) {
-      cur_cycles = ev.second;
+    if (const std::optional<Cycles> cycles = ctx->price(cur.rf, cur.retained)) {
+      cur_cycles = cycles->value();
     }
 
     for (std::uint32_t step = 0; step < options_.budget; ++step) {
@@ -157,17 +144,18 @@ class Island {
       MSYS_TRACE_SPAN(move_span, "search.move", "search");
 
       Skeleton cand = cur;
-      PartitionContext* cand_ctx = ctx;
+      ShapeContext* cand_ctx = ctx;
       if (!apply_move(pick_move(avail), cand, &cand_ctx, &out.stats)) {
         ++out.stats.rejected_infeasible;
         continue;
       }
 
-      const auto [ok, cand_cycles] = eval(*cand_ctx, cand.rf, cand.retained);
-      if (!ok) {
+      const std::optional<Cycles> priced = cand_ctx->price(cand.rf, cand.retained);
+      if (!priced) {
         ++out.stats.rejected_infeasible;
         continue;
       }
+      const std::uint64_t cand_cycles = priced->value();
 
       bool accept = cand_cycles <= cur_cycles;
       if (!accept) {
@@ -205,39 +193,6 @@ class Island {
     return out;
   }
 
-  /// Rebuilds the context for `shape` — used by the caller thread to
-  /// re-materialize the winning skeleton (pure, so byte-identical to what
-  /// the winning island computed).
-  PartitionContext* materialize_context(const std::vector<std::uint32_t>& shape) {
-    return get_context(shape);
-  }
-
-  [[nodiscard]] std::pair<bool, std::uint64_t> eval(PartitionContext& ctx, std::uint32_t rf,
-                                                    const RetainedSet& retained) {
-    MSYS_TRACE_SPAN(span, "search.recost", "search");
-    DriverOptions opt;
-    opt.release_at_last_use = true;
-    opt.rf = rf;
-    opt.retained = retained;
-    const DriverResult& result = ctx.plans->plan(opt);
-    if (!result.ok) return {false, 0};
-    const dsched::CostBreakdown cost =
-        dsched::predict_cost(*ctx.sched, rf, result, cfg_, ctx.ctx_plan);
-    if (!cost.feasible) return {false, 0};
-    return {true, cost.total.value()};
-  }
-
-  /// Packs the (already planned) skeleton into a full DataSchedule.
-  [[nodiscard]] dsched::DataSchedule pack(PartitionContext& ctx, const Skeleton& sk) {
-    DriverOptions opt;
-    opt.release_at_last_use = true;
-    opt.rf = sk.rf;
-    opt.retained = sk.retained;
-    const DriverResult& result = ctx.plans->plan(opt);  // memo hit: eval planned it
-    MSYS_REQUIRE(result.ok, "packing a skeleton that evaluated feasible must plan");
-    return dsched::to_schedule(result, "CDS+anneal", *ctx.sched, opt);
-  }
-
  private:
   void finish_stats(IslandOutcome& out) {
     out.stats.best_cycles = out.best_cycles;
@@ -253,7 +208,7 @@ class Island {
   /// Moves applicable to `cur`, with fixed weights, in a fixed order (the
   /// weighted pick below consumes exactly one rng draw either way).
   [[nodiscard]] std::vector<std::pair<MoveKind, std::uint32_t>> available_moves(
-      const PartitionContext& ctx, const Skeleton& cur) const {
+      const ShapeContext& ctx, const Skeleton& cur) const {
     std::vector<std::pair<MoveKind, std::uint32_t>> avail;
     if (ctx.max_rf > 1) {
       avail.emplace_back(MoveKind::kRfStep, 3);
@@ -286,7 +241,7 @@ class Island {
   /// partition's context and re-clamps RF / re-masks the retained set.
   /// Returns false when the move is rejected (unusable or capped target
   /// partition); `stats` records why.
-  bool apply_move(MoveKind kind, Skeleton& cand, PartitionContext** ctx,
+  bool apply_move(MoveKind kind, Skeleton& cand, ShapeContext** ctx,
                   IslandStats* stats) {
     switch (kind) {
       case MoveKind::kRfStep: {
@@ -327,8 +282,8 @@ class Island {
     return false;  // unreachable
   }
 
-  bool rebind_partition(Skeleton& cand, PartitionContext** ctx, IslandStats* stats) {
-    PartitionContext* next = get_context(cand.shape);
+  bool rebind_partition(Skeleton& cand, ShapeContext** ctx, IslandStats* stats) {
+    ShapeContext* next = get_context(cand.shape);
     if (next == nullptr) {
       ++stats->partition_cap_rejects;
       return false;
@@ -351,74 +306,15 @@ class Island {
   /// Context for `shape`, building (and caching) it on first use; nullptr
   /// when the partition cap is reached.  Keyed by the shape vector itself:
   /// deterministic, collision-free.
-  PartitionContext* get_context(const std::vector<std::uint32_t>& shape) {
+  ShapeContext* get_context(const Shape& shape) {
     if (const auto it = contexts_.find(shape); it != contexts_.end()) {
       return it->second.get();
     }
     if (contexts_.size() >= kMaxPartitions) return nullptr;
-
-    auto ctx = std::make_unique<PartitionContext>();
-    if (shape == original_shape()) {
-      ctx->sched = &analysis_.sched();
-      ctx->analysis = &analysis_;
-    } else {
-      const model::Application& app = analysis_.app();
-      const std::vector<KernelId>& order = analysis_.sched().flattened_order();
-      std::vector<std::vector<KernelId>> partition;
-      partition.reserve(shape.size());
-      std::size_t pos = 0;
-      for (const std::uint32_t size : shape) {
-        partition.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(pos),
-                               order.begin() + static_cast<std::ptrdiff_t>(pos + size));
-        pos += size;
-      }
-      MSYS_REQUIRE(pos == order.size(), "shape must cover every kernel");
-      // Any composition of the flattened order is dependency-valid: the
-      // flattened order of a valid schedule is a topological order.
-      ctx->sched_owned =
-          std::make_unique<KernelSchedule>(KernelSchedule::from_partition(app, partition));
-      ctx->analysis_owned =
-          std::make_unique<ScheduleAnalysis>(*ctx->sched_owned, cfg_.cross_set_reads);
-      ctx->sched = ctx->sched_owned.get();
-      ctx->analysis = ctx->analysis_owned.get();
-    }
-    ctx->ctx_plan = csched::ContextPlan::build(*ctx->sched, cfg_.cm_capacity_words);
-    ctx->plans =
-        std::make_unique<PlanCache>(*ctx->analysis, cfg_.fb_set_size, kPlanCacheCapacity);
-    for (const extract::RetentionCandidate& cand : ctx->analysis->retention_candidates()) {
-      ctx->candidate_ids.push_back(cand.data);
-    }
-    if (ctx->ctx_plan.feasible()) {
-      DriverOptions base;
-      base.release_at_last_use = true;
-      ctx->max_rf = dsched::compute_max_rf(*ctx->analysis, cfg_, base, *ctx->plans);
-    }
-    ctx->usable = ctx->ctx_plan.feasible() && ctx->max_rf > 0;
-    return contexts_.emplace(shape, std::move(ctx)).first->second.get();
+    return contexts_.emplace(shape, context_of(analysis_, start_.shape, shape, cfg_))
+        .first->second.get();
   }
 
-  [[nodiscard]] std::vector<std::uint32_t> original_shape() const {
-    std::vector<std::uint32_t> shape;
-    shape.reserve(analysis_.sched().cluster_count());
-    for (const model::Cluster& c : analysis_.sched().clusters()) {
-      shape.push_back(static_cast<std::uint32_t>(c.kernels.size()));
-    }
-    return shape;
-  }
-
- public:
-  /// The simulator cross-check: an accepted improvement only becomes the
-  /// island best when sim::cross_check passes and its prediction is the
-  /// cycle count the search priced.
-  bool verify_in_simulator(PartitionContext& ctx, const Skeleton& sk,
-                           std::uint64_t predicted_cycles) {
-    MSYS_TRACE_SPAN(span, "search.verify", "search");
-    const sim::CrossCheck check =
-        sim::cross_check(pack(ctx, sk), *ctx.analysis, cfg_, ctx.ctx_plan);
-    return check.ok() && check.predicted.total.value() == predicted_cycles;
-  }
-
- private:
   const std::uint32_t index_;
   const ScheduleAnalysis& analysis_;
   const arch::M1Config& cfg_;
@@ -427,7 +323,7 @@ class Island {
   const std::uint64_t greedy_cycles_;
   const CancelToken& cancel_;
   Rng rng_;
-  std::map<std::vector<std::uint32_t>, std::unique_ptr<PartitionContext>> contexts_;
+  std::map<Shape, std::unique_ptr<ShapeContext>> contexts_;
 };
 
 }  // namespace
@@ -452,13 +348,7 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
     return result;  // nothing to improve on (or the budget is already gone)
   }
 
-  Skeleton start;
-  start.shape.reserve(analysis.sched().cluster_count());
-  for (const model::Cluster& c : analysis.sched().clusters()) {
-    start.shape.push_back(static_cast<std::uint32_t>(c.kernels.size()));
-  }
-  start.rf = result.greedy.rf;
-  start.retained = result.greedy.retained;
+  const Skeleton start{shape_of(analysis.sched()), result.greedy.rf, result.greedy.retained};
   const std::uint64_t greedy_cycles = result.greedy_predicted.total.value();
 
   const std::uint32_t n_islands = std::max(options.islands, 1U);
@@ -535,28 +425,21 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
     return result;
   }
 
-  // Re-materialize the winning skeleton on this thread (pure recompute of
-  // what the winning island planned) and re-verify it end to end.
-  Island rebuilder(winner->stats.island, analysis, cfg, options, start, greedy_cycles,
-                   CancelToken{});
-  PartitionContext* ctx = rebuilder.materialize_context(winner->best.shape);
-  MSYS_REQUIRE(ctx != nullptr && ctx->usable, "winning partition must rebuild");
-  const auto [ok, cycles] = rebuilder.eval(*ctx, winner->best.rf, winner->best.retained);
-  MSYS_REQUIRE(ok && cycles == winner->best_cycles,
-               "re-materialized winner must reproduce the island's cost");
-  MSYS_REQUIRE(rebuilder.verify_in_simulator(*ctx, winner->best, cycles),
-               "re-materialized winner must pass the simulator cross-check");
-  result.schedule = rebuilder.pack(*ctx, winner->best);
+  // Rebuild the winning skeleton's context on this thread (a pure
+  // recompute of what the winning island planned) and re-verify it end to end.
+  const std::unique_ptr<ShapeContext> ctx =
+      context_of(analysis, start.shape, winner->best.shape, cfg);
+  MSYS_REQUIRE(ctx->usable && verify_in_simulator(*ctx, winner->best, winner->best_cycles),
+               "the rebuilt winner must reproduce the island's cost in the simulator");
+  result.schedule = ctx->pack(winner->best, "CDS+anneal");
   if (ctx->sched_owned != nullptr) {
     result.owned_sched = std::move(ctx->sched_owned);
     // pack() pointed schedule.sched at the context's schedule; keep that
     // pointer alive past the context by adopting ownership here.
     result.schedule.sched = result.owned_sched.get();
   }
-  const csched::ContextPlan winner_plan =
-      csched::ContextPlan::build(*result.schedule.sched, cfg.cm_capacity_words);
-  result.predicted = dsched::predict_cost(result.schedule, cfg, winner_plan);
-  MSYS_REQUIRE(result.predicted.feasible && result.predicted.total.value() == cycles,
+  result.predicted = dsched::predict_cost(result.schedule, cfg, ctx->ctx_plan);
+  MSYS_REQUIRE(result.predicted.feasible && result.predicted.total.value() == winner->best_cycles,
                "winner cost must survive re-materialization");
   result.improved = true;
   result.winner_island = winner->stats.island;
@@ -569,15 +452,3 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
 }
 
 }  // namespace msys::search
-
-namespace msys::dsched {
-
-search::AnnealResult schedule_annealed(const extract::ScheduleAnalysis& analysis,
-                                       const arch::M1Config& cfg,
-                                       const search::AnnealOptions& options,
-                                       engine::ThreadPool* pool,
-                                       const CancelToken& cancel) {
-  return search::anneal_schedule(analysis, cfg, options, pool, cancel);
-}
-
-}  // namespace msys::dsched

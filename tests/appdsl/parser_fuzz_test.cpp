@@ -121,22 +121,10 @@ std::string text_hash(std::string_view text) {
   return testing::hex(h.finalize());
 }
 
-/// The diagnostics with the source location of a failed MSYS_REQUIRE
-/// ("... at <file>:<line>") cut off: it names the checkout and the line of
-/// the model's check, not anything the reader decided.
-Diagnostics without_check_locations(Diagnostics diagnostics) {
-  for (Diagnostic& d : diagnostics) {
-    if (!d.message.starts_with("MSYS_REQUIRE failed: ")) continue;
-    d.message.erase(d.message.rfind(" at "));
-  }
-  return diagnostics;
-}
-
 /// "ok\t<diagnostics-hash>\t<write-hash>", or "rejected\t<diagnostics-hash>\t-".
 std::string outcome(std::string_view text, const std::string& file) {
   const ParseResult result = parse_collect(text, file);
-  const std::string diagnostics =
-      text_hash(render(without_check_locations(result.diagnostics)));
+  const std::string diagnostics = text_hash(render(result.diagnostics));
   if (!result.ok()) return "rejected\t" + diagnostics + "\t-";
   const ParsedExperiment& parsed = *result.experiment;
   return "ok\t" + diagnostics + '\t' + text_hash(write(parsed.app, parsed.partition, parsed.cfg));

@@ -66,7 +66,7 @@ TEST(AnnealGolden, QualityRowsMatchCommittedGolden) {
       const extract::ScheduleAnalysis analysis(c.sched, c.cfg.cross_set_reads);
       AnnealOptions options;  // seed 1, 4 islands: the bench's contract
       options.budget = budget;
-      const AnnealResult result = dsched::schedule_annealed(analysis, c.cfg, options);
+      const AnnealResult result = anneal_schedule(analysis, c.cfg, options);
       ASSERT_TRUE(result.feasible()) << c.name << " @ " << budget;
       current.emplace(std::make_pair(c.name, std::to_string(budget)),
                       std::to_string(result.greedy_cycles()) + '\t' +

@@ -1,5 +1,5 @@
-// Planning walk that drives the Frame Buffer allocator through one steady
-// round of the schedule, following the paper's Figure 4 algorithm:
+// Planning walk through one steady round of the schedule, following the
+// paper's Figure 4 algorithm:
 //
 //   for each cluster c (in execution order):
 //     allocate shared data first (top end, farthest-future sharer first)
@@ -12,15 +12,39 @@
 //     at cluster end: emit stores for outgoing results, release them,
 //       release retained objects whose occupancy span ends at c
 //
-// The walk both *plans* (produces the load/store lists and the placement of
-// every object instance) and *verifies* (fails cleanly when the round does
-// not fit the FB sets), so the schedulers use it as the ground-truth
-// feasibility check for RF and retention decisions.
+// Two walks run that one body (process_cluster in alloc_driver.cpp); they
+// differ only in how an instance takes and returns FB words:
 //
-// Output layout: flat result, schedule built once.  A cold schedule()
-// runs the walk ~10 times, and all but the last only ask "does it fit?"
-// or feed the cost model, so the walk appends its output to reusable
-// PlanScratch vectors instead of building a DataSchedule:
+//   decision walk  (decide_round)  counts the live words of each FB set.
+//                  It answers what the paper's RF and retention
+//                  decisions ask: does every cluster's
+//                  footprint fit its set, and which loads and stores does
+//                  each cluster issue (all predict_cost reads).  It
+//                  records no placements, extents or releases.
+//   placement walk (plan_round)    places every instance with the set's
+//                  FrameBufferAllocator (§5: dual-ended first-fit,
+//                  regularity hints, splitting as a last resort) and also
+//                  records placements, releases and an AllocSummary.  It
+//                  runs only where a DataSchedule is built (to_schedule).
+//
+// Why the decision walk is exact.  Every walk allows splitting, so
+// FrameBufferAllocator::allocate_into fails only when its set's
+// free_words() < size (fb_allocator.cpp, step 3): the regularity hint,
+// the fit policy and splitting choose *where* an instance goes, never
+// *whether* it fits.  A placement walk therefore fits iff the live words
+// of each set never exceed fb_set_size at an allocation, which is exactly
+// the decision walk's test, for every fit policy and hint setting.  Both
+// walks emit the same loads and stores, since neither depends on
+// addresses, and a failing pair stops at the same allocation with the same
+// fail_reason.  Both keep the walk's invariants: a zero-word request, a
+// double allocation and a release of a dead instance throw, and the FB
+// drains by round end.  tests/dsched/decision_walk_test.cpp checks the
+// agreement over the fuzz corpus, Table 1 and the cold-compile family.
+//
+// Output layout: flat results, schedule built once.  A cold schedule()
+// runs ~10 decision walks and one placement walk, so the walks append
+// their output to reusable PlanScratch vectors instead of building a
+// DataSchedule:
 //
 //   loads / stores / releases   one array each, cluster after cluster;
 //                               cluster_ends[c] holds the end offsets of
@@ -31,11 +55,11 @@
 //                               order (a release only zeroes the live
 //                               slot, so the pool never loses an extent)
 //
-// A successful walk copies those arrays into a DriverResult with one
-// exactly-sized allocation each; a failed one returns only ok,
-// fail_reason and summary.  to_schedule() turns the one result a
-// scheduler ships into a DataSchedule (round_plan vectors and the
-// placements map); every other walk is priced or discarded as is.
+// A successful walk copies its arrays into a RoundDecision (decision walk:
+// loads and stores) or a DriverResult (placement walk: everything) with
+// one exactly-sized allocation each; a failed one returns only ok and
+// fail_reason (and, placed, the summary).  Only a DriverResult converts to
+// a DataSchedule, so to_schedule() cannot be handed a decision.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +92,12 @@ struct ClusterEnds {
   std::uint32_t releases{0};
 };
 
-/// Reusable scratch memory for plan_round.  A cold schedule() runs the
+/// Reusable scratch memory for both walks.  A cold schedule() runs the
 /// Figure-4 walk many times (RF probes, the cost scan, retention's prefix
-/// probes); the scratch keeps the walk's live table in arena storage and
-/// its output in vectors that are cleared per walk but keep their
-/// capacity, so a steady-state walk allocates only the flat copy of a
-/// successful result.
+/// probes, the placement of the winner); the scratch keeps the walk's live
+/// table in arena storage and its output in vectors that are cleared per
+/// walk but keep their capacity, so a steady-state walk allocates only the
+/// flat copy of a successful result.
 /// Not thread-safe: one per PlanCache / schedule() call (concurrent
 /// compiles each own their own, which is what makes the cold batch path
 /// scale instead of serializing on the global allocator).
@@ -98,18 +122,25 @@ struct DriverOptions {
   /// all of its data and results simultaneously.
   bool release_at_last_use{true};
   /// Retry the previous iteration's neighbouring address first (§5's
-  /// regularity policy).  Off only for the allocation ablation.
+  /// regularity policy).  Off for the DS+split rung and the allocation
+  /// ablation.  Placement only, like `fit`: no decision depends on them.
   bool regularity_hints{true};
   alloc::FitPolicy fit{alloc::FitPolicy::kFirstFit};
-  /// Allow splitting an object across free blocks (§5 last resort).
-  bool allow_split{true};
 };
 
+class RoundDecision;
 class DriverResult;
 
-/// Runs the Figure-4 walk over one steady round (RF iterations of every
-/// cluster) against `fb_set_size`-word allocators for both FB sets.
+/// The decision walk over one steady round (RF iterations of every
+/// cluster) against two `fb_set_size`-word FB sets: ok, fail_reason and
+/// the per-cluster loads and stores.  Counted by `dsched.plan.rounds`.
 /// `scratch` is reset on entry and reused across calls.
+[[nodiscard]] RoundDecision decide_round(const extract::ScheduleAnalysis& analysis,
+                                         SizeWords fb_set_size, const DriverOptions& options,
+                                         PlanScratch& scratch);
+
+/// The placement walk over the same round, against `fb_set_size`-word
+/// allocators for both FB sets.  Counted by `dsched.plan.placements`.
 [[nodiscard]] DriverResult plan_round(const extract::ScheduleAnalysis& analysis,
                                       SizeWords fb_set_size, const DriverOptions& options,
                                       PlanScratch& scratch);
@@ -118,13 +149,12 @@ class DriverResult;
 [[nodiscard]] DriverResult plan_round(const extract::ScheduleAnalysis& analysis,
                                       SizeWords fb_set_size, const DriverOptions& options);
 
-/// The outcome of one walk, flat: per-cluster spans into shared arrays.
-/// Empty unless `ok`.
-class DriverResult {
+/// The outcome of a decision walk, flat: per-cluster spans into shared
+/// arrays.  Empty unless `ok`.
+class RoundDecision {
  public:
   bool ok{false};
   std::string fail_reason;
-  AllocSummary summary;
 
   [[nodiscard]] std::size_t cluster_count() const { return cluster_ends_.size(); }
   [[nodiscard]] std::span<const ObjInstance> loads(ClusterId c) const {
@@ -133,6 +163,33 @@ class DriverResult {
   [[nodiscard]] std::span<const StoreEvent> stores(ClusterId c) const {
     return slice(stores_, &ClusterEnds::stores, c);
   }
+
+ protected:
+  template <class T>
+  [[nodiscard]] std::span<const T> slice(const std::vector<T>& all,
+                                         std::uint32_t ClusterEnds::*field,
+                                         ClusterId c) const {
+    const std::uint32_t begin = c.index() == 0 ? 0 : cluster_ends_[c.index() - 1].*field;
+    return std::span<const T>(all).subspan(begin, cluster_ends_[c.index()].*field - begin);
+  }
+  /// Copies the scratch's cluster ends, loads and stores.
+  void assign_flat(const PlanScratch& scratch);
+
+ private:
+  friend RoundDecision decide_round(const extract::ScheduleAnalysis&, SizeWords,
+                                    const DriverOptions&, PlanScratch&);
+
+  std::vector<ClusterEnds> cluster_ends_;  // indexed by ClusterId
+  std::vector<ObjInstance> loads_;
+  std::vector<StoreEvent> stores_;
+};
+
+/// The outcome of a placement walk: the decision plus every release and
+/// placement.  Empty unless `ok`, apart from `summary`.
+class DriverResult : public RoundDecision {
+ public:
+  AllocSummary summary;
+
   [[nodiscard]] std::span<const ReleaseEvent> releases(ClusterId c) const {
     return slice(releases_, &ClusterEnds::releases, c);
   }
@@ -146,25 +203,14 @@ class DriverResult {
   friend DriverResult plan_round(const extract::ScheduleAnalysis&, SizeWords,
                                  const DriverOptions&, PlanScratch&);
 
-  template <class T>
-  [[nodiscard]] std::span<const T> slice(const std::vector<T>& all,
-                                         std::uint32_t ClusterEnds::*field,
-                                         ClusterId c) const {
-    const std::uint32_t begin = c.index() == 0 ? 0 : cluster_ends_[c.index() - 1].*field;
-    return std::span<const T>(all).subspan(begin, cluster_ends_[c.index()].*field - begin);
-  }
-
-  std::vector<ClusterEnds> cluster_ends_;  // indexed by ClusterId
-  std::vector<ObjInstance> loads_;
-  std::vector<StoreEvent> stores_;
   std::vector<ReleaseEvent> releases_;
   std::vector<PlacementRecord> placements_;
   std::vector<Extent> extents_;
 };
 
-/// Builds the DataSchedule of a successful walk planned with `options`:
-/// one round_plan entry per cluster and a pre-sized placements map.  The
-/// only place a walk becomes a schedule.
+/// Builds the DataSchedule of a successful placement walk planned with
+/// `options`: one round_plan entry per cluster and a pre-sized placements
+/// map.  The only place a walk becomes a schedule.
 [[nodiscard]] DataSchedule to_schedule(const DriverResult& result, std::string scheduler_name,
                                        const model::KernelSchedule& sched,
                                        const DriverOptions& options);

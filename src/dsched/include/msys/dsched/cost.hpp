@@ -67,13 +67,13 @@ struct CostBreakdown {
                                          const arch::M1Config& cfg,
                                          const csched::ContextPlan& ctx_plan);
 
-/// Prices one planning walk directly, without building a DataSchedule:
-/// the RF scan and the annealer cost many walks of which at most one
-/// becomes a schedule.  `plan` must be a successful walk at `rf` over
-/// `sched`.  Both overloads run the same core over per-cluster load/store
-/// spans, so they agree exactly on the same plan.
+/// Prices one walk directly, without building a DataSchedule: the RF scan
+/// and the annealer price many decision walks of which at most one becomes
+/// a schedule.  `plan` must be a successful walk (decision or placement)
+/// at `rf` over `sched`.  Both overloads run the same core over
+/// per-cluster load/store spans, so they agree exactly on the same plan.
 [[nodiscard]] CostBreakdown predict_cost(const model::KernelSchedule& sched,
-                                         std::uint32_t rf, const DriverResult& plan,
+                                         std::uint32_t rf, const RoundDecision& plan,
                                          const arch::M1Config& cfg,
                                          const csched::ContextPlan& ctx_plan);
 

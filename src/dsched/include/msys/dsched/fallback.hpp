@@ -8,9 +8,18 @@
 //   1. CDS          — retention + RF (the paper's Complete Data Scheduler)
 //   2. DS           — RF only, no inter-cluster retention
 //   3. Basic        — RF = 1, no within-cluster replacement
-//   4. DS+split     — RF = 1 with best-fit placement and multi-extent
-//                     splitting forced on: the last-resort packing mode
-//                     for workloads that first-fit fragmentation kills
+//   4. DS+split     — DS at RF = 1 with nothing retained, placed
+//                     best-fit with no regularity hints
+//
+// Every walk may split an object across free blocks, so a walk fails only
+// when a set's live words exceed it (alloc_driver.hpp), and no placement
+// policy can rescue a decision.  CDS fails only when its RF-1 walk with
+// nothing retained fails, which is DS's first walk and DS+split's only
+// one, and Basic, which releases nothing early, holds at least as many
+// live words: after a CDS or DS entry no later rung rescues an input
+// (tests/dsched/fallback_ladder_test.cpp).  DS+split can still rescue a
+// chain entered at Basic.  The rungs share one PlanCache, so a chain that
+// fails everywhere walks twice: CDS's RF-1 walk and Basic's.
 //
 // Every rung records whether it was attempted, whether it succeeded and
 // why it failed, so callers (report::runner, msysc) can print the chain.

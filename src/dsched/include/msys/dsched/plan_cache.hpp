@@ -1,37 +1,43 @@
-// Memoization of the Figure-4 planning walk over one scheduler run.
+// Memoization of the decision walk over one scheduler run or fallback
+// chain.
 //
-// A single cold schedule() performs many plan_round calls over a small
+// A single cold schedule() performs many decision walks over a small
 // option space: compute_max_rf probes RF feasibility, pick_rf_by_cost
-// re-plans every candidate RF, and §4's retention walks the remaining
+// prices every candidate RF, and §4's retention walks the remaining
 // candidates and binary-searches the longest prefix that fits whenever
 // they do not (one walk per candidate with cross-set reads).  Several of
-// those calls repeat an (RF, retained-set) pair the walk has already
-// planned — most notably the final re-plan at the chosen RF, and the
-// empty-retained-set plan at each RF the feasibility search already
-// probed.  PlanCache memoizes the walk on exactly the options that vary
-// within one schedule() call (RF, the retained set, and the driver
-// flags), so identical options return the stored DriverResult instead of
-// re-running an O(clusters · kernels · RF) walk that drives the
-// allocator.
+// those calls repeat an (RF, retained-set) pair already walked — most
+// notably the re-plan at the chosen RF, and the empty-retained-set walk at
+// each RF the feasibility search already probed.  A fallback chain shares
+// one PlanCache across its rungs, so DS repeats CDS's walks as hits and
+// DS+split's RF-1 walk is DS's.  PlanCache memoizes the decision walk on
+// exactly what it depends on — RF, the retained set and
+// release_at_last_use; the fit policy and regularity hints steer only the
+// placement walk — so identical decisions return the stored RoundDecision
+// instead of re-running an O(clusters · kernels · RF) walk.  Each entry
+// also memoizes its predicted total cycles, computed on its first price().
 //
-// plan_round is a pure function of (analysis, fb_set_size, options), so a
-// memo hit is byte-identical to a recompute — the schedulers' outputs are
-// provably unchanged (tests/dsched/rf_search_property_test.cpp replays the
-// fuzz corpus against unmemoized references).
+// decide_round is a pure function of (analysis, fb_set_size, options), so
+// a memo hit is byte-identical to a recompute — the schedulers' outputs
+// are provably unchanged (tests/dsched/rf_search_property_test.cpp replays
+// the fuzz corpus against unmemoized references).
 //
-// What the memo holds: flat DriverResults (see alloc_driver.hpp) — six
-// exactly-sized arrays per successful walk, and only ok/fail_reason/summary
-// for a failed one.  No DataSchedule is built here; callers price a walk
-// through the reference plan() returns and turn at most one into a
-// schedule with to_schedule().
+// What the memo holds: flat RoundDecisions (see alloc_driver.hpp) — three
+// exactly-sized arrays per successful walk, and only ok/fail_reason for a
+// failed one.  No DataSchedule is built from them; schedule() runs the one
+// placement walk a scheduler ships.
 //
-// Scope: one PlanCache per schedule() call, on the stack.  Not
-// thread-safe; concurrent schedule() calls each own their cache.
+// Scope: one PlanCache per schedule() call or fallback chain, on the
+// stack.  Not thread-safe; concurrent compiles each own their cache.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <unordered_map>
 
+#include "msys/arch/m1.hpp"
+#include "msys/csched/context_plan.hpp"
 #include "msys/dsched/alloc_driver.hpp"
 #include "msys/extract/analysis.hpp"
 
@@ -44,20 +50,35 @@ class PlanCache {
   /// island) pass their own `capacity`.
   static constexpr std::size_t kDefaultCapacity = 4096;
 
-  PlanCache(const extract::ScheduleAnalysis& analysis, SizeWords fb_set_size,
+  PlanCache(const extract::ScheduleAnalysis& analysis, const arch::M1Config& cfg,
             std::size_t capacity = kDefaultCapacity)
-      : analysis_(&analysis), fb_set_size_(fb_set_size), capacity_(capacity) {}
+      : analysis_(&analysis), cfg_(cfg), capacity_(capacity) {}
   /// Flushes the hit/miss/eviction tallies to the process-wide obs
-  /// counters — one batched add per schedule() instead of an atomic RMW on
-  /// shared cache lines per plan() call.
+  /// counters — one batched add per cache instead of an atomic RMW on
+  /// shared cache lines per lookup.
   ~PlanCache();
 
-  /// The memoized Figure-4 walk for `options`; computes and stores on
+  /// The memoized decision walk for `options`; computes and stores on
   /// miss.  Reference lifetime: valid until the cache is destroyed or the
-  /// next plan() call that misses past the entry bound (which overwrites
-  /// the overflow slot), so read or to_schedule() it before planning again
-  /// when the cache may be full.
-  [[nodiscard]] const DriverResult& plan(const DriverOptions& options);
+  /// next lookup that misses past the entry bound (which overwrites the
+  /// overflow slot), so read it before looking up again when the cache
+  /// may be full.
+  [[nodiscard]] const RoundDecision& decide(const DriverOptions& options);
+
+  /// Predicted total cycles (predict_cost) of the decision walk for
+  /// `options`; nullopt when the walk does not fit or the machine's
+  /// context plan is infeasible.  One lookup, priced once per entry.
+  [[nodiscard]] std::optional<Cycles> price(const DriverOptions& options);
+
+  /// The DataSchedule of `options`, which must decide feasible: one
+  /// placement walk (not memoized; a scheduler ships one schedule), turned
+  /// into a schedule by to_schedule().
+  [[nodiscard]] DataSchedule schedule(const DriverOptions& options, std::string scheduler_name);
+
+  [[nodiscard]] const extract::ScheduleAnalysis& analysis() const { return *analysis_; }
+  /// The context plan price() runs on, built on first use (a chain that
+  /// fails at RF 1 never needs it).
+  [[nodiscard]] const csched::ContextPlan& context_plan();
 
   struct Stats {
     std::uint64_t hits{0};
@@ -75,13 +96,13 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
  private:
-  /// Everything of DriverOptions that varies within one scheduler run.
-  /// The bitset-backed retained set is order-independent by construction,
-  /// so the key is a straight copy — no sort, no index vector — and
-  /// hashing streams its words.
+  /// Everything the decision walk reads of DriverOptions.  The
+  /// bitset-backed retained set is order-independent by construction, so
+  /// the key is a straight copy — no sort, no index vector — and hashing
+  /// streams its words.
   struct Key {
     std::uint32_t rf{0};
-    std::uint8_t flags{0};
+    bool release_at_last_use{true};
     extract::RetainedSet retained;
 
     friend bool operator==(const Key&, const Key&) = default;
@@ -89,20 +110,27 @@ class PlanCache {
   struct KeyHash {
     [[nodiscard]] std::size_t operator()(const Key& k) const;
   };
+  struct Entry {
+    RoundDecision decision;
+    /// price()'s memo: set on the first price() of the entry.
+    bool priced{false};
+    std::optional<Cycles> total;
+  };
 
-  [[nodiscard]] static Key make_key(const DriverOptions& options);
+  [[nodiscard]] Entry& entry(const DriverOptions& options);
 
   const extract::ScheduleAnalysis* analysis_;
-  SizeWords fb_set_size_;
+  arch::M1Config cfg_;
   /// Entry bound: past it, results are computed into `overflow_` instead
   /// of stored (counted as evictions), so a degenerate option space cannot
   /// hold every walk ever planned in memory.
   std::size_t capacity_;
-  std::unordered_map<Key, DriverResult, KeyHash> memo_;
-  DriverResult overflow_;
+  std::unordered_map<Key, Entry, KeyHash> memo_;
+  Entry overflow_;
+  std::optional<csched::ContextPlan> ctx_plan_;
   Stats stats_;
-  /// Walk scratch reused across every plan_round this cache issues; the
-  /// cache's single-schedule(), single-thread scope is exactly the arena's.
+  /// Walk scratch reused across every walk this cache issues; the cache's
+  /// single-thread scope is exactly the arena's.
   PlanScratch scratch_;
 };
 

@@ -37,36 +37,31 @@ class DataSchedulerBase {
  public:
   virtual ~DataSchedulerBase() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Produces the data schedule (possibly infeasible) for `analysis` on
-  /// machine `cfg`.  `cancel` is polled at the RF-scan and retention-loop
-  /// boundaries; a firing yields a cancelled (infeasible) schedule rather
-  /// than an exception.
-  [[nodiscard]] virtual DataSchedule schedule(const extract::ScheduleAnalysis& analysis,
-                                              const arch::M1Config& cfg,
+  /// Produces the data schedule (possibly infeasible) for the analysis and
+  /// machine of `plans`, deciding through that memo (a fallback chain
+  /// hands one to every rung).  `cancel` is polled at the RF-scan and
+  /// retention-loop boundaries; a firing yields a cancelled (infeasible)
+  /// schedule rather than an exception.
+  [[nodiscard]] virtual DataSchedule schedule(PlanCache& plans,
                                               const CancelToken& cancel) const = 0;
-  /// Convenience overload with no cancellation.
+  /// Same, on a plan memo of its own for `analysis` on machine `cfg`.
   [[nodiscard]] DataSchedule schedule(const extract::ScheduleAnalysis& analysis,
-                                      const arch::M1Config& cfg) const {
-    return schedule(analysis, cfg, CancelToken{});
-  }
+                                      const arch::M1Config& cfg,
+                                      const CancelToken& cancel = {}) const;
 };
 
 class BasicScheduler final : public DataSchedulerBase {
  public:
   using DataSchedulerBase::schedule;
   [[nodiscard]] std::string name() const override { return "Basic"; }
-  [[nodiscard]] DataSchedule schedule(const extract::ScheduleAnalysis& analysis,
-                                      const arch::M1Config& cfg,
-                                      const CancelToken& cancel) const override;
+  [[nodiscard]] DataSchedule schedule(PlanCache& plans, const CancelToken& cancel) const override;
 };
 
 class DataScheduler final : public DataSchedulerBase {
  public:
   using DataSchedulerBase::schedule;
   [[nodiscard]] std::string name() const override { return "DS"; }
-  [[nodiscard]] DataSchedule schedule(const extract::ScheduleAnalysis& analysis,
-                                      const arch::M1Config& cfg,
-                                      const CancelToken& cancel) const override;
+  [[nodiscard]] DataSchedule schedule(PlanCache& plans, const CancelToken& cancel) const override;
 };
 
 class CompleteDataScheduler final : public DataSchedulerBase {
@@ -93,22 +88,19 @@ class CompleteDataScheduler final : public DataSchedulerBase {
 
   using DataSchedulerBase::schedule;
   [[nodiscard]] std::string name() const override { return "CDS"; }
-  [[nodiscard]] DataSchedule schedule(const extract::ScheduleAnalysis& analysis,
-                                      const arch::M1Config& cfg,
-                                      const CancelToken& cancel) const override;
+  [[nodiscard]] DataSchedule schedule(PlanCache& plans, const CancelToken& cancel) const override;
 
-  /// schedule()'s RF and retained set, planned through the caller's memo
-  /// `plans` over `analysis`; nullopt when even RF = 1 does not fit.  If
-  /// `cancel` fires the result is partial; the caller checks the token.
-  [[nodiscard]] std::optional<DriverOptions> decide(const extract::ScheduleAnalysis& analysis,
-                                                    const arch::M1Config& cfg, PlanCache& plans,
+  /// schedule()'s RF and retained set, decided through the caller's memo
+  /// `plans`; nullopt when even RF = 1 does not fit.  If `cancel` fires the
+  /// result is partial; the caller checks the token.
+  [[nodiscard]] std::optional<DriverOptions> decide(PlanCache& plans,
                                                     const CancelToken& cancel = {}) const;
 
  private:
   Options options_{};
 };
 
-/// Largest common RF (<= total_iterations) for which the Figure-4 walk
+/// Largest common RF (<= total_iterations) for which the decision walk
 /// succeeds on both FB sets with the given base options; returns 0 when
 /// even RF = 1 does not fit.  Feasibility is monotone in RF, so the search
 /// is an exponential probe + binary search — O(log max_rf) walks, not the
@@ -123,20 +115,18 @@ class CompleteDataScheduler final : public DataSchedulerBase {
 
 /// Same search against a caller-owned plan memo, so a scheduler's later
 /// re-plans at probed RFs become cache hits instead of fresh walks.
-[[nodiscard]] std::uint32_t compute_max_rf(const extract::ScheduleAnalysis& analysis,
-                                           const arch::M1Config& cfg,
-                                           DriverOptions base_options, PlanCache& plans,
+[[nodiscard]] std::uint32_t compute_max_rf(PlanCache& plans, DriverOptions base_options,
                                            const CancelToken& cancel = {});
 
-/// §4's greedy retention at the fixed RF `options.rf` (which must plan
+/// §4's greedy retention at the fixed RF `options.rf` (which must fit
 /// with nothing retained): keeps each of `candidates`, in order, iff the
-/// Figure-4 walk with it and every candidate kept before it still fits,
+/// decision walk with it and every candidate kept before it still fits,
 /// and rejects the rest.  Returns `options` with the kept set, which was
-/// planned through `plans`, so the caller reads the winning walk from the
-/// memo.  `monotone_fit` (true unless the machine reads across FB sets)
-/// decides a run of keeps in one walk and each rejection in O(log k)
-/// walks; false walks once per candidate.  If `cancel` fires, the
-/// candidates decided so far stay decided and the rest are dropped.
+/// decided through `plans`, so the caller prices it from the memo.
+/// `monotone_fit` (true unless the machine reads across FB sets) decides
+/// a run of keeps in one walk and each rejection in O(log k) walks; false
+/// walks once per candidate.  If `cancel` fires, the candidates decided so
+/// far stay decided and the rest are dropped.
 [[nodiscard]] DriverOptions retain_at_rf(std::span<const extract::RetentionCandidate> candidates,
                                          DriverOptions options, bool monotone_fit,
                                          PlanCache& plans, const CancelToken& cancel = {});

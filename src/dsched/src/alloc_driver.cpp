@@ -1,6 +1,7 @@
 #include "msys/dsched/alloc_driver.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "msys/common/error.hpp"
 #include "msys/common/strfmt.hpp"
@@ -18,33 +19,49 @@ using model::Cluster;
 namespace {
 
 /// One (FB set, data, iter) instance in the walk's flat live table.
-/// extent_count == 0 means the instance is not FB-resident; otherwise its
-/// placement is extent_pool[extent_begin .. extent_begin + extent_count).
 struct LiveSlot {
+  bool live{false};
+  /// Placement walk only: the ClusterId index at allocation time, and the
+  /// instance's extents, extent_pool[extent_begin .. + extent_count).
+  std::uint32_t placed_by{0};
   std::uint32_t extent_begin{0};
   std::uint32_t extent_count{0};
-  std::uint32_t placed_by{0};  ///< ClusterId index at allocation time
 };
 
-/// Mutable walk state shared across clusters of the round.  All
+/// The placement walk's FB sets: one allocator each.
+struct SetAllocators {
+  FrameBufferAllocator sets[2];
+
+  SetAllocators(SizeWords fbs, alloc::FitPolicy fit)
+      : sets{FrameBufferAllocator(fbs, fit), FrameBufferAllocator(fbs, fit)} {}
+};
+
+/// The decision walk's FB sets: live words each.
+struct SetWords {
+  std::uint64_t capacity;
+  std::uint64_t used[2] = {0, 0};
+
+  SetWords(SizeWords fbs, alloc::FitPolicy /*placement only*/) : capacity(fbs.value()) {}
+};
+
+/// Mutable walk state shared across clusters of the round: the placement
+/// walk when `Place`, else the decision walk (see the header).  All
 /// bookkeeping and output live in the caller's PlanScratch — a flat
 /// arena-backed live table indexed by (set, data, iter), a pooled extent
 /// vector and the flat load/store/release/placement arrays — so once the
 /// scratch has grown to the workload the walk never touches the heap.
+template <bool Place>
 struct Walk {
   const ScheduleAnalysis* analysis;
   const DriverOptions* options;
   PlanScratch* scratch;
-  FrameBufferAllocator allocators[2];
+  std::conditional_t<Place, SetAllocators, SetWords> fb;
   std::span<LiveSlot> live;
   std::uint32_t data_count{0};
   std::size_t live_count{0};
 
   Walk(const ScheduleAnalysis& a, SizeWords fbs, const DriverOptions& opt, PlanScratch& s)
-      : analysis(&a),
-        options(&opt),
-        scratch(&s),
-        allocators{FrameBufferAllocator(fbs, opt.fit), FrameBufferAllocator(fbs, opt.fit)} {
+      : analysis(&a), options(&opt), scratch(&s), fb(fbs, opt.fit) {
     scratch->arena.reset();
     scratch->extent_pool.clear();
     scratch->loads.clear();
@@ -86,44 +103,57 @@ struct Walk {
   }
 
   /// Allocates one instance of `d` from `end` into `set`; false on
-  /// out-of-space.  Consecutive instances get the §5 regularity hint: the
-  /// address right below (top end) / above (bottom end) of the previous
-  /// instance, so iterations land adjacently as in the paper's Figure 5.
-  /// The hint is copied to stack storage because allocate_into appends to
-  /// the extent pool the previous instance's extents live in.
+  /// out-of-space.  The placement walk gives consecutive instances the §5
+  /// regularity hint: the address right below (top end) / above (bottom
+  /// end) of the previous instance, so iterations land adjacently as in
+  /// the paper's Figure 5.  The hint is copied to stack storage because
+  /// allocate_into appends to the extent pool the previous instance's
+  /// extents live in.  The decision walk only counts words, with the
+  /// allocator's own zero-word check and out-of-space test.
   bool allocate_one(ClusterId cluster, DataId d, std::uint32_t iter, FbSet set, AllocEnd end,
                     const char* dup_msg) {
     const SizeWords size = app().data(d).size;
-    FrameBufferAllocator& fb = allocators[static_cast<std::size_t>(set)];
-    Extent hint_storage;
-    std::span<const Extent> hint;
-    if (options->regularity_hints && iter > 0) {
-      const LiveSlot& prev = slot(set, d, iter - 1);
-      if (prev.extent_count == 1) {
-        const Extent p = extents_of(prev).front();
-        if (end == AllocEnd::kTop && p.begin() >= size.value()) {
-          hint_storage = Extent{p.begin() - size.value(), size};
-          hint = {&hint_storage, 1};
-        } else if (end == AllocEnd::kBottom) {
-          hint_storage = Extent{p.end(), size};
-          hint = {&hint_storage, 1};
+    const auto set_index = static_cast<std::size_t>(set);
+    std::size_t begin = 0;
+    std::size_t n = 0;
+    if constexpr (Place) {
+      Extent hint_storage;
+      std::span<const Extent> hint;
+      if (options->regularity_hints && iter > 0) {
+        const LiveSlot& prev = slot(set, d, iter - 1);
+        if (prev.extent_count == 1) {
+          const Extent p = extents_of(prev).front();
+          if (end == AllocEnd::kTop && p.begin() >= size.value()) {
+            hint_storage = Extent{p.begin() - size.value(), size};
+            hint = {&hint_storage, 1};
+          } else if (end == AllocEnd::kBottom) {
+            hint_storage = Extent{p.end(), size};
+            hint = {&hint_storage, 1};
+          }
         }
       }
+      std::vector<Extent>& pool = scratch->extent_pool;
+      begin = pool.size();
+      n = fb.sets[set_index].allocate_into(size, end, hint, /*allow_split=*/true, pool);
+      if (n == 0) return false;
+    } else {
+      MSYS_REQUIRE(size.value() > 0, "cannot allocate zero words");
+      if (fb.used[set_index] + size.value() > fb.capacity) return false;
+      fb.used[set_index] += size.value();
     }
-    std::vector<Extent>& pool = scratch->extent_pool;
-    const std::size_t begin = pool.size();
-    const std::size_t n = fb.allocate_into(size, end, hint, options->allow_split, pool);
-    if (n == 0) return false;
     LiveSlot& s = slot(set, d, iter);
-    MSYS_REQUIRE(s.extent_count == 0, dup_msg);
-    s.extent_begin = static_cast<std::uint32_t>(begin);
-    s.extent_count = static_cast<std::uint32_t>(n);
-    s.placed_by = cluster.index();
+    MSYS_REQUIRE(!s.live, dup_msg);
+    s.live = true;
     ++live_count;
-    scratch->placements.push_back(PlacementRecord{.key = DataSchedule::key(cluster, {d, iter}),
-                                                  .extent_begin = s.extent_begin,
-                                                  .extent_count = s.extent_count,
-                                                  .set = set});
+    if constexpr (Place) {
+      s.placed_by = cluster.index();
+      s.extent_begin = static_cast<std::uint32_t>(begin);
+      s.extent_count = static_cast<std::uint32_t>(n);
+      scratch->placements.push_back(PlacementRecord{.key = DataSchedule::key(cluster, {d, iter}),
+                                                    .extent_begin = s.extent_begin,
+                                                    .extent_count = s.extent_count,
+                                                    .set = set});
+    }
     return true;
   }
 
@@ -138,22 +168,28 @@ struct Walk {
     return true;
   }
 
-  /// Frees the instance's FB words.  When `record` is set, a ReleaseEvent
-  /// replayable by code generation is appended to the current cluster's
-  /// releases.
+  /// Frees the instance's FB words.  When `record` is set, the placement
+  /// walk appends a ReleaseEvent replayable by code generation to the
+  /// current cluster's releases.
   void release_instance(DataId d, std::uint32_t iter, FbSet set, bool record,
                         std::uint32_t trigger_kernel, std::uint32_t trigger_iter) {
     LiveSlot& s = slot(set, d, iter);
-    MSYS_REQUIRE(s.extent_count != 0, "releasing an instance that is not live");
-    allocators[static_cast<std::size_t>(set)].release_span(extents_of(s));
-    if (record) {
-      scratch->releases.push_back(
-          ReleaseEvent{.trigger_kernel = trigger_kernel,
-                       .trigger_iter = trigger_iter,
-                       .inst = {d, iter},
-                       .placement_cluster = ClusterId{s.placed_by}});
+    MSYS_REQUIRE(s.live, "releasing an instance that is not live");
+    const auto set_index = static_cast<std::size_t>(set);
+    if constexpr (Place) {
+      fb.sets[set_index].release_span(extents_of(s));
+      if (record) {
+        scratch->releases.push_back(
+            ReleaseEvent{.trigger_kernel = trigger_kernel,
+                         .trigger_iter = trigger_iter,
+                         .inst = {d, iter},
+                         .placement_cluster = ClusterId{s.placed_by}});
+      }
+      s.extent_count = 0;
+    } else {
+      fb.used[set_index] -= app().data(d).size.value();
     }
-    s.extent_count = 0;
+    s.live = false;
     --live_count;
   }
 
@@ -164,10 +200,21 @@ struct Walk {
     }
   }
 
-  [[nodiscard]] AllocSummary summary() const {
+  /// True when both FB sets are empty again.
+  [[nodiscard]] bool drained() const {
+    if constexpr (Place) {
+      return fb.sets[0].all_free() && fb.sets[1].all_free();
+    } else {
+      return fb.used[0] == 0 && fb.used[1] == 0;
+    }
+  }
+
+  [[nodiscard]] AllocSummary summary() const
+    requires Place
+  {
     AllocSummary out;
     for (std::size_t s = 0; s < 2; ++s) {
-      const FrameBufferAllocator::Stats& st = allocators[s].stats();
+      const FrameBufferAllocator::Stats& st = fb.sets[s].stats();
       out.allocations += st.allocations;
       out.splits += st.splits;
       out.preferred_hits += st.preferred_hits;
@@ -178,7 +225,8 @@ struct Walk {
   }
 };
 
-bool process_cluster(Walk& walk, ClusterId cluster_id) {
+template <bool Place>
+bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
   const ScheduleAnalysis& analysis = *walk.analysis;
   const model::Application& app = walk.app();
   const DriverOptions& opt = *walk.options;
@@ -201,7 +249,7 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
     std::uint64_t priority;
   };
   std::span<PendingLoad> pending =
-      walk.scratch->arena.alloc_array<PendingLoad>(flow.inputs.size());
+      emit.arena.alloc_array<PendingLoad>(flow.inputs.size());
   std::size_t n_pending = 0;
   for (DataId in : flow.inputs) {
     if (walk.reads_in_place(in, set)) {
@@ -213,7 +261,7 @@ bool process_cluster(Walk& walk, ClusterId cluster_id) {
         // no allocation.  With cross-set reads the home set may differ
         // from this cluster's set.
         for (std::uint32_t iter = 0; iter < opt.rf; ++iter) {
-          MSYS_REQUIRE(walk.slot(cand.set, in, iter).extent_count != 0,
+          MSYS_REQUIRE(walk.slot(cand.set, in, iter).live,
                        "retained object must already be FB-resident");
         }
         continue;
@@ -349,42 +397,65 @@ std::string fit_failure_reason(ClusterId cluster, SizeWords fb_set_size, std::ui
   return reason;
 }
 
-}  // namespace
-
-DriverResult plan_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
-                        const DriverOptions& options, PlanScratch& scratch) {
-  MSYS_REQUIRE(options.rf >= 1, "RF must be at least 1");
-  static obs::Counter& rounds = obs::counter("dsched.plan.rounds");
-  static obs::Gauge& arena_reserved = obs::gauge("dsched.plan.arena_reserved_bytes");
-  rounds.add();
-
-  Walk walk(analysis, fb_set_size, options, scratch);
-  DriverResult result;
-  for (const Cluster& cluster : analysis.sched().clusters()) {
+/// Walks every cluster of the round; false, with `fail_reason` set, at
+/// the first allocation that does not fit.
+template <bool Place>
+bool walk_round(Walk<Place>& walk, SizeWords fb_set_size, std::string& fail_reason) {
+  MSYS_REQUIRE(walk.options->rf >= 1, "RF must be at least 1");
+  for (const Cluster& cluster : walk.analysis->sched().clusters()) {
     if (!process_cluster(walk, cluster.id)) {
-      result.fail_reason = fit_failure_reason(cluster.id, fb_set_size, options.rf);
-      result.summary = walk.summary();
-      arena_reserved.update_max(
-          static_cast<std::int64_t>(scratch.arena.stats().bytes_reserved));
-      return result;
+      fail_reason = fit_failure_reason(cluster.id, fb_set_size, walk.options->rf);
+      return false;
     }
   }
-
   // A steady round must leave the FB empty: every retained span ends
   // within the round, so a non-empty FB means a liveness bug.
   MSYS_REQUIRE(walk.live_count == 0, "objects leaked past the end of the round");
-  MSYS_REQUIRE(walk.allocators[0].all_free() && walk.allocators[1].all_free(),
-               "allocators must drain by round end");
-  result.ok = true;
-  result.summary = walk.summary();
-  // One exactly-sized copy per array; the scratch keeps its capacity.
-  result.cluster_ends_.assign(scratch.cluster_ends.begin(), scratch.cluster_ends.end());
-  result.loads_.assign(scratch.loads.begin(), scratch.loads.end());
-  result.stores_.assign(scratch.stores.begin(), scratch.stores.end());
-  result.releases_.assign(scratch.releases.begin(), scratch.releases.end());
-  result.placements_.assign(scratch.placements.begin(), scratch.placements.end());
-  result.extents_.assign(scratch.extent_pool.begin(), scratch.extent_pool.end());
+  MSYS_REQUIRE(walk.drained(), "FB sets must drain by round end");
+  return true;
+}
+
+void note_arena(const PlanScratch& scratch) {
+  static obs::Gauge& arena_reserved = obs::gauge("dsched.plan.arena_reserved_bytes");
   arena_reserved.update_max(static_cast<std::int64_t>(scratch.arena.stats().bytes_reserved));
+}
+
+}  // namespace
+
+void RoundDecision::assign_flat(const PlanScratch& scratch) {
+  // One exactly-sized copy per array; the scratch keeps its capacity.
+  cluster_ends_.assign(scratch.cluster_ends.begin(), scratch.cluster_ends.end());
+  loads_.assign(scratch.loads.begin(), scratch.loads.end());
+  stores_.assign(scratch.stores.begin(), scratch.stores.end());
+}
+
+RoundDecision decide_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
+                           const DriverOptions& options, PlanScratch& scratch) {
+  static obs::Counter& rounds = obs::counter("dsched.plan.rounds");
+  rounds.add();
+  Walk<false> walk(analysis, fb_set_size, options, scratch);
+  RoundDecision result;
+  result.ok = walk_round(walk, fb_set_size, result.fail_reason);
+  if (result.ok) result.assign_flat(scratch);
+  note_arena(scratch);
+  return result;
+}
+
+DriverResult plan_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
+                        const DriverOptions& options, PlanScratch& scratch) {
+  static obs::Counter& placements = obs::counter("dsched.plan.placements");
+  placements.add();
+  Walk<true> walk(analysis, fb_set_size, options, scratch);
+  DriverResult result;
+  result.ok = walk_round(walk, fb_set_size, result.fail_reason);
+  result.summary = walk.summary();
+  if (result.ok) {
+    result.assign_flat(scratch);
+    result.releases_.assign(scratch.releases.begin(), scratch.releases.end());
+    result.placements_.assign(scratch.placements.begin(), scratch.placements.end());
+    result.extents_.assign(scratch.extent_pool.begin(), scratch.extent_pool.end());
+  }
+  note_arena(scratch);
   return result;
 }
 

@@ -281,7 +281,7 @@ CostBreakdown predict_cost(const DataSchedule& schedule, const arch::M1Config& c
 }
 
 CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
-                           const DriverResult& plan, const arch::M1Config& cfg,
+                           const RoundDecision& plan, const arch::M1Config& cfg,
                            const csched::ContextPlan& ctx_plan) {
   MSYS_REQUIRE(plan.ok, "only a successful walk can be priced");
   return predict_cost_core(

@@ -6,6 +6,7 @@
 
 #include "msys/common/error.hpp"
 #include "msys/dsched/alloc_driver.hpp"
+#include "msys/dsched/plan_cache.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
 
@@ -13,22 +14,21 @@ namespace msys::dsched {
 
 namespace {
 
-/// Rung 4: the last-resort packing mode.  RF = 1 keeps the footprint
-/// minimal; best-fit plus forced multi-extent splitting recovers workloads
-/// that the paper's first-fit policy loses to fragmentation.
-DataSchedule split_rung_schedule(const extract::ScheduleAnalysis& analysis,
-                                 const arch::M1Config& cfg) {
+/// Rung 4: DS at RF = 1 with nothing retained, packed best-fit without
+/// regularity hints.  Its decision is DS's RF-1 walk (a memo hit in a
+/// chain), so it fits exactly when that walk does: only its placement
+/// differs.  It can still rescue a chain entered at Basic.
+DataSchedule split_rung_schedule(PlanCache& plans) {
   DriverOptions options;
   options.rf = 1;
   options.release_at_last_use = true;
   options.regularity_hints = false;
   options.fit = alloc::FitPolicy::kBestFit;
-  options.allow_split = true;
-  const DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
-  if (!result.ok) {
-    return infeasible("DS+split", analysis.sched(), result.fail_reason);
+  const RoundDecision& decision = plans.decide(options);
+  if (!decision.ok) {
+    return infeasible("DS+split", plans.analysis().sched(), decision.fail_reason);
   }
-  return to_schedule(result, "DS+split", analysis.sched(), options);
+  return plans.schedule(options, "DS+split");
 }
 
 /// dsched.fallback.selected.<rung>, resolved once per rung on its first
@@ -103,6 +103,9 @@ ScheduleOutcome schedule_with_fallback(const extract::ScheduleAnalysis& analysis
   chains.add();
   if (options.entry != FallbackEntry::kCDS) degraded_entries.add();
   ScheduleOutcome outcome;
+  // Every rung decides through one memo: DS repeats CDS's max-RF probes
+  // and RF pick, and DS+split's decision is DS's RF-1 walk.
+  PlanCache plans(analysis, cfg);
 
   // Rung factories, tried in order of decreasing ambition.
   struct Rung {
@@ -110,16 +113,12 @@ ScheduleOutcome schedule_with_fallback(const extract::ScheduleAnalysis& analysis
     std::function<DataSchedule()> run;
   };
   std::vector<Rung> rungs;
-  rungs.push_back({"CDS", [&] {
-                     return CompleteDataScheduler{options.cds}.schedule(analysis, cfg,
-                                                                        cancel);
-                   }});
   rungs.push_back(
-      {"DS", [&] { return DataScheduler{}.schedule(analysis, cfg, cancel); }});
-  rungs.push_back(
-      {"Basic", [&] { return BasicScheduler{}.schedule(analysis, cfg, cancel); }});
+      {"CDS", [&] { return CompleteDataScheduler{options.cds}.schedule(plans, cancel); }});
+  rungs.push_back({"DS", [&] { return DataScheduler{}.schedule(plans, cancel); }});
+  rungs.push_back({"Basic", [&] { return BasicScheduler{}.schedule(plans, cancel); }});
   if (options.enable_split_rung) {
-    rungs.push_back({"DS+split", [&] { return split_rung_schedule(analysis, cfg); }});
+    rungs.push_back({"DS+split", [&] { return split_rung_schedule(plans); }});
   }
 
   // Degraded entry: rungs above the entry point are never attempted, but

@@ -1,6 +1,9 @@
 #include "msys/dsched/plan_cache.hpp"
 
+#include <utility>
+
 #include "msys/common/hash.hpp"
+#include "msys/dsched/cost.hpp"
 #include "msys/obs/metrics.hpp"
 
 namespace msys::dsched {
@@ -32,36 +35,56 @@ PlanCache::~PlanCache() {
 std::size_t PlanCache::KeyHash::operator()(const Key& k) const {
   Hasher h;
   h.update_u64(k.rf);
-  h.update_u64(k.flags);
+  h.update_u64(k.release_at_last_use ? 1 : 0);
   hash_append(h, k.retained);
   return static_cast<std::size_t>(h.finalize());
 }
 
-PlanCache::Key PlanCache::make_key(const DriverOptions& options) {
-  Key key;
-  key.rf = options.rf;
-  key.flags = static_cast<std::uint8_t>(
-      (options.release_at_last_use ? 1U : 0U) | (options.regularity_hints ? 2U : 0U) |
-      (options.allow_split ? 4U : 0U) |
-      (options.fit == alloc::FitPolicy::kBestFit ? 8U : 0U));
-  key.retained = options.retained;
-  return key;
-}
-
-const DriverResult& PlanCache::plan(const DriverOptions& options) {
-  Key key = make_key(options);
+PlanCache::Entry& PlanCache::entry(const DriverOptions& options) {
+  Key key{.rf = options.rf,
+          .release_at_last_use = options.release_at_last_use,
+          .retained = options.retained};
   if (const auto it = memo_.find(key); it != memo_.end()) {
     ++stats_.hits;
     return it->second;
   }
   ++stats_.misses;
-  DriverResult result = plan_round(*analysis_, fb_set_size_, options, scratch_);
+  Entry fresh;
+  fresh.decision = decide_round(*analysis_, cfg_.fb_set_size, options, scratch_);
   if (memo_.size() >= capacity_) {
     ++stats_.evictions;
-    overflow_ = std::move(result);
+    overflow_ = std::move(fresh);  // also drops the previous occupant's price
     return overflow_;
   }
-  return memo_.emplace(std::move(key), std::move(result)).first->second;
+  return memo_.emplace(std::move(key), std::move(fresh)).first->second;
+}
+
+const RoundDecision& PlanCache::decide(const DriverOptions& options) {
+  return entry(options).decision;
+}
+
+const csched::ContextPlan& PlanCache::context_plan() {
+  if (!ctx_plan_) {
+    ctx_plan_ = csched::ContextPlan::build(analysis_->sched(), cfg_.cm_capacity_words);
+  }
+  return *ctx_plan_;
+}
+
+std::optional<Cycles> PlanCache::price(const DriverOptions& options) {
+  Entry& e = entry(options);
+  if (!e.priced) {
+    e.priced = true;
+    const csched::ContextPlan& ctx = context_plan();
+    if (e.decision.ok && ctx.feasible()) {
+      e.total = predict_cost(analysis_->sched(), options.rf, e.decision, cfg_, ctx).total;
+    }
+  }
+  return e.total;
+}
+
+DataSchedule PlanCache::schedule(const DriverOptions& options, std::string scheduler_name) {
+  return to_schedule(plan_round(*analysis_, cfg_.fb_set_size, options, scratch_),
+                     std::move(scheduler_name), analysis_->sched(), options);
 }
 
 }  // namespace msys::dsched

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "msys/common/error.hpp"
-#include "msys/csched/context_plan.hpp"
-#include "msys/dsched/cost.hpp"
 #include "msys/dsched/plan_cache.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
@@ -16,19 +14,17 @@ using extract::ScheduleAnalysis;
 
 std::uint32_t compute_max_rf(const ScheduleAnalysis& analysis, const arch::M1Config& cfg,
                              DriverOptions base_options, const CancelToken& cancel) {
-  PlanCache plans(analysis, cfg.fb_set_size);
-  return compute_max_rf(analysis, cfg, std::move(base_options), plans, cancel);
+  PlanCache plans(analysis, cfg);
+  return compute_max_rf(plans, std::move(base_options), cancel);
 }
 
-std::uint32_t compute_max_rf(const ScheduleAnalysis& analysis,
-                             const arch::M1Config& /*cfg: PlanCache carries fb_set_size*/,
-                             DriverOptions base_options, PlanCache& plans,
+std::uint32_t compute_max_rf(PlanCache& plans, DriverOptions base_options,
                              const CancelToken& cancel) {
-  const std::uint32_t max_rf = analysis.app().total_iterations();
+  const std::uint32_t max_rf = plans.analysis().app().total_iterations();
   if (max_rf == 0) return 0;
   auto feasible = [&](std::uint32_t rf) {
     base_options.rf = rf;
-    return plans.plan(base_options).ok;
+    return plans.decide(base_options).ok;
   };
   // RF feasibility is monotone: RF+1 keeps strictly more instances live at
   // every point of the walk than RF, so once a walk fails every larger RF
@@ -64,15 +60,13 @@ std::uint32_t compute_max_rf(const ScheduleAnalysis& analysis,
   return static_cast<std::uint32_t>(lo);
 }
 
-// Why one walk can decide a whole run of candidates.  With splitting
-// allowed (DriverOptions::allow_split, on for every CDS walk) an allocation
-// fails only when its set's free_words() < size (fb_allocator.cpp), so a
-// walk fits iff the live words never exceed the FB set at any allocation.
-// Retaining one more object replaces its per-cluster copies in its own
-// set by one copy live across its whole span — §4's full-occupancy charge
-// in DS(C_c) ≤ FBS — and changes nothing else in either set, so the live
-// words at every point of the walk can only grow: if K ∪ S fits, so does
-// K ∪ S' for every S' ⊆ S.
+// Why one walk can decide a whole run of candidates.  A walk fits iff the
+// live words never exceed the FB set at any allocation (why the decision
+// walk is exact, alloc_driver.hpp).  Retaining one more object replaces
+// its per-cluster copies in its own set by one copy live across its whole
+// span — §4's full-occupancy charge in DS(C_c) ≤ FBS — and changes
+// nothing else in either set, so the live words at every point of the
+// walk can only grow: if K ∪ S fits, so does K ∪ S' for every S' ⊆ S.
 // Greedy over c_i..c_n from a fitting kept set K therefore keeps the
 // longest prefix c_i..c_{i+p-1} for which K ∪ prefix fits and rejects
 // c_{i+p}: walk the whole suffix first (one walk when everything fits,
@@ -89,10 +83,8 @@ DriverOptions retain_at_rf(std::span<const RetentionCandidate> candidates,
                            const CancelToken& cancel) {
   static obs::Counter& retention_kept = obs::counter("dsched.retention.kept");
   static obs::Counter& retention_rejected = obs::counter("dsched.retention.rejected");
-  MSYS_REQUIRE(options.allow_split || !monotone_fit,
-               "the prefix search needs walks that fail only on free words");
   options.retained.clear();
-  MSYS_REQUIRE(plans.plan(options).ok, "re-planning at a feasible RF must succeed");
+  MSYS_REQUIRE(plans.decide(options).ok, "re-planning at a feasible RF must succeed");
   const std::uint64_t rf = options.rf;
   std::size_t next = 0;  // first undecided candidate
   while (next < candidates.size()) {
@@ -109,13 +101,13 @@ DriverOptions retain_at_rf(std::span<const RetentionCandidate> candidates,
     };
     take(width);
     std::size_t fits = width;
-    if (!plans.plan(options).ok) {
+    if (!plans.decide(options).ok) {
       std::size_t lo = 0;      // prefix known to fit (the kept set alone)
       std::size_t hi = width;  // prefix known not to fit
       while (hi - lo > 1) {
         const std::size_t mid = lo + (hi - lo) / 2;
         take(mid);
-        if (plans.plan(options).ok) {
+        if (plans.decide(options).ok) {
           lo = mid;
         } else {
           hi = mid;
@@ -150,14 +142,11 @@ namespace {
 /// the serial prologue, so instead of blindly maximising we evaluate the
 /// predicted cost of every feasible RF and keep the cheapest (ties go to
 /// the larger RF, the paper's preference).
-std::uint32_t pick_rf_by_cost(const ScheduleAnalysis& analysis, const arch::M1Config& cfg,
-                              DriverOptions options, std::uint32_t max_feasible_rf,
+std::uint32_t pick_rf_by_cost(DriverOptions options, std::uint32_t max_feasible_rf,
                               PlanCache& plans, const CancelToken& cancel = {}) {
   MSYS_TRACE_SPAN(span, "dsched.pick_rf", "dsched");
   static obs::Counter& rf_evaluated = obs::counter("dsched.rf.candidates_evaluated");
-  const csched::ContextPlan ctx_plan =
-      csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words);
-  if (!ctx_plan.feasible()) return max_feasible_rf;
+  if (!plans.context_plan().feasible()) return max_feasible_rf;
   std::uint32_t best_rf = 0;
   Cycles best_cost = Cycles::max();
   for (std::uint32_t rf = 1; rf <= max_feasible_rf; ++rf) {
@@ -165,12 +154,11 @@ std::uint32_t pick_rf_by_cost(const ScheduleAnalysis& analysis, const arch::M1Co
     // scan degrades to "best of what was evaluated".
     if (cancel.cancelled()) break;
     options.rf = rf;
-    const DriverResult& result = plans.plan(options);
-    MSYS_REQUIRE(result.ok, "RF below the feasible maximum must plan");
-    const CostBreakdown cost = predict_cost(analysis.sched(), rf, result, cfg, ctx_plan);
+    const std::optional<Cycles> cost = plans.price(options);
+    MSYS_REQUIRE(cost.has_value(), "RF below the feasible maximum must plan");
     rf_evaluated.add();
-    if (cost.feasible && (best_rf == 0 || cost.total <= best_cost)) {
-      best_cost = cost.total;
+    if (best_rf == 0 || *cost <= best_cost) {
+      best_cost = *cost;
       best_rf = rf;
     }
   }
@@ -188,40 +176,36 @@ std::uint32_t pick_rf_by_cost(const ScheduleAnalysis& analysis, const arch::M1Co
 /// keeping the cheapest.  nullopt when even RF = 1 does not fit; partial if
 /// `cancel` fires.
 std::optional<DriverOptions> decide_rf_and_retention(
-    std::span<const RetentionCandidate> candidates, bool joint,
-    const ScheduleAnalysis& analysis, const arch::M1Config& cfg, PlanCache& plans,
+    std::span<const RetentionCandidate> candidates, bool joint, PlanCache& plans,
     const CancelToken& cancel) {
   DriverOptions options;
   options.release_at_last_use = true;
-  const std::uint32_t max_rf = compute_max_rf(analysis, cfg, options, plans, cancel);
+  const std::uint32_t max_rf = compute_max_rf(plans, options, cancel);
   if (max_rf == 0) return std::nullopt;
-  const bool monotone_fit = !analysis.cross_set_reads();
+  const bool monotone_fit = !plans.analysis().cross_set_reads();
   if (!joint) {
     // §4: secure the cheapest RF first (context-transfer minimisation
     // dominates), then spend remaining FB space on retention.
-    options.rf = pick_rf_by_cost(analysis, cfg, options, max_rf, plans, cancel);
+    options.rf = pick_rf_by_cost(options, max_rf, plans, cancel);
     return retain_at_rf(candidates, std::move(options), monotone_fit, plans, cancel);
   }
 
   // Extension: jointly pick (RF, retained set) by predicted cost.
-  const csched::ContextPlan ctx_plan =
-      csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words);
   std::optional<DriverOptions> best;
   Cycles best_cost = Cycles::max();
   for (std::uint32_t rf = 1; rf <= max_rf; ++rf) {
     if (cancel.cancelled()) break;
     options.rf = rf;
     DriverOptions opt = retain_at_rf(candidates, options, monotone_fit, plans, cancel);
-    if (!ctx_plan.feasible()) {
+    if (!plans.context_plan().feasible()) {
       // No cost model available: fall back to the paper ordering (largest
       // RF wins) by keeping the last feasible candidate.
       best = std::move(opt);
       continue;
     }
-    const CostBreakdown cost =
-        predict_cost(analysis.sched(), rf, plans.plan(opt), cfg, ctx_plan);
-    if (cost.feasible && (!best || cost.total <= best_cost)) {
-      best_cost = cost.total;
+    const std::optional<Cycles> cost = plans.price(opt);
+    if (cost && (!best || *cost <= best_cost)) {
+      best_cost = *cost;
       best = std::move(opt);
     }
   }
@@ -231,56 +215,56 @@ std::optional<DriverOptions> decide_rf_and_retention(
 
 /// The schedule of the options DS or CDS decided on `plans`, or why there
 /// is none.
-DataSchedule decided_schedule(const std::string& name, const ScheduleAnalysis& analysis,
-                              PlanCache& plans, const std::optional<DriverOptions>& options,
+DataSchedule decided_schedule(const std::string& name, PlanCache& plans,
+                              const std::optional<DriverOptions>& options,
                               const CancelToken& cancel) {
-  if (cancel.cancelled()) return cancelled_schedule(name, analysis.sched(), cancel.reason());
+  const model::KernelSchedule& sched = plans.analysis().sched();
+  if (cancel.cancelled()) return cancelled_schedule(name, sched, cancel.reason());
   if (!options) {
-    return infeasible(name, analysis.sched(), "a cluster does not fit the FB set even at RF=1");
+    return infeasible(name, sched, "a cluster does not fit the FB set even at RF=1");
   }
-  return to_schedule(plans.plan(*options), name, analysis.sched(), *options);
+  return plans.schedule(*options, name);
 }
 
 }  // namespace
 
-DataSchedule BasicScheduler::schedule(const ScheduleAnalysis& analysis,
-                                      const arch::M1Config& cfg,
-                                      const CancelToken& cancel) const {
+DataSchedule DataSchedulerBase::schedule(const ScheduleAnalysis& analysis,
+                                         const arch::M1Config& cfg,
+                                         const CancelToken& cancel) const {
+  PlanCache plans(analysis, cfg);
+  return schedule(plans, cancel);
+}
+
+DataSchedule BasicScheduler::schedule(PlanCache& plans, const CancelToken& cancel) const {
   MSYS_TRACE_SPAN(span, "dsched.basic", "dsched");
   static obs::Counter& runs = obs::counter("dsched.runs.basic");
   runs.add();
-  if (cancel.cancelled()) {
-    return cancelled_schedule(name(), analysis.sched(), cancel.reason());
-  }
+  const model::KernelSchedule& sched = plans.analysis().sched();
+  if (cancel.cancelled()) return cancelled_schedule(name(), sched, cancel.reason());
   DriverOptions options;
   options.rf = 1;
   options.release_at_last_use = false;  // no replacement within a cluster
-  const DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
-  if (!result.ok) return infeasible(name(), analysis.sched(), result.fail_reason);
-  return to_schedule(result, name(), analysis.sched(), options);
+  const RoundDecision& decision = plans.decide(options);
+  if (!decision.ok) return infeasible(name(), sched, decision.fail_reason);
+  return plans.schedule(options, name());
 }
 
-DataSchedule DataScheduler::schedule(const ScheduleAnalysis& analysis,
-                                     const arch::M1Config& cfg,
-                                     const CancelToken& cancel) const {
+DataSchedule DataScheduler::schedule(PlanCache& plans, const CancelToken& cancel) const {
   MSYS_TRACE_SPAN(span, "dsched.ds", "dsched");
   static obs::Counter& runs = obs::counter("dsched.runs.ds");
   runs.add();
   if (cancel.cancelled()) {
-    return cancelled_schedule(name(), analysis.sched(), cancel.reason());
+    return cancelled_schedule(name(), plans.analysis().sched(), cancel.reason());
   }
-  PlanCache plans(analysis, cfg.fb_set_size);
-  DataSchedule out =
-      decided_schedule(name(), analysis, plans,
-                       decide_rf_and_retention({}, false, analysis, cfg, plans, cancel), cancel);
+  DataSchedule out = decided_schedule(name(), plans,
+                                      decide_rf_and_retention({}, false, plans, cancel), cancel);
   if (span.active() && out.feasible) span.add_arg(obs::arg("rf", std::uint64_t{out.rf}));
   return out;
 }
 
-std::optional<DriverOptions> CompleteDataScheduler::decide(const ScheduleAnalysis& analysis,
-                                                           const arch::M1Config& cfg,
-                                                           PlanCache& plans,
+std::optional<DriverOptions> CompleteDataScheduler::decide(PlanCache& plans,
                                                            const CancelToken& cancel) const {
+  const ScheduleAnalysis& analysis = plans.analysis();
   // Rank the retention candidates.
   std::vector<RetentionCandidate> candidates = analysis.retention_candidates();
   switch (options_.ranking) {
@@ -313,21 +297,17 @@ std::optional<DriverOptions> CompleteDataScheduler::decide(const ScheduleAnalysi
                 });
       break;
   }
-  return decide_rf_and_retention(candidates, options_.joint_rf_retention, analysis, cfg,
-                                 plans, cancel);
+  return decide_rf_and_retention(candidates, options_.joint_rf_retention, plans, cancel);
 }
 
-DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
-                                             const arch::M1Config& cfg,
-                                             const CancelToken& cancel) const {
+DataSchedule CompleteDataScheduler::schedule(PlanCache& plans, const CancelToken& cancel) const {
   MSYS_TRACE_SPAN(span, "dsched.cds", "dsched");
   static obs::Counter& runs = obs::counter("dsched.runs.cds");
   runs.add();
   if (cancel.cancelled()) {
-    return cancelled_schedule(name(), analysis.sched(), cancel.reason());
+    return cancelled_schedule(name(), plans.analysis().sched(), cancel.reason());
   }
-  PlanCache plans(analysis, cfg.fb_set_size);
-  return decided_schedule(name(), analysis, plans, decide(analysis, cfg, plans, cancel), cancel);
+  return decided_schedule(name(), plans, decide(plans, cancel), cancel);
 }
 
 std::vector<std::unique_ptr<DataSchedulerBase>> all_schedulers() {

@@ -80,7 +80,6 @@ dsched::DriverOptions options_of(const dsched::DataSchedule& schedule) {
   } else if (schedule.scheduler_name == "DS+split") {
     opts.regularity_hints = false;
     opts.fit = alloc::FitPolicy::kBestFit;
-    opts.allow_split = true;
   }
   return opts;
 }
@@ -145,7 +144,7 @@ std::string encode_result(const CompiledResult& result) {
   w.u8(opts.release_at_last_use ? 1 : 0);
   w.u8(opts.regularity_hints ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(opts.fit));
-  w.u8(opts.allow_split ? 1 : 0);
+  w.u8(1);  // the retired split flag: every walk splits
   w.u64(schedule.retained.size());
   // RetainedSet iterates ascending by DataId — already the canonical
   // encoding order, no sort needed.
@@ -186,7 +185,7 @@ std::shared_ptr<const CompiledResult> decode_result(std::string_view payload,
   const std::uint8_t fit = r.u8();
   if (fit > static_cast<std::uint8_t>(alloc::FitPolicy::kBestFit)) return nullptr;
   opts.fit = static_cast<alloc::FitPolicy>(fit);
-  opts.allow_split = r.u8() != 0;
+  if (r.u8() != 1) return nullptr;  // the retired split flag, always 1
   const std::uint64_t n_retained = r.u64();
   if (!r.ok || n_retained > payload.size()) return nullptr;  // length sanity
   const std::uint64_t data_count = job.input.app->data_count();

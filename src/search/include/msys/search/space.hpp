@@ -7,7 +7,8 @@
 // *skeleton* adds the data-schedule decisions: RF and the retained set.
 //
 // A ShapeContext holds what is derived from one shape and prices
-// skeletons on it with one plan-memo lookup plus the analytic cost model.
+// skeletons on it with one plan-memo lookup (a decision walk and its
+// analytic cost, each computed once per memo entry).
 // The kernel search prices each shape at CDS's own decisions (greedy());
 // the annealer prices every move.
 #pragma once
@@ -64,8 +65,11 @@ struct ShapeContext {
   /// Predicted cycles of the walk at (rf, retained); nullopt if infeasible.
   [[nodiscard]] std::optional<Cycles> price(std::uint32_t rf,
                                             const extract::RetainedSet& retained);
-  /// The data schedule of `sk`, which must have priced feasible here.
+  /// The data schedule of `sk`, which must have priced feasible here: the
+  /// one placement walk of the shape.
   [[nodiscard]] dsched::DataSchedule pack(const Skeleton& sk, std::string scheduler_name);
+  /// The shape's context plan (the plan memo's).
+  [[nodiscard]] const csched::ContextPlan& context_plan() const;
   /// CDS's RF and retained set on this shape; nullopt when not usable.
   [[nodiscard]] std::optional<dsched::DriverOptions> greedy();
 
@@ -73,7 +77,6 @@ struct ShapeContext {
   std::unique_ptr<model::KernelSchedule> sched_owned;       // null when borrowed
   std::unique_ptr<extract::ScheduleAnalysis> analysis_owned;  // null when borrowed
   const extract::ScheduleAnalysis* analysis;
-  csched::ContextPlan ctx_plan;
   std::unique_ptr<dsched::PlanCache> plans;
   /// Retention-candidate ids, in the analysis's ranking order.
   std::vector<DataId> candidate_ids;

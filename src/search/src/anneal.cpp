@@ -51,7 +51,7 @@ bool verify_in_simulator(ShapeContext& ctx, const Skeleton& sk,
                          std::uint64_t predicted_cycles) {
   MSYS_TRACE_SPAN(span, "search.verify", "search");
   const sim::CrossCheck check =
-      sim::cross_check(ctx.pack(sk, "CDS+anneal"), *ctx.analysis, *ctx.cfg, ctx.ctx_plan);
+      sim::cross_check(ctx.pack(sk, "CDS+anneal"), *ctx.analysis, *ctx.cfg, ctx.context_plan());
   return check.ok() && check.predicted.total.value() == predicted_cycles;
 }
 
@@ -438,7 +438,7 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
     // pointer alive past the context by adopting ownership here.
     result.schedule.sched = result.owned_sched.get();
   }
-  result.predicted = dsched::predict_cost(result.schedule, cfg, ctx->ctx_plan);
+  result.predicted = dsched::predict_cost(result.schedule, cfg, ctx->context_plan());
   MSYS_REQUIRE(result.predicted.feasible && result.predicted.total.value() == winner->best_cycles,
                "winner cost must survive re-materialization");
   result.improved = true;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "msys/common/error.hpp"
-#include "msys/dsched/cost.hpp"
 #include "msys/dsched/schedulers.hpp"
 #include "msys/obs/trace.hpp"
 
@@ -85,38 +84,29 @@ ShapeContext::ShapeContext(const model::Application& app, std::span<const Kernel
 }
 
 void ShapeContext::derive() {
-  ctx_plan = csched::ContextPlan::build(analysis->sched(), cfg->cm_capacity_words);
-  plans = std::make_unique<dsched::PlanCache>(*analysis, cfg->fb_set_size, kPlanCacheCapacity);
+  plans = std::make_unique<dsched::PlanCache>(*analysis, *cfg, kPlanCacheCapacity);
   for (const extract::RetentionCandidate& cand : analysis->retention_candidates()) {
     candidate_ids.push_back(cand.data);
   }
-  if (ctx_plan.feasible()) {
-    max_rf = dsched::compute_max_rf(*analysis, *cfg, walk_options(1, {}), *plans);
-  }
-  usable = ctx_plan.feasible() && max_rf > 0;
+  if (context_plan().feasible()) max_rf = dsched::compute_max_rf(*plans, walk_options(1, {}));
+  usable = context_plan().feasible() && max_rf > 0;
 }
+
+const csched::ContextPlan& ShapeContext::context_plan() const { return plans->context_plan(); }
 
 std::optional<Cycles> ShapeContext::price(std::uint32_t rf,
                                           const extract::RetainedSet& retained) {
   MSYS_TRACE_SPAN(span, "search.recost", "search");
-  const dsched::DriverResult& result = plans->plan(walk_options(rf, retained));
-  if (!result.ok) return std::nullopt;
-  const dsched::CostBreakdown cost =
-      dsched::predict_cost(analysis->sched(), rf, result, *cfg, ctx_plan);
-  if (!cost.feasible) return std::nullopt;
-  return cost.total;
+  return plans->price(walk_options(rf, retained));
 }
 
 dsched::DataSchedule ShapeContext::pack(const Skeleton& sk, std::string scheduler_name) {
-  const dsched::DriverOptions options = walk_options(sk.rf, sk.retained);
-  const dsched::DriverResult& result = plans->plan(options);  // memo hit: price planned it
-  MSYS_REQUIRE(result.ok, "packing a skeleton that priced feasible must plan");
-  return dsched::to_schedule(result, std::move(scheduler_name), analysis->sched(), options);
+  return plans->schedule(walk_options(sk.rf, sk.retained), std::move(scheduler_name));
 }
 
 std::optional<dsched::DriverOptions> ShapeContext::greedy() {
   if (!usable) return std::nullopt;
-  return dsched::CompleteDataScheduler().decide(*analysis, *cfg, *plans);
+  return dsched::CompleteDataScheduler().decide(*plans);
 }
 
 }  // namespace msys::search

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "msys/dsched/validate.hpp"
+#include "msys/obs/metrics.hpp"
 #include "testing/apps.hpp"
 
 namespace msys::dsched {
@@ -142,6 +143,27 @@ TEST(Fallback, DegradedEntryStillFallsThroughOnFailure) {
     EXPECT_FALSE(outcome.attempts[i].succeeded) << outcome.attempts[i].rung;
   }
   EXPECT_TRUE(has_errors(outcome.diagnostics));
+}
+
+TEST(Fallback, RungsShareOneDecisionMemo) {
+  // The rungs decide through one PlanCache: on a hopeless machine DS's
+  // RF-1 walk is CDS's and DS+split's is DS's, so the chain walks twice
+  // (CDS's RF-1 walk and Basic's) and places nothing.  A chain that CDS
+  // wins places exactly its one schedule.
+  TwoClusterApp t = TwoClusterApp::make();
+  ScheduleAnalysis analysis(t.sched);
+  obs::MetricsSnapshot before = obs::snapshot();
+  EXPECT_FALSE(schedule_with_fallback(analysis, test_cfg(100)).feasible());
+  obs::MetricsSnapshot delta = obs::snapshot().since(before);
+  EXPECT_EQ(delta.counter("dsched.plan.rounds"), 2u);
+  EXPECT_EQ(delta.counter("dsched.plan.placements"), 0u);
+  EXPECT_EQ(delta.counter("dsched.plan_cache.hits"), 2u);
+
+  before = obs::snapshot();
+  EXPECT_EQ(schedule_with_fallback(analysis, test_cfg(4096)).chosen_rung(), "CDS");
+  delta = obs::snapshot().since(before);
+  EXPECT_GT(delta.counter("dsched.plan.rounds"), 0u);
+  EXPECT_EQ(delta.counter("dsched.plan.placements"), 1u);
 }
 
 }  // namespace

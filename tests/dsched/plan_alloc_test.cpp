@@ -4,10 +4,11 @@
 // copies a successful walk into one exactly-sized array per field, so a
 // walk over warm scratch allocates a small constant number of blocks —
 // those arrays plus the two FB allocators' free lists — however many
-// object instances it places.  A walk that builds a schedule per call
-// (a map node and an extent vector per instance, growing per-cluster
+// object instances it places.  A walk that builds a schedule per call (a
+// map node and an extent vector per instance, growing per-cluster
 // vectors) allocates in proportion to the instances instead.  This test
-// pins the constant.
+// pins the constant.  The decision walk (decide_round) has no allocators
+// and copies three arrays, so it allocates at most three blocks.
 //
 // It replaces the global operator new to count, so it is a test binary of
 // its own; sanitizer builds that own the allocator leave it out.
@@ -88,6 +89,28 @@ TEST(PlanAllocations, WarmWalkAllocatesAConstant) {
     }
   }
   std::cout << "worst warm walk: " << worst << " allocations (" << worst_row << ")\n";
+}
+
+TEST(PlanAllocations, WarmDecisionWalkAllocatesOnlyItsResult) {
+  for (const std::string& name : workloads::table1_experiment_names()) {
+    const workloads::Experiment exp = workloads::make_experiment(name);
+    const extract::ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
+    const DataSchedule chosen = CompleteDataScheduler{}.schedule(analysis, exp.cfg);
+    ASSERT_TRUE(chosen.feasible) << name;
+    DriverOptions options;
+    options.rf = chosen.rf;
+    options.retained = chosen.retained;
+
+    PlanScratch scratch;
+    ASSERT_TRUE(decide_round(analysis, exp.cfg.fb_set_size, options, scratch).ok) << name;
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    const RoundDecision again = decide_round(analysis, exp.cfg.fb_set_size, options, scratch);
+    g_counting.store(false, std::memory_order_relaxed);
+    ASSERT_TRUE(again.ok) << name;
+    // Cluster ends, loads and stores.
+    EXPECT_LE(g_allocations.load(std::memory_order_relaxed), 3u) << name;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
-// PlanCache: memo hits only on exactly-equal option keys, retained-set
-// order independence, and hit results identical to fresh walks.
+// PlanCache: memo hits only on exactly-equal decision keys, retained-set
+// order independence, placement-only options sharing one entry, hit
+// decisions identical to fresh decision walks, memoized prices equal to
+// predict_cost, and schedules identical to fresh placement walks.
 #include "msys/dsched/plan_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -8,8 +10,11 @@
 #include <span>
 #include <vector>
 
+#include "msys/csched/context_plan.hpp"
 #include "msys/dsched/alloc_driver.hpp"
+#include "msys/dsched/cost.hpp"
 #include "msys/extract/analysis.hpp"
+#include "msys/obs/metrics.hpp"
 #include "testing/apps.hpp"
 #include "testing/fingerprint.hpp"
 
@@ -22,17 +27,17 @@ using testing::test_cfg;
 TEST(PlanCache, RepeatedOptionsHitWithoutRecompute) {
   RetentionApp made = RetentionApp::make(/*iterations=*/6);
   const extract::ScheduleAnalysis analysis(made.sched);
-  PlanCache plans(analysis, test_cfg(4096).fb_set_size);
+  PlanCache plans(analysis, test_cfg(4096));
 
   DriverOptions options;
   options.rf = 2;
-  const DriverResult& first = plans.plan(options);
+  const RoundDecision& first = plans.decide(options);
   ASSERT_TRUE(first.ok);
   EXPECT_EQ(plans.stats().hits, 0u);
   EXPECT_EQ(plans.stats().misses, 1u);
 
   // Same options again: same stored object, no new walk.
-  const DriverResult& again = plans.plan(options);
+  const RoundDecision& again = plans.decide(options);
   EXPECT_EQ(&again, &first);
   EXPECT_EQ(plans.stats().hits, 1u);
   EXPECT_EQ(plans.stats().misses, 1u);
@@ -41,28 +46,45 @@ TEST(PlanCache, RepeatedOptionsHitWithoutRecompute) {
 TEST(PlanCache, DistinctRfAndFlagsAndRetainedMiss) {
   RetentionApp made = RetentionApp::make(/*iterations=*/6);
   const extract::ScheduleAnalysis analysis(made.sched);
-  PlanCache plans(analysis, test_cfg(4096).fb_set_size);
+  PlanCache plans(analysis, test_cfg(4096));
 
   DriverOptions options;
   options.rf = 1;
-  (void)plans.plan(options);
+  (void)plans.decide(options);
   options.rf = 2;
-  (void)plans.plan(options);  // rf differs
+  (void)plans.decide(options);  // rf differs
   options.release_at_last_use = false;
-  (void)plans.plan(options);  // flags differ
+  (void)plans.decide(options);  // release policy differs
   options.release_at_last_use = true;
   const std::vector<extract::RetentionCandidate> cands = analysis.retention_candidates();
   ASSERT_FALSE(cands.empty());
   options.retained.insert(cands.front().data);
-  (void)plans.plan(options);  // retained set differs
+  (void)plans.decide(options);  // retained set differs
   EXPECT_EQ(plans.stats().hits, 0u);
   EXPECT_EQ(plans.stats().misses, 4u);
+}
+
+TEST(PlanCache, PlacementOnlyOptionsShareTheDecision) {
+  // The fit policy and the regularity hints steer only where instances go,
+  // so they are not part of the key: DS+split's RF-1 decision is DS's.
+  RetentionApp made = RetentionApp::make(/*iterations=*/6);
+  const extract::ScheduleAnalysis analysis(made.sched);
+  PlanCache plans(analysis, test_cfg(4096));
+
+  DriverOptions ds;
+  const RoundDecision& first = plans.decide(ds);
+  DriverOptions split = ds;
+  split.regularity_hints = false;
+  split.fit = alloc::FitPolicy::kBestFit;
+  EXPECT_EQ(&plans.decide(split), &first);
+  EXPECT_EQ(plans.stats().hits, 1u);
+  EXPECT_EQ(plans.stats().misses, 1u);
 }
 
 TEST(PlanCache, RetainedSetKeyIsOrderIndependent) {
   RetentionApp made = RetentionApp::make(/*iterations=*/6);
   const extract::ScheduleAnalysis analysis(made.sched);
-  PlanCache plans(analysis, test_cfg(8192).fb_set_size);
+  PlanCache plans(analysis, test_cfg(8192));
 
   const std::vector<extract::RetentionCandidate> cands = analysis.retention_candidates();
   ASSERT_GE(cands.size(), 2u);
@@ -73,8 +95,8 @@ TEST(PlanCache, RetainedSetKeyIsOrderIndependent) {
   backward.retained.insert(cands[1].data);
   backward.retained.insert(cands[0].data);
 
-  const DriverResult& first = plans.plan(forward);
-  const DriverResult& second = plans.plan(backward);
+  const RoundDecision& first = plans.decide(forward);
+  const RoundDecision& second = plans.decide(backward);
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(plans.stats().hits, 1u);
   EXPECT_EQ(plans.stats().misses, 1u);
@@ -94,23 +116,30 @@ std::vector<DriverOptions> comparison_options(const extract::ScheduleAnalysis& a
 }
 
 TEST(PlanCache, HitIsByteEquivalentToFreshWalk) {
+  // A hit is a fresh decision walk, and the schedule the cache builds is
+  // the one a fresh placement walk at the same options packs, byte for
+  // byte.
   RetentionApp made = RetentionApp::make(/*iterations=*/6);
   const extract::ScheduleAnalysis analysis(made.sched);
   const arch::M1Config cfg = test_cfg(4096);
-  PlanCache plans(analysis, cfg.fb_set_size);
+  PlanCache plans(analysis, cfg);
 
   bool saw_cross_cluster_release = false;
+  PlanScratch scratch;
   for (const DriverOptions& options : comparison_options(analysis)) {
-    (void)plans.plan(options);  // prime
-    const DriverResult& hit = plans.plan(options);
-    const DriverResult fresh = plan_round(analysis, cfg.fb_set_size, options);
+    (void)plans.decide(options);  // prime
+    const RoundDecision& hit = plans.decide(options);
     ASSERT_TRUE(hit.ok);
-    ASSERT_TRUE(fresh.ok);
-    const DataSchedule from_hit = to_schedule(hit, "CDS", made.sched, options);
-    const DataSchedule from_fresh = to_schedule(fresh, "CDS", made.sched, options);
-    ASSERT_EQ(from_hit.round_plan.size(), from_fresh.round_plan.size());
-    for (std::size_t i = 0; i < from_hit.round_plan.size(); ++i) {
-      const ClusterRoundPlan& a = from_hit.round_plan[i];
+    EXPECT_EQ(testing::decision_fingerprint(hit),
+              testing::decision_fingerprint(
+                  decide_round(analysis, cfg.fb_set_size, options, scratch)));
+
+    const DataSchedule from_cache = plans.schedule(options, "CDS");
+    const DataSchedule from_fresh =
+        to_schedule(plan_round(analysis, cfg.fb_set_size, options), "CDS", made.sched, options);
+    ASSERT_EQ(from_cache.round_plan.size(), from_fresh.round_plan.size());
+    for (std::size_t i = 0; i < from_cache.round_plan.size(); ++i) {
+      const ClusterRoundPlan& a = from_cache.round_plan[i];
       const ClusterRoundPlan& b = from_fresh.round_plan[i];
       EXPECT_EQ(a.cluster, b.cluster);
       EXPECT_EQ(a.loads, b.loads) << "cluster " << i;
@@ -128,10 +157,10 @@ TEST(PlanCache, HitIsByteEquivalentToFreshWalk) {
         saw_cross_cluster_release |= a.releases[k].placement_cluster != a.cluster;
       }
     }
-    ASSERT_EQ(from_hit.placements.size(), from_fresh.placements.size());
+    ASSERT_EQ(from_cache.placements.size(), from_fresh.placements.size());
     for (const auto& [key, placement] : from_fresh.placements) {
-      const auto it = from_hit.placements.find(key);
-      ASSERT_NE(it, from_hit.placements.end());
+      const auto it = from_cache.placements.find(key);
+      ASSERT_NE(it, from_cache.placements.end());
       EXPECT_EQ(it->second.set, placement.set);
       EXPECT_EQ(it->second.extents, placement.extents);
     }
@@ -140,14 +169,16 @@ TEST(PlanCache, HitIsByteEquivalentToFreshWalk) {
 }
 
 TEST(PlanCache, HitFlatArraysMatchFreshWalk) {
+  // A hit's flat load and store arrays are the ones a fresh placement walk
+  // emits, and the cache's schedule carries that walk's allocator summary.
   RetentionApp made = RetentionApp::make(/*iterations=*/6);
   const extract::ScheduleAnalysis analysis(made.sched);
   const arch::M1Config cfg = test_cfg(4096);
-  PlanCache plans(analysis, cfg.fb_set_size);
+  PlanCache plans(analysis, cfg);
 
   for (const DriverOptions& options : comparison_options(analysis)) {
-    (void)plans.plan(options);  // prime
-    const DriverResult& hit = plans.plan(options);
+    (void)plans.decide(options);  // prime
+    const RoundDecision& hit = plans.decide(options);
     const DriverResult fresh = plan_round(analysis, cfg.fb_set_size, options);
     ASSERT_TRUE(hit.ok);
     ASSERT_TRUE(fresh.ok);
@@ -156,73 +187,118 @@ TEST(PlanCache, HitFlatArraysMatchFreshWalk) {
       const ClusterId id{c};
       EXPECT_TRUE(std::ranges::equal(hit.loads(id), fresh.loads(id))) << "cluster " << c;
       EXPECT_TRUE(std::ranges::equal(hit.stores(id), fresh.stores(id))) << "cluster " << c;
-      EXPECT_TRUE(std::ranges::equal(hit.releases(id), fresh.releases(id)))
-          << "cluster " << c;
     }
-    const std::span<const PlacementRecord> a = hit.placements();
-    const std::span<const PlacementRecord> b = fresh.placements();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].key, b[i].key);
-      EXPECT_EQ(a[i].set, b[i].set);
-      EXPECT_TRUE(std::ranges::equal(hit.extents(a[i]), fresh.extents(b[i])))
-          << "placement " << a[i].key;
-    }
-    EXPECT_EQ(hit.summary.allocations, fresh.summary.allocations);
-    EXPECT_EQ(hit.summary.splits, fresh.summary.splits);
-    EXPECT_EQ(hit.summary.preferred_hits, fresh.summary.preferred_hits);
-    EXPECT_EQ(hit.summary.preferred_misses, fresh.summary.preferred_misses);
-    EXPECT_EQ(hit.summary.peak_used_words[0], fresh.summary.peak_used_words[0]);
-    EXPECT_EQ(hit.summary.peak_used_words[1], fresh.summary.peak_used_words[1]);
+    const AllocSummary summary = plans.schedule(options, "CDS").alloc_summary;
+    EXPECT_EQ(summary.allocations, fresh.summary.allocations);
+    EXPECT_EQ(summary.splits, fresh.summary.splits);
+    EXPECT_EQ(summary.preferred_hits, fresh.summary.preferred_hits);
+    EXPECT_EQ(summary.preferred_misses, fresh.summary.preferred_misses);
+    EXPECT_EQ(summary.peak_used_words[0], fresh.summary.peak_used_words[0]);
+    EXPECT_EQ(summary.peak_used_words[1], fresh.summary.peak_used_words[1]);
   }
+}
+
+TEST(PlanCache, PriceIsPredictCostOfTheDecision) {
+  RetentionApp made = RetentionApp::make(/*iterations=*/6);
+  const extract::ScheduleAnalysis analysis(made.sched);
+  const arch::M1Config cfg = test_cfg(4096);
+  const csched::ContextPlan ctx_plan =
+      csched::ContextPlan::build(made.sched, cfg.cm_capacity_words);
+  PlanCache plans(analysis, cfg);
+
+  for (const DriverOptions& options : comparison_options(analysis)) {
+    const std::optional<Cycles> priced = plans.price(options);
+    ASSERT_TRUE(priced.has_value());
+    EXPECT_EQ(*priced,
+              predict_cost(made.sched, options.rf, plans.decide(options), cfg, ctx_plan).total);
+    EXPECT_EQ(plans.price(options), priced);  // the memo answers the second time
+  }
+  // A walk that does not fit has no price.
+  PlanCache tight(analysis, test_cfg(16));
+  EXPECT_FALSE(tight.price(DriverOptions{}).has_value());
 }
 
 TEST(PlanCache, CapacityBoundsMemoAndCountsEvictions) {
   RetentionApp made = RetentionApp::make(/*iterations=*/8);
   const extract::ScheduleAnalysis analysis(made.sched);
-  PlanCache plans(analysis, test_cfg(4096).fb_set_size, /*capacity=*/2);
+  const arch::M1Config cfg = test_cfg(4096);
+  const csched::ContextPlan ctx_plan =
+      csched::ContextPlan::build(made.sched, cfg.cm_capacity_words);
+  PlanCache plans(analysis, cfg, /*capacity=*/2);
   EXPECT_EQ(plans.capacity(), 2u);
 
   DriverOptions options;
   options.rf = 1;
-  (void)plans.plan(options);
+  (void)plans.decide(options);
   options.rf = 2;
-  (void)plans.plan(options);
+  (void)plans.decide(options);
   EXPECT_EQ(plans.stats().evictions, 0u);
 
   // Third distinct key: over capacity — computed but not memoized.
   options.rf = 4;
-  const DriverResult& overflow = plans.plan(options);
+  const RoundDecision& overflow = plans.decide(options);
   ASSERT_TRUE(overflow.ok);
   EXPECT_EQ(plans.stats().evictions, 1u);
   EXPECT_EQ(plans.stats().misses, 3u);
 
   // The overflow result is correct (same as a fresh walk) even though it
   // was never stored...
-  const DriverResult fresh = plan_round(analysis, test_cfg(4096).fb_set_size, options);
-  EXPECT_EQ(testing::plan_fingerprint(overflow), testing::plan_fingerprint(fresh));
+  PlanScratch scratch;
+  EXPECT_EQ(testing::decision_fingerprint(overflow),
+            testing::decision_fingerprint(
+                decide_round(analysis, cfg.fb_set_size, options, scratch)));
 
   // ...and re-requesting it misses again (counts another eviction), while
   // the keys admitted under capacity still hit.
-  (void)plans.plan(options);
+  (void)plans.decide(options);
   EXPECT_EQ(plans.stats().evictions, 2u);
   options.rf = 1;
-  (void)plans.plan(options);
+  (void)plans.decide(options);
   EXPECT_EQ(plans.stats().hits, 1u);
+
+  // Reusing the overflow slot drops its occupant's memoized price: each
+  // overflowing key prices its own walk.
+  for (const std::uint32_t rf : {4u, 8u, 4u}) {
+    options.rf = rf;
+    const std::optional<Cycles> priced = plans.price(options);
+    ASSERT_TRUE(priced.has_value()) << "rf=" << rf;
+    const RoundDecision fresh = decide_round(analysis, cfg.fb_set_size, options, scratch);
+    EXPECT_EQ(*priced, predict_cost(made.sched, rf, fresh, cfg, ctx_plan).total) << "rf=" << rf;
+  }
+  EXPECT_EQ(plans.stats().evictions, 5u);
 }
 
 TEST(PlanCache, DefaultCapacityAdmitsTypicalScan) {
   RetentionApp made = RetentionApp::make(/*iterations=*/6);
   const extract::ScheduleAnalysis analysis(made.sched);
-  PlanCache plans(analysis, test_cfg(4096).fb_set_size);
+  PlanCache plans(analysis, test_cfg(4096));
   EXPECT_EQ(plans.capacity(), PlanCache::kDefaultCapacity);
 
   DriverOptions options;
   for (std::uint32_t rf : {1u, 2u, 3u, 4u, 5u, 6u}) {
     options.rf = rf;
-    (void)plans.plan(options);
+    (void)plans.decide(options);
   }
   EXPECT_EQ(plans.stats().evictions, 0u);
+}
+
+TEST(PlanCache, ScheduleIsTheOnlyPlacementWalk) {
+  // Deciding, pricing and re-deciding run decision walks only; schedule()
+  // runs one placement walk.
+  RetentionApp made = RetentionApp::make(/*iterations=*/6);
+  const extract::ScheduleAnalysis analysis(made.sched);
+  PlanCache plans(analysis, test_cfg(4096));
+  DriverOptions options;
+  options.rf = 2;
+  const obs::MetricsSnapshot before = obs::snapshot();
+  (void)plans.decide(options);
+  (void)plans.price(options);
+  (void)plans.decide(options);
+  const obs::MetricsSnapshot decided = obs::snapshot().since(before);
+  EXPECT_EQ(decided.counter("dsched.plan.rounds"), 1u);
+  EXPECT_EQ(decided.counter("dsched.plan.placements"), 0u);
+  EXPECT_TRUE(plans.schedule(options, "DS").feasible);
+  EXPECT_EQ(obs::snapshot().since(before).counter("dsched.plan.placements"), 1u);
 }
 
 }  // namespace

@@ -19,16 +19,10 @@
 //      witness shows why cross-set mode probes one candidate per walk.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "msys/appdsl/parser.hpp"
 #include "msys/arch/m1.hpp"
 #include "msys/dsched/alloc_driver.hpp"
 #include "msys/dsched/plan_cache.hpp"
@@ -39,52 +33,23 @@
 #include "msys/obs/trace.hpp"
 #include "msys/workloads/experiments.hpp"
 #include "testing/apps.hpp"
+#include "testing/corpus.hpp"
 #include "testing/fingerprint.hpp"
 #include "testing/oracle.hpp"
 
 namespace msys::dsched {
 namespace {
 
-namespace fs = std::filesystem;
-
-/// One parsed scenario.  The schedule holds a non-owning pointer into the
-/// experiment's Application, so the experiment lives behind a unique_ptr
-/// (stable address across vector growth and Case moves).
-struct Case {
-  std::string name;
-  std::unique_ptr<appdsl::ParsedExperiment> experiment;
-  model::KernelSchedule sched;
-  arch::M1Config cfg;
-};
+using Case = testing::ParsedCase;
 
 std::vector<Case> gather_cases() {
-  std::vector<Case> cases;
-  auto add_text = [&](const std::string& name, const std::string& text) {
-    appdsl::ParseResult parsed = appdsl::parse_collect(text, name);
-    if (!parsed.ok() || parsed.experiment->partition.empty()) return;
-    auto experiment =
-        std::make_unique<appdsl::ParsedExperiment>(std::move(*parsed.experiment));
-    model::KernelSchedule sched = experiment->schedule();
-    const arch::M1Config cfg = experiment->cfg;
-    cases.push_back(Case{name, std::move(experiment), std::move(sched), cfg});
-  };
   // Checked-in minimized repros.
-  std::vector<fs::path> files;
-  for (const fs::directory_entry& entry : fs::directory_iterator(MSYS_FUZZ_CORPUS_DIR)) {
-    if (entry.path().extension() == ".mapp") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  for (const fs::path& path : files) {
-    std::ifstream in(path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    add_text(path.filename().string(), text.str());
-  }
+  std::vector<Case> cases = testing::corpus_cases();
   // Generated adversarial scenarios: cover every scenario class a few
   // times (kScenarioClasses cycles with the seed).
   for (std::uint64_t seed = 1; seed <= 3 * fuzzing::kScenarioClasses; ++seed) {
     const fuzzing::FuzzCase c = fuzzing::make_case(seed);
-    add_text(c.name, c.text);
+    testing::add_parsed_case(cases, c.name, c.text);
   }
   return cases;
 }
@@ -272,7 +237,7 @@ extract::RetainedSet greedy_set(const extract::ScheduleAnalysis& analysis,
 /// retain_at_rf over `analysis`'s TF-ranked candidates at `rf`.
 std::string searched(const extract::ScheduleAnalysis& analysis, const arch::M1Config& cfg,
                      std::uint32_t rf, bool monotone_fit) {
-  PlanCache plans(analysis, cfg.fb_set_size);
+  PlanCache plans(analysis, cfg);
   DriverOptions options;
   options.rf = rf;
   return ids(retain_at_rf(analysis.retention_candidates(), options, monotone_fit, plans).retained);
@@ -414,23 +379,29 @@ TEST(RetentionSearch, PlanRoundsGolden) {
   // Exact count of Figure-4 walks CDS issues over the Table-1 rows and 64
   // cold-compile-family seeds (every fourth at half the FB), so a
   // regression in the walk count fails tier-1.  One walk per retention
-  // candidate took 772 here (88 on Table 1); the longest-fitting-prefix
-  // search makes the same 526 keeps and 1 rejection in 320 (67).
+  // candidate took 772 decision walks here (88 on Table 1); the
+  // longest-fitting-prefix search makes the same 526 keeps and 1 rejection
+  // in 320 (67).  Placement walks run only for the schedules that ship:
+  // one per feasible schedule.
   const CompleteDataScheduler cds;
   const obs::MetricsSnapshot before = obs::snapshot();
+  std::uint64_t feasible = 0;
   for (const std::string& row : workloads::table1_experiment_names()) {
     const workloads::Experiment exp = workloads::make_experiment(row);
     const extract::ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
-    (void)cds.schedule(analysis, exp.cfg);
+    feasible += cds.schedule(analysis, exp.cfg).feasible ? 1 : 0;
   }
   for (std::uint64_t i = 0; i < 64; ++i) {
     workloads::RandomSpec spec = testing::family_spec(200000 + i);
     if (i % 4 == 3) spec.fb_scale_percent = 50;
     const workloads::RandomExperiment exp = workloads::make_random(spec);
     const extract::ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
-    (void)cds.schedule(analysis, exp.cfg);
+    feasible += cds.schedule(analysis, exp.cfg).feasible ? 1 : 0;
   }
-  EXPECT_EQ(obs::snapshot().since(before).counter("dsched.plan.rounds"), 320u);
+  const obs::MetricsSnapshot delta = obs::snapshot().since(before);
+  EXPECT_EQ(delta.counter("dsched.plan.rounds"), 320u);
+  EXPECT_EQ(delta.counter("dsched.plan.placements"), feasible);
+  EXPECT_EQ(feasible, 70u);
 }
 
 }  // namespace

@@ -88,6 +88,19 @@ inline std::string plan_fingerprint(const dsched::DriverResult& walk) {
   return out.str();
 }
 
+/// Everything a walk decides — fit, the failure reason, and each
+/// cluster's loads and stores — for a decision or a placement walk alike,
+/// so the two walks compare directly.
+inline std::string decision_fingerprint(const dsched::RoundDecision& walk) {
+  std::ostringstream out;
+  out << walk.ok << '|' << walk.fail_reason << '|';
+  for (std::uint32_t c = 0; c < walk.cluster_count(); ++c) {
+    const ClusterId id{c};
+    detail::append_cluster(out, id, walk.loads(id), walk.stores(id), {});
+  }
+  return out.str();
+}
+
 /// Full-schedule fingerprint: feasibility, RF, the retained set (sorted,
 /// so the encoding is independent of the set's iteration order), and the
 /// plan fingerprint above.

@@ -59,23 +59,23 @@ int main() {
     cfg.fb_set_size = SizeWords{fb};
     cfg.cm_capacity_words = 112;  // per-slot context reloads
 
-    dsched::CompleteDataScheduler paper_cds;
-    dsched::CompleteDataScheduler joint_cds({.joint_rf_retention = true});
-    report::SchedulerOutcome paper = report::run_scheduler(paper_cds, built.sched, cfg);
-    report::SchedulerOutcome joint = report::run_scheduler(joint_cds, built.sched, cfg);
+    report::SchedulerOutcome paper =
+        report::run_scheduler(engine::SchedulerKind::kCDS, built.sched, cfg);
+    report::SchedulerOutcome joint = report::run_scheduler(
+        engine::SchedulerKind::kCDS, built.sched, cfg, {.cds = {.joint_rf_retention = true}});
     if (!paper.feasible() || !joint.feasible()) continue;
     const double gain =
-        1.0 - static_cast<double>(joint.predicted.total.value()) /
-                  static_cast<double>(paper.predicted.total.value());
-    if (joint.predicted.total < paper.predicted.total) ++joint_wins;
+        1.0 - static_cast<double>(joint.predicted().total.value()) /
+                  static_cast<double>(paper.predicted().total.value());
+    if (joint.predicted().total < paper.predicted().total) ++joint_wins;
     table.add_row({
         size_kb(SizeWords{fb}),
-        std::to_string(paper.schedule.rf),
-        std::to_string(paper.schedule.retained.size()),
-        std::to_string(paper.predicted.total.value()),
-        std::to_string(joint.schedule.rf),
-        std::to_string(joint.schedule.retained.size()),
-        std::to_string(joint.predicted.total.value()),
+        std::to_string(paper.schedule().rf),
+        std::to_string(paper.schedule().retained.size()),
+        std::to_string(paper.predicted().total.value()),
+        std::to_string(joint.schedule().rf),
+        std::to_string(joint.schedule().retained.size()),
+        std::to_string(joint.predicted().total.value()),
         percent(gain),
     });
   }
@@ -89,13 +89,13 @@ int main() {
   TextTable reg({"Experiment", "paper cyc", "joint cyc", "equal"});
   for (const std::string& name : workloads::table1_experiment_names()) {
     workloads::Experiment exp = workloads::make_experiment(name);
-    dsched::CompleteDataScheduler joint_cds({.joint_rf_retention = true});
     report::SchedulerOutcome paper =
-        report::run_scheduler(dsched::CompleteDataScheduler{}, exp.sched, exp.cfg);
-    report::SchedulerOutcome joint = report::run_scheduler(joint_cds, exp.sched, exp.cfg);
-    reg.add_row({exp.name, std::to_string(paper.predicted.total.value()),
-                 std::to_string(joint.predicted.total.value()),
-                 paper.predicted.total == joint.predicted.total ? "yes" : "no"});
+        report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
+    report::SchedulerOutcome joint = report::run_scheduler(
+        engine::SchedulerKind::kCDS, exp.sched, exp.cfg, {.cds = {.joint_rf_retention = true}});
+    reg.add_row({exp.name, std::to_string(paper.predicted().total.value()),
+                 std::to_string(joint.predicted().total.value()),
+                 paper.predicted().total == joint.predicted().total ? "yes" : "no"});
   }
   std::cout << "\nRegistry comparison:\n\n";
   reg.print(std::cout);

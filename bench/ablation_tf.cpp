@@ -31,8 +31,8 @@ int main() {
                                      fraction);
       exp.cfg = exp.cfg.with_fb_set_size(SizeWords{scaled});
       auto run = [&](Ranking ranking) {
-        dsched::CompleteDataScheduler cds({.ranking = ranking});
-        return report::run_scheduler(cds, exp.sched, exp.cfg);
+        return report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg,
+                                     {.cds = {.ranking = ranking}});
       };
       report::SchedulerOutcome tf = run(Ranking::kTimeFactor);
       if (!tf.feasible()) continue;  // workload no longer fits at all
@@ -40,14 +40,14 @@ int main() {
       report::SchedulerOutcome size = run(Ranking::kSizeFirst);
       for (const report::SchedulerOutcome* other : {&decl, &size}) {
         if (!other->feasible()) continue;
-        if (tf.predicted.total < other->predicted.total) ++tf_wins;
-        if (tf.predicted.total > other->predicted.total) ++tf_losses;
+        if (tf.predicted().total < other->predicted().total) ++tf_wins;
+        if (tf.predicted().total > other->predicted().total) ++tf_losses;
       }
       auto cycles = [](const report::SchedulerOutcome& o) -> std::string {
-        return o.feasible() ? std::to_string(o.predicted.total.value()) : "n/a";
+        return o.feasible() ? std::to_string(o.predicted().total.value()) : "n/a";
       };
       auto kept = [](const report::SchedulerOutcome& o) -> std::string {
-        return o.feasible() ? std::to_string(o.schedule.retained.size()) : "-";
+        return o.feasible() ? std::to_string(o.schedule().retained.size()) : "-";
       };
       table.add_row({exp.name, size_kb(exp.cfg.fb_set_size), cycles(tf), cycles(decl),
                      cycles(size), kept(tf), kept(decl), kept(size)});
@@ -102,18 +102,18 @@ int main() {
     for (std::uint64_t fb : {1400, 1100, 1000, 950}) {
       cfg.fb_set_size = SizeWords{fb};
       auto run = [&](Ranking ranking) {
-        dsched::CompleteDataScheduler cds({.ranking = ranking});
-        return report::run_scheduler(cds, sched, cfg);
+        return report::run_scheduler(engine::SchedulerKind::kCDS, sched, cfg,
+                                     {.cds = {.ranking = ranking}});
       };
       report::SchedulerOutcome tf = run(Ranking::kTimeFactor);
       report::SchedulerOutcome decl = run(Ranking::kDeclarationOrder);
       report::SchedulerOutcome size = run(Ranking::kSizeFirst);
       report::SchedulerOutcome dens = run(Ranking::kDensity);
       auto cycles = [](const report::SchedulerOutcome& o) -> std::string {
-        return o.feasible() ? std::to_string(o.predicted.total.value()) : "n/a";
+        return o.feasible() ? std::to_string(o.predicted().total.value()) : "n/a";
       };
       auto kept = [](const report::SchedulerOutcome& o) -> std::string {
-        return o.feasible() ? std::to_string(o.schedule.retained.size()) : "-";
+        return o.feasible() ? std::to_string(o.schedule().retained.size()) : "-";
       };
       stress.add_row({size_kb(SizeWords{fb}), cycles(tf), cycles(decl), cycles(size),
                       cycles(dens), kept(tf), kept(dens)});

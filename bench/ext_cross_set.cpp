@@ -18,23 +18,23 @@ int main() {
   for (const std::string& name : workloads::table1_experiment_names()) {
     workloads::Experiment exp = workloads::make_experiment(name);
     report::SchedulerOutcome plain =
-        report::run_scheduler(dsched::CompleteDataScheduler{}, exp.sched, exp.cfg);
+        report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
     report::SchedulerOutcome cross = report::run_scheduler(
-        dsched::CompleteDataScheduler{}, exp.sched, exp.cfg.with_cross_set_reads(true));
+        engine::SchedulerKind::kCDS, exp.sched, exp.cfg.with_cross_set_reads(true));
     if (!plain.feasible() || !cross.feasible()) {
       table.add_row({exp.name, "n/a", "n/a", "-", "-", "-", "-", "-"});
       continue;
     }
-    const double gain = 1.0 - static_cast<double>(cross.predicted.total.value()) /
-                                  static_cast<double>(plain.predicted.total.value());
+    const double gain = 1.0 - static_cast<double>(cross.predicted().total.value()) /
+                                  static_cast<double>(plain.predicted().total.value());
     table.add_row({
         exp.name,
-        std::to_string(plain.predicted.total.value()),
-        std::to_string(cross.predicted.total.value()),
-        std::to_string(plain.schedule.retained.size()),
-        std::to_string(cross.schedule.retained.size()),
-        std::to_string(plain.predicted.data_words_total()),
-        std::to_string(cross.predicted.data_words_total()),
+        std::to_string(plain.predicted().total.value()),
+        std::to_string(cross.predicted().total.value()),
+        std::to_string(plain.schedule().retained.size()),
+        std::to_string(cross.schedule().retained.size()),
+        std::to_string(plain.predicted().data_words_total()),
+        std::to_string(cross.predicted().data_words_total()),
         percent(gain),
     });
   }

@@ -74,7 +74,7 @@ int main() {
       used_tiles = tiles;
       tiled_ds = std::to_string(r.ds.cycles().value());
       tiled_cds = std::to_string(r.cds.cycles().value());
-      kept = std::to_string(r.cds.schedule.retained.size());
+      kept = std::to_string(r.cds.schedule().retained.size());
       break;
     }
     table.add_row({

@@ -33,7 +33,7 @@ void sweep(const char* title,
         std::to_string(r.rf()),
         r.ds_improvement() ? fixed(*r.ds_improvement() * 100, 0) + "%" : "n/a",
         r.cds_improvement() ? fixed(*r.cds_improvement() * 100, 0) + "%" : "n/a",
-        std::to_string(r.cds.schedule.retained.size()),
+        std::to_string(r.cds.schedule().retained.size()),
         size_kb(r.dt_words_avoided_per_iteration()),
     });
   }

@@ -32,7 +32,7 @@ int main() {
     table.add_row({exp.name, std::to_string(exp.sched.cluster_count()),
                    r.cds.feasible() ? std::to_string(r.cds.cycles().value()) : "n/a",
                    r.cds_improvement() ? fixed(*r.cds_improvement() * 100, 0) + "%" : "n/a",
-                   std::to_string(r.cds.schedule.retained.size())});
+                   std::to_string(r.cds.schedule().retained.size())});
   }
 
   // ---- Automatic search over contiguous partitions. ----
@@ -45,7 +45,7 @@ int main() {
     table.add_row({"searched-best", std::to_string(search.best->cluster_count()),
                    std::to_string(r.cds.cycles().value()),
                    r.cds_improvement() ? fixed(*r.cds_improvement() * 100, 0) + "%" : "n/a",
-                   std::to_string(r.cds.schedule.retained.size())});
+                   std::to_string(r.cds.schedule().retained.size())});
     std::cout << "best: " << search.best->summary() << "\n\n";
   }
   table.print(std::cout);

@@ -41,15 +41,15 @@ int main(int argc, char** argv) {
   for (const report::SchedulerOutcome* o : {&result.basic, &result.ds, &result.cds}) {
     std::cout << o->scheduler << ": ";
     if (!o->feasible()) {
-      std::cout << "infeasible — " << o->schedule.infeasible_reason << '\n';
+      std::cout << "infeasible — " << o->schedule().infeasible_reason << '\n';
       continue;
     }
-    std::cout << o->predicted.total.value() << " cycles (compute "
-              << o->predicted.compute.value() << ", stall " << o->predicted.stall.value()
-              << "), RF=" << o->schedule.rf << ", kept " << o->schedule.retained.size()
+    std::cout << o->predicted().total.value() << " cycles (compute "
+              << o->predicted().compute.value() << ", stall " << o->predicted().stall.value()
+              << "), RF=" << o->schedule().rf << ", kept " << o->schedule().retained.size()
               << " object(s)\n";
     if (o->scheduler == "CDS") {
-      for (DataId d : o->schedule.retained) {
+      for (DataId d : o->schedule().retained) {
         std::cout << "    retained: " << exp.app->data(d).name << " ("
                   << exp.app->data(d).size.value() << " words)\n";
       }
@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
   // ---- Trace the first events of the CDS execution. ----
   if (result.cds.feasible()) {
     std::cout << "\nfirst 24 timed events of the CDS run:\n";
-    csched::ContextPlan plan =
-        csched::ContextPlan::build(exp.sched, exp.cfg.cm_capacity_words);
-    codegen::ScheduleProgram program = codegen::generate(result.cds.schedule, plan);
+    csched::ContextPlan plan = csched::ContextPlan::build(*result.cds.result->input.sched,
+                                                          exp.cfg.cm_capacity_words);
+    codegen::ScheduleProgram program = codegen::generate(result.cds.schedule(), plan);
     sim::Simulator simulator(exp.cfg, plan);
     struct Event {
       Cycles start, end;

@@ -613,14 +613,15 @@ int run_single(const std::string& path, bool emit, bool timeline, bool cross_set
 
     // The degradation chain decides feasibility: CDS -> DS -> Basic ->
     // DS+split, with every rung's outcome recorded.
-    report::FallbackRunResult fb = report::run_with_fallback(sched, parsed.cfg);
-    std::cout << "fallback chain: " << fb.outcome.chain_summary() << '\n';
+    const report::SchedulerOutcome fb =
+        report::run_scheduler(engine::SchedulerKind::kFallback, sched, parsed.cfg);
+    std::cout << "fallback chain: " << fb.outcome().chain_summary() << '\n';
     if (!fb.feasible()) {
       std::cerr << "msysc: application does not fit this machine:\n"
-                << render(fb.outcome.diagnostics) << '\n';
+                << render(fb.outcome().diagnostics) << '\n';
       return kExitInfeasible;
     }
-    std::cout << "scheduled by: " << fb.outcome.chosen_rung() << "\n\n";
+    std::cout << "scheduled by: " << fb.outcome().chosen_rung() << "\n\n";
 
     report::ExperimentResult r =
         report::run_experiment(parsed.app.name(), sched, parsed.cfg);
@@ -639,9 +640,9 @@ int run_single(const std::string& path, bool emit, bool timeline, bool cross_set
       }
     }
     if (timeline && r.cds.feasible()) {
-      csched::ContextPlan plan =
-          csched::ContextPlan::build(sched, parsed.cfg.cm_capacity_words);
-      codegen::ScheduleProgram program = codegen::generate(r.cds.schedule, plan);
+      const csched::ContextPlan plan = csched::ContextPlan::build(
+          *r.cds.result->input.sched, parsed.cfg.cm_capacity_words);
+      codegen::ScheduleProgram program = codegen::generate(r.cds.schedule(), plan);
       std::cout << "\nCDS execution timeline:\n"
                 << report::render_timeline(program, parsed.cfg, plan);
     }

@@ -60,14 +60,14 @@ int main() {
   for (const report::SchedulerOutcome* o : {&result.basic, &result.ds, &result.cds}) {
     std::cout << o->scheduler << ": ";
     if (!o->feasible()) {
-      std::cout << "infeasible (" << o->schedule.infeasible_reason << ")\n";
+      std::cout << "infeasible (" << o->schedule().infeasible_reason << ")\n";
       continue;
     }
-    std::cout << o->predicted.total.value() << " cycles, RF=" << o->schedule.rf
-              << ", retained=" << o->schedule.retained.size()
-              << ", data loaded=" << o->predicted.data_words_loaded
-              << "w, stored=" << o->predicted.data_words_stored
-              << "w, contexts=" << o->predicted.context_words << "w\n";
+    std::cout << o->predicted().total.value() << " cycles, RF=" << o->schedule().rf
+              << ", retained=" << o->schedule().retained.size()
+              << ", data loaded=" << o->predicted().data_words_loaded
+              << "w, stored=" << o->predicted().data_words_stored
+              << "w, contexts=" << o->predicted().context_words << "w\n";
   }
   if (result.ds_improvement()) {
     std::cout << "\nDS improvement over Basic:  " << percent(*result.ds_improvement())

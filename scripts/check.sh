@@ -191,12 +191,15 @@ done
 # prepares one per (workload, tenant)) and the serve replay caches one
 # context plan per input, so a lifetime bug there trips ASan.  The code
 # generator joins them because it indexes its per-round release buckets
-# with offsets computed from the plan.  Only those nine test binaries are
-# built in build-san/; plan_alloc_test and parse_alloc_test stay out
-# because they replace operator new, which ASan owns.
+# with offsets computed from the plan.  The report suite joins them because
+# its results keep their schedules alive through a shared CompiledResult,
+# so a schedule left pointing into a dropped input trips ASan.  Only those
+# ten test binaries are built in build-san/; plan_alloc_test and
+# parse_alloc_test stay out because they replace operator new, which ASan
+# owns.
 if [ "$#" -eq 0 ]; then
   san_tests=(sim_test codegen_test oracle_screen_test fuzzing_test integration_test
-             dsched_test search_test engine_test serve_test)
+             dsched_test search_test engine_test serve_test report_test)
   echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
   cmake --preset san -DMSYS_WERROR=ON
   cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"

@@ -84,8 +84,6 @@ enum class FallbackEntry : std::uint8_t {
 
 struct FallbackOptions {
   CompleteDataScheduler::Options cds{};
-  /// Disable the final best-fit/split rung (ablation convenience).
-  bool enable_split_rung{true};
   /// First rung the chain is allowed to attempt (degraded-mode compiles
   /// enter lower).  Part of the engine cache key: a degraded compile is a
   /// different compilation than a full-chain one.

@@ -112,14 +112,12 @@ ScheduleOutcome schedule_with_fallback(const extract::ScheduleAnalysis& analysis
     std::string name;
     std::function<DataSchedule()> run;
   };
-  std::vector<Rung> rungs;
-  rungs.push_back(
-      {"CDS", [&] { return CompleteDataScheduler{options.cds}.schedule(plans, cancel); }});
-  rungs.push_back({"DS", [&] { return DataScheduler{}.schedule(plans, cancel); }});
-  rungs.push_back({"Basic", [&] { return BasicScheduler{}.schedule(plans, cancel); }});
-  if (options.enable_split_rung) {
-    rungs.push_back({"DS+split", [&] { return split_rung_schedule(plans); }});
-  }
+  const Rung rungs[] = {
+      {"CDS", [&] { return CompleteDataScheduler{options.cds}.schedule(plans, cancel); }},
+      {"DS", [&] { return DataScheduler{}.schedule(plans, cancel); }},
+      {"Basic", [&] { return BasicScheduler{}.schedule(plans, cancel); }},
+      {"DS+split", [&] { return split_rung_schedule(plans); }},
+  };
 
   // Degraded entry: rungs above the entry point are never attempted, but
   // still appear in the record so chain_summary() shows what was skipped.
@@ -128,7 +126,7 @@ ScheduleOutcome schedule_with_fallback(const extract::ScheduleAnalysis& analysis
       : options.entry == FallbackEntry::kDS  ? 1
                                              : 0;
 
-  for (std::size_t ri = 0; ri < rungs.size(); ++ri) {
+  for (std::size_t ri = 0; ri < std::size(rungs); ++ri) {
     const Rung& rung = rungs[ri];
     FallbackAttempt attempt;
     attempt.rung = rung.name;

@@ -1,5 +1,6 @@
 // The engine's unit of work: one (application, machine, scheduler kind,
-// options) compilation, plus the pure function that executes it.
+// options) compilation, the pure function that executes it, and the
+// three-way oracle that checks its result on request.
 //
 // Ownership: every model type downstream of a schedule holds non-owning
 // pointers (DataSchedule -> KernelSchedule -> Application), which is fine
@@ -23,6 +24,7 @@
 #include "msys/dsched/fallback.hpp"
 #include "msys/model/application.hpp"
 #include "msys/model/schedule.hpp"
+#include "msys/sim/cross_check.hpp"
 
 namespace msys::engine {
 
@@ -62,6 +64,10 @@ struct CompileInput {
 [[nodiscard]] CompileInput make_input(
     model::Application app, const std::vector<std::vector<std::string>>& partition_names,
     arch::M1Config cfg);
+/// Builds a CompileInput from a borrowed kernel schedule: copies its
+/// application and rebuilds the same partition over the copy, so the input
+/// owns everything it points into.
+[[nodiscard]] CompileInput make_input(const model::KernelSchedule& sched, arch::M1Config cfg);
 
 struct Job {
   CompileInput input;
@@ -75,11 +81,10 @@ struct CompiledResult {
   /// Keep-alive for every non-owning pointer inside `outcome`.
   CompileInput input;
   dsched::ScheduleOutcome outcome;
-  /// Analytic cost of the winning schedule.  The engine does not
-  /// re-simulate: sim::cross_check holds the model cycle- and word-exact
-  /// to the simulator, and it runs in the report runner, the fuzz harness
-  /// and oracle_screen_test, not here.  feasible == false when no rung fit
-  /// or the context plan does not.
+  /// Analytic cost of the winning schedule.  compile_job does not
+  /// simulate; engine::cross_check below holds the model cycle- and
+  /// word-exact to the simulator when a caller asks.  feasible == false
+  /// when no rung fit or the context plan does not.
   dsched::CostBreakdown predicted;
 
   [[nodiscard]] bool feasible() const {
@@ -87,7 +92,7 @@ struct CompiledResult {
   }
 };
 
-/// Canonical 64-bit content key of a job (domain tag "msys.engine.Job/v3"):
+/// Canonical 64-bit content key of a job (domain tag "msys.engine.Job/v4"):
 /// the input's schedule digest (the canonical schedule hash of
 /// msys/model/canonical.hpp, computed once in make_input) + machine config
 /// + scheduler kind + options.  Two jobs with equal keys are semantically
@@ -103,6 +108,12 @@ struct CompiledResult {
 /// cancel_cause and a "schedule.timeout"/"schedule.cancelled" diagnostic.
 [[nodiscard]] std::shared_ptr<const CompiledResult> compile_job(
     const Job& job, const CancelToken& cancel = {});
+
+/// The three-way oracle on one result: sim::cross_check of the result's
+/// schedule, with the analysis and context plan built from `result.input`,
+/// the kernel schedule the schedule points into.  An infeasible result
+/// stops at Stage::kInfeasible.
+[[nodiscard]] sim::CrossCheck cross_check(const CompiledResult& result);
 
 /// Synthesizes the structured result for a job whose compute never ran (or
 /// whose waiter stopped waiting) because `cause` fired: infeasible,

@@ -58,17 +58,23 @@ CompileInput make_input(model::Application app,
   return make_input(std::move(app), std::move(partition), std::move(cfg));
 }
 
+CompileInput make_input(const model::KernelSchedule& sched, arch::M1Config cfg) {
+  std::vector<std::vector<KernelId>> partition;
+  partition.reserve(sched.cluster_count());
+  for (const model::Cluster& cluster : sched.clusters()) partition.push_back(cluster.kernels);
+  return make_input(sched.app(), std::move(partition), std::move(cfg));
+}
+
 std::uint64_t cache_key(const Job& job) {
   MSYS_REQUIRE(job.input.sched_digest != 0,
                "cache_key needs a CompileInput built by make_input");
   Hasher h;
-  hash_append(h, "msys.engine.Job/v3");
+  hash_append(h, "msys.engine.Job/v4");
   hash_append(h, job.input.sched_digest);
   arch::hash_append(h, job.input.cfg);
   hash_append(h, job.kind);
   hash_append(h, job.options.cds.ranking);
   hash_append(h, job.options.cds.joint_rf_retention);
-  hash_append(h, job.options.enable_split_rung);
   // The fallback entry rung changes which scheduler runs: a degraded-mode
   // compile must never collide with (or poison) the full chain's cache
   // and store entries for the same schedule.
@@ -189,6 +195,14 @@ std::shared_ptr<const CompiledResult> compile_job(const Job& job,
     }
   }
   return result;
+}
+
+sim::CrossCheck cross_check(const CompiledResult& result) {
+  const CompileInput& input = result.input;
+  const extract::ScheduleAnalysis analysis(*input.sched, input.cfg.cross_set_reads);
+  return sim::cross_check(
+      result.outcome.schedule, analysis, input.cfg,
+      csched::ContextPlan::build(*input.sched, input.cfg.cm_capacity_words));
 }
 
 std::shared_ptr<const CompiledResult> make_cancelled_result(const Job& job,

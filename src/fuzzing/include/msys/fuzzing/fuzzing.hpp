@@ -8,9 +8,10 @@
 // inter-cluster reuse chains, degenerate single-kernel clusters, word-size
 // extremes, and malformed texts that must die as parser diagnostics.
 //
-// run_case() pushes the case through all three schedulers plus the
-// CDS->DS->Basic->DS+split fallback chain and runs every feasible schedule
-// through sim::cross_check, the three-way oracle:
+// run_case() compiles the case as four engine::compile_job runs, the three
+// schedulers plus the CDS->DS->Basic->DS+split fallback chain, and runs
+// every feasible schedule through engine::cross_check, the three-way
+// oracle:
 //   1. dsched::validate_schedule must report no violations,
 //   2. the event-driven simulator must complete without functional faults,
 //   3. dsched::predict_cost must equal the simulator on all eight shared

@@ -13,11 +13,9 @@
 #include "msys/common/cancel.hpp"
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
-#include "msys/csched/context_plan.hpp"
-#include "msys/dsched/fallback.hpp"
+#include "msys/engine/job.hpp"
 #include "msys/engine/schedule_cache.hpp"
 #include "msys/engine/thread_pool.hpp"
-#include "msys/sim/cross_check.hpp"
 #include "msys/store/disk_store.hpp"
 #include "msys/workloads/random.hpp"
 
@@ -163,6 +161,21 @@ void record(const sim::CrossCheck& check, const std::string& who, CaseResult& re
   result.failures.push_back({who, kind, check.why()});
 }
 
+/// The text of a throw that compile_job turned into its own
+/// "schedule.internal" diagnostic ("<kind>: <what>", with <what> kept as
+/// the prediction's infeasible_reason), or nullptr when the job did not
+/// throw.  The fallback chain's per-rung internal diagnostics name their
+/// rung, never the job kind.
+const std::string* caught_throw(const engine::CompiledResult& r, engine::SchedulerKind kind) {
+  const std::string prefix = engine::to_string(kind) + ": ";
+  for (const Diagnostic& d : r.outcome.diagnostics) {
+    if (d.code == "schedule.internal" && d.message.starts_with(prefix)) {
+      return &r.predicted.infeasible_reason;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 CaseResult run_case(const FuzzCase& c) {
@@ -181,26 +194,33 @@ CaseResult run_case(const FuzzCase& c) {
     }
     if (parsed.experiment->partition.empty()) return result;  // nothing to schedule
 
-    const model::KernelSchedule sched = parsed.experiment->schedule();
-    const arch::M1Config& cfg = parsed.experiment->cfg;
-    const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
-    const csched::ContextPlan ctx_plan =
-        csched::ContextPlan::build(sched, cfg.cm_capacity_words);
+    const engine::CompileInput input =
+        engine::make_input(std::move(parsed.experiment->app), parsed.experiment->partition,
+                           std::move(parsed.experiment->cfg));
 
     // The three paper schedulers, each fully cross-checked.
-    for (const auto& scheduler : dsched::all_schedulers()) {
-      try {
-        const dsched::DataSchedule schedule = scheduler->schedule(analysis, cfg);
-        if (schedule.feasible) ++result.feasible_schedulers;
-        record(sim::cross_check(schedule, analysis, cfg, ctx_plan), scheduler->name(), result);
-      } catch (const std::exception& e) {
-        result.failures.push_back({scheduler->name(), "uncaught-throw", e.what()});
+    for (const engine::SchedulerKind kind :
+         {engine::SchedulerKind::kBasic, engine::SchedulerKind::kDS,
+          engine::SchedulerKind::kCDS}) {
+      const auto compiled = engine::compile_job({input, kind, {}});
+      const std::string label = engine::to_string(kind);
+      if (const std::string* what = caught_throw(*compiled, kind)) {
+        result.failures.push_back({label, "uncaught-throw", *what});
+        continue;
       }
+      if (compiled->outcome.feasible()) ++result.feasible_schedulers;
+      record(engine::cross_check(*compiled), label, result);
     }
 
     // The degradation chain: must end feasible-and-clean or structurally
     // infeasible, never anything in between.
-    dsched::ScheduleOutcome outcome = dsched::schedule_with_fallback(analysis, cfg);
+    const auto fallback = engine::compile_job({input, engine::SchedulerKind::kFallback, {}});
+    if (const std::string* what =
+            caught_throw(*fallback, engine::SchedulerKind::kFallback)) {
+      result.failures.push_back({"pipeline", "uncaught-throw", *what});
+      return result;
+    }
+    const dsched::ScheduleOutcome& outcome = fallback->outcome;
     result.fallback_feasible = outcome.feasible();
     result.fallback_rung = outcome.chosen_rung();
     result.fallback_chain = outcome.chain_summary();
@@ -210,7 +230,7 @@ CaseResult run_case(const FuzzCase& c) {
       }
     }
     if (outcome.feasible()) {
-      const sim::CrossCheck check = sim::cross_check(outcome.schedule, analysis, cfg, ctx_plan);
+      const sim::CrossCheck check = engine::cross_check(*fallback);
       record(check, "fallback/" + outcome.schedule.scheduler_name, result);
       if (check.predicted.feasible) result.fallback_total_cycles = check.predicted.total.value();
     } else {

@@ -1,34 +1,40 @@
 // Experiment runner: pushes one (application, kernel schedule, machine)
 // triple through all three data schedulers and derives the metrics Table 1
-// / Figure 6 report.  Every feasible schedule goes through sim::cross_check,
-// the one three-way oracle (validator clean, simulator fault-free, and
-// predict_cost equal to the simulator on all eight shared fields); any
-// failure but plain infeasibility throws msys::Error.
+// / Figure 6 report.  Every run is one engine::compile_job, and every
+// feasible schedule goes through engine::cross_check, the one three-way
+// oracle (validator clean, simulator fault-free, and predict_cost equal to
+// the simulator on all eight shared fields); any failure but plain
+// infeasibility, and any internal scheduler error, throws msys::Error.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "msys/arch/m1.hpp"
-#include "msys/dsched/cost.hpp"
-#include "msys/dsched/fallback.hpp"
-#include "msys/dsched/schedulers.hpp"
+#include "msys/engine/job.hpp"
 #include "msys/engine/thread_pool.hpp"
 #include "msys/model/schedule.hpp"
 #include "msys/sim/simulator.hpp"
 
 namespace msys::report {
 
-/// One scheduler's end-to-end outcome on one experiment.
+/// One compile job's end-to-end outcome on one experiment.
 struct SchedulerOutcome {
+  /// engine::to_string of the job's kind ("Basic", "DS", "CDS", "fallback").
   std::string scheduler;
-  dsched::DataSchedule schedule;
-  dsched::CostBreakdown predicted;
+  /// The engine's result; it owns the input the schedule points into.
+  std::shared_ptr<const engine::CompiledResult> result;
   /// Present only when the schedule is feasible.
   std::optional<sim::SimReport> measured;
 
-  [[nodiscard]] bool feasible() const { return schedule.feasible && predicted.feasible; }
+  [[nodiscard]] const dsched::ScheduleOutcome& outcome() const { return result->outcome; }
+  [[nodiscard]] const dsched::DataSchedule& schedule() const {
+    return result->outcome.schedule;
+  }
+  [[nodiscard]] const dsched::CostBreakdown& predicted() const { return result->predicted; }
+  [[nodiscard]] bool feasible() const { return result->feasible(); }
   /// Simulated cycles (predicted == measured is asserted by cross_check).
   [[nodiscard]] Cycles cycles() const;
 };
@@ -56,39 +62,22 @@ struct ExperimentResult {
   [[nodiscard]] SizeWords dt_words_avoided_per_iteration() const;
 
   /// Paper's "RF": the context-reuse factor DS/CDS achieved.
-  [[nodiscard]] std::uint32_t rf() const { return cds.schedule.rf; }
+  [[nodiscard]] std::uint32_t rf() const { return cds.schedule().rf; }
 };
 
-/// Runs Basic, DS and CDS on the experiment.  Throws msys::Error on any
-/// cross_check failure.
+/// Runs Basic, DS and CDS on the experiment, as three compile jobs on one
+/// engine::CompileInput.  Throws msys::Error on any cross_check failure.
 [[nodiscard]] ExperimentResult run_experiment(std::string name,
                                               const model::KernelSchedule& sched,
                                               const arch::M1Config& cfg);
 
-/// Runs one specific scheduler end to end (used by ablations).
-[[nodiscard]] SchedulerOutcome run_scheduler(const dsched::DataSchedulerBase& scheduler,
+/// Runs one compile job end to end (ablations, msysc's fallback chain).  A
+/// kFallback job's outcome carries the per-rung attempts and structured
+/// diagnostics; a machine that is merely too small is data, not a throw.
+[[nodiscard]] SchedulerOutcome run_scheduler(engine::SchedulerKind kind,
                                              const model::KernelSchedule& sched,
-                                             const arch::M1Config& cfg);
-
-/// End-to-end run of the CDS -> DS -> Basic -> DS+split degradation chain:
-/// schedules via dsched::schedule_with_fallback, then (when a rung fits)
-/// cross-checks the winning schedule exactly as run_scheduler does.
-/// Infeasibility is data: the returned outcome carries the per-rung
-/// attempts and structured diagnostics; nothing throws for a machine that
-/// is merely too small.
-struct FallbackRunResult {
-  dsched::ScheduleOutcome outcome;
-  dsched::CostBreakdown predicted;
-  /// Present only when a rung produced a feasible, simulatable schedule.
-  std::optional<sim::SimReport> measured;
-
-  [[nodiscard]] bool feasible() const {
-    return outcome.feasible() && predicted.feasible;
-  }
-};
-
-[[nodiscard]] FallbackRunResult run_with_fallback(const model::KernelSchedule& sched,
-                                                  const arch::M1Config& cfg);
+                                             const arch::M1Config& cfg,
+                                             const dsched::FallbackOptions& options = {});
 
 /// One experiment of a run_all batch.  `sched` is non-owning; the caller's
 /// experiment objects must outlive the call (the Table-1/Fig-6 benches

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "msys/common/table.hpp"
@@ -24,12 +23,6 @@ namespace msys::report {
 /// Cycle-level detail: per scheduler, total/compute/stall cycles and the
 /// DMA traffic split (not in the paper; useful for analysis).
 [[nodiscard]] TextTable detail_table(const std::vector<ExperimentResult>& results);
-
-/// Degradation-chain report: per experiment, the rung that won
-/// (CDS/DS/Basic/DS+split or "infeasible"), every attempted rung with its
-/// failure reason, and the winning rung's cycle count.
-[[nodiscard]] TextTable fallback_table(
-    const std::vector<std::pair<std::string, FallbackRunResult>>& runs);
 
 /// One row of the greedy-vs-annealed comparison.  A plain data carrier so
 /// the annealing search (src/search) feeds it without report depending on

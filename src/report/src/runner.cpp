@@ -5,15 +5,14 @@
 #include <mutex>
 #include <utility>
 
+#include "msys/common/diagnostic.hpp"
 #include "msys/common/error.hpp"
-#include "msys/extract/analysis.hpp"
-#include "msys/sim/cross_check.hpp"
 
 namespace msys::report {
 
 Cycles SchedulerOutcome::cycles() const {
   MSYS_REQUIRE(feasible(), "no cycle count for an infeasible schedule");
-  return predicted.total;
+  return predicted().total;
 }
 
 std::optional<double> ExperimentResult::ds_improvement() const {
@@ -33,51 +32,42 @@ std::optional<double> ExperimentResult::cds_improvement() const {
 SizeWords ExperimentResult::dt_words_avoided_per_iteration() const {
   if (!basic.feasible() || !cds.feasible()) return SizeWords::zero();
   const std::uint64_t iterations = total_iterations;
-  const std::uint64_t b = basic.predicted.data_words_total();
-  const std::uint64_t c = cds.predicted.data_words_total();
+  const std::uint64_t b = basic.predicted().data_words_total();
+  const std::uint64_t c = cds.predicted().data_words_total();
   return SizeWords{(b > c ? b - c : 0) / iterations};
 }
 
 namespace {
 
-/// The check behind every runner entry point: cross-checks `schedule` into
-/// `out.predicted` / `out.measured` and throws msys::Error on anything but
-/// a pass or plain infeasibility.
-template <class Out>
-void check_into(Out& out, const dsched::DataSchedule& schedule, const std::string& who,
-                const extract::ScheduleAnalysis& analysis, const arch::M1Config& cfg) {
-  sim::CrossCheck check = sim::cross_check(
-      schedule, analysis, cfg,
-      csched::ContextPlan::build(analysis.sched(), cfg.cm_capacity_words));
+/// The path behind every runner entry point: compiles `job`, rethrows an
+/// internal scheduler error, and cross-checks a feasible schedule into
+/// `measured`, throwing msys::Error on anything but a pass or plain
+/// infeasibility.
+SchedulerOutcome run_job(const engine::Job& job) {
+  SchedulerOutcome out;
+  out.scheduler = engine::to_string(job.kind);
+  out.result = engine::compile_job(job);
+  const std::string& app = job.input.app->name();
+  for (const Diagnostic& d : out.outcome().diagnostics) {
+    if (d.code == "schedule.internal") throw Error(app + ": " + d.message);
+  }
+  if (!out.outcome().feasible()) return out;
+  const std::string who = job.kind == engine::SchedulerKind::kFallback
+                              ? out.outcome().chosen_rung() + " (via fallback)"
+                              : out.scheduler;
+  sim::CrossCheck check = engine::cross_check(*out.result);
   MSYS_REQUIRE(check.ok() || check.stage == sim::CrossCheck::Stage::kInfeasible,
-               who + " on " + analysis.sched().app().name() + ": " + check.why());
-  out.predicted = std::move(check.predicted);
+               who + " on " + app + ": " + check.why());
   out.measured = std::move(check.measured);
+  return out;
 }
 
 }  // namespace
 
-SchedulerOutcome run_scheduler(const dsched::DataSchedulerBase& scheduler,
-                               const model::KernelSchedule& sched,
-                               const arch::M1Config& cfg) {
-  const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
-  SchedulerOutcome outcome;
-  outcome.scheduler = scheduler.name();
-  outcome.schedule = scheduler.schedule(analysis, cfg);
-  check_into(outcome, outcome.schedule, outcome.scheduler, analysis, cfg);
-  return outcome;
-}
-
-FallbackRunResult run_with_fallback(const model::KernelSchedule& sched,
-                                    const arch::M1Config& cfg) {
-  const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
-  FallbackRunResult result;
-  result.outcome = dsched::schedule_with_fallback(analysis, cfg);
-  if (result.outcome.feasible()) {
-    check_into(result, result.outcome.schedule, result.outcome.chosen_rung() + " (via fallback)",
-               analysis, cfg);
-  }
-  return result;
+SchedulerOutcome run_scheduler(engine::SchedulerKind kind, const model::KernelSchedule& sched,
+                               const arch::M1Config& cfg,
+                               const dsched::FallbackOptions& options) {
+  return run_job({engine::make_input(sched, cfg), kind, options});
 }
 
 ExperimentResult run_experiment(std::string name, const model::KernelSchedule& sched,
@@ -90,9 +80,10 @@ ExperimentResult run_experiment(std::string name, const model::KernelSchedule& s
   result.total_iterations = sched.app().total_iterations();
   result.data_size_per_iteration = sched.app().total_data_size();
 
-  result.basic = run_scheduler(dsched::BasicScheduler{}, sched, cfg);
-  result.ds = run_scheduler(dsched::DataScheduler{}, sched, cfg);
-  result.cds = run_scheduler(dsched::CompleteDataScheduler{}, sched, cfg);
+  const engine::CompileInput input = engine::make_input(sched, cfg);
+  result.basic = run_job({input, engine::SchedulerKind::kBasic, {}});
+  result.ds = run_job({input, engine::SchedulerKind::kDS, {}});
+  result.cds = run_job({input, engine::SchedulerKind::kCDS, {}});
   return result;
 }
 

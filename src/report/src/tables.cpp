@@ -76,43 +76,15 @@ TextTable detail_table(const std::vector<ExperimentResult>& results) {
       table.add_row({
           r.name,
           o->scheduler,
-          std::to_string(o->schedule.rf),
-          std::to_string(o->schedule.retained.size()),
-          std::to_string(o->predicted.total.value()),
-          std::to_string(o->predicted.compute.value()),
-          std::to_string(o->predicted.stall.value()),
-          std::to_string(o->predicted.data_words_loaded),
-          std::to_string(o->predicted.data_words_stored),
-          std::to_string(o->predicted.context_words),
+          std::to_string(o->schedule().rf),
+          std::to_string(o->schedule().retained.size()),
+          std::to_string(o->predicted().total.value()),
+          std::to_string(o->predicted().compute.value()),
+          std::to_string(o->predicted().stall.value()),
+          std::to_string(o->predicted().data_words_loaded),
+          std::to_string(o->predicted().data_words_stored),
+          std::to_string(o->predicted().context_words),
       });
-    }
-    table.add_rule();
-  }
-  return table;
-}
-
-TextTable fallback_table(
-    const std::vector<std::pair<std::string, FallbackRunResult>>& runs) {
-  TextTable table({"Experiment", "Rung", "Attempt", "Outcome", "Cycles"});
-  for (const auto& [name, run] : runs) {
-    bool first = true;
-    for (const dsched::FallbackAttempt& attempt : run.outcome.attempts) {
-      std::string outcome;
-      if (!attempt.attempted) {
-        outcome = attempt.reason.empty() ? "not reached" : attempt.reason;
-      } else if (attempt.succeeded) {
-        outcome = "ok";
-      } else {
-        outcome = attempt.reason;
-      }
-      const bool winner = attempt.succeeded && run.feasible();
-      table.add_row({first ? name : "", attempt.rung,
-                     attempt.attempted ? "tried" : "-", outcome,
-                     winner ? std::to_string(run.predicted.total.value()) : "-"});
-      first = false;
-    }
-    if (!run.outcome.feasible()) {
-      table.add_row({first ? name : "", "-", "-", "infeasible on every rung", "-"});
     }
     table.add_rule();
   }

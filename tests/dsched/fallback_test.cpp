@@ -66,17 +66,6 @@ TEST(Fallback, ChainSummaryNamesEveryRung) {
   EXPECT_NE(bad.chain_summary().find("DS+split:failed("), std::string::npos);
 }
 
-TEST(Fallback, SplitRungCanBeDisabled) {
-  TwoClusterApp t = TwoClusterApp::make();
-  ScheduleAnalysis analysis(t.sched);
-  FallbackOptions options;
-  options.enable_split_rung = false;
-  const ScheduleOutcome outcome =
-      schedule_with_fallback(analysis, test_cfg(100), options);
-  EXPECT_EQ(outcome.attempts.size(), 3u);
-  EXPECT_FALSE(outcome.feasible());
-}
-
 TEST(Fallback, KeepsMostAmbitiousInfeasibleRecord) {
   TwoClusterApp t = TwoClusterApp::make();
   ScheduleAnalysis analysis(t.sched);

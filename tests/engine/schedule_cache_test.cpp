@@ -53,10 +53,6 @@ TEST(CacheKey, DiffersByContentMachineKindAndOptions) {
   kind.kind = SchedulerKind::kCDS;
   EXPECT_NE(base_key, cache_key(kind));
 
-  Job options = base;
-  options.options.enable_split_rung = false;
-  EXPECT_NE(base_key, cache_key(options));
-
   Job ranking = base;
   ranking.options.cds.ranking =
       dsched::CompleteDataScheduler::Options::Ranking::kDensity;

@@ -122,17 +122,17 @@ TEST(CrossSet, EndToEndEliminatesCrossSetTraffic) {
   arch::M1Config cross_cfg = plain_cfg.with_cross_set_reads(true);
 
   SchedulerOutcome plain =
-      run_scheduler(dsched::CompleteDataScheduler{}, t.sched, plain_cfg);
+      run_scheduler(engine::SchedulerKind::kCDS, t.sched, plain_cfg);
   SchedulerOutcome cross =
-      run_scheduler(dsched::CompleteDataScheduler{}, t.sched, cross_cfg);
+      run_scheduler(engine::SchedulerKind::kCDS, t.sched, cross_cfg);
   ASSERT_TRUE(plain.feasible());
   ASSERT_TRUE(cross.feasible());
-  EXPECT_TRUE(plain.schedule.retained.empty());
-  EXPECT_EQ(cross.schedule.retained.size(), 1u);
+  EXPECT_TRUE(plain.schedule().retained.empty());
+  EXPECT_EQ(cross.schedule().retained.size(), 1u);
   // One 40-word `shared` load per iteration disappears.
-  EXPECT_EQ(plain.predicted.data_words_loaded - cross.predicted.data_words_loaded,
+  EXPECT_EQ(plain.predicted().data_words_loaded - cross.predicted().data_words_loaded,
             40u * 6);
-  EXPECT_LE(cross.predicted.total, plain.predicted.total);
+  EXPECT_LE(cross.predicted().total, plain.predicted().total);
 }
 
 TEST(CrossSet, MpegStoreOfPredDisappears) {
@@ -141,14 +141,14 @@ TEST(CrossSet, MpegStoreOfPredDisappears) {
   // disappears entirely.
   workloads::Experiment exp = workloads::make_experiment("MPEG");
   SchedulerOutcome plain =
-      run_scheduler(dsched::CompleteDataScheduler{}, exp.sched, exp.cfg);
+      run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
   arch::M1Config cross_cfg = exp.cfg.with_cross_set_reads(true);
   SchedulerOutcome cross =
-      run_scheduler(dsched::CompleteDataScheduler{}, exp.sched, cross_cfg);
+      run_scheduler(engine::SchedulerKind::kCDS, exp.sched, cross_cfg);
   ASSERT_TRUE(plain.feasible());
   ASSERT_TRUE(cross.feasible());
-  EXPECT_LT(cross.predicted.data_words_total(), plain.predicted.data_words_total());
-  EXPECT_LE(cross.predicted.total, plain.predicted.total);
+  EXPECT_LT(cross.predicted().data_words_total(), plain.predicted().data_words_total());
+  EXPECT_LE(cross.predicted().total, plain.predicted().total);
 }
 
 class CrossSetRegistry : public ::testing::TestWithParam<std::string> {};
@@ -156,11 +156,11 @@ class CrossSetRegistry : public ::testing::TestWithParam<std::string> {};
 TEST_P(CrossSetRegistry, NeverWorseThanPaperMachine) {
   workloads::Experiment exp = workloads::make_experiment(GetParam());
   SchedulerOutcome plain =
-      run_scheduler(dsched::CompleteDataScheduler{}, exp.sched, exp.cfg);
-  SchedulerOutcome cross = run_scheduler(dsched::CompleteDataScheduler{}, exp.sched,
+      run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
+  SchedulerOutcome cross = run_scheduler(engine::SchedulerKind::kCDS, exp.sched,
                                          exp.cfg.with_cross_set_reads(true));
   if (!plain.feasible() || !cross.feasible()) GTEST_SKIP();
-  EXPECT_LE(cross.predicted.data_words_total(), plain.predicted.data_words_total());
+  EXPECT_LE(cross.predicted().data_words_total(), plain.predicted().data_words_total());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllExperiments, CrossSetRegistry,

@@ -34,8 +34,8 @@ TEST_P(EndToEnd, PredictionMatchesSimulation) {
   for (const SchedulerOutcome* o : {&result_->basic, &result_->ds, &result_->cds}) {
     if (!o->feasible()) continue;
     ASSERT_TRUE(o->measured.has_value());
-    EXPECT_EQ(o->predicted.total, o->measured->total) << o->scheduler;
-    EXPECT_EQ(o->predicted.data_words_total(), o->measured->data_words_total());
+    EXPECT_EQ(o->predicted().total, o->measured->total) << o->scheduler;
+    EXPECT_EQ(o->predicted().data_words_total(), o->measured->data_words_total());
   }
 }
 
@@ -55,9 +55,9 @@ TEST_P(EndToEnd, ImprovementOrdering) {
 
 TEST_P(EndToEnd, CdsNeverMovesMoreData) {
   if (!result_->ds.feasible() || !result_->cds.feasible()) GTEST_SKIP();
-  EXPECT_LE(result_->cds.predicted.data_words_total(),
-            result_->ds.predicted.data_words_total());
-  EXPECT_EQ(result_->cds.predicted.context_words, result_->ds.predicted.context_words)
+  EXPECT_LE(result_->cds.predicted().data_words_total(),
+            result_->ds.predicted().data_words_total());
+  EXPECT_EQ(result_->cds.predicted().context_words, result_->ds.predicted().context_words)
       << "retention must not change context traffic";
 }
 
@@ -66,7 +66,7 @@ TEST_P(EndToEnd, NoDataObjectEverSplit) {
   // several parts."
   for (const SchedulerOutcome* o : {&result_->basic, &result_->ds, &result_->cds}) {
     if (!o->feasible()) continue;
-    EXPECT_EQ(o->schedule.alloc_summary.splits, 0u) << o->scheduler;
+    EXPECT_EQ(o->schedule().alloc_summary.splits, 0u) << o->scheduler;
   }
 }
 
@@ -83,15 +83,15 @@ TEST_P(EndToEnd, PeakResidencyWithinFbSet) {
 TEST_P(EndToEnd, RfRespectsIterationCount) {
   EXPECT_GE(result_->rf(), 1u);
   EXPECT_LE(result_->rf(), exp_->app->total_iterations());
-  EXPECT_EQ(result_->basic.schedule.rf, 1u);
+  EXPECT_EQ(result_->basic.schedule().rf, 1u);
 }
 
 TEST_P(EndToEnd, RegularityHintsMostlyHit) {
   // §5 regularity: for RF > 1 the planner re-places following iterations
   // next to the previous one; on these workloads the hint always lands.
   const SchedulerOutcome& cds = result_->cds;
-  if (!cds.feasible() || cds.schedule.rf < 2) GTEST_SKIP();
-  EXPECT_GT(cds.schedule.alloc_summary.preferred_hits, 0u);
+  if (!cds.feasible() || cds.schedule().rf < 2) GTEST_SKIP();
+  EXPECT_GT(cds.schedule().alloc_summary.preferred_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllExperiments, EndToEnd,

@@ -30,8 +30,8 @@ TEST_P(RandomPipeline, AllInvariantsHold) {
   EXPECT_LE(r.cds.cycles(), r.ds.cycles());
 
   // Retention only removes traffic, never adds.
-  EXPECT_LE(r.cds.predicted.data_words_total(), r.ds.predicted.data_words_total());
-  EXPECT_EQ(r.cds.predicted.context_words, r.ds.predicted.context_words);
+  EXPECT_LE(r.cds.predicted().data_words_total(), r.ds.predicted().data_words_total());
+  EXPECT_EQ(r.cds.predicted().context_words, r.ds.predicted().context_words);
 
   // The RC array executes exactly kernels x iterations, no matter the
   // scheduler.
@@ -53,7 +53,7 @@ TEST_P(RandomPipeline, AllInvariantsHold) {
     if (d.required_in_external_memory) final_words += d.size.value();
   }
   for (const SchedulerOutcome* o : {&r.basic, &r.ds, &r.cds}) {
-    EXPECT_GE(o->predicted.data_words_stored,
+    EXPECT_GE(o->predicted().data_words_stored,
               final_words * exp.app->total_iterations())
         << o->scheduler;
   }

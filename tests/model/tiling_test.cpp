@@ -117,7 +117,7 @@ TEST(Tiling, MakesInfeasibleWorkloadSchedulable) {
   EXPECT_TRUE(r.cds.feasible());
   // The replicated table is consumed by tiles on the same FB set: tiling
   // manufactured a §4 retention opportunity, and the CDS takes it.
-  EXPECT_FALSE(r.cds.schedule.retained.empty());
+  EXPECT_FALSE(r.cds.schedule().retained.empty());
 }
 
 TEST(Tiling, TiledRegistryMpegRunsAtOneK) {

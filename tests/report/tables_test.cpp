@@ -76,7 +76,7 @@ TEST(Tables, MetricsMatchOutcomes) {
   EXPECT_EQ(r.total_iterations, 4u);
   // DT is (basic words - cds words) / iterations.
   const std::uint64_t diff =
-      r.basic.predicted.data_words_total() - r.cds.predicted.data_words_total();
+      r.basic.predicted().data_words_total() - r.cds.predicted().data_words_total();
   EXPECT_EQ(r.dt_words_avoided_per_iteration().value(), diff / 4);
 }
 
@@ -84,30 +84,6 @@ TEST(Tables, SchedulerOutcomeCyclesThrowsWhenInfeasible) {
   TwoClusterApp t = TwoClusterApp::make();
   ExperimentResult r = run_experiment("tight", t.sched, test_cfg(300));
   EXPECT_THROW((void)r.basic.cycles(), Error);
-}
-
-TEST(Tables, FallbackTableShowsWinningRungAndCycles) {
-  TwoClusterApp t = TwoClusterApp::make();
-  const FallbackRunResult run = run_with_fallback(t.sched, test_cfg(1024));
-  ASSERT_TRUE(run.feasible());
-  ASSERT_TRUE(run.measured.has_value());
-  EXPECT_EQ(run.predicted.total, run.measured->total);
-  TextTable table = fallback_table({{"demo", run}});
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("demo,CDS,tried,ok," + std::to_string(run.predicted.total.value())),
-            std::string::npos);
-  EXPECT_NE(csv.find("DS,-,not reached"), std::string::npos);
-}
-
-TEST(Tables, FallbackTableShowsStructuredInfeasibility) {
-  TwoClusterApp t = TwoClusterApp::make();
-  const FallbackRunResult run = run_with_fallback(t.sched, test_cfg(100));
-  EXPECT_FALSE(run.feasible());
-  EXPECT_TRUE(has_errors(run.outcome.diagnostics));
-  TextTable table = fallback_table({{"tight", run}});
-  const std::string s = table.to_string();
-  EXPECT_NE(s.find("infeasible on every rung"), std::string::npos);
-  EXPECT_NE(s.find("DS+split"), std::string::npos);
 }
 
 }  // namespace

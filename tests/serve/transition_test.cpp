@@ -18,16 +18,17 @@ TEST(TransitionModelTest, FootprintMatchesSimulatorOnTable1Apps) {
   for (const std::string& name : workloads::table1_experiment_names()) {
     SCOPED_TRACE(name);
     const workloads::Experiment exp = workloads::make_experiment(name);
-    const report::FallbackRunResult run = report::run_with_fallback(exp.sched, exp.cfg);
+    const report::SchedulerOutcome run =
+        report::run_scheduler(engine::SchedulerKind::kFallback, exp.sched, exp.cfg);
     if (!run.feasible() || !run.measured.has_value()) continue;
 
     const csched::ContextPlan plan =
-        csched::ContextPlan::build(exp.sched, exp.cfg.cm_capacity_words);
+        csched::ContextPlan::build(*run.result->input.sched, exp.cfg.cm_capacity_words);
     ASSERT_TRUE(plan.feasible());
 
-    const ModeFootprint analytic = footprint_of(run.outcome.schedule, plan);
-    const ModeFootprint from_sim = footprint_from_sim(
-        *run.measured, plan, run.outcome.schedule.round_count());
+    const ModeFootprint analytic = footprint_of(run.schedule(), plan);
+    const ModeFootprint from_sim =
+        footprint_from_sim(*run.measured, plan, run.schedule().round_count());
     EXPECT_EQ(analytic, from_sim);
 
     // Identical footprints must price identically — the serving loop's

@@ -1,15 +1,12 @@
 // Random-workload families the three-way oracle is screened on, and the
-// fallback schedule of one of them run through sim::cross_check.  Shared
+// fallback schedule of one of them run through engine::cross_check.  Shared
 // by the cross_check unit tests (sim_test) and the differential screen
 // (oracle_screen_test).
 #pragma once
 
 #include <cstdint>
 
-#include "msys/csched/context_plan.hpp"
-#include "msys/dsched/fallback.hpp"
-#include "msys/extract/analysis.hpp"
-#include "msys/sim/cross_check.hpp"
+#include "msys/engine/job.hpp"
 #include "msys/workloads/random.hpp"
 
 namespace msys::testing {
@@ -35,14 +32,11 @@ inline workloads::RandomSpec large_spec(std::uint64_t seed) {
   return spec;
 }
 
-/// Cross-checks the schedule_with_fallback schedule of `spec`'s workload.
+/// Cross-checks the fallback-chain schedule of `spec`'s workload.
 inline sim::CrossCheck fallback_cross_check(const workloads::RandomSpec& spec) {
   const workloads::RandomExperiment exp = workloads::make_random(spec);
-  const extract::ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
-  const dsched::ScheduleOutcome outcome = dsched::schedule_with_fallback(analysis, exp.cfg);
-  const csched::ContextPlan ctx_plan =
-      csched::ContextPlan::build(exp.sched, exp.cfg.cm_capacity_words);
-  return sim::cross_check(outcome.schedule, analysis, exp.cfg, ctx_plan);
+  return engine::cross_check(*engine::compile_job(
+      {engine::make_input(exp.sched, exp.cfg), engine::SchedulerKind::kFallback, {}}));
 }
 
 }  // namespace msys::testing

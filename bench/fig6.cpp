@@ -12,14 +12,11 @@ int main() {
   for (const std::string& name : workloads::table1_experiment_names()) {
     experiments.push_back(workloads::make_experiment(name));
   }
-  // The parallel run_all overload: results come back in spec order and
-  // identical to the serial loop, whatever the worker count.
   std::vector<report::ExperimentSpec> specs;
   for (const workloads::Experiment& exp : experiments) {
     specs.push_back({exp.name, &exp.sched, exp.cfg});
   }
-  engine::ThreadPool pool(engine::ThreadPool::hardware_threads());
-  const std::vector<report::ExperimentResult> results = report::run_all(specs, pool);
+  const std::vector<report::ExperimentResult> results = report::run_all(specs);
 
   std::cout << "Figure 6. Relative execution improvement (%)\n\n";
   std::cout << report::fig6_ascii(results) << '\n';

@@ -4,12 +4,13 @@
 //
 // Per-job failure is data: an infeasible (or internally erroring) job
 // yields a JobResult whose outcome carries diagnostics — one bad job never
-// aborts the batch.  The same convention covers the fault-tolerance paths:
-// a job whose per-job deadline expires yields a "schedule.timeout" result
-// (optionally retried, RunOptions::retries), and a job the pool refuses
-// (shutdown race) yields an "engine.pool.refused" result — both counted in
-// BatchStats, neither aborting the batch.  The runner also runs correctly
-// with no cache (every job computed) and with a pool of one thread (serial
+// aborts the batch.  The same convention covers deadlines: a job whose
+// per-job deadline expires yields a "schedule.timeout" result (optionally
+// retried, RunOptions::retries), counted in BatchStats.  The fan-out is
+// engine::parallel_for, so a pool that refuses work (its destructor is
+// draining) only moves the remaining jobs onto the calling thread; every
+// job still gets a real result.  The runner also runs correctly with no
+// cache (every job computed) and with a pool of one thread (serial
 // semantics), which is how the determinism tests pin "parallel == serial".
 #pragma once
 
@@ -31,8 +32,8 @@ struct JobResult {
   std::shared_ptr<const CompiledResult> result;
   std::uint64_t key{0};
   bool cache_hit{false};
-  /// Which tier served the result (kCompute for a fresh compile, a
-  /// synthesized timeout, or a refused job).
+  /// Which tier served the result (kCompute for a fresh compile or a
+  /// synthesized timeout).
   CacheTier tier{CacheTier::kCompute};
   /// True when the persistent store's read retry budget was exhausted for
   /// this job (the result was recomputed, but the store is misbehaving —
@@ -88,8 +89,6 @@ struct BatchStats {
   std::size_t cancelled{0};
   /// Deadline re-attempts actually run (RunOptions::retries).
   std::size_t retries{0};
-  /// Jobs the pool refused at submit (answered with "engine.pool.refused").
-  std::size_t submit_refused{0};
   /// Jobs whose store read exhausted its retry budget (JobResult::
   /// store_degraded): each completed anyway, but the store is degraded.
   std::size_t store_faults{0};
@@ -131,12 +130,15 @@ class BatchRunner {
       : pool_(&pool), cache_(cache) {}
 
   /// Runs every job; results[i] always corresponds to jobs[i] and
-  /// results[i].result is never null — timeouts, cancellations and pool
-  /// refusals come back as structured per-job results.  Blocks until the
-  /// whole batch finished.  Thread-safe for the caller in the sense that
-  /// concurrent run() calls on one runner share the pool and cache but
-  /// keep their batches separate.  `stats`, when given, receives this
-  /// batch's accounting (overwritten, not accumulated).
+  /// results[i].result is never null — timeouts and cancellations come
+  /// back as structured per-job results.  Blocks until the whole batch
+  /// finished.  A throw inside one job (cache_key rejects an input that
+  /// make_input did not build) lets the other jobs finish and is then
+  /// rethrown to the caller, lowest job index first.  Thread-safe for the
+  /// caller in the sense that concurrent run() calls on one runner share
+  /// the pool and cache but keep their batches separate.  `stats`, when
+  /// given, receives this batch's accounting (overwritten, not
+  /// accumulated).
   [[nodiscard]] std::vector<JobResult> run(const std::vector<Job>& jobs,
                                            const RunOptions& options,
                                            BatchStats* stats = nullptr);

@@ -14,12 +14,13 @@
 //     Accept-and-drain was rejected deliberately — a self-perpetuating job
 //     chain would then block shutdown forever.
 //   * Jobs must not throw — the pool has no channel to report an
-//     exception, so a throwing job terminates (callers wrap fallible work,
-//     e.g. engine::compile_job converts everything to data).
+//     exception, so a throwing job terminates.  parallel_for below catches
+//     for its bodies and rethrows on the calling thread.
 //
-// Determinism contract: the pool makes no ordering promises — callers that
-// need deterministic output (BatchRunner, the fuzz campaign) index results
-// by input position and fold serially afterwards.
+// Determinism contract: neither the pool nor parallel_for makes ordering
+// promises — every fan-out (BatchRunner, the annealer's islands, the fuzz
+// campaign) goes through parallel_for, writes its results by index and
+// folds them serially afterwards.
 #pragma once
 
 #include <condition_variable>
@@ -79,5 +80,16 @@ class ThreadPool {
   bool stopping_{false};
   std::vector<std::thread> workers_;
 };
+
+/// Runs body(i) for every i in [0, n) and returns once all have finished.
+/// With a null pool the calling thread runs them in index order.  Otherwise
+/// at most min(n, pool->size()) tasks each claim the next index from a
+/// shared counter; if the pool refuses a submit (its destructor is
+/// draining), the caller runs the same claim loop itself.  It waits for its
+/// own tasks only, never wait_idle, so concurrent calls may share a pool.
+/// A throwing body does not stop the other indices; once all finished, the
+/// exception of the lowest throwing index is rethrown.
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace msys::engine

@@ -223,17 +223,4 @@ std::shared_ptr<const CompiledResult> make_cancelled_result(const Job& job,
   return result;
 }
 
-std::shared_ptr<const CompiledResult> make_refused_result(const Job& job) {
-  auto result = std::make_shared<CompiledResult>();
-  result->input = job.input;
-  result->outcome.schedule = dsched::infeasible(
-      to_string(job.kind), *job.input.sched, "thread pool refused the job");
-  result->outcome.diagnostics.push_back(make_error(
-      "engine.pool.refused",
-      to_string(job.kind) + " job refused: thread pool is shutting down"));
-  result->predicted.feasible = false;
-  result->predicted.infeasible_reason = "thread pool refused the job";
-  return result;
-}
-
 }  // namespace msys::engine

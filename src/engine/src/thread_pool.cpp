@@ -1,6 +1,8 @@
 #include "msys/engine/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <utility>
 
 #include "msys/obs/metrics.hpp"
@@ -13,9 +15,7 @@ namespace {
 /// resolved once; one relaxed store per sample afterwards).
 struct PoolMetrics {
   obs::Counter& submitted = obs::counter("engine.pool.jobs_submitted");
-  // Every refusal is counted here at the pool, whatever the caller does
-  // with the false return; BatchRunner additionally surfaces its own
-  // refusals in BatchStats::submit_refused and per-job results.
+  // Every refusal is counted here, and only here.
   obs::Counter& rejected = obs::counter("engine.pool.submit_refused");
   obs::Counter& completed = obs::counter("engine.pool.jobs_completed");
   obs::Gauge& queue_depth = obs::gauge("engine.pool.queue_depth");
@@ -101,6 +101,48 @@ void ThreadPool::worker_loop() {
       if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
+}
+
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  std::size_t finished = 0;  // tasks that left the claim loop
+  std::size_t error_index = n;
+  std::exception_ptr error;
+
+  auto claim_loop = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        body(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mu);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+      }
+    }
+  };
+
+  auto task = [&] {
+    claim_loop();
+    // Notify under the lock: the caller may destroy done_cv as soon as it
+    // sees the last task finish, which it can only do once mu is free.
+    const std::lock_guard<std::mutex> lock(mu);
+    ++finished;
+    done_cv.notify_all();
+  };
+  const std::size_t tasks = pool == nullptr ? 0 : std::min<std::size_t>(n, pool->size());
+  std::size_t accepted = 0;
+  while (accepted < tasks && pool->submit(task)) ++accepted;
+  if (pool == nullptr || accepted < tasks) claim_loop();
+
+  std::unique_lock<std::mutex> lock(mu);
+  done_cv.wait(lock, [&] { return finished == accepted; });
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace msys::engine

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "msys/common/diagnostic.hpp"
-#include "msys/obs/metrics.hpp"
 
 namespace msys::fuzzing {
 
@@ -109,8 +108,6 @@ struct CampaignStats {
   std::uint64_t store_checked{0};
   std::uint64_t store_disk_hits{0};
   std::uint64_t store_timeouts{0};
-  /// Metrics snapshots emitted by the sampler (CampaignOptions).
-  std::uint64_t snapshots{0};
   std::vector<CampaignFailure> failures;
 
   [[nodiscard]] bool clean() const { return failures.empty(); }
@@ -123,15 +120,6 @@ struct CampaignOptions {
   /// Phase-1 fan-out width (1 => serial).  The report is byte-identical at
   /// any width; see run_campaign below.
   unsigned n_threads{1};
-  /// When positive (and on_snapshot is set), a sampler thread emits obs
-  /// metrics deltas at this interval during phase 1, plus one final delta
-  /// when the phase drains — so short campaigns still get one snapshot.
-  /// Purely observational: snapshots never influence results.
-  std::chrono::milliseconds snapshot_interval{0};
-  /// Receives the counter deltas since the previous snapshot and the
-  /// number of cases completed so far.  Called from the sampler thread.
-  std::function<void(const obs::MetricsSnapshot& delta, std::uint64_t completed)>
-      on_snapshot;
   /// When non-empty, a serial post-pass replays every schedulable case
   /// through a DiskScheduleStore-backed ScheduleCache rooted here and
   /// cross-checks the served result against the direct fallback run —
@@ -145,25 +133,16 @@ struct CampaignOptions {
 };
 
 /// Runs seeds [base_seed, base_seed + n_cases) and shrinks every failure
-/// into a minimised .mapp repro.
-[[nodiscard]] CampaignStats run_campaign(std::uint64_t base_seed,
-                                         std::uint64_t n_cases);
-
-/// Same campaign on the batch engine: cases fan out across `n_threads`
-/// workers (engine::ThreadPool) and the stats fold back in seed order, so
+/// into a minimised .mapp repro.  Cases fan out across `options.n_threads`
+/// workers (engine::parallel_for) and the stats fold back in seed order, so
 /// the report — every counter, every failure, every shrunk repro — is
 /// byte-identical to the serial run at any thread count.  run_case is pure
 /// and shrinking happens in the deterministic fold, which is what makes
-/// that guarantee cheap rather than heroic.
-[[nodiscard]] CampaignStats run_campaign(std::uint64_t base_seed,
-                                         std::uint64_t n_cases, unsigned n_threads);
-
-/// Full-control campaign: fan-out width, periodic metrics snapshots, and
-/// the store-backed cross-check pass.  Snapshots are observational and the
-/// store pass is serial in seed order, so campaign results stay
-/// deterministic for a given (base_seed, n_cases, store contents).
+/// that guarantee cheap rather than heroic.  The store pass is serial in
+/// seed order too, so results are deterministic for a given (base_seed,
+/// n_cases, store contents).
 [[nodiscard]] CampaignStats run_campaign(std::uint64_t base_seed,
                                          std::uint64_t n_cases,
-                                         const CampaignOptions& options);
+                                         const CampaignOptions& options = {});
 
 }  // namespace msys::fuzzing

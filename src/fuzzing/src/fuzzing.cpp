@@ -1,12 +1,9 @@
 #include "msys/fuzzing/fuzzing.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_set>
 
 #include "msys/appdsl/parser.hpp"
@@ -464,17 +461,6 @@ std::string CampaignStats::summary() const {
   return out.str();
 }
 
-CampaignStats run_campaign(std::uint64_t base_seed, std::uint64_t n_cases) {
-  return run_campaign(base_seed, n_cases, /*n_threads=*/1);
-}
-
-CampaignStats run_campaign(std::uint64_t base_seed, std::uint64_t n_cases,
-                           unsigned n_threads) {
-  CampaignOptions options;
-  options.n_threads = n_threads;
-  return run_campaign(base_seed, n_cases, options);
-}
-
 namespace {
 
 /// Replays one schedulable case through the store-backed cache and
@@ -536,60 +522,15 @@ CampaignStats run_campaign(std::uint64_t base_seed, std::uint64_t n_cases,
   cases.reserve(n_cases);
   for (std::uint64_t i = 0; i < n_cases; ++i) cases.push_back(make_case(base_seed + i));
 
-  CampaignStats stats;
   std::vector<CaseResult> results(cases.size());
-  std::atomic<std::uint64_t> completed{0};
-
-  // Observational sampler: periodic counter deltas while phase 1 runs,
-  // plus one final delta when the phase drains.  It only reads the obs
-  // registry and the completion counter, so it cannot perturb any result.
-  std::atomic<bool> phase1_done{false};
-  std::thread sampler;
-  const bool sampling = options.snapshot_interval.count() > 0 && options.on_snapshot;
-  if (sampling) {
-    sampler = std::thread([&] {
-      obs::MetricsSnapshot prev = obs::snapshot();
-      auto next_tick = std::chrono::steady_clock::now() + options.snapshot_interval;
-      while (!phase1_done.load(std::memory_order_acquire)) {
-        if (std::chrono::steady_clock::now() < next_tick) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          continue;
-        }
-        next_tick += options.snapshot_interval;
-        obs::MetricsSnapshot now = obs::snapshot();
-        options.on_snapshot(now.since(prev), completed.load(std::memory_order_relaxed));
-        ++stats.snapshots;  // sampler-thread-only until join
-        prev = std::move(now);
-      }
-      options.on_snapshot(obs::snapshot().since(prev),
-                          completed.load(std::memory_order_relaxed));
-      ++stats.snapshots;
-    });
+  {
+    std::optional<engine::ThreadPool> pool;
+    if (options.n_threads > 1) pool.emplace(options.n_threads);
+    engine::parallel_for(pool ? &*pool : nullptr, cases.size(),
+                         [&](std::size_t i) { results[i] = run_case(cases[i]); });
   }
 
-  if (options.n_threads <= 1) {
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      results[i] = run_case(cases[i]);
-      completed.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    engine::ThreadPool pool(options.n_threads);
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      // The pool is local and alive, so submit cannot be rejected; assert
-      // rather than silently leave results[i] default-initialised.
-      const bool accepted = pool.submit([&cases, &results, &completed, i] {
-        results[i] = run_case(cases[i]);
-        completed.fetch_add(1, std::memory_order_relaxed);
-      });
-      MSYS_REQUIRE(accepted, "fuzz campaign pool rejected a job");
-    }
-    pool.wait_idle();
-  }
-  if (sampling) {
-    phase1_done.store(true, std::memory_order_release);
-    sampler.join();
-  }
-
+  CampaignStats stats;
   // Store-backed cross-check pass — serial, seed order, before the fold so
   // divergences shrink like any other failure.  A store that cannot open
   // is itself a structured campaign failure, never a crash.

@@ -14,7 +14,6 @@
 
 #include "msys/arch/m1.hpp"
 #include "msys/engine/job.hpp"
-#include "msys/engine/thread_pool.hpp"
 #include "msys/model/schedule.hpp"
 #include "msys/sim/simulator.hpp"
 
@@ -91,13 +90,5 @@ struct ExperimentSpec {
 /// Runs every spec through run_experiment, in order.
 [[nodiscard]] std::vector<ExperimentResult> run_all(
     const std::vector<ExperimentSpec>& specs);
-
-/// Parallel overload: fans the specs across `pool`, returning results in
-/// spec order regardless of completion order (results are deterministic —
-/// identical to the serial overload).  A spec that fails run_experiment's
-/// internal invariants rethrows after the batch drains, earliest spec
-/// first, exactly as the serial loop would have thrown it.
-[[nodiscard]] std::vector<ExperimentResult> run_all(
-    const std::vector<ExperimentSpec>& specs, engine::ThreadPool& pool);
 
 }  // namespace msys::report

@@ -1,8 +1,5 @@
 #include "msys/report/runner.hpp"
 
-#include <condition_variable>
-#include <exception>
-#include <mutex>
 #include <utility>
 
 #include "msys/common/diagnostic.hpp"
@@ -93,47 +90,6 @@ std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs) 
   for (const ExperimentSpec& spec : specs) {
     MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
     results.push_back(run_experiment(spec.name, *spec.sched, spec.cfg));
-  }
-  return results;
-}
-
-std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs,
-                                      engine::ThreadPool& pool) {
-  std::vector<ExperimentResult> results(specs.size());
-  std::vector<std::exception_ptr> errors(specs.size());
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = specs.size();
-
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const bool ok = pool.submit([&, i] {
-      try {
-        const ExperimentSpec& spec = specs[i];
-        MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
-        results[i] = run_experiment(spec.name, *spec.sched, spec.cfg);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-    if (!ok) break;
-    ++accepted;
-  }
-  {
-    // Drain the accepted jobs before any throw below: in-flight jobs
-    // reference this frame.
-    std::unique_lock<std::mutex> lock(mu);
-    remaining -= specs.size() - accepted;
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  MSYS_REQUIRE(accepted == specs.size(),
-               "run_all on a ThreadPool that is shutting down");
-  // Rethrow in spec order so parallel failures read like serial ones.
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
   }
   return results;
 }

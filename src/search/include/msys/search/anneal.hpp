@@ -112,9 +112,10 @@ struct AnnealResult {
   }
 };
 
-/// Runs the annealing search above greedy CDS.  `pool` parallelises the
-/// islands when non-null (the result is byte-identical for any pool size,
-/// including none).  `cancel` is polled once per move; a firing returns
+/// Runs the annealing search above greedy CDS.  The islands fan out
+/// through engine::parallel_for on `pool`, or run in order on the calling
+/// thread when it is null; the result is byte-identical for any pool size,
+/// including none.  `cancel` is polled once per move; a firing returns
 /// the greedy baseline with `cancelled = true`.
 [[nodiscard]] AnnealResult anneal_schedule(const extract::ScheduleAnalysis& analysis,
                                            const arch::M1Config& cfg,

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <map>
-#include <mutex>
 #include <utility>
 
 #include "msys/common/error.hpp"
@@ -353,48 +350,15 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
 
   const std::uint32_t n_islands = std::max(options.islands, 1U);
   std::vector<IslandOutcome> outcomes(n_islands);
-  std::vector<std::exception_ptr> errors(n_islands);
 
   // Each island is a pure function of (options, analysis, cfg, island
   // index); outcomes land at their island's slot, so the merged result is
   // independent of pool size and scheduling.
-  auto run_island = [&](std::uint32_t i) {
-    try {
-      Island island(i, analysis, cfg, options, start, greedy_cycles, cancel);
-      outcomes[i] = island.run();
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-
-  if (pool == nullptr || pool->size() <= 1 || n_islands == 1) {
-    for (std::uint32_t i = 0; i < n_islands; ++i) run_island(i);
-  } else {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::uint32_t done = 0;
-    for (std::uint32_t i = 0; i < n_islands; ++i) {
-      const bool submitted = pool->submit([&, i] {
-        run_island(i);
-        // Notify under the lock: the waiter may destroy `cv` the moment it
-        // observes done == n_islands, which it can only do after this
-        // thread has released `mu` — i.e. after notify_all returned.
-        const std::lock_guard<std::mutex> lock(mu);
-        ++done;
-        cv.notify_all();
-      });
-      if (!submitted) {  // pool shutting down: fall back inline
-        run_island(i);
-        const std::lock_guard<std::mutex> lock(mu);
-        ++done;
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == n_islands; });
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  engine::parallel_for(pool, n_islands, [&](std::size_t i) {
+    Island island(static_cast<std::uint32_t>(i), analysis, cfg, options, start,
+                  greedy_cycles, cancel);
+    outcomes[i] = island.run();
+  });
 
   // Deterministic merge: strictly fewer predicted cycles wins; ties go to
   // the lowest island index.

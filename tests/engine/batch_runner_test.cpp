@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "msys/common/error.hpp"
 #include "testing/apps.hpp"
 
 namespace msys::engine {
@@ -146,6 +147,22 @@ TEST(BatchRunner, PerKindJobsSelectTheRequestedScheduler) {
   // CDS must be at least as good as DS, DS at least as good as Basic.
   EXPECT_LE(results[2].result->predicted.total, results[1].result->predicted.total);
   EXPECT_LE(results[1].result->predicted.total, results[0].result->predicted.total);
+}
+
+// Regression: cache_key throws msys::Error for an input make_input did not
+// build, and that throw used to escape a pool worker (std::terminate).  It
+// now reaches run()'s caller, after every other job has finished.
+TEST(BatchRunner, InputWithoutDigestThrowsToTheCaller) {
+  ThreadPool pool(2);
+  ScheduleCache cache;
+  BatchRunner runner(pool, &cache);
+  std::vector<Job> jobs = mixed_batch();
+  Job undigested = jobs[1];
+  undigested.input.sched_digest = 0;
+  jobs.insert(jobs.begin() + 2, undigested);
+  EXPECT_THROW((void)runner.run(jobs), Error);
+  // The other jobs ran to completion: a rerun of the valid batch is all hits.
+  for (const JobResult& r : runner.run(mixed_batch())) EXPECT_TRUE(r.cache_hit);
 }
 
 }  // namespace

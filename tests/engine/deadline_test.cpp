@@ -315,17 +315,5 @@ TEST_F(EngineFaultTest, CancelledResultsAreNeverPersisted) {
   EXPECT_EQ(config.store->stats().saves, 0u);
 }
 
-TEST_F(EngineFaultTest, RefusedSubmitsBecomeStructuredResultsNotAborts) {
-  // A refusal only occurs in the narrow window while a pool shuts down, so
-  // assert the refused-result contract directly rather than racing one.
-  const Job job = retention_job();
-  const auto refused = make_refused_result(job);
-  ASSERT_NE(refused, nullptr);
-  EXPECT_FALSE(refused->feasible());
-  ASSERT_FALSE(refused->outcome.diagnostics.empty());
-  EXPECT_EQ(refused->outcome.diagnostics.front().code, "engine.pool.refused");
-  EXPECT_FALSE(refused->outcome.cancelled());
-}
-
 }  // namespace
 }  // namespace msys::engine

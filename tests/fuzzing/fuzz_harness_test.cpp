@@ -73,7 +73,9 @@ TEST(FuzzHarness, CampaignOf500IsClean) {
 TEST(FuzzHarness, ParallelCampaignIsByteIdenticalToSerial) {
   const CampaignStats serial = run_campaign(/*base_seed=*/77, /*n_cases=*/96);
   for (unsigned threads : {2u, 4u}) {
-    const CampaignStats parallel = run_campaign(77, 96, threads);
+    CampaignOptions options;
+    options.n_threads = threads;
+    const CampaignStats parallel = run_campaign(77, 96, options);
     EXPECT_EQ(parallel.cases, serial.cases);
     EXPECT_EQ(parallel.parse_rejected, serial.parse_rejected);
     EXPECT_EQ(parallel.infeasible, serial.infeasible);

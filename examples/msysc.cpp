@@ -172,7 +172,7 @@ ResultRecord classify_result(std::uint64_t index, const std::string& path,
   ResultRecord record;
   record.index = index;
   record.name = std::filesystem::path(path).filename().string();
-  record.cache = result.cache_hit
+  record.cache = result.tier == engine::CacheTier::kMemory
                      ? "hit"
                      : (result.tier == engine::CacheTier::kDisk ? "disk" : "miss");
   if (result.feasible()) {
@@ -270,14 +270,13 @@ int run_batch(const std::string& dir, unsigned n_threads, const BatchFtOptions& 
     }
   }
 
-  engine::ScheduleCache::Config cache_cfg;
-  cache_cfg.name = "msysc";
+  std::shared_ptr<store::DiskScheduleStore> disk;
   if (!ft.store_dir.empty()) {
     store::StoreConfig store_cfg;
     store_cfg.dir = ft.store_dir;
     std::string store_error;
-    cache_cfg.store = store::DiskScheduleStore::open(store_cfg, &store_error);
-    if (cache_cfg.store == nullptr) {
+    disk = store::DiskScheduleStore::open(store_cfg, &store_error);
+    if (disk == nullptr) {
       std::cerr << "msysc: cannot open --store " << ft.store_dir << ": " << store_error
                 << '\n';
       return kExitUsage;
@@ -285,7 +284,7 @@ int run_batch(const std::string& dir, unsigned n_threads, const BatchFtOptions& 
   }
 
   engine::ThreadPool pool(n_threads);
-  engine::ScheduleCache cache(cache_cfg);
+  engine::ScheduleCache cache(disk);
   engine::BatchRunner runner(pool, &cache);
   engine::RunOptions run_options;
   if (ft.deadline_ms > 0) {
@@ -323,12 +322,12 @@ int run_batch(const std::string& dir, unsigned n_threads, const BatchFtOptions& 
                    record.status + " (" + std::to_string(record.exit_code) + ")"});
     worst = std::max(worst, record.exit_code);
   }
-  if (cache_cfg.store != nullptr) {
-    const store::StoreStats ss = cache_cfg.store->stats();
+  if (disk != nullptr) {
+    const store::StoreStats ss = disk->stats();
     std::cout << "store: " << ss.hits << " hits / " << ss.misses << " misses, "
               << ss.saves << " saves (" << ss.save_failures << " failed), "
               << ss.quarantined << " quarantined, " << ss.retry_attempts
-              << " retried ops; " << cache_cfg.store->entry_count() << " entries in "
+              << " retried ops; " << disk->entry_count() << " entries in "
               << ft.store_dir << '\n';
   }
   std::cout << '\n';

@@ -75,12 +75,16 @@ for preset in "${presets[@]}"; do
   echo "==> [$preset] cold-batch stress (byte identity across thread counts)"
   "./$bindir/tests/engine_test" --gtest_filter='ColdBatchStress.*' >/dev/null
 
-  # parallel_for stress: every fan-out (batch runner, annealer islands,
-  # fuzz campaign) goes through engine::parallel_for, so its claim counter,
-  # per-call latch and refused-submit path run 50 times over — under tsan
-  # the race detector sees them across many interleavings.
-  echo "==> [$preset] parallel_for stress (claim counter, latch, refusal)"
-  "./$bindir/tests/engine_test" --gtest_filter='ParallelFor.*' --gtest_repeat=50 >/dev/null
+  # parallel_for and cache stress: every fan-out (batch runner, annealer
+  # islands, fuzz campaign) goes through engine::parallel_for, and every
+  # memoized compile through the one-lock ScheduleCache, so the claim
+  # counter, per-call latch, refused-submit path, single-flight map and LRU
+  # run 50 times over — under tsan the race detector sees them across many
+  # interleavings.
+  echo "==> [$preset] parallel_for + cache stress (latch, refusal, single-flight)"
+  "./$bindir/tests/engine_test" \
+    --gtest_filter='ParallelFor.*:ScheduleCache.*Single*:ScheduleCache.ConcurrentHammerMatchesSerial' \
+    --gtest_repeat=50 >/dev/null
 
   # Fault-tolerance smoke: the persistent store round-trips across
   # processes, injected torn writes are quarantined and repaired, and a

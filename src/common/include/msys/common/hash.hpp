@@ -10,7 +10,7 @@
 //
 // finalize() runs the splitmix64 avalanche over the FNV state so that low
 // bits are well mixed (FNV-1a alone mixes high bits poorly, which matters
-// for power-of-two shard selection).
+// when a key's low bits pick a bucket).
 #pragma once
 
 #include <cstddef>

@@ -31,9 +31,8 @@ struct JobResult {
   /// Never null after BatchRunner::run.
   std::shared_ptr<const CompiledResult> result;
   std::uint64_t key{0};
-  bool cache_hit{false};
-  /// Which tier served the result (kCompute for a fresh compile or a
-  /// synthesized timeout).
+  /// Which tier served the result: kMemory is a cache hit; kCompute covers
+  /// a fresh compile, a coalesced wait and a synthesized timeout.
   CacheTier tier{CacheTier::kCompute};
   /// True when the persistent store's read retry budget was exhausted for
   /// this job (the result was recomputed, but the store is misbehaving —

@@ -6,14 +6,10 @@
 // carry their own keep-alive for the application/schedule they reference;
 // see job.hpp).
 //
-// Concurrency: the key space is split across `shards` independently locked
-// LRU maps (shard = mixed key bits), so concurrent lookups on different
-// keys rarely contend on one mutex.  Each shard is LRU-bounded at
-// capacity/shards entries.  Statistics are instance-level relaxed atomics
-// (not per-shard structs): stats() is a lock-free read, and a named cache
-// (Config::name) additionally mirrors every event into tagged obs
-// counters ("engine.cache.<name>.*") so long-running processes can watch
-// per-cache rates, not just the process-wide aggregate.
+// Concurrency: one mutex guards the LRU map and the in-flight map; the
+// cache holds at most kCapacity entries.  Statistics are instance-level
+// relaxed atomics, so stats() reads them without the lock, and every event
+// is mirrored into the process-wide "engine.cache.*" obs counters.
 //
 // Cold misses are *single-flight*: the first thread to miss on a key
 // registers an in-flight entry and computes; every later arrival on the
@@ -26,7 +22,7 @@
 // and positive thread scaling: without it every worker that misses burns a
 // full compile on work another worker is already doing.
 //
-// Persistence: a cache constructed with Config::store gains a disk tier.
+// Persistence: a cache constructed with a store gains a disk tier.
 // The single-flight winner consults the store before compiling (so a
 // thundering herd on one key costs at most one disk read) and persists
 // freshly computed, persistable results after inserting them; a payload
@@ -58,17 +54,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "msys/common/cancel.hpp"
 #include "msys/engine/job.hpp"
 #include "msys/store/disk_store.hpp"
-
-namespace msys::obs {
-class Counter;
-}  // namespace msys::obs
 
 namespace msys::engine {
 
@@ -79,23 +69,8 @@ enum class CacheTier : std::uint8_t { kMemory, kDisk, kCompute };
 
 class ScheduleCache {
  public:
-  struct Config {
-    Config() = default;
-    Config(std::size_t capacity_in, std::size_t shards_in)
-        : capacity(capacity_in), shards(shards_in) {}
-
-    /// Total entry bound across all shards (>= 1 enforced).
-    std::size_t capacity{1024};
-    /// Independently locked LRU segments (>= 1 enforced; default suits a
-    /// handful of worker threads).
-    std::size_t shards{8};
-    /// Optional persistent second tier (see file comment); shared so
-    /// several caches/processes may point at one directory.
-    std::shared_ptr<store::DiskScheduleStore> store;
-    /// Non-empty => mirror stats into "engine.cache.<name>.*" obs
-    /// counters, tagging this instance in long-run metrics snapshots.
-    std::string name;
-  };
+  /// Entry bound: the least-recently-used entry is evicted beyond it.
+  static constexpr std::size_t kCapacity = 1024;
 
   struct Stats {
     std::uint64_t hits{0};
@@ -121,26 +96,27 @@ class ScheduleCache {
     }
   };
 
-  ScheduleCache() : ScheduleCache(Config()) {}
-  explicit ScheduleCache(Config config);
+  /// `store`, when given, is the persistent second tier (see file
+  /// comment); shared so several caches may point at one directory.
+  explicit ScheduleCache(std::shared_ptr<store::DiskScheduleStore> store = nullptr);
 
   /// Returns the cached result for `key` (refreshing its LRU position), or
   /// nullptr on miss.  Counts one hit or one miss.  Memory tier only.
   [[nodiscard]] std::shared_ptr<const CompiledResult> lookup(std::uint64_t key);
 
   /// Inserts `result` under `key` unless the key is already present
-  /// (first-writer-wins); evicts the shard's least-recently-used entry
-  /// when the shard is at capacity.  A duplicate insert is dropped but
-  /// counted (Stats::duplicate_inserts) and refreshes the existing
-  /// entry's LRU recency.
+  /// (first-writer-wins); evicts the least-recently-used entry when the
+  /// cache is at kCapacity.  A duplicate insert is dropped but counted
+  /// (Stats::duplicate_inserts) and refreshes the existing entry's LRU
+  /// recency.
   void insert(std::uint64_t key, std::shared_ptr<const CompiledResult> result);
 
   /// Memoized compile: lookup, compute-and-insert on miss, with the disk
   /// tier consulted between the two when configured.  Concurrent misses on
   /// one key are single-flight — exactly one caller runs compile_job, the
-  /// rest block on its result.  `*was_hit` (optional) reports whether the
-  /// result came from the in-memory cache (a coalesced wait or a disk hit
-  /// reports a miss); `*tier` (optional) reports the serving tier.
+  /// rest block on its result.  `*tier` (optional) reports the serving
+  /// tier: kMemory for a hit, kDisk when this caller decoded a persisted
+  /// entry, kCompute for a fresh compile or a coalesced wait.
   /// Returns nullptr only when `cancel` fired while this caller was
   /// waiting on another thread's computation.  `*store_degraded`
   /// (optional) reports that the disk probe exhausted its read retry
@@ -151,16 +127,15 @@ class ScheduleCache {
   /// coalesced waiter) — reported separately so miss latency measures
   /// *this* caller's own work, not time parked behind the winner.
   [[nodiscard]] std::shared_ptr<const CompiledResult> get_or_compile(
-      const Job& job, bool* was_hit = nullptr, const CancelToken& cancel = {},
-      CacheTier* tier = nullptr, bool* store_degraded = nullptr,
-      std::uint64_t* inflight_wait_ns = nullptr);
+      const Job& job, const CancelToken& cancel = {}, CacheTier* tier = nullptr,
+      bool* store_degraded = nullptr, std::uint64_t* inflight_wait_ns = nullptr);
 
   /// The same, for a caller that already holds `key == cache_key(job)`
   /// (BatchRunner keys each job once and reports that key).
   [[nodiscard]] std::shared_ptr<const CompiledResult> get_or_compile(
-      const Job& job, std::uint64_t key, bool* was_hit = nullptr,
-      const CancelToken& cancel = {}, CacheTier* tier = nullptr,
-      bool* store_degraded = nullptr, std::uint64_t* inflight_wait_ns = nullptr);
+      const Job& job, std::uint64_t key, const CancelToken& cancel = {},
+      CacheTier* tier = nullptr, bool* store_degraded = nullptr,
+      std::uint64_t* inflight_wait_ns = nullptr);
 
   /// Produces a result for a key on the first miss.  Must be pure with
   /// respect to the key: every caller racing on one key receives the one
@@ -172,16 +147,12 @@ class ScheduleCache {
   /// themselves: behaves exactly like get_or_compile(job) with
   /// `key == cache_key(job)` and `compute == [&]{ return compile_job(job); }`,
   /// except that the disk tier is NOT consulted (the caller's compute owns
-  /// the whole miss path).
+  /// the whole miss path), so `*tier` is kMemory or kCompute.
   [[nodiscard]] std::shared_ptr<const CompiledResult> get_or_compile(
-      std::uint64_t key, const ComputeFn& compute, bool* was_hit = nullptr,
+      std::uint64_t key, const ComputeFn& compute, CacheTier* tier = nullptr,
       const CancelToken& cancel = {}, std::uint64_t* inflight_wait_ns = nullptr);
 
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// The disk tier, or nullptr when this cache is memory-only.
-  [[nodiscard]] store::DiskScheduleStore* store() const { return config_.store.get(); }
 
  private:
   struct Entry {
@@ -195,16 +166,8 @@ class ScheduleCache {
     std::shared_future<std::shared_ptr<const CompiledResult>> future{
         promise.get_future().share()};
   };
-  /// One locked LRU segment: list front == most recently used.  Statistics
-  /// live on the instance (StatCells), not here.
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight;
-  };
-  /// Instance-level event cells: relaxed atomics bumped lock-free from any
-  /// shard, read wholesale by stats().
+  /// Event cells: relaxed atomics bumped without the lock, read wholesale
+  /// by stats().
   struct StatCells {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
@@ -216,29 +179,13 @@ class ScheduleCache {
     std::atomic<std::uint64_t> disk_hits{0};
   };
 
-  enum class Event : std::uint8_t {
-    kHit,
-    kMiss,
-    kEviction,
-    kInsert,
-    kDuplicateInsert,
-    kInflightCoalesced,
-    kInflightWait,
-    kDiskHit,
-  };
-  /// Bumps the instance cell, the process-wide counter and (when named)
-  /// the tagged counter for one event.
-  void count(Event event);
-
-  [[nodiscard]] Shard& shard_for(std::uint64_t key);
-
-  Config config_;
-  std::size_t capacity_;
-  std::size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::shared_ptr<store::DiskScheduleStore> store_;
+  mutable std::mutex mu_;
+  /// Front == most recently used.
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
   StatCells cells_;
-  /// Tagged per-instance counters, index == Event; empty when unnamed.
-  std::vector<obs::Counter*> tagged_;
 };
 
 }  // namespace msys::engine

@@ -4,8 +4,6 @@
 // Design points (deliberately boring, in the best way):
 //   * submit() may be called from any thread, including from inside a
 //     running job (workers never block on the queue lock while executing).
-//   * wait_idle() blocks until the queue is empty AND no job is mid-flight,
-//     so "submit a wave, wait, read results" is race-free.
 //   * The destructor drains every *accepted* job, then joins; nothing
 //     accepted is silently dropped.  Once shutdown has begun, submit()
 //     rejects new work by returning false instead of throwing: a job that
@@ -53,17 +51,7 @@ class ThreadPool {
   /// before ~ThreadPool starts.)
   bool submit(std::function<void()> job);
 
-  /// Blocks until every submitted job has finished (queue empty, no worker
-  /// mid-job).  Safe to call repeatedly; new submits restart the wait.
-  void wait_idle();
-
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Deepest the queue has been over this pool's lifetime (an admission-
-  /// control signal: how far submission outran the workers).  The global
-  /// `engine.pool.queue_depth_peak` gauge aggregates across pools; this
-  /// accessor scopes it to one instance, e.g. one bench row.
-  [[nodiscard]] std::size_t queue_depth_peak() const;
 
   /// Best-effort hardware thread count (>= 1 even when unknown).
   [[nodiscard]] static unsigned hardware_threads();
@@ -71,12 +59,9 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait here for jobs
-  std::condition_variable idle_cv_;   // wait_idle waits here
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // workers wait here for jobs
   std::deque<std::function<void()>> queue_;
-  std::size_t active_{0};
-  std::size_t depth_peak_{0};
   bool stopping_{false};
   std::vector<std::thread> workers_;
 };
@@ -86,7 +71,7 @@ class ThreadPool {
 /// at most min(n, pool->size()) tasks each claim the next index from a
 /// shared counter; if the pool refuses a submit (its destructor is
 /// draining), the caller runs the same claim loop itself.  It waits for its
-/// own tasks only, never wait_idle, so concurrent calls may share a pool.
+/// own tasks only, so concurrent calls may share a pool.
 /// A throwing body does not stop the other indices; once all finished, the
 /// exception of the lowest throwing index is rethrown.
 void parallel_for(ThreadPool* pool, std::size_t n,

@@ -74,8 +74,8 @@ std::vector<JobResult> BatchRunner::run(const std::vector<Job>& jobs,
                               : options.cancel;
       if (cache_ != nullptr) {
         std::uint64_t wait_ns = 0;
-        out.result = cache_->get_or_compile(job, out.key, &out.cache_hit, token,
-                                            &out.tier, &out.store_degraded, &wait_ns);
+        out.result = cache_->get_or_compile(job, out.key, token, &out.tier,
+                                            &out.store_degraded, &wait_ns);
         // Accumulated, not assigned: a retried attempt may wait again.
         out.inflight_wait_ms += static_cast<double>(wait_ns) / 1e6;
       } else {
@@ -85,7 +85,6 @@ std::vector<JobResult> BatchRunner::run(const std::vector<Job>& jobs,
       if (out.result == nullptr) {
         // Waiter cut loose mid-wait: synthesize the structured result.
         out.result = make_cancelled_result(job, token.cause());
-        out.cache_hit = false;
         out.tier = CacheTier::kCompute;
       }
       if (!out.result->outcome.cancelled()) break;
@@ -130,7 +129,7 @@ std::vector<JobResult> BatchRunner::run(const std::vector<Job>& jobs,
     stats->cancelled = batch_cancelled;
     stats->retries = batch_retries;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (results[i].cache_hit) {
+      if (results[i].tier == CacheTier::kMemory) {
         ++stats->cache_hits;
         stats->hit_latency_ms_total += latency_ms[i];
       } else {

@@ -1,6 +1,5 @@
 #include "msys/engine/schedule_cache.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -38,10 +37,11 @@ struct CacheMetrics {
   }
 };
 
-constexpr const char* kEventNames[] = {
-    "hits",      "misses",           "evictions",          "inserts",
-    "duplicate_inserts", "inflight_coalesced", "inflight_waits", "disk_hits",
-};
+/// Bumps one instance cell and its process-wide mirror.
+void bump(std::atomic<std::uint64_t>& cell, obs::Counter& mirror) {
+  cell.fetch_add(1, std::memory_order_relaxed);
+  mirror.add();
+}
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -60,118 +60,59 @@ const char* to_string(CacheTier tier) {
   return "?";
 }
 
-ScheduleCache::ScheduleCache(Config config) : config_(std::move(config)) {
-  capacity_ = std::max<std::size_t>(1, config_.capacity);
-  const std::size_t n_shards =
-      std::min(std::max<std::size_t>(1, config_.shards), capacity_);
-  per_shard_capacity_ = (capacity_ + n_shards - 1) / n_shards;
-  shards_.reserve(n_shards);
-  for (std::size_t i = 0; i < n_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  if (!config_.name.empty()) {
-    // Tagged mirrors: one obs counter per event, named once here; count()
-    // then bumps by index with no name lookups on the hot path.
-    tagged_.reserve(std::size(kEventNames));
-    for (const char* event : kEventNames) {
-      tagged_.push_back(
-          &obs::counter("engine.cache." + config_.name + "." + event));
-    }
-  }
-}
-
-void ScheduleCache::count(Event event) {
-  auto& m = CacheMetrics::get();
-  switch (event) {
-    case Event::kHit:
-      cells_.hits.fetch_add(1, std::memory_order_relaxed);
-      m.hits.add();
-      break;
-    case Event::kMiss:
-      cells_.misses.fetch_add(1, std::memory_order_relaxed);
-      m.misses.add();
-      break;
-    case Event::kEviction:
-      cells_.evictions.fetch_add(1, std::memory_order_relaxed);
-      m.evictions.add();
-      break;
-    case Event::kInsert:
-      cells_.inserts.fetch_add(1, std::memory_order_relaxed);
-      m.inserts.add();
-      break;
-    case Event::kDuplicateInsert:
-      cells_.duplicate_inserts.fetch_add(1, std::memory_order_relaxed);
-      m.duplicate_inserts.add();
-      break;
-    case Event::kInflightCoalesced:
-      cells_.inflight_coalesced.fetch_add(1, std::memory_order_relaxed);
-      m.inflight_coalesced.add();
-      break;
-    case Event::kInflightWait:
-      cells_.inflight_waits.fetch_add(1, std::memory_order_relaxed);
-      m.inflight_waits.add();
-      break;
-    case Event::kDiskHit:
-      cells_.disk_hits.fetch_add(1, std::memory_order_relaxed);
-      m.disk_hits.add();
-      break;
-  }
-  if (!tagged_.empty()) tagged_[static_cast<std::size_t>(event)]->add();
-}
-
-ScheduleCache::Shard& ScheduleCache::shard_for(std::uint64_t key) {
-  // cache_key finalizes through splitmix64, so any bit range is well
-  // mixed; fold high into low to stay shard-count-agnostic.
-  return *shards_[(key ^ (key >> 32)) % shards_.size()];
-}
+ScheduleCache::ScheduleCache(std::shared_ptr<store::DiskScheduleStore> store)
+    : store_(std::move(store)) {}
 
 std::shared_ptr<const CompiledResult> ScheduleCache::lookup(std::uint64_t key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    count(Event::kMiss);
+  auto& m = CacheMetrics::get();
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    bump(cells_.misses, m.misses);
     return nullptr;
   }
-  count(Event::kHit);
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  bump(cells_.hits, m.hits);
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->result;
 }
 
 void ScheduleCache::insert(std::uint64_t key,
                            std::shared_ptr<const CompiledResult> result) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  auto& m = CacheMetrics::get();
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
     // First writer wins, but the loser's insert is still a *use* of the
     // entry: count it and refresh recency so a hot key under concurrent
     // double-compute cannot age to the LRU tail invisibly.
-    count(Event::kDuplicateInsert);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    bump(cells_.duplicate_inserts, m.duplicate_inserts);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  if (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    count(Event::kEviction);
+  if (lru_.size() >= kCapacity) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    bump(cells_.evictions, m.evictions);
   }
-  shard.lru.push_front(Entry{key, std::move(result)});
-  shard.index.emplace(key, shard.lru.begin());
-  count(Event::kInsert);
+  lru_.push_front(Entry{key, std::move(result)});
+  index_.emplace(key, lru_.begin());
+  bump(cells_.inserts, m.inserts);
 }
 
 std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
-    const Job& job, bool* was_hit, const CancelToken& cancel, CacheTier* tier,
-    bool* store_degraded, std::uint64_t* inflight_wait_ns) {
-  return get_or_compile(job, cache_key(job), was_hit, cancel, tier, store_degraded,
+    const Job& job, const CancelToken& cancel, CacheTier* tier, bool* store_degraded,
+    std::uint64_t* inflight_wait_ns) {
+  return get_or_compile(job, cache_key(job), cancel, tier, store_degraded,
                         inflight_wait_ns);
 }
 
 std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
-    const Job& job, std::uint64_t key, bool* was_hit, const CancelToken& cancel,
-    CacheTier* tier, bool* store_degraded, std::uint64_t* inflight_wait_ns) {
-  store::DiskScheduleStore* disk = config_.store.get();
+    const Job& job, std::uint64_t key, const CancelToken& cancel, CacheTier* tier,
+    bool* store_degraded, std::uint64_t* inflight_wait_ns) {
+  store::DiskScheduleStore* disk = store_.get();
+  // The core reports memory vs compute; `served` records a disk decode by
+  // this caller's own compute.
+  CacheTier core_tier = CacheTier::kCompute;
   CacheTier served = CacheTier::kCompute;
   if (store_degraded != nullptr) *store_degraded = false;
   // The disk probe runs inside the single-flight compute, so a thundering
@@ -186,7 +127,7 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
                   disk->load(key, cancel, &load_status)) {
             if (auto decoded = decode_result(*payload, job)) {
               served = CacheTier::kDisk;
-              count(Event::kDiskHit);
+              bump(cells_.disk_hits, CacheMetrics::get().disk_hits);
               return decoded;
             }
             // Framed fine, decoded wrong: semantically corrupt — same
@@ -206,19 +147,17 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
         }
         return computed;
       },
-      was_hit, cancel, inflight_wait_ns);
-  if (tier != nullptr) {
-    *tier = (was_hit != nullptr && *was_hit) ? CacheTier::kMemory : served;
-  }
+      &core_tier, cancel, inflight_wait_ns);
+  if (tier != nullptr) *tier = core_tier == CacheTier::kMemory ? CacheTier::kMemory : served;
   return result;
 }
 
 std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
-    std::uint64_t key, const ComputeFn& compute, bool* was_hit,
+    std::uint64_t key, const ComputeFn& compute, CacheTier* tier,
     const CancelToken& cancel, std::uint64_t* inflight_wait_ns) {
   const auto start = std::chrono::steady_clock::now();
-  Shard& shard = shard_for(key);
-  if (was_hit != nullptr) *was_hit = false;
+  auto& m = CacheMetrics::get();
+  if (tier != nullptr) *tier = CacheTier::kCompute;
   if (inflight_wait_ns != nullptr) *inflight_wait_ns = 0;
 
   // One lock acquisition decides the path: hit, coalesce onto an in-flight
@@ -226,24 +165,24 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
   std::shared_future<std::shared_ptr<const CompiledResult>> wait_on;
   std::shared_ptr<InFlight> mine;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      count(Event::kHit);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      bump(cells_.hits, m.hits);
+      lru_.splice(lru_.begin(), lru_, it->second);
       std::shared_ptr<const CompiledResult> cached = it->second->result;
-      CacheMetrics::get().hit_latency_ns.add(ns_since(start));
-      if (was_hit != nullptr) *was_hit = true;
+      m.hit_latency_ns.add(ns_since(start));
+      if (tier != nullptr) *tier = CacheTier::kMemory;
       return cached;
     }
-    count(Event::kMiss);
-    const auto fit = shard.inflight.find(key);
-    if (fit != shard.inflight.end()) {
+    bump(cells_.misses, m.misses);
+    const auto fit = inflight_.find(key);
+    if (fit != inflight_.end()) {
       wait_on = fit->second->future;
-      count(Event::kInflightCoalesced);
+      bump(cells_.inflight_coalesced, m.inflight_coalesced);
     } else {
       mine = std::make_shared<InFlight>();
-      shard.inflight.emplace(key, mine);
+      inflight_.emplace(key, mine);
     }
   }
 
@@ -256,7 +195,7 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
     // the serial compiles they replaced.
     std::uint64_t waited_ns = 0;
     if (wait_on.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      count(Event::kInflightWait);
+      bump(cells_.inflight_waits, m.inflight_waits);
       const auto wait_start = std::chrono::steady_clock::now();
       MSYS_TRACE_SPAN(wait_span, "engine.cache.inflight_wait", "engine");
       if (cancel.can_cancel()) {
@@ -267,9 +206,9 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
                std::future_status::ready) {
           if (cancel.cancelled()) {
             waited_ns = ns_since(wait_start);
-            CacheMetrics::get().inflight_wait_ns.add(waited_ns);
+            m.inflight_wait_ns.add(waited_ns);
             if (inflight_wait_ns != nullptr) *inflight_wait_ns = waited_ns;
-            CacheMetrics::get().wait_cancelled.add();
+            m.wait_cancelled.add();
             return nullptr;
           }
         }
@@ -277,12 +216,12 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
         wait_on.wait();
       }
       waited_ns = ns_since(wait_start);
-      CacheMetrics::get().inflight_wait_ns.add(waited_ns);
+      m.inflight_wait_ns.add(waited_ns);
       if (inflight_wait_ns != nullptr) *inflight_wait_ns = waited_ns;
     }
     std::shared_ptr<const CompiledResult> result = wait_on.get();
     const std::uint64_t total = ns_since(start);
-    CacheMetrics::get().miss_latency_ns.add(total > waited_ns ? total - waited_ns : 0);
+    m.miss_latency_ns.add(total > waited_ns ? total - waited_ns : 0);
     return result;
   }
 
@@ -296,8 +235,8 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
     // Never strand waiters: retire the entry and hand the exception to
     // everyone already blocked on the future.
     {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.inflight.erase(key);
+      std::lock_guard<std::mutex> lock(mu_);
+      inflight_.erase(key);
     }
     mine->promise.set_exception(std::current_exception());
     throw;
@@ -310,11 +249,11 @@ std::shared_ptr<const CompiledResult> ScheduleCache::get_or_compile(
       !computed->outcome.schedule.cancelled;
   if (cacheable) insert(key, computed);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.inflight.erase(key);
+    std::lock_guard<std::mutex> lock(mu_);
+    inflight_.erase(key);
   }
   mine->promise.set_value(computed);
-  CacheMetrics::get().miss_latency_ns.add(ns_since(start));
+  m.miss_latency_ns.add(ns_since(start));
   return computed;
 }
 
@@ -328,10 +267,8 @@ ScheduleCache::Stats ScheduleCache::stats() const {
   total.inflight_coalesced = cells_.inflight_coalesced.load(std::memory_order_relaxed);
   total.inflight_waits = cells_.inflight_waits.load(std::memory_order_relaxed);
   total.disk_hits = cells_.disk_hits.load(std::memory_order_relaxed);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total.entries += shard->lru.size();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  total.entries = lru_.size();
   return total;
 }
 

@@ -11,15 +11,12 @@ namespace msys::engine {
 
 namespace {
 
-/// Queue-depth instrumentation, sampled at every submit and pop (handles
-/// resolved once; one relaxed store per sample afterwards).
+/// Job counts (handles resolved once; one relaxed add per event).
 struct PoolMetrics {
   obs::Counter& submitted = obs::counter("engine.pool.jobs_submitted");
   // Every refusal is counted here, and only here.
   obs::Counter& rejected = obs::counter("engine.pool.submit_refused");
   obs::Counter& completed = obs::counter("engine.pool.jobs_completed");
-  obs::Gauge& queue_depth = obs::gauge("engine.pool.queue_depth");
-  obs::Gauge& queue_depth_peak = obs::gauge("engine.pool.queue_depth_peak");
 
   static PoolMetrics& get() {
     static PoolMetrics metrics;
@@ -55,24 +52,10 @@ bool ThreadPool::submit(std::function<void()> job) {
       return false;
     }
     queue_.push_back(std::move(job));
-    const std::size_t depth = queue_.size();
-    depth_peak_ = std::max(depth_peak_, depth);
-    metrics.queue_depth.set(static_cast<std::int64_t>(depth));
-    metrics.queue_depth_peak.update_max(static_cast<std::int64_t>(depth));
   }
   metrics.submitted.add();
   work_cv_.notify_one();
   return true;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-std::size_t ThreadPool::queue_depth_peak() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return depth_peak_;
 }
 
 unsigned ThreadPool::hardware_threads() {
@@ -90,16 +73,9 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;
       job = std::move(queue_.front());
       queue_.pop_front();
-      metrics.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-      ++active_;
     }
     job();
     metrics.completed.add();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

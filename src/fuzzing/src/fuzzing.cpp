@@ -479,10 +479,9 @@ void store_cross_check(const FuzzCase& c, CaseResult& r, engine::ScheduleCache& 
     const CancelToken cancel = options.job_deadline.count() > 0
                                    ? CancelToken::deadline_after(options.job_deadline)
                                    : CancelToken{};
-    bool was_hit = false;
     engine::CacheTier tier = engine::CacheTier::kCompute;
     const std::shared_ptr<const engine::CompiledResult> served =
-        cache.get_or_compile(job, &was_hit, cancel, &tier);
+        cache.get_or_compile(job, cancel, &tier);
     ++stats.store_checked;
     if (served == nullptr || served->outcome.cancelled()) {
       ++stats.store_timeouts;  // structured deadline data, not a divergence
@@ -548,10 +547,7 @@ CampaignStats run_campaign(std::uint64_t base_seed, std::uint64_t n_cases,
           {"engine-store", "store-divergence", "store open failed: " + store_error});
       stats.failures.push_back(std::move(failure));
     } else {
-      engine::ScheduleCache::Config cache_cfg;
-      cache_cfg.store = disk;
-      cache_cfg.name = "fuzz";
-      engine::ScheduleCache cache(cache_cfg);
+      engine::ScheduleCache cache(disk);
       for (std::size_t i = 0; i < cases.size(); ++i) {
         store_cross_check(cases[i], results[i], cache, options, stats);
       }

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "msys/common/error.hpp"
 #include "msys/common/types.hpp"
 #include "msys/model/data.hpp"
 #include "msys/model/kernel.hpp"
@@ -72,8 +73,16 @@ class Application {
   [[nodiscard]] std::size_t kernel_count() const { return kernels_.size(); }
   [[nodiscard]] std::size_t data_count() const { return data_.size(); }
 
-  [[nodiscard]] const Kernel& kernel(KernelId id) const;
-  [[nodiscard]] const DataObject& data(DataId id) const;
+  // Inline: the Figure-4 walk and the cost model call these per instance
+  // and per kernel.
+  [[nodiscard]] const Kernel& kernel(KernelId id) const {
+    MSYS_REQUIRE(id.index() < kernels_.size(), "kernel id out of range");
+    return kernels_[id.index()];
+  }
+  [[nodiscard]] const DataObject& data(DataId id) const {
+    MSYS_REQUIRE(id.index() < data_.size(), "data id out of range");
+    return data_[id.index()];
+  }
   [[nodiscard]] const std::vector<Kernel>& kernels() const { return kernels_; }
   [[nodiscard]] const std::vector<DataObject>& data_objects() const { return data_; }
 

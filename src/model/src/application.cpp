@@ -152,16 +152,6 @@ Application ApplicationBuilder::build() && {
   return app;
 }
 
-const Kernel& Application::kernel(KernelId id) const {
-  MSYS_REQUIRE(id.index() < kernels_.size(), "kernel id out of range");
-  return kernels_[id.index()];
-}
-
-const DataObject& Application::data(DataId id) const {
-  MSYS_REQUIRE(id.index() < data_.size(), "data id out of range");
-  return data_[id.index()];
-}
-
 std::optional<KernelId> Application::find_kernel(std::string_view name) const {
   for (const Kernel& k : kernels_) {
     if (k.name == name) return k.id;

@@ -446,10 +446,7 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
   {
     MSYS_TRACE_SPAN(comp, "serve.compile", "serve");
     engine::ThreadPool pool(options_.threads);
-    engine::ScheduleCache::Config cache_cfg;
-    cache_cfg.store = options_.store;
-    cache_cfg.name = "serve";
-    engine::ScheduleCache cache(cache_cfg);
+    engine::ScheduleCache cache(options_.store);
     engine::BatchRunner runner(pool, &cache);
     engine::RunOptions ropts;
     ropts.cancel = options_.cancel;

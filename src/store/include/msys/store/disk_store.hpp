@@ -19,9 +19,10 @@
 //     as a miss; the caller recomputes and overwrites.  The store never
 //     throws for bad bytes on disk.
 //
-// Transient I/O failures are retried with per-class budgets (reads and
-// writes each carry their own RetryPolicy) using exponential backoff with
-// deterministic jitter; the `store.*` obs counters expose every outcome.
+// Transient I/O failures are retried with fixed per-class budgets (reads
+// 3 attempts at 1-20 ms, writes 4 at 1-50 ms) using exponential backoff
+// with deterministic jitter; the `store.*` obs counters expose every
+// outcome.
 #pragma once
 
 #include <atomic>
@@ -33,7 +34,6 @@
 #include <string_view>
 
 #include "msys/common/cancel.hpp"
-#include "msys/common/retry.hpp"
 
 namespace msys::store {
 
@@ -41,17 +41,6 @@ struct StoreConfig {
   /// Directory holding the entries; created (with its quarantine/
   /// subdirectory) by open() when absent.
   std::string dir;
-  /// Transient-failure budgets, one per I/O class so a flaky read path
-  /// cannot exhaust the write budget or vice versa.
-  RetryPolicy read_retry{.max_attempts = 3,
-                         .base_delay = std::chrono::milliseconds{1},
-                         .max_delay = std::chrono::milliseconds{20}};
-  RetryPolicy write_retry{.max_attempts = 4,
-                          .base_delay = std::chrono::milliseconds{1},
-                          .max_delay = std::chrono::milliseconds{50}};
-  /// Seed for the backoff jitter streams (split per operation, so retries
-  /// stay deterministic under test yet decorrelated across threads).
-  std::uint64_t retry_seed{0x5eed5eedULL};
 };
 
 /// Instance-level tallies (the `store.*` obs counters are the process-wide
@@ -101,7 +90,7 @@ class DiskScheduleStore {
   /// and explains into *error when the directory cannot be created or is
   /// not writable.
   [[nodiscard]] static std::unique_ptr<DiskScheduleStore> open(
-      StoreConfig config, std::string* error = nullptr);
+      const StoreConfig& config, std::string* error = nullptr);
 
   /// Persists `payload` under `key`, overwriting any existing entry.
   /// Retries transient I/O per the write budget; false when the budget is
@@ -137,7 +126,7 @@ class DiskScheduleStore {
   [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
 
  private:
-  explicit DiskScheduleStore(StoreConfig config);
+  explicit DiskScheduleStore(const StoreConfig& config);
 
   [[nodiscard]] std::filesystem::path entry_path(std::uint64_t key) const;
   /// Moves `path` into quarantine/ under a unique name; best-effort
@@ -151,7 +140,6 @@ class DiskScheduleStore {
   bool load_attempt(std::uint64_t key, std::optional<std::string>* out,
                     bool* corrupt);
 
-  StoreConfig config_;
   std::filesystem::path dir_;
   std::filesystem::path quarantine_dir_;
   std::atomic<std::uint64_t> op_counter_{0};

@@ -6,6 +6,7 @@
 
 #include "msys/common/fault_injector.hpp"
 #include "msys/common/hash.hpp"
+#include "msys/common/retry.hpp"
 #include "msys/common/rng.hpp"
 #include "msys/obs/metrics.hpp"
 
@@ -18,6 +19,18 @@ namespace {
 constexpr char kMagic[4] = {'M', 'S', 'R', '1'};
 constexpr std::size_t kHeaderSize = 4 + 8 + 8 + 8;  // magic, key, size, checksum
 constexpr const char* kEntrySuffix = ".msr";
+
+/// Transient-failure budgets, one per I/O class so a flaky read path
+/// cannot exhaust the write budget or vice versa.
+constexpr RetryPolicy kReadRetry{.max_attempts = 3,
+                                 .base_delay = std::chrono::milliseconds{1},
+                                 .max_delay = std::chrono::milliseconds{20}};
+constexpr RetryPolicy kWriteRetry{.max_attempts = 4,
+                                  .base_delay = std::chrono::milliseconds{1},
+                                  .max_delay = std::chrono::milliseconds{50}};
+/// Seed for the backoff jitter streams (split per operation, so retries
+/// stay deterministic under test yet decorrelated across threads).
+constexpr std::uint64_t kRetrySeed = 0x5eed5eedULL;
 
 struct StoreMetrics {
   obs::Counter& hits = obs::counter("store.hits");
@@ -105,10 +118,10 @@ const char* to_string(LoadStatus status) {
   return "?";
 }
 
-std::unique_ptr<DiskScheduleStore> DiskScheduleStore::open(StoreConfig config,
+std::unique_ptr<DiskScheduleStore> DiskScheduleStore::open(const StoreConfig& config,
                                                            std::string* error) {
   auto store =
-      std::unique_ptr<DiskScheduleStore>(new DiskScheduleStore(std::move(config)));
+      std::unique_ptr<DiskScheduleStore>(new DiskScheduleStore(config));
   std::error_code ec;
   fs::create_directories(store->quarantine_dir_, ec);
   if (ec) {
@@ -134,10 +147,8 @@ std::unique_ptr<DiskScheduleStore> DiskScheduleStore::open(StoreConfig config,
   return store;
 }
 
-DiskScheduleStore::DiskScheduleStore(StoreConfig config)
-    : config_(std::move(config)),
-      dir_(config_.dir),
-      quarantine_dir_(dir_ / "quarantine") {}
+DiskScheduleStore::DiskScheduleStore(const StoreConfig& config)
+    : dir_(config.dir), quarantine_dir_(dir_ / "quarantine") {}
 
 fs::path DiskScheduleStore::entry_path(std::uint64_t key) const {
   return dir_ / (key_hex(key) + kEntrySuffix);
@@ -192,10 +203,10 @@ bool DiskScheduleStore::save_attempt(std::uint64_t key,
 bool DiskScheduleStore::save(std::uint64_t key, std::string_view payload,
                              const CancelToken& cancel) {
   const std::uint64_t n = op_counter_.fetch_add(1, std::memory_order_relaxed);
-  Rng jitter = Rng(config_.retry_seed).split(n);
+  Rng jitter = Rng(kRetrySeed).split(n);
   RetryStats rs;
   const bool ok = retry_with_backoff(
-      config_.write_retry, jitter,
+      kWriteRetry, jitter,
       [&] { return save_attempt(key, payload); }, cancel, &rs);
   auto& m = StoreMetrics::get();
   if (rs.attempts > 1) {
@@ -250,12 +261,12 @@ std::optional<std::string> DiskScheduleStore::load(std::uint64_t key,
                                                    const CancelToken& cancel,
                                                    LoadStatus* status) {
   const std::uint64_t n = op_counter_.fetch_add(1, std::memory_order_relaxed);
-  Rng jitter = Rng(config_.retry_seed).split(n);
+  Rng jitter = Rng(kRetrySeed).split(n);
   std::optional<std::string> result;
   bool corrupt = false;
   RetryStats rs;
   const bool completed = retry_with_backoff(
-      config_.read_retry, jitter,
+      kReadRetry, jitter,
       [&] { return load_attempt(key, &result, &corrupt); }, cancel, &rs);
   auto& m = StoreMetrics::get();
   if (rs.attempts > 1) {

@@ -90,13 +90,13 @@ TEST(BatchRunner, DuplicateJobsHitTheCache) {
   ScheduleCache cache;
   BatchRunner runner(pool, &cache);
   const std::vector<JobResult> results = runner.run(mixed_batch());
-  EXPECT_FALSE(results[0].cache_hit);
-  EXPECT_TRUE(results[2].cache_hit);
+  EXPECT_EQ(results[0].tier, CacheTier::kCompute);
+  EXPECT_EQ(results[2].tier, CacheTier::kMemory);
   EXPECT_EQ(results[0].result.get(), results[2].result.get());
   EXPECT_GE(cache.stats().hits, 1u);
   // A second identical batch is all hits.
   const std::vector<JobResult> again = runner.run(mixed_batch());
-  for (const JobResult& r : again) EXPECT_TRUE(r.cache_hit);
+  for (const JobResult& r : again) EXPECT_EQ(r.tier, CacheTier::kMemory);
 }
 
 TEST(BatchRunner, ParallelMatchesSerialWithAndWithoutCache) {
@@ -162,7 +162,7 @@ TEST(BatchRunner, InputWithoutDigestThrowsToTheCaller) {
   jobs.insert(jobs.begin() + 2, undigested);
   EXPECT_THROW((void)runner.run(jobs), Error);
   // The other jobs ran to completion: a rerun of the valid batch is all hits.
-  for (const JobResult& r : runner.run(mixed_batch())) EXPECT_TRUE(r.cache_hit);
+  for (const JobResult& r : runner.run(mixed_batch())) EXPECT_EQ(r.tier, CacheTier::kMemory);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // quarantine), and pool-refusal accounting in BatchStats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -66,16 +67,16 @@ TEST_F(EngineFaultTest, PreCancelledTokenYieldsStructuredTimeoutAndIsNotCached) 
   CancelSource source;
   source.request_cancel();
 
-  bool hit = true;
-  const auto result = cache.get_or_compile(job, &hit, source.token());
+  CacheTier tier = CacheTier::kMemory;
+  const auto result = cache.get_or_compile(job, source.token(), &tier);
   ASSERT_NE(result, nullptr);
-  EXPECT_FALSE(hit);
+  EXPECT_EQ(tier, CacheTier::kCompute);
   EXPECT_TRUE(result->outcome.cancelled());
   EXPECT_FALSE(result->feasible());
   EXPECT_EQ(cache.stats().entries, 0u);  // the key stays retryable
 
   // The same key compiles cleanly once the pressure is off.
-  const auto retried = cache.get_or_compile(job, &hit);
+  const auto retried = cache.get_or_compile(job);
   ASSERT_NE(retried, nullptr);
   EXPECT_TRUE(retried->feasible());
   EXPECT_EQ(cache.stats().entries, 1u);
@@ -183,12 +184,12 @@ TEST_F(EngineFaultTest, WaiterTimesOutWhileTheWinnerStillCompletesAndCaches) {
   // same key with a short deadline: the waiter must cut loose (nullptr),
   // not block until the winner finishes.
   std::this_thread::sleep_for(20ms);
-  bool hit = true;
+  CacheTier tier = CacheTier::kMemory;
   const auto waited =
-      cache.get_or_compile(key, [&] { return computed; }, &hit,
+      cache.get_or_compile(key, [&] { return computed; }, &tier,
                            CancelToken::deadline_after(15ms));
   EXPECT_EQ(waited, nullptr);
-  EXPECT_FALSE(hit);
+  EXPECT_EQ(tier, CacheTier::kCompute);
 
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -209,28 +210,21 @@ TEST_F(EngineFaultTest, StoreTierServesAFreshCacheAcrossRestarts) {
 
   std::shared_ptr<const CompiledResult> first;
   {
-    ScheduleCache::Config config;
-    config.store = open_store(dir);
-    ScheduleCache cold(config);
-    bool hit = true;
+    const std::shared_ptr<store::DiskScheduleStore> disk = open_store(dir);
+    ScheduleCache cold(disk);
     CacheTier tier = CacheTier::kMemory;
-    first = cold.get_or_compile(job, &hit, {}, &tier);
+    first = cold.get_or_compile(job, {}, &tier);
     ASSERT_NE(first, nullptr);
-    EXPECT_FALSE(hit);
     EXPECT_EQ(tier, CacheTier::kCompute);
-    EXPECT_EQ(config.store->stats().saves, 1u);
+    EXPECT_EQ(disk->stats().saves, 1u);
   }
 
   // A brand-new cache over the same directory — the "restarted process".
-  ScheduleCache::Config config;
-  config.store = open_store(dir);
-  ScheduleCache warm(config);
-  bool hit = true;
+  ScheduleCache warm(open_store(dir));
   CacheTier tier = CacheTier::kMemory;
-  const auto replayed = warm.get_or_compile(job, &hit, {}, &tier);
+  const auto replayed = warm.get_or_compile(job, {}, &tier);
   ASSERT_NE(replayed, nullptr);
-  EXPECT_FALSE(hit);  // not a *memory* hit
-  EXPECT_EQ(tier, CacheTier::kDisk);
+  EXPECT_EQ(tier, CacheTier::kDisk);  // not a *memory* hit
   EXPECT_EQ(warm.stats().disk_hits, 1u);
 
   // The decision replay reproduces the compile exactly.
@@ -241,10 +235,40 @@ TEST_F(EngineFaultTest, StoreTierServesAFreshCacheAcrossRestarts) {
   EXPECT_EQ(replayed->predicted.data_words_loaded, first->predicted.data_words_loaded);
 
   // And the memory tier now owns the key.
-  const auto memo = warm.get_or_compile(job, &hit, {}, &tier);
-  EXPECT_TRUE(hit);
+  const auto memo = warm.get_or_compile(job, {}, &tier);
   EXPECT_EQ(tier, CacheTier::kMemory);
   EXPECT_EQ(memo.get(), replayed.get());
+}
+
+TEST_F(EngineFaultTest, OnlyTheCallerThatDecodesTheStoreReportsTheDiskTier) {
+  // Concurrent callers on one stored key: the single-flight winner decodes
+  // the entry (kDisk), a waiter coalesced onto it reports kCompute and a
+  // later arrival a memory hit, so exactly one call says kDisk.
+  const fs::path dir = scratch_dir();
+  const Job job = retention_job();
+  {
+    ScheduleCache cold(open_store(dir));
+    ASSERT_NE(cold.get_or_compile(job), nullptr);
+  }
+  constexpr std::size_t kThreads = 4;
+  ScheduleCache warm(open_store(dir));
+  std::vector<CacheTier> tiers(kThreads, CacheTier::kDisk);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] { (void)warm.get_or_compile(job, {}, &tiers[t]); });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const ScheduleCache::Stats stats = warm.stats();
+  EXPECT_EQ(std::count(tiers.begin(), tiers.end(), CacheTier::kDisk), 1);
+  EXPECT_EQ(stats.disk_hits, 1u);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                std::count(tiers.begin(), tiers.end(), CacheTier::kCompute)),
+            stats.inflight_coalesced);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                std::count(tiers.begin(), tiers.end(), CacheTier::kMemory)),
+            stats.hits);
 }
 
 TEST_F(EngineFaultTest, CorruptStoreBytesAreQuarantinedAndRecomputed) {
@@ -259,19 +283,17 @@ TEST_F(EngineFaultTest, CorruptStoreBytesAreQuarantinedAndRecomputed) {
     ASSERT_TRUE(disk->save(key, "definitely not an encoded CompiledResult"));
   }
 
-  ScheduleCache::Config config;
-  config.store = open_store(dir);
-  ScheduleCache cache(config);
-  bool hit = true;
+  const std::shared_ptr<store::DiskScheduleStore> disk = open_store(dir);
+  ScheduleCache cache(disk);
   CacheTier tier = CacheTier::kMemory;
-  const auto result = cache.get_or_compile(job, &hit, {}, &tier);
+  const auto result = cache.get_or_compile(job, {}, &tier);
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(tier, CacheTier::kCompute);  // recomputed, not served
   EXPECT_TRUE(result->feasible());
   EXPECT_EQ(cache.stats().disk_hits, 0u);
   // Quarantined, then overwritten by the fresh result's save.
-  EXPECT_GE(config.store->stats().quarantined, 1u);
-  const store::FsckReport report = config.store->verify_store();
+  EXPECT_GE(disk->stats().quarantined, 1u);
+  const store::FsckReport report = disk->verify_store();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.scanned, 1u);
 }
@@ -301,18 +323,17 @@ TEST_F(EngineFaultTest, RetiredSplitFlagByteDecodesOnlyAsOne) {
 TEST_F(EngineFaultTest, CancelledResultsAreNeverPersisted) {
   const fs::path dir = scratch_dir();
   const Job job = retention_job();
-  ScheduleCache::Config config;
-  config.store = open_store(dir);
-  ScheduleCache cache(config);
+  const std::shared_ptr<store::DiskScheduleStore> disk = open_store(dir);
+  ScheduleCache cache(disk);
 
   CancelSource source;
   source.request_cancel();
-  const auto cancelled = cache.get_or_compile(job, nullptr, source.token());
+  const auto cancelled = cache.get_or_compile(job, source.token());
   ASSERT_NE(cancelled, nullptr);
   EXPECT_TRUE(cancelled->outcome.cancelled());
   EXPECT_FALSE(persistable(*cancelled));
-  EXPECT_EQ(config.store->entry_count(), 0u);
-  EXPECT_EQ(config.store->stats().saves, 0u);
+  EXPECT_EQ(disk->entry_count(), 0u);
+  EXPECT_EQ(disk->stats().saves, 0u);
 }
 
 }  // namespace

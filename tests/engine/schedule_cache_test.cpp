@@ -131,12 +131,12 @@ TEST(CacheKey, RejectsAnInputWithoutADigest) {
 TEST(ScheduleCache, MissThenHitReturnsSameResultObject) {
   ScheduleCache cache;
   const Job job = retention_job();
-  bool hit = true;
-  const auto first = cache.get_or_compile(job, &hit);
+  CacheTier tier = CacheTier::kMemory;
+  const auto first = cache.get_or_compile(job, {}, &tier);
   ASSERT_NE(first, nullptr);
-  EXPECT_FALSE(hit);
-  const auto second = cache.get_or_compile(job, &hit);
-  EXPECT_TRUE(hit);
+  EXPECT_EQ(tier, CacheTier::kCompute);
+  const auto second = cache.get_or_compile(job, {}, &tier);
+  EXPECT_EQ(tier, CacheTier::kMemory);
   EXPECT_EQ(first.get(), second.get());  // memoized, not recomputed
 
   const ScheduleCache::Stats stats = cache.stats();
@@ -165,54 +165,63 @@ TEST(ScheduleCache, CachedResultOutlivesTheInputThatComputedIt) {
   EXPECT_GT(cached->predicted.total.value(), 0u);
 }
 
+/// Inserts keys 1..kCapacity in order, filling the cache exactly.
+void fill_to_capacity(ScheduleCache& cache,
+                      const std::shared_ptr<const CompiledResult>& result) {
+  for (std::uint64_t key = 1; key <= ScheduleCache::kCapacity; ++key) {
+    cache.insert(key, result);
+  }
+}
+
+constexpr std::uint64_t kOverflowKey = ScheduleCache::kCapacity + 1;
+
 TEST(ScheduleCache, LruEvictsOldestAtCapacity) {
-  // Single shard so the LRU order is globally observable.
-  ScheduleCache cache({/*capacity=*/3, /*shards=*/1});
+  ScheduleCache cache;
   const auto result = compile_job(retention_job());
-  cache.insert(1, result);
-  cache.insert(2, result);
-  cache.insert(3, result);
+  fill_to_capacity(cache, result);
+  EXPECT_EQ(cache.stats().evictions, 0u);
   // Refresh key 1, then overflow: key 2 is now the LRU victim.
   EXPECT_NE(cache.lookup(1), nullptr);
-  cache.insert(4, result);
+  cache.insert(kOverflowKey, result);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.lookup(2), nullptr);
   EXPECT_NE(cache.lookup(1), nullptr);
   EXPECT_NE(cache.lookup(3), nullptr);
-  EXPECT_NE(cache.lookup(4), nullptr);
-  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_NE(cache.lookup(kOverflowKey), nullptr);
+  EXPECT_EQ(cache.stats().entries, ScheduleCache::kCapacity);
 }
 
 TEST(ScheduleCache, InsertIsFirstWriterWins) {
-  ScheduleCache cache({/*capacity=*/4, /*shards=*/1});
+  ScheduleCache cache;
   const auto a = compile_job(retention_job());
   const auto b = compile_job(retention_job());
   ASSERT_NE(a.get(), b.get());
-  cache.insert(7, a);
+  fill_to_capacity(cache, a);
+  // A duplicate at capacity is dropped: it neither replaces the entry nor
+  // evicts another one.
   cache.insert(7, b);
   EXPECT_EQ(cache.lookup(7).get(), a.get());
   // Regression: the losing insert used to vanish from the stats entirely;
   // it is now counted as wasted compute.
-  EXPECT_EQ(cache.stats().inserts, 1u);
+  EXPECT_EQ(cache.stats().inserts, ScheduleCache::kCapacity);
   EXPECT_EQ(cache.stats().duplicate_inserts, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().entries, ScheduleCache::kCapacity);
 }
 
 TEST(ScheduleCache, DuplicateInsertRefreshesLruRecency) {
   // Regression: the duplicate-key path used to skip the recency splice, so
   // a key kept hot by concurrent double-computes could still age to the
   // LRU tail and be evicted first.
-  ScheduleCache cache({/*capacity=*/3, /*shards=*/1});
+  ScheduleCache cache;
   const auto result = compile_job(retention_job());
-  cache.insert(1, result);
-  cache.insert(2, result);
-  cache.insert(3, result);
-  cache.insert(1, result);  // duplicate: must move key 1 to the front
-  cache.insert(4, result);  // overflow: victim must be key 2, not key 1
+  fill_to_capacity(cache, result);
+  cache.insert(1, result);             // duplicate: must move key 1 to the front
+  cache.insert(kOverflowKey, result);  // overflow: victim must be key 2, not key 1
   EXPECT_NE(cache.lookup(1), nullptr);
   EXPECT_EQ(cache.lookup(2), nullptr);
   EXPECT_NE(cache.lookup(3), nullptr);
-  EXPECT_NE(cache.lookup(4), nullptr);
+  EXPECT_NE(cache.lookup(kOverflowKey), nullptr);
   EXPECT_EQ(cache.stats().duplicate_inserts, 1u);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
@@ -224,7 +233,7 @@ TEST(ScheduleCache, ConcurrentDoubleComputeIsCoalescedBySingleFlight) {
   // arrived during the compute coalesces onto it, so the duplicate-insert
   // count stays at zero no matter how the race interleaves.
   constexpr int kThreads = 8;
-  ScheduleCache cache({/*capacity=*/16, /*shards=*/4});
+  ScheduleCache cache;
   std::vector<std::shared_ptr<const CompiledResult>> seen(kThreads);
   {
     std::vector<std::thread> threads;
@@ -260,7 +269,7 @@ TEST(ScheduleCache, SingleFlightCoalescesAllWaitersOntoOneCompute) {
   // in-flight entry, so the outcome (1 compute, N-1 coalesced, N-1 waits)
   // is forced, not left to scheduling luck.
   constexpr int kThreads = 6;
-  ScheduleCache cache({/*capacity=*/16, /*shards=*/1});
+  ScheduleCache cache;
   const auto precomputed = compile_job(retention_job());
   std::atomic<int> computes{0};
 
@@ -279,17 +288,13 @@ TEST(ScheduleCache, SingleFlightCoalescesAllWaitersOntoOneCompute) {
   };
 
   std::vector<std::shared_ptr<const CompiledResult>> seen(kThreads);
-  // char, not bool: vector<bool> packs bits, so per-thread writes to
-  // distinct elements would race on the shared word.
-  std::vector<char> hit(kThreads, 1);
+  std::vector<CacheTier> tiers(kThreads, CacheTier::kMemory);
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([t, &cache, &compute, &seen, &hit] {
-        bool was_hit = true;
-        seen[static_cast<std::size_t>(t)] =
-            cache.get_or_compile(/*key=*/42, compute, &was_hit);
-        hit[static_cast<std::size_t>(t)] = was_hit ? 1 : 0;
+      threads.emplace_back([t, &cache, &compute, &seen, &tiers] {
+        const auto i = static_cast<std::size_t>(t);
+        seen[i] = cache.get_or_compile(/*key=*/42, compute, &tiers[i]);
       });
     }
     for (std::thread& t : threads) t.join();
@@ -298,7 +303,8 @@ TEST(ScheduleCache, SingleFlightCoalescesAllWaitersOntoOneCompute) {
   EXPECT_EQ(computes.load(), 1);
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(seen[static_cast<std::size_t>(t)].get(), precomputed.get());
-    EXPECT_FALSE(hit[static_cast<std::size_t>(t)]);  // all paid a miss
+    // The winner and every coalesced waiter paid a miss.
+    EXPECT_EQ(tiers[static_cast<std::size_t>(t)], CacheTier::kCompute);
   }
   const ScheduleCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kThreads));
@@ -307,9 +313,9 @@ TEST(ScheduleCache, SingleFlightCoalescesAllWaitersOntoOneCompute) {
   EXPECT_EQ(stats.inflight_coalesced, static_cast<std::uint64_t>(kThreads - 1));
   EXPECT_EQ(stats.inflight_waits, static_cast<std::uint64_t>(kThreads - 1));
   // A later call is a plain hit — the in-flight entry fully retired.
-  bool was_hit = false;
-  EXPECT_EQ(cache.get_or_compile(42, compute, &was_hit).get(), precomputed.get());
-  EXPECT_TRUE(was_hit);
+  CacheTier tier = CacheTier::kCompute;
+  EXPECT_EQ(cache.get_or_compile(42, compute, &tier).get(), precomputed.get());
+  EXPECT_EQ(tier, CacheTier::kMemory);
   EXPECT_EQ(computes.load(), 1);
 }
 
@@ -317,7 +323,7 @@ TEST(ScheduleCache, SingleFlightPropagatesComputeExceptionToAllWaiters) {
   // A throwing compute must not wedge the in-flight entry: the winner and
   // every coalesced waiter see the exception, and the key stays absent so
   // a retry can succeed.
-  ScheduleCache cache({/*capacity=*/16, /*shards=*/1});
+  ScheduleCache cache;
   const ScheduleCache::ComputeFn boom = []() -> std::shared_ptr<const CompiledResult> {
     throw std::runtime_error("compile failed");
   };
@@ -325,9 +331,9 @@ TEST(ScheduleCache, SingleFlightPropagatesComputeExceptionToAllWaiters) {
   EXPECT_EQ(cache.lookup(7), nullptr);
   // Retry with a working compute succeeds — no poisoned in-flight entry.
   const auto good = compile_job(retention_job());
-  bool was_hit = true;
-  EXPECT_EQ(cache.get_or_compile(7, [&] { return good; }, &was_hit).get(), good.get());
-  EXPECT_FALSE(was_hit);
+  CacheTier tier = CacheTier::kMemory;
+  EXPECT_EQ(cache.get_or_compile(7, [&] { return good; }, &tier).get(), good.get());
+  EXPECT_EQ(tier, CacheTier::kCompute);
 }
 
 TEST(ScheduleCache, ConcurrentHammerMatchesSerial) {
@@ -340,7 +346,7 @@ TEST(ScheduleCache, ConcurrentHammerMatchesSerial) {
     reference.push_back(compile_job(retention_job(6 + i)));
   }
 
-  ScheduleCache cache({/*capacity=*/64, /*shards=*/4});
+  ScheduleCache cache;
   std::vector<std::vector<std::shared_ptr<const CompiledResult>>> seen(kThreads);
   {
     std::vector<std::thread> threads;
@@ -376,7 +382,7 @@ TEST(ScheduleCache, ConcurrentHammerMatchesSerial) {
   // At most a handful of racing first-misses per distinct job; far more
   // hits than misses overall.
   EXPECT_GT(stats.hits, stats.misses);
-  EXPECT_LE(stats.entries, 64u);
+  EXPECT_EQ(stats.entries, static_cast<std::uint64_t>(kDistinct));
 }
 
 }  // namespace

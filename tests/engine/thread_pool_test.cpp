@@ -21,11 +21,10 @@ TEST(ThreadPool, RunsEverySubmittedJob) {
   {
     ThreadPool pool(4);
     for (int i = 0; i < 1000; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+      EXPECT_TRUE(pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); }));
     }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 1000);
-  }
+  }  // the destructor drains every accepted job
+  EXPECT_EQ(count.load(), 1000);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {
@@ -35,59 +34,60 @@ TEST(ThreadPool, DestructorDrainsQueue) {
     for (int i = 0; i < 500; ++i) {
       pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
     }
-    // No wait_idle: the destructor must finish the queue, not drop it.
+    // The destructor must finish the queue, not drop it.
   }
   EXPECT_EQ(count.load(), 500);
 }
 
 TEST(ThreadPool, ClampsToAtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
   std::atomic<bool> ran{false};
-  pool.submit([&ran] { ran = true; });
-  pool.wait_idle();
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.size(), 1u);
+    pool.submit([&ran] { ran = true; });
+  }
   EXPECT_TRUE(ran.load());
 }
 
-TEST(ThreadPool, WaitIdleIsReusableAcrossWaves) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int wave = 1; wave <= 3; ++wave) {
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), wave * 50);
-  }
-}
-
 TEST(ThreadPool, SubmitFromInsideAJob) {
-  ThreadPool pool(2);
   std::atomic<int> count{0};
-  pool.submit([&pool, &count] {
-    count.fetch_add(1, std::memory_order_relaxed);
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  });
-  pool.wait_idle();
+  std::atomic<int> accepted{0};
+  std::atomic<bool> submitted{false};
+  {
+    ThreadPool pool(2);
+    pool.submit([&pool, &count, &accepted, &submitted] {
+      count.fetch_add(1, std::memory_order_relaxed);
+      for (int i = 0; i < 10; ++i) {
+        if (pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); })) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      submitted.store(true);
+    });
+    // Keep the pool live until the outer job has submitted, so its submits
+    // are accepted rather than refused by the draining destructor.
+    while (!submitted.load()) std::this_thread::yield();
+  }
+  EXPECT_EQ(accepted.load(), 10);
   EXPECT_EQ(count.load(), 11);
 }
 
 TEST(ThreadPool, UsesMultipleWorkerThreads) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
   std::mutex mu;
   std::set<std::thread::id> seen;
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&mu, &seen] {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.size(), 4u);
+    parallel_for(&pool, 200, [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu);
       seen.insert(std::this_thread::get_id());
     });
   }
-  pool.wait_idle();
-  // All 200 ran; at least one worker did (single-core schedulers may well
-  // serve everything from one thread, so only the lower bound is portable).
+  EXPECT_EQ(ran.load(), 200);
+  // At least one worker ran (single-core schedulers may well serve
+  // everything from one thread, so only the lower bound is portable).
   EXPECT_GE(seen.size(), 1u);
   EXPECT_LE(seen.size(), 4u);
 }
@@ -99,7 +99,6 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 TEST(ThreadPool, SubmitReturnsTrueOnALivePool) {
   ThreadPool pool(2);
   EXPECT_TRUE(pool.submit([] {}));
-  pool.wait_idle();
 }
 
 // Regression: a job that re-submits while the destructor drains used to
@@ -128,19 +127,6 @@ TEST(ThreadPool, ResubmitDuringShutdownIsRefusedNotTerminate) {
   // refusal (a single self-perpetuating chain dies on its first rejection).
   EXPECT_GE(executed.load(), 3);
   EXPECT_EQ(refused.load(), 1);
-}
-
-TEST(ThreadPool, QueueDepthPeakTracksBacklog) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load(std::memory_order_relaxed)) std::this_thread::yield();
-  });
-  for (int i = 0; i < 8; ++i) pool.submit([] {});
-  release.store(true, std::memory_order_relaxed);
-  pool.wait_idle();
-  // The blocker held the single worker, so all 8 queued behind it.
-  EXPECT_GE(pool.queue_depth_peak(), 8u);
 }
 
 TEST(ParallelFor, NullPoolRunsInlineInIndexOrder) {

@@ -1,6 +1,6 @@
 // Cross-checks between the observability layer and the subsystems it
 // instruments: the global counter deltas must agree with ScheduleCache's
-// own per-shard stats, and the simulated-clock trace lanes must sum to the
+// own stats, and the simulated-clock trace lanes must sum to the
 // SimReport busy totals (the same numbers report::render_timeline prints).
 #include <gtest/gtest.h>
 
@@ -87,13 +87,13 @@ TEST(ObsIntegration, CacheCountersAgreeWithCacheStats) {
   // comparison runs on a fresh cache inside a snapshot-diffed phase: every
   // engine.cache.* movement in the delta came from this cache.
   const obs::MetricsSnapshot before = obs::snapshot();
-  engine::ScheduleCache cache({/*capacity=*/16, /*shards=*/4});
+  engine::ScheduleCache cache;
   const engine::Job job = retention_job();
-  bool hit = false;
-  ASSERT_NE(cache.get_or_compile(job, &hit), nullptr);
-  EXPECT_FALSE(hit);
-  ASSERT_NE(cache.get_or_compile(job, &hit), nullptr);
-  EXPECT_TRUE(hit);
+  engine::CacheTier tier = engine::CacheTier::kMemory;
+  ASSERT_NE(cache.get_or_compile(job, {}, &tier), nullptr);
+  EXPECT_EQ(tier, engine::CacheTier::kCompute);
+  ASSERT_NE(cache.get_or_compile(job, {}, &tier), nullptr);
+  EXPECT_EQ(tier, engine::CacheTier::kMemory);
   const obs::MetricsSnapshot delta = obs::snapshot().since(before);
   const engine::ScheduleCache::Stats stats = cache.stats();
   EXPECT_EQ(delta.counter("engine.cache.hits"), stats.hits);

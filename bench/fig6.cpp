@@ -8,15 +8,11 @@
 
 int main() {
   using namespace msys;
-  std::vector<workloads::Experiment> experiments;
+  std::vector<report::ExperimentResult> results;
   for (const std::string& name : workloads::table1_experiment_names()) {
-    experiments.push_back(workloads::make_experiment(name));
+    const workloads::Experiment exp = workloads::make_experiment(name);
+    results.push_back(report::run_experiment(exp.name, exp.sched, exp.cfg));
   }
-  std::vector<report::ExperimentSpec> specs;
-  for (const workloads::Experiment& exp : experiments) {
-    specs.push_back({exp.name, &exp.sched, exp.cfg});
-  }
-  const std::vector<report::ExperimentResult> results = report::run_all(specs);
 
   std::cout << "Figure 6. Relative execution improvement (%)\n\n";
   std::cout << report::fig6_ascii(results) << '\n';

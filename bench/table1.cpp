@@ -10,20 +10,13 @@
 
 int main() {
   using namespace msys;
-  // Experiments stay alive until reporting finishes: results reference
-  // their kernel schedules.
-  std::vector<workloads::Experiment> experiments;
+  std::vector<report::ExperimentResult> results;
   for (const std::string& name : workloads::table1_experiment_names()) {
-    experiments.push_back(workloads::make_experiment(name));
+    const workloads::Experiment exp = workloads::make_experiment(name);
+    results.push_back(report::run_experiment(exp.name, exp.sched, exp.cfg));
   }
-  experiments.push_back(workloads::make_mpeg(kilowords(1)));
-  experiments.back().name = "MPEG(1K)";
-
-  std::vector<report::ExperimentSpec> specs;
-  for (const workloads::Experiment& exp : experiments) {
-    specs.push_back({exp.name, &exp.sched, exp.cfg});
-  }
-  const std::vector<report::ExperimentResult> results = report::run_all(specs);
+  const workloads::Experiment mpeg_1k = workloads::make_mpeg(kilowords(1));
+  results.push_back(report::run_experiment("MPEG(1K)", mpeg_1k.sched, mpeg_1k.cfg));
 
   std::cout << "Table 1. experimental results\n\n";
   report::table1(results).print(std::cout);

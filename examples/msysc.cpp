@@ -142,7 +142,6 @@ PreparedJob prepare_job(const std::string& path) {
   engine::Job job;
   job.input = engine::make_input(std::move(parsed.experiment->app), std::move(partition),
                                  parsed.experiment->cfg);
-  job.kind = engine::SchedulerKind::kFallback;
   prepared.job = std::move(job);
   return prepared;
 }
@@ -610,20 +609,18 @@ int run_single(const std::string& path, bool emit, bool timeline, bool cross_set
     extract::ScheduleAnalysis analysis(sched, parsed.cfg.cross_set_reads);
     std::cout << analysis.summary() << '\n';
 
-    // The degradation chain decides feasibility: CDS -> DS -> Basic ->
-    // DS+split, with every rung's outcome recorded.
-    const report::SchedulerOutcome fb =
-        report::run_scheduler(engine::SchedulerKind::kFallback, sched, parsed.cfg);
-    std::cout << "fallback chain: " << fb.outcome().chain_summary() << '\n';
-    if (!fb.feasible()) {
-      std::cerr << "msysc: application does not fit this machine:\n"
-                << render(fb.outcome().diagnostics) << '\n';
-      return kExitInfeasible;
-    }
-    std::cout << "scheduled by: " << fb.outcome().chosen_rung() << "\n\n";
-
+    // The CDS job is the degradation chain (CDS -> DS -> Basic -> DS+split,
+    // with every rung's outcome recorded), and it decides feasibility.
     report::ExperimentResult r =
         report::run_experiment(parsed.app.name(), sched, parsed.cfg);
+    const dsched::ScheduleOutcome& chain = r.cds.outcome();
+    std::cout << "fallback chain: " << chain.chain_summary() << '\n';
+    if (!r.cds.feasible()) {
+      std::cerr << "msysc: application does not fit this machine:\n"
+                << render(chain.diagnostics) << '\n';
+      return kExitInfeasible;
+    }
+    std::cout << "scheduled by: " << chain.chosen_rung() << "\n\n";
     report::detail_table({r}).print(std::cout);
     if (r.ds_improvement()) {
       std::cout << "\nDS  improvement over Basic: " << percent(*r.ds_improvement());

@@ -204,13 +204,15 @@ done
 # generator joins them because it indexes its per-round release buckets
 # with offsets computed from the plan.  The report suite joins them because
 # its results keep their schedules alive through a shared CompiledResult,
-# so a schedule left pointing into a dropped input trips ASan.  Only those
-# ten test binaries are built in build-san/; plan_alloc_test and
-# parse_alloc_test stay out because they replace operator new, which ASan
-# owns.
+# so a schedule left pointing into a dropped input trips ASan.  The msysc
+# suite joins them for the same reason: msysc reads the fallback chain
+# through the CompiledResult it shares with the report (the suite also
+# builds msysc).  Only those eleven test binaries are built in build-san/;
+# plan_alloc_test and parse_alloc_test stay out because they replace
+# operator new, which ASan owns.
 if [ "$#" -eq 0 ]; then
   san_tests=(sim_test codegen_test oracle_screen_test fuzzing_test integration_test
-             dsched_test search_test engine_test serve_test report_test)
+             dsched_test search_test engine_test serve_test report_test msysc_cli_test)
   echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
   cmake --preset san -DMSYS_WERROR=ON
   cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"

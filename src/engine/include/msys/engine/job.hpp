@@ -1,6 +1,6 @@
 // The engine's unit of work: one (application, machine, scheduler kind,
-// options) compilation, the pure function that executes it, and the
-// three-way oracle that checks its result on request.
+// options) compilation, the pure function that executes it, and the same
+// compilation checked by the three-way oracle on request.
 //
 // Ownership: every model type downstream of a schedule holds non-owning
 // pointers (DataSchedule -> KernelSchedule -> Application), which is fine
@@ -28,13 +28,15 @@
 
 namespace msys::engine {
 
-/// Which scheduling pipeline a job runs.
+/// Which scheduling pipeline a job runs.  kBasic and kDS run that one
+/// scheduler.  kCDS runs the degradation ladder (CDS -> DS -> Basic ->
+/// DS+split, from `options.entry`): entered at CDS it selects CDS or
+/// nothing (dsched/fallback.hpp), so it is the paper's CDS, and the
+/// outcome also records the rungs below.
 enum class SchedulerKind : std::uint8_t {
   kBasic,
   kDS,
   kCDS,
-  /// The CDS -> DS -> Basic -> DS+split degradation chain.
-  kFallback,
 };
 
 [[nodiscard]] std::string to_string(SchedulerKind kind);
@@ -71,8 +73,8 @@ struct CompileInput {
 
 struct Job {
   CompileInput input;
-  SchedulerKind kind{SchedulerKind::kFallback};
-  /// kFallback uses all fields; kCDS uses `.cds`; Basic/DS ignore it.
+  SchedulerKind kind{SchedulerKind::kCDS};
+  /// kCDS uses all fields; Basic/DS ignore it.
   dsched::FallbackOptions options{};
 };
 
@@ -82,8 +84,8 @@ struct CompiledResult {
   CompileInput input;
   dsched::ScheduleOutcome outcome;
   /// Analytic cost of the winning schedule.  compile_job does not
-  /// simulate; engine::cross_check below holds the model cycle- and
-  /// word-exact to the simulator when a caller asks.  feasible == false
+  /// simulate; compile_checked below holds the model cycle- and word-exact
+  /// to the simulator when a caller asks.  feasible == false
   /// when no rung fit or the context plan does not.
   dsched::CostBreakdown predicted;
 
@@ -92,7 +94,7 @@ struct CompiledResult {
   }
 };
 
-/// Canonical 64-bit content key of a job (domain tag "msys.engine.Job/v4"):
+/// Canonical 64-bit content key of a job (domain tag "msys.engine.Job/v5"):
 /// the input's schedule digest (the canonical schedule hash of
 /// msys/model/canonical.hpp, computed once in make_input) + machine config
 /// + scheduler kind + options.  Two jobs with equal keys are semantically
@@ -109,11 +111,17 @@ struct CompiledResult {
 [[nodiscard]] std::shared_ptr<const CompiledResult> compile_job(
     const Job& job, const CancelToken& cancel = {});
 
-/// The three-way oracle on one result: sim::cross_check of the result's
-/// schedule, with the analysis and context plan built from `result.input`,
-/// the kernel schedule the schedule points into.  An infeasible result
-/// stops at Stage::kInfeasible.
-[[nodiscard]] sim::CrossCheck cross_check(const CompiledResult& result);
+/// A compile result and the three-way oracle's verdict on it.
+struct CheckedResult {
+  std::shared_ptr<const CompiledResult> result;
+  sim::CrossCheck check;
+};
+
+/// compile_job(job), then sim::cross_check of its schedule against the
+/// ScheduleAnalysis and ContextPlan that compile built; neither is kept in
+/// the result.  An infeasible schedule stops the check at
+/// Stage::kInfeasible with the schedule's own reason.
+[[nodiscard]] CheckedResult compile_checked(const Job& job);
 
 /// Synthesizes the structured result for a job whose compute never ran (or
 /// whose waiter stopped waiting) because `cause` fired: infeasible,

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -23,7 +24,6 @@ std::string to_string(SchedulerKind kind) {
     case SchedulerKind::kBasic: return "Basic";
     case SchedulerKind::kDS: return "DS";
     case SchedulerKind::kCDS: return "CDS";
-    case SchedulerKind::kFallback: return "fallback";
   }
   return "?";
 }
@@ -69,7 +69,7 @@ std::uint64_t cache_key(const Job& job) {
   MSYS_REQUIRE(job.input.sched_digest != 0,
                "cache_key needs a CompileInput built by make_input");
   Hasher h;
-  hash_append(h, "msys.engine.Job/v4");
+  hash_append(h, "msys.engine.Job/v5");
   hash_append(h, job.input.sched_digest);
   arch::hash_append(h, job.input.cfg);
   hash_append(h, job.kind);
@@ -115,10 +115,13 @@ dsched::ScheduleOutcome run_single(const dsched::DataSchedulerBase& scheduler,
   return outcome;
 }
 
-}  // namespace
-
-std::shared_ptr<const CompiledResult> compile_job(const Job& job,
-                                                  const CancelToken& cancel) {
+/// compile_job's body.  Leaves the analysis it scheduled on in `analysis`
+/// and, when it priced a schedule, the context plan in `ctx_plan`, so that
+/// compile_checked checks exactly what was compiled.
+std::shared_ptr<const CompiledResult> compile(
+    const Job& job, const CancelToken& cancel,
+    std::optional<extract::ScheduleAnalysis>& analysis,
+    std::optional<csched::ContextPlan>& ctx_plan) {
   MSYS_TRACE_SPAN(span, "engine.compile", "engine");
   if (span.active()) {
     span.add_arg(obs::arg("kind", to_string(job.kind)));
@@ -142,31 +145,26 @@ std::shared_ptr<const CompiledResult> compile_job(const Job& job,
   auto result = std::make_shared<CompiledResult>();
   result->input = job.input;
   try {
-    const extract::ScheduleAnalysis analysis(*job.input.sched,
-                                             job.input.cfg.cross_set_reads);
+    analysis.emplace(*job.input.sched, job.input.cfg.cross_set_reads);
     switch (job.kind) {
       case SchedulerKind::kBasic:
         result->outcome =
-            run_single(dsched::BasicScheduler{}, analysis, job.input.cfg, cancel);
+            run_single(dsched::BasicScheduler{}, *analysis, job.input.cfg, cancel);
         break;
       case SchedulerKind::kDS:
         result->outcome =
-            run_single(dsched::DataScheduler{}, analysis, job.input.cfg, cancel);
+            run_single(dsched::DataScheduler{}, *analysis, job.input.cfg, cancel);
         break;
       case SchedulerKind::kCDS:
-        result->outcome = run_single(dsched::CompleteDataScheduler{job.options.cds},
-                                     analysis, job.input.cfg, cancel);
-        break;
-      case SchedulerKind::kFallback:
-        result->outcome = dsched::schedule_with_fallback(analysis, job.input.cfg,
+        result->outcome = dsched::schedule_with_fallback(*analysis, job.input.cfg,
                                                          job.options, cancel);
         break;
     }
     if (result->outcome.feasible()) {
-      const csched::ContextPlan ctx_plan = csched::ContextPlan::build(
-          *job.input.sched, job.input.cfg.cm_capacity_words);
+      ctx_plan.emplace(csched::ContextPlan::build(*job.input.sched,
+                                                  job.input.cfg.cm_capacity_words));
       result->predicted =
-          dsched::predict_cost(result->outcome.schedule, job.input.cfg, ctx_plan);
+          dsched::predict_cost(result->outcome.schedule, job.input.cfg, *ctx_plan);
       if (!result->predicted.feasible) {
         result->outcome.diagnostics.push_back(make_error(
             "schedule.infeasible", "context plan / cost model rejects the schedule: " +
@@ -197,12 +195,28 @@ std::shared_ptr<const CompiledResult> compile_job(const Job& job,
   return result;
 }
 
-sim::CrossCheck cross_check(const CompiledResult& result) {
-  const CompileInput& input = result.input;
-  const extract::ScheduleAnalysis analysis(*input.sched, input.cfg.cross_set_reads);
-  return sim::cross_check(
-      result.outcome.schedule, analysis, input.cfg,
-      csched::ContextPlan::build(*input.sched, input.cfg.cm_capacity_words));
+}  // namespace
+
+std::shared_ptr<const CompiledResult> compile_job(const Job& job,
+                                                  const CancelToken& cancel) {
+  std::optional<extract::ScheduleAnalysis> analysis;
+  std::optional<csched::ContextPlan> ctx_plan;
+  return compile(job, cancel, analysis, ctx_plan);
+}
+
+CheckedResult compile_checked(const Job& job) {
+  std::optional<extract::ScheduleAnalysis> analysis;
+  std::optional<csched::ContextPlan> ctx_plan;
+  CheckedResult out{compile(job, {}, analysis, ctx_plan), {}};
+  const dsched::DataSchedule& schedule = out.result->outcome.schedule;
+  if (ctx_plan && schedule.feasible) {
+    out.check = sim::cross_check(schedule, *analysis, job.input.cfg, *ctx_plan);
+  } else {
+    // Nothing to check: what sim::cross_check reports for any infeasible
+    // schedule.
+    out.check.predicted.infeasible_reason = schedule.infeasible_reason;
+  }
+  return out;
 }
 
 std::shared_ptr<const CompiledResult> make_cancelled_result(const Job& job,

@@ -8,9 +8,9 @@
 // inter-cluster reuse chains, degenerate single-kernel clusters, word-size
 // extremes, and malformed texts that must die as parser diagnostics.
 //
-// run_case() compiles the case as four engine::compile_job runs, the three
-// schedulers plus the CDS->DS->Basic->DS+split fallback chain, and runs
-// every feasible schedule through engine::cross_check, the three-way
+// run_case() compiles the case as three engine::compile_checked runs, one
+// per scheduler (the CDS job is the CDS->DS->Basic->DS+split fallback
+// chain), and so runs every feasible schedule through the three-way
 // oracle:
 //   1. dsched::validate_schedule must report no violations,
 //   2. the event-driven simulator must complete without functional faults,
@@ -76,8 +76,8 @@ inline constexpr std::uint64_t kScenarioClasses = 8;
 /// Deterministic: same seed => same case, on every platform.
 [[nodiscard]] FuzzCase make_case(std::uint64_t seed);
 
-/// Runs every scheduler and the fallback chain on the case with full
-/// cross-checking.  Never throws.
+/// Runs the three schedulers (CDS through the fallback chain) on the case
+/// with full cross-checking.  Never throws.
 [[nodiscard]] CaseResult run_case(const FuzzCase& c);
 
 /// Keep-predicate over .mapp texts for shrinking; must be deterministic.

@@ -161,12 +161,12 @@ void record(const sim::CrossCheck& check, const std::string& who, CaseResult& re
 /// The text of a throw that compile_job turned into its own
 /// "schedule.internal" diagnostic ("<kind>: <what>", with <what> kept as
 /// the prediction's infeasible_reason), or nullptr when the job did not
-/// throw.  The fallback chain's per-rung internal diagnostics name their
-/// rung, never the job kind.
+/// throw.  The fallback chain's per-rung internal diagnostics carry the
+/// rung's own error text instead.
 const std::string* caught_throw(const engine::CompiledResult& r, engine::SchedulerKind kind) {
-  const std::string prefix = engine::to_string(kind) + ": ";
+  const std::string message = engine::to_string(kind) + ": " + r.predicted.infeasible_reason;
   for (const Diagnostic& d : r.outcome.diagnostics) {
-    if (d.code == "schedule.internal" && d.message.starts_with(prefix)) {
+    if (d.code == "schedule.internal" && d.message == message) {
       return &r.predicted.infeasible_reason;
     }
   }
@@ -195,46 +195,38 @@ CaseResult run_case(const FuzzCase& c) {
         engine::make_input(std::move(parsed.experiment->app), parsed.experiment->partition,
                            std::move(parsed.experiment->cfg));
 
-    // The three paper schedulers, each fully cross-checked.
+    // The three paper schedulers, each fully cross-checked.  The CDS job is
+    // the degradation chain: it must end feasible-and-clean or structurally
+    // infeasible, never anything in between.
     for (const engine::SchedulerKind kind :
          {engine::SchedulerKind::kBasic, engine::SchedulerKind::kDS,
           engine::SchedulerKind::kCDS}) {
-      const auto compiled = engine::compile_job({input, kind, {}});
+      const auto [compiled, check] = engine::compile_checked({input, kind, {}});
       const std::string label = engine::to_string(kind);
       if (const std::string* what = caught_throw(*compiled, kind)) {
         result.failures.push_back({label, "uncaught-throw", *what});
         continue;
       }
-      if (compiled->outcome.feasible()) ++result.feasible_schedulers;
-      record(engine::cross_check(*compiled), label, result);
-    }
+      const dsched::ScheduleOutcome& outcome = compiled->outcome;
+      if (outcome.feasible()) ++result.feasible_schedulers;
+      record(check, label, result);
+      if (kind != engine::SchedulerKind::kCDS) continue;
 
-    // The degradation chain: must end feasible-and-clean or structurally
-    // infeasible, never anything in between.
-    const auto fallback = engine::compile_job({input, engine::SchedulerKind::kFallback, {}});
-    if (const std::string* what =
-            caught_throw(*fallback, engine::SchedulerKind::kFallback)) {
-      result.failures.push_back({"pipeline", "uncaught-throw", *what});
-      return result;
-    }
-    const dsched::ScheduleOutcome& outcome = fallback->outcome;
-    result.fallback_feasible = outcome.feasible();
-    result.fallback_rung = outcome.chosen_rung();
-    result.fallback_chain = outcome.chain_summary();
-    for (const Diagnostic& d : outcome.diagnostics) {
-      if (d.code == "schedule.internal") {
-        result.failures.push_back({"fallback", "internal", d.message});
+      result.fallback_feasible = outcome.feasible();
+      result.fallback_rung = outcome.chosen_rung();
+      result.fallback_chain = outcome.chain_summary();
+      for (const Diagnostic& d : outcome.diagnostics) {
+        if (d.code == "schedule.internal") {
+          result.failures.push_back({"fallback", "internal", d.message});
+        }
       }
-    }
-    if (outcome.feasible()) {
-      const sim::CrossCheck check = engine::cross_check(*fallback);
-      record(check, "fallback/" + outcome.schedule.scheduler_name, result);
       if (check.predicted.feasible) result.fallback_total_cycles = check.predicted.total.value();
-    } else {
-      result.infeasibility = outcome.diagnostics;
-      if (!has_errors(outcome.diagnostics)) {
-        result.failures.push_back({"fallback", "missing-diagnostic",
-                                   "infeasible outcome without diagnostics"});
+      if (!outcome.feasible()) {
+        result.infeasibility = outcome.diagnostics;
+        if (!has_errors(outcome.diagnostics)) {
+          result.failures.push_back({"fallback", "missing-diagnostic",
+                                     "infeasible outcome without diagnostics"});
+        }
       }
     }
   } catch (const std::exception& e) {
@@ -475,7 +467,6 @@ void store_cross_check(const FuzzCase& c, CaseResult& r, engine::ScheduleCache& 
     job.input = engine::make_input(std::move(parsed.experiment->app),
                                    parsed.experiment->partition,
                                    std::move(parsed.experiment->cfg));
-    job.kind = engine::SchedulerKind::kFallback;
     const CancelToken cancel = options.job_deadline.count() > 0
                                    ? CancelToken::deadline_after(options.job_deadline)
                                    : CancelToken{};

@@ -1,16 +1,15 @@
 // Experiment runner: pushes one (application, kernel schedule, machine)
 // triple through all three data schedulers and derives the metrics Table 1
-// / Figure 6 report.  Every run is one engine::compile_job, and every
-// feasible schedule goes through engine::cross_check, the one three-way
-// oracle (validator clean, simulator fault-free, and predict_cost equal to
-// the simulator on all eight shared fields); any failure but plain
+// / Figure 6 report.  Every run is one engine::compile_checked: the
+// compile, then the one three-way oracle (validator clean, simulator
+// fault-free, and predict_cost equal to the simulator on all eight shared
+// fields) on the same analysis and context plan; any failure but plain
 // infeasibility, and any internal scheduler error, throws msys::Error.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "msys/arch/m1.hpp"
 #include "msys/engine/job.hpp"
@@ -21,7 +20,7 @@ namespace msys::report {
 
 /// One compile job's end-to-end outcome on one experiment.
 struct SchedulerOutcome {
-  /// engine::to_string of the job's kind ("Basic", "DS", "CDS", "fallback").
+  /// engine::to_string of the job's kind ("Basic", "DS" or "CDS").
   std::string scheduler;
   /// The engine's result; it owns the input the schedule points into.
   std::shared_ptr<const engine::CompiledResult> result;
@@ -65,30 +64,19 @@ struct ExperimentResult {
 };
 
 /// Runs Basic, DS and CDS on the experiment, as three compile jobs on one
-/// engine::CompileInput.  Throws msys::Error on any cross_check failure.
+/// engine::CompileInput.  The CDS job runs the fallback ladder, so
+/// `cds.outcome()` carries the per-rung attempts and, when nothing fits,
+/// the structured diagnostics.  Throws msys::Error on any cross_check
+/// failure.
 [[nodiscard]] ExperimentResult run_experiment(std::string name,
                                               const model::KernelSchedule& sched,
                                               const arch::M1Config& cfg);
 
-/// Runs one compile job end to end (ablations, msysc's fallback chain).  A
-/// kFallback job's outcome carries the per-rung attempts and structured
-/// diagnostics; a machine that is merely too small is data, not a throw.
+/// Runs one compile job end to end (ablations, the cross-set extension).
+/// A machine that is merely too small is data, not a throw.
 [[nodiscard]] SchedulerOutcome run_scheduler(engine::SchedulerKind kind,
                                              const model::KernelSchedule& sched,
                                              const arch::M1Config& cfg,
                                              const dsched::FallbackOptions& options = {});
-
-/// One experiment of a run_all batch.  `sched` is non-owning; the caller's
-/// experiment objects must outlive the call (the Table-1/Fig-6 benches
-/// keep their workloads::Experiment vector alive for exactly this reason).
-struct ExperimentSpec {
-  std::string name;
-  const model::KernelSchedule* sched{nullptr};
-  arch::M1Config cfg;
-};
-
-/// Runs every spec through run_experiment, in order.
-[[nodiscard]] std::vector<ExperimentResult> run_all(
-    const std::vector<ExperimentSpec>& specs);
 
 }  // namespace msys::report

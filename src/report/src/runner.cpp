@@ -36,25 +36,22 @@ SizeWords ExperimentResult::dt_words_avoided_per_iteration() const {
 
 namespace {
 
-/// The path behind every runner entry point: compiles `job`, rethrows an
-/// internal scheduler error, and cross-checks a feasible schedule into
-/// `measured`, throwing msys::Error on anything but a pass or plain
-/// infeasibility.
+/// The path behind every runner entry point: compiles and checks `job`,
+/// rethrows an internal scheduler error, and keeps a feasible schedule's
+/// simulation in `measured`, throwing msys::Error on anything but a pass
+/// or plain infeasibility.
 SchedulerOutcome run_job(const engine::Job& job) {
   SchedulerOutcome out;
   out.scheduler = engine::to_string(job.kind);
-  out.result = engine::compile_job(job);
+  auto [result, check] = engine::compile_checked(job);
+  out.result = std::move(result);
   const std::string& app = job.input.app->name();
   for (const Diagnostic& d : out.outcome().diagnostics) {
     if (d.code == "schedule.internal") throw Error(app + ": " + d.message);
   }
   if (!out.outcome().feasible()) return out;
-  const std::string who = job.kind == engine::SchedulerKind::kFallback
-                              ? out.outcome().chosen_rung() + " (via fallback)"
-                              : out.scheduler;
-  sim::CrossCheck check = engine::cross_check(*out.result);
   MSYS_REQUIRE(check.ok() || check.stage == sim::CrossCheck::Stage::kInfeasible,
-               who + " on " + app + ": " + check.why());
+               out.scheduler + " on " + app + ": " + check.why());
   out.measured = std::move(check.measured);
   return out;
 }
@@ -82,16 +79,6 @@ ExperimentResult run_experiment(std::string name, const model::KernelSchedule& s
   result.ds = run_job({input, engine::SchedulerKind::kDS, {}});
   result.cds = run_job({input, engine::SchedulerKind::kCDS, {}});
   return result;
-}
-
-std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs) {
-  std::vector<ExperimentResult> results;
-  results.reserve(specs.size());
-  for (const ExperimentSpec& spec : specs) {
-    MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
-    results.push_back(run_experiment(spec.name, *spec.sched, spec.cfg));
-  }
-  return results;
 }
 
 }  // namespace msys::report

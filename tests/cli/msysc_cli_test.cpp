@@ -79,6 +79,28 @@ TEST(MsyscCli, UnknownFlagIsAUsageError) {
 
 TEST(MsyscCli, SingleFileRunSucceeds) { EXPECT_EQ(msysc(MSYS_DEMO_APP), 0); }
 
+/// The value of counter `name` in `msysc --stats` output, or -1 if absent.
+long counter_value(const std::string& output, const std::string& name) {
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string metric;
+    long value = -1;
+    if (fields >> metric >> value && metric == name) return value;
+  }
+  return -1;
+}
+
+// The CDS job is the fallback chain, so the chain costs no compile or
+// simulation of its own: one of each per scheduler.
+TEST(MsyscCli, SingleFileCompilesEachSchedulerOnce) {
+  std::string out;
+  ASSERT_EQ(msysc_capture("--stats " MSYS_DEMO_APP, &out), 0) << out;
+  EXPECT_EQ(counter_value(out, "engine.jobs.compiled"), 3) << out;
+  EXPECT_EQ(counter_value(out, "dsched.runs.cds"), 1) << out;
+  EXPECT_EQ(counter_value(out, "sim.runs"), 3) << out;
+}
+
 TEST(MsyscCli, MissingInputIsAParseError) {
   EXPECT_EQ(msysc("/no/such/file.mapp"), 2);
 }

@@ -3,9 +3,12 @@
 // walk with nothing retained fails, which is DS's first walk and DS+split's
 // only one, and Basic holds at least as many live words.  So after a CDS
 // or DS entry no later rung rescues an input; entered at Basic, DS+split
-// still can.  Checked over the fuzz corpus and the oracle screen's family
-// and large seed ranges at FB scales 100/75/50/25%, with cross-set reads
-// off and on.
+// still can.  So a chain entered at CDS is the CDS: feasible exactly when
+// CompleteDataScheduler alone is, with the same schedule, for the paper's
+// options and the ablations' (joint RF/retention, density ranking), which
+// the engine's CDS jobs run through the chain.  Checked over the fuzz
+// corpus and the oracle screen's family and large seed ranges at FB scales
+// 100/75/50/25%, with cross-set reads off and on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +17,7 @@
 #include "msys/extract/analysis.hpp"
 #include "msys/workloads/random.hpp"
 #include "testing/corpus.hpp"
+#include "testing/fingerprint.hpp"
 #include "testing/oracle.hpp"
 
 namespace msys::dsched {
@@ -50,6 +54,18 @@ void check_ladder(const std::string& name, const model::KernelSchedule& sched,
           << label << " entered at " << first << " was rescued by " << chosen << ": "
           << outcome.chain_summary();
       if (entry == FallbackEntry::kCDS && chosen.empty()) ++tally.infeasible_at_cds;
+    }
+    using Options = CompleteDataScheduler::Options;
+    for (const Options cds : {Options{}, Options{.joint_rf_retention = true},
+                              Options{.ranking = Options::Ranking::kDensity}}) {
+      const ScheduleOutcome chain = schedule_with_fallback(analysis, cfg, {.cds = cds});
+      const DataSchedule alone = CompleteDataScheduler{cds}.schedule(analysis, cfg);
+      ASSERT_EQ(chain.feasible(), alone.feasible) << label << ": " << chain.chain_summary();
+      if (alone.feasible) {
+        EXPECT_EQ(testing::schedule_fingerprint(chain.schedule),
+                  testing::schedule_fingerprint(alone))
+            << label;
+      }
     }
   }
 }

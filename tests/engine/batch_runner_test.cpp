@@ -17,7 +17,7 @@ using testing::TwoClusterApp;
 using testing::test_cfg;
 
 Job job_from(RetentionApp made, arch::M1Config cfg,
-             SchedulerKind kind = SchedulerKind::kFallback) {
+             SchedulerKind kind = SchedulerKind::kCDS) {
   std::vector<std::vector<KernelId>> partition;
   for (const model::Cluster& c : made.sched.clusters()) partition.push_back(c.kernels);
   Job job;

@@ -35,7 +35,6 @@ Job job_from_seed(std::uint64_t seed) {
   for (const model::Cluster& c : exp.sched.clusters()) partition.push_back(c.kernels);
   Job job;
   job.input = make_input(std::move(*exp.app), std::move(partition), exp.cfg);
-  job.kind = SchedulerKind::kFallback;
   return job;
 }
 

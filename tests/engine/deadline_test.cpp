@@ -33,7 +33,6 @@ Job retention_job(std::uint32_t iterations = 6) {
   Job job;
   job.input =
       make_input(std::move(*made.app), std::move(partition), testing::test_cfg());
-  job.kind = SchedulerKind::kFallback;
   return job;
 }
 

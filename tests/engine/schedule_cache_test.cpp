@@ -29,7 +29,6 @@ Job retention_job(std::uint32_t iterations = 6) {
   Job job;
   job.input =
       make_input(std::move(*made.app), std::move(partition), testing::test_cfg());
-  job.kind = SchedulerKind::kFallback;
   return job;
 }
 
@@ -50,7 +49,7 @@ TEST(CacheKey, DiffersByContentMachineKindAndOptions) {
   EXPECT_NE(base_key, cache_key(machine));
 
   Job kind = base;
-  kind.kind = SchedulerKind::kCDS;
+  kind.kind = SchedulerKind::kDS;
   EXPECT_NE(base_key, cache_key(kind));
 
   Job ranking = base;

@@ -28,7 +28,6 @@ engine::Job retention_job() {
   engine::Job job;
   job.input = engine::make_input(std::move(*made.app), std::move(partition),
                                  testing::test_cfg());
-  job.kind = engine::SchedulerKind::kFallback;
   return job;
 }
 
@@ -38,7 +37,6 @@ engine::Job fallback_job(model::Application app, const model::KernelSchedule& sc
   for (const model::Cluster& c : sched.clusters()) partition.push_back(c.kernels);
   engine::Job job;
   job.input = engine::make_input(std::move(app), std::move(partition), std::move(cfg));
-  job.kind = engine::SchedulerKind::kFallback;
   return job;
 }
 

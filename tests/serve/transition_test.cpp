@@ -19,7 +19,7 @@ TEST(TransitionModelTest, FootprintMatchesSimulatorOnTable1Apps) {
     SCOPED_TRACE(name);
     const workloads::Experiment exp = workloads::make_experiment(name);
     const report::SchedulerOutcome run =
-        report::run_scheduler(engine::SchedulerKind::kFallback, exp.sched, exp.cfg);
+        report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
     if (!run.feasible() || !run.measured.has_value()) continue;
 
     const csched::ContextPlan plan =

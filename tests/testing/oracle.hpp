@@ -1,5 +1,5 @@
 // Random-workload families the three-way oracle is screened on, and the
-// fallback schedule of one of them run through engine::cross_check.  Shared
+// fallback schedule of one of them checked by engine::compile_checked.  Shared
 // by the cross_check unit tests (sim_test) and the differential screen
 // (oracle_screen_test).
 #pragma once
@@ -35,8 +35,7 @@ inline workloads::RandomSpec large_spec(std::uint64_t seed) {
 /// Cross-checks the fallback-chain schedule of `spec`'s workload.
 inline sim::CrossCheck fallback_cross_check(const workloads::RandomSpec& spec) {
   const workloads::RandomExperiment exp = workloads::make_random(spec);
-  return engine::cross_check(*engine::compile_job(
-      {engine::make_input(exp.sched, exp.cfg), engine::SchedulerKind::kFallback, {}}));
+  return engine::compile_checked({engine::make_input(exp.sched, exp.cfg)}).check;
 }
 
 }  // namespace msys::testing

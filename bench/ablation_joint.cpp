@@ -59,10 +59,9 @@ int main() {
     cfg.fb_set_size = SizeWords{fb};
     cfg.cm_capacity_words = 112;  // per-slot context reloads
 
-    report::SchedulerOutcome paper =
-        report::run_scheduler(engine::SchedulerKind::kCDS, built.sched, cfg);
-    report::SchedulerOutcome joint = report::run_scheduler(
-        engine::SchedulerKind::kCDS, built.sched, cfg, {.cds = {.joint_rf_retention = true}});
+    report::SchedulerOutcome paper = report::run_scheduler(built.sched, cfg);
+    report::SchedulerOutcome joint =
+        report::run_scheduler(built.sched, cfg, {.cds = {.joint_rf_retention = true}});
     if (!paper.feasible() || !joint.feasible()) continue;
     const double gain =
         1.0 - static_cast<double>(joint.predicted().total.value()) /
@@ -89,10 +88,9 @@ int main() {
   TextTable reg({"Experiment", "paper cyc", "joint cyc", "equal"});
   for (const std::string& name : workloads::table1_experiment_names()) {
     workloads::Experiment exp = workloads::make_experiment(name);
-    report::SchedulerOutcome paper =
-        report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
-    report::SchedulerOutcome joint = report::run_scheduler(
-        engine::SchedulerKind::kCDS, exp.sched, exp.cfg, {.cds = {.joint_rf_retention = true}});
+    report::SchedulerOutcome paper = report::run_scheduler(exp.sched, exp.cfg);
+    report::SchedulerOutcome joint =
+        report::run_scheduler(exp.sched, exp.cfg, {.cds = {.joint_rf_retention = true}});
     reg.add_row({exp.name, std::to_string(paper.predicted().total.value()),
                  std::to_string(joint.predicted().total.value()),
                  paper.predicted().total == joint.predicted().total ? "yes" : "no"});

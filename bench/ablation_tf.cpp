@@ -31,8 +31,7 @@ int main() {
                                      fraction);
       exp.cfg = exp.cfg.with_fb_set_size(SizeWords{scaled});
       auto run = [&](Ranking ranking) {
-        return report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg,
-                                     {.cds = {.ranking = ranking}});
+        return report::run_scheduler(exp.sched, exp.cfg, {.cds = {.ranking = ranking}});
       };
       report::SchedulerOutcome tf = run(Ranking::kTimeFactor);
       if (!tf.feasible()) continue;  // workload no longer fits at all
@@ -102,8 +101,7 @@ int main() {
     for (std::uint64_t fb : {1400, 1100, 1000, 950}) {
       cfg.fb_set_size = SizeWords{fb};
       auto run = [&](Ranking ranking) {
-        return report::run_scheduler(engine::SchedulerKind::kCDS, sched, cfg,
-                                     {.cds = {.ranking = ranking}});
+        return report::run_scheduler(sched, cfg, {.cds = {.ranking = ranking}});
       };
       report::SchedulerOutcome tf = run(Ranking::kTimeFactor);
       report::SchedulerOutcome decl = run(Ranking::kDeclarationOrder);

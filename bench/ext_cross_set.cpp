@@ -17,10 +17,9 @@ int main() {
                    "data words", "data+xset", "extra gain"});
   for (const std::string& name : workloads::table1_experiment_names()) {
     workloads::Experiment exp = workloads::make_experiment(name);
-    report::SchedulerOutcome plain =
-        report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
-    report::SchedulerOutcome cross = report::run_scheduler(
-        engine::SchedulerKind::kCDS, exp.sched, exp.cfg.with_cross_set_reads(true));
+    report::SchedulerOutcome plain = report::run_scheduler(exp.sched, exp.cfg);
+    report::SchedulerOutcome cross =
+        report::run_scheduler(exp.sched, exp.cfg.with_cross_set_reads(true));
     if (!plain.feasible() || !cross.feasible()) {
       table.add_row({exp.name, "n/a", "n/a", "-", "-", "-", "-", "-"});
       continue;

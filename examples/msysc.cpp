@@ -563,8 +563,8 @@ void run_anneal(const msys::extract::ScheduleAnalysis& analysis,
             << " improvements verified, " << sim_rejects << " sim rejects\n";
 }
 
-/// Single-file flow: parse, schedule (with the fallback chain), simulate,
-/// and print the requested reports.
+/// Single-file flow: parse, schedule with Basic, DS and CDS, simulate, and
+/// print the requested reports.
 int run_single(const std::string& path, bool emit, bool timeline, bool cross_set,
                bool search, bool validate,
                const AnnealCliOptions& anneal, unsigned n_threads) {
@@ -609,8 +609,8 @@ int run_single(const std::string& path, bool emit, bool timeline, bool cross_set
     extract::ScheduleAnalysis analysis(sched, parsed.cfg.cross_set_reads);
     std::cout << analysis.summary() << '\n';
 
-    // The CDS job is the degradation chain (CDS -> DS -> Basic -> DS+split,
-    // with every rung's outcome recorded), and it decides feasibility.
+    // The CDS job decides feasibility; its one-rung chain names the cluster
+    // that does not fit.
     report::ExperimentResult r =
         report::run_experiment(parsed.app.name(), sched, parsed.cfg);
     const dsched::ScheduleOutcome& chain = r.cds.outcome();

@@ -122,8 +122,9 @@ struct DriverOptions {
   /// all of its data and results simultaneously.
   bool release_at_last_use{true};
   /// Retry the previous iteration's neighbouring address first (§5's
-  /// regularity policy).  Off for the DS+split rung and the allocation
-  /// ablation.  Placement only, like `fit`: no decision depends on them.
+  /// regularity policy).  Off only in the allocation ablation and the
+  /// allocator tests, which also vary `fit`.  Placement only, like `fit`:
+  /// no decision depends on them.
   bool regularity_hints{true};
   alloc::FitPolicy fit{alloc::FitPolicy::kFirstFit};
 };

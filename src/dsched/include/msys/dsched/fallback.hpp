@@ -1,25 +1,27 @@
-// Graceful degradation for the data-scheduler stack.
+// What a job compiles, and the one rung loop that compiles it.
 //
-// The paper's pitch is that the CDS always wins when it fits — but a
-// production front end must also survive workloads where it does *not*
-// fit.  schedule_with_fallback() walks a ladder of progressively less
-// ambitious schedulers and reports the whole walk as data:
+// A Pipeline selects one of four compilations: the paper's three data
+// schedulers (CDS, DS, Basic), each alone, or Basic rescued by DS at RF 1
+// when Basic does not fit — the serve layer's cheapest degraded compile.
+// schedule_with_fallback() runs the pipeline's rungs in order, stopping at
+// the first feasible one, and reports the walk as data:
 //
-//   1. CDS          — retention + RF (the paper's Complete Data Scheduler)
-//   2. DS           — RF only, no inter-cluster retention
-//   3. Basic        — RF = 1, no within-cluster replacement
-//   4. DS+split     — DS at RF = 1 with nothing retained, placed
-//                     best-fit with no regularity hints
+//   kCDS             — CDS: retention + RF (the paper's Complete Data
+//                      Scheduler)
+//   kDS              — DS: RF only, no inter-cluster retention
+//   kBasic           — Basic: RF = 1, no within-cluster replacement
+//   kBasicThenRescue — Basic, then DS+split: DS's decision at RF 1 with
+//                      nothing retained, placed like DS
 //
+// Only Basic has a rung after it, because only Basic can be rescued.
 // Every walk may split an object across free blocks, so a walk fails only
 // when a set's live words exceed it (alloc_driver.hpp), and no placement
 // policy can rescue a decision.  CDS fails only when its RF-1 walk with
 // nothing retained fails, which is DS's first walk and DS+split's only
 // one, and Basic, which releases nothing early, holds at least as many
-// live words: after a CDS or DS entry no later rung rescues an input
-// (tests/dsched/fallback_ladder_test.cpp).  DS+split can still rescue a
-// chain entered at Basic.  The rungs share one PlanCache, so a chain that
-// fails everywhere walks twice: CDS's RF-1 walk and Basic's.
+// live words: no rung rescues CDS or DS, while DS+split's
+// release-at-last-use can fit where Basic does not
+// (tests/dsched/fallback_ladder_test.cpp).
 //
 // Every rung records whether it was attempted, whether it succeeded and
 // why it failed, so callers (report::runner, msysc) can print the chain.
@@ -27,6 +29,7 @@
 // infeasible or adversarial input never escapes as a raw throw.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,7 +39,7 @@
 
 namespace msys::dsched {
 
-/// One rung of the degradation ladder.
+/// One rung of a pipeline.
 struct FallbackAttempt {
   std::string rung;
   bool attempted{false};
@@ -45,7 +48,7 @@ struct FallbackAttempt {
   std::string reason;
 };
 
-/// Outcome of a fallback run: the chosen schedule (possibly infeasible
+/// Outcome of a pipeline run: the chosen schedule (possibly infeasible
 /// when every rung failed) plus the full attempt record.  "Does not fit"
 /// is data here, not control flow.
 struct ScheduleOutcome {
@@ -64,37 +67,31 @@ struct ScheduleOutcome {
   [[nodiscard]] bool cancelled() const { return cancel_cause != CancelCause::kNone; }
   /// Name of the winning rung; empty when infeasible.
   [[nodiscard]] std::string chosen_rung() const;
-  /// One line, e.g. "CDS:fit-failed -> DS:ok(selected)".
+  /// One line, e.g. "Basic:failed(<why>) -> DS+split:ok".
   [[nodiscard]] std::string chain_summary() const;
 };
 
-/// Where the degradation ladder starts.  kCDS is the full chain; kDS and
-/// kBasic skip the more ambitious rungs entirely — the serve layer's
-/// degraded mode, where a job whose deadline budget is nearly spent buys
-/// a cheap schedule *now* instead of a better one too late.  Skipped
-/// rungs are still recorded in the attempt list (reason "degraded entry")
-/// so chain summaries stay honest about what was never tried.
-enum class FallbackEntry : std::uint8_t {
+/// What a job compiles (see the header comment).
+enum class Pipeline : std::uint8_t {
   kCDS,
   kDS,
   kBasic,
+  kBasicThenRescue,
 };
 
-[[nodiscard]] std::string to_string(FallbackEntry entry);
+[[nodiscard]] std::string to_string(Pipeline pipeline);
 
 struct FallbackOptions {
+  Pipeline pipeline{Pipeline::kCDS};
+  /// Read by the CDS pipeline only.
   CompleteDataScheduler::Options cds{};
-  /// First rung the chain is allowed to attempt (degraded-mode compiles
-  /// enter lower).  Part of the engine cache key: a degraded compile is a
-  /// different compilation than a full-chain one.
-  FallbackEntry entry{FallbackEntry::kCDS};
 };
 
-/// Runs the CDS -> DS -> Basic -> DS+split ladder, stopping at the first
-/// feasible rung.  Never throws for infeasible or adversarial inputs; the
-/// returned outcome always explains what was tried.  `cancel` is checked
-/// before every rung and inside the schedulers' loop checkpoints; a firing
-/// stops the ladder and reports a "schedule.timeout"/"schedule.cancelled"
+/// Runs the rungs of `options.pipeline`, stopping at the first feasible
+/// one.  Never throws for infeasible or adversarial inputs; the returned
+/// outcome always explains what was tried.  `cancel` is checked before
+/// every rung and inside the schedulers' loop checkpoints; a firing stops
+/// the chain and reports a "schedule.timeout"/"schedule.cancelled"
 /// diagnostic with cancel_cause set — failure as data, never an exception.
 [[nodiscard]] ScheduleOutcome schedule_with_fallback(
     const extract::ScheduleAnalysis& analysis, const arch::M1Config& cfg,

@@ -1,5 +1,4 @@
-// Memoization of the decision walk over one scheduler run or fallback
-// chain.
+// Memoization of the decision walk over one scheduler run or pipeline.
 //
 // A single cold schedule() performs many decision walks over a small
 // option space: compute_max_rf probes RF feasibility, pick_rf_by_cost
@@ -8,10 +7,10 @@
 // they do not (one walk per candidate with cross-set reads).  Several of
 // those calls repeat an (RF, retained-set) pair already walked — most
 // notably the re-plan at the chosen RF, and the empty-retained-set walk at
-// each RF the feasibility search already probed.  A fallback chain shares
-// one PlanCache across its rungs, so DS repeats CDS's walks as hits and
-// DS+split's RF-1 walk is DS's.  PlanCache memoizes the decision walk on
-// exactly what it depends on — RF, the retained set and
+// each RF the feasibility search already probed.  A pipeline's rungs
+// share one PlanCache, and a DS or CDS that does not fit reads its RF-1
+// walk's failure reason back as a hit.  PlanCache memoizes the decision
+// walk on exactly what it depends on — RF, the retained set and
 // release_at_last_use; the fit policy and regularity hints steer only the
 // placement walk — so identical decisions return the stored RoundDecision
 // instead of re-running an O(clusters · kernels · RF) walk.  Each entry
@@ -27,7 +26,7 @@
 // failed one.  No DataSchedule is built from them; schedule() runs the one
 // placement walk a scheduler ships.
 //
-// Scope: one PlanCache per schedule() call or fallback chain, on the
+// Scope: one PlanCache per schedule() call or pipeline, on the
 // stack.  Not thread-safe; concurrent compiles each own their cache.
 #pragma once
 

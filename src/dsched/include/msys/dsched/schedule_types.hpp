@@ -100,8 +100,8 @@ struct DataSchedule {
   /// True when the scheduler stopped at a cooperative cancellation
   /// checkpoint (deadline or explicit cancel) instead of finishing — the
   /// schedule is then infeasible *because the work was cut short*, not
-  /// because the workload does not fit, and the fallback chain must stop
-  /// demoting rather than try cheaper rungs.
+  /// because the workload does not fit, and a pipeline must stop rather
+  /// than try its next rung.
   bool cancelled{false};
 
   /// Context-reuse factor actually achieved.

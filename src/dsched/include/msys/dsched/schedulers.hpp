@@ -38,8 +38,8 @@ class DataSchedulerBase {
   virtual ~DataSchedulerBase() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   /// Produces the data schedule (possibly infeasible) for the analysis and
-  /// machine of `plans`, deciding through that memo (a fallback chain
-  /// hands one to every rung).  `cancel` is polled at the RF-scan and
+  /// machine of `plans`, deciding through that memo (a pipeline hands one
+  /// to every rung).  `cancel` is polled at the RF-scan and
   /// retention-loop boundaries; a firing yields a cancelled (infeasible)
   /// schedule rather than an exception.
   [[nodiscard]] virtual DataSchedule schedule(PlanCache& plans,

@@ -385,8 +385,7 @@ bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
 }
 
 /// "cluster Cl<n> does not fit a <words>-word FB set at RF=<rf>" — part of
-/// fallback chain summaries and the batch results golden, so the bytes
-/// are fixed.
+/// chain summaries and the batch results golden, so the bytes are fixed.
 std::string fit_failure_reason(ClusterId cluster, SizeWords fb_set_size, std::uint32_t rf) {
   std::string reason = "cluster Cl";
   append_uint(reason, std::uint64_t{cluster.index()} + 1);

@@ -214,15 +214,14 @@ std::optional<DriverOptions> decide_rf_and_retention(
 }
 
 /// The schedule of the options DS or CDS decided on `plans`, or why there
-/// is none.
+/// is none: the reason of the failed RF-1 walk, a memo hit that names the
+/// cluster that does not fit.
 DataSchedule decided_schedule(const std::string& name, PlanCache& plans,
                               const std::optional<DriverOptions>& options,
                               const CancelToken& cancel) {
   const model::KernelSchedule& sched = plans.analysis().sched();
   if (cancel.cancelled()) return cancelled_schedule(name, sched, cancel.reason());
-  if (!options) {
-    return infeasible(name, sched, "a cluster does not fit the FB set even at RF=1");
-  }
+  if (!options) return infeasible(name, sched, plans.decide(DriverOptions{}).fail_reason);
   return plans.schedule(*options, name);
 }
 

@@ -11,22 +11,12 @@
 #include "msys/common/fault_injector.hpp"
 #include "msys/common/hash.hpp"
 #include "msys/csched/context_plan.hpp"
-#include "msys/dsched/schedulers.hpp"
 #include "msys/extract/analysis.hpp"
 #include "msys/model/canonical.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
 
 namespace msys::engine {
-
-std::string to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kBasic: return "Basic";
-    case SchedulerKind::kDS: return "DS";
-    case SchedulerKind::kCDS: return "CDS";
-  }
-  return "?";
-}
 
 CompileInput make_input(model::Application app,
                         std::vector<std::vector<KernelId>> partition,
@@ -69,51 +59,20 @@ std::uint64_t cache_key(const Job& job) {
   MSYS_REQUIRE(job.input.sched_digest != 0,
                "cache_key needs a CompileInput built by make_input");
   Hasher h;
-  hash_append(h, "msys.engine.Job/v5");
+  hash_append(h, "msys.engine.Job/v6");
   hash_append(h, job.input.sched_digest);
   arch::hash_append(h, job.input.cfg);
-  hash_append(h, job.kind);
-  hash_append(h, job.options.cds.ranking);
-  hash_append(h, job.options.cds.joint_rf_retention);
-  // The fallback entry rung changes which scheduler runs: a degraded-mode
-  // compile must never collide with (or poison) the full chain's cache
-  // and store entries for the same schedule.
-  hash_append(h, job.options.entry);
+  hash_append(h, job.options.pipeline);
+  // Only the CDS reads its options: a DS or Basic job is one compilation
+  // whatever they say.
+  if (job.options.pipeline == dsched::Pipeline::kCDS) {
+    hash_append(h, job.options.cds.ranking);
+    hash_append(h, job.options.cds.joint_rf_retention);
+  }
   return h.finalize();
 }
 
 namespace {
-
-/// Wraps one non-chained scheduler run in the ScheduleOutcome shape so
-/// that every SchedulerKind yields the same result type.
-dsched::ScheduleOutcome run_single(const dsched::DataSchedulerBase& scheduler,
-                                   const extract::ScheduleAnalysis& analysis,
-                                   const arch::M1Config& cfg,
-                                   const CancelToken& cancel) {
-  dsched::ScheduleOutcome outcome;
-  dsched::FallbackAttempt attempt;
-  attempt.rung = scheduler.name();
-  attempt.attempted = true;
-  outcome.schedule = scheduler.schedule(analysis, cfg, cancel);
-  attempt.succeeded = outcome.schedule.feasible;
-  attempt.reason =
-      attempt.succeeded ? "selected" : outcome.schedule.infeasible_reason;
-  if (outcome.schedule.cancelled) {
-    outcome.cancel_cause =
-        cancel.cancelled() ? cancel.cause() : CancelCause::kCancelled;
-    outcome.diagnostics.push_back(make_error(
-        outcome.cancel_cause == CancelCause::kDeadline ? "schedule.timeout"
-                                                       : "schedule.cancelled",
-        scheduler.name() + " " + to_string(outcome.cancel_cause) + " on " + cfg.name));
-  } else if (!attempt.succeeded) {
-    outcome.diagnostics.push_back(make_error(
-        "schedule.infeasible",
-        scheduler.name() + " cannot run this workload on " + cfg.name + ": " +
-            outcome.schedule.infeasible_reason));
-  }
-  outcome.attempts.push_back(std::move(attempt));
-  return outcome;
-}
 
 /// compile_job's body.  Leaves the analysis it scheduled on in `analysis`
 /// and, when it priced a schedule, the context plan in `ctx_plan`, so that
@@ -124,7 +83,7 @@ std::shared_ptr<const CompiledResult> compile(
     std::optional<csched::ContextPlan>& ctx_plan) {
   MSYS_TRACE_SPAN(span, "engine.compile", "engine");
   if (span.active()) {
-    span.add_arg(obs::arg("kind", to_string(job.kind)));
+    span.add_arg(obs::arg("kind", dsched::to_string(job.options.pipeline)));
     span.add_arg(obs::arg("app", job.input.app->name()));
   }
   static obs::Counter& compiled = obs::counter("engine.jobs.compiled");
@@ -146,20 +105,8 @@ std::shared_ptr<const CompiledResult> compile(
   result->input = job.input;
   try {
     analysis.emplace(*job.input.sched, job.input.cfg.cross_set_reads);
-    switch (job.kind) {
-      case SchedulerKind::kBasic:
-        result->outcome =
-            run_single(dsched::BasicScheduler{}, *analysis, job.input.cfg, cancel);
-        break;
-      case SchedulerKind::kDS:
-        result->outcome =
-            run_single(dsched::DataScheduler{}, *analysis, job.input.cfg, cancel);
-        break;
-      case SchedulerKind::kCDS:
-        result->outcome = dsched::schedule_with_fallback(*analysis, job.input.cfg,
-                                                         job.options, cancel);
-        break;
-    }
+    result->outcome =
+        dsched::schedule_with_fallback(*analysis, job.input.cfg, job.options, cancel);
     if (result->outcome.feasible()) {
       ctx_plan.emplace(csched::ContextPlan::build(*job.input.sched,
                                                   job.input.cfg.cm_capacity_words));
@@ -175,13 +122,14 @@ std::shared_ptr<const CompiledResult> compile(
       result->predicted.infeasible_reason = "no feasible schedule";
     }
   } catch (const std::exception& e) {
-    // A scheduler invariant tripped: per-job failure data, never a batch
-    // abort (mirrors the fallback chain's "schedule.internal" convention).
+    // An invariant tripped outside the rung loop (extraction, context plan,
+    // cost model): per-job failure data, never a batch abort (mirrors the
+    // rung loop's "schedule.internal" convention).
     result->outcome.schedule.feasible = false;
     result->predicted.feasible = false;
     result->predicted.infeasible_reason = e.what();
-    result->outcome.diagnostics.push_back(
-        make_error("schedule.internal", to_string(job.kind) + ": " + e.what()));
+    result->outcome.diagnostics.push_back(make_error(
+        "schedule.internal", dsched::to_string(job.options.pipeline) + ": " + e.what()));
     internal.add();
   }
   if (!result->feasible()) infeasible.add();
@@ -210,7 +158,8 @@ CheckedResult compile_checked(const Job& job) {
   CheckedResult out{compile(job, {}, analysis, ctx_plan), {}};
   const dsched::DataSchedule& schedule = out.result->outcome.schedule;
   if (ctx_plan && schedule.feasible) {
-    out.check = sim::cross_check(schedule, *analysis, job.input.cfg, *ctx_plan);
+    out.check = sim::cross_check(schedule, out.result->predicted, *analysis, job.input.cfg,
+                                 *ctx_plan);
   } else {
     // Nothing to check: what sim::cross_check reports for any infeasible
     // schedule.
@@ -225,12 +174,13 @@ std::shared_ptr<const CompiledResult> make_cancelled_result(const Job& job,
   result->input = job.input;
   result->outcome.cancel_cause =
       cause == CancelCause::kNone ? CancelCause::kCancelled : cause;
+  const std::string pipeline = dsched::to_string(job.options.pipeline);
   result->outcome.schedule = dsched::cancelled_schedule(
-      to_string(job.kind), *job.input.sched, to_string(result->outcome.cancel_cause));
+      pipeline, *job.input.sched, to_string(result->outcome.cancel_cause));
   result->outcome.diagnostics.push_back(make_error(
       result->outcome.cancel_cause == CancelCause::kDeadline ? "schedule.timeout"
                                                              : "schedule.cancelled",
-      to_string(job.kind) + " job " + to_string(result->outcome.cancel_cause) +
+      pipeline + " job " + to_string(result->outcome.cancel_cause) +
           " before a schedule was produced"));
   result->predicted.feasible = false;
   result->predicted.infeasible_reason = to_string(result->outcome.cancel_cause);

@@ -13,7 +13,7 @@ namespace msys::engine {
 
 namespace {
 
-constexpr std::string_view kTag = "msys.engine.CompiledResult/v1";
+constexpr std::string_view kTag = "msys.engine.CompiledResult/v2";
 
 // Tiny canonical byte codec: u64 little-endian, u8 raw, strings
 // length-prefixed.  The reader never throws — any overrun flips `ok` and
@@ -67,22 +67,6 @@ struct Reader {
     return s;
   }
 };
-
-/// The DriverOptions the winning rung ran with (beyond rf/retained, which
-/// the schedule records itself).  Encoded explicitly so decode needs no
-/// rung-name mapping.
-dsched::DriverOptions options_of(const dsched::DataSchedule& schedule) {
-  dsched::DriverOptions opts;
-  opts.rf = schedule.rf;
-  opts.retained = schedule.retained;
-  if (schedule.scheduler_name == "Basic") {
-    opts.release_at_last_use = false;
-  } else if (schedule.scheduler_name == "DS+split") {
-    opts.regularity_hints = false;
-    opts.fit = alloc::FitPolicy::kBestFit;
-  }
-  return opts;
-}
 
 void encode_cost(Writer& w, const dsched::CostBreakdown& cost) {
   w.u8(cost.feasible ? 1 : 0);
@@ -140,11 +124,10 @@ std::string encode_result(const CompiledResult& result) {
   w.str(schedule.scheduler_name);
   w.str(schedule.infeasible_reason);
   w.u64(schedule.rf);
-  const dsched::DriverOptions opts = options_of(schedule);
-  w.u8(opts.release_at_last_use ? 1 : 0);
-  w.u8(opts.regularity_hints ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(opts.fit));
-  w.u8(1);  // the retired split flag: every walk splits
+  // Beyond RF and the retained set, which the schedule records itself, a
+  // rung's walk differs only in whether it releases at last use: Basic's
+  // does not.
+  w.u8(schedule.scheduler_name == "Basic" ? 0 : 1);
   w.u64(schedule.retained.size());
   // RetainedSet iterates ascending by DataId — already the canonical
   // encoding order, no sort needed.
@@ -180,12 +163,9 @@ std::shared_ptr<const CompiledResult> decode_result(std::string_view payload,
 
   dsched::DriverOptions opts;
   opts.rf = static_cast<std::uint32_t>(rf);
-  opts.release_at_last_use = r.u8() != 0;
-  opts.regularity_hints = r.u8() != 0;
-  const std::uint8_t fit = r.u8();
-  if (fit > static_cast<std::uint8_t>(alloc::FitPolicy::kBestFit)) return nullptr;
-  opts.fit = static_cast<alloc::FitPolicy>(fit);
-  if (r.u8() != 1) return nullptr;  // the retired split flag, always 1
+  const std::uint8_t release = r.u8();
+  if (release > 1) return nullptr;
+  opts.release_at_last_use = release == 1;
   const std::uint64_t n_retained = r.u64();
   if (!r.ok || n_retained > payload.size()) return nullptr;  // length sanity
   const std::uint64_t data_count = job.input.app->data_count();

@@ -9,15 +9,15 @@
 // extremes, and malformed texts that must die as parser diagnostics.
 //
 // run_case() compiles the case as three engine::compile_checked runs, one
-// per scheduler (the CDS job is the CDS->DS->Basic->DS+split fallback
-// chain), and so runs every feasible schedule through the three-way
-// oracle:
+// per scheduler (the campaign's fallback_* fields come from the CDS job),
+// and so runs every feasible schedule through the three-way oracle:
 //   1. dsched::validate_schedule must report no violations,
 //   2. the event-driven simulator must complete without functional faults,
 //   3. dsched::predict_cost must equal the simulator on all eight shared
 //      cycle, word and request fields.
-// Infeasible inputs must resolve into structured diagnostics — an uncaught
-// throw anywhere is itself a failure ("uncaught-throw").
+// Infeasible inputs must resolve into structured diagnostics — a throw
+// the compile caught is a failure ("internal"), and an uncaught one
+// anywhere is too ("uncaught-throw").
 //
 // shrink_text() greedily minimises a failing case while a caller-supplied
 // predicate holds: drop the last cluster, drop the last kernel, halve
@@ -56,14 +56,15 @@ struct CaseResult {
   Diagnostics parse_diagnostics;
   /// Of the three paper schedulers, how many produced a feasible schedule.
   int feasible_schedulers{0};
+  /// The CDS job's outcome (named for the campaign golden's columns).
   bool fallback_feasible{false};
-  /// Winning rung of the fallback chain ("" when infeasible).
+  /// Winning rung ("" when infeasible).
   std::string fallback_rung;
   std::string fallback_chain;
-  /// Predicted total cycles of the winning fallback schedule (0 when
-  /// infeasible); the store-backed engine pass cross-checks against this.
+  /// Predicted total cycles of the CDS schedule (0 when infeasible); the
+  /// store-backed engine pass cross-checks against this.
   std::uint64_t fallback_total_cycles{0};
-  /// Structured infeasibility diagnostics from the fallback chain.
+  /// Structured infeasibility diagnostics of the CDS job.
   Diagnostics infeasibility;
   std::vector<CheckFailure> failures;
 
@@ -76,8 +77,7 @@ inline constexpr std::uint64_t kScenarioClasses = 8;
 /// Deterministic: same seed => same case, on every platform.
 [[nodiscard]] FuzzCase make_case(std::uint64_t seed);
 
-/// Runs the three schedulers (CDS through the fallback chain) on the case
-/// with full cross-checking.  Never throws.
+/// Runs the three schedulers on the case with full cross-checking.  Never throws.
 [[nodiscard]] CaseResult run_case(const FuzzCase& c);
 
 /// Keep-predicate over .mapp texts for shrinking; must be deterministic.
@@ -100,8 +100,7 @@ struct CampaignStats {
   std::uint64_t cases{0};
   std::uint64_t parse_rejected{0};
   std::uint64_t all_feasible{0};
-  std::uint64_t degraded{0};    // fallback succeeded below the CDS rung
-  std::uint64_t infeasible{0};  // structured infeasibility (no rung fits)
+  std::uint64_t infeasible{0};  // structured infeasibility (the CDS does not fit)
   /// Store-backed engine pass accounting (CampaignOptions::store_dir):
   /// cases replayed through the persistent cache / served from disk /
   /// attempts cut short by the per-job deadline (not divergences).

@@ -158,21 +158,6 @@ void record(const sim::CrossCheck& check, const std::string& who, CaseResult& re
   result.failures.push_back({who, kind, check.why()});
 }
 
-/// The text of a throw that compile_job turned into its own
-/// "schedule.internal" diagnostic ("<kind>: <what>", with <what> kept as
-/// the prediction's infeasible_reason), or nullptr when the job did not
-/// throw.  The fallback chain's per-rung internal diagnostics carry the
-/// rung's own error text instead.
-const std::string* caught_throw(const engine::CompiledResult& r, engine::SchedulerKind kind) {
-  const std::string message = engine::to_string(kind) + ": " + r.predicted.infeasible_reason;
-  for (const Diagnostic& d : r.outcome.diagnostics) {
-    if (d.code == "schedule.internal" && d.message == message) {
-      return &r.predicted.infeasible_reason;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 CaseResult run_case(const FuzzCase& c) {
@@ -195,31 +180,28 @@ CaseResult run_case(const FuzzCase& c) {
         engine::make_input(std::move(parsed.experiment->app), parsed.experiment->partition,
                            std::move(parsed.experiment->cfg));
 
-    // The three paper schedulers, each fully cross-checked.  The CDS job is
-    // the degradation chain: it must end feasible-and-clean or structurally
-    // infeasible, never anything in between.
-    for (const engine::SchedulerKind kind :
-         {engine::SchedulerKind::kBasic, engine::SchedulerKind::kDS,
-          engine::SchedulerKind::kCDS}) {
-      const auto [compiled, check] = engine::compile_checked({input, kind, {}});
-      const std::string label = engine::to_string(kind);
-      if (const std::string* what = caught_throw(*compiled, kind)) {
-        result.failures.push_back({label, "uncaught-throw", *what});
-        continue;
-      }
+    // The three paper schedulers, each fully cross-checked: each must end
+    // feasible-and-clean or structurally infeasible, never anything in
+    // between.
+    for (const dsched::Pipeline pipeline :
+         {dsched::Pipeline::kBasic, dsched::Pipeline::kDS, dsched::Pipeline::kCDS}) {
+      const auto [compiled, check] = engine::compile_checked({input, {.pipeline = pipeline}});
+      const std::string label = dsched::to_string(pipeline);
       const dsched::ScheduleOutcome& outcome = compiled->outcome;
+      bool internal = false;
+      for (const Diagnostic& d : outcome.diagnostics) {
+        if (d.code != "schedule.internal") continue;
+        result.failures.push_back({label, "internal", d.message});
+        internal = true;
+      }
+      if (internal) continue;
       if (outcome.feasible()) ++result.feasible_schedulers;
       record(check, label, result);
-      if (kind != engine::SchedulerKind::kCDS) continue;
+      if (pipeline != dsched::Pipeline::kCDS) continue;
 
       result.fallback_feasible = outcome.feasible();
       result.fallback_rung = outcome.chosen_rung();
       result.fallback_chain = outcome.chain_summary();
-      for (const Diagnostic& d : outcome.diagnostics) {
-        if (d.code == "schedule.internal") {
-          result.failures.push_back({"fallback", "internal", d.message});
-        }
-      }
       if (check.predicted.feasible) result.fallback_total_cycles = check.predicted.total.value();
       if (!outcome.feasible()) {
         result.infeasibility = outcome.diagnostics;
@@ -443,9 +425,9 @@ std::string shrink_text(std::string text, const Predicate& keep, int max_steps) 
 
 std::string CampaignStats::summary() const {
   std::ostringstream out;
-  out << cases << " cases: " << all_feasible << " all-feasible, " << degraded
-      << " degraded, " << infeasible << " infeasible (structured), " << parse_rejected
-      << " parse-rejected, " << failures.size() << " FAILURES";
+  out << cases << " cases: " << all_feasible << " all-feasible, " << infeasible
+      << " infeasible (structured), " << parse_rejected << " parse-rejected, "
+      << failures.size() << " FAILURES";
   if (store_checked > 0) {
     out << "; store pass: " << store_checked << " checked, " << store_disk_hits
         << " from disk, " << store_timeouts << " timed out";
@@ -556,7 +538,6 @@ CampaignStats run_campaign(std::uint64_t base_seed, std::uint64_t n_cases,
       ++stats.parse_rejected;
     } else if (!r.fallback_chain.empty()) {
       if (r.feasible_schedulers == 3) ++stats.all_feasible;
-      if (r.fallback_feasible && r.fallback_rung != "CDS") ++stats.degraded;
       if (!r.fallback_feasible) ++stats.infeasible;
     }
     if (!r.clean()) {

@@ -42,7 +42,7 @@ namespace {
 /// or plain infeasibility.
 SchedulerOutcome run_job(const engine::Job& job) {
   SchedulerOutcome out;
-  out.scheduler = engine::to_string(job.kind);
+  out.scheduler = dsched::to_string(job.options.pipeline);
   auto [result, check] = engine::compile_checked(job);
   out.result = std::move(result);
   const std::string& app = job.input.app->name();
@@ -58,10 +58,9 @@ SchedulerOutcome run_job(const engine::Job& job) {
 
 }  // namespace
 
-SchedulerOutcome run_scheduler(engine::SchedulerKind kind, const model::KernelSchedule& sched,
-                               const arch::M1Config& cfg,
+SchedulerOutcome run_scheduler(const model::KernelSchedule& sched, const arch::M1Config& cfg,
                                const dsched::FallbackOptions& options) {
-  return run_job({engine::make_input(sched, cfg), kind, options});
+  return run_job({engine::make_input(sched, cfg), options});
 }
 
 ExperimentResult run_experiment(std::string name, const model::KernelSchedule& sched,
@@ -75,9 +74,9 @@ ExperimentResult run_experiment(std::string name, const model::KernelSchedule& s
   result.data_size_per_iteration = sched.app().total_data_size();
 
   const engine::CompileInput input = engine::make_input(sched, cfg);
-  result.basic = run_job({input, engine::SchedulerKind::kBasic, {}});
-  result.ds = run_job({input, engine::SchedulerKind::kDS, {}});
-  result.cds = run_job({input, engine::SchedulerKind::kCDS, {}});
+  result.basic = run_job({input, {.pipeline = dsched::Pipeline::kBasic}});
+  result.ds = run_job({input, {.pipeline = dsched::Pipeline::kDS}});
+  result.cds = run_job({input, {.pipeline = dsched::Pipeline::kCDS}});
   return result;
 }
 

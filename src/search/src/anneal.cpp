@@ -47,8 +47,10 @@ std::unique_ptr<ShapeContext> context_of(const ScheduleAnalysis& analysis,
 bool verify_in_simulator(ShapeContext& ctx, const Skeleton& sk,
                          std::uint64_t predicted_cycles) {
   MSYS_TRACE_SPAN(span, "search.verify", "search");
+  const dsched::DataSchedule schedule = ctx.pack(sk, "CDS+anneal");
   const sim::CrossCheck check =
-      sim::cross_check(ctx.pack(sk, "CDS+anneal"), *ctx.analysis, *ctx.cfg, ctx.context_plan());
+      sim::cross_check(schedule, dsched::predict_cost(schedule, *ctx.cfg, ctx.context_plan()),
+                       *ctx.analysis, *ctx.cfg, ctx.context_plan());
   return check.ok() && check.predicted.total.value() == predicted_cycles;
 }
 

@@ -27,8 +27,9 @@
 // Overload and degradation (both off by default) are virtual-time policy,
 // not wall-clock heuristics: the shed watermark drops the lowest-priority
 // never-started work when a tenant's backlog lower bound exceeds
-// shed_threshold_cycles, and the degraded-compile watermark routes
-// deadline-starved jobs through a cheaper fallback entry (DS/Basic).
+// shed_threshold_cycles, and the degraded-compile watermark compiles
+// deadline-starved jobs with a cheaper pipeline (DS, or Basic rescued by
+// DS at RF 1).
 // Every arrival ends as exactly one of completed / rejected /
 // shed-overload / infeasible / compile-timeout — ServeLoop::run asserts
 // this conservation invariant per tenant and in total.
@@ -74,9 +75,9 @@ struct ServeOptions {
   std::uint64_t shed_threshold_cycles{0};
   /// Degraded-compile watermark (virtual cycles of relative deadline;
   /// 0 = off).  An arrival whose deadline budget is below this compiles
-  /// through a cheaper fallback entry (DS; below half the threshold,
-  /// Basic) instead of the full CDS chain — a worse schedule now beats a
-  /// perfect one after the deadline.  Deterministic in virtual time: the
+  /// a cheaper pipeline (DS; below half the threshold, Basic rescued by DS
+  /// at RF 1) instead of the CDS — a worse schedule now beats a perfect
+  /// one after the deadline.  Deterministic in virtual time: the
   /// decision reads only the trace event, so outcomes stay byte-identical
   /// across compile thread counts.
   std::uint64_t degraded_threshold_cycles{0};
@@ -100,8 +101,8 @@ struct JobOutcome {
   std::uint64_t transition_cycles{0};
   std::uint32_t preemptions{0};
   bool deadline_met{true};
-  /// Compiled through a degraded fallback entry (DS/Basic) because the
-  /// deadline budget sat below ServeOptions::degraded_threshold_cycles.
+  /// Compiled with a degraded pipeline (DS or Basic-then-rescue) because
+  /// the deadline budget sat below ServeOptions::degraded_threshold_cycles.
   bool degraded{false};
 
   [[nodiscard]] bool completed() const { return status == "done" || status == "late"; }
@@ -139,8 +140,8 @@ struct ServeStats {
   std::size_t deadline_missed{0};
   std::size_t infeasible{0};
   std::size_t compile_timeouts{0};
-  /// Jobs served off a degraded fallback entry (DS/Basic) because their
-  /// deadline budget sat under the degraded-compile watermark.
+  /// Jobs served off a degraded pipeline (DS or Basic-then-rescue) because
+  /// their deadline budget sat under the degraded-compile watermark.
   std::size_t degraded_serves{0};
   /// Store degradation observed by this run: compile-phase
   /// BatchStats::store_faults plus serve-level injected read faults
@@ -174,7 +175,7 @@ struct ServeReport {
 /// tenant) pair resolves the workload, rescales it to the tenant's row
 /// share and runs engine::make_input; every later arrival of the pair
 /// shares that CompileInput (the same app and sched pointers, hence the
-/// same schedule digest) and sets only its own fallback entry rung.
+/// same schedule digest) and sets only its own pipeline.
 struct PreparedTrace {
   std::vector<engine::Job> jobs;
   /// jobs[i]'s prepared-input index in [0, inputs): equal indices share

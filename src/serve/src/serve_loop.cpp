@@ -408,14 +408,14 @@ PreparedTrace ServeLoop::prepare(const TraceFile& trace) const {
     // (and with it every outcome byte) is identical at any thread count.
     if (options_.degraded_threshold_cycles != 0 && e.deadline_cycles != 0 &&
         e.deadline_cycles < options_.degraded_threshold_cycles) {
-      // Deadline budget under the watermark: enter the fallback ladder at
-      // a cheaper rung (Basic below half the watermark, DS otherwise) —
-      // a worse schedule now beats a perfect one after the deadline.
-      // The entry rung is part of the cache key, so degraded and full
-      // compilations never share cache or store entries.
-      job.options.entry = e.deadline_cycles * 2 < options_.degraded_threshold_cycles
-                              ? dsched::FallbackEntry::kBasic
-                              : dsched::FallbackEntry::kDS;
+      // Deadline budget under the watermark: compile a cheaper pipeline
+      // (Basic, rescued by DS at RF 1, below half the watermark; DS
+      // otherwise) — a worse schedule now beats a perfect one after the
+      // deadline.  The pipeline is part of the cache key, so a degraded DS
+      // compile shares its entries with any DS job, never with a CDS one.
+      job.options.pipeline = e.deadline_cycles * 2 < options_.degraded_threshold_cycles
+                                 ? dsched::Pipeline::kBasicThenRescue
+                                 : dsched::Pipeline::kDS;
     }
     out.jobs.push_back(std::move(job));
   }
@@ -496,7 +496,7 @@ ServeReport ServeLoop::run(const TraceFile& trace) {
       o.priority = spec.priority + e.priority;
       o.arrive_cycles = e.at_cycles;
       o.rung = "-";
-      o.degraded = prepared.jobs[i].options.entry != dsched::FallbackEntry::kCDS;
+      o.degraded = prepared.jobs[i].options.pipeline != dsched::Pipeline::kCDS;
       ++report.stats.tenants[t].jobs;
 
       if (r.cancelled()) {

@@ -21,7 +21,7 @@ struct CrossCheck {
   Stage stage{Stage::kInfeasible};
   /// The validator's violations or the simulator's "sim.fault".
   Diagnostics diagnostics;
-  /// predict_cost of the schedule, whatever the stage.
+  /// The caller's predict_cost of the schedule, whatever the stage.
   dsched::CostBreakdown predicted;
   /// Present from kMismatch on.
   std::optional<SimReport> measured;
@@ -33,9 +33,13 @@ struct CrossCheck {
   [[nodiscard]] std::string why() const;
 };
 
-/// Validates, predicts, generates and simulates `schedule`, stopping at
-/// the first broken stage.  A bad schedule is data, never a throw.
+/// Validates, generates and simulates `schedule`, stopping at the first
+/// broken stage, and compares the simulator with `predicted`, the caller's
+/// dsched::predict_cost of the schedule on `cfg` and `ctx_plan` (a compile
+/// has already priced what it checks).  A bad schedule is data, never a
+/// throw.
 [[nodiscard]] CrossCheck cross_check(const dsched::DataSchedule& schedule,
+                                     dsched::CostBreakdown predicted,
                                      const extract::ScheduleAnalysis& analysis,
                                      const arch::M1Config& cfg,
                                      const csched::ContextPlan& ctx_plan);

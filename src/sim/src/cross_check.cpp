@@ -20,12 +20,12 @@ std::string CrossCheck::why() const {
   return "";
 }
 
-CrossCheck cross_check(const dsched::DataSchedule& schedule,
+CrossCheck cross_check(const dsched::DataSchedule& schedule, dsched::CostBreakdown predicted,
                        const extract::ScheduleAnalysis& analysis, const arch::M1Config& cfg,
                        const csched::ContextPlan& ctx_plan) {
   using Stage = CrossCheck::Stage;
   CrossCheck out;
-  out.predicted = dsched::predict_cost(schedule, cfg, ctx_plan);
+  out.predicted = std::move(predicted);
   if (!schedule.feasible) return out;
   out.diagnostics = dsched::validate_schedule(schedule, analysis, cfg);
   if (!out.diagnostics.empty()) {

@@ -6,8 +6,8 @@
 // FB scales 100/75/50/25%, with cross-set reads off and on, at RF
 // 1..max+1 with the retained set empty, each candidate alone and each
 // prefix of the TF-ranked candidates.  Each decision is compared with the
-// placement walk under the paper's first-fit with regularity hints and
-// under DS+split's best-fit without them; the empty set also runs Basic's
+// placement walk under the first-fit with regularity hints that every rung
+// ships and under first-fit without them; the empty set also runs Basic's
 // release policy.
 #include <gtest/gtest.h>
 
@@ -43,17 +43,16 @@ struct Tally {
   std::uint64_t split_placements{0};
 };
 
-/// Compares the decision walk at `options` with the placement walk under
-/// both placement policies.
+/// Compares the decision walk at `options` with the placement walk with
+/// and without regularity hints.
 void compare_walks(const std::string& name, const extract::ScheduleAnalysis& analysis,
                    SizeWords fbs, const DriverOptions& options, Tally& tally) {
   static PlanScratch scratch;
   const std::string decided =
       outcome_of([&] { return decide_round(analysis, fbs, options, scratch); });
-  DriverOptions split_rung = options;
-  split_rung.regularity_hints = false;
-  split_rung.fit = alloc::FitPolicy::kBestFit;
-  for (const DriverOptions& placement : {options, split_rung}) {
+  DriverOptions no_hints = options;
+  no_hints.regularity_hints = false;
+  for (const DriverOptions& placement : {options, no_hints}) {
     const std::string placed = outcome_of([&] {
       DriverResult result = plan_round(analysis, fbs, placement, scratch);
       tally.split_placements += result.summary.splits;
@@ -62,7 +61,7 @@ void compare_walks(const std::string& name, const extract::ScheduleAnalysis& ana
     EXPECT_EQ(decided, placed) << name << " rf=" << options.rf
                                << " retained=" << options.retained.size()
                                << " release=" << options.release_at_last_use
-                               << " best_fit=" << (placement.fit == alloc::FitPolicy::kBestFit);
+                               << " hints=" << placement.regularity_hints;
     ++tally.compared;
   }
   (decided.starts_with("1|") ? tally.fits : tally.fails) += 1;

@@ -22,13 +22,10 @@ TEST(Fallback, GenerousMachineStopsAtCds) {
   ASSERT_TRUE(outcome.feasible());
   EXPECT_EQ(outcome.chosen_rung(), "CDS");
   EXPECT_TRUE(outcome.diagnostics.empty());
-  ASSERT_EQ(outcome.attempts.size(), 4u);
+  // The CDS pipeline is the one rung: nothing can rescue it.
+  ASSERT_EQ(outcome.attempts.size(), 1u);
   EXPECT_TRUE(outcome.attempts[0].attempted);
   EXPECT_TRUE(outcome.attempts[0].succeeded);
-  for (std::size_t i = 1; i < outcome.attempts.size(); ++i) {
-    EXPECT_FALSE(outcome.attempts[i].attempted) << outcome.attempts[i].rung;
-    EXPECT_EQ(outcome.attempts[i].reason, "not reached");
-  }
   // The winning schedule is a real schedule, not just a flag.
   EXPECT_TRUE(validate_schedule(outcome.schedule, analysis, cfg).empty());
 }
@@ -40,113 +37,113 @@ TEST(Fallback, HopelessMachineIsStructuredInfeasibility) {
   const ScheduleOutcome outcome = schedule_with_fallback(analysis, cfg);
   EXPECT_FALSE(outcome.feasible());
   EXPECT_EQ(outcome.chosen_rung(), "");
-  // Every rung was actually tried and left a reason behind.
-  ASSERT_EQ(outcome.attempts.size(), 4u);
-  for (const FallbackAttempt& attempt : outcome.attempts) {
-    EXPECT_TRUE(attempt.attempted) << attempt.rung;
-    EXPECT_FALSE(attempt.succeeded) << attempt.rung;
-    EXPECT_FALSE(attempt.reason.empty()) << attempt.rung;
-  }
+  ASSERT_EQ(outcome.attempts.size(), 1u);
+  EXPECT_TRUE(outcome.attempts[0].attempted);
+  EXPECT_FALSE(outcome.attempts[0].succeeded);
+  // The reason is the RF-1 walk's: it names the cluster that does not fit.
+  EXPECT_EQ(outcome.attempts[0].reason.rfind("cluster Cl", 0), 0u)
+      << outcome.attempts[0].reason;
+  EXPECT_NE(outcome.attempts[0].reason.find(" does not fit a 100-word FB set at RF=1"),
+            std::string::npos)
+      << outcome.attempts[0].reason;
   // And the outcome carries a structured diagnostic naming the chain.
   ASSERT_TRUE(has_errors(outcome.diagnostics));
   const Diagnostic& d = outcome.diagnostics.back();
   EXPECT_EQ(d.code, "schedule.infeasible");
-  EXPECT_NE(d.message.find("CDS"), std::string::npos);
-  EXPECT_NE(d.message.find("DS+split"), std::string::npos);
+  EXPECT_NE(d.message.find("CDS:failed(" + outcome.attempts[0].reason + ")"),
+            std::string::npos)
+      << d.message;
 }
 
 TEST(Fallback, ChainSummaryNamesEveryRung) {
   RetentionApp r = RetentionApp::make();
   ScheduleAnalysis analysis(r.sched);
-  const ScheduleOutcome ok = schedule_with_fallback(analysis, test_cfg(4096));
-  EXPECT_EQ(ok.chain_summary(),
-            "CDS:ok -> DS:skipped -> Basic:skipped -> DS+split:skipped");
-  const ScheduleOutcome bad = schedule_with_fallback(analysis, test_cfg(16));
-  EXPECT_NE(bad.chain_summary().find("CDS:failed("), std::string::npos);
-  EXPECT_NE(bad.chain_summary().find("DS+split:failed("), std::string::npos);
+  EXPECT_EQ(schedule_with_fallback(analysis, test_cfg(4096)).chain_summary(), "CDS:ok");
+  const FallbackOptions rescue{.pipeline = Pipeline::kBasicThenRescue};
+  EXPECT_EQ(schedule_with_fallback(analysis, test_cfg(4096), rescue).chain_summary(),
+            "Basic:ok -> DS+split:skipped");
+  const ScheduleOutcome bad = schedule_with_fallback(analysis, test_cfg(16), rescue);
+  EXPECT_EQ(bad.chain_summary().rfind("Basic:failed(", 0), 0u) << bad.chain_summary();
+  EXPECT_NE(bad.chain_summary().find(" -> DS+split:failed("), std::string::npos);
 }
 
 TEST(Fallback, KeepsMostAmbitiousInfeasibleRecord) {
   TwoClusterApp t = TwoClusterApp::make();
   ScheduleAnalysis analysis(t.sched);
-  const ScheduleOutcome outcome = schedule_with_fallback(analysis, test_cfg(100));
+  const ScheduleOutcome outcome = schedule_with_fallback(
+      analysis, test_cfg(100), {.pipeline = Pipeline::kBasicThenRescue});
   ASSERT_FALSE(outcome.feasible());
-  // The reported schedule is the CDS attempt, reason and all, so callers
-  // see what the most capable scheduler said.
-  EXPECT_EQ(outcome.schedule.scheduler_name, "CDS");
+  // The reported schedule is the first rung's, reason and all, so callers
+  // see what the scheduler the pipeline is named for said.
+  EXPECT_EQ(outcome.schedule.scheduler_name, "Basic");
   EXPECT_FALSE(outcome.schedule.infeasible_reason.empty());
 }
 
 TEST(Fallback, DegradedEntrySkipsCdsAndWinsAtDs) {
+  // The serve layer's degraded DS compile is the DS pipeline: one rung,
+  // no CDS attempt.
   RetentionApp r = RetentionApp::make();
   ScheduleAnalysis analysis(r.sched);
-  FallbackOptions options;
-  options.entry = FallbackEntry::kDS;
   const ScheduleOutcome outcome =
-      schedule_with_fallback(analysis, test_cfg(4096), options);
+      schedule_with_fallback(analysis, test_cfg(4096), {.pipeline = Pipeline::kDS});
   ASSERT_TRUE(outcome.feasible());
   EXPECT_EQ(outcome.chosen_rung(), "DS");
-  ASSERT_EQ(outcome.attempts.size(), 4u);
-  EXPECT_FALSE(outcome.attempts[0].attempted);
-  EXPECT_EQ(outcome.attempts[0].reason, "degraded entry");
-  EXPECT_TRUE(outcome.attempts[1].attempted);
-  EXPECT_TRUE(outcome.attempts[1].succeeded);
-  EXPECT_EQ(outcome.chain_summary(),
-            "CDS:skipped -> DS:ok -> Basic:skipped -> DS+split:skipped");
+  EXPECT_EQ(outcome.chain_summary(), "DS:ok");
   EXPECT_TRUE(validate_schedule(outcome.schedule, analysis, test_cfg(4096)).empty());
 }
 
 TEST(Fallback, BasicEntrySkipsBothSmarterRungs) {
+  // Basic-then-rescue never tries CDS or DS; where Basic fits, the rescue
+  // rung is not reached.
   RetentionApp r = RetentionApp::make();
   ScheduleAnalysis analysis(r.sched);
-  FallbackOptions options;
-  options.entry = FallbackEntry::kBasic;
-  const ScheduleOutcome outcome =
-      schedule_with_fallback(analysis, test_cfg(4096), options);
+  const ScheduleOutcome outcome = schedule_with_fallback(
+      analysis, test_cfg(4096), {.pipeline = Pipeline::kBasicThenRescue});
   ASSERT_TRUE(outcome.feasible());
   EXPECT_EQ(outcome.chosen_rung(), "Basic");
-  ASSERT_EQ(outcome.attempts.size(), 4u);
-  EXPECT_FALSE(outcome.attempts[0].attempted);
+  ASSERT_EQ(outcome.attempts.size(), 2u);
+  EXPECT_TRUE(outcome.attempts[0].succeeded);
   EXPECT_FALSE(outcome.attempts[1].attempted);
-  EXPECT_EQ(outcome.attempts[0].reason, "degraded entry");
-  EXPECT_EQ(outcome.attempts[1].reason, "degraded entry");
-  EXPECT_TRUE(outcome.attempts[2].attempted);
+  EXPECT_EQ(outcome.attempts[1].reason, "not reached");
   EXPECT_TRUE(validate_schedule(outcome.schedule, analysis, test_cfg(4096)).empty());
 }
 
 TEST(Fallback, DegradedEntryStillFallsThroughOnFailure) {
-  // A degraded entry narrows where the chain *starts*, not where it can
-  // go: on a hopeless machine the DS entry still walks Basic and DS+split
-  // before reporting structured infeasibility.
+  // Where Basic does not fit, Basic-then-rescue goes on to DS at RF 1,
+  // which releases each object after its last use.
   TwoClusterApp t = TwoClusterApp::make();
   ScheduleAnalysis analysis(t.sched);
-  FallbackOptions options;
-  options.entry = FallbackEntry::kDS;
-  const ScheduleOutcome outcome =
-      schedule_with_fallback(analysis, test_cfg(100), options);
-  EXPECT_FALSE(outcome.feasible());
-  ASSERT_EQ(outcome.attempts.size(), 4u);
-  EXPECT_FALSE(outcome.attempts[0].attempted);
-  for (std::size_t i = 1; i < outcome.attempts.size(); ++i) {
-    EXPECT_TRUE(outcome.attempts[i].attempted) << outcome.attempts[i].rung;
-    EXPECT_FALSE(outcome.attempts[i].succeeded) << outcome.attempts[i].rung;
+  const FallbackOptions rescue{.pipeline = Pipeline::kBasicThenRescue};
+  for (std::uint64_t fb = 100; fb <= 4096; ++fb) {
+    const ScheduleOutcome outcome = schedule_with_fallback(analysis, test_cfg(fb), rescue);
+    ASSERT_EQ(outcome.attempts.size(), 2u);
+    if (outcome.attempts[0].succeeded) break;  // Basic fits from here on
+    EXPECT_TRUE(outcome.attempts[1].attempted) << fb;
+    if (!outcome.feasible()) {
+      EXPECT_TRUE(has_errors(outcome.diagnostics)) << fb;
+      continue;
+    }
+    EXPECT_EQ(outcome.chosen_rung(), "DS+split") << fb;
+    EXPECT_EQ(outcome.schedule.rf, 1u);
+    EXPECT_TRUE(validate_schedule(outcome.schedule, analysis, test_cfg(fb)).empty()) << fb;
+    return;
   }
-  EXPECT_TRUE(has_errors(outcome.diagnostics));
+  ADD_FAILURE() << "no FB size where only the rescue rung fits";
 }
 
 TEST(Fallback, RungsShareOneDecisionMemo) {
-  // The rungs decide through one PlanCache: on a hopeless machine DS's
-  // RF-1 walk is CDS's and DS+split's is DS's, so the chain walks twice
-  // (CDS's RF-1 walk and Basic's) and places nothing.  A chain that CDS
-  // wins places exactly its one schedule.
+  // A pipeline's rungs decide through one PlanCache.  On a hopeless
+  // machine the CDS walks once (RF 1, nothing retained) and reads that
+  // walk's failure reason back as a hit; it places nothing.  A CDS that
+  // fits places exactly its one schedule.
   TwoClusterApp t = TwoClusterApp::make();
   ScheduleAnalysis analysis(t.sched);
   obs::MetricsSnapshot before = obs::snapshot();
   EXPECT_FALSE(schedule_with_fallback(analysis, test_cfg(100)).feasible());
   obs::MetricsSnapshot delta = obs::snapshot().since(before);
-  EXPECT_EQ(delta.counter("dsched.plan.rounds"), 2u);
+  EXPECT_EQ(delta.counter("dsched.plan.rounds"), 1u);
   EXPECT_EQ(delta.counter("dsched.plan.placements"), 0u);
-  EXPECT_EQ(delta.counter("dsched.plan_cache.hits"), 2u);
+  EXPECT_EQ(delta.counter("dsched.plan_cache.hits"), 1u);
 
   before = obs::snapshot();
   EXPECT_EQ(schedule_with_fallback(analysis, test_cfg(4096)).chosen_rung(), "CDS");

@@ -66,17 +66,16 @@ TEST(PlanCache, DistinctRfAndFlagsAndRetainedMiss) {
 
 TEST(PlanCache, PlacementOnlyOptionsShareTheDecision) {
   // The fit policy and the regularity hints steer only where instances go,
-  // so they are not part of the key: DS+split's RF-1 decision is DS's.
+  // so they are not part of the key.
   RetentionApp made = RetentionApp::make(/*iterations=*/6);
   const extract::ScheduleAnalysis analysis(made.sched);
   PlanCache plans(analysis, test_cfg(4096));
 
   DriverOptions ds;
   const RoundDecision& first = plans.decide(ds);
-  DriverOptions split = ds;
-  split.regularity_hints = false;
-  split.fit = alloc::FitPolicy::kBestFit;
-  EXPECT_EQ(&plans.decide(split), &first);
+  DriverOptions no_hints = ds;
+  no_hints.regularity_hints = false;
+  EXPECT_EQ(&plans.decide(no_hints), &first);
   EXPECT_EQ(plans.stats().hits, 1u);
   EXPECT_EQ(plans.stats().misses, 1u);
 }

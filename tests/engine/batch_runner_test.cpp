@@ -17,12 +17,12 @@ using testing::TwoClusterApp;
 using testing::test_cfg;
 
 Job job_from(RetentionApp made, arch::M1Config cfg,
-             SchedulerKind kind = SchedulerKind::kCDS) {
+             dsched::Pipeline pipeline = dsched::Pipeline::kCDS) {
   std::vector<std::vector<KernelId>> partition;
   for (const model::Cluster& c : made.sched.clusters()) partition.push_back(c.kernels);
   Job job;
   job.input = make_input(std::move(*made.app), std::move(partition), cfg);
-  job.kind = kind;
+  job.options.pipeline = pipeline;
   return job;
 }
 
@@ -134,14 +134,14 @@ TEST(BatchRunner, PerKindJobsSelectTheRequestedScheduler) {
   ThreadPool pool(2);
   BatchRunner runner(pool);
   std::vector<Job> jobs;
-  jobs.push_back(job_from(RetentionApp::make(6), test_cfg(), SchedulerKind::kBasic));
-  jobs.push_back(job_from(RetentionApp::make(6), test_cfg(), SchedulerKind::kDS));
-  jobs.push_back(job_from(RetentionApp::make(6), test_cfg(), SchedulerKind::kCDS));
+  jobs.push_back(job_from(RetentionApp::make(6), test_cfg(), dsched::Pipeline::kBasic));
+  jobs.push_back(job_from(RetentionApp::make(6), test_cfg(), dsched::Pipeline::kDS));
+  jobs.push_back(job_from(RetentionApp::make(6), test_cfg(), dsched::Pipeline::kCDS));
   const std::vector<JobResult> results = runner.run(jobs);
   ASSERT_TRUE(results[0].feasible());
   ASSERT_TRUE(results[1].feasible());
   ASSERT_TRUE(results[2].feasible());
-  // Distinct scheduler kinds never share a cache key.
+  // Distinct pipelines never share a cache key.
   EXPECT_NE(results[0].key, results[1].key);
   EXPECT_NE(results[1].key, results[2].key);
   // CDS must be at least as good as DS, DS at least as good as Basic.

@@ -297,24 +297,23 @@ TEST_F(EngineFaultTest, CorruptStoreBytesAreQuarantinedAndRecomputed) {
   EXPECT_EQ(report.scanned, 1u);
 }
 
-TEST_F(EngineFaultTest, RetiredSplitFlagByteDecodesOnlyAsOne) {
-  // Every walk splits, so the record's split byte is always 1; any other
-  // value marks the record corrupt, like an out-of-range fit byte.
+TEST_F(EngineFaultTest, ReleaseFlagByteDecodesOnlyAsZeroOrOne) {
+  // The record's one option byte says whether the walk releases at last
+  // use; any value but 0 or 1 marks the record corrupt.
   const Job job = retention_job();
   const std::shared_ptr<const CompiledResult> compiled = compile_job(job);
   ASSERT_TRUE(compiled->feasible());
   const std::string bytes = encode_result(*compiled);
   ASSERT_NE(decode_result(bytes, job), nullptr);
-  // Tag, feasible flag, rung name, reason, RF, then the release, hint, fit
-  // and split bytes.
+  // Tag, feasible flag, rung name, reason and RF, then the release byte.
   const std::string& rung = compiled->outcome.schedule.scheduler_name;
-  const std::size_t split_at =
-      (8 + std::string_view("msys.engine.CompiledResult/v1").size()) + 1 + (8 + rung.size()) +
-      (8 + compiled->outcome.schedule.infeasible_reason.size()) + 8 + 3;
-  ASSERT_EQ(bytes[split_at], 1);
-  for (const char bad : {0, 2}) {
+  const std::size_t release_at =
+      (8 + std::string_view("msys.engine.CompiledResult/v2").size()) + 1 + (8 + rung.size()) +
+      (8 + compiled->outcome.schedule.infeasible_reason.size()) + 8;
+  ASSERT_EQ(bytes[release_at], 1);
+  for (const char bad : {2, 0x7f}) {
     std::string corrupt = bytes;
-    corrupt[split_at] = bad;
+    corrupt[release_at] = bad;
     EXPECT_EQ(decode_result(corrupt, job), nullptr) << int{bad};
   }
 }

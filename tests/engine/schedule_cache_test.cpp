@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -48,24 +49,24 @@ TEST(CacheKey, DiffersByContentMachineKindAndOptions) {
   machine.input.cfg = machine.input.cfg.with_fb_set_size(SizeWords{2048});
   EXPECT_NE(base_key, cache_key(machine));
 
-  Job kind = base;
-  kind.kind = SchedulerKind::kDS;
-  EXPECT_NE(base_key, cache_key(kind));
-
   Job ranking = base;
   ranking.options.cds.ranking =
       dsched::CompleteDataScheduler::Options::Ranking::kDensity;
   EXPECT_NE(base_key, cache_key(ranking));
 
-  // A degraded fallback entry compiles a different artifact; its cache
-  // (and store) entries must never collide with the full chain's.
-  Job degraded = base;
-  degraded.options.entry = dsched::FallbackEntry::kDS;
-  EXPECT_NE(base_key, cache_key(degraded));
-  Job basic = base;
-  basic.options.entry = dsched::FallbackEntry::kBasic;
-  EXPECT_NE(base_key, cache_key(basic));
-  EXPECT_NE(cache_key(degraded), cache_key(basic));
+  // Each pipeline compiles a different artifact; its cache (and store)
+  // entries never collide with another's.  Only the CDS reads the CDS
+  // options, so a DS or Basic job has one key whatever they say.
+  std::set<std::uint64_t> keys{base_key};
+  for (const dsched::Pipeline pipeline :
+       {dsched::Pipeline::kDS, dsched::Pipeline::kBasic, dsched::Pipeline::kBasicThenRescue}) {
+    Job job = base;
+    job.options.pipeline = pipeline;
+    EXPECT_TRUE(keys.insert(cache_key(job)).second) << dsched::to_string(pipeline);
+    Job density = ranking;
+    density.options.pipeline = pipeline;
+    EXPECT_EQ(cache_key(job), cache_key(density)) << dsched::to_string(pipeline);
+  }
 }
 
 /// a -> k1 -> t -> k2 -> r, plus input b to k2, two clusters.  `reordered`

@@ -121,10 +121,8 @@ TEST(CrossSet, EndToEndEliminatesCrossSetTraffic) {
   arch::M1Config plain_cfg = testing::test_cfg(1024);
   arch::M1Config cross_cfg = plain_cfg.with_cross_set_reads(true);
 
-  SchedulerOutcome plain =
-      run_scheduler(engine::SchedulerKind::kCDS, t.sched, plain_cfg);
-  SchedulerOutcome cross =
-      run_scheduler(engine::SchedulerKind::kCDS, t.sched, cross_cfg);
+  SchedulerOutcome plain = run_scheduler(t.sched, plain_cfg);
+  SchedulerOutcome cross = run_scheduler(t.sched, cross_cfg);
   ASSERT_TRUE(plain.feasible());
   ASSERT_TRUE(cross.feasible());
   EXPECT_TRUE(plain.schedule().retained.empty());
@@ -140,11 +138,9 @@ TEST(CrossSet, MpegStoreOfPredDisappears) {
   // machine must store+reload it for DCT; with cross-set reads the store
   // disappears entirely.
   workloads::Experiment exp = workloads::make_experiment("MPEG");
-  SchedulerOutcome plain =
-      run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
+  SchedulerOutcome plain = run_scheduler(exp.sched, exp.cfg);
   arch::M1Config cross_cfg = exp.cfg.with_cross_set_reads(true);
-  SchedulerOutcome cross =
-      run_scheduler(engine::SchedulerKind::kCDS, exp.sched, cross_cfg);
+  SchedulerOutcome cross = run_scheduler(exp.sched, cross_cfg);
   ASSERT_TRUE(plain.feasible());
   ASSERT_TRUE(cross.feasible());
   EXPECT_LT(cross.predicted().data_words_total(), plain.predicted().data_words_total());
@@ -155,10 +151,8 @@ class CrossSetRegistry : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CrossSetRegistry, NeverWorseThanPaperMachine) {
   workloads::Experiment exp = workloads::make_experiment(GetParam());
-  SchedulerOutcome plain =
-      run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
-  SchedulerOutcome cross = run_scheduler(engine::SchedulerKind::kCDS, exp.sched,
-                                         exp.cfg.with_cross_set_reads(true));
+  SchedulerOutcome plain = run_scheduler(exp.sched, exp.cfg);
+  SchedulerOutcome cross = run_scheduler(exp.sched, exp.cfg.with_cross_set_reads(true));
   if (!plain.feasible() || !cross.feasible()) GTEST_SKIP();
   EXPECT_LE(cross.predicted().data_words_total(), plain.predicted().data_words_total());
 }

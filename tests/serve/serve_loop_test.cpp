@@ -114,7 +114,7 @@ TEST(ServeLoopTest, ArrivalsOfOnePairShareOnePreparedInput) {
   trace.events[5].workload = "E1";
   trace.events[17].workload = "E1";
   ServeOptions options;
-  // Part of the arrivals compile degraded: the entry rung is per arrival,
+  // Part of the arrivals compile degraded: the pipeline is per arrival,
   // the input is not.
   options.degraded_threshold_cycles = 2000000;
   const PreparedTrace prepared = ServeLoop(make_partition(2), options).prepare(trace);
@@ -123,11 +123,11 @@ TEST(ServeLoopTest, ArrivalsOfOnePairShareOnePreparedInput) {
 
   std::map<std::pair<std::string, std::uint32_t>, std::size_t> first_of;
   std::set<const model::KernelSchedule*> distinct;
-  std::set<dsched::FallbackEntry> entries;
+  std::set<dsched::Pipeline> pipelines;
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
     const TraceEvent& e = trace.events[i];
     const engine::Job& job = prepared.jobs[i];
-    entries.insert(job.options.entry);
+    pipelines.insert(job.options.pipeline);
     const auto [it, fresh] = first_of.try_emplace({e.workload, e.stream % 2}, i);
     if (fresh) {
       EXPECT_TRUE(distinct.insert(job.input.sched.get()).second) << "arrival " << i;
@@ -140,7 +140,7 @@ TEST(ServeLoopTest, ArrivalsOfOnePairShareOnePreparedInput) {
   }
   EXPECT_EQ(prepared.inputs, first_of.size());
   EXPECT_LT(prepared.inputs, trace.events.size());
-  EXPECT_GT(entries.size(), 1u);
+  EXPECT_GT(pipelines.size(), 1u);
 }
 
 TEST(ServeLoopTest, RescaledTenantInputsHaveTheirOwnDigest) {

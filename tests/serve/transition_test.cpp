@@ -18,8 +18,7 @@ TEST(TransitionModelTest, FootprintMatchesSimulatorOnTable1Apps) {
   for (const std::string& name : workloads::table1_experiment_names()) {
     SCOPED_TRACE(name);
     const workloads::Experiment exp = workloads::make_experiment(name);
-    const report::SchedulerOutcome run =
-        report::run_scheduler(engine::SchedulerKind::kCDS, exp.sched, exp.cfg);
+    const report::SchedulerOutcome run = report::run_scheduler(exp.sched, exp.cfg);
     if (!run.feasible() || !run.measured.has_value()) continue;
 
     const csched::ContextPlan plan =

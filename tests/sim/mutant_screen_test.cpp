@@ -337,10 +337,15 @@ Screen run_screen(const std::vector<ScreenConfig>& configs,
   Screen screen;
   for (const ScreenConfig& config : configs) {
     const Screened s(config);
+    // Each schedule, mutants included, is checked against its own price.
+    auto check = [&](const DataSchedule& schedule) {
+      return cross_check(schedule, dsched::predict_cost(schedule, s.cfg, *s.ctx_plan),
+                         *s.analysis, s.cfg, *s.ctx_plan);
+    };
     for (const auto& scheduler : dsched::all_schedulers()) {
       const DataSchedule base = scheduler->schedule(*s.analysis, s.cfg);
       EXPECT_TRUE(base.feasible) << config.name() << ' ' << scheduler->name();
-      const CrossCheck unmutated = cross_check(base, *s.analysis, s.cfg, *s.ctx_plan);
+      const CrossCheck unmutated = check(base);
       EXPECT_TRUE(unmutated.ok()) << config.name() << ' ' << scheduler->name() << ": "
                                   << unmutated.why();
       if (!base.feasible || !unmutated.ok()) continue;
@@ -348,8 +353,7 @@ Screen run_screen(const std::vector<ScreenConfig>& configs,
                       [&](const std::string& family, const std::string& label,
                           const DataSchedule& mutant) {
                         if (!families.empty() && !families.contains(family)) return;
-                        const bool caught =
-                            !cross_check(mutant, *s.analysis, s.cfg, *s.ctx_plan).ok();
+                        const bool caught = !check(mutant).ok();
                         Tally& t = screen.tallies[{family, scheduler->name()}];
                         ++(caught ? t.caught : t.passed);
                         if (!caught && kAlwaysFatal.contains(family)) {

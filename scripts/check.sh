@@ -147,10 +147,14 @@ for preset in "${presets[@]}"; do
 
   # Overload & chaos smoke: with the shed watermark and degraded-compile
   # watermark armed and compile stalls injected, per-job outcomes must
-  # stay byte-identical across 1/2/4 compile threads and actually shed;
-  # then a short seeded chaos campaign (one pass over every fault class)
-  # must report zero failures.  Runs under every preset so the shedding
-  # and degraded-entry paths get a ThreadSanitizer pass too.
+  # stay byte-identical across 1/2/4 compile threads, actually shed and
+  # actually degrade (column 14).  A second watermark twice as high sends
+  # the tightest deadlines to Basic-then-rescue, so both degraded
+  # pipelines run and must stay byte-identical across 1/2 threads and
+  # serve at least one Basic schedule (column 5, the rung).  Then a short
+  # seeded chaos campaign (one pass over every fault class) must report
+  # zero failures.  Runs under every preset so the shedding and degraded
+  # paths get a ThreadSanitizer pass too.
   echo "==> [$preset] overload & chaos smoke (shedding, faults, campaign)"
   csmoke=$(mktemp -d)
   "$msysc" --gen-trace "$csmoke/hot.trace" --trace-jobs 24 --streams 4 \
@@ -164,6 +168,13 @@ for preset in "${presets[@]}"; do
   cmp "$csmoke/out_j1.tsv" "$csmoke/out_j2.tsv"
   cmp "$csmoke/out_j1.tsv" "$csmoke/out_j4.tsv"
   grep -q "shed-overload" "$csmoke/out_j1.tsv"
+  awk -F'\t' '$14 == 1 { found = 1 } END { exit !found }' "$csmoke/out_j1.tsv"
+  for j in 1 2; do
+    "$msysc" --serve "$csmoke/hot.trace" --tenants 2 -j "$j" \
+      --degraded-cycles 4400000 --serve-out "$csmoke/degraded_j$j.tsv" >/dev/null
+  done
+  cmp "$csmoke/degraded_j1.tsv" "$csmoke/degraded_j2.tsv"
+  awk -F'\t' '$5 == "Basic" { found = 1 } END { exit !found }' "$csmoke/degraded_j1.tsv"
   "$msysc" --serve-chaos 8 --seed 11 --chaos-dir "$csmoke/chaos" >/dev/null
   rm -rf "$csmoke"
 
@@ -205,7 +216,7 @@ done
 # with offsets computed from the plan.  The report suite joins them because
 # its results keep their schedules alive through a shared CompiledResult,
 # so a schedule left pointing into a dropped input trips ASan.  The msysc
-# suite joins them for the same reason: msysc reads the fallback chain
+# suite joins them for the same reason: msysc reads the CDS job's chain
 # through the CompiledResult it shares with the report (the suite also
 # builds msysc).  Only those eleven test binaries are built in build-san/;
 # plan_alloc_test and parse_alloc_test stay out because they replace

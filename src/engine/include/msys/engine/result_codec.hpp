@@ -3,8 +3,8 @@
 // A CompiledResult is a web of non-owning pointers into its own
 // application/schedule (round plans, placements), so serialising it
 // structurally would be both large and fragile.  Instead the codec
-// persists the *decisions* — winning rung, RF, retained set, driver
-// flags, the attempt chain, diagnostics and the full predicted cost —
+// persists the *decisions* — winning rung, RF, retained set, release
+// policy, the attempt chain, diagnostics and the full predicted cost —
 // and decode replays the deterministic Figure-4 planning walk against the
 // caller's identical Job to rebuild the heavy product.  The store key is
 // the canonical content hash of the job, so the replay inputs are

@@ -91,7 +91,7 @@ long counter_value(const std::string& output, const std::string& name) {
   return -1;
 }
 
-// The CDS job is the fallback chain, so the chain costs no compile or
+// msysc prints the CDS job's own chain, so the chain costs no compile or
 // simulation of its own: one of each per scheduler.
 TEST(MsyscCli, SingleFileCompilesEachSchedulerOnce) {
   std::string out;

@@ -80,8 +80,8 @@ TEST(AllocDriver, FailsCleanlyWhenTooSmall) {
   ScheduleAnalysis analysis(t.sched);
   DriverResult result = plan_round(analysis, SizeWords{128}, DriverOptions{});
   EXPECT_FALSE(result.ok);
-  // Byte-exact: the reason reaches fallback chain summaries and the batch
-  // results golden.
+  // Byte-exact: the reason reaches chain summaries and the batch results
+  // golden.
   EXPECT_EQ(result.fail_reason, "cluster Cl1 does not fit a 128-word FB set at RF=1");
   // A failed walk carries no plan.
   EXPECT_EQ(result.cluster_count(), 0u);

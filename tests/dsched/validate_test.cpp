@@ -105,8 +105,8 @@ TEST(Validate, DetectsPlacementSizeMismatch) {
 }
 
 // A placement split over several disjoint extents that cover the object is
-// legal (multi-extent splitting is how the DS+split fallback rung recovers
-// from fragmentation).
+// legal (multi-extent splitting is how every walk recovers from
+// fragmentation).
 TEST(Validate, AcceptsSplitPlacements) {
   TwoClusterApp t = TwoClusterApp::make();
   ScheduleAnalysis analysis(t.sched);

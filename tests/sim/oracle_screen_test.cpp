@@ -1,4 +1,4 @@
-// Differential screen: the fallback schedule of every seed in two
+// Differential screen: the CDS schedule of every seed in two
 // random-workload ranges must pass sim::cross_check.  A cost-model bug
 // that hits one schedule in a few thousand survives the small random
 // property tests; this sweep is sized to catch that rate.
@@ -16,7 +16,7 @@ std::string screen(workloads::RandomSpec (*spec_of)(std::uint64_t), std::uint64_
                    std::uint64_t hi) {
   std::string failures;
   for (std::uint64_t seed = lo; seed < hi; ++seed) {
-    const sim::CrossCheck check = fallback_cross_check(spec_of(seed));
+    const sim::CrossCheck check = cds_cross_check(spec_of(seed));
     if (!check.ok()) failures += "seed " + std::to_string(seed) + ": " + check.why() + '\n';
   }
   return failures;

@@ -32,8 +32,8 @@ inline workloads::RandomSpec large_spec(std::uint64_t seed) {
   return spec;
 }
 
-/// Cross-checks the fallback-chain schedule of `spec`'s workload.
-inline sim::CrossCheck fallback_cross_check(const workloads::RandomSpec& spec) {
+/// Cross-checks the CDS schedule of `spec`'s workload.
+inline sim::CrossCheck cds_cross_check(const workloads::RandomSpec& spec) {
   const workloads::RandomExperiment exp = workloads::make_random(spec);
   return engine::compile_checked({engine::make_input(exp.sched, exp.cfg)}).check;
 }

@@ -395,6 +395,36 @@ TEST(Simulator, RejectsOpsOutsideTheApplication) {
     program.slots.back().round = round;
     EXPECT_FALSE(simulator.try_run(program).ok()) << round;
   }
+
+  // Each stream holds only its own kinds: the DMA stream context loads,
+  // data loads and stores, the RC stream executions and releases.
+  auto fault = [&](const ScheduleProgram& p) {
+    const Simulator::Outcome outcome = simulator.try_run(p);
+    if (outcome.ok()) return std::string{};
+    const std::string& what = outcome.diagnostics.front().message;
+    return what.substr(0, what.find(" ["));
+  };
+  auto first = [](std::vector<Op>& stream, OpKind kind) {
+    return std::find_if(stream.begin(), stream.end(),
+                        [kind](const Op& op) { return op.kind == kind; });
+  };
+  program = clean;
+  program.dma_ops.push_back(*first(program.rc_ops, OpKind::kRelease));
+  program.rc_ops.erase(first(program.rc_ops, OpKind::kRelease));
+  EXPECT_EQ(fault(program),
+            "MSYS_REQUIRE failed: not a DMA op on the DMA stream: RELEASE a slot=0 iter=0");
+  program = clean;
+  first(program.dma_ops, OpKind::kStoreData)->kind = OpKind::kRelease;
+  EXPECT_EQ(fault(program),
+            "MSYS_REQUIRE failed: not a DMA op on the DMA stream: RELEASE r1 slot=0 iter=0");
+  program = clean;
+  program.rc_ops.insert(program.rc_ops.begin() + 1, *first(program.dma_ops, OpKind::kLoadData));
+  EXPECT_EQ(fault(program),
+            "MSYS_REQUIRE failed: not an RC op on the RC stream: LOAD b slot=0 iter=0");
+  program = clean;
+  first(program.rc_ops, OpKind::kExec)->kind = OpKind::kLoadContext;
+  EXPECT_EQ(fault(program),
+            "MSYS_REQUIRE failed: not an RC op on the RC stream: LOAD_CTX p1 slot=0 iter=0");
 }
 
 // ---- Dense placement index.  The functional pass looks placements up in

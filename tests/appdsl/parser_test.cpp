@@ -10,6 +10,7 @@
 
 #include "msys/common/error.hpp"
 #include "msys/workloads/experiments.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys::appdsl {
 namespace {
@@ -192,7 +193,7 @@ TEST(Writer, RoundTripsDemo) {
 
 TEST(ParseFile, ReadsTheWholeFile) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "msys_parse_file_test";
+  const fs::path dir = testing::scratch_dir();
   fs::remove_all(dir);
   fs::create_directories(dir);
   // About 9 kB, without a trailing newline.

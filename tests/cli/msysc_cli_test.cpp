@@ -30,6 +30,7 @@
 #include "msys/obs/chrome_trace.hpp"
 #include "msys/obs/json.hpp"
 #include "testing/golden_cases.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys {
 namespace {
@@ -62,9 +63,7 @@ int msysc_capture(const std::string& args, std::string* out,
 
 /// A unique scratch path under the test's temp directory.
 fs::path scratch(const std::string& leaf) {
-  const fs::path dir =
-      fs::temp_directory_path() / "msysc_cli_test" /
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const fs::path dir = testing::scratch_dir();
   fs::create_directories(dir);
   const fs::path path = dir / leaf;
   fs::remove_all(path);  // never inherit state from a previous suite run

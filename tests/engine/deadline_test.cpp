@@ -19,6 +19,7 @@
 #include "msys/engine/thread_pool.hpp"
 #include "msys/store/disk_store.hpp"
 #include "testing/apps.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys::engine {
 namespace {
@@ -37,9 +38,7 @@ Job retention_job(std::uint32_t iterations = 6) {
 }
 
 fs::path scratch_dir() {
-  const fs::path dir =
-      fs::temp_directory_path() / "msys_engine_deadline_test" /
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const fs::path dir = testing::scratch_dir();
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

@@ -9,6 +9,7 @@
 
 #include "msys/common/fault_injector.hpp"
 #include "msys/fuzzing/fuzzing.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys::fuzzing {
 namespace {
@@ -18,8 +19,7 @@ namespace fs = std::filesystem;
 class FaultCampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "msys_fault_campaign_test" /
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testing::scratch_dir();
     fs::remove_all(dir_);
   }
 

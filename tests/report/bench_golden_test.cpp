@@ -19,6 +19,7 @@
 
 #include "msys/common/hash.hpp"
 #include "testing/golden_cases.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys {
 namespace {
@@ -27,7 +28,9 @@ namespace fs = std::filesystem;
 
 /// "<exit>\t<stdout hash>" of one bench binary.
 std::string bench_outcome(const std::string& name) {
-  const fs::path out = fs::temp_directory_path() / ("msys_bench_golden_" + name + ".out");
+  const fs::path dir = testing::scratch_dir();
+  fs::create_directories(dir);
+  const fs::path out = dir / (name + ".out");
   const std::string cmd =
       std::string(MSYS_BENCH_DIR) + "/" + name + " >" + out.string() + " 2>/dev/null";
   const int status = std::system(cmd.c_str());

@@ -14,6 +14,7 @@
 
 #include "msys/common/fault_injector.hpp"
 #include "msys/serve/trace_file.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys::serve {
 namespace {
@@ -58,8 +59,7 @@ TEST(ChaosTest, FullCampaignUpholdsEveryInvariant) {
     const long n = std::atol(env);
     if (n >= 7) options.cases = static_cast<std::size_t>(n);
   }
-  const fs::path scratch =
-      fs::temp_directory_path() / "msys_chaos_test" / "campaign";
+  const fs::path scratch = testing::scratch_dir();
   fs::remove_all(scratch);
   options.scratch_dir = scratch.string();
 

@@ -15,6 +15,7 @@
 #include "msys/serve/serve_loop.hpp"
 #include "msys/serve/trace_file.hpp"
 #include "msys/store/disk_store.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys::serve {
 namespace {
@@ -51,8 +52,7 @@ std::string canonical_lines(const ServeReport& report) {
 class ServeFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "msys_serve_fault_test" /
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testing::scratch_dir();
     fs::remove_all(dir_);
   }
 

@@ -34,6 +34,7 @@
 #include "msys/serve/trace_file.hpp"
 #include "msys/store/disk_store.hpp"
 #include "msys/workloads/experiments.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys::serve {
 namespace {
@@ -101,7 +102,7 @@ std::uint64_t p99_top_priority(const ServeReport& report) {
 }
 
 TEST(ServeGolden, ColdAndWarmRestartMatchTheCommittedBytes) {
-  const fs::path dir = fs::temp_directory_path() / "msys_serve_golden_test";
+  const fs::path dir = testing::scratch_dir();
   fs::remove_all(dir);
   store::StoreConfig store_cfg;
   store_cfg.dir = dir.string();

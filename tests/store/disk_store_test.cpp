@@ -13,6 +13,7 @@
 #include <string>
 
 #include "msys/common/fault_injector.hpp"
+#include "testing/scratch.hpp"
 
 namespace msys::store {
 namespace {
@@ -22,8 +23,7 @@ namespace fs = std::filesystem;
 class DiskStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "msys_disk_store_test" /
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testing::scratch_dir();
     fs::remove_all(dir_);
     StoreConfig config;
     config.dir = dir_.string();

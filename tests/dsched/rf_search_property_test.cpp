@@ -2,9 +2,11 @@
 // over the fuzz corpus, generated adversarial cases, and the shared test
 // apps:
 //
-//   1. the exponential-probe + binary-search compute_max_rf returns the
-//      same RF as the seed's linear scan (both rest on the same
-//      monotonicity argument, so any divergence is a bug in one of them);
+//   1. fit is monotone in RF: scanning every RF from 1 to the iteration
+//      count, the feasible ones are exactly {1..k}, k being what the
+//      exponential-probe + binary-search compute_max_rf returns — over
+//      the retention cases below, cross-set reads off and on, and
+//      release-at-last-use on and off;
 //   2. the schedule a memoizing scheduler ships is byte-identical to a
 //      fresh un-memoized Figure-4 walk at the same (RF, retained set) —
 //      the memo can change how often plan_round runs, never what it
@@ -20,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -54,36 +57,74 @@ std::vector<Case> gather_cases() {
   return cases;
 }
 
-/// The seed implementation: walk RF upward until the first failure.
-std::uint32_t linear_max_rf(const extract::ScheduleAnalysis& analysis,
-                            const arch::M1Config& cfg, DriverOptions options) {
-  const std::uint32_t max_rf = analysis.app().total_iterations();
-  std::uint32_t best = 0;
-  for (std::uint32_t rf = 1; rf <= max_rf; ++rf) {
-    options.rf = rf;
-    if (!plan_round(analysis, cfg.fb_set_size, options).ok) break;
-    best = rf;
+/// Calls `fn(name, sched, cfg)` for every retention case: the gathered
+/// cases, the shared test apps at several FB sizes, the Table-1 rows and
+/// the oracle screen's family and large seed ranges.
+template <typename Fn>
+void for_each_retention_case(Fn&& fn) {
+  for (const Case& c : gather_cases()) fn(c.name, c.sched, c.cfg);
+  testing::TwoClusterApp two = testing::TwoClusterApp::make(/*iterations=*/12);
+  testing::RetentionApp ret = testing::RetentionApp::make(/*iterations=*/9);
+  for (const model::KernelSchedule* sched : {&two.sched, &ret.sched}) {
+    for (const std::uint64_t fb : {128u, 300u, 512u, 1024u, 4096u}) {
+      fn(sched->app().name() + " fb=" + std::to_string(fb), *sched, testing::test_cfg(fb));
+    }
   }
-  return best;
+  for (const std::string& row : workloads::table1_experiment_names()) {
+    const workloads::Experiment exp = workloads::make_experiment(row);
+    fn(row, exp.sched, exp.cfg);
+  }
+  for (std::uint64_t seed = 100000; seed < 104000; ++seed) {
+    const workloads::RandomExperiment exp = workloads::make_random(testing::family_spec(seed));
+    fn("family " + std::to_string(seed), exp.sched, exp.cfg);
+  }
+  for (std::uint64_t seed = 300000; seed < 301500; ++seed) {
+    const workloads::RandomExperiment exp = workloads::make_random(testing::large_spec(seed));
+    fn("large " + std::to_string(seed), exp.sched, exp.cfg);
+  }
+}
+
+/// Every RF from 1 to the application's iteration count whose decision
+/// walk fits, scanned to the end: a fit after a failure stays in the list.
+std::vector<std::uint32_t> feasible_rfs(const extract::ScheduleAnalysis& analysis,
+                                        const arch::M1Config& cfg, DriverOptions options) {
+  static PlanScratch scratch;  // the tests are single-threaded
+  std::vector<std::uint32_t> rfs;
+  for (std::uint32_t rf = 1; rf <= analysis.app().total_iterations(); ++rf) {
+    options.rf = rf;
+    if (decide_round(analysis, cfg.fb_set_size, options, scratch).ok) rfs.push_back(rf);
+  }
+  return rfs;
+}
+
+/// {1, ..., k}: the feasible set compute_max_rf's search assumes.
+std::vector<std::uint32_t> prefix(std::uint32_t k) {
+  std::vector<std::uint32_t> rfs(k);
+  std::iota(rfs.begin(), rfs.end(), 1u);
+  return rfs;
 }
 
 TEST(RfSearchProperty, BinarySearchMatchesLinearScan) {
-  const std::vector<Case> cases = gather_cases();
-  ASSERT_GE(cases.size(), 8u);
+  // The lemma compute_max_rf's probe and binary search rest on: the RFs
+  // that fit are exactly {1..k}, k being the RF the search returns.  The
+  // scan walks every RF, so a set with a hole shows.
   int compared = 0;
-  for (const Case& c : cases) {
-    const extract::ScheduleAnalysis analysis(c.sched, c.cfg.cross_set_reads);
-    for (const bool release_at_last_use : {true, false}) {
-      DriverOptions options;
-      options.release_at_last_use = release_at_last_use;
-      const std::uint32_t linear = linear_max_rf(analysis, c.cfg, options);
-      const std::uint32_t searched = compute_max_rf(analysis, c.cfg, options);
-      EXPECT_EQ(searched, linear)
-          << c.name << " release_at_last_use=" << release_at_last_use;
-      ++compared;
+  for_each_retention_case([&](const std::string& name, const model::KernelSchedule& sched,
+                              const arch::M1Config& base) {
+    for (const bool cross : {false, true}) {
+      const arch::M1Config cfg = base.with_cross_set_reads(cross);
+      const extract::ScheduleAnalysis analysis(sched, cross);
+      for (const bool release_at_last_use : {true, false}) {
+        DriverOptions options;
+        options.release_at_last_use = release_at_last_use;
+        EXPECT_EQ(feasible_rfs(analysis, cfg, options),
+                  prefix(compute_max_rf(analysis, cfg, options)))
+            << name << " cross=" << cross << " release_at_last_use=" << release_at_last_use;
+        ++compared;
+      }
     }
-  }
-  EXPECT_GE(compared, 16);
+  });
+  EXPECT_GE(compared, 4 * 5500);
 }
 
 TEST(RfSearchProperty, MemoizedScheduleMatchesFreshWalk) {
@@ -158,38 +199,11 @@ TEST(RfSearchProperty, SharedTestAppsAgreeAcrossFbSizes) {
     for (const std::uint64_t fb : {128u, 300u, 512u, 1024u, 4096u, 65536u}) {
       const arch::M1Config cfg = testing::test_cfg(fb);
       const extract::ScheduleAnalysis analysis(*sched, cfg.cross_set_reads);
-      DriverOptions options;
-      EXPECT_EQ(compute_max_rf(analysis, cfg, options),
-                linear_max_rf(analysis, cfg, options))
+      const DriverOptions options;
+      EXPECT_EQ(feasible_rfs(analysis, cfg, options),
+                prefix(compute_max_rf(analysis, cfg, options)))
           << sched->app().name() << " fb=" << fb;
     }
-  }
-}
-
-/// Calls `fn(name, sched, cfg)` for every retention case: the gathered
-/// cases, the shared test apps at several FB sizes, the Table-1 rows and
-/// the oracle screen's family and large seed ranges.
-template <typename Fn>
-void for_each_retention_case(Fn&& fn) {
-  for (const Case& c : gather_cases()) fn(c.name, c.sched, c.cfg);
-  testing::TwoClusterApp two = testing::TwoClusterApp::make(/*iterations=*/12);
-  testing::RetentionApp ret = testing::RetentionApp::make(/*iterations=*/9);
-  for (const model::KernelSchedule* sched : {&two.sched, &ret.sched}) {
-    for (const std::uint64_t fb : {128u, 300u, 512u, 1024u, 4096u}) {
-      fn(sched->app().name() + " fb=" + std::to_string(fb), *sched, testing::test_cfg(fb));
-    }
-  }
-  for (const std::string& row : workloads::table1_experiment_names()) {
-    const workloads::Experiment exp = workloads::make_experiment(row);
-    fn(row, exp.sched, exp.cfg);
-  }
-  for (std::uint64_t seed = 100000; seed < 104000; ++seed) {
-    const workloads::RandomExperiment exp = workloads::make_random(testing::family_spec(seed));
-    fn("family " + std::to_string(seed), exp.sched, exp.cfg);
-  }
-  for (std::uint64_t seed = 300000; seed < 301500; ++seed) {
-    const workloads::RandomExperiment exp = workloads::make_random(testing::large_spec(seed));
-    fn("large " + std::to_string(seed), exp.sched, exp.cfg);
   }
 }
 

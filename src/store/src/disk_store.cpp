@@ -1,5 +1,10 @@
 #include "msys/store/disk_store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <system_error>
@@ -77,32 +82,59 @@ std::string key_hex(std::uint64_t key) {
 }
 
 /// Validates one framed record against `key` (pass nullptr to take the key
-/// from the frame itself, as fsck does).  Returns the payload, or nullopt
-/// when any frame field fails to check out.
-std::optional<std::string> parse_record(const std::string& bytes,
-                                        const std::uint64_t* expect_key,
-                                        std::uint64_t* frame_key = nullptr) {
-  if (bytes.size() < kHeaderSize) return std::nullopt;
-  if (std::string_view(bytes.data(), 4) != std::string_view(kMagic, 4)) {
-    return std::nullopt;
-  }
+/// from the frame itself, as fsck does) and strips the header in place, so
+/// `bytes` is left holding the payload.  False when any frame field fails
+/// to check out.
+bool parse_record(std::string& bytes, const std::uint64_t* expect_key,
+                  std::uint64_t* frame_key = nullptr) {
+  if (bytes.size() < kHeaderSize) return false;
+  if (std::string_view(bytes.data(), 4) != std::string_view(kMagic, 4)) return false;
   const std::uint64_t key = get_u64_le(bytes.data() + 4);
   const std::uint64_t size = get_u64_le(bytes.data() + 12);
   const std::uint64_t checksum = get_u64_le(bytes.data() + 20);
   if (frame_key != nullptr) *frame_key = key;
-  if (expect_key != nullptr && key != *expect_key) return std::nullopt;
-  if (bytes.size() != kHeaderSize + size) return std::nullopt;
-  std::string payload = bytes.substr(kHeaderSize);
-  if (record_checksum(key, payload) != checksum) return std::nullopt;
-  return payload;
+  if (expect_key != nullptr && key != *expect_key) return false;
+  if (bytes.size() != kHeaderSize + size) return false;
+  if (record_checksum(key, std::string_view(bytes).substr(kHeaderSize)) != checksum) {
+    return false;
+  }
+  bytes.erase(0, kHeaderSize);
+  return true;
 }
 
-bool read_file(const fs::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return in.good() || in.eof();
+enum class ReadOutcome { kRead, kMissing, kFailed };
+
+/// Reads the whole file at `path` into `out` with one open, fstat and read
+/// (more only if the kernel returns it in pieces).  kMissing when no file
+/// is there, kFailed on any other error.
+ReadOutcome read_file(const fs::path& path, std::string* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return errno == ENOENT || errno == ENOTDIR ? ReadOutcome::kMissing
+                                                         : ReadOutcome::kFailed;
+  struct stat st {};
+  ReadOutcome outcome = ReadOutcome::kFailed;
+  if (::fstat(fd, &st) == 0) {
+    out->resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    bool failed = false;
+    while (done < out->size()) {
+      const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
+      if (n > 0) {
+        done += static_cast<std::size_t>(n);
+      } else if (n == 0) {
+        break;  // the file shrank: the frame check judges what was read
+      } else if (errno != EINTR) {
+        failed = true;
+        break;
+      }
+    }
+    if (!failed) {
+      out->resize(done);
+      outcome = ReadOutcome::kRead;
+    }
+  }
+  ::close(fd);
+  return outcome;
 }
 
 }  // namespace
@@ -233,27 +265,29 @@ bool DiskScheduleStore::load_attempt(std::uint64_t key,
     return false;
   }
   const fs::path path = entry_path(key);
-  std::error_code ec;
-  if (!fs::exists(path, ec) || ec) {
-    *out = std::nullopt;  // definitive miss, no retry
-    return true;
-  }
   std::string bytes;
-  if (!read_file(path, &bytes)) return false;  // transient: retry
+  switch (read_file(path, &bytes)) {
+    case ReadOutcome::kMissing:
+      *out = std::nullopt;  // definitive miss, no retry
+      return true;
+    case ReadOutcome::kFailed:
+      return false;  // transient: retry
+    case ReadOutcome::kRead:
+      break;
+  }
 
   if (faults.armed() && bytes.size() > kHeaderSize &&
       faults.should_fail("store.read.corrupt")) {
     bytes[kHeaderSize + bytes.size() % (bytes.size() - kHeaderSize)] ^= 0x40;
   }
 
-  std::optional<std::string> payload = parse_record(bytes, &key);
-  if (!payload.has_value()) {
+  if (!parse_record(bytes, &key)) {
     quarantine_file(path);
     *out = std::nullopt;
     *corrupt = true;
     return true;  // definitive corrupt, no retry
   }
-  *out = std::move(payload);
+  *out = std::move(bytes);
   return true;
 }
 
@@ -330,14 +364,11 @@ FsckReport DiskScheduleStore::verify_store() {
     ++report.scanned;
     std::string bytes;
     std::uint64_t frame_key = 0;
-    const bool readable = read_file(path, &bytes);
-    const std::optional<std::string> payload =
-        readable ? parse_record(bytes, nullptr, &frame_key)
-                 : std::nullopt;
+    const bool valid = read_file(path, &bytes) == ReadOutcome::kRead &&
+                       parse_record(bytes, nullptr, &frame_key);
     // The filename must agree with the framed key, otherwise a renamed or
     // cross-copied entry would serve the wrong schedule.
-    if (payload.has_value() &&
-        path.filename().string() == key_hex(frame_key) + kEntrySuffix) {
+    if (valid && path.filename().string() == key_hex(frame_key) + kEntrySuffix) {
       ++report.valid;
     } else {
       quarantine_file(path);

@@ -42,16 +42,25 @@ std::unique_ptr<ShapeContext> context_of(const ScheduleAnalysis& analysis,
 }
 
 /// The simulator cross-check: an accepted improvement only becomes the
-/// island best when sim::cross_check passes and its prediction is the
-/// cycle count the search priced.
-bool verify_in_simulator(ShapeContext& ctx, const Skeleton& sk,
-                         std::uint64_t predicted_cycles) {
+/// island best when sim::cross_check passes on the packed schedule and its
+/// prediction is the cycle count the search priced.  Returns that schedule
+/// and prediction with the verdict, so a verified winner ships as checked.
+struct Verified {
+  dsched::DataSchedule schedule;
+  dsched::CostBreakdown predicted;
+  bool ok{false};
+};
+
+Verified verify_in_simulator(ShapeContext& ctx, const Skeleton& sk,
+                             std::uint64_t predicted_cycles) {
   MSYS_TRACE_SPAN(span, "search.verify", "search");
-  const dsched::DataSchedule schedule = ctx.pack(sk, "CDS+anneal");
+  Verified out;
+  out.schedule = ctx.pack(sk, "CDS+anneal");
+  out.predicted = dsched::predict_cost(out.schedule, *ctx.cfg, ctx.context_plan());
   const sim::CrossCheck check =
-      sim::cross_check(schedule, dsched::predict_cost(schedule, *ctx.cfg, ctx.context_plan()),
-                       *ctx.analysis, *ctx.cfg, ctx.context_plan());
-  return check.ok() && check.predicted.total.value() == predicted_cycles;
+      sim::cross_check(out.schedule, out.predicted, *ctx.analysis, *ctx.cfg, ctx.context_plan());
+  out.ok = check.ok() && check.predicted.total.value() == predicted_cycles;
+  return out;
 }
 
 /// Uniform double in [0, 1) from one SplitMix64 draw (53 mantissa bits).
@@ -171,7 +180,7 @@ class Island {
 
       if (cur_cycles < out.best_cycles) {
         ++out.stats.sim_verifications;
-        if (verify_in_simulator(*ctx, cur, cur_cycles)) {
+        if (verify_in_simulator(*ctx, cur, cur_cycles).ok) {
           out.best = cur;
           out.best_cycles = cur_cycles;
           ++out.stats.improvements;
@@ -395,16 +404,18 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
   // recompute of what the winning island planned) and re-verify it end to end.
   const std::unique_ptr<ShapeContext> ctx =
       context_of(analysis, start.shape, winner->best.shape, cfg);
-  MSYS_REQUIRE(ctx->usable && verify_in_simulator(*ctx, winner->best, winner->best_cycles),
+  Verified checked;
+  MSYS_REQUIRE(ctx->usable &&
+                   (checked = verify_in_simulator(*ctx, winner->best, winner->best_cycles)).ok,
                "the rebuilt winner must reproduce the island's cost in the simulator");
-  result.schedule = ctx->pack(winner->best, "CDS+anneal");
+  result.schedule = std::move(checked.schedule);
   if (ctx->sched_owned != nullptr) {
     result.owned_sched = std::move(ctx->sched_owned);
     // pack() pointed schedule.sched at the context's schedule; keep that
     // pointer alive past the context by adopting ownership here.
     result.schedule.sched = result.owned_sched.get();
   }
-  result.predicted = dsched::predict_cost(result.schedule, cfg, ctx->context_plan());
+  result.predicted = checked.predicted;
   MSYS_REQUIRE(result.predicted.feasible && result.predicted.total.value() == winner->best_cycles,
                "winner cost must survive re-materialization");
   result.improved = true;

@@ -218,12 +218,18 @@ done
 # so a schedule left pointing into a dropped input trips ASan.  The msysc
 # suite joins them for the same reason: msysc reads the CDS job's chain
 # through the CompiledResult it shares with the report (the suite also
-# builds msysc).  Only those eleven test binaries are built in build-san/;
+# builds msysc).  The extract suite joins them because every per-object and
+# per-cluster list of a ScheduleAnalysis is a span into one of its shared
+# arrays, so a span outliving or overrunning them trips ASan; the store
+# suite because DiskScheduleStore reads an entry with raw open/fstat/read
+# into a buffer sized from fstat and strips the frame header in place.
+# Only those thirteen test binaries are built in build-san/;
 # plan_alloc_test and parse_alloc_test stay out because they replace
 # operator new, which ASan owns.
 if [ "$#" -eq 0 ]; then
   san_tests=(sim_test codegen_test oracle_screen_test fuzzing_test integration_test
-             dsched_test search_test engine_test serve_test report_test msysc_cli_test)
+             dsched_test search_test engine_test serve_test report_test msysc_cli_test
+             extract_test store_test)
   echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
   cmake --preset san -DMSYS_WERROR=ON
   cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"

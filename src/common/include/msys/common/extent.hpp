@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <compare>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,10 @@ struct Extent {
 [[nodiscard]] std::string to_string(const Extent& e);
 
 /// Total words covered by a list of extents.
-[[nodiscard]] SizeWords total_size(const std::vector<Extent>& extents);
+[[nodiscard]] SizeWords total_size(std::span<const Extent> extents);
 
 /// True iff no two extents in the list overlap (order-independent).
-[[nodiscard]] bool disjoint(const std::vector<Extent>& extents);
+[[nodiscard]] bool disjoint(std::span<const Extent> extents);
 
 /// Sorts by address and merges abutting/overlapping extents into the
 /// canonical minimal representation.

@@ -11,15 +11,15 @@ std::string to_string(const Extent& e) {
   return out.str();
 }
 
-SizeWords total_size(const std::vector<Extent>& extents) {
+SizeWords total_size(std::span<const Extent> extents) {
   SizeWords total = SizeWords::zero();
   for (const Extent& e : extents) total += e.size;
   return total;
 }
 
-bool disjoint(const std::vector<Extent>& extents) {
+bool disjoint(std::span<const Extent> extents) {
   if (extents.size() < 2) return true;  // the common unsplit placement: no copy
-  std::vector<Extent> sorted = extents;
+  std::vector<Extent> sorted(extents.begin(), extents.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const Extent& a, const Extent& b) { return a.addr < b.addr; });
   for (std::size_t i = 1; i < sorted.size(); ++i) {

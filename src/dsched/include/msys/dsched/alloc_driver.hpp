@@ -74,16 +74,6 @@
 
 namespace msys::dsched {
 
-/// Where one allocated object instance lives: `key` is
-/// DataSchedule::key(allocating cluster, instance) and the extents are
-/// [extent_begin, extent_begin + extent_count) of the owning extent array.
-struct PlacementRecord {
-  std::uint64_t key{0};
-  std::uint32_t extent_begin{0};
-  std::uint32_t extent_count{0};
-  FbSet set{FbSet::kA};
-};
-
 /// End offsets of one cluster's slice of the flat load/store/release
 /// arrays.
 struct ClusterEnds {
@@ -203,6 +193,8 @@ class DriverResult : public RoundDecision {
  private:
   friend DriverResult plan_round(const extract::ScheduleAnalysis&, SizeWords,
                                  const DriverOptions&, PlanScratch&);
+  friend DataSchedule to_schedule(const DriverResult&, std::string,
+                                  const model::KernelSchedule&, const DriverOptions&);
 
   std::vector<ReleaseEvent> releases_;
   std::vector<PlacementRecord> placements_;
@@ -210,8 +202,9 @@ class DriverResult : public RoundDecision {
 };
 
 /// Builds the DataSchedule of a successful placement walk planned with
-/// `options`: one round_plan entry per cluster and a pre-sized placements
-/// map.  The only place a walk becomes a schedule.
+/// `options`: one round_plan entry per cluster, and the walk's placement
+/// records, sorted by key, over a copy of its extent array.  The only place
+/// a walk becomes a schedule.
 [[nodiscard]] DataSchedule to_schedule(const DriverResult& result, std::string scheduler_name,
                                        const model::KernelSchedule& sched,
                                        const DriverOptions& options);

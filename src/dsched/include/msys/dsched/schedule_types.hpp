@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,10 +30,21 @@ struct ObjInstance {
   friend constexpr auto operator<=>(const ObjInstance&, const ObjInstance&) = default;
 };
 
-/// Where an object instance lives for the round.
+/// Where one allocated object instance lives: `key` is
+/// DataSchedule::key(allocating cluster, instance) and the extents are
+/// [extent_begin, extent_begin + extent_count) of the owning extent array.
+struct PlacementRecord {
+  std::uint64_t key{0};
+  std::uint32_t extent_begin{0};
+  std::uint32_t extent_count{0};
+  FbSet set{FbSet::kA};
+};
+
+/// Where an object instance lives for the round: one record's set and
+/// extents, viewed in place.
 struct Placement {
   FbSet set{FbSet::kA};
-  std::vector<Extent> extents;
+  std::span<const Extent> extents;
 
   [[nodiscard]] bool split() const { return extents.size() > 1; }
 };
@@ -114,8 +125,12 @@ struct DataSchedule {
 
   /// Placement of every object instance of the steady round, keyed by the
   /// *allocating* cluster: a non-retained object reloaded by two clusters
-  /// legitimately has one placement per consuming cluster.
-  std::unordered_map<std::uint64_t, Placement> placements;
+  /// legitimately has one placement per consuming cluster.  One record per
+  /// instance, sorted by key with no key twice, so a lookup is a binary
+  /// search and iteration is in key order.
+  std::vector<PlacementRecord> placements;
+  /// Every placement's extents; each record names its own range.
+  std::vector<Extent> extents;
 
   AllocSummary alloc_summary;
 
@@ -129,10 +144,15 @@ struct DataSchedule {
             ObjInstance{DataId{static_cast<std::uint32_t>(key >> 32)},
                         static_cast<std::uint32_t>(key & 0xffff)}};
   }
-  [[nodiscard]] const Placement& placement(ClusterId cluster, ObjInstance inst) const;
+  /// The record of `key`, or nullptr when no placement has it.
+  [[nodiscard]] const PlacementRecord* find_placement(std::uint64_t key) const;
+  /// The placement `cluster` allocated for `inst`; throws when there is none.
+  [[nodiscard]] Placement placement(ClusterId cluster, ObjInstance inst) const;
   [[nodiscard]] bool has_placement(ClusterId cluster, ObjInstance inst) const {
-    return placements.contains(key(cluster, inst));
+    return find_placement(key(cluster, inst)) != nullptr;
   }
+  /// A record's extents; throws when its range lies outside `extents`.
+  [[nodiscard]] std::span<const Extent> extents_of(const PlacementRecord& record) const;
 
   /// Number of full+partial rounds needed for `total_iterations`.
   [[nodiscard]] std::uint32_t round_count() const;

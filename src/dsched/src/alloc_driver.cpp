@@ -315,42 +315,28 @@ bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
       // release(c, k, iter): inputs and intermediates whose last use is
       // this kernel die now (§3 replacement policy).  Retained objects and
       // inputs of later kernels survive.
-      const auto local_pos = static_cast<std::int32_t>(local);
-      for (DataId in : flow.inputs) {
-        if (walk.reads_in_place(in, set)) continue;
-        if (flow.last_local_use[in.index()] == local_pos) {
-          walk.release_instance(in, iter, set, true, local, iter);
-        }
-      }
-      for (DataId mid : flow.intermediates) {
-        if (flow.last_local_use[mid.index()] == local_pos) {
-          walk.release_instance(mid, iter, set, true, local, iter);
-        }
+      for (DataId d : flow.last_used_at(local)) {
+        if (walk.reads_in_place(d, set)) continue;
+        walk.release_instance(d, iter, set, true, local, iter);
       }
     }
   }
 
   // ---- Phase 3: cluster end — stores, then releases. ----
-  for (KernelId k : cluster.kernels) {
-    for (DataId out : app.kernel(k).outputs) {
-      const bool retained = walk.retained_here(out, set);
-      const bool is_outgoing =
-          std::find(flow.outgoing_results.begin(), flow.outgoing_results.end(), out) !=
-          flow.outgoing_results.end();
-      if (!is_outgoing) continue;
-      // Retained results skip the store unless something beyond this FB
-      // set (external memory, or a consumer on the other set) needs them.
-      const bool store_needed = !retained || analysis.candidate_for(out).store_required;
-      if (store_needed) {
-        for (std::uint32_t iter = 0; iter < opt.rf; ++iter) {
-          emit.stores.push_back(StoreEvent{.inst = {out, iter}, .release_after = !retained});
-        }
+  for (DataId out : flow.outgoing_results) {
+    const bool retained = walk.retained_here(out, set);
+    // Retained results skip the store unless something beyond this FB
+    // set (external memory, or a consumer on the other set) needs them.
+    const bool store_needed = !retained || analysis.candidate_for(out).store_required;
+    if (store_needed) {
+      for (std::uint32_t iter = 0; iter < opt.rf; ++iter) {
+        emit.stores.push_back(StoreEvent{.inst = {out, iter}, .release_after = !retained});
       }
-      if (!retained) {
-        // Freed by the store itself (release_after above): update the
-        // walk's allocator state without recording a ReleaseEvent.
-        walk.release_all_instances(out, set, false, 0, 0);
-      }
+    }
+    if (!retained) {
+      // Freed by the store itself (release_after above): update the
+      // walk's allocator state without recording a ReleaseEvent.
+      walk.release_all_instances(out, set, false, 0, 0);
     }
   }
   const std::uint32_t last_kernel = n_kernels - 1;
@@ -485,12 +471,11 @@ DataSchedule to_schedule(const DriverResult& result, std::string scheduler_name,
     plan.stores.assign(stores.begin(), stores.end());
     plan.releases.assign(releases.begin(), releases.end());
   }
-  out.placements.reserve(result.placements().size());
-  for (const PlacementRecord& p : result.placements()) {
-    const std::span<const Extent> extents = result.extents(p);
-    out.placements.emplace(
-        p.key, Placement{.set = p.set, .extents = {extents.begin(), extents.end()}});
-  }
+  // A cluster allocates each instance once, so the keys are distinct.
+  out.placements.assign(result.placements().begin(), result.placements().end());
+  std::sort(out.placements.begin(), out.placements.end(),
+            [](const PlacementRecord& a, const PlacementRecord& b) { return a.key < b.key; });
+  out.extents.assign(result.extents_.begin(), result.extents_.end());
   out.alloc_summary = result.summary;
   return out;
 }

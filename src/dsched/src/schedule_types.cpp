@@ -1,5 +1,6 @@
 #include "msys/dsched/schedule_types.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "msys/common/error.hpp"
@@ -7,10 +8,24 @@
 
 namespace msys::dsched {
 
-const Placement& DataSchedule::placement(ClusterId cluster, ObjInstance inst) const {
-  auto it = placements.find(key(cluster, inst));
-  MSYS_REQUIRE(it != placements.end(), "no placement for object instance");
-  return it->second;
+const PlacementRecord* DataSchedule::find_placement(std::uint64_t key) const {
+  const auto it = std::lower_bound(
+      placements.begin(), placements.end(), key,
+      [](const PlacementRecord& p, std::uint64_t k) { return p.key < k; });
+  return it != placements.end() && it->key == key ? &*it : nullptr;
+}
+
+Placement DataSchedule::placement(ClusterId cluster, ObjInstance inst) const {
+  const PlacementRecord* p = find_placement(key(cluster, inst));
+  MSYS_REQUIRE(p != nullptr, "no placement for object instance");
+  return {p->set, extents_of(*p)};
+}
+
+std::span<const Extent> DataSchedule::extents_of(const PlacementRecord& record) const {
+  MSYS_REQUIRE(record.extent_begin <= extents.size() &&
+                   record.extent_count <= extents.size() - record.extent_begin,
+               "placement extents outside the schedule");
+  return std::span<const Extent>(extents).subspan(record.extent_begin, record.extent_count);
 }
 
 std::uint32_t DataSchedule::round_count() const {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
+#include <vector>
 
 namespace msys::dsched {
 
@@ -22,6 +22,12 @@ class Checker {
     check_shape();
     if (!violations_.empty()) return violations_;  // shape errors cascade
     check_retained_set();
+    // Coverage marks by (data, iter): the 1-based id of the cluster whose
+    // plan last loaded / stored that instance, so one table serves every
+    // cluster without clearing.
+    const std::size_t instances = analysis_.app().data_count() * schedule_.rf;
+    loaded_.assign(instances, 0);
+    stored_.assign(instances, 0);
     for (const model::Cluster& cluster : analysis_.sched().clusters()) {
       check_cluster(cluster);
     }
@@ -50,6 +56,20 @@ class Checker {
     if (schedule_.round_plan.size() != analysis_.sched().cluster_count()) {
       fail("validate.shape", "round plan does not cover every cluster");
     }
+    // Lookups binary-search the records and read their extents in place,
+    // so key order and extent ranges are part of the shape.
+    const std::size_t n_extents = schedule_.extents.size();
+    for (std::size_t i = 0; i < schedule_.placements.size(); ++i) {
+      const PlacementRecord& p = schedule_.placements[i];
+      if (i > 0 && schedule_.placements[i - 1].key >= p.key) {
+        fail("validate.shape", "placements not sorted by key, or a key placed twice");
+        return;
+      }
+      if (p.extent_begin > n_extents || p.extent_count > n_extents - p.extent_begin) {
+        fail("validate.shape", "placement extents outside the schedule");
+        return;
+      }
+    }
   }
 
   void check_retained_set() {
@@ -62,24 +82,23 @@ class Checker {
   }
 
   void check_placement(ClusterId cluster, ObjInstance inst, const char* role) {
-    const std::uint64_t key = DataSchedule::key(cluster, inst);
-    auto it = schedule_.placements.find(key);
-    if (it == schedule_.placements.end()) {
+    const PlacementRecord* record = schedule_.find_placement(DataSchedule::key(cluster, inst));
+    if (record == nullptr) {
       std::ostringstream out;
       out << role << " of '" << analysis_.app().data(inst.data).name << "' iter "
           << inst.iter << " in Cl" << (cluster.index() + 1) << " has no placement";
       fail("validate.placement", out.str());
       return;
     }
-    const Placement& p = it->second;
-    if (!disjoint(p.extents)) {
+    const std::span<const Extent> extents = schedule_.extents_of(*record);
+    if (!disjoint(extents)) {
       fail("validate.placement", "placement extents overlap themselves");
     }
-    if (total_size(p.extents) != analysis_.app().data(inst.data).size) {
+    if (total_size(extents) != analysis_.app().data(inst.data).size) {
       fail("validate.placement",
            "placement size mismatch for '" + analysis_.app().data(inst.data).name + "'");
     }
-    for (const Extent& e : p.extents) {
+    for (const Extent& e : extents) {
       if (e.end() > cfg_.fb_set_size.value()) {
         fail("validate.placement", "placement of '" + analysis_.app().data(inst.data).name +
                                         "' exceeds the FB set");
@@ -87,14 +106,26 @@ class Checker {
     }
   }
 
+  /// Marks `inst` in `marks` for the cluster with 1-based id `mark`; an
+  /// instance beyond the schedule's RF names nothing coverage asks about.
+  void note(std::vector<std::uint32_t>& marks, ObjInstance inst, std::uint32_t mark) const {
+    if (inst.data.index() < analysis_.app().data_count() && inst.iter < schedule_.rf) {
+      marks[std::size_t{inst.data.index()} * schedule_.rf + inst.iter] = mark;
+    }
+  }
+  [[nodiscard]] bool marked(const std::vector<std::uint32_t>& marks, ObjInstance inst,
+                            std::uint32_t mark) const {
+    return marks[std::size_t{inst.data.index()} * schedule_.rf + inst.iter] == mark;
+  }
+
   void check_cluster(const model::Cluster& cluster) {
     const ClusterDataflow& flow = analysis_.dataflow(cluster.id);
     const ClusterRoundPlan& plan = schedule_.round_plan[cluster.id.index()];
+    const std::uint32_t mark = cluster.id.index() + 1;
 
     // Load coverage: every input instance loaded or read in place.
-    std::unordered_set<std::uint64_t> loaded;
     for (ObjInstance inst : plan.loads) {
-      loaded.insert(DataSchedule::key(cluster.id, inst));
+      note(loaded_, inst, mark);
       check_placement(cluster.id, inst, "load");
       // Loads must be genuine cluster inputs.
       if (std::find(flow.inputs.begin(), flow.inputs.end(), inst.data) ==
@@ -116,7 +147,7 @@ class Checker {
         continue;  // read in place, no load expected
       }
       for (std::uint32_t iter = 0; iter < schedule_.rf; ++iter) {
-        if (!loaded.contains(DataSchedule::key(cluster.id, {in, iter}))) {
+        if (!marked(loaded_, {in, iter}, mark)) {
           fail("validate.load", "Cl" + std::to_string(cluster.id.index() + 1) +
                                     " never loads input '" + analysis_.app().data(in).name +
                                     "' iter " + std::to_string(iter));
@@ -126,9 +157,8 @@ class Checker {
 
     // Store coverage: finals always; results needed by later clusters
     // unless retention makes every such read in-place.
-    std::unordered_set<std::uint64_t> stored;
     for (const StoreEvent& store : plan.stores) {
-      stored.insert(DataSchedule::key(cluster.id, store.inst));
+      note(stored_, store.inst, mark);
       check_placement(cluster.id, store.inst, "store");
     }
     for (DataId out : flow.outgoing_results) {
@@ -141,7 +171,7 @@ class Checker {
       }
       if (!store_needed) continue;
       for (std::uint32_t iter = 0; iter < schedule_.rf; ++iter) {
-        if (!stored.contains(DataSchedule::key(cluster.id, {out, iter}))) {
+        if (!marked(stored_, {out, iter}, mark)) {
           fail("validate.store", "Cl" + std::to_string(cluster.id.index() + 1) +
                                      " never stores '" + analysis_.app().data(out).name +
                                      "' iter " + std::to_string(iter));
@@ -171,6 +201,8 @@ class Checker {
   const ScheduleAnalysis& analysis_;
   const arch::M1Config& cfg_;
   Diagnostics violations_;
+  std::vector<std::uint32_t> loaded_;
+  std::vector<std::uint32_t> stored_;
 };
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,7 @@ struct ObjectInfo {
   /// Producing cluster; nullopt for external inputs.
   std::optional<ClusterId> producer_cluster;
   /// Clusters containing at least one consumer, in execution order.
-  std::vector<ClusterId> consumer_clusters;
+  std::span<const ClusterId> consumer_clusters;
   /// Global kernel position of the producer (nullopt for external inputs).
   std::optional<std::uint32_t> producer_pos;
   /// Global kernel positions of first/last consumer; nullopt if none.
@@ -38,20 +39,35 @@ struct ClusterDataflow {
   /// Objects that must be FB-resident before the cluster starts: external
   /// inputs plus results of earlier clusters (which, absent retention,
   /// arrive through external memory).
-  std::vector<DataId> inputs;
+  std::span<const DataId> inputs;
   /// Outputs needed after the cluster: consumed by later clusters and/or
-  /// required in external memory ("rout" objects).  Absent retention they
-  /// are stored to external memory when the cluster finishes.
-  std::vector<DataId> outgoing_results;
+  /// required in external memory ("rout" objects), in kernel order.
+  /// Absent retention they are stored to external memory when the cluster
+  /// finishes.
+  std::span<const DataId> outgoing_results;
   /// Outputs produced and last consumed inside this cluster, needed
   /// nowhere else ("r_jt" objects).  They never touch external memory.
-  std::vector<DataId> intermediates;
+  std::span<const DataId> intermediates;
   /// For every data object (indexed by DataId), the 0-based local position
   /// of its last consuming kernel inside this cluster, or -1 when nothing
-  /// here reads it.  Precomputed once so the footprint model and the
-  /// Figure-4 walk's release-at-last-use checks are table lookups instead
-  /// of consumer-list scans in their innermost loops.
-  std::vector<std::int32_t> last_local_use;
+  /// here reads it: this cluster's row of the analysis's clusters × data
+  /// table, so the footprint model and the Figure-4 walk look it up
+  /// instead of scanning consumer lists in their innermost loops.
+  std::span<const std::int32_t> last_local_use;
+
+  /// The inputs, then the intermediates, whose last use in this cluster is
+  /// the kernel at local position `local`, each group in `inputs` /
+  /// `intermediates` order: what §3's replacement policy frees after that
+  /// kernel runs.
+  [[nodiscard]] std::span<const DataId> last_used_at(std::uint32_t local) const {
+    const std::uint32_t begin = local == 0 ? 0 : dying_ends[local - 1];
+    return dying.subspan(begin, dying_ends[local] - begin);
+  }
+
+  /// last_used_at's lists, kernel after kernel; dying_ends[p] is the end
+  /// offset of kernel p's list.
+  std::span<const DataId> dying;
+  std::span<const std::uint32_t> dying_ends;
 };
 
 /// One §4 retention opportunity: an object that, if kept FB-resident across
@@ -77,8 +93,9 @@ struct RetentionCandidate {
   /// retained greedily in descending TF order.
   double tf{0.0};
   /// Clusters (ids, execution order) on `set` during which the retained
-  /// object occupies FB space: from load/production through last use.
-  std::vector<ClusterId> occupancy_span;
+  /// object occupies FB space: from load/production through last use.  A
+  /// range of the analysis's per-set cluster lists.
+  std::span<const ClusterId> occupancy_span;
 };
 
 /// Set of retained objects (chosen by the Complete Data Scheduler).
@@ -92,6 +109,14 @@ using RetainedSet = IdSet<DataId>;
 
 /// Precomputed analysis over one (Application, KernelSchedule) pair.
 /// Holds a non-owning reference to the schedule, which must outlive it.
+///
+/// Layout: flat tables indexed by id.  Every per-object and per-cluster
+/// list (consumer clusters; inputs, outgoing results, intermediates and
+/// last-use lists; occupancy spans) is a span into one of a few shared
+/// arrays, sized once at construction, so building an analysis allocates a
+/// constant number of blocks however many objects it describes.  The
+/// spans point into this object's arrays: an analysis moves (the arrays
+/// keep their storage) but does not copy.
 class ScheduleAnalysis {
  public:
   /// `cross_set_reads` mirrors arch::M1Config::cross_set_reads: when true,
@@ -101,6 +126,10 @@ class ScheduleAnalysis {
   /// still force transfers.
   explicit ScheduleAnalysis(const model::KernelSchedule& sched,
                             bool cross_set_reads = false);
+  ScheduleAnalysis(const ScheduleAnalysis&) = delete;
+  ScheduleAnalysis& operator=(const ScheduleAnalysis&) = delete;
+  ScheduleAnalysis(ScheduleAnalysis&&) noexcept = default;
+  ScheduleAnalysis& operator=(ScheduleAnalysis&&) noexcept = default;
 
   [[nodiscard]] bool cross_set_reads() const { return cross_set_reads_; }
 
@@ -142,6 +171,13 @@ class ScheduleAnalysis {
   void compute_dataflow();
   void compute_candidates();
 
+  /// The clusters bound to `set`, in execution order: a range of
+  /// set_clusters_.
+  [[nodiscard]] std::span<const ClusterId> clusters_on(FbSet set) const;
+  /// Those of them with ids in [first, last].
+  [[nodiscard]] std::span<const ClusterId> clusters_on_set_between(FbSet set, ClusterId first,
+                                                                   ClusterId last) const;
+
   const model::KernelSchedule* sched_;
   bool cross_set_reads_{false};
   std::vector<ObjectInfo> objects_;          // indexed by DataId
@@ -149,6 +185,22 @@ class ScheduleAnalysis {
   std::vector<RetentionCandidate> candidates_;
   std::vector<std::int32_t> candidate_index_;  // DataId -> index or -1
   SizeWords tds_{};
+  // The shared arrays the spans above point into.
+  /// Every object's consumer clusters: per object, a range as long as its
+  /// consumer list, filled from the front.
+  std::vector<ClusterId> consumer_clusters_;
+  /// Per cluster: inputs, outgoing results, intermediates, then the
+  /// last-use lists.
+  std::vector<DataId> flow_data_;
+  /// Per kernel, in flattened order: the end of its last-use list within
+  /// its cluster's.
+  std::vector<std::uint32_t> dying_ends_;
+  /// Clusters × data: the last_local_use rows.
+  std::vector<std::int32_t> last_local_use_;
+  /// The clusters on set A in execution order, then those on set B, from
+  /// set_b_begin_ on.
+  std::vector<ClusterId> set_clusters_;
+  std::size_t set_b_begin_{0};
 };
 
 }  // namespace msys::extract

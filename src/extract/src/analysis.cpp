@@ -25,106 +25,161 @@ ScheduleAnalysis::ScheduleAnalysis(const KernelSchedule& sched, bool cross_set_r
 void ScheduleAnalysis::compute_object_info() {
   const Application& a = app();
   objects_.resize(a.data_count());
+  // Each object owns a range of the shared array as long as its consumer
+  // list.  One walk over the kernels in execution order appends a cluster
+  // the first time it reads the object, so every list comes out in
+  // execution order and deduplicated, with no sort.
+  std::size_t consumers = 0;
+  for (const DataObject& d : a.data_objects()) consumers += d.consumers.size();
+  consumer_clusters_.resize(consumers);
+  std::size_t begin = 0;
   for (const DataObject& d : a.data_objects()) {
-    ObjectInfo info;
+    ObjectInfo& info = objects_[d.id.index()];
     info.id = d.id;
     info.size = d.size;
     info.required_external = d.required_in_external_memory;
-    if (d.producer.valid()) {
-      info.producer_cluster = sched_->cluster_of(d.producer);
-      info.producer_pos = sched_->global_position(d.producer);
-    }
-    std::vector<std::uint32_t> use_positions;
-    use_positions.reserve(d.consumers.size());
-    for (KernelId consumer : d.consumers) {
-      use_positions.push_back(sched_->global_position(consumer));
-    }
-    std::sort(use_positions.begin(), use_positions.end());
-    if (!use_positions.empty()) {
-      info.first_use_pos = use_positions.front();
-      info.last_use_pos = use_positions.back();
-    }
-    // Consumer clusters in execution order, deduplicated.
-    std::vector<ClusterId> consumer_clusters;
-    for (std::uint32_t pos : use_positions) {
-      ClusterId c = sched_->cluster_of(sched_->flattened_order()[pos]);
-      if (consumer_clusters.empty() || consumer_clusters.back() != c) {
-        consumer_clusters.push_back(c);
+    info.consumer_clusters = std::span<const ClusterId>(consumer_clusters_).subspan(begin, 0);
+    begin += d.consumers.size();
+  }
+  std::uint32_t pos = 0;
+  for (const Cluster& cluster : sched_->clusters()) {
+    for (KernelId k : cluster.kernels) {
+      const Kernel& kernel = a.kernel(k);
+      for (DataId out : kernel.outputs) {
+        objects_[out.index()].producer_cluster = cluster.id;
+        objects_[out.index()].producer_pos = pos;
       }
+      for (DataId in : kernel.inputs) {
+        ObjectInfo& info = objects_[in.index()];
+        if (!info.first_use_pos) info.first_use_pos = pos;
+        info.last_use_pos = pos;
+        std::span<const ClusterId>& clusters = info.consumer_clusters;
+        if (clusters.empty() || clusters.back() != cluster.id) {
+          const auto at = static_cast<std::size_t>(clusters.data() - consumer_clusters_.data());
+          consumer_clusters_[at + clusters.size()] = cluster.id;
+          clusters = {clusters.data(), clusters.size() + 1};
+        }
+      }
+      ++pos;
     }
-    info.consumer_clusters = std::move(consumer_clusters);
-    objects_[d.id.index()] = std::move(info);
   }
 }
 
 void ScheduleAnalysis::compute_dataflow() {
+  const Application& a = app();
+  const std::size_t n_data = a.data_count();
+  // A cluster lists each input, output and last-use entry at most once per
+  // kernel that reads or writes it, so this bound keeps every span valid.
+  std::size_t refs = 0;
+  for (const Kernel& k : a.kernels()) refs += k.inputs.size() + k.outputs.size();
+  flow_data_.reserve(2 * refs);
+  dying_ends_.reserve(a.kernel_count());
+  last_local_use_.assign(sched_->cluster_count() * n_data, -1);
   dataflow_.resize(sched_->cluster_count());
+  auto tail_from = [&](std::size_t begin) {
+    return std::span<const DataId>(flow_data_).subspan(begin);
+  };
+
   for (const Cluster& cluster : sched_->clusters()) {
-    ClusterDataflow flow;
+    ClusterDataflow& flow = dataflow_[cluster.id.index()];
     flow.cluster = cluster.id;
+    const std::span<std::int32_t> last_use =
+        std::span<std::int32_t>(last_local_use_).subspan(cluster.id.index() * n_data, n_data);
+    flow.last_local_use = last_use;
+
     // Inputs: consumed here but produced elsewhere (external or earlier
-    // cluster).  Deduplicate across the cluster's kernels.
-    IdSet<DataId> seen_inputs;
-    flow.last_local_use.assign(app().data_count(), -1);
+    // cluster), each once, at its first read here.
+    std::size_t begin = flow_data_.size();
     for (std::size_t pos = 0; pos < cluster.kernels.size(); ++pos) {
-      const KernelId k = cluster.kernels[pos];
-      for (DataId in : app().kernel(k).inputs) {
-        flow.last_local_use[in.index()] = static_cast<std::int32_t>(pos);
+      for (DataId in : a.kernel(cluster.kernels[pos]).inputs) {
+        const bool first_read = last_use[in.index()] < 0;
+        last_use[in.index()] = static_cast<std::int32_t>(pos);
         const ObjectInfo& info = objects_[in.index()];
         const bool produced_here =
             info.producer_cluster.has_value() && *info.producer_cluster == cluster.id;
-        if (!produced_here && seen_inputs.insert(in)) {
-          flow.inputs.push_back(in);
-        }
+        if (!produced_here && first_read) flow_data_.push_back(in);
       }
     }
+    flow.inputs = tail_from(begin);
+
     // Outputs: outgoing when needed beyond this cluster, intermediate when
-    // produced and fully consumed inside it.
-    for (KernelId k : cluster.kernels) {
-      for (DataId out : app().kernel(k).outputs) {
-        const ObjectInfo& info = objects_[out.index()];
-        const bool used_later = std::any_of(
-            info.consumer_clusters.begin(), info.consumer_clusters.end(),
-            [&](ClusterId c) { return c != cluster.id; });
-        if (info.required_external || used_later) {
-          flow.outgoing_results.push_back(out);
-        } else {
-          flow.intermediates.push_back(out);
+    // produced and fully consumed inside it.  Consumers follow their
+    // producer, so a result is read beyond this cluster exactly when its
+    // last consuming cluster is another.
+    auto outgoing = [&](DataId out) {
+      const ObjectInfo& info = objects_[out.index()];
+      return info.required_external ||
+             (!info.consumer_clusters.empty() && info.consumer_clusters.back() != cluster.id);
+    };
+    for (const bool want_outgoing : {true, false}) {
+      begin = flow_data_.size();
+      for (KernelId k : cluster.kernels) {
+        for (DataId out : a.kernel(k).outputs) {
+          if (outgoing(out) == want_outgoing) flow_data_.push_back(out);
         }
       }
+      (want_outgoing ? flow.outgoing_results : flow.intermediates) = tail_from(begin);
     }
-    dataflow_[cluster.id.index()] = std::move(flow);
+
+    // Last-use lists, kernel by kernel: inputs first, then intermediates.
+    begin = flow_data_.size();
+    const std::size_t ends_begin = dying_ends_.size();
+    for (std::size_t pos = 0; pos < cluster.kernels.size(); ++pos) {
+      const auto local = static_cast<std::int32_t>(pos);
+      for (DataId d : flow.inputs) {
+        if (last_use[d.index()] == local) flow_data_.push_back(d);
+      }
+      for (DataId d : flow.intermediates) {
+        if (last_use[d.index()] == local) flow_data_.push_back(d);
+      }
+      dying_ends_.push_back(static_cast<std::uint32_t>(flow_data_.size() - begin));
+    }
+    flow.dying = tail_from(begin);
+    flow.dying_ends = std::span<const std::uint32_t>(dying_ends_).subspan(ends_begin);
   }
+}
+
+std::span<const ClusterId> ScheduleAnalysis::clusters_on(FbSet set) const {
+  const std::span<const ClusterId> all(set_clusters_);
+  return set == FbSet::kA ? all.first(set_b_begin_) : all.subspan(set_b_begin_);
+}
+
+std::span<const ClusterId> ScheduleAnalysis::clusters_on_set_between(FbSet set, ClusterId first,
+                                                                     ClusterId last) const {
+  const std::span<const ClusterId> on_set = clusters_on(set);
+  const auto lo = std::lower_bound(on_set.begin(), on_set.end(), first);
+  return {lo, std::upper_bound(lo, on_set.end(), last)};
 }
 
 void ScheduleAnalysis::compute_candidates() {
   candidate_index_.assign(app().data_count(), -1);
+  candidates_.reserve(app().data_count());
   const double tds = static_cast<double>(tds_.value());
-
-  auto clusters_on_set_between = [&](FbSet set, ClusterId first, ClusterId last) {
-    std::vector<ClusterId> span;
+  set_clusters_.reserve(sched_->cluster_count());
+  auto append_set = [&](FbSet set) {
     for (const Cluster& c : sched_->clusters()) {
-      if (c.set == set && c.id >= first && c.id <= last) span.push_back(c.id);
+      if (c.set == set) set_clusters_.push_back(c.id);
     }
-    return span;
   };
+  append_set(FbSet::kA);
+  set_b_begin_ = set_clusters_.size();
+  append_set(FbSet::kB);
+
+  // Every id here comes from the schedule itself.
+  auto set_of = [&](ClusterId c) { return sched_->clusters()[c.index()].set; };
+
   // The retained object may be released only once no cluster can still be
   // reading it: when the last consumer sits on the *other* set, extend the
   // span to the next home-set cluster (whose end postdates that read).
-  // Returns the span, or an empty vector when no safe release point exists
+  // Returns the span, or an empty one when no safe release point exists
   // within the round.
   auto safe_span = [&](FbSet home, ClusterId first, ClusterId last_consumer) {
     ClusterId release_at = last_consumer;
-    if (sched_->cluster(last_consumer).set != home) {
-      bool found = false;
-      for (const Cluster& c : sched_->clusters()) {
-        if (c.set == home && c.id > last_consumer) {
-          release_at = c.id;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return std::vector<ClusterId>{};
+    if (set_of(last_consumer) != home) {
+      const std::span<const ClusterId> on_home = clusters_on(home);
+      const auto next = std::upper_bound(on_home.begin(), on_home.end(), last_consumer);
+      if (next == on_home.end()) return std::span<const ClusterId>{};
+      release_at = *next;
     }
     return clusters_on_set_between(home, first, release_at);
   };
@@ -141,16 +196,16 @@ void ScheduleAnalysis::compute_candidates() {
         if (info.consumer_clusters.size() < 2) continue;
         const ClusterId first = info.consumer_clusters.front();
         const ClusterId last = info.consumer_clusters.back();
-        const FbSet home = sched_->cluster(first).set;
-        std::vector<ClusterId> span = safe_span(home, first, last);
+        const FbSet home = set_of(first);
+        const std::span<const ClusterId> span = safe_span(home, first, last);
         if (span.empty()) continue;  // no safe release point
         cand.is_result = false;
         cand.set = home;
         cand.n_users = static_cast<std::uint32_t>(info.consumer_clusters.size());
         cand.transfers_avoided = cand.n_users - 1;
-        cand.occupancy_span = std::move(span);
+        cand.occupancy_span = span;
         cand.tf = static_cast<double>(d.size.value()) * cand.transfers_avoided / tds;
-        candidates_.push_back(std::move(cand));
+        candidates_.push_back(cand);
         continue;
       }
       // Shared data D_{i..j}: an external input consumed by >= 2 clusters
@@ -160,7 +215,7 @@ void ScheduleAnalysis::compute_candidates() {
       std::uint32_t users[2] = {0, 0};
       ClusterId first[2], last[2];
       for (ClusterId c : info.consumer_clusters) {
-        const auto s = static_cast<std::size_t>(sched_->cluster(c).set);
+        const auto s = static_cast<std::size_t>(set_of(c));
         if (users[s]++ == 0) first[s] = c;
         last[s] = c;
       }
@@ -175,7 +230,7 @@ void ScheduleAnalysis::compute_candidates() {
       // Extension: a result is retained in its producer's set and read in
       // place by consumers on both sets.
       const ClusterId producer = *info.producer_cluster;
-      const FbSet home = sched_->cluster(producer).set;
+      const FbSet home = set_of(producer);
       std::uint32_t users = 0;
       ClusterId last = producer;
       for (ClusterId c : info.consumer_clusters) {
@@ -184,25 +239,25 @@ void ScheduleAnalysis::compute_candidates() {
         last = c;
       }
       if (users == 0) continue;
-      std::vector<ClusterId> span = safe_span(home, producer, last);
+      const std::span<const ClusterId> span = safe_span(home, producer, last);
       if (span.empty()) continue;
       cand.is_result = true;
       cand.set = home;
       cand.n_users = users;
       cand.store_required = info.required_external;
       cand.transfers_avoided = users + (cand.store_required ? 0 : 1);
-      cand.occupancy_span = std::move(span);
+      cand.occupancy_span = span;
     } else {
       // Shared result R_{i,j..k}: produced in cluster i, consumed by later
       // clusters on the same FB set (a result can only be retained in the
       // set it was written to).
       const ClusterId producer = *info.producer_cluster;
-      const FbSet set = sched_->cluster(producer).set;
+      const FbSet set = set_of(producer);
       std::uint32_t users = 0;
       ClusterId last = producer;
       for (ClusterId c : info.consumer_clusters) {
         if (c == producer) continue;
-        if (sched_->cluster(c).set != set) continue;
+        if (set_of(c) != set) continue;
         ++users;
         last = c;
       }
@@ -214,7 +269,7 @@ void ScheduleAnalysis::compute_candidates() {
       // the result: not external memory, and no consumer on the other set.
       bool store_required = info.required_external;
       for (ClusterId c : info.consumer_clusters) {
-        if (sched_->cluster(c).set != set) store_required = true;
+        if (set_of(c) != set) store_required = true;
       }
       cand.store_required = store_required;
       cand.transfers_avoided = users + (store_required ? 0 : 1);
@@ -222,7 +277,7 @@ void ScheduleAnalysis::compute_candidates() {
     }
 
     cand.tf = static_cast<double>(d.size.value()) * cand.transfers_avoided / tds;
-    candidates_.push_back(std::move(cand));
+    candidates_.push_back(cand);
   }
 
   std::sort(candidates_.begin(), candidates_.end(),

@@ -43,13 +43,14 @@
 //     64-bit masks.  Extent::overlaps semantics hold exactly, including its
 //     rule for empty extents;
 //   * placements come from a dense (cluster, data, iter < RF) index of
-//     per-run records (set, extent span, total words) built once per run
-//     from the schedule's keyed map; every decoded field is bounds-checked,
-//     and a missing entry is the "no placement for object instance" fault;
+//     the schedule's own placement records, built once per run; every
+//     decoded field and extent range is bounds-checked, and a missing
+//     entry is the "no placement for object instance" fault;
 //   * residency tables are dense byte or pointer tables indexed by
 //     (data, iter) and (round, data, iter), sized from the program; CM
 //     residency is a per-kernel flag (the keyed map is walked only to
-//     evict, in the order that decides max_cm_words);
+//     evict, in the order that decides max_cm_words, and takes its nodes
+//     from a pool the thread keeps);
 //   * the buffers (timed ops, events, the placement index and the tables)
 //     belong to the thread, not the Simulator, so the usual fresh
 //     Simulator per check reuses them;

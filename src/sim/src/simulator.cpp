@@ -1,6 +1,8 @@
 #include "msys/sim/simulator.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <memory_resource>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -108,15 +110,6 @@ struct DataCosts {
   bool produced;
 };
 
-/// One schedule placement, flattened: its set, its extents (in the
-/// schedule's own vector) and their total words.
-struct PlacementRec {
-  const Extent* extents;
-  std::uint32_t n_extents;
-  std::uint32_t set;
-  std::uint64_t words;
-};
-
 /// The buffers a run needs in proportion to its program or application.
 /// Callers build a fresh Simulator per check, so the buffers live per
 /// thread, not per Simulator: a run takes the thread's spare set and hands
@@ -131,14 +124,17 @@ struct RunBuffers {
   std::vector<SlotState> slots;
   std::vector<KernelCosts> kernels;
   std::vector<DataCosts> data;
-  /// Dense placement index: (cluster, data, iter) -> record or kNone.
+  /// Dense placement index: (cluster, data, iter) -> the schedule's record
+  /// or kNone.
   std::vector<std::uint32_t> placement_index;
-  std::vector<PlacementRec> placements;
   /// Results in external memory by (round, data, iter).
   std::vector<std::uint8_t> in_external;
   /// Per FB set: the occupied-word bitset and each instance's record.
   std::vector<std::uint64_t> fb_words[2];
-  std::vector<const PlacementRec*> fb_resident[2];
+  std::vector<const dsched::PlacementRecord*> fb_resident[2];
+  /// The Context Memory map's nodes and buckets: a run's map gives them
+  /// back when it ends, so later runs on the thread reuse them.
+  std::unique_ptr<std::pmr::unsynchronized_pool_resource> cm_pool;
 };
 thread_local RunBuffers spare_buffers;
 
@@ -168,12 +164,14 @@ std::string describe(const model::Application& app, const Op& op) {
 /// Functional FB-set state: a word bitset of occupied words, checked and
 /// marked with 64-bit masks, plus the placement record each resident
 /// instance holds, indexed densely by instance.  Both tables are the
-/// run's buffers.
+/// run's buffers; records name their extents in the schedule's extent
+/// array.
 class FbState {
  public:
-  FbState(SizeWords capacity, std::size_t instances, std::vector<std::uint64_t>& words,
-          std::vector<const PlacementRec*>& resident)
-      : capacity_(capacity.value()), instances_(instances) {
+  FbState(SizeWords capacity, std::size_t instances, const Extent* extents,
+          std::vector<std::uint64_t>& words,
+          std::vector<const dsched::PlacementRecord*>& resident)
+      : capacity_(capacity.value()), instances_(instances), extents_(extents) {
     words.assign((capacity_ + 63) / 64, 0);
     resident.assign(instances, nullptr);
     words_ = words.data();
@@ -183,39 +181,41 @@ class FbState {
   /// Every extent is checked before any is marked, so an instance's own
   /// extents are never compared with each other.  The failure description
   /// names `op`; it is built only on failure.
-  void insert(std::size_t inst, const PlacementRec& p, const model::Application& app,
-              const Op& op) {
+  void insert(std::size_t inst, const dsched::PlacementRecord& p,
+              const model::Application& app, const Op& op) {
     MSYS_REQUIRE(resident_[inst] == nullptr, "instance already resident: " + describe(app, op));
-    const Extent* const last = p.extents + p.n_extents;
-    for (const Extent* e = p.extents; e != last; ++e) {
+    const Extent* const first = extents_ + p.extent_begin;
+    const Extent* const last = first + p.extent_count;
+    for (const Extent* e = first; e != last; ++e) {
       MSYS_REQUIRE(e->begin() <= e->end() && e->end() <= capacity_,
                    "placement out of range: " + describe(app, op));
       MSYS_REQUIRE(!collides(*e), "FB words doubly occupied: " + describe(app, op));
     }
-    for (const Extent* e = p.extents; e != last; ++e) {
+    for (const Extent* e = first; e != last; ++e) {
       if (e->empty()) {
         ++empty_extents_;
       } else {
         mark(*e, true);
       }
+      used_ += e->size.value();
     }
-    used_ += p.words;
     peak_ = std::max(peak_, used_);
     resident_[inst] = &p;
   }
 
   void remove(std::size_t inst, const model::Application& app, const Op& op) {
-    const PlacementRec* p = resident_[inst];
+    const dsched::PlacementRecord* p = resident_[inst];
     MSYS_REQUIRE(p != nullptr, "releasing a non-resident instance: " + describe(app, op));
-    const Extent* const last = p->extents + p->n_extents;
-    for (const Extent* e = p->extents; e != last; ++e) {
+    const Extent* const first = extents_ + p->extent_begin;
+    const Extent* const last = first + p->extent_count;
+    for (const Extent* e = first; e != last; ++e) {
       if (e->empty()) {
         --empty_extents_;
       } else {
         mark(*e, false);
       }
+      used_ -= e->size.value();
     }
-    used_ -= p->words;
     resident_[inst] = nullptr;
   }
 
@@ -237,10 +237,10 @@ class FbState {
   [[nodiscard]] bool collides(const Extent& e) const {
     if (e.empty() || empty_extents_ > 0) {
       for (std::size_t i = 0; i < instances_; ++i) {
-        const PlacementRec* other = resident_[i];
+        const dsched::PlacementRecord* other = resident_[i];
         if (other == nullptr) continue;
-        for (std::uint32_t k = 0; k < other->n_extents; ++k) {
-          if (e.overlaps(other->extents[k])) return true;
+        for (std::uint32_t k = 0; k < other->extent_count; ++k) {
+          if (e.overlaps(extents_[other->extent_begin + k])) return true;
         }
       }
       return false;
@@ -275,18 +275,21 @@ class FbState {
 
   std::uint64_t capacity_;
   std::size_t instances_;
+  const Extent* extents_;
   std::uint64_t* words_;
-  const PlacementRec** resident_;
+  const dsched::PlacementRecord** resident_;
   std::size_t empty_extents_{0};
   std::uint64_t used_{0};
   std::uint64_t peak_{0};
 };
 
-/// Functional Context Memory state.
+/// Functional Context Memory state.  The resident map draws its nodes from
+/// `pool`, so a context load or eviction does not reach the global heap.
 class CmState {
  public:
-  CmState(std::uint32_t capacity, bool persistent, std::size_t kernels)
-      : capacity_(capacity), persistent_(persistent), is_resident_(kernels, 0) {}
+  CmState(std::uint32_t capacity, bool persistent, std::size_t kernels,
+          std::pmr::memory_resource* pool)
+      : capacity_(capacity), persistent_(persistent), resident_(pool), is_resident_(kernels, 0) {}
 
   void load(KernelId kernel, std::uint32_t words, ClusterId cluster,
             ClusterId prev_cluster, const model::KernelSchedule& sched) {
@@ -336,8 +339,10 @@ class CmState {
   std::uint32_t capacity_;
   bool persistent_;
   /// Resident kernels and their words.  Only eviction walks it, and its
-  /// iteration order decides which kernels go (and so max_cm_words).
-  std::unordered_map<KernelId, std::uint32_t> resident_;
+  /// iteration order decides which kernels go (and so max_cm_words); the
+  /// allocator does not enter that order, only the hash, the bucket count
+  /// and the insertion history do.
+  std::pmr::unordered_map<KernelId, std::uint32_t> resident_;
   /// resident_ as a per-kernel flag, for the per-execution check.
   std::vector<std::uint8_t> is_resident_;
   std::uint32_t used_{0};
@@ -355,30 +360,28 @@ struct InstanceIndex {
   }
 };
 
-/// The schedule's placements, flattened into the run's buffers and indexed
-/// densely by (cluster, data, iter < RF).
+/// The schedule's placement records, indexed in place densely by
+/// (cluster, data, iter < RF).
 class PlacementIndex {
  public:
   PlacementIndex(const DataSchedule& schedule, std::size_t clusters, std::size_t data,
                  RunBuffers& buffers)
-      : clusters_(clusters), data_(data), rf_(schedule.rf) {
-    std::vector<PlacementRec>& records = buffers.placements;
-    records.clear();
+      : clusters_(clusters), data_(data), rf_(schedule.rf), records_(schedule.placements.data()) {
     buffers.placement_index.assign(clusters_ * data_ * rf_, kNone);
     index_ = buffers.placement_index.data();
-    for (const auto& [key, p] : schedule.placements) {
-      const auto [cluster, instance] = DataSchedule::unkey(key);
+    for (std::size_t r = 0; r < schedule.placements.size(); ++r) {
+      const dsched::PlacementRecord& p = schedule.placements[r];
+      const auto [cluster, instance] = DataSchedule::unkey(p.key);
       const std::size_t at = slot_of(cluster, instance.data, instance.iter);
-      if (at == kNoEntry) continue;
-      index_[at] = static_cast<std::uint32_t>(records.size());
-      records.push_back({p.extents.data(), static_cast<std::uint32_t>(p.extents.size()),
-                         static_cast<std::uint32_t>(p.set), total_size(p.extents).value()});
+      if (at == kNoEntry || index_[at] != kNone) continue;
+      (void)schedule.extents_of(p);  // throws when its range overruns the extent array
+      index_[at] = static_cast<std::uint32_t>(r);
     }
-    records_ = records.data();
   }
 
   /// The placement of `data`'s iteration `iter` planned by `cluster`.
-  [[nodiscard]] const PlacementRec& at(ClusterId cluster, DataId data, std::uint32_t iter) const {
+  [[nodiscard]] const dsched::PlacementRecord& at(ClusterId cluster, DataId data,
+                                                  std::uint32_t iter) const {
     const std::size_t at = slot_of(cluster, data, iter);
     const std::uint32_t record = at == kNoEntry ? kNone : index_[at];
     MSYS_REQUIRE(record != kNone, "no placement for object instance");
@@ -396,8 +399,8 @@ class PlacementIndex {
   std::size_t clusters_;
   std::size_t data_;
   std::size_t rf_;
+  const dsched::PlacementRecord* records_;
   std::uint32_t* index_;
-  const PlacementRec* records_;
 };
 
 }  // namespace
@@ -638,16 +641,21 @@ SimReport Simulator::run(const ScheduleProgram& program) {
   MSYS_REQUIRE(n_rounds <= app.total_iterations(), "slot round outside the application");
 
   const std::size_t n_instances = n_data * n_iters;
-  FbState fb[2] = {
-      FbState(cfg_->fb_set_size, n_instances, buffers.fb_words[0], buffers.fb_resident[0]),
-      FbState(cfg_->fb_set_size, n_instances, buffers.fb_words[1], buffers.fb_resident[1])};
-  CmState cm(cfg_->cm_capacity_words, ctx_persistent, n_kernels);
+  const Extent* const extents = schedule.extents.data();
+  FbState fb[2] = {FbState(cfg_->fb_set_size, n_instances, extents, buffers.fb_words[0],
+                           buffers.fb_resident[0]),
+                   FbState(cfg_->fb_set_size, n_instances, extents, buffers.fb_words[1],
+                           buffers.fb_resident[1])};
+  if (!buffers.cm_pool) {
+    buffers.cm_pool = std::make_unique<std::pmr::unsynchronized_pool_resource>();
+  }
+  CmState cm(cfg_->cm_capacity_words, ctx_persistent, n_kernels, buffers.cm_pool.get());
   buffers.in_external.assign(n_rounds * n_instances, 0);
   std::uint8_t* const in_external = buffers.in_external.data();
 
-  // Placements by (cluster, data, iter < RF), from the schedule's keyed
-  // map.  A key whose decoded fields fall outside those bounds names no
-  // instance of the steady round, so it stays out of the index.
+  // Placements by (cluster, data, iter < RF), from the schedule's records.
+  // A key whose decoded fields fall outside those bounds names no instance
+  // of the steady round, so it stays out of the index.
   const PlacementIndex placements(schedule, sched.cluster_count(), n_data, buffers);
   const InstanceIndex inst{n_data, n_iters};
 
@@ -671,8 +679,8 @@ SimReport Simulator::run(const ScheduleProgram& program) {
                      "loading a result before its store: " + describe(app, op));
         break;
       case Effect::kLoadPlace: {
-        const PlacementRec& p = placements.at(op.cluster, op.data, op.iter);
-        fb[p.set].insert(inst.of(op.data, op.iter), p, app, op);
+        const dsched::PlacementRecord& p = placements.at(op.cluster, op.data, op.iter);
+        fb[static_cast<std::size_t>(p.set)].insert(inst.of(op.data, op.iter), p, app, op);
         break;
       }
       case Effect::kExecCheck: {
@@ -689,8 +697,8 @@ SimReport Simulator::run(const ScheduleProgram& program) {
       case Effect::kExecPlace: {
         const ClusterId cluster = program_slots[op.slot].cluster;
         for (const DataId out : kernels[op.kernel.index()].outputs) {
-          const PlacementRec& p = placements.at(cluster, out, op.iter);
-          fb[p.set].insert(inst.of(out, op.iter), p, app, op);
+          const dsched::PlacementRecord& p = placements.at(cluster, out, op.iter);
+          fb[static_cast<std::size_t>(p.set)].insert(inst.of(out, op.iter), p, app, op);
         }
         break;
       }
@@ -705,8 +713,8 @@ SimReport Simulator::run(const ScheduleProgram& program) {
         fb[slots[op.slot].set].remove(inst.of(op.data, op.iter), app, op);
         break;
       case Effect::kRelease: {
-        const PlacementRec& p = placements.at(op.cluster, op.data, op.iter);
-        fb[p.set].remove(inst.of(op.data, op.iter), app, op);
+        const dsched::PlacementRecord& p = placements.at(op.cluster, op.data, op.iter);
+        fb[static_cast<std::size_t>(p.set)].remove(inst.of(op.data, op.iter), app, op);
         break;
       }
       case Effect::kContextLoad: {

@@ -37,17 +37,19 @@ TEST(Extent, Abuts) {
 }
 
 TEST(Extent, TotalSize) {
+  using Extents = std::vector<Extent>;
   EXPECT_EQ(total_size({}), SizeWords::zero());
-  EXPECT_EQ(total_size({{0, SizeWords{5}}, {10, SizeWords{7}}}), SizeWords{12});
+  EXPECT_EQ(total_size(Extents{{0, SizeWords{5}}, {10, SizeWords{7}}}), SizeWords{12});
 }
 
 TEST(Extent, Disjoint) {
+  using Extents = std::vector<Extent>;
   EXPECT_TRUE(disjoint({}));
-  EXPECT_TRUE(disjoint({{0, SizeWords{5}}}));
-  EXPECT_TRUE(disjoint({{3, SizeWords{0}}}));
-  EXPECT_TRUE(disjoint({{0, SizeWords{5}}, {5, SizeWords{5}}}));
-  EXPECT_TRUE(disjoint({{10, SizeWords{5}}, {0, SizeWords{5}}}));  // order-independent
-  EXPECT_FALSE(disjoint({{0, SizeWords{6}}, {5, SizeWords{5}}}));
+  EXPECT_TRUE(disjoint(Extents{{0, SizeWords{5}}}));
+  EXPECT_TRUE(disjoint(Extents{{3, SizeWords{0}}}));
+  EXPECT_TRUE(disjoint(Extents{{0, SizeWords{5}}, {5, SizeWords{5}}}));
+  EXPECT_TRUE(disjoint(Extents{{10, SizeWords{5}}, {0, SizeWords{5}}}));  // order-independent
+  EXPECT_FALSE(disjoint(Extents{{0, SizeWords{6}}, {5, SizeWords{5}}}));
 }
 
 TEST(Extent, NormalizedSortsAndCoalesces) {

@@ -16,7 +16,7 @@ using testing::RetentionApp;
 using testing::TwoClusterApp;
 
 /// Extents of the instance `inst` allocated by `cluster` (first record of
-/// its key, as in a DataSchedule's placements map).
+/// its key).
 std::span<const Extent> extents_at(const DriverResult& result, ClusterId cluster,
                                    ObjInstance inst) {
   const std::uint64_t key = DataSchedule::key(cluster, inst);
@@ -264,7 +264,8 @@ TEST(AllocDriver, ToScheduleMaterializesTheFlatWalk) {
   }
   ASSERT_EQ(s.placements.size(), result.placements().size());
   for (const PlacementRecord& p : result.placements()) {
-    const Placement& placed = s.placements.at(p.key);
+    const auto [cluster, inst] = DataSchedule::unkey(p.key);
+    const Placement placed = s.placement(cluster, inst);
     EXPECT_EQ(placed.set, p.set);
     EXPECT_TRUE(std::ranges::equal(placed.extents, result.extents(p)));
   }

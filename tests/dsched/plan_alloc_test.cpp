@@ -8,7 +8,10 @@
 // map node and an extent vector per instance, growing per-cluster
 // vectors) allocates in proportion to the instances instead.  This test
 // pins the constant.  The decision walk (decide_round) has no allocators
-// and copies three arrays, so it allocates at most three blocks.
+// and copies three arrays, so it allocates at most three blocks.  Building
+// the analysis the walks read, and the schedule a walk becomes, likewise
+// take a constant (per cluster, for the schedule's round plan) number of
+// blocks.
 //
 // It replaces the global operator new to count, so it is a test binary of
 // its own; sanitizer builds that own the allocator leave it out.
@@ -110,6 +113,49 @@ TEST(PlanAllocations, WarmDecisionWalkAllocatesOnlyItsResult) {
     ASSERT_TRUE(again.ok) << name;
     // Cluster ends, loads and stores.
     EXPECT_LE(g_allocations.load(std::memory_order_relaxed), 3u) << name;
+  }
+}
+
+/// Most heap blocks building a schedule from a walk may take beyond three
+/// per cluster (its loads, stores and releases): the round plan, the
+/// placement records, the extent array and the retained set.  The records
+/// are the walk's own layout, sorted, so the count does not grow with the
+/// instances placed.  Table 1 takes 12-21 (E2, six clusters); when every
+/// placement was a map node plus an extent vector it took 57-410 (E3's 198
+/// placements).
+constexpr std::uint64_t kToScheduleFixedBlocks = 4;
+
+/// Most heap blocks one ScheduleAnalysis may allocate: its object,
+/// dataflow, candidate and candidate-index tables and the five shared
+/// arrays every per-object and per-cluster list is a range of.  Table 1
+/// takes 9; with a vector per list and per-object temporaries it took 44-96
+/// (E1 96).
+constexpr std::uint64_t kAnalysisAllocationBound = 9;
+
+TEST(PlanAllocations, ScheduleAndAnalysisAllocateAConstant) {
+  for (const std::string& name : workloads::table1_experiment_names()) {
+    const workloads::Experiment exp = workloads::make_experiment(name);
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    const extract::ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
+    g_counting.store(false, std::memory_order_relaxed);
+    EXPECT_LE(g_allocations.load(std::memory_order_relaxed), kAnalysisAllocationBound) << name;
+
+    const DataSchedule chosen = CompleteDataScheduler{}.schedule(analysis, exp.cfg);
+    ASSERT_TRUE(chosen.feasible) << name;
+    DriverOptions options;
+    options.rf = chosen.rf;
+    options.retained = chosen.retained;
+    const DriverResult walk = plan_round(analysis, exp.cfg.fb_set_size, options);
+    ASSERT_TRUE(walk.ok) << name;
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    const DataSchedule schedule = to_schedule(walk, "CDS", exp.sched, options);
+    g_counting.store(false, std::memory_order_relaxed);
+    EXPECT_LE(g_allocations.load(std::memory_order_relaxed),
+              kToScheduleFixedBlocks + 3 * walk.cluster_count())
+        << name << " placing " << walk.placements().size() << " instances";
+    EXPECT_EQ(schedule.placements.size(), walk.placements().size()) << name;
   }
 }
 

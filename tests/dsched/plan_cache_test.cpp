@@ -157,11 +157,12 @@ TEST(PlanCache, HitIsByteEquivalentToFreshWalk) {
       }
     }
     ASSERT_EQ(from_cache.placements.size(), from_fresh.placements.size());
-    for (const auto& [key, placement] : from_fresh.placements) {
-      const auto it = from_cache.placements.find(key);
-      ASSERT_NE(it, from_cache.placements.end());
-      EXPECT_EQ(it->second.set, placement.set);
-      EXPECT_EQ(it->second.extents, placement.extents);
+    for (const PlacementRecord& placement : from_fresh.placements) {
+      const PlacementRecord* cached = from_cache.find_placement(placement.key);
+      ASSERT_NE(cached, nullptr);
+      EXPECT_EQ(cached->set, placement.set);
+      EXPECT_TRUE(std::ranges::equal(from_cache.extents_of(*cached),
+                                     from_fresh.extents_of(placement)));
     }
   }
   EXPECT_TRUE(saw_cross_cluster_release);

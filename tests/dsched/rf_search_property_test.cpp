@@ -155,7 +155,7 @@ TEST(RfSearchProperty, MemoizedScheduleMatchesFreshWalk) {
       options.release_at_last_use = true;  // DS and CDS both replace
       const DriverResult fresh = plan_round(analysis, c.cfg.fb_set_size, options);
       ASSERT_TRUE(fresh.ok) << c.name << " " << scheduler->name();
-      EXPECT_EQ(testing::plan_fingerprint(shipped.round_plan, shipped.placements),
+      EXPECT_EQ(testing::plan_fingerprint(shipped),
                 testing::plan_fingerprint(fresh))
           << c.name << " " << scheduler->name();
       ++verified;

@@ -7,6 +7,7 @@
 
 #include "msys/dsched/schedulers.hpp"
 #include "testing/apps.hpp"
+#include "testing/placements.hpp"
 
 namespace msys::dsched {
 namespace {
@@ -71,8 +72,7 @@ TEST(Validate, DetectsBogusLoad) {
   // Load an object that is produced inside the cluster.
   const DataId mid = *t.app->find_data("t");
   s.round_plan[0].loads.push_back({mid, 0});
-  s.placements.emplace(DataSchedule::key(ClusterId{0}, {mid, 0}),
-                       Placement{.set = FbSet::kA, .extents = {{0, SizeWords{60}}}});
+  ASSERT_TRUE(s.has_placement(ClusterId{0}, {mid, 0}));  // the result's own placement
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   EXPECT_TRUE(has_code(violations, "validate.load"));
   EXPECT_TRUE(mentions(violations, "not an input"));
@@ -84,8 +84,7 @@ TEST(Validate, DetectsOutOfRangePlacement) {
   const arch::M1Config cfg = test_cfg(1024);
   DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
   const DataId a = *t.app->find_data("a");
-  s.placements.at(DataSchedule::key(ClusterId{0}, {a, 0})).extents = {
-      Extent{1000, SizeWords{100}}};
+  testing::set_extents(s, ClusterId{0}, {a, 0}, {Extent{1000, SizeWords{100}}});
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   EXPECT_TRUE(has_code(violations, "validate.placement"));
   EXPECT_TRUE(mentions(violations, "exceeds the FB set"));
@@ -97,8 +96,7 @@ TEST(Validate, DetectsPlacementSizeMismatch) {
   const arch::M1Config cfg = test_cfg(1024);
   DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
   const DataId a = *t.app->find_data("a");
-  s.placements.at(DataSchedule::key(ClusterId{0}, {a, 0})).extents = {
-      Extent{0, SizeWords{10}}};  // a is 100 words
+  testing::set_extents(s, ClusterId{0}, {a, 0}, {Extent{0, SizeWords{10}}});  // a is 100 words
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   EXPECT_TRUE(has_code(violations, "validate.placement"));
   EXPECT_TRUE(mentions(violations, "size mismatch"));
@@ -114,8 +112,9 @@ TEST(Validate, AcceptsSplitPlacements) {
   DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
   ASSERT_TRUE(s.feasible);
   const DataId a = *t.app->find_data("a");
-  Placement& p = s.placements.at(DataSchedule::key(ClusterId{0}, {a, 0}));
-  p.extents = {Extent{0, SizeWords{40}}, Extent{900, SizeWords{60}}};  // a is 100 words
+  // a is 100 words.
+  testing::set_extents(s, ClusterId{0}, {a, 0},
+                       {Extent{0, SizeWords{40}}, Extent{900, SizeWords{60}}});
   EXPECT_TRUE(validate_schedule(s, analysis, cfg).empty());
 }
 
@@ -125,11 +124,38 @@ TEST(Validate, DetectsOverlappingSplitExtents) {
   const arch::M1Config cfg = test_cfg(1024);
   DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
   const DataId a = *t.app->find_data("a");
-  Placement& p = s.placements.at(DataSchedule::key(ClusterId{0}, {a, 0}));
-  p.extents = {Extent{0, SizeWords{60}}, Extent{40, SizeWords{40}}};  // words 40..59 twice
+  // Words 40..59 twice.
+  testing::set_extents(s, ClusterId{0}, {a, 0},
+                       {Extent{0, SizeWords{60}}, Extent{40, SizeWords{40}}});
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   EXPECT_TRUE(has_code(violations, "validate.placement"));
   EXPECT_TRUE(mentions(violations, "overlap"));
+}
+
+// Lookups binary-search the placement records and read their extents in
+// place, so records out of key order, a key placed twice or an extent range
+// past the extent array make the schedule malformed.
+TEST(Validate, DetectsMalformedPlacementRecords) {
+  TwoClusterApp t = TwoClusterApp::make();
+  ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(1024);
+  DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
+  ASSERT_GE(s.placements.size(), 2u);
+  DataSchedule swapped = s;
+  std::swap(swapped.placements[0], swapped.placements[1]);
+  Diagnostics violations = validate_schedule(swapped, analysis, cfg);
+  EXPECT_TRUE(has_code(violations, "validate.shape"));
+  EXPECT_TRUE(mentions(violations, "not sorted by key"));
+  DataSchedule doubled = s;
+  doubled.placements.insert(doubled.placements.begin(), doubled.placements.front());
+  violations = validate_schedule(doubled, analysis, cfg);
+  EXPECT_TRUE(has_code(violations, "validate.shape"));
+  EXPECT_TRUE(mentions(violations, "a key placed twice"));
+  DataSchedule overrun = s;
+  overrun.placements.back().extent_begin = static_cast<std::uint32_t>(s.extents.size());
+  violations = validate_schedule(overrun, analysis, cfg);
+  EXPECT_TRUE(has_code(violations, "validate.shape"));
+  EXPECT_TRUE(mentions(violations, "extents outside the schedule"));
 }
 
 TEST(Validate, DetectsNonCandidateRetention) {
@@ -155,9 +181,11 @@ TEST(Validate, DetectsRetainedReloadInsideSpan) {
   ASSERT_TRUE(s.retained.contains(d)) << "CDS should retain the shared input";
   EXPECT_TRUE(validate_schedule(s, analysis, cfg).empty());
   // Inject a bogus re-load of `d` in Cl3, mid-span, with a copied placement.
-  const Placement home = s.placements.at(DataSchedule::key(ClusterId{0}, {d, 0}));
+  const Placement home = s.placement(ClusterId{0}, {d, 0});
   s.round_plan[2].loads.push_back({d, 0});
-  s.placements.emplace(DataSchedule::key(ClusterId{2}, {d, 0}), home);
+  ASSERT_FALSE(s.has_placement(ClusterId{2}, {d, 0}));
+  const std::vector<Extent> home_extents(home.extents.begin(), home.extents.end());
+  testing::set_placement(s, ClusterId{2}, {d, 0}, home.set, home_extents);
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   EXPECT_TRUE(has_code(violations, "validate.retained"));
   EXPECT_TRUE(mentions(violations, "re-loaded inside its span"));

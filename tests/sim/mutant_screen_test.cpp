@@ -59,7 +59,6 @@ namespace msys::sim {
 namespace {
 
 using dsched::DataSchedule;
-using dsched::Placement;
 
 /// The families no mutant may pass.
 const std::set<std::string> kAlwaysFatal = {
@@ -173,44 +172,55 @@ void for_each_mutant(const DataSchedule& base, const extract::ScheduleAnalysis& 
     }
   }
 
-  std::vector<std::uint64_t> keys;
-  for (const auto& entry : base.placements) keys.push_back(entry.first);
-  std::sort(keys.begin(), keys.end());
-  auto name = [&](std::uint64_t key) {
-    const auto [cluster, inst] = DataSchedule::unkey(key);
+  // Records are in key order; every mutant edits its own copy of them (and
+  // of the extent array they share).
+  const std::vector<dsched::PlacementRecord>& records = base.placements;
+  auto name = [&](const dsched::PlacementRecord& p) {
+    const auto [cluster, inst] = DataSchedule::unkey(p.key);
     return "Cl" + std::to_string(cluster.index() + 1) + ':' + app.data(inst.data).name + '#' +
            std::to_string(inst.iter);
   };
-  auto same_place = [](const Placement& a, const Placement& b) {
-    return a.set == b.set && a.extents == b.extents;
+  auto same_place = [&](const dsched::PlacementRecord& a, const dsched::PlacementRecord& b) {
+    return a.set == b.set && std::ranges::equal(base.extents_of(a), base.extents_of(b));
   };
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const Placement& p = base.placements.at(keys[i]);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const dsched::PlacementRecord& p = records[i];
+    const std::span<const Extent> extents = base.extents_of(p);
     for (const int delta : {-1, 1}) {
-      if (delta < 0 && std::any_of(p.extents.begin(), p.extents.end(),
+      if (delta < 0 && std::any_of(extents.begin(), extents.end(),
                                    [](const Extent& e) { return e.addr == 0; })) {
         continue;
       }
-      mutate("placement_shift", name(keys[i]) + (delta < 0 ? " -1" : " +1"),
-             [&](DataSchedule& m) {
-               for (Extent& e : m.placements.at(keys[i]).extents) e.addr += delta;
-             });
+      mutate("placement_shift", name(p) + (delta < 0 ? " -1" : " +1"), [&](DataSchedule& m) {
+        for (std::uint32_t k = 0; k < p.extent_count; ++k) {
+          m.extents[p.extent_begin + k].addr += delta;
+        }
+      });
     }
-    mutate("placement_flip_set", name(keys[i]), [&](DataSchedule& m) {
-      Placement& q = m.placements.at(keys[i]);
+    mutate("placement_flip_set", name(p), [&](DataSchedule& m) {
+      dsched::PlacementRecord& q = m.placements[i];
       q.set = other_set(q.set);
     });
-    for (std::size_t j = 0; j < keys.size(); ++j) {
-      const Placement& o = base.placements.at(keys[j]);
-      if (j == i || total_size(o.extents) != total_size(p.extents) || same_place(p, o)) continue;
-      const std::string pair = name(keys[i]) + " / " + name(keys[j]);
+    for (std::size_t j = 0; j < records.size(); ++j) {
+      const dsched::PlacementRecord& o = records[j];
+      if (j == i || total_size(base.extents_of(o)) != total_size(extents) || same_place(p, o)) {
+        continue;
+      }
+      const std::string pair = name(p) + " / " + name(o);
+      // A placement is its set and extent range; the key stays with the
+      // instance.
+      auto place_as = [](dsched::PlacementRecord& to, const dsched::PlacementRecord& from) {
+        to.set = from.set;
+        to.extent_begin = from.extent_begin;
+        to.extent_count = from.extent_count;
+      };
       if (i < j) {
         mutate("placement_swap", pair, [&](DataSchedule& m) {
-          std::swap(m.placements.at(keys[i]), m.placements.at(keys[j]));
+          place_as(m.placements[i], o);
+          place_as(m.placements[j], p);
         });
       }
-      mutate("placement_alias", pair,
-             [&](DataSchedule& m) { m.placements.at(keys[i]) = o; });
+      mutate("placement_alias", pair, [&](DataSchedule& m) { place_as(m.placements[i], o); });
     }
   }
 

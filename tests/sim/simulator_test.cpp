@@ -21,6 +21,7 @@
 #include "msys/workloads/random.hpp"
 #include "testing/apps.hpp"
 #include "testing/oracle.hpp"
+#include "testing/placements.hpp"
 
 namespace msys::sim {
 namespace {
@@ -172,9 +173,10 @@ TEST(Simulator, DetectsOverlappingPlacements) {
   // Corrupt a placement so two objects overlap.
   const DataId a = *t.app->find_data("a");
   const DataId b = *t.app->find_data("b");
-  auto& pa = s.placements.at(dsched::DataSchedule::key(ClusterId{0}, {a, 0}));
-  const auto& pb = s.placements.at(dsched::DataSchedule::key(ClusterId{0}, {b, 0}));
-  pa.extents = pb.extents;
+  dsched::PlacementRecord& pa = testing::placement_record(s, ClusterId{0}, {a, 0});
+  const dsched::PlacementRecord& pb = testing::placement_record(s, ClusterId{0}, {b, 0});
+  pa.extent_begin = pb.extent_begin;
+  pa.extent_count = pb.extent_count;
   ScheduleProgram program = codegen::generate(s, plan);
   Simulator simulator(cfg, plan);
   EXPECT_THROW((void)simulator.run(program), Error);
@@ -187,8 +189,8 @@ TEST(Simulator, DetectsOutOfRangePlacement) {
   dsched::DataSchedule s = dsched::BasicScheduler{}.schedule(analysis, cfg);
   csched::ContextPlan plan = csched::ContextPlan::build(t.sched, cfg.cm_capacity_words);
   const DataId a = *t.app->find_data("a");
-  auto& pa = s.placements.at(dsched::DataSchedule::key(ClusterId{0}, {a, 0}));
-  pa.extents = {Extent{1000, SizeWords{100}}};  // past the 1024-word set
+  testing::set_extents(s, ClusterId{0}, {a, 0},
+                       {Extent{1000, SizeWords{100}}});  // past the 1024-word set
   ScheduleProgram program = codegen::generate(s, plan);
   Simulator simulator(cfg, plan);
   EXPECT_THROW((void)simulator.run(program), Error);
@@ -210,18 +212,20 @@ class FbOccupancy : public ::testing::Test {
     schedule_ = scheduler.schedule(*analysis_, cfg_);
     ASSERT_TRUE(schedule_.feasible);
     FbAddr next = 512;
-    for (auto& [key, placement] : schedule_.placements) {
-      if (((key >> 16) & 0xffff) != 0) continue;  // DataSchedule::key's cluster field
-      const SizeWords size = total_size(placement.extents);
-      placement.extents = {Extent{next, size}};
+    for (const dsched::PlacementRecord& p : std::vector(schedule_.placements)) {
+      const auto [cluster, inst] = dsched::DataSchedule::unkey(p.key);
+      if (cluster != ClusterId{0}) continue;
+      const SizeWords size = total_size(schedule_.extents_of(p));
+      testing::set_extents(schedule_, cluster, inst, {Extent{next, size}});
       next += size.value();
     }
     ASSERT_LE(next, 1024u);
   }
 
-  std::vector<Extent>& extents(const char* data) {
+  /// Moves the cluster-0 placement of `data`'s iteration 0 to `extents`.
+  void place(const char* data, std::vector<Extent> extents) {
     const DataId id = *app_.app->find_data(data);
-    return schedule_.placements.at(dsched::DataSchedule::key(ClusterId{0}, {id, 0})).extents;
+    testing::set_extents(schedule_, ClusterId{0}, {id, 0}, std::move(extents));
   }
 
   /// Empty on success, else the failing MSYS_REQUIRE's message.
@@ -248,61 +252,61 @@ constexpr const char* kADoubly = "FB words doubly occupied: LOAD a slot=0 iter=0
 
 TEST_F(FbOccupancy, ExtentStraddlingA64WordBoundary) {
   build(dsched::BasicScheduler{});
-  extents("a") = {Extent{30, SizeWords{100}}};  // words 30..129: chunks 0, 1 and 2
-  extents("b") = {Extent{200, SizeWords{50}}};
+  place("a", {Extent{30, SizeWords{100}}});  // words 30..129: chunks 0, 1 and 2
+  place("b", {Extent{200, SizeWords{50}}});
   EXPECT_EQ(run(), "");
-  extents("b") = {Extent{64, SizeWords{50}}};  // entirely inside a's middle chunk
+  place("b", {Extent{64, SizeWords{50}}});  // entirely inside a's middle chunk
   EXPECT_EQ(run(), kADoubly);
-  extents("b") = {Extent{129, SizeWords{50}}};  // shares only a's last word
+  place("b", {Extent{129, SizeWords{50}}});  // shares only a's last word
   EXPECT_EQ(run(), kADoubly);
 }
 
 TEST_F(FbOccupancy, OverlapExactlyAtWords63And64) {
   build(dsched::BasicScheduler{});
-  extents("a") = {Extent{0, SizeWords{64}}};  // words 0..63
-  extents("b") = {Extent{63, SizeWords{50}}};
+  place("a", {Extent{0, SizeWords{64}}});  // words 0..63
+  place("b", {Extent{63, SizeWords{50}}});
   EXPECT_EQ(run(), kADoubly);
-  extents("a") = {Extent{0, SizeWords{65}}};  // words 0..64
-  extents("b") = {Extent{64, SizeWords{50}}};
+  place("a", {Extent{0, SizeWords{65}}});  // words 0..64
+  place("b", {Extent{64, SizeWords{50}}});
   EXPECT_EQ(run(), kADoubly);
 }
 
 TEST_F(FbOccupancy, AbuttingExtentsAreNotAnOverlap) {
   build(dsched::BasicScheduler{});
-  extents("a") = {Extent{0, SizeWords{64}}};
-  extents("b") = {Extent{64, SizeWords{50}}};  // first word of the next chunk
+  place("a", {Extent{0, SizeWords{64}}});
+  place("b", {Extent{64, SizeWords{50}}});  // first word of the next chunk
   EXPECT_EQ(run(), "");
-  extents("a") = {Extent{14, SizeWords{100}}};  // ends at word 113
-  extents("b") = {Extent{114, SizeWords{50}}};
+  place("a", {Extent{14, SizeWords{100}}});  // ends at word 113
+  place("b", {Extent{114, SizeWords{50}}});
   EXPECT_EQ(run(), "");
-  extents("b") = {Extent{0, SizeWords{14}}, Extent{114, SizeWords{36}}};  // both sides
+  place("b", {Extent{0, SizeWords{14}}, Extent{114, SizeWords{36}}});  // both sides
   EXPECT_EQ(run(), "");
 }
 
 TEST_F(FbOccupancy, SplitPlacement) {
   build(dsched::BasicScheduler{});
-  extents("a") = {Extent{0, SizeWords{30}}, Extent{128, SizeWords{70}}};
-  extents("b") = {Extent{30, SizeWords{50}}};  // fills the gap, abutting the first piece
+  place("a", {Extent{0, SizeWords{30}}, Extent{128, SizeWords{70}}});
+  place("b", {Extent{30, SizeWords{50}}});  // fills the gap, abutting the first piece
   EXPECT_EQ(run(), "");
-  extents("b") = {Extent{78, SizeWords{50}}};  // abuts the second piece
+  place("b", {Extent{78, SizeWords{50}}});  // abuts the second piece
   EXPECT_EQ(run(), "");
-  extents("b") = {Extent{190, SizeWords{50}}};  // overlaps the second piece's tail
+  place("b", {Extent{190, SizeWords{50}}});  // overlaps the second piece's tail
   EXPECT_EQ(run(), kADoubly);
-  extents("b") = {Extent{300, SizeWords{20}}, Extent{20, SizeWords{30}}};  // second piece hits
+  place("b", {Extent{300, SizeWords{20}}, Extent{20, SizeWords{30}}});  // second piece hits
   EXPECT_EQ(run(), kADoubly);
 }
 
 TEST_F(FbOccupancy, PlacementEndingAtTheEndOfTheSet) {
   build(dsched::BasicScheduler{});
-  extents("a") = {Extent{924, SizeWords{100}}};  // ends at fb_set_size
+  place("a", {Extent{924, SizeWords{100}}});  // ends at fb_set_size
   EXPECT_EQ(run(), "");
-  extents("a") = {Extent{925, SizeWords{100}}};  // ends at fb_set_size + 1
+  place("a", {Extent{925, SizeWords{100}}});  // ends at fb_set_size + 1
   EXPECT_EQ(run(), "placement out of range: LOAD a slot=0 iter=0");
   // Extent by extent, out of range is checked before overlap.
-  extents("b") = {Extent{0, SizeWords{50}}};
-  extents("a") = {Extent{25, SizeWords{50}}, Extent{1000, SizeWords{50}}};
+  place("b", {Extent{0, SizeWords{50}}});
+  place("a", {Extent{25, SizeWords{50}}, Extent{1000, SizeWords{50}}});
   EXPECT_EQ(run(), kADoubly);
-  extents("a") = {Extent{1000, SizeWords{50}}, Extent{25, SizeWords{50}}};
+  place("a", {Extent{1000, SizeWords{50}}, Extent{25, SizeWords{50}}});
   EXPECT_EQ(run(), "placement out of range: LOAD a slot=0 iter=0");
 }
 
@@ -336,12 +340,12 @@ TEST_F(FbOccupancy, ReleaseAndReinsertAtOneTimestamp) {
   };
   ASSERT_EQ(start_of("RELEASE a slot=0 iter=0"), start_of("EXEC p2 slot=0 iter=0"));
 
-  extents("a") = {Extent{0, SizeWords{100}}};
-  extents("r1") = {Extent{0, SizeWords{70}}};
+  place("a", {Extent{0, SizeWords{100}}});
+  place("r1", {Extent{0, SizeWords{70}}});
   EXPECT_EQ(run(), "");
   // b is still resident (p2 reads it): taking its words must fail.
-  extents("b") = {Extent{100, SizeWords{50}}};
-  extents("r1") = {Extent{120, SizeWords{70}}};
+  place("b", {Extent{100, SizeWords{50}}});
+  place("r1", {Extent{120, SizeWords{70}}});
   EXPECT_EQ(run(), "FB words doubly occupied: EXEC p2 slot=0 iter=0");
 }
 
@@ -349,18 +353,18 @@ TEST_F(FbOccupancy, EmptyExtentStrictlyInsideAResidentOneCollides) {
   // Extent::overlaps semantics: an empty extent overlaps an extent that
   // strictly contains its address, but not one it merely touches.
   build(dsched::BasicScheduler{});
-  extents("a") = {Extent{0, SizeWords{100}}};
-  extents("b") = {Extent{50, SizeWords{0}}};
+  place("a", {Extent{0, SizeWords{100}}});
+  place("b", {Extent{50, SizeWords{0}}});
   EXPECT_EQ(run(), kADoubly);
-  extents("b") = {Extent{0, SizeWords{0}}};
+  place("b", {Extent{0, SizeWords{0}}});
   EXPECT_EQ(run(), "");
-  extents("b") = {Extent{100, SizeWords{0}}};
+  place("b", {Extent{100, SizeWords{0}}});
   EXPECT_EQ(run(), "");
   // A resident empty extent collides with a later extent strictly around it.
-  extents("b") = {Extent{200, SizeWords{0}}};
-  extents("a") = {Extent{150, SizeWords{100}}};
+  place("b", {Extent{200, SizeWords{0}}});
+  place("a", {Extent{150, SizeWords{100}}});
   EXPECT_EQ(run(), kADoubly);
-  extents("a") = {Extent{200, SizeWords{100}}};
+  place("a", {Extent{200, SizeWords{100}}});
   EXPECT_EQ(run(), "");
 }
 
@@ -470,8 +474,7 @@ class PlacementIndex : public ::testing::Test {
   }
 
   void erase_placement(ClusterId cluster, const char* name) {
-    ASSERT_EQ(schedule_.placements.erase(dsched::DataSchedule::key(cluster, {data(name), 0})),
-              1u);
+    ASSERT_TRUE(testing::erase_placement(schedule_, cluster, {data(name), 0}));
   }
 
   /// The fault `program` raises.

@@ -9,7 +9,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "msys/dsched/alloc_driver.hpp"
@@ -50,21 +49,14 @@ inline void append_placement(std::ostringstream& out, std::uint64_t key, FbSet s
 
 /// Canonical byte-level description of everything a schedule decided: the
 /// round plan's load/store/release streams and the placement of every
-/// object instance.
-inline std::string plan_fingerprint(
-    const std::vector<dsched::ClusterRoundPlan>& round_plan,
-    const std::unordered_map<std::uint64_t, dsched::Placement>& placements) {
+/// object instance, in key order.
+inline std::string plan_fingerprint(const dsched::DataSchedule& s) {
   std::ostringstream out;
-  for (const dsched::ClusterRoundPlan& cp : round_plan) {
+  for (const dsched::ClusterRoundPlan& cp : s.round_plan) {
     detail::append_cluster(out, cp.cluster, cp.loads, cp.stores, cp.releases);
   }
-  std::vector<std::uint64_t> keys;
-  keys.reserve(placements.size());
-  for (const auto& [key, placement] : placements) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    const dsched::Placement& p = placements.at(key);
-    detail::append_placement(out, key, p.set, p.extents);
+  for (const dsched::PlacementRecord& p : s.placements) {
+    detail::append_placement(out, p.key, p.set, s.extents_of(p));
   }
   return out.str();
 }
@@ -111,7 +103,7 @@ inline std::string schedule_fingerprint(const dsched::DataSchedule& s) {
   for (const DataId d : s.retained) retained.push_back(d.index());
   std::sort(retained.begin(), retained.end());
   for (const std::uint32_t d : retained) out << d << ',';
-  out << '|' << plan_fingerprint(s.round_plan, s.placements);
+  out << '|' << plan_fingerprint(s);
   return out.str();
 }
 

@@ -223,13 +223,19 @@ done
 # arrays, so a span outliving or overrunning them trips ASan; the store
 # suite because DiskScheduleStore reads an entry with raw open/fstat/read
 # into a buffer sized from fstat and strips the frame header in place.
-# Only those thirteen test binaries are built in build-san/;
+# The model and appdsl suites join them because an Application's adjacency
+# (every kernel's inputs and outputs, every object's consumers) is spans
+# into the Application's own arrays, which a copy must re-point and a move
+# carries along, and because the .mapp reader's name table lives in the
+# reader's scratch buffer, keyed by views into the text; a span or view
+# left pointing into freed storage trips ASan.
+# Only those fifteen test binaries are built in build-san/;
 # plan_alloc_test and parse_alloc_test stay out because they replace
 # operator new, which ASan owns.
 if [ "$#" -eq 0 ]; then
   san_tests=(sim_test codegen_test oracle_screen_test fuzzing_test integration_test
              dsched_test search_test engine_test serve_test report_test msysc_cli_test
-             extract_test store_test)
+             extract_test store_test model_test appdsl_test)
   echo "==> [san] configure, build and run ${san_tests[*]} (ASan+UBSan)"
   cmake --preset san -DMSYS_WERROR=ON
   cmake --build --preset san -j "$jobs" --target "${san_tests[@]}"

@@ -10,7 +10,7 @@
 #include <memory_resource>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
 #include "msys/common/error.hpp"
 #include "msys/model/application.hpp"
@@ -39,6 +39,8 @@ void tokenize(std::string_view line, Tokens& tokens) {
   std::size_t begin = 0;
   std::size_t i = 0;
   for (; i < line.size() && line[i] != '#'; ++i) {
+    // Most bytes are name or number bytes, above the space.
+    if (static_cast<unsigned char>(line[i]) > ' ') continue;
     if (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
       if (i > begin) tokens.push_back(line.substr(begin, i - begin));
       begin = i + 1;
@@ -60,8 +62,73 @@ struct OutSpec {
   bool final{false};
 };
 
+/// Object and kernel names (two name spaces) to their ids, in one
+/// open-addressing table whose slots come from the parser's scratch
+/// buffer.  Keys are views into the text being parsed.
+class NameTable {
+ public:
+  enum class Kind : std::uint8_t { kData, kKernel };
+
+  explicit NameTable(std::pmr::memory_resource* scratch) : slots_(kFirstSize, scratch) {}
+
+  /// The id `name` was inserted under as `kind`, if any.
+  [[nodiscard]] std::optional<std::uint32_t> find(Kind kind, std::string_view name) {
+    const Slot& slot = probe(kind, name);
+    if (slot.name.data() == nullptr) return std::nullopt;
+    return slot.id;
+  }
+
+  /// Records `name` as `kind` with `id`; the name must not be there yet.
+  void insert(Kind kind, std::string_view name, std::uint32_t id) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    probe(kind, name) = Slot{name, id, kind};
+    ++used_;
+  }
+
+ private:
+  struct Slot {
+    std::string_view name;  // data() == nullptr: empty slot
+    std::uint32_t id{0};
+    Kind kind{Kind::kData};
+  };
+
+  static constexpr std::size_t kFirstSize = 128;  // a power of two
+
+  /// Names are a few bytes: up to eight take one multiply, longer ones
+  /// one more per eight bytes.
+  static std::size_t hash(Kind kind, std::string_view name) {
+    std::uint64_t h = name.size() * 2 + static_cast<std::uint64_t>(kind);
+    for (std::size_t at = 0; at < name.size(); at += 8) {
+      std::uint64_t word = 0;
+      __builtin_memcpy(&word, name.data() + at, std::min<std::size_t>(8, name.size() - at));
+      h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+
+  /// The slot holding (kind, name), or the empty slot where it would go.
+  Slot& probe(Kind kind, std::string_view name) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(kind, name) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.name.data() == nullptr || (slot.kind == kind && slot.name == name)) return slot;
+    }
+  }
+
+  void grow() {
+    const std::pmr::vector<Slot> previous = std::exchange(
+        slots_, std::pmr::vector<Slot>(2 * slots_.size(), slots_.get_allocator()));
+    for (const Slot& slot : previous) {
+      if (slot.name.data() != nullptr) probe(slot.kind, slot.name) = slot;
+    }
+  }
+
+  std::pmr::vector<Slot> slots_;
+  std::size_t used_{0};
+};
+
 /// Parser state threaded through the line handlers.  Tokens and the keys
-/// of the name maps are views into the text passed to run(), which
+/// of the name table are views into the text passed to run(), which
 /// outlives the Parser.
 class Parser {
  public:
@@ -205,12 +272,13 @@ class Parser {
 
   void handle_input(const Tokens& tok) {
     if (tok.size() != 3) fail("parse.syntax", "expected: input <name> <size>");
-    if (data_by_name_.contains(tok[1])) {
+    if (names_.find(kData, tok[1])) {
       fail("parse.duplicate", concat("duplicate data name: ", tok[1]));
     }
     const SizeWords size{parse_bounded(tok[2], "input size", 1,
                                        std::numeric_limits<std::uint64_t>::max())};
-    data_by_name_.emplace(tok[1], builder_->external_input(std::string(tok[1]), size));
+    names_.insert(kData, tok[1],
+                  builder_->external_input(std::string(tok[1]), size).index());
   }
 
   void handle_kernel(const Tokens& tok) {
@@ -219,23 +287,20 @@ class Parser {
       fail("parse.syntax",
            "expected: kernel <name> ctx <w> cycles <c> in <data>... [out ...]");
     }
-    if (kernels_by_name_.contains(tok[1])) {
+    if (names_.find(kKernel, tok[1])) {
       fail("parse.duplicate", concat("duplicate kernel name: ", tok[1]));
     }
     const std::uint32_t ctx_words = parse_u32(tok[3], "ctx words");
     const Cycles cycles{parse_bounded(tok[5], "cycles", 1,
                                       std::numeric_limits<std::uint64_t>::max())};
-    const auto out = std::find(tok.begin() + 7, tok.end(), "out");
-    std::vector<DataId> inputs;
-    inputs.reserve(static_cast<std::size_t>(out - (tok.begin() + 7)));
+    const auto out = std::find(tok.begin() + 7, tok.end(), std::string_view("out"));
+    inputs_.clear();
     for (auto it = tok.begin() + 7; it != out; ++it) {
-      const auto found = data_by_name_.find(*it);
-      if (found == data_by_name_.end()) {
-        fail("parse.unknown-ref", concat("unknown data object: ", *it));
-      }
-      inputs.push_back(found->second);
+      const std::optional<std::uint32_t> found = names_.find(kData, *it);
+      if (!found) fail("parse.unknown-ref", concat("unknown data object: ", *it));
+      inputs_.push_back(DataId{*found});
     }
-    if (inputs.empty()) fail("parse.syntax", "kernel needs at least one input");
+    if (inputs_.empty()) fail("parse.syntax", "kernel needs at least one input");
     // Validate the out specs *before* mutating the builder, so a bad spec
     // does not leave a half-declared kernel behind.
     specs_.clear();
@@ -243,7 +308,7 @@ class Parser {
       if (out + 1 == tok.end()) fail("parse.syntax", "out with no specs");
       for (auto it = out + 1; it != tok.end(); ++it) {
         const OutSpec spec = parse_out_spec(*it);
-        if (data_by_name_.contains(spec.name)) {
+        if (names_.find(kData, spec.name)) {
           fail("parse.duplicate", concat("duplicate data name: ", spec.name));
         }
         for (const OutSpec& earlier : specs_) {
@@ -254,18 +319,19 @@ class Parser {
         specs_.push_back(spec);
       }
     }
-    const KernelId k = builder_->kernel(std::string(tok[1]), ctx_words, cycles, std::move(inputs));
-    kernels_by_name_.emplace(tok[1], k);
+    const KernelId k = builder_->kernel(std::string(tok[1]), ctx_words, cycles);
+    for (const DataId in : inputs_) builder_->add_input(k, in);
+    names_.insert(kKernel, tok[1], k.index());
     for (const OutSpec& spec : specs_) {
-      data_by_name_.emplace(
-          spec.name, builder_->output(k, std::string(spec.name), spec.size, spec.final));
+      names_.insert(kData, spec.name,
+                    builder_->output(k, std::string(spec.name), spec.size, spec.final).index());
     }
   }
 
   void handle_cluster(const Tokens& tok) {
     if (tok.size() < 2) fail("parse.syntax", "cluster needs at least one kernel");
     for (std::size_t i = 1; i < tok.size(); ++i) {
-      if (!kernels_by_name_.contains(tok[i])) {
+      if (!names_.find(kKernel, tok[i])) {
         fail("parse.unknown-ref", concat("cluster references unknown kernel: ", tok[i]));
       }
     }
@@ -294,19 +360,23 @@ class Parser {
     return result;
   }
 
+  static constexpr NameTable::Kind kData = NameTable::Kind::kData;
+  static constexpr NameTable::Kind kKernel = NameTable::Kind::kKernel;
+
   std::string file_;
   int line_no_{0};
   Diagnostics diags_;
   std::optional<ApplicationBuilder> builder_;
-  // The parser's own containers (tokens, out specs, the name maps' nodes
-  // and buckets) bump-allocate from a buffer inside the Parser and spill
-  // to the heap only on a large text; nothing in them outlives run().
-  std::array<std::byte, 4096> scratch_buffer_;
+  // The parser's own containers (tokens, a kernel line's inputs and out
+  // specs, the name table) bump-allocate from a buffer inside the Parser
+  // and spill to the heap only on a large text; nothing in them outlives
+  // run().
+  std::array<std::byte, 8192> scratch_buffer_;
   std::pmr::monotonic_buffer_resource scratch_{scratch_buffer_.data(), scratch_buffer_.size()};
   Tokens tokens_{&scratch_};
+  std::pmr::vector<DataId> inputs_{&scratch_};
   std::pmr::vector<OutSpec> specs_{&scratch_};
-  std::pmr::unordered_map<std::string_view, DataId> data_by_name_{&scratch_};
-  std::pmr::unordered_map<std::string_view, KernelId> kernels_by_name_{&scratch_};
+  NameTable names_{&scratch_};
   std::vector<std::vector<std::string>> partition_;
   arch::M1Config cfg_ = arch::M1Config::m1_default();
 };

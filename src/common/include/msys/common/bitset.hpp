@@ -149,8 +149,10 @@ class IndexSet {
 
 /// Canonical encoding: cardinality, then every non-zero word as
 /// (word index, word bits) — independent of spill capacity and of the
-/// order elements were inserted, with no sort and no copy.
-inline void hash_append(Hasher& h, const IndexSet& s) {
+/// order elements were inserted, with no sort and no copy.  `H` is Hasher
+/// or WordHasher; under WordHasher each value is one step.
+template <class H>
+void hash_append(H& h, const IndexSet& s) {
   h.update_u64(s.size());
   const std::size_t words = s.word_count();
   for (std::size_t i = 0; i < words; ++i) {
@@ -209,8 +211,8 @@ class IdSet {
   IndexSet bits_;
 };
 
-template <class IdT>
-inline void hash_append(Hasher& h, const IdSet<IdT>& s) {
+template <class H, class IdT>
+void hash_append(H& h, const IdSet<IdT>& s) {
   hash_append(h, s.bits());
 }
 

@@ -11,8 +11,12 @@
 // finalize() runs the splitmix64 avalanche over the FNV state so that low
 // bits are well mixed (FNV-1a alone mixes high bits poorly, which matters
 // when a key's low bits pick a bucket).
+//
+// WordHasher takes the same values a word at a time, for digests that are
+// computed per job (the model's canonical digests) or per lookup.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -56,6 +60,74 @@ class Hasher {
   }
 
  private:
+  std::uint64_t state_{0xcbf29ce484222325ULL};
+};
+
+/// Word-at-a-time 64-bit hash: one step per 64-bit word instead of eight
+/// byte steps, for the model's canonical digests (and so the engine's cache
+/// keys) and in-memory hash-table keys.  A step xors the word into the
+/// state, multiplies by an odd constant and folds the high half down; each
+/// of those is a bijection of the state, so two inputs that differ in one
+/// word never meet.  update_bytes() appends the length, then the bytes
+/// packed little-endian eight to a word with the last word zero-padded, so
+/// {"ab","c"} and {"a","bc"} differ.  finalize() is Hasher's avalanche.
+/// The digests differ from Hasher's: anything persisted under one must be
+/// versioned apart from the other.
+class WordHasher {
+ public:
+  constexpr WordHasher() = default;
+
+  constexpr void update_u64(std::uint64_t v) {
+    state_ = (state_ ^ v) * 0x9e3779b97f4a7c15ULL;
+    state_ ^= state_ >> 32;
+  }
+
+  void update_bytes(std::string_view s) {
+    update_u64(s.size());
+    const char* p = s.data();
+    std::size_t left = s.size();
+    for (; left >= 8; p += 8, left -= 8) update_u64(load_le(p, 8));
+    if (left > 0) update_u64(load_le(p, left));
+  }
+
+  [[nodiscard]] constexpr std::uint64_t finalize() const {
+    std::uint64_t z = state_ + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  /// The first `n` (1-8) bytes at `p` as a little-endian word, zero above,
+  /// from fixed-width loads (a variable-length copy is a library call):
+  /// two overlapping 4-byte loads from 4 bytes up, three byte loads below.
+  static std::uint64_t load_le(const char* p, std::size_t n) {
+    if (n == 8) return load_fixed<std::uint64_t>(p);
+    if (n >= 4) {
+      return load_fixed<std::uint32_t>(p) |
+             (std::uint64_t{load_fixed<std::uint32_t>(p + n - 4)} << (8 * (n - 4)));
+    }
+    const auto byte = [p](std::size_t i) {
+      return std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+    };
+    return byte(0) | byte(n / 2) | byte(n - 1);
+  }
+
+  /// sizeof(T) bytes at `p` as a little-endian T.
+  template <class T>
+  static T load_fixed(const char* p) {
+    T w;
+    __builtin_memcpy(&w, p, sizeof(T));
+    if constexpr (std::endian::native == std::endian::big) {
+      if constexpr (sizeof(T) == 8) {
+        w = __builtin_bswap64(w);
+      } else {
+        w = __builtin_bswap32(w);
+      }
+    }
+    return w;
+  }
+
   std::uint64_t state_{0xcbf29ce484222325ULL};
 };
 

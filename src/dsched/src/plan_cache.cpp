@@ -33,7 +33,7 @@ PlanCache::~PlanCache() {
 }
 
 std::size_t PlanCache::KeyHash::operator()(const Key& k) const {
-  Hasher h;
+  WordHasher h;
   h.update_u64(k.rf);
   h.update_u64(k.release_at_last_use ? 1 : 0);
   hash_append(h, k.retained);

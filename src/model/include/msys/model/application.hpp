@@ -50,23 +50,44 @@ class ApplicationBuilder {
   /// Marks an object as needed in external memory after the run.
   void mark_final(DataId data);
 
-  /// Validates and returns the finished Application.  Throws msys::Error
-  /// on structural problems (unknown ids, cyclic dependencies, kernels
-  /// with zero latency, objects nobody reads or writes back, ...).
+  /// Validates and returns the finished Application, its adjacency laid
+  /// out once (see Application).  Throws msys::Error on structural
+  /// problems (unknown ids, cyclic dependencies, kernels with zero
+  /// latency, objects nobody reads or writes back, ...).
   [[nodiscard]] Application build() &&;
 
  private:
-  friend class Application;
+  /// One add_input() call, repeats included; build() keeps the first.
+  struct InputEdge {
+    KernelId kernel;
+    DataId data;
+  };
+
   std::string name_;
   std::uint32_t total_iterations_;
+  // Staged flat: kernels and objects with empty adjacency spans, and the
+  // (kernel, input) edges in call order.
   std::vector<DataObject> data_;
   std::vector<Kernel> kernels_;
+  std::vector<InputEdge> edges_;
   bool built_{false};
 };
 
 /// Immutable, validated kernel/data DAG.
+///
+/// The adjacency is flat, CSR-style: one array holds every kernel's inputs
+/// (kernel by kernel), one every kernel's outputs and one every object's
+/// consumers; Kernel::inputs/outputs and DataObject::consumers are spans
+/// into them.  A copy owns its own arrays and re-points its spans; a move
+/// takes the arrays, so the spans stay valid.
 class Application {
  public:
+  Application(const Application& other);
+  Application& operator=(const Application& other);
+  Application(Application&&) noexcept = default;
+  Application& operator=(Application&&) noexcept = default;
+  ~Application() = default;
+
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t total_iterations() const { return total_iterations_; }
 
@@ -108,10 +129,17 @@ class Application {
   friend class ApplicationBuilder;
   Application() = default;
 
+  /// Points every adjacency span into this object's arrays, keeping each
+  /// span's length; the arrays are laid out in kernel and object order.
+  void rebase_spans();
+
   std::string name_;
   std::uint32_t total_iterations_{1};
   std::vector<DataObject> data_;
   std::vector<Kernel> kernels_;
+  std::vector<DataId> kernel_inputs_;
+  std::vector<DataId> kernel_outputs_;
+  std::vector<KernelId> data_consumers_;
   std::vector<KernelId> topo_order_;
 };
 

@@ -7,8 +7,8 @@
 // object are FB-resident at once.
 #pragma once
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "msys/common/types.hpp"
 
@@ -36,8 +36,9 @@ struct DataObject {
   SizeWords size{};
   /// Producing kernel; invalid() means the object is an external input.
   KernelId producer{};
-  /// Consuming kernels, in insertion order (deduplicated).
-  std::vector<KernelId> consumers;
+  /// Consuming kernels, in insertion order (deduplicated): a view into the
+  /// owning Application's adjacency array, valid while it lives.
+  std::span<const KernelId> consumers;
   /// True when the object must be written back to external memory.
   bool required_in_external_memory{false};
 

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "msys/common/types.hpp"
 
@@ -23,9 +23,11 @@ struct Kernel {
   std::uint32_t context_words{0};
   /// RC-array latency of one kernel iteration (one data block).
   Cycles exec_cycles{};
-  /// Data objects read / written each iteration.
-  std::vector<DataId> inputs;
-  std::vector<DataId> outputs;
+  /// Data objects read / written each iteration, in declaration order
+  /// (deduplicated): views into the owning Application's adjacency arrays,
+  /// valid while it lives.
+  std::span<const DataId> inputs;
+  std::span<const DataId> outputs;
 };
 
 }  // namespace msys::model

@@ -14,8 +14,9 @@ KernelSchedule KernelSchedule::from_partition(const Application& app,
   sched.app_ = &app;
   sched.cluster_of_kernel_.assign(app.kernel_count(), ClusterId{});
   sched.position_of_kernel_.assign(app.kernel_count(), 0);
+  sched.clusters_.reserve(partition.size());
+  sched.flat_order_.reserve(app.kernel_count());
 
-  std::vector<bool> seen(app.kernel_count(), false);
   for (std::size_t c = 0; c < partition.size(); ++c) {
     MSYS_REQUIRE(!partition[c].empty(), "clusters must be non-empty");
     Cluster cluster;
@@ -24,8 +25,8 @@ KernelSchedule KernelSchedule::from_partition(const Application& app,
     cluster.kernels = std::move(partition[c]);
     for (KernelId k : cluster.kernels) {
       MSYS_REQUIRE(k.index() < app.kernel_count(), "unknown kernel in partition");
-      MSYS_REQUIRE(!seen[k.index()], "kernel '" + app.kernel(k).name + "' appears twice");
-      seen[k.index()] = true;
+      MSYS_REQUIRE(!sched.cluster_of_kernel_[k.index()].valid(),
+                   "kernel '" + app.kernel(k).name + "' appears twice");
       sched.cluster_of_kernel_[k.index()] = cluster.id;
       sched.position_of_kernel_[k.index()] =
           static_cast<std::uint32_t>(sched.flat_order_.size());
@@ -35,8 +36,15 @@ KernelSchedule KernelSchedule::from_partition(const Application& app,
   }
   MSYS_REQUIRE(sched.flat_order_.size() == app.kernel_count(),
                "partition must cover every kernel");
-  MSYS_REQUIRE(app.respects_dependencies(sched.flat_order_),
-               "partition order violates data dependencies");
+  // Every kernel has its position now, so the order is a permutation.
+  for (const DataObject& d : app.data_objects()) {
+    if (!d.producer.valid()) continue;
+    for (const KernelId consumer : d.consumers) {
+      MSYS_REQUIRE(sched.position_of_kernel_[d.producer.index()] <
+                       sched.position_of_kernel_[consumer.index()],
+                   "partition order violates data dependencies");
+    }
+  }
   return sched;
 }
 

@@ -1,21 +1,24 @@
-// Heap allocations of one appdsl::parse_collect call.
+// Heap allocations of one appdsl::parse_collect call and of the
+// engine::make_input that follows it in a cold compile.
 //
 // The reader walks the text as views: it splits lines in place, tokenizes
 // each into one reused vector of views, parses numbers from views and
-// looks names up in maps keyed by views into the text, and its own
-// containers draw on a buffer inside the parser.  It makes a std::string
-// only where the Application, the partition or a Diagnostic keeps one, so
-// a clean text costs about the parsed model's own blocks: the data and
-// kernel arrays, each kernel's input and output lists, each object's
-// consumer list and each cluster's name list.  A reader that copies the
-// text into a stream, makes a string per token and a vector per line and
-// keys its maps by strings allocates about three times as many.  This
-// test pins the bound per text, per line of it.
+// looks names up in one open-addressing table keyed by views into the
+// text, and its own containers draw on a buffer inside the parser.  It
+// builds straight into the ApplicationBuilder's flat staging (kernels,
+// objects, input edges), and build() lays the adjacency out in three
+// shared arrays.  It makes a std::string only where the Application, the
+// partition or a Diagnostic keeps one, so a clean text costs the staging
+// arrays' growth, the Application's arrays and each cluster's name list.
+// make_input then costs the partition's id lists, the schedule's arrays
+// and two shared owners; the digest allocates nothing.  This test pins
+// both per text: the parse per line of it, make_input per text.
 //
 // It replaces the global operator new to count, so it is a test binary of
 // its own; sanitizer builds that own the allocator leave it out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "msys/appdsl/parser.hpp"
+#include "msys/engine/job.hpp"
 #include "msys/workloads/experiments.hpp"
 #include "msys/workloads/random.hpp"
 
@@ -90,25 +94,40 @@ std::vector<std::pair<std::string, std::string>> texts() {
 }
 
 /// Most heap blocks one parse_collect may allocate per line of text.  The
-/// texts above take 2.4-3.2 per line (72-133 per family text); the
-/// string-per-token reader took 8.4-10.4 (242-435 per family text).
-constexpr double kAllocationsPerLineBound = 4.0;
+/// texts above take 0.97 per line on average, 1.44 at worst (table1:MPEG).
+/// The reader that built per-kernel and per-object vectors and kept two
+/// hash maps took 2.87 on average, 3.21 at worst; the string-per-token
+/// reader before it 8.4-10.4.
+constexpr double kAllocationsPerLineBound = 2.0;
+
+/// Most heap blocks one make_input (kernel-name partition) may allocate.
+/// The texts above take 12.7 on average, 16 at worst; with the byte-serial
+/// digest's sort vectors and the schedule's growing arrays it was 24.3 and
+/// 29.
+constexpr std::uint64_t kMakeInputBound = 20;
+
+/// Heap blocks `fn` allocates.
+template <class Fn>
+std::uint64_t allocations_of(Fn&& fn) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  fn();
+  g_counting.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 TEST(ParseAllocations, ReaderStaysUnderThePerLineBound) {
   double worst = 0;
   std::string worst_text;
-  std::uint64_t total = 0, total_lines = 0;
-  for (const auto& [name, text] : texts()) {
+  std::uint64_t total = 0, total_lines = 0, make_input_total = 0, make_input_worst = 0;
+  const auto all = texts();
+  for (const auto& [name, text] : all) {
     std::uint64_t lines = 0;
     for (char c : text) lines += c == '\n' ? 1 : 0;
     ASSERT_GT(lines, 0u) << name;
 
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    ParseResult result = parse_collect(text);
-    g_counting.store(false, std::memory_order_relaxed);
-    const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
-
+    ParseResult result;
+    const std::uint64_t allocations = allocations_of([&] { result = parse_collect(text); });
     ASSERT_TRUE(result.ok()) << name << '\n' << render(result.diagnostics);
     const double per_line = static_cast<double>(allocations) / static_cast<double>(lines);
     EXPECT_LE(per_line, kAllocationsPerLineBound)
@@ -119,9 +138,21 @@ TEST(ParseAllocations, ReaderStaysUnderThePerLineBound) {
       worst = per_line;
       worst_text = name;
     }
+
+    ParsedExperiment& exp = *result.experiment;
+    engine::CompileInput input;
+    const std::uint64_t made = allocations_of([&] {
+      input = engine::make_input(std::move(exp.app), exp.partition, exp.cfg);
+    });
+    EXPECT_LE(made, kMakeInputBound) << name;
+    make_input_total += made;
+    make_input_worst = std::max(make_input_worst, made);
   }
   std::cout << "parse allocations: " << total << " over " << total_lines
-            << " lines; worst " << worst << " per line (" << worst_text << ")\n";
+            << " lines; worst " << worst << " per line (" << worst_text << ")\n"
+            << "make_input allocations: "
+            << static_cast<double>(make_input_total) / static_cast<double>(all.size())
+            << " per text; worst " << make_input_worst << "\n";
 }
 
 }  // namespace

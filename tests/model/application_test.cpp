@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "msys/common/error.hpp"
 
 namespace msys::model {
@@ -156,6 +160,82 @@ TEST(Application, FindByName) {
   EXPECT_FALSE(app.find_kernel("nope").has_value());
   EXPECT_TRUE(app.find_data("t").has_value());
   EXPECT_FALSE(app.find_data("nope").has_value());
+}
+
+/// Every kernel's inputs and outputs and every object's consumers, as ids.
+struct Adjacency {
+  std::vector<std::vector<std::uint32_t>> inputs, outputs, consumers;
+  bool operator==(const Adjacency&) const = default;
+};
+
+Adjacency adjacency_of(const Application& app) {
+  Adjacency a;
+  for (const Kernel& k : app.kernels()) {
+    a.inputs.emplace_back();
+    for (const DataId d : k.inputs) a.inputs.back().push_back(d.index());
+    a.outputs.emplace_back();
+    for (const DataId d : k.outputs) a.outputs.back().push_back(d.index());
+  }
+  for (const DataObject& d : app.data_objects()) {
+    a.consumers.emplace_back();
+    for (const KernelId k : d.consumers) a.consumers.back().push_back(k.index());
+  }
+  return a;
+}
+
+/// Edges added out of kernel order and repeated, so that the adjacency
+/// keeps insertion order and drops repeats.
+std::unique_ptr<Application> interleaved_app() {
+  ApplicationBuilder b("interleaved", 2);
+  const DataId a = b.external_input("a", SizeWords{4});
+  const DataId c = b.external_input("c", SizeWords{4});
+  const KernelId k1 = b.kernel("k1", 8, Cycles{10}, {c});
+  const KernelId k2 = b.kernel("k2", 8, Cycles{10});
+  const DataId t = b.output(k1, "t", SizeWords{2});
+  const DataId u = b.output(k1, "u", SizeWords{2}, true);
+  b.add_input(k2, t);
+  b.add_input(k1, a);
+  b.add_input(k2, a);
+  b.add_input(k1, c);
+  b.add_input(k2, u);
+  b.output(k2, "r", SizeWords{1}, true);
+  return std::make_unique<Application>(std::move(b).build());
+}
+
+TEST(ApplicationTest, AdjacencyKeepsInsertionOrderWithoutRepeats) {
+  const Adjacency a = adjacency_of(*interleaved_app());
+  EXPECT_EQ(a.inputs, (std::vector<std::vector<std::uint32_t>>{{1, 0}, {2, 0, 3}}));
+  EXPECT_EQ(a.outputs, (std::vector<std::vector<std::uint32_t>>{{2, 3}, {4}}));
+  EXPECT_EQ(a.consumers, (std::vector<std::vector<std::uint32_t>>{{0, 1}, {0}, {1}, {1}, {}}));
+}
+
+// The adjacency is spans into the Application's own arrays: a copy must
+// re-point them at its arrays and a move must carry the arrays along, so
+// that each reads right after its source is gone (ASan sees a dangling
+// span here).
+TEST(ApplicationTest, CopiesAndMovesOwnTheirAdjacency) {
+  const Adjacency expected = adjacency_of(*interleaved_app());
+
+  std::unique_ptr<Application> source = interleaved_app();
+  const Application copied(*source);
+  Application copy_assigned = simple_chain();
+  copy_assigned = *source;
+  source.reset();
+  EXPECT_EQ(adjacency_of(copied), expected);
+  EXPECT_EQ(adjacency_of(copy_assigned), expected);
+  EXPECT_EQ(copied.topological_order(), copy_assigned.topological_order());
+
+  source = interleaved_app();
+  const Application moved(std::move(*source));
+  source.reset();
+  EXPECT_EQ(adjacency_of(moved), expected);
+
+  source = interleaved_app();
+  Application move_assigned = simple_chain();
+  move_assigned = std::move(*source);
+  source.reset();
+  EXPECT_EQ(adjacency_of(move_assigned), expected);
+  EXPECT_EQ(move_assigned.name(), "interleaved");
 }
 
 }  // namespace

@@ -1,12 +1,23 @@
 // Canonical content hashing: declaration-order independence, sensitivity
-// to every semantic field, and round-trip stability through the DSL.
+// to every semantic field (names split at another byte, names at the
+// 8-byte word edges), round-trip stability through the DSL, and distinct
+// digests over the fuzz corpus and a 4,000-seed random family.
 #include "msys/model/canonical.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "msys/appdsl/parser.hpp"
 #include "msys/arch/m1.hpp"
 #include "msys/model/application.hpp"
+#include "msys/workloads/random.hpp"
+#include "testing/oracle.hpp"
 
 namespace msys::model {
 namespace {
@@ -115,6 +126,133 @@ TEST(CanonicalHash, ScheduleHashCoversPartition) {
   EXPECT_NE(canonical_hash(one), canonical_hash(merged));
   EXPECT_EQ(canonical_hash(one),
             canonical_hash(KernelSchedule::from_partition(app, {{k1}, {k2}})));
+}
+
+/// Inputs `a` and `b` into kernel `k`, whose result `r` is final; kernel
+/// `k`'s input order follows the names' sorted order.
+Application two_input_app(const std::string& app_name, const std::string& a,
+                          const std::string& b) {
+  ApplicationBuilder builder(app_name, 4);
+  const DataId in_a = builder.external_input(a, SizeWords{8});
+  const DataId in_b = builder.external_input(b, SizeWords{8});
+  const KernelId k = builder.kernel("k", 4, Cycles{10}, {in_a, in_b});
+  builder.output(k, "r", SizeWords{4}, true);
+  return std::move(builder).build();
+}
+
+/// Kernels `k1` -> `k2` over one intermediate.
+Application chain_app(const std::string& k1_name, const std::string& k2_name) {
+  ApplicationBuilder builder("chain", 4);
+  const DataId a = builder.external_input("a", SizeWords{8});
+  const KernelId k1 = builder.kernel(k1_name, 4, Cycles{10}, {a});
+  const DataId t = builder.output(k1, "t", SizeWords{8});
+  const KernelId k2 = builder.kernel(k2_name, 4, Cycles{10}, {t});
+  builder.output(k2, "r", SizeWords{4}, true);
+  return std::move(builder).build();
+}
+
+// The same bytes cut into two names at another place are another app: a
+// name's length is part of its encoding.
+TEST(CanonicalHash, NameBoundariesAreSemantic) {
+  const std::pair<std::pair<const char*, const char*>, std::pair<const char*, const char*>>
+      splits[] = {
+          {{"ab", "c"}, {"a", "bc"}},
+          {{"abcdefgh", "i"}, {"abcdefg", "hi"}},
+          {{"abcdefgh", "ijklmnop"}, {"abcdefghi", "jklmnop"}},
+          {{"abcdefghijklmnop", "q"}, {"abcdefghijklmno", "pq"}},
+      };
+  for (const auto& [one, other] : splits) {
+    EXPECT_NE(canonical_hash(two_input_app("x", one.first, one.second)),
+              canonical_hash(two_input_app("x", other.first, other.second)))
+        << one.first << '+' << one.second << " against " << other.first << '+'
+        << other.second;
+    EXPECT_NE(canonical_hash(chain_app(one.first, one.second)),
+              canonical_hash(chain_app(other.first, other.second)))
+        << one.first << '+' << one.second;
+    const Application a = chain_app(one.first, one.second);
+    const Application b = chain_app(other.first, other.second);
+    EXPECT_NE(canonical_hash(KernelSchedule::from_partition(a, {a.topological_order()})),
+              canonical_hash(KernelSchedule::from_partition(b, {b.topological_order()})))
+        << one.first << '+' << one.second;
+  }
+}
+
+// Names of 7, 8, 9 and 16 bytes sit at the edges of 8-byte words: the last
+// byte, a trailing NUL (which packs into the same words) and one byte less
+// must each move the digest, whether the name is the app's, an object's or
+// a kernel's.
+TEST(CanonicalHash, NamesAtWordEdges) {
+  const std::string letters = "abcdefghijklmnopq";
+  for (const std::size_t length : {7U, 8U, 9U, 16U}) {
+    const std::string name = letters.substr(0, length);
+    std::string last_changed = name;
+    last_changed.back() = 'Z';
+    const std::string variants[] = {last_changed, name + '\0', name.substr(0, length - 1)};
+
+    const std::uint64_t as_app = canonical_hash(two_input_app(name, "x", "y"));
+    const std::uint64_t as_data = canonical_hash(two_input_app("x", name, "y"));
+    const std::uint64_t as_kernel = canonical_hash(chain_app(name, "y"));
+    EXPECT_EQ(as_app, canonical_hash(two_input_app(name, "x", "y")));
+    for (const std::string& v : variants) {
+      EXPECT_NE(as_app, canonical_hash(two_input_app(v, "x", "y"))) << length;
+      EXPECT_NE(as_data, canonical_hash(two_input_app("x", v, "y"))) << length;
+      EXPECT_NE(as_kernel, canonical_hash(chain_app(v, "y"))) << length;
+    }
+  }
+}
+
+/// Kernel names per cluster, the form appdsl::write takes.
+std::vector<std::vector<std::string>> partition_names(const KernelSchedule& sched) {
+  std::vector<std::vector<std::string>> partition;
+  for (const Cluster& c : sched.clusters()) {
+    std::vector<std::string> names;
+    for (const KernelId k : c.kernels) names.push_back(sched.app().kernel(k).name);
+    partition.push_back(std::move(names));
+  }
+  return partition;
+}
+
+// Digests of different apps (and schedules) are pairwise distinct over the
+// fuzz corpus and family seeds [100000, 104000).  Every family app is
+// renamed to one name, so only its content can tell the digests apart; two
+// inputs may share a digest only when their texts are equal.
+TEST(CanonicalHash, DistinctOverCorpusAndFamily) {
+  const arch::M1Config cfg = arch::M1Config::m1_default();
+  std::map<std::uint64_t, std::string> apps;
+  std::map<std::uint64_t, std::string> schedules;
+  const auto add = [&](const std::string& what, const appdsl::ParsedExperiment& exp) {
+    const auto [app_at, app_fresh] =
+        apps.emplace(canonical_hash(exp.app), appdsl::write(exp.app, {}, cfg));
+    if (!app_fresh) {
+      EXPECT_EQ(app_at->second, appdsl::write(exp.app, {}, cfg)) << what;
+    }
+    if (exp.partition.empty()) return;
+    const std::string text = appdsl::write(exp.app, exp.partition, cfg);
+    const auto [sched_at, sched_fresh] =
+        schedules.emplace(canonical_hash(exp.schedule()), text);
+    if (!sched_fresh) {
+      EXPECT_EQ(sched_at->second, text) << what;
+    }
+  };
+
+  std::vector<std::filesystem::path> corpus;
+  for (const auto& entry : std::filesystem::directory_iterator(MSYS_FUZZ_CORPUS_DIR)) {
+    if (entry.path().extension() == ".mapp") corpus.push_back(entry.path());
+  }
+  std::sort(corpus.begin(), corpus.end());
+  for (const std::filesystem::path& path : corpus) {
+    const appdsl::ParseResult parsed = appdsl::parse_file_collect(path.string());
+    if (parsed.ok()) add(path.filename().string(), *parsed.experiment);
+  }
+  for (std::uint64_t seed = 100000; seed < 104000; ++seed) {
+    const workloads::RandomExperiment exp =
+        workloads::make_random(testing::family_spec(seed));
+    std::string text = appdsl::write(*exp.app, partition_names(exp.sched), exp.cfg);
+    text.replace(4, exp.app->name().size(), "family");
+    add("seed " + std::to_string(seed), appdsl::parse(text));
+  }
+  EXPECT_GE(apps.size(), 4000u);
+  EXPECT_GE(schedules.size(), 4000u);
 }
 
 TEST(CanonicalHash, M1ConfigSensitivity) {

@@ -15,16 +15,17 @@
 // K islands each run a fixed move budget on their own Rng::split(island)
 // stream; temperature is a pure function of (step, budget) and every
 // acceptance draw comes from the island's own stream, so a trajectory
-// never observes another island or the thread schedule.  The winner is
-// the minimum (predicted cycles, island index) over island bests.
+// never observes another island or the thread schedule.  Islands keep
+// their best by price alone; the merge cross-checks the island bests in
+// (predicted cycles, island index) order and the first that passes wins.
 //
-// Never-worse guarantee: an island best must (a) strictly beat the greedy
-// CDS baseline's predicted cycles and (b) pass sim::cross_check, the one
+// Never-worse guarantee: the winner must (a) strictly beat the greedy CDS
+// baseline's predicted cycles and (b) pass sim::cross_check, the one
 // three-way oracle — validate_schedule clean, the simulator fault-free,
 // and the simulator equal to the prediction on all eight shared cycle,
-// word and request fields — before it can win.  When no island clears
-// both bars (or the search is cancelled mid-flight), the greedy schedule
-// is returned unchanged.
+// word and request fields — with a prediction equal to the island's
+// price.  When no island best clears both bars (or the search is
+// cancelled mid-flight), the greedy schedule is returned unchanged.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +57,14 @@ struct IslandStats {
   std::uint32_t moves{0};
   std::uint32_t accepted{0};
   std::uint32_t rejected_infeasible{0};
-  /// Accepted improvements that failed the simulator cross-check (must be
-  /// zero unless the cost model and simulator disagree — a bug, surfaced
-  /// as data so the search degrades instead of crashing).
+  /// The island best failed the simulator cross-check at the merge (must
+  /// be zero unless the cost model and simulator disagree — a bug,
+  /// surfaced as data so the search degrades instead of crashing).
   std::uint32_t sim_rejects{0};
+  /// The merge cross-checked the island best (0 or 1: it stops at the
+  /// first best that passes).
   std::uint32_t sim_verifications{0};
-  /// Times the island best improved (each one simulator-verified).
+  /// Times the island best improved on its price.
   std::uint32_t improvements{0};
   /// Distinct partitions this island derived contexts for.
   std::uint32_t partitions_explored{0};
@@ -78,10 +81,10 @@ struct IslandStats {
 };
 
 struct AnnealResult {
-  /// The winning schedule: the greedy CDS schedule when no island beat it,
-  /// else the simulator-verified island best.  `schedule.sched` points at
-  /// the caller's kernel schedule, or at `owned_sched` when the winner
-  /// repartitioned.
+  /// The winning schedule: the greedy CDS schedule when no island best
+  /// beat it and passed the cross-check, else that island best.
+  /// `schedule.sched` points at the caller's kernel schedule, or at
+  /// `owned_sched` when the winner repartitioned.
   dsched::DataSchedule schedule;
   /// Set iff the winner uses a different cluster partition than the input.
   std::unique_ptr<model::KernelSchedule> owned_sched;

@@ -1,6 +1,7 @@
 #include "msys/search/anneal.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -41,10 +42,10 @@ std::unique_ptr<ShapeContext> context_of(const ScheduleAnalysis& analysis,
                                         shape, cfg);
 }
 
-/// The simulator cross-check: an accepted improvement only becomes the
-/// island best when sim::cross_check passes on the packed schedule and its
-/// prediction is the cycle count the search priced.  Returns that schedule
-/// and prediction with the verdict, so a verified winner ships as checked.
+/// The simulator cross-check of an island best at the merge: it passes when
+/// sim::cross_check passes on the packed schedule and its prediction is the
+/// cycle count the island priced.  Returns that schedule and prediction
+/// with the verdict, so a verified winner ships as checked.
 struct Verified {
   dsched::DataSchedule schedule;
   dsched::CostBreakdown predicted;
@@ -69,6 +70,17 @@ double to_unit(std::uint64_t x) {
 }
 
 enum class MoveKind { kRfStep, kRfJump, kToggle, kMerge, kSplit };
+
+/// The moves applicable to a skeleton with their weights, at most one of
+/// each kind: a fixed array, so choosing a move allocates nothing.
+struct MoveMenu {
+  std::array<std::pair<MoveKind, std::uint32_t>, 5> moves;
+  std::size_t size{0};
+
+  void add(MoveKind kind, std::uint32_t weight) { moves[size++] = {kind, weight}; }
+  [[nodiscard]] auto begin() const { return moves.begin(); }
+  [[nodiscard]] auto end() const { return moves.begin() + size; }
+};
 
 struct IslandOutcome {
   IslandStats stats;
@@ -146,10 +158,9 @@ class Island {
               : 0.0;
       const double temp = kT0 * std::pow(kT1 / kT0, frac);
 
-      const std::vector<std::pair<MoveKind, std::uint32_t>> avail = available_moves(*ctx, cur);
-      if (avail.empty()) break;  // nothing left to mutate
+      const MoveMenu avail = available_moves(*ctx, cur);
+      if (avail.size == 0) break;  // nothing left to mutate
       ++out.stats.moves;
-      MSYS_TRACE_SPAN(move_span, "search.move", "search");
 
       Skeleton cand = cur;
       ShapeContext* cand_ctx = ctx;
@@ -179,14 +190,10 @@ class Island {
       cur_cycles = cand_cycles;
 
       if (cur_cycles < out.best_cycles) {
-        ++out.stats.sim_verifications;
-        if (verify_in_simulator(*ctx, cur, cur_cycles).ok) {
-          out.best = cur;
-          out.best_cycles = cur_cycles;
-          ++out.stats.improvements;
-        } else {
-          ++out.stats.sim_rejects;
-        }
+        // Priced, not simulated: the merge cross-checks the island best.
+        out.best = cur;
+        out.best_cycles = cur_cycles;
+        ++out.stats.improvements;
       }
     }
 
@@ -215,26 +222,21 @@ class Island {
 
   /// Moves applicable to `cur`, with fixed weights, in a fixed order (the
   /// weighted pick below consumes exactly one rng draw either way).
-  [[nodiscard]] std::vector<std::pair<MoveKind, std::uint32_t>> available_moves(
-      const ShapeContext& ctx, const Skeleton& cur) const {
-    std::vector<std::pair<MoveKind, std::uint32_t>> avail;
+  [[nodiscard]] static MoveMenu available_moves(const ShapeContext& ctx, const Skeleton& cur) {
+    MoveMenu avail;
     if (ctx.max_rf > 1) {
-      avail.emplace_back(MoveKind::kRfStep, 3);
-      avail.emplace_back(MoveKind::kRfJump, 2);
+      avail.add(MoveKind::kRfStep, 3);
+      avail.add(MoveKind::kRfJump, 2);
     }
-    if (!ctx.candidate_ids.empty()) avail.emplace_back(MoveKind::kToggle, 4);
-    if (cur.shape.size() > 1) avail.emplace_back(MoveKind::kMerge, 1);
-    for (std::uint32_t size : cur.shape) {
-      if (size > 1) {
-        avail.emplace_back(MoveKind::kSplit, 1);
-        break;
-      }
+    if (!ctx.candidate_ids.empty()) avail.add(MoveKind::kToggle, 4);
+    if (cur.shape.size() > 1) avail.add(MoveKind::kMerge, 1);
+    if (std::ranges::any_of(cur.shape, [](std::uint32_t size) { return size > 1; })) {
+      avail.add(MoveKind::kSplit, 1);
     }
     return avail;
   }
 
-  [[nodiscard]] MoveKind pick_move(
-      const std::vector<std::pair<MoveKind, std::uint32_t>>& avail) {
+  [[nodiscard]] MoveKind pick_move(const MoveMenu& avail) {
     std::uint32_t total = 0;
     for (const auto& [kind, weight] : avail) total += weight;
     std::uint64_t r = rng_.uniform(0, total - 1);
@@ -242,7 +244,7 @@ class Island {
       if (r < weight) return kind;
       r -= weight;
     }
-    return avail.back().first;  // unreachable
+    return avail.moves[avail.size - 1].first;  // unreachable
   }
 
   /// Mutates `cand` in place; for partition moves rebinds *ctx to the new
@@ -274,11 +276,14 @@ class Island {
         return rebind_partition(cand, ctx, stats);
       }
       case MoveKind::kSplit: {
-        std::vector<std::size_t> splittable;
-        for (std::size_t i = 0; i < cand.shape.size(); ++i) {
-          if (cand.shape[i] > 1) splittable.push_back(i);
+        // The k-th cluster of more than one kernel, k drawn uniformly.
+        const auto splittable = [](std::uint32_t size) { return size > 1; };
+        const std::uint64_t k = rng_.uniform(
+            0, static_cast<std::uint64_t>(std::ranges::count_if(cand.shape, splittable)) - 1);
+        std::size_t i = 0;
+        for (std::uint64_t seen = 0;; ++i) {
+          if (splittable(cand.shape[i]) && seen++ == k) break;
         }
-        const std::size_t i = splittable[rng_.uniform(0, splittable.size() - 1)];
         const std::uint32_t left =
             static_cast<std::uint32_t>(rng_.uniform(1, cand.shape[i] - 1));
         const std::uint32_t right = cand.shape[i] - left;
@@ -371,15 +376,50 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
     outcomes[i] = island.run();
   });
 
-  // Deterministic merge: strictly fewer predicted cycles wins; ties go to
-  // the lowest island index.
+  result.cancelled = result.cancelled ||
+                     std::ranges::any_of(outcomes, &IslandOutcome::cancelled);
+  // Cancelled searches return the greedy baseline even when an island
+  // already improved: how far each island got depends on wall-clock, and a
+  // timing-dependent "best so far" would break the determinism contract.
+  // Otherwise the improved islands are cross-checked in (best cycles,
+  // island index) order, each on its context rebuilt on this thread (a pure
+  // recompute of what the island planned); the first that passes wins, and
+  // when none does the greedy floor stands.
+  std::vector<IslandOutcome*> ranked;
+  if (!result.cancelled) {
+    for (IslandOutcome& out : outcomes) {
+      if (out.improved) ranked.push_back(&out);
+    }
+  }
+  std::ranges::stable_sort(ranked, {}, &IslandOutcome::best_cycles);
+  for (IslandOutcome* out : ranked) {
+    ++out->stats.sim_verifications;
+    const std::unique_ptr<ShapeContext> ctx =
+        context_of(analysis, start.shape, out->best.shape, cfg);
+    MSYS_REQUIRE(ctx->usable, "the rebuilt island best's partition must plan as it did");
+    Verified checked = verify_in_simulator(*ctx, out->best, out->best_cycles);
+    if (!checked.ok) {
+      ++out->stats.sim_rejects;
+      continue;
+    }
+    result.schedule = std::move(checked.schedule);
+    if (ctx->sched_owned != nullptr) {
+      result.owned_sched = std::move(ctx->sched_owned);
+      // pack() pointed schedule.sched at the context's schedule; keep that
+      // pointer alive past the context by adopting ownership here.
+      result.schedule.sched = result.owned_sched.get();
+    }
+    result.predicted = checked.predicted;
+    result.improved = true;
+    result.winner_island = out->stats.island;
+    break;
+  }
+
   result.islands.reserve(n_islands);
   SearchMetrics& metrics = SearchMetrics::get();
   metrics.islands.add(n_islands);
-  const IslandOutcome* winner = nullptr;
   for (const IslandOutcome& out : outcomes) {
     result.islands.push_back(out.stats);
-    result.cancelled = result.cancelled || out.cancelled;
     metrics.moves.add(out.stats.moves);
     metrics.accepted.add(out.stats.accepted);
     metrics.rejected.add(out.stats.rejected_infeasible);
@@ -388,39 +428,8 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
     metrics.improvements.add(out.stats.improvements);
     metrics.partitions.add(out.stats.partitions_explored);
     metrics.partition_cap.add(out.stats.partition_cap_rejects);
-    if (out.improved && (winner == nullptr || out.best_cycles < winner->best_cycles)) {
-      winner = &out;
-    }
   }
-  if (result.cancelled || winner == nullptr) {
-    // Cancelled searches return the greedy baseline even when an island
-    // already improved: how far each island got depends on wall-clock, and
-    // a timing-dependent "best so far" would break the determinism
-    // contract.  The greedy floor is always a correct answer.
-    return result;
-  }
-
-  // Rebuild the winning skeleton's context on this thread (a pure
-  // recompute of what the winning island planned) and re-verify it end to end.
-  const std::unique_ptr<ShapeContext> ctx =
-      context_of(analysis, start.shape, winner->best.shape, cfg);
-  Verified checked;
-  MSYS_REQUIRE(ctx->usable &&
-                   (checked = verify_in_simulator(*ctx, winner->best, winner->best_cycles)).ok,
-               "the rebuilt winner must reproduce the island's cost in the simulator");
-  result.schedule = std::move(checked.schedule);
-  if (ctx->sched_owned != nullptr) {
-    result.owned_sched = std::move(ctx->sched_owned);
-    // pack() pointed schedule.sched at the context's schedule; keep that
-    // pointer alive past the context by adopting ownership here.
-    result.schedule.sched = result.owned_sched.get();
-  }
-  result.predicted = checked.predicted;
-  MSYS_REQUIRE(result.predicted.feasible && result.predicted.total.value() == winner->best_cycles,
-               "winner cost must survive re-materialization");
-  result.improved = true;
-  result.winner_island = winner->stats.island;
-  if (span.active()) {
+  if (result.improved && span.active()) {
     span.add_arg(obs::arg("greedy_cycles", greedy_cycles));
     span.add_arg(obs::arg("annealed_cycles", result.annealed_cycles()));
     span.add_arg(obs::arg("winner_island", std::uint64_t{result.winner_island}));

@@ -12,7 +12,10 @@
 //      least three Table-1/synthetic rows (the reason the search exists);
 //   4. cancellation degrades to the greedy baseline, deterministically;
 //   5. the simulator cross-check never fires (sim_rejects == 0): the
-//      cost model and the simulator agree on every accepted improvement.
+//      cost model and the simulator agree on every island best;
+//   6. the lemma behind checking island bests only at the merge: every
+//      sampled skeleton that prices feasible packs into a schedule whose
+//      predict_cost equals the price and which passes sim::cross_check.
 #include "msys/search/anneal.hpp"
 
 #include <gtest/gtest.h>
@@ -28,14 +31,18 @@
 #include "msys/appdsl/parser.hpp"
 #include "msys/arch/m1.hpp"
 #include "msys/codegen/program.hpp"
+#include "msys/common/rng.hpp"
 #include "msys/csched/context_plan.hpp"
 #include "msys/engine/thread_pool.hpp"
 #include "msys/extract/analysis.hpp"
 #include "msys/fuzzing/fuzzing.hpp"
+#include "msys/search/space.hpp"
+#include "msys/sim/cross_check.hpp"
 #include "msys/sim/simulator.hpp"
 #include "msys/workloads/experiments.hpp"
 #include "msys/workloads/random.hpp"
 #include "testing/fingerprint.hpp"
+#include "testing/oracle.hpp"
 
 namespace msys::search {
 namespace {
@@ -90,6 +97,17 @@ std::vector<Case> table1_cases() {
   for (const std::string& name : workloads::table1_experiment_names()) {
     workloads::Experiment exp = workloads::make_experiment(name);
     cases.push_back(Case{exp.name, nullptr, std::move(exp.app),
+                         std::make_unique<model::KernelSchedule>(std::move(exp.sched)),
+                         exp.cfg});
+  }
+  return cases;
+}
+
+std::vector<Case> empty_store_cases() {
+  std::vector<Case> cases;
+  for (const std::uint64_t seed : testing::kEmptyStoreAnnealSeeds) {
+    workloads::RandomExperiment exp = workloads::make_random(testing::anneal_spec(seed));
+    cases.push_back(Case{"anneal seed " + std::to_string(seed), nullptr, std::move(exp.app),
                          std::make_unique<model::KernelSchedule>(std::move(exp.sched)),
                          exp.cfg});
   }
@@ -267,6 +285,62 @@ TEST(Anneal, RepartitionedWinnerCarriesItsSchedule) {
     // The repartitioned schedule still runs end-to-end.
     (void)simulate(result.schedule, exp.cfg);
   }
+}
+
+// Islands trust ShapeContext::price alone and the merge cross-checks only
+// their bests, so this is the oracle's coverage of the candidates that
+// never leave the search.  Per usable shape (every shape of a space of at
+// most kShapes, else kShapes drawn), the greedy skeleton and up to
+// kRandomSkeletons random ones (RF in [1, max_rf], a random subset of the
+// retention candidates) that price feasible.
+TEST(AnnealPricing, PriceMatchesTheSimulatorOnSampledSkeletons) {
+  constexpr std::uint64_t kShapes = 64;
+  constexpr int kRandomSkeletons = 3;
+  std::vector<Case> cases = table1_cases();
+  for (auto* more : {corpus_cases, empty_store_cases}) {
+    for (Case& c : more()) cases.push_back(std::move(c));
+  }
+  Rng rng(7);
+  std::size_t checked = 0;
+  for (const Case& c : cases) {
+    const extract::ScheduleAnalysis analysis(*c.sched, c.cfg.cross_set_reads);
+    const std::vector<KernelId>& order = c.sched->flattened_order();
+    const Shape own = shape_of(*c.sched);
+    const std::uint64_t space = space_size(order.size());
+    for (std::uint64_t s = 0; s < std::min(space, kShapes); ++s) {
+      const Shape shape = shape_of_mask(space <= kShapes ? s : rng.uniform(0, space - 1),
+                                        order.size());
+      ShapeContext ctx = shape == own ? ShapeContext(analysis, c.cfg)
+                                      : ShapeContext(c.sched->app(), order, shape, c.cfg);
+      if (!ctx.usable) continue;
+      std::vector<Skeleton> skeletons;
+      if (const std::optional<dsched::DriverOptions> greedy = ctx.greedy()) {
+        skeletons.push_back(Skeleton{shape, greedy->rf, greedy->retained});
+      }
+      for (int i = 0; i < kRandomSkeletons; ++i) {
+        Skeleton sk{shape, static_cast<std::uint32_t>(rng.uniform(1, ctx.max_rf)), {}};
+        for (const DataId d : ctx.candidate_ids) {
+          if (rng.chance(1, 2)) sk.retained.insert(d);
+        }
+        skeletons.push_back(std::move(sk));
+      }
+      for (const Skeleton& sk : skeletons) {
+        const std::optional<Cycles> price = ctx.price(sk.rf, sk.retained);
+        if (!price) continue;
+        const dsched::DataSchedule packed = ctx.pack(sk, "CDS+anneal");
+        const dsched::CostBreakdown predicted =
+            dsched::predict_cost(packed, c.cfg, ctx.context_plan());
+        const sim::CrossCheck check =
+            sim::cross_check(packed, predicted, *ctx.analysis, c.cfg, ctx.context_plan());
+        ++checked;
+        EXPECT_EQ(predicted.total.value(), price->value())
+            << c.name << " shape of " << shape.size() << " clusters, RF " << sk.rf;
+        EXPECT_TRUE(check.ok()) << c.name << " shape of " << shape.size() << " clusters, RF "
+                                << sk.rf << ": " << check.why();
+      }
+    }
+  }
+  EXPECT_GE(checked, 5000u) << "the corpus lost its priced skeletons";
 }
 
 }  // namespace

@@ -43,21 +43,18 @@ TEST(CrossCheck, EmptyStoreSlotsAgree) {
   }
 }
 
-// Seeds whose annealing search meets candidates with empty-store slots:
-// an empty-store barrier in the model makes cross_check reject them.
+// Seeds whose annealing search met candidates with empty-store slots: an
+// empty-store barrier in the model made cross_check reject them.  The
+// annealer cross-checks only the island bests at its merge, so this test
+// sees winners alone; AnnealPricing.* (search_test) holds every sampled
+// skeleton's price to the simulator.
 TEST(CrossCheck, AnnealerRejectsNoCandidate) {
   engine::ThreadPool pool(2);
   search::AnnealOptions options;
   options.budget = 256;
   options.islands = 4;
-  for (const std::uint64_t seed : {29,  43,  64,  68,  83,  97,  113, 163, 165, 175, 212, 221,
-                                   241, 303, 312, 349, 369, 378, 402, 414, 422, 430, 454}) {
-    workloads::RandomSpec spec;
-    spec.seed = seed;
-    spec.min_kernels = 6;
-    spec.max_kernels = 10;
-    spec.reuse_percent = 40;
-    const workloads::RandomExperiment exp = workloads::make_random(spec);
+  for (const std::uint64_t seed : testing::kEmptyStoreAnnealSeeds) {
+    const workloads::RandomExperiment exp = workloads::make_random(testing::anneal_spec(seed));
     const ScheduleAnalysis analysis(exp.sched, exp.cfg.cross_set_reads);
     const search::AnnealResult result =
         search::anneal_schedule(analysis, exp.cfg, options, &pool);

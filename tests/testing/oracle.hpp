@@ -1,9 +1,10 @@
 // Random-workload families the three-way oracle is screened on, and the
 // fallback schedule of one of them checked by engine::compile_checked.  Shared
-// by the cross_check unit tests (sim_test) and the differential screen
-// (oracle_screen_test).
+// by the cross_check unit tests (sim_test), the differential screen
+// (oracle_screen_test) and the annealer's pricing property (search_test).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "msys/engine/job.hpp"
@@ -31,6 +32,23 @@ inline workloads::RandomSpec large_spec(std::uint64_t seed) {
   spec.max_iterations = 64;
   return spec;
 }
+
+/// The annealing workloads: 6-10 kernels, 40% reuse.
+inline workloads::RandomSpec anneal_spec(std::uint64_t seed) {
+  workloads::RandomSpec spec;
+  spec.seed = seed;
+  spec.min_kernels = 6;
+  spec.max_kernels = 10;
+  spec.reuse_percent = 40;
+  return spec;
+}
+
+/// anneal_spec seeds whose annealing search met candidates with empty-store
+/// slots, which a model charging an empty-store barrier priced above the
+/// simulator.
+inline constexpr std::array<std::uint64_t, 23> kEmptyStoreAnnealSeeds = {
+    29,  43,  64,  68,  83,  97,  113, 163, 165, 175, 212, 221,
+    241, 303, 312, 349, 369, 378, 402, 414, 422, 430, 454};
 
 /// Cross-checks the CDS schedule of `spec`'s workload.
 inline sim::CrossCheck cds_cross_check(const workloads::RandomSpec& spec) {

@@ -537,11 +537,11 @@ void run_anneal(const msys::extract::ScheduleAnalysis& analysis,
     return;
   }
   std::uint64_t accepted = 0;
-  std::uint64_t verified = 0;
+  std::uint64_t priced = 0;
   std::uint64_t sim_rejects = 0;
   for (const search::IslandStats& s : r.islands) {
     accepted += s.accepted;
-    verified += s.improvements;
+    priced += s.improvements;
     sim_rejects += s.sim_rejects;
   }
   if (r.improved) {
@@ -559,8 +559,8 @@ void run_anneal(const msys::extract::ScheduleAnalysis& analysis,
     std::cout << "anneal: no improvement (greedy " << r.greedy_cycles() << "c"
               << (r.cancelled ? ", cancelled" : "") << ")\n";
   }
-  std::cout << "anneal: " << budget_str << ", " << accepted << " accepted, " << verified
-            << " improvements verified, " << sim_rejects << " sim rejects\n";
+  std::cout << "anneal: " << budget_str << ", " << accepted << " accepted, " << priced
+            << " improvements priced, " << sim_rejects << " sim rejects\n";
 }
 
 /// Single-file flow: parse, schedule with Basic, DS and CDS, simulate, and

@@ -201,8 +201,10 @@ done
 
 # Narrow ASan/UBSan pass on every default run: the simulator indexes its
 # dense residency and placement tables and FB-occupancy bitset with
-# program-supplied values, the Figure-4 walk's flat results are indexed by
-# per-cluster offsets the walk computes, and the cost model indexes its
+# program-supplied values, a schedule's round plan is per-cluster end
+# offsets into shared load/store/release arrays that the walk computes and
+# to_schedule's move must carry along (codegen, the validator and the cost
+# model all slice the arrays by them), and the cost model indexes its
 # execution timeline by per-cluster same-set back-distances (dsched_test's
 # CostReference suite drives it), so the suites that drive them with real and
 # adversarial programs (simulator, fuzz harness, end to end, schedulers,

@@ -8,7 +8,6 @@
 
 namespace msys::codegen {
 
-using dsched::ClusterRoundPlan;
 using dsched::DataSchedule;
 using dsched::ObjInstance;
 using dsched::ReleaseEvent;
@@ -70,11 +69,12 @@ struct RoundShape {
       return cluster_base[c] + release.trigger_kernel * iters +
              std::min(release.trigger_iter, iters - 1);
     };
+    const dsched::RoundPlan& plan = schedule.round_plan;
     for (std::uint32_t c = 0; c < n_clusters; ++c) {
-      const ClusterRoundPlan& plan = schedule.round_plan[c];
-      for (ObjInstance inst : plan.loads) transfers[c] += inst.iter < iters;
-      for (const StoreEvent& store : plan.stores) transfers[c] += store.inst.iter < iters;
-      for (const ReleaseEvent& release : plan.releases) {
+      const ClusterId id{c};
+      for (ObjInstance inst : plan.loads(id)) transfers[c] += inst.iter < iters;
+      for (const StoreEvent& store : plan.stores(id)) transfers[c] += store.inst.iter < iters;
+      for (const ReleaseEvent& release : plan.releases(id)) {
         const std::uint32_t b = bucket_of(c, release);
         if (b != UINT32_MAX) ++bucket_begin[b + 1];
       }
@@ -83,7 +83,7 @@ struct RoundShape {
     releases.resize(bucket_begin.back());
     std::vector<std::uint32_t> cursor(bucket_begin.begin(), bucket_begin.end() - 1);
     for (std::uint32_t c = 0; c < n_clusters; ++c) {
-      for (const ReleaseEvent& release : schedule.round_plan[c].releases) {
+      for (const ReleaseEvent& release : plan.releases(ClusterId{c})) {
         const std::uint32_t b = bucket_of(c, release);
         if (b != UINT32_MAX) releases[cursor[b]++] = &release;
       }
@@ -147,7 +147,7 @@ ScheduleProgram generate(const DataSchedule& schedule, const csched::ContextPlan
   // ST(s). ----
   auto emit_loads = [&](std::uint32_t s, bool late) {
     const Slot& slot = program.slots[s];
-    for (ObjInstance inst : schedule.round_plan[slot.cluster.index()].loads) {
+    for (ObjInstance inst : schedule.round_plan.loads(slot.cluster)) {
       if (inst.iter >= slot.iterations || dsched::is_late_load(sched, s, inst.data) != late) {
         continue;
       }
@@ -169,7 +169,7 @@ ScheduleProgram generate(const DataSchedule& schedule, const csched::ContextPlan
   };
   auto emit_stores = [&](std::uint32_t s) {
     const Slot& slot = program.slots[s];
-    for (const StoreEvent& store : schedule.round_plan[slot.cluster.index()].stores) {
+    for (const StoreEvent& store : schedule.round_plan.stores(slot.cluster)) {
       if (store.inst.iter >= slot.iterations) continue;
       program.dma_ops.push_back(Op{.kind = OpKind::kStoreData,
                                    .slot = s,

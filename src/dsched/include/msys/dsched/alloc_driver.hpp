@@ -41,14 +41,15 @@
 // drains by round end.  tests/dsched/decision_walk_test.cpp checks the
 // agreement over the fuzz corpus, Table 1 and the cold-compile family.
 //
-// Output layout: flat results, schedule built once.  A cold schedule()
-// runs ~10 decision walks and one placement walk, so the walks append
-// their output to reusable PlanScratch vectors instead of building a
-// DataSchedule:
+// Output layout: one flat plan from the walk to the simulator.  A cold
+// schedule() runs ~10 decision walks and one placement walk, so the walks
+// append their output to reusable PlanScratch vectors instead of building
+// a DataSchedule:
 //
-//   loads / stores / releases   one array each, cluster after cluster;
-//                               cluster_ends[c] holds the end offsets of
-//                               cluster c (its begin is cluster c-1's end)
+//   plan                        a RoundPlan (schedule_types.hpp): one
+//                               array each for loads, stores and releases,
+//                               cluster after cluster, and each cluster's
+//                               end offsets into them
 //   placements                  one {key, set, extent_begin, extent_count}
 //                               record per allocated instance
 //   extent_pool                 every placement's extents, in allocation
@@ -56,14 +57,16 @@
 //                               slot, so the pool never loses an extent)
 //
 // A successful walk copies its arrays into a RoundDecision (decision walk:
-// loads and stores) or a DriverResult (placement walk: everything) with
-// one exactly-sized allocation each; a failed one returns only ok and
-// fail_reason (and, placed, the summary).  Only a DriverResult converts to
-// a DataSchedule, so to_schedule() cannot be handed a decision.
+// the plan, whose releases stay empty) or a DriverResult (placement walk:
+// everything) with one exactly-sized allocation each; a failed one returns
+// only ok and fail_reason (and, placed, the summary).  to_schedule() moves
+// a DriverResult's arrays into the DataSchedule as they are, so the plan
+// the walk emits is the plan codegen, the validator and the cost model
+// read.  Only a DriverResult converts to a DataSchedule, so to_schedule()
+// cannot be handed a decision.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -73,14 +76,6 @@
 #include "msys/extract/analysis.hpp"
 
 namespace msys::dsched {
-
-/// End offsets of one cluster's slice of the flat load/store/release
-/// arrays.
-struct ClusterEnds {
-  std::uint32_t loads{0};
-  std::uint32_t stores{0};
-  std::uint32_t releases{0};
-};
 
 /// Reusable scratch memory for both walks.  A cold schedule() runs the
 /// Figure-4 walk many times (RF probes, the cost scan, retention's prefix
@@ -96,11 +91,8 @@ struct PlanScratch {
   /// Extents of every FB placement of the walk; the live table and the
   /// placement records index into it.
   std::vector<Extent> extent_pool;
-  std::vector<ObjInstance> loads;
-  std::vector<StoreEvent> stores;
-  std::vector<ReleaseEvent> releases;
+  RoundPlan plan;
   std::vector<PlacementRecord> placements;
-  std::vector<ClusterEnds> cluster_ends;
 };
 
 struct DriverOptions {
@@ -119,8 +111,23 @@ struct DriverOptions {
   alloc::FitPolicy fit{alloc::FitPolicy::kFirstFit};
 };
 
-class RoundDecision;
-class DriverResult;
+/// The outcome of a decision walk: the round plan, without releases.
+/// The plan is empty unless `ok`.
+struct RoundDecision {
+  bool ok{false};
+  std::string fail_reason;
+  RoundPlan plan;
+};
+
+/// The outcome of a placement walk: the decision, with every release, plus
+/// every placement.  Empty unless `ok`, apart from `summary`.
+struct DriverResult : RoundDecision {
+  AllocSummary summary;
+  /// Every allocated instance, in allocation order.
+  std::vector<PlacementRecord> placements;
+  /// Every placement's extents; each record names its own range.
+  std::vector<Extent> extents;
+};
 
 /// The decision walk over one steady round (RF iterations of every
 /// cluster) against two `fb_set_size`-word FB sets: ok, fail_reason and
@@ -140,72 +147,10 @@ class DriverResult;
 [[nodiscard]] DriverResult plan_round(const extract::ScheduleAnalysis& analysis,
                                       SizeWords fb_set_size, const DriverOptions& options);
 
-/// The outcome of a decision walk, flat: per-cluster spans into shared
-/// arrays.  Empty unless `ok`.
-class RoundDecision {
- public:
-  bool ok{false};
-  std::string fail_reason;
-
-  [[nodiscard]] std::size_t cluster_count() const { return cluster_ends_.size(); }
-  [[nodiscard]] std::span<const ObjInstance> loads(ClusterId c) const {
-    return slice(loads_, &ClusterEnds::loads, c);
-  }
-  [[nodiscard]] std::span<const StoreEvent> stores(ClusterId c) const {
-    return slice(stores_, &ClusterEnds::stores, c);
-  }
-
- protected:
-  template <class T>
-  [[nodiscard]] std::span<const T> slice(const std::vector<T>& all,
-                                         std::uint32_t ClusterEnds::*field,
-                                         ClusterId c) const {
-    const std::uint32_t begin = c.index() == 0 ? 0 : cluster_ends_[c.index() - 1].*field;
-    return std::span<const T>(all).subspan(begin, cluster_ends_[c.index()].*field - begin);
-  }
-  /// Copies the scratch's cluster ends, loads and stores.
-  void assign_flat(const PlanScratch& scratch);
-
- private:
-  friend RoundDecision decide_round(const extract::ScheduleAnalysis&, SizeWords,
-                                    const DriverOptions&, PlanScratch&);
-
-  std::vector<ClusterEnds> cluster_ends_;  // indexed by ClusterId
-  std::vector<ObjInstance> loads_;
-  std::vector<StoreEvent> stores_;
-};
-
-/// The outcome of a placement walk: the decision plus every release and
-/// placement.  Empty unless `ok`, apart from `summary`.
-class DriverResult : public RoundDecision {
- public:
-  AllocSummary summary;
-
-  [[nodiscard]] std::span<const ReleaseEvent> releases(ClusterId c) const {
-    return slice(releases_, &ClusterEnds::releases, c);
-  }
-  /// Every allocated instance, in allocation order.
-  [[nodiscard]] std::span<const PlacementRecord> placements() const { return placements_; }
-  [[nodiscard]] std::span<const Extent> extents(const PlacementRecord& p) const {
-    return std::span<const Extent>(extents_).subspan(p.extent_begin, p.extent_count);
-  }
-
- private:
-  friend DriverResult plan_round(const extract::ScheduleAnalysis&, SizeWords,
-                                 const DriverOptions&, PlanScratch&);
-  friend DataSchedule to_schedule(const DriverResult&, std::string,
-                                  const model::KernelSchedule&, const DriverOptions&);
-
-  std::vector<ReleaseEvent> releases_;
-  std::vector<PlacementRecord> placements_;
-  std::vector<Extent> extents_;
-};
-
 /// Builds the DataSchedule of a successful placement walk planned with
-/// `options`: one round_plan entry per cluster, and the walk's placement
-/// records, sorted by key, over a copy of its extent array.  The only place
-/// a walk becomes a schedule.
-[[nodiscard]] DataSchedule to_schedule(const DriverResult& result, std::string scheduler_name,
+/// `options`: the walk's plan, placement records (sorted by key in place)
+/// and extent array, moved in.  The only place a walk becomes a schedule.
+[[nodiscard]] DataSchedule to_schedule(DriverResult&& result, std::string scheduler_name,
                                        const model::KernelSchedule& sched,
                                        const DriverOptions& options);
 

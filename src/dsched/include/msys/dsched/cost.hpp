@@ -33,7 +33,6 @@
 
 #include "msys/arch/m1.hpp"
 #include "msys/csched/context_plan.hpp"
-#include "msys/dsched/alloc_driver.hpp"
 #include "msys/dsched/schedule_types.hpp"
 
 namespace msys::dsched {
@@ -67,13 +66,12 @@ struct CostBreakdown {
                                          const arch::M1Config& cfg,
                                          const csched::ContextPlan& ctx_plan);
 
-/// Prices one walk directly, without building a DataSchedule: the RF scan
-/// and the annealer price many decision walks of which at most one becomes
-/// a schedule.  `plan` must be a successful walk (decision or placement)
-/// at `rf` over `sched`.  Both overloads run the same core over
-/// per-cluster load/store spans, so they agree exactly on the same plan.
+/// Prices a round plan at `rf` over `sched` directly, without building a
+/// DataSchedule: the RF scan and the annealer price many decision walks of
+/// which at most one becomes a schedule.  The model proper; the
+/// DataSchedule overload forwards its round_plan here.
 [[nodiscard]] CostBreakdown predict_cost(const model::KernelSchedule& sched,
-                                         std::uint32_t rf, const RoundDecision& plan,
+                                         std::uint32_t rf, const RoundPlan& plan,
                                          const arch::M1Config& cfg,
                                          const csched::ContextPlan& ctx_plan);
 

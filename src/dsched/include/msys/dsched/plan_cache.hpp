@@ -21,10 +21,12 @@
 // are provably unchanged (tests/dsched/rf_search_property_test.cpp replays
 // the fuzz corpus against unmemoized references).
 //
-// What the memo holds: flat RoundDecisions (see alloc_driver.hpp) — three
-// exactly-sized arrays per successful walk, and only ok/fail_reason for a
-// failed one.  No DataSchedule is built from them; schedule() runs the one
-// placement walk a scheduler ships.
+// What the memo holds: RoundDecisions (see alloc_driver.hpp) — per
+// successful walk one RoundPlan, the type a DataSchedule ships, with its
+// cluster ends, loads and stores in three exactly-sized arrays and no
+// releases; only ok/fail_reason for a failed one.  No DataSchedule is
+// built from them; schedule() runs the one placement walk a scheduler
+// ships and moves its plan in.
 //
 // Scope: one PlanCache per schedule() call or pipeline, on the
 // stack.  Not thread-safe; concurrent compiles each own their cache.

@@ -73,20 +73,47 @@ struct ReleaseEvent {
   friend bool operator==(const ReleaseEvent&, const ReleaseEvent&) = default;
 };
 
-/// Per-cluster steady-round transfer plan.  Execution itself is implied:
-/// each kernel of the cluster runs RF times (loop fission) in cluster
-/// order.
-struct ClusterRoundPlan {
-  ClusterId cluster{};
-  /// DMA loads that must complete before the cluster's execution slot, in
+/// The steady-round transfer plan, cluster after cluster.  Execution itself
+/// is implied: each kernel of a cluster runs RF times (loop fission) in
+/// cluster order.  The plan is flat, in the layout the Figure-4 walk emits
+/// it: one array each for loads, stores and releases, with cluster c's
+/// slice of each running from cluster c-1's end (0 for the first cluster)
+/// to its own.
+struct RoundPlan {
+  /// End offsets of one cluster's slices of the three arrays.
+  struct Ends {
+    std::uint32_t loads{0};
+    std::uint32_t stores{0};
+    std::uint32_t releases{0};
+  };
+
+  /// Indexed by ClusterId.  The accessors below trust them: one per
+  /// cluster, never decreasing, the last at each array's length
+  /// (validate_schedule checks exactly that).
+  std::vector<Ends> ends;
+  /// DMA loads that must complete before a cluster's execution slot, in
   /// issue order (shared/retained data first, then kernel inputs).
-  std::vector<ObjInstance> loads;
-  /// DMA stores issued after the cluster's execution slot.
-  std::vector<StoreEvent> stores;
+  std::vector<ObjInstance> all_loads;
+  /// DMA stores issued after a cluster's execution slot.
+  std::vector<StoreEvent> all_stores;
   /// Releases of inputs/intermediates/retained objects, recorded by the
-  /// planning walk so that code generation replays exactly the liveness
+  /// placement walk so that code generation replays exactly the liveness
   /// the allocator planned for (stores carry their own release flag).
-  std::vector<ReleaseEvent> releases;
+  std::vector<ReleaseEvent> all_releases;
+
+  [[nodiscard]] std::size_t cluster_count() const { return ends.size(); }
+  [[nodiscard]] std::span<const ObjInstance> loads(ClusterId c) const {
+    const std::uint32_t begin = c.index() == 0 ? 0 : ends[c.index() - 1].loads;
+    return {all_loads.data() + begin, ends[c.index()].loads - begin};
+  }
+  [[nodiscard]] std::span<const StoreEvent> stores(ClusterId c) const {
+    const std::uint32_t begin = c.index() == 0 ? 0 : ends[c.index() - 1].stores;
+    return {all_stores.data() + begin, ends[c.index()].stores - begin};
+  }
+  [[nodiscard]] std::span<const ReleaseEvent> releases(ClusterId c) const {
+    const std::uint32_t begin = c.index() == 0 ? 0 : ends[c.index() - 1].releases;
+    return {all_releases.data() + begin, ends[c.index()].releases - begin};
+  }
 };
 
 /// Aggregate allocator behaviour over the planning walk.
@@ -120,8 +147,9 @@ struct DataSchedule {
   /// Objects kept FB-resident across clusters (empty except for CDS).
   extract::RetainedSet retained;
 
-  /// Indexed by ClusterId.
-  std::vector<ClusterRoundPlan> round_plan;
+  /// What each cluster loads, stores and releases in a steady round: the
+  /// placement walk's flat plan, moved in whole (see RoundPlan).
+  RoundPlan round_plan;
 
   /// Placement of every object instance of the steady round, keyed by the
   /// *allocating* cluster: a non-retained object reloaded by two clusters

@@ -64,11 +64,11 @@ struct Walk {
       : analysis(&a), options(&opt), scratch(&s), fb(fbs, opt.fit) {
     scratch->arena.reset();
     scratch->extent_pool.clear();
-    scratch->loads.clear();
-    scratch->stores.clear();
-    scratch->releases.clear();
+    scratch->plan.ends.clear();
+    scratch->plan.all_loads.clear();
+    scratch->plan.all_stores.clear();
+    scratch->plan.all_releases.clear();
     scratch->placements.clear();
-    scratch->cluster_ends.clear();
     data_count = static_cast<std::uint32_t>(a.app().data_count());
     // An instance may be resident in both sets at once (e.g. a result
     // retained on its producer's set while the other set holds the copy it
@@ -179,7 +179,7 @@ struct Walk {
     if constexpr (Place) {
       fb.sets[set_index].release_span(extents_of(s));
       if (record) {
-        scratch->releases.push_back(
+        scratch->plan.all_releases.push_back(
             ReleaseEvent{.trigger_kernel = trigger_kernel,
                          .trigger_iter = trigger_iter,
                          .inst = {d, iter},
@@ -233,8 +233,9 @@ bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
   const Cluster& cluster = analysis.sched().cluster(cluster_id);
   const ClusterDataflow& flow = analysis.dataflow(cluster_id);
   const FbSet set = cluster.set;
-  PlanScratch& emit = *walk.scratch;
-  MSYS_REQUIRE(emit.cluster_ends.size() == cluster_id.index(),
+  PlanScratch& scratch = *walk.scratch;
+  RoundPlan& emit = scratch.plan;
+  MSYS_REQUIRE(emit.ends.size() == cluster_id.index(),
                "clusters must be walked in ClusterId order");
 
   // ---- Phase 1: input loading (overlapped with the previous slot). ----
@@ -249,7 +250,7 @@ bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
     std::uint64_t priority;
   };
   std::span<PendingLoad> pending =
-      emit.arena.alloc_array<PendingLoad>(flow.inputs.size());
+      scratch.arena.alloc_array<PendingLoad>(flow.inputs.size());
   std::size_t n_pending = 0;
   for (DataId in : flow.inputs) {
     if (walk.reads_in_place(in, set)) {
@@ -291,7 +292,7 @@ bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
       return false;
     }
     for (std::uint32_t iter = 0; iter < opt.rf; ++iter) {
-      emit.loads.push_back({load.data, iter});
+      emit.all_loads.push_back({load.data, iter});
     }
   }
 
@@ -330,7 +331,7 @@ bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
     const bool store_needed = !retained || analysis.candidate_for(out).store_required;
     if (store_needed) {
       for (std::uint32_t iter = 0; iter < opt.rf; ++iter) {
-        emit.stores.push_back(StoreEvent{.inst = {out, iter}, .release_after = !retained});
+        emit.all_stores.push_back(StoreEvent{.inst = {out, iter}, .release_after = !retained});
       }
     }
     if (!retained) {
@@ -363,10 +364,10 @@ bool process_cluster(Walk<Place>& walk, ClusterId cluster_id) {
       walk.release_all_instances(d, set, true, last_kernel, last_iter);
     }
   }
-  emit.cluster_ends.push_back(
-      ClusterEnds{.loads = static_cast<std::uint32_t>(emit.loads.size()),
-                  .stores = static_cast<std::uint32_t>(emit.stores.size()),
-                  .releases = static_cast<std::uint32_t>(emit.releases.size())});
+  emit.ends.push_back(
+      RoundPlan::Ends{.loads = static_cast<std::uint32_t>(emit.all_loads.size()),
+                      .stores = static_cast<std::uint32_t>(emit.all_stores.size()),
+                      .releases = static_cast<std::uint32_t>(emit.all_releases.size())});
   return true;
 }
 
@@ -407,13 +408,6 @@ void note_arena(const PlanScratch& scratch) {
 
 }  // namespace
 
-void RoundDecision::assign_flat(const PlanScratch& scratch) {
-  // One exactly-sized copy per array; the scratch keeps its capacity.
-  cluster_ends_.assign(scratch.cluster_ends.begin(), scratch.cluster_ends.end());
-  loads_.assign(scratch.loads.begin(), scratch.loads.end());
-  stores_.assign(scratch.stores.begin(), scratch.stores.end());
-}
-
 RoundDecision decide_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
                            const DriverOptions& options, PlanScratch& scratch) {
   static obs::Counter& rounds = obs::counter("dsched.plan.rounds");
@@ -421,7 +415,9 @@ RoundDecision decide_round(const ScheduleAnalysis& analysis, SizeWords fb_set_si
   Walk<false> walk(analysis, fb_set_size, options, scratch);
   RoundDecision result;
   result.ok = walk_round(walk, fb_set_size, result.fail_reason);
-  if (result.ok) result.assign_flat(scratch);
+  // One exactly-sized copy per array (the decision walk records no
+  // releases); the scratch keeps its capacity.
+  if (result.ok) result.plan = scratch.plan;
   note_arena(scratch);
   return result;
 }
@@ -435,10 +431,9 @@ DriverResult plan_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
   result.ok = walk_round(walk, fb_set_size, result.fail_reason);
   result.summary = walk.summary();
   if (result.ok) {
-    result.assign_flat(scratch);
-    result.releases_.assign(scratch.releases.begin(), scratch.releases.end());
-    result.placements_.assign(scratch.placements.begin(), scratch.placements.end());
-    result.extents_.assign(scratch.extent_pool.begin(), scratch.extent_pool.end());
+    result.plan = scratch.plan;
+    result.placements = scratch.placements;
+    result.extents = scratch.extent_pool;
   }
   note_arena(scratch);
   return result;
@@ -450,7 +445,7 @@ DriverResult plan_round(const ScheduleAnalysis& analysis, SizeWords fb_set_size,
   return plan_round(analysis, fb_set_size, options, scratch);
 }
 
-DataSchedule to_schedule(const DriverResult& result, std::string scheduler_name,
+DataSchedule to_schedule(DriverResult&& result, std::string scheduler_name,
                          const model::KernelSchedule& sched, const DriverOptions& options) {
   MSYS_REQUIRE(result.ok, "only a successful walk becomes a schedule");
   DataSchedule out;
@@ -459,23 +454,12 @@ DataSchedule to_schedule(const DriverResult& result, std::string scheduler_name,
   out.feasible = true;
   out.rf = options.rf;
   out.retained = options.retained;
-  out.round_plan.resize(result.cluster_count());
-  for (std::uint32_t c = 0; c < out.round_plan.size(); ++c) {
-    const ClusterId id{c};
-    ClusterRoundPlan& plan = out.round_plan[c];
-    plan.cluster = id;
-    const std::span<const ObjInstance> loads = result.loads(id);
-    const std::span<const StoreEvent> stores = result.stores(id);
-    const std::span<const ReleaseEvent> releases = result.releases(id);
-    plan.loads.assign(loads.begin(), loads.end());
-    plan.stores.assign(stores.begin(), stores.end());
-    plan.releases.assign(releases.begin(), releases.end());
-  }
+  out.round_plan = std::move(result.plan);
   // A cluster allocates each instance once, so the keys are distinct.
-  out.placements.assign(result.placements().begin(), result.placements().end());
+  out.placements = std::move(result.placements);
   std::sort(out.placements.begin(), out.placements.end(),
             [](const PlacementRecord& a, const PlacementRecord& b) { return a.key < b.key; });
-  out.extents.assign(result.extents_.begin(), result.extents_.end());
+  out.extents = std::move(result.extents);
   out.alloc_summary = result.summary;
   return out;
 }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "msys/common/error.hpp"
@@ -70,14 +68,9 @@ std::string CostBreakdown::summary() const {
   return out.str();
 }
 
-namespace {
-
-/// The model proper.  `plan_of(cluster)` yields that cluster's round-plan
-/// load and store spans, which is all the model reads of a plan.
-template <class PlanOf>
-CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_t rf,
-                                PlanOf plan_of, const arch::M1Config& cfg,
-                                const csched::ContextPlan& ctx_plan) {
+CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
+                           const RoundPlan& plan, const arch::M1Config& cfg,
+                           const csched::ContextPlan& ctx_plan) {
   CostBreakdown out;
   if (!ctx_plan.feasible()) {
     out.feasible = false;
@@ -93,6 +86,7 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
   const std::uint32_t rounds = (total_iterations + rf - 1) / rf;
   const std::uint32_t n_slots = rounds * n_clusters;
   const std::uint32_t last_iters = total_iterations - (rounds - 1) * rf;
+  MSYS_REQUIRE(plan.cluster_count() == n_clusters, "round plan does not cover every cluster");
 
   // ---- Per-cluster pricing: each round plan is walked once. ----
   std::vector<ClusterCost> clusters(n_clusters);
@@ -115,8 +109,7 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
     // (slot 0, which has no previous slot, folds its late loads into its
     // early ones in the weave).
     const std::uint32_t any_slot = c == 0 ? n_clusters : c;
-    const auto [loads, stores] = plan_of(cluster_id);
-    for (ObjInstance inst : loads) {
+    for (ObjInstance inst : plan.loads(cluster_id)) {
       const SizeWords size = app.data(inst.data).size;
       const Cycles cycles = cfg.dma.data_cycles(size);
       const bool late = is_late_load(sched, any_slot, inst.data);
@@ -128,7 +121,7 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
       if (inst.iter < rf) add(cc.full);
       if (inst.iter < last_iters) add(cc.last);
     }
-    for (const StoreEvent& store : stores) {
+    for (const StoreEvent& store : plan.stores(cluster_id)) {
       const SizeWords size = app.data(store.inst.data).size;
       const Cycles cycles = cfg.dma.data_cycles(size);
       auto add = [&](RoundDma& dma) {
@@ -259,10 +252,6 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
   return out;
 }
 
-using PlanSpans = std::pair<std::span<const ObjInstance>, std::span<const StoreEvent>>;
-
-}  // namespace
-
 CostBreakdown predict_cost(const DataSchedule& schedule, const arch::M1Config& cfg,
                            const csched::ContextPlan& ctx_plan) {
   if (!schedule.feasible) {
@@ -271,22 +260,7 @@ CostBreakdown predict_cost(const DataSchedule& schedule, const arch::M1Config& c
     out.infeasible_reason = schedule.infeasible_reason;
     return out;
   }
-  return predict_cost_core(
-      *schedule.sched, schedule.rf,
-      [&](ClusterId c) {
-        const ClusterRoundPlan& plan = schedule.round_plan[c.index()];
-        return PlanSpans{plan.loads, plan.stores};
-      },
-      cfg, ctx_plan);
-}
-
-CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
-                           const RoundDecision& plan, const arch::M1Config& cfg,
-                           const csched::ContextPlan& ctx_plan) {
-  MSYS_REQUIRE(plan.ok, "only a successful walk can be priced");
-  return predict_cost_core(
-      sched, rf, [&](ClusterId c) { return PlanSpans{plan.loads(c), plan.stores(c)}; }, cfg,
-      ctx_plan);
+  return predict_cost(*schedule.sched, schedule.rf, schedule.round_plan, cfg, ctx_plan);
 }
 
 }  // namespace msys::dsched

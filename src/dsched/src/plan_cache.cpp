@@ -76,7 +76,7 @@ std::optional<Cycles> PlanCache::price(const DriverOptions& options) {
     e.priced = true;
     const csched::ContextPlan& ctx = context_plan();
     if (e.decision.ok && ctx.feasible()) {
-      e.total = predict_cost(analysis_->sched(), options.rf, e.decision, cfg_, ctx).total;
+      e.total = predict_cost(analysis_->sched(), options.rf, e.decision.plan, cfg_, ctx).total;
     }
   }
   return e.total;

@@ -43,18 +43,14 @@ std::uint32_t DataSchedule::iterations_in_round(std::uint32_t round) const {
 
 SizeWords DataSchedule::round_load_words() const {
   SizeWords total = SizeWords::zero();
-  for (const ClusterRoundPlan& plan : round_plan) {
-    for (ObjInstance inst : plan.loads) total += sched->app().data(inst.data).size;
-  }
+  for (ObjInstance inst : round_plan.all_loads) total += sched->app().data(inst.data).size;
   return total;
 }
 
 SizeWords DataSchedule::round_store_words() const {
   SizeWords total = SizeWords::zero();
-  for (const ClusterRoundPlan& plan : round_plan) {
-    for (const StoreEvent& store : plan.stores) {
-      total += sched->app().data(store.inst.data).size;
-    }
+  for (const StoreEvent& store : round_plan.all_stores) {
+    total += sched->app().data(store.inst.data).size;
   }
   return total;
 }

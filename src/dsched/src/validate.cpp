@@ -53,9 +53,7 @@ class Checker {
     if (schedule_.rf < 1 || schedule_.rf > analysis_.app().total_iterations()) {
       fail("validate.shape", "RF outside [1, total_iterations]");
     }
-    if (schedule_.round_plan.size() != analysis_.sched().cluster_count()) {
-      fail("validate.shape", "round plan does not cover every cluster");
-    }
+    check_plan_ends();
     // Lookups binary-search the records and read their extents in place,
     // so key order and extent ranges are part of the shape.
     const std::size_t n_extents = schedule_.extents.size();
@@ -69,6 +67,29 @@ class Checker {
         fail("validate.shape", "placement extents outside the schedule");
         return;
       }
+    }
+  }
+
+  /// Every reader slices the plan's arrays by its cluster ends, so the ends
+  /// are part of the shape: one per cluster, never decreasing, the last at
+  /// each array's length.
+  void check_plan_ends() {
+    const RoundPlan& plan = schedule_.round_plan;
+    if (plan.cluster_count() != analysis_.sched().cluster_count()) {
+      fail("validate.shape", "round plan does not cover every cluster");
+      return;
+    }
+    RoundPlan::Ends prev;
+    for (const RoundPlan::Ends& end : plan.ends) {
+      if (end.loads < prev.loads || end.stores < prev.stores || end.releases < prev.releases) {
+        fail("validate.shape", "round plan cluster ends decrease");
+        return;
+      }
+      prev = end;
+    }
+    if (prev.loads != plan.all_loads.size() || prev.stores != plan.all_stores.size() ||
+        prev.releases != plan.all_releases.size()) {
+      fail("validate.shape", "round plan cluster ends do not match its arrays");
     }
   }
 
@@ -120,11 +141,11 @@ class Checker {
 
   void check_cluster(const model::Cluster& cluster) {
     const ClusterDataflow& flow = analysis_.dataflow(cluster.id);
-    const ClusterRoundPlan& plan = schedule_.round_plan[cluster.id.index()];
+    const RoundPlan& plan = schedule_.round_plan;
     const std::uint32_t mark = cluster.id.index() + 1;
 
     // Load coverage: every input instance loaded or read in place.
-    for (ObjInstance inst : plan.loads) {
+    for (ObjInstance inst : plan.loads(cluster.id)) {
       note(loaded_, inst, mark);
       check_placement(cluster.id, inst, "load");
       // Loads must be genuine cluster inputs.
@@ -157,7 +178,7 @@ class Checker {
 
     // Store coverage: finals always; results needed by later clusters
     // unless retention makes every such read in-place.
-    for (const StoreEvent& store : plan.stores) {
+    for (const StoreEvent& store : plan.stores(cluster.id)) {
       note(stored_, store.inst, mark);
       check_placement(cluster.id, store.inst, "store");
     }
@@ -189,7 +210,7 @@ class Checker {
     }
 
     // Release events reference instances within RF bounds.
-    for (const ReleaseEvent& release : plan.releases) {
+    for (const ReleaseEvent& release : plan.releases(cluster.id)) {
       if (release.inst.iter >= schedule_.rf) {
         fail("validate.release", "release of iter beyond RF in Cl" +
                                      std::to_string(cluster.id.index() + 1));

@@ -217,11 +217,10 @@ std::shared_ptr<const CompiledResult> decode_result(std::string_view payload,
   try {
     const extract::ScheduleAnalysis analysis(*job.input.sched,
                                              job.input.cfg.cross_set_reads);
-    const dsched::DriverResult planned =
-        dsched::plan_round(analysis, job.input.cfg.fb_set_size, opts);
+    dsched::DriverResult planned = dsched::plan_round(analysis, job.input.cfg.fb_set_size, opts);
     if (!planned.ok) return nullptr;
-    dsched::DataSchedule schedule =
-        dsched::to_schedule(planned, std::move(scheduler_name), analysis.sched(), opts);
+    dsched::DataSchedule schedule = dsched::to_schedule(
+        std::move(planned), std::move(scheduler_name), analysis.sched(), opts);
     const csched::ContextPlan ctx_plan = csched::ContextPlan::build(
         *job.input.sched, job.input.cfg.cm_capacity_words);
     result->predicted = dsched::predict_cost(schedule, job.input.cfg, ctx_plan);

@@ -11,6 +11,7 @@
 #include "msys/dsched/schedulers.hpp"
 #include "msys/extract/analysis.hpp"
 #include "testing/apps.hpp"
+#include "testing/round_plan_edit.hpp"
 
 namespace msys::codegen {
 namespace {
@@ -208,12 +209,14 @@ TEST(Codegen, ReleasesSharingATriggerKeepPlanOrder) {
   const DataId shared = *t.app->find_data("shared");
   // Three releases fired by p1's iteration 0, interleaved in the plan with
   // one fired by p2's iteration 1.
-  s.round_plan[0].releases = {
-      {.trigger_kernel = 0, .trigger_iter = 0, .inst = {shared, 0}},
-      {.trigger_kernel = 1, .trigger_iter = 1, .inst = {b, 1}},
-      {.trigger_kernel = 0, .trigger_iter = 0, .inst = {a, 0}},
-      {.trigger_kernel = 0, .trigger_iter = 0, .inst = {b, 0}},
-  };
+  testing::edit_releases(s.round_plan, ClusterId{0}, [&](auto& releases) {
+    releases = {
+        {.trigger_kernel = 0, .trigger_iter = 0, .inst = {shared, 0}},
+        {.trigger_kernel = 1, .trigger_iter = 1, .inst = {b, 1}},
+        {.trigger_kernel = 0, .trigger_iter = 0, .inst = {a, 0}},
+        {.trigger_kernel = 0, .trigger_iter = 0, .inst = {b, 0}},
+    };
+  });
   const ScheduleProgram program =
       generate(s, csched::ContextPlan::build(t.sched, cfg.cm_capacity_words));
   const KernelId p1 = *t.app->find_kernel("p1");
@@ -235,14 +238,16 @@ TEST(Codegen, PartialLastRoundClampsReleaseTriggers) {
   ASSERT_EQ(s.rf, 2u);
   const DataId a = *t.app->find_data("a");
   const DataId b = *t.app->find_data("b");
-  s.round_plan[0].releases = {
-      {.trigger_kernel = 0, .trigger_iter = 1, .inst = {a, 0}},
-      {.trigger_kernel = 0, .trigger_iter = 1, .inst = {a, 1}},
-      {.trigger_kernel = 1, .trigger_iter = 0, .inst = {b, 0}},
-      {.trigger_kernel = 1, .trigger_iter = 1, .inst = {b, 1}},
-      // No kernel 2 in the cluster: never fired.
-      {.trigger_kernel = 2, .trigger_iter = 0, .inst = {b, 0}},
-  };
+  testing::edit_releases(s.round_plan, ClusterId{0}, [&](auto& releases) {
+    releases = {
+        {.trigger_kernel = 0, .trigger_iter = 1, .inst = {a, 0}},
+        {.trigger_kernel = 0, .trigger_iter = 1, .inst = {a, 1}},
+        {.trigger_kernel = 1, .trigger_iter = 0, .inst = {b, 0}},
+        {.trigger_kernel = 1, .trigger_iter = 1, .inst = {b, 1}},
+        // No kernel 2 in the cluster: never fired.
+        {.trigger_kernel = 2, .trigger_iter = 0, .inst = {b, 0}},
+    };
+  });
   const ScheduleProgram program =
       generate(s, csched::ContextPlan::build(t.sched, cfg.cm_capacity_words));
   ASSERT_EQ(program.slots.size(), 4u);

@@ -7,6 +7,7 @@
 
 #include "msys/extract/analysis.hpp"
 #include "testing/apps.hpp"
+#include "testing/fingerprint.hpp"
 
 namespace msys::dsched {
 namespace {
@@ -15,13 +16,18 @@ using extract::ScheduleAnalysis;
 using testing::RetentionApp;
 using testing::TwoClusterApp;
 
+/// A walk's record's extents.
+std::span<const Extent> extents_of(const DriverResult& result, const PlacementRecord& p) {
+  return std::span<const Extent>(result.extents).subspan(p.extent_begin, p.extent_count);
+}
+
 /// Extents of the instance `inst` allocated by `cluster` (first record of
 /// its key).
 std::span<const Extent> extents_at(const DriverResult& result, ClusterId cluster,
                                    ObjInstance inst) {
   const std::uint64_t key = DataSchedule::key(cluster, inst);
-  for (const PlacementRecord& p : result.placements()) {
-    if (p.key == key) return result.extents(p);
+  for (const PlacementRecord& p : result.placements) {
+    if (p.key == key) return extents_of(result, p);
   }
   ADD_FAILURE() << "no placement for key " << key;
   return {};
@@ -33,7 +39,7 @@ TEST(AllocDriver, PlansFeasibleRound) {
   DriverOptions opt;
   DriverResult result = plan_round(analysis, SizeWords{512}, opt);
   ASSERT_TRUE(result.ok) << result.fail_reason;
-  EXPECT_EQ(result.cluster_count(), 2u);
+  EXPECT_EQ(result.plan.cluster_count(), 2u);
   EXPECT_EQ(result.summary.splits, 0u);
 }
 
@@ -43,7 +49,7 @@ TEST(AllocDriver, LoadsCoverClusterInputs) {
   DriverResult result = plan_round(analysis, SizeWords{512}, DriverOptions{});
   ASSERT_TRUE(result.ok);
   std::vector<DataId> loaded;
-  for (ObjInstance inst : result.loads(ClusterId{0})) loaded.push_back(inst.data);
+  for (ObjInstance inst : result.plan.loads(ClusterId{0})) loaded.push_back(inst.data);
   for (const char* name : {"a", "b", "shared"}) {
     EXPECT_TRUE(std::count(loaded.begin(), loaded.end(), *t.app->find_data(name)))
         << name;
@@ -57,7 +63,7 @@ TEST(AllocDriver, StoresCoverOutgoingOnly) {
   ScheduleAnalysis analysis(t.sched);
   DriverResult result = plan_round(analysis, SizeWords{512}, DriverOptions{});
   ASSERT_TRUE(result.ok);
-  const std::span<const StoreEvent> stores = result.stores(ClusterId{0});
+  const std::span<const StoreEvent> stores = result.plan.stores(ClusterId{0});
   ASSERT_EQ(stores.size(), 1u);
   EXPECT_EQ(stores[0].inst.data, *t.app->find_data("r1"));
   EXPECT_TRUE(stores[0].release_after);
@@ -71,8 +77,8 @@ TEST(AllocDriver, RfMultipliesInstances) {
   DriverResult result = plan_round(analysis, SizeWords{1024}, opt);
   ASSERT_TRUE(result.ok) << result.fail_reason;
   // 3 inputs x 3 iterations.
-  EXPECT_EQ(result.loads(ClusterId{0}).size(), 9u);
-  EXPECT_EQ(result.stores(ClusterId{0}).size(), 3u);
+  EXPECT_EQ(result.plan.loads(ClusterId{0}).size(), 9u);
+  EXPECT_EQ(result.plan.stores(ClusterId{0}).size(), 3u);
 }
 
 TEST(AllocDriver, FailsCleanlyWhenTooSmall) {
@@ -84,8 +90,8 @@ TEST(AllocDriver, FailsCleanlyWhenTooSmall) {
   // golden.
   EXPECT_EQ(result.fail_reason, "cluster Cl1 does not fit a 128-word FB set at RF=1");
   // A failed walk carries no plan.
-  EXPECT_EQ(result.cluster_count(), 0u);
-  EXPECT_TRUE(result.placements().empty());
+  EXPECT_EQ(result.plan.cluster_count(), 0u);
+  EXPECT_TRUE(result.placements.empty());
 }
 
 TEST(AllocDriver, FailureReasonNamesClusterSizeAndRf) {
@@ -124,7 +130,7 @@ TEST(AllocDriver, RetainedObjectLoadedOnceAndReleasedAtSpanEnd) {
   // d loaded only by Cl1 (its first span cluster).
   auto count_loads = [&](ClusterId c, const char* name) {
     const DataId id = *r.app->find_data(name);
-    const std::span<const ObjInstance> loads = result.loads(c);
+    const std::span<const ObjInstance> loads = result.plan.loads(c);
     return std::count_if(loads.begin(), loads.end(),
                          [&](ObjInstance i) { return i.data == id; });
   };
@@ -132,12 +138,12 @@ TEST(AllocDriver, RetainedObjectLoadedOnceAndReleasedAtSpanEnd) {
   EXPECT_EQ(count_loads(ClusterId{2}, "d"), 0);
   EXPECT_EQ(count_loads(ClusterId{2}, "sr"), 0);
   // sr's store disappears (consumed only on its own set, not final).
-  const std::span<const StoreEvent> stores = result.stores(ClusterId{0});
+  const std::span<const StoreEvent> stores = result.plan.stores(ClusterId{0});
   EXPECT_TRUE(std::none_of(stores.begin(), stores.end(), [&](const StoreEvent& s) {
     return s.inst.data == *r.app->find_data("sr");
   }));
   // Span-end releases recorded in Cl3's plan for both retained objects.
-  const std::span<const ReleaseEvent> releases = result.releases(ClusterId{2});
+  const std::span<const ReleaseEvent> releases = result.plan.releases(ClusterId{2});
   EXPECT_TRUE(std::any_of(releases.begin(), releases.end(), [&](const ReleaseEvent& e) {
     return e.inst.data == *r.app->find_data("d");
   }));
@@ -153,14 +159,14 @@ TEST(AllocDriver, WithoutRetentionSharedDataLoadedTwice) {
   ASSERT_TRUE(result.ok);
   const DataId d = *r.app->find_data("d");
   int loads = 0;
-  for (std::uint32_t c = 0; c < result.cluster_count(); ++c) {
-    for (ObjInstance inst : result.loads(ClusterId{c})) {
+  for (std::uint32_t c = 0; c < result.plan.cluster_count(); ++c) {
+    for (ObjInstance inst : result.plan.loads(ClusterId{c})) {
       if (inst.data == d) ++loads;
     }
   }
   EXPECT_EQ(loads, 2);
   // And sr is stored by Cl1 and loaded by Cl3.
-  EXPECT_EQ(result.stores(ClusterId{0}).size(), 2u);  // out1 + sr
+  EXPECT_EQ(result.plan.stores(ClusterId{0}).size(), 2u);  // out1 + sr
 }
 
 TEST(AllocDriver, PlacementsAreDisjointPerSet) {
@@ -170,9 +176,9 @@ TEST(AllocDriver, PlacementsAreDisjointPerSet) {
   opt.rf = 2;
   DriverResult result = plan_round(analysis, SizeWords{512}, opt);
   ASSERT_TRUE(result.ok);
-  ASSERT_FALSE(result.placements().empty());
-  for (const PlacementRecord& placement : result.placements()) {
-    const std::span<const Extent> extents = result.extents(placement);
+  ASSERT_FALSE(result.placements.empty());
+  for (const PlacementRecord& placement : result.placements) {
+    const std::span<const Extent> extents = extents_of(result, placement);
     EXPECT_TRUE(disjoint({extents.begin(), extents.end()}));
     for (const Extent& e : extents) {
       EXPECT_LE(e.end(), 512u);
@@ -246,33 +252,25 @@ TEST(AllocDriver, ToScheduleMaterializesTheFlatWalk) {
   opt.retained = {*r.app->find_data("d"), *r.app->find_data("sr")};
   const DriverResult result = plan_round(analysis, SizeWords{512}, opt);
   ASSERT_TRUE(result.ok) << result.fail_reason;
-  const DataSchedule s = to_schedule(result, "CDS", r.sched, opt);
+  const DataSchedule s = to_schedule(DriverResult(result), "CDS", r.sched, opt);
   EXPECT_EQ(s.scheduler_name, "CDS");
   EXPECT_EQ(s.sched, &r.sched);
   EXPECT_TRUE(s.feasible);
   EXPECT_EQ(s.rf, 2u);
   EXPECT_EQ(s.retained, opt.retained);
   EXPECT_EQ(s.alloc_summary.allocations, result.summary.allocations);
-  ASSERT_EQ(s.round_plan.size(), result.cluster_count());
-  for (std::uint32_t c = 0; c < result.cluster_count(); ++c) {
-    const ClusterId id{c};
-    const ClusterRoundPlan& plan = s.round_plan[c];
-    EXPECT_EQ(plan.cluster, id);
-    EXPECT_TRUE(std::ranges::equal(plan.loads, result.loads(id)));
-    EXPECT_TRUE(std::ranges::equal(plan.stores, result.stores(id)));
-    EXPECT_TRUE(std::ranges::equal(plan.releases, result.releases(id)));
-  }
-  ASSERT_EQ(s.placements.size(), result.placements().size());
-  for (const PlacementRecord& p : result.placements()) {
+  EXPECT_EQ(testing::plan_fingerprint(s), testing::plan_fingerprint(result));
+  ASSERT_EQ(s.placements.size(), result.placements.size());
+  for (const PlacementRecord& p : result.placements) {
     const auto [cluster, inst] = DataSchedule::unkey(p.key);
     const Placement placed = s.placement(cluster, inst);
     EXPECT_EQ(placed.set, p.set);
-    EXPECT_TRUE(std::ranges::equal(placed.extents, result.extents(p)));
+    EXPECT_TRUE(std::ranges::equal(placed.extents, extents_at(result, cluster, inst)));
   }
   // Only a successful walk becomes a schedule.
-  const DriverResult failed = plan_round(analysis, SizeWords{16}, opt);
+  DriverResult failed = plan_round(analysis, SizeWords{16}, opt);
   ASSERT_FALSE(failed.ok);
-  EXPECT_THROW((void)to_schedule(failed, "CDS", r.sched, opt), Error);
+  EXPECT_THROW((void)to_schedule(std::move(failed), "CDS", r.sched, opt), Error);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Differential suite: dsched::predict_cost, which prices each cluster's
 // round plan once and walks the double-buffering weave in place, against
 // the per-slot model it replaced (testing/cost_reference.hpp).  Every
-// CostBreakdown field must agree, through both overloads (the DriverResult
-// one and the DataSchedule one, via to_schedule).
+// CostBreakdown field must agree, through both overloads (the RoundPlan one
+// on the walk's plan and the DataSchedule one, via to_schedule).
 //
 // Inputs: the Table-1 rows and 1,200 seeded random workloads in four
 // shapes (2-12 iterations, 8-32 iterations, singleton clusters, FB sets at
@@ -116,19 +116,19 @@ void expect_matches_reference(const std::string& name, const model::KernelSchedu
       if (retained != nullptr) options.retained = *retained;
       const DriverResult walk = plan_round(analysis, cfg.fb_set_size, options, scratch);
       if (!walk.ok) continue;
-      const DataSchedule schedule = to_schedule(walk, "CDS", sched, options);
+      const DataSchedule schedule = to_schedule(DriverResult(walk), "CDS", sched, options);
       ++cov.walks;
       if (n_iters % rf != 0) ++cov.short_last;
       if (rf == n_iters) ++cov.one_round;
 
       for (const csched::ContextPlan& ctx_plan : ctx_plans) {
         if (ctx_plan.feasible()) ++cov.regime[static_cast<int>(ctx_plan.regime())];
+        const CostBreakdown reference =
+            testing::cost_reference::predict_cost(sched, rf, walk.plan, cfg, ctx_plan);
         const std::string by_walk =
-            field_diff(predict_cost(sched, rf, walk, cfg, ctx_plan),
-                       testing::cost_reference::predict_cost(sched, rf, walk, cfg, ctx_plan));
+            field_diff(predict_cost(sched, rf, walk.plan, cfg, ctx_plan), reference);
         const std::string by_schedule =
-            field_diff(predict_cost(schedule, cfg, ctx_plan),
-                       testing::cost_reference::predict_cost(schedule, cfg, ctx_plan));
+            field_diff(predict_cost(schedule, cfg, ctx_plan), reference);
         if (by_walk.empty() && by_schedule.empty()) continue;
         ++cov.mismatches;
         ADD_FAILURE() << name << " rf=" << rf << " retained=" << retained_name

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "msys/common/error.hpp"
@@ -32,20 +33,23 @@ void check_walk(const std::string& label, const extract::ScheduleAnalysis& analy
                 SizeWords fbs, const DriverOptions& options, Tally& tally) {
   const DriverResult walk = plan_round(analysis, fbs, options);
   if (!walk.ok) return;
-  const DataSchedule s = to_schedule(walk, "CDS", analysis.sched(), options);
+  const DataSchedule s = to_schedule(DriverResult(walk), "CDS", analysis.sched(), options);
   ++tally.schedules;
-  ASSERT_EQ(s.placements.size(), walk.placements().size()) << label;
+  ASSERT_EQ(s.placements.size(), walk.placements.size()) << label;
   EXPECT_TRUE(std::adjacent_find(s.placements.begin(), s.placements.end(),
                                  [](const PlacementRecord& a, const PlacementRecord& b) {
                                    return a.key >= b.key;
                                  }) == s.placements.end())
       << label << " rf=" << options.rf << ": records not strictly ascending by key";
   const auto n_clusters = static_cast<std::uint32_t>(analysis.sched().cluster_count());
-  for (const PlacementRecord& p : walk.placements()) {
+  for (const PlacementRecord& p : walk.placements) {
     const auto [cluster, inst] = DataSchedule::unkey(p.key);
     const Placement placed = s.placement(cluster, inst);
     EXPECT_EQ(placed.set, p.set) << label << " key " << p.key;
-    EXPECT_TRUE(std::ranges::equal(placed.extents, walk.extents(p))) << label << " key " << p.key;
+    EXPECT_TRUE(std::ranges::equal(
+        placed.extents,
+        std::span<const Extent>(walk.extents).subspan(p.extent_begin, p.extent_count)))
+        << label << " key " << p.key;
     ++tally.records;
     // Keys no record has: the iteration past RF, and a cluster past the
     // schedule's last.

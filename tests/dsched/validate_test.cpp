@@ -8,6 +8,7 @@
 #include "msys/dsched/schedulers.hpp"
 #include "testing/apps.hpp"
 #include "testing/placements.hpp"
+#include "testing/round_plan_edit.hpp"
 
 namespace msys::dsched {
 namespace {
@@ -45,7 +46,7 @@ TEST(Validate, DetectsMissingLoad) {
   const arch::M1Config cfg = test_cfg(1024);
   DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
   ASSERT_TRUE(s.feasible);
-  s.round_plan[0].loads.pop_back();
+  testing::edit_loads(s.round_plan, ClusterId{0}, [](auto& loads) { loads.pop_back(); });
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   ASSERT_FALSE(violations.empty());
   EXPECT_TRUE(has_code(violations, "validate.load"));
@@ -57,7 +58,7 @@ TEST(Validate, DetectsMissingStore) {
   ScheduleAnalysis analysis(t.sched);
   const arch::M1Config cfg = test_cfg(1024);
   DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
-  s.round_plan[0].stores.clear();
+  testing::edit_stores(s.round_plan, ClusterId{0}, [](auto& stores) { stores.clear(); });
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   ASSERT_FALSE(violations.empty());
   EXPECT_TRUE(has_code(violations, "validate.store"));
@@ -71,7 +72,7 @@ TEST(Validate, DetectsBogusLoad) {
   DataSchedule s = DataScheduler{}.schedule(analysis, cfg);
   // Load an object that is produced inside the cluster.
   const DataId mid = *t.app->find_data("t");
-  s.round_plan[0].loads.push_back({mid, 0});
+  testing::edit_loads(s.round_plan, ClusterId{0}, [&](auto& loads) { loads.push_back({mid, 0}); });
   ASSERT_TRUE(s.has_placement(ClusterId{0}, {mid, 0}));  // the result's own placement
   const Diagnostics violations = validate_schedule(s, analysis, cfg);
   EXPECT_TRUE(has_code(violations, "validate.load"));
@@ -158,6 +159,46 @@ TEST(Validate, DetectsMalformedPlacementRecords) {
   EXPECT_TRUE(mentions(violations, "extents outside the schedule"));
 }
 
+// Every reader slices the round plan's arrays by its cluster ends, so a
+// malformed plan must stop at validate.shape before any slice is read.
+class MalformedPlan : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    s = DataScheduler{}.schedule(analysis, cfg);
+    ASSERT_TRUE(s.feasible);
+    ASSERT_EQ(s.round_plan.cluster_count(), 2u);
+    ASSERT_GT(s.round_plan.ends[1].loads, 0u);
+  }
+  /// The one violation of `s`, which must be a shape error naming `what`.
+  void expect_shape_error(std::string_view what) const {
+    const Diagnostics violations = validate_schedule(s, analysis, cfg);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations.front().code, "validate.shape");
+    EXPECT_TRUE(mentions(violations, what)) << violations.front().message;
+  }
+
+  TwoClusterApp t = TwoClusterApp::make();
+  ScheduleAnalysis analysis{t.sched};
+  arch::M1Config cfg = test_cfg(1024);
+  DataSchedule s;
+};
+
+TEST_F(MalformedPlan, TooFewEnds) {
+  s.round_plan.ends.pop_back();
+  expect_shape_error("does not cover every cluster");
+}
+
+TEST_F(MalformedPlan, DecreasingEnds) {
+  // Cluster 0's slice would end past cluster 1's, and past the array.
+  s.round_plan.ends[0].loads = s.round_plan.ends[1].loads + 1;
+  expect_shape_error("cluster ends decrease");
+}
+
+TEST_F(MalformedPlan, EndPastItsArray) {
+  ++s.round_plan.ends.back().stores;
+  expect_shape_error("cluster ends do not match its arrays");
+}
+
 TEST(Validate, DetectsNonCandidateRetention) {
   TwoClusterApp t = TwoClusterApp::make();
   ScheduleAnalysis analysis(t.sched);
@@ -182,7 +223,7 @@ TEST(Validate, DetectsRetainedReloadInsideSpan) {
   EXPECT_TRUE(validate_schedule(s, analysis, cfg).empty());
   // Inject a bogus re-load of `d` in Cl3, mid-span, with a copied placement.
   const Placement home = s.placement(ClusterId{0}, {d, 0});
-  s.round_plan[2].loads.push_back({d, 0});
+  testing::edit_loads(s.round_plan, ClusterId{2}, [&](auto& loads) { loads.push_back({d, 0}); });
   ASSERT_FALSE(s.has_placement(ClusterId{2}, {d, 0}));
   const std::vector<Extent> home_extents(home.extents.begin(), home.extents.end());
   testing::set_placement(s, ClusterId{2}, {d, 0}, home.set, home_extents);

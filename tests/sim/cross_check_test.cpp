@@ -9,6 +9,7 @@
 #include "msys/search/anneal.hpp"
 #include "testing/apps.hpp"
 #include "testing/oracle.hpp"
+#include "testing/round_plan_edit.hpp"
 
 namespace msys::sim {
 namespace {
@@ -24,7 +25,7 @@ TEST(CrossCheck, CorruptedScheduleStopsAtValidator) {
   const csched::ContextPlan ctx = csched::ContextPlan::build(t.sched, cfg.cm_capacity_words);
   dsched::DataSchedule schedule = dsched::DataScheduler{}.schedule(analysis, cfg);
   ASSERT_TRUE(schedule.feasible);
-  schedule.round_plan[0].loads.pop_back();
+  testing::edit_loads(schedule.round_plan, ClusterId{0}, [](auto& loads) { loads.pop_back(); });
   const CrossCheck check =
       cross_check(schedule, dsched::predict_cost(schedule, cfg, ctx), analysis, cfg, ctx);
   EXPECT_EQ(check.stage, CrossCheck::Stage::kValidator);

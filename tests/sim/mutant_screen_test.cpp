@@ -43,6 +43,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +55,7 @@
 #include "msys/model/application.hpp"
 #include "msys/sim/cross_check.hpp"
 #include "testing/golden_cases.hpp"
+#include "testing/round_plan_edit.hpp"
 
 namespace msys::sim {
 namespace {
@@ -71,8 +73,8 @@ const std::set<std::string> kAlwaysFatal = {
 using MutantFn =
     std::function<void(const std::string& family, const std::string& label, const DataSchedule&)>;
 
-/// Emits every mutant of `base`.  Loads, releases and stores are edited per
-/// cluster plan entry; placements in key order; swaps and aliases only pair
+/// Emits every mutant of `base`.  Loads, releases and stores are edited in
+/// each cluster's slice of the round plan; placements in key order; swaps and aliases only pair
 /// placements of equal size (a size mismatch is a plain validator error).
 void for_each_mutant(const DataSchedule& base, const extract::ScheduleAnalysis& analysis,
                      const MutantFn& visit) {
@@ -87,43 +89,51 @@ void for_each_mutant(const DataSchedule& base, const extract::ScheduleAnalysis& 
   };
 
   for (std::uint32_t c = 0; c < n_clusters; ++c) {
-    const dsched::ClusterRoundPlan& plan = base.round_plan[c];
-    const auto n_kernels = static_cast<std::uint32_t>(sched.cluster(ClusterId{c}).kernels.size());
+    const ClusterId id{c};
+    const std::span<const dsched::ObjInstance> loads = base.round_plan.loads(id);
+    const std::span<const dsched::StoreEvent> stores = base.round_plan.stores(id);
+    const std::span<const dsched::ReleaseEvent> releases = base.round_plan.releases(id);
+    const auto n_kernels = static_cast<std::uint32_t>(sched.cluster(id).kernels.size());
     const std::string cl = "Cl" + std::to_string(c + 1) + ' ';
-    auto loads = [c](DataSchedule& m) -> auto& { return m.round_plan[c].loads; };
-    auto releases = [c](DataSchedule& m) -> auto& { return m.round_plan[c].releases; };
-    auto stores = [c](DataSchedule& m) -> auto& { return m.round_plan[c].stores; };
+    // Each mutant edits this cluster's slice of one of its own plan arrays.
+    auto mutate_loads = [&](const char* family, const std::string& label, const auto& edit) {
+      mutate(family, label, [&](DataSchedule& m) { testing::edit_loads(m.round_plan, id, edit); });
+    };
+    auto mutate_releases = [&](const char* family, const std::string& label, const auto& edit) {
+      mutate(family, label,
+             [&](DataSchedule& m) { testing::edit_releases(m.round_plan, id, edit); });
+    };
+    auto mutate_stores = [&](const char* family, const std::string& label, const auto& edit) {
+      mutate(family, label, [&](DataSchedule& m) { testing::edit_stores(m.round_plan, id, edit); });
+    };
 
-    for (std::size_t i = 0; i < plan.loads.size(); ++i) {
+    for (std::size_t i = 0; i < loads.size(); ++i) {
       const std::string at = cl + "load " + std::to_string(i);
-      mutate("drop_load", at, [&](DataSchedule& m) { loads(m).erase(loads(m).begin() + i); });
-      mutate("dup_load", at,
-             [&](DataSchedule& m) { loads(m).insert(loads(m).begin() + i, plan.loads[i]); });
-      if (i + 1 < plan.loads.size()) {
-        mutate("swap_loads", at, [&](DataSchedule& m) { std::swap(loads(m)[i], loads(m)[i + 1]); });
+      mutate_loads("drop_load", at, [&](auto& l) { l.erase(l.begin() + i); });
+      mutate_loads("dup_load", at, [&](auto& l) { l.insert(l.begin() + i, loads[i]); });
+      if (i + 1 < loads.size()) {
+        mutate_loads("swap_loads", at, [&](auto& l) { std::swap(l[i], l[i + 1]); });
       }
       for (std::uint32_t j = 0; j < rf; ++j) {
-        if (j == plan.loads[i].iter) continue;
-        mutate("load_wrong_iter", at + " iter " + std::to_string(j),
-               [&](DataSchedule& m) { loads(m)[i].iter = j; });
+        if (j == loads[i].iter) continue;
+        mutate_loads("load_wrong_iter", at + " iter " + std::to_string(j),
+                     [&](auto& l) { l[i].iter = j; });
       }
       for (const model::DataObject& d : app.data_objects()) {
-        if (d.id == plan.loads[i].data) continue;
-        mutate("load_wrong_data", at + " as " + d.name,
-               [&](DataSchedule& m) { loads(m)[i].data = d.id; });
+        if (d.id == loads[i].data) continue;
+        mutate_loads("load_wrong_data", at + " as " + d.name, [&](auto& l) { l[i].data = d.id; });
       }
     }
 
-    for (std::size_t i = 0; i < plan.releases.size(); ++i) {
-      const dsched::ReleaseEvent& r = plan.releases[i];
+    for (std::size_t i = 0; i < releases.size(); ++i) {
+      const dsched::ReleaseEvent& r = releases[i];
       const std::string at = cl + "release " + std::to_string(i);
-      mutate("drop_release", at,
-             [&](DataSchedule& m) { releases(m).erase(releases(m).begin() + i); });
+      mutate_releases("drop_release", at, [&](auto& rs) { rs.erase(rs.begin() + i); });
       // One execution earlier: kernels run their iterations back to back
       // (loop fission), so the step before (k, 0) is (k - 1, RF - 1).
       if (r.trigger_iter > 0 || r.trigger_kernel > 0) {
-        mutate("early_release", at, [&](DataSchedule& m) {
-          dsched::ReleaseEvent& e = releases(m)[i];
+        mutate_releases("early_release", at, [&](auto& rs) {
+          dsched::ReleaseEvent& e = rs[i];
           if (e.trigger_iter > 0) {
             --e.trigger_iter;
           } else {
@@ -134,40 +144,38 @@ void for_each_mutant(const DataSchedule& base, const extract::ScheduleAnalysis& 
       }
       for (std::uint32_t j = 0; j < rf; ++j) {
         if (j != r.inst.iter) {
-          mutate("release_wrong_iter", at + " iter " + std::to_string(j),
-                 [&](DataSchedule& m) { releases(m)[i].inst.iter = j; });
+          mutate_releases("release_wrong_iter", at + " iter " + std::to_string(j),
+                          [&](auto& rs) { rs[i].inst.iter = j; });
         }
         if (j != r.trigger_iter) {
-          mutate("release_trigger_iter", at + " after iter " + std::to_string(j),
-                 [&](DataSchedule& m) { releases(m)[i].trigger_iter = j; });
+          mutate_releases("release_trigger_iter", at + " after iter " + std::to_string(j),
+                          [&](auto& rs) { rs[i].trigger_iter = j; });
         }
       }
       for (std::uint32_t k = 0; k < n_kernels; ++k) {
         if (k == r.trigger_kernel) continue;
-        mutate("release_trigger_kernel", at + " after kernel " + std::to_string(k),
-               [&](DataSchedule& m) { releases(m)[i].trigger_kernel = k; });
+        mutate_releases("release_trigger_kernel", at + " after kernel " + std::to_string(k),
+                        [&](auto& rs) { rs[i].trigger_kernel = k; });
       }
       for (std::uint32_t other = 0; other < n_clusters; ++other) {
         if (ClusterId{other} == r.placement_cluster) continue;
-        mutate("release_placement_cluster", at + " keyed Cl" + std::to_string(other + 1),
-               [&](DataSchedule& m) { releases(m)[i].placement_cluster = ClusterId{other}; });
+        mutate_releases("release_placement_cluster", at + " keyed Cl" + std::to_string(other + 1),
+                        [&](auto& rs) { rs[i].placement_cluster = ClusterId{other}; });
       }
     }
 
-    for (std::size_t i = 0; i < plan.stores.size(); ++i) {
+    for (std::size_t i = 0; i < stores.size(); ++i) {
       const std::string at = cl + "store " + std::to_string(i);
-      mutate("drop_store", at, [&](DataSchedule& m) { stores(m).erase(stores(m).begin() + i); });
-      mutate("flip_release_after", at, [&](DataSchedule& m) {
-        stores(m)[i].release_after = !stores(m)[i].release_after;
-      });
+      mutate_stores("drop_store", at, [&](auto& st) { st.erase(st.begin() + i); });
+      mutate_stores("flip_release_after", at,
+                    [&](auto& st) { st[i].release_after = !st[i].release_after; });
       for (std::uint32_t j = 0; j < rf; ++j) {
-        if (j == plan.stores[i].inst.iter) continue;
-        mutate("store_wrong_iter", at + " iter " + std::to_string(j),
-               [&](DataSchedule& m) { stores(m)[i].inst.iter = j; });
+        if (j == stores[i].inst.iter) continue;
+        mutate_stores("store_wrong_iter", at + " iter " + std::to_string(j),
+                      [&](auto& st) { st[i].inst.iter = j; });
       }
-      if (i + 1 < plan.stores.size()) {
-        mutate("swap_stores", at,
-               [&](DataSchedule& m) { std::swap(stores(m)[i], stores(m)[i + 1]); });
+      if (i + 1 < stores.size()) {
+        mutate_stores("swap_stores", at, [&](auto& st) { std::swap(st[i], st[i + 1]); });
       }
     }
   }

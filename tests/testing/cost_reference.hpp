@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "msys/common/error.hpp"
@@ -19,12 +17,10 @@
 
 namespace msys::testing::cost_reference {
 
-using dsched::ClusterRoundPlan;
 using dsched::CostBreakdown;
-using dsched::DataSchedule;
-using dsched::DriverResult;
 using dsched::is_late_load;
 using dsched::ObjInstance;
+using dsched::RoundPlan;
 using dsched::StoreEvent;
 
 /// Per-slot transfer/compute quantities, precomputed before the weave.
@@ -43,12 +39,11 @@ struct SlotCost {
   std::size_t prev_same_set{SIZE_MAX};
 };
 
-/// The model proper.  `plan_of(cluster)` yields that cluster's round-plan
-/// load and store spans, which is all the model reads of a plan.
-template <class PlanOf>
-CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_t rf,
-                                PlanOf plan_of, const arch::M1Config& cfg,
-                                const csched::ContextPlan& ctx_plan) {
+/// Reference price of a round plan at `rf` over `sched` (mirrors the
+/// production RoundPlan overload, which the DataSchedule one forwards to).
+inline CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
+                                  const RoundPlan& plan, const arch::M1Config& cfg,
+                                  const csched::ContextPlan& ctx_plan) {
   CostBreakdown out;
   if (!ctx_plan.feasible()) {
     out.feasible = false;
@@ -96,8 +91,7 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
     slot.ctx_cycles = ctx;
     Cycles in = Cycles::zero();
     Cycles late = Cycles::zero();
-    const auto [loads, stores] = plan_of(cluster_id);
-    for (ObjInstance inst : loads) {
+    for (ObjInstance inst : plan.loads(cluster_id)) {
       if (inst.iter >= iters) continue;
       const SizeWords size = app.data(inst.data).size;
       (is_late_load(sched, s, inst.data) ? late : in) += cfg.dma.data_cycles(size);
@@ -108,7 +102,7 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
     slot.late_load_cycles = late;
 
     Cycles st = Cycles::zero();
-    for (const StoreEvent& store : stores) {
+    for (const StoreEvent& store : plan.stores(cluster_id)) {
       if (store.inst.iter >= iters) continue;
       const SizeWords size = app.data(store.inst.data).size;
       st += cfg.dma.data_cycles(size);
@@ -212,36 +206,6 @@ CostBreakdown predict_cost_core(const model::KernelSchedule& sched, std::uint32_
   out.total = std::max(exec_done[n_slots - 1], dma_t);
   out.stall = out.total - out.compute;
   return out;
-}
-
-using PlanSpans = std::pair<std::span<const ObjInstance>, std::span<const StoreEvent>>;
-
-/// Reference price of a DataSchedule (mirrors the DataSchedule overload).
-inline CostBreakdown predict_cost(const DataSchedule& schedule, const arch::M1Config& cfg,
-                                  const csched::ContextPlan& ctx_plan) {
-  if (!schedule.feasible) {
-    CostBreakdown out;
-    out.feasible = false;
-    out.infeasible_reason = schedule.infeasible_reason;
-    return out;
-  }
-  return predict_cost_core(
-      *schedule.sched, schedule.rf,
-      [&](ClusterId c) {
-        const ClusterRoundPlan& plan = schedule.round_plan[c.index()];
-        return PlanSpans{plan.loads, plan.stores};
-      },
-      cfg, ctx_plan);
-}
-
-/// Reference price of one planning walk (mirrors the DriverResult overload).
-inline CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
-                                  const DriverResult& plan, const arch::M1Config& cfg,
-                                  const csched::ContextPlan& ctx_plan) {
-  MSYS_REQUIRE(plan.ok, "only a successful walk can be priced");
-  return predict_cost_core(
-      sched, rf, [&](ClusterId c) { return PlanSpans{plan.loads(c), plan.stores(c)}; }, cfg,
-      ctx_plan);
 }
 
 }  // namespace msys::testing::cost_reference

@@ -18,31 +18,41 @@ namespace msys::testing {
 
 namespace detail {
 
-inline void append_cluster(std::ostringstream& out, ClusterId cluster,
-                           std::span<const dsched::ObjInstance> loads,
-                           std::span<const dsched::StoreEvent> stores,
-                           std::span<const dsched::ReleaseEvent> releases) {
-  out << "C" << cluster.index() << "{L:";
-  for (const dsched::ObjInstance& inst : loads) {
-    out << inst.data.index() << '.' << inst.iter << ' ';
+/// Every cluster's loads, stores and (unless `with_releases` is false)
+/// releases, cluster by cluster.
+inline void append_plan(std::ostringstream& out, const dsched::RoundPlan& plan,
+                        bool with_releases = true) {
+  for (std::uint32_t c = 0; c < plan.cluster_count(); ++c) {
+    const ClusterId id{c};
+    out << "C" << c << "{L:";
+    for (const dsched::ObjInstance& inst : plan.loads(id)) {
+      out << inst.data.index() << '.' << inst.iter << ' ';
+    }
+    out << "S:";
+    for (const dsched::StoreEvent& s : plan.stores(id)) {
+      out << s.inst.data.index() << '.' << s.inst.iter << (s.release_after ? "r" : "k") << ' ';
+    }
+    out << "R:";
+    for (const dsched::ReleaseEvent& r : with_releases ? plan.releases(id)
+                                                       : std::span<const dsched::ReleaseEvent>{}) {
+      out << r.trigger_kernel << '@' << r.trigger_iter << ':' << r.inst.data.index() << '.'
+          << r.inst.iter << '/' << r.placement_cluster.index() << ' ';
+    }
+    out << "}";
   }
-  out << "S:";
-  for (const dsched::StoreEvent& s : stores) {
-    out << s.inst.data.index() << '.' << s.inst.iter << (s.release_after ? "r" : "k") << ' ';
-  }
-  out << "R:";
-  for (const dsched::ReleaseEvent& r : releases) {
-    out << r.trigger_kernel << '@' << r.trigger_iter << ':' << r.inst.data.index() << '.'
-        << r.inst.iter << '/' << r.placement_cluster.index() << ' ';
-  }
-  out << "}";
 }
 
-inline void append_placement(std::ostringstream& out, std::uint64_t key, FbSet set,
-                             std::span<const Extent> extents) {
-  out << 'P' << key << ':' << static_cast<int>(set) << '[';
-  for (const Extent& e : extents) out << e.begin() << '+' << e.size.value() << ' ';
-  out << ']';
+/// The records in key order, each with its set and extents.
+inline void append_placements(std::ostringstream& out,
+                              std::span<const dsched::PlacementRecord> records,
+                              std::span<const Extent> extents) {
+  for (const dsched::PlacementRecord& p : records) {
+    out << 'P' << p.key << ':' << static_cast<int>(p.set) << '[';
+    for (const Extent& e : extents.subspan(p.extent_begin, p.extent_count)) {
+      out << e.begin() << '+' << e.size.value() << ' ';
+    }
+    out << ']';
+  }
 }
 
 }  // namespace detail
@@ -52,44 +62,33 @@ inline void append_placement(std::ostringstream& out, std::uint64_t key, FbSet s
 /// object instance, in key order.
 inline std::string plan_fingerprint(const dsched::DataSchedule& s) {
   std::ostringstream out;
-  for (const dsched::ClusterRoundPlan& cp : s.round_plan) {
-    detail::append_cluster(out, cp.cluster, cp.loads, cp.stores, cp.releases);
-  }
-  for (const dsched::PlacementRecord& p : s.placements) {
-    detail::append_placement(out, p.key, p.set, s.extents_of(p));
-  }
+  detail::append_plan(out, s.round_plan);
+  detail::append_placements(out, s.placements, s.extents);
   return out.str();
 }
 
-/// The same encoding read straight from a walk's flat arrays (not through
-/// to_schedule), so comparing it with a shipped schedule's fingerprint
-/// also checks the packer.
+/// The same encoding of a fresh placement walk: its plan and its
+/// placement records sorted by key (a walk keeps them in allocation
+/// order), so comparing it with a shipped schedule's fingerprint checks
+/// that the schedule is that walk.
 inline std::string plan_fingerprint(const dsched::DriverResult& walk) {
   std::ostringstream out;
-  for (std::uint32_t c = 0; c < walk.cluster_count(); ++c) {
-    const ClusterId id{c};
-    detail::append_cluster(out, id, walk.loads(id), walk.stores(id), walk.releases(id));
-  }
-  std::vector<dsched::PlacementRecord> records(walk.placements().begin(),
-                                               walk.placements().end());
+  detail::append_plan(out, walk.plan);
+  std::vector<dsched::PlacementRecord> records = walk.placements;
   std::sort(records.begin(), records.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
-  for (const dsched::PlacementRecord& p : records) {
-    detail::append_placement(out, p.key, p.set, walk.extents(p));
-  }
+  detail::append_placements(out, records, walk.extents);
   return out.str();
 }
 
 /// Everything a walk decides — fit, the failure reason, and each
 /// cluster's loads and stores — for a decision or a placement walk alike,
-/// so the two walks compare directly.
+/// so the two walks compare directly (a placement walk's releases are left
+/// out: a decision walk records none).
 inline std::string decision_fingerprint(const dsched::RoundDecision& walk) {
   std::ostringstream out;
   out << walk.ok << '|' << walk.fail_reason << '|';
-  for (std::uint32_t c = 0; c < walk.cluster_count(); ++c) {
-    const ClusterId id{c};
-    detail::append_cluster(out, id, walk.loads(id), walk.stores(id), {});
-  }
+  detail::append_plan(out, walk.plan, /*with_releases=*/false);
   return out.str();
 }
 

@@ -44,8 +44,6 @@
 // stalls.  A malformed spec is a usage error, never a silent no-op.
 //
 // The text format is documented in msys/appdsl/parser.hpp.
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -70,7 +68,6 @@
 #include "msys/report/timeline.hpp"
 #include "msys/search/anneal.hpp"
 #include "msys/search/kernel_search.hpp"
-#include "msys/serve/chaos.hpp"
 #include "msys/serve/partition.hpp"
 #include "msys/serve/serve_loop.hpp"
 #include "msys/serve/trace_file.hpp"
@@ -449,46 +446,6 @@ int run_serve(const std::string& trace_path, unsigned tenants, unsigned n_thread
   return kExitOk;
 }
 
-/// --serve-chaos: replay N deterministically generated (trace, fault mix)
-/// cases across 1/2/4 compile threads (see msys/serve/chaos.hpp for the
-/// invariants).  A clean campaign exits 0; any invariant violation prints
-/// its shrunk repro trace and exits 4 — a chaos failure is a broken serve
-/// contract, i.e. an internal error, never bad input.
-int run_serve_chaos(std::size_t cases, std::uint64_t seed, std::string scratch_dir) {
-  using namespace msys;
-  serve::ChaosOptions options;
-  options.base_seed = seed;
-  options.cases = cases;
-  bool scratch_is_ours = false;
-  if (scratch_dir.empty()) {
-    std::error_code ec;
-    const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
-    if (!ec) {
-      scratch_dir =
-          (tmp / ("msysc-chaos-" + std::to_string(static_cast<long>(::getpid()))))
-              .string();
-      scratch_is_ours = true;
-    }
-  }
-  options.scratch_dir = scratch_dir;
-
-  const serve::ChaosStats stats = serve::run_chaos_campaign(options);
-  std::cout << "serve-chaos: seed " << seed << ": " << stats.summary() << '\n';
-  for (const serve::ChaosFailure& f : stats.failures) {
-    std::cerr << "serve-chaos FAILURE: " << f.c.label() << ": " << f.kind << " — "
-              << f.detail << '\n'
-              << "  fault spec: "
-              << (f.c.fault_spec.empty() ? "(disarmed)" : f.c.fault_spec) << '\n'
-              << "  shrunk repro trace:\n"
-              << f.shrunk_trace;
-  }
-  if (scratch_is_ours) {
-    std::error_code ec;
-    std::filesystem::remove_all(scratch_dir, ec);
-  }
-  return stats.clean() ? kExitOk : kExitInternal;
-}
-
 /// --verify-store: full fsck sweep over a store directory.  Quarantining a
 /// bad entry and removing stale temp files *is* the repair, so the sweep
 /// itself exits 0 whenever it completed; only an unopenable directory is
@@ -713,8 +670,6 @@ int main(int argc, char** argv) {
   std::string serve_trace;
   std::string serve_out;
   std::string gen_trace_out;
-  std::string chaos_dir;
-  std::size_t chaos_cases = 0;
   std::uint64_t shed_cycles = 0;
   std::uint64_t degraded_cycles = 0;
   unsigned tenants = 1;
@@ -803,20 +758,6 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       serve_out = argv[++i];
-    } else if (arg == "--serve-chaos") {
-      unsigned v = 0;
-      if (i + 1 >= argc || !parse_thread_count(argv[i + 1], &v)) {
-        std::cerr << "msysc: --serve-chaos needs a positive case count\n";
-        return kExitUsage;
-      }
-      chaos_cases = v;
-      ++i;
-    } else if (arg == "--chaos-dir") {
-      if (i + 1 >= argc) {
-        std::cerr << "msysc: --chaos-dir needs a directory\n";
-        return kExitUsage;
-      }
-      chaos_dir = argv[++i];
     } else if (arg == "--shed-cycles") {
       if (i + 1 >= argc || !parse_int(argv[i + 1], shed_cycles)) {
         std::cerr << "msysc: --shed-cycles needs a non-negative integer (cycles)\n";
@@ -905,7 +846,7 @@ int main(int argc, char** argv) {
   if (!gen_trace_out.empty()) {
     return run_gen_trace(gen_trace_out, gen_spec);
   }
-  if (batch_dir.empty() && path.empty() && serve_trace.empty() && chaos_cases == 0) {
+  if (batch_dir.empty() && path.empty() && serve_trace.empty()) {
     std::cerr << "usage: msysc [--emit|--timeline|--cross-set|--search|--validate]"
                  " [--trace out.json] [--stats]\n"
                  "             [--anneal [--anneal-budget N] [--anneal-islands N] "
@@ -917,7 +858,6 @@ int main(int argc, char** argv) {
                  "       msysc --serve <file.trace> [--tenants N] [-j N]\n"
                  "             [--deadline-ms N] [--store dir] [--serve-out file]\n"
                  "             [--shed-cycles N] [--degraded-cycles N]\n"
-                 "       msysc --serve-chaos <cases> [--seed N] [--chaos-dir dir]\n"
                  "       msysc --gen-trace <out.trace> [--seed N] [--trace-jobs N]\n"
                  "             [--streams N] [--mean-gap cycles] "
                  "[--deadline-cycles N]\n";
@@ -935,14 +875,7 @@ int main(int argc, char** argv) {
   }
 
   int code;
-  if (chaos_cases > 0) {
-    try {
-      code = run_serve_chaos(chaos_cases, gen_spec.seed, chaos_dir);
-    } catch (const std::exception& e) {
-      std::cerr << "msysc: internal error: " << e.what() << '\n';
-      code = kExitInternal;
-    }
-  } else if (!serve_trace.empty()) {
+  if (!serve_trace.empty()) {
     code = run_serve(serve_trace, tenants, n_threads, ft, serve_out, shed_cycles,
                      degraded_cycles);
   } else if (!batch_dir.empty()) {

@@ -18,7 +18,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "msys/common/diagnostic.hpp"
 #include "msys/obs/json.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
@@ -36,12 +35,5 @@ void write_chrome_trace(std::ostream& out, const TraceRecorder& recorder,
 
 [[nodiscard]] std::string chrome_trace_json(const TraceRecorder& recorder,
                                             const MetricsSnapshot* stats = nullptr);
-
-/// Structural schema check of a parsed trace document (see json.hpp):
-/// traceEvents must be an array of objects each carrying name/ph/pid/tid,
-/// X events must carry numeric ts and dur, pids must be kWallPid/kSimPid.
-/// Returns one diagnostic per violation; empty means the file will load in
-/// Perfetto.
-[[nodiscard]] Diagnostics validate_chrome_trace(const JsonValue& root);
 
 }  // namespace msys::obs

@@ -1,17 +1,13 @@
-// Minimal JSON value + recursive-descent parser.
-//
-// Exists so the trace exporter's output can be schema-checked and
-// round-tripped without a third-party dependency: the golden-file tests
-// and `msysc --trace` self-verification parse the emitted Chrome trace
-// back and inspect it structurally.  Full RFC 8259 input grammar (objects,
-// arrays, strings with escapes, numbers, bool, null); numbers are held as
-// double, which is exact for every integer the exporter emits (< 2^53).
+// Minimal JSON value + compact writer, without a third-party dependency:
+// the Chrome-trace exporter builds its document as JsonValues and writes
+// it with write_json.  Numbers are held as double, which is exact for
+// every integer the exporter emits (< 2^53).  The reader that parses the
+// output back lives with the tests (tests/testing/json_reader.hpp).
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,18 +63,7 @@ class JsonValue {
   std::shared_ptr<const JsonObject> object_;
 };
 
-struct JsonParseResult {
-  std::optional<JsonValue> value;
-  /// Parse failure description with a character offset; empty on success.
-  std::string error;
-
-  [[nodiscard]] bool ok() const { return value.has_value(); }
-};
-
-/// Parses one JSON document (trailing garbage is an error).
-[[nodiscard]] JsonParseResult parse_json(std::string_view text);
-
-/// Serialises compactly (no whitespace).  parse_json(write_json(v)) == v.
+/// Serialises compactly (no whitespace).
 [[nodiscard]] std::string write_json(const JsonValue& value);
 
 }  // namespace msys::obs

@@ -113,66 +113,4 @@ std::string chrome_trace_json(const TraceRecorder& recorder, const MetricsSnapsh
   return out.str();
 }
 
-Diagnostics validate_chrome_trace(const JsonValue& root) {
-  Diagnostics diags;
-  auto bad = [&diags](const std::string& what) {
-    diags.push_back(make_error("trace.schema", what));
-  };
-
-  if (!root.is_object()) {
-    bad("document root is not an object");
-    return diags;
-  }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    bad("missing or non-array traceEvents");
-    return diags;
-  }
-  std::size_t index = 0;
-  for (const JsonValue& event : events->as_array()) {
-    const std::string where = "traceEvents[" + std::to_string(index++) + "]";
-    if (!event.is_object()) {
-      bad(where + " is not an object");
-      continue;
-    }
-    const JsonValue* ph = event.find("ph");
-    if (ph == nullptr || !ph->is_string() || ph->as_string().size() != 1) {
-      bad(where + ": missing or malformed ph");
-      continue;
-    }
-    const JsonValue* name = event.find("name");
-    if (name == nullptr || !name->is_string() || name->as_string().empty()) {
-      bad(where + ": missing name");
-    }
-    for (const char* key : {"pid", "tid"}) {
-      const JsonValue* v = event.find(key);
-      if (v == nullptr || !v->is_number()) {
-        bad(where + ": missing numeric " + key);
-      }
-    }
-    const JsonValue* pid = event.find("pid");
-    if (pid != nullptr && pid->is_number()) {
-      const double p = pid->as_number();
-      if (p != kWallPid && p != kSimPid) {
-        bad(where + ": pid is neither the wall nor the sim process");
-      }
-    }
-    const char phase = ph->as_string()[0];
-    if (phase == 'X') {
-      for (const char* key : {"ts", "dur"}) {
-        const JsonValue* v = event.find(key);
-        if (v == nullptr || !v->is_number() || v->as_number() < 0) {
-          bad(where + ": X event needs non-negative numeric " + key);
-        }
-      }
-    } else if (phase == 'i') {
-      const JsonValue* ts = event.find("ts");
-      if (ts == nullptr || !ts->is_number()) bad(where + ": i event needs numeric ts");
-    } else if (phase != 'M') {
-      bad(where + ": unsupported phase '" + std::string(1, phase) + "'");
-    }
-  }
-  return diags;
-}
-
 }  // namespace msys::obs

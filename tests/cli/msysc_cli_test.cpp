@@ -30,6 +30,7 @@
 #include "msys/obs/chrome_trace.hpp"
 #include "msys/obs/json.hpp"
 #include "testing/golden_cases.hpp"
+#include "testing/json_reader.hpp"
 #include "testing/scratch.hpp"
 
 namespace msys {
@@ -74,6 +75,9 @@ TEST(MsyscCli, NoArgumentsIsAUsageError) { EXPECT_EQ(msysc(""), 1); }
 
 TEST(MsyscCli, UnknownFlagIsAUsageError) {
   EXPECT_EQ(msysc("--no-such-flag " MSYS_DEMO_APP), 1);
+  // Retired flags stay usage errors.
+  EXPECT_EQ(msysc("--serve-chaos 8"), 1);
+  EXPECT_EQ(msysc("--chaos-dir x"), 1);
 }
 
 TEST(MsyscCli, SingleFileRunSucceeds) { EXPECT_EQ(msysc(MSYS_DEMO_APP), 0); }
@@ -168,9 +172,9 @@ TEST(MsyscCli, TraceOutputIsValidChromeTraceJson) {
   ASSERT_TRUE(in.good()) << "trace file was not written: " << trace;
   std::ostringstream text;
   text << in.rdbuf();
-  obs::JsonParseResult parsed = obs::parse_json(text.str());
+  testing::JsonParseResult parsed = testing::parse_json(text.str());
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const Diagnostics violations = obs::validate_chrome_trace(*parsed.value);
+  const Diagnostics violations = testing::validate_chrome_trace(*parsed.value);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().message);
   // The run compiled and simulated the demo app, so both clocks and the
@@ -519,23 +523,6 @@ TEST(MsyscCli, OverloadFlagsRejectBadOperands) {
   EXPECT_EQ(msysc("--shed-cycles"), 1);
   EXPECT_EQ(msysc("--degraded-cycles"), 1);
   EXPECT_EQ(msysc("--shed-cycles banana --serve /tmp/x.trace"), 1);
-}
-
-TEST(MsyscCli, ServeChaosCampaignRunsCleanAndReportsSummary) {
-  const fs::path dir = scratch("chaos");
-  std::string out;
-  ASSERT_EQ(msysc_capture("--serve-chaos 8 --seed 11 --chaos-dir " + dir.string(),
-                          &out),
-            0);
-  EXPECT_NE(out.find("serve-chaos: seed 11: 8 cases"), std::string::npos) << out;
-  EXPECT_NE(out.find("0 FAILURES"), std::string::npos) << out;
-}
-
-TEST(MsyscCli, ServeChaosFlagsRejectBadOperands) {
-  EXPECT_EQ(msysc("--serve-chaos"), 1);
-  EXPECT_EQ(msysc("--serve-chaos 0"), 1);
-  EXPECT_EQ(msysc("--serve-chaos banana"), 1);
-  EXPECT_EQ(msysc("--chaos-dir"), 1);
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "msys/common/error.hpp"
+#include "testing/json_reader.hpp"
 
 namespace msys::obs {
 namespace {
+
+using testing::JsonParseResult;
+using testing::parse_json;
 
 JsonValue parse_ok(std::string_view text) {
   JsonParseResult result = parse_json(text);

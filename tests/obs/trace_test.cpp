@@ -12,9 +12,14 @@
 #include "msys/obs/chrome_trace.hpp"
 #include "msys/obs/json.hpp"
 #include "msys/obs/metrics.hpp"
+#include "testing/json_reader.hpp"
 
 namespace msys::obs {
 namespace {
+
+using testing::JsonParseResult;
+using testing::parse_json;
+using testing::validate_chrome_trace;
 
 /// Restores the no-recorder default even when a test fails mid-way.
 struct ActiveGuard {

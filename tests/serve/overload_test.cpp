@@ -325,26 +325,40 @@ TEST(OverloadTest, OverloadOutcomesAreDeterministicAcrossThreadCounts) {
   spec.priorities = 3;
   const TraceFile trace = generate_trace(spec);
 
-  std::string reference;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    ServeOptions options;
-    options.threads = threads;
-    options.shed_threshold_cycles = 600000;
-    options.degraded_threshold_cycles = 1000000;
-    ServeLoop loop(make_partition(2), options);
-    const ServeReport report = loop.run(trace);
-    expect_conserved(report);
-    std::string lines;
-    for (const JobOutcome& o : report.outcomes) {
-      lines += canonical_outcome_line(o);
-      lines += '\n';
+  // Disarmed, then with a skewed admission clock on a quarter of the
+  // arrivals plus compile stalls.  The skew is drawn in the serial replay,
+  // so the same arrivals are skewed at every thread count.
+  FaultInjector& faults = FaultInjector::global();
+  std::vector<std::string> references;
+  for (const char* arming :
+       {"", "seed=5;serve.admission.clock_skew=1/4:120000;serve.compile.stall=1/4:1"}) {
+    std::string reference;
+    for (unsigned threads : {1u, 2u, 4u}) {
+      if (*arming != '\0') {
+        ASSERT_TRUE(faults.arm_from_spec(arming));
+      }
+      ServeOptions options;
+      options.threads = threads;
+      options.shed_threshold_cycles = 600000;
+      options.degraded_threshold_cycles = 1000000;
+      ServeLoop loop(make_partition(2), options);
+      const ServeReport report = loop.run(trace);
+      faults.disarm();
+      expect_conserved(report);
+      std::string lines;
+      for (const JobOutcome& o : report.outcomes) {
+        lines += canonical_outcome_line(o);
+        lines += '\n';
+      }
+      if (reference.empty()) {
+        reference = lines;
+      } else {
+        EXPECT_EQ(lines, reference) << "arming '" << arming << "', threads=" << threads;
+      }
     }
-    if (reference.empty()) {
-      reference = lines;
-    } else {
-      EXPECT_EQ(lines, reference) << "threads=" << threads;
-    }
+    references.push_back(reference);
   }
+  EXPECT_NE(references[0], references[1]) << "the skew moved no outcome";
 }
 
 TEST(OverloadTest, ClockSkewShiftsAdmissionDeterministically) {

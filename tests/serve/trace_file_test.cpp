@@ -160,19 +160,19 @@ TEST(TraceFileTest, EqualTimestampsAreSortedNotUnsorted) {
   EXPECT_EQ(parsed.trace->events.size(), 2u);
 }
 
-TEST(TraceFileTest, ChaosReproTracesRoundTripThroughTheParser) {
-  // The chaos campaign attaches shrunk repro traces as write_trace()
-  // text; a repro a human pastes back in must parse to the same events.
+TEST(TraceFileTest, ZeroDeadlineZeroPriorityTracesRoundTripThroughTheParser) {
+  // Every event with deadline 0 (none) and priority 0: the written text
+  // must parse back to the same events.
   TraceGenSpec spec = small_spec();
   spec.jobs = 5;
-  TraceFile shrunk = generate_trace(spec);
-  for (TraceEvent& e : shrunk.events) {
-    e.deadline_cycles = 0;  // what the shrinker's field-stripping leaves
+  TraceFile plain = generate_trace(spec);
+  for (TraceEvent& e : plain.events) {
+    e.deadline_cycles = 0;
     e.priority = 0;
   }
-  ParseTraceResult parsed = parse_trace(write_trace(shrunk), "repro.trace");
+  ParseTraceResult parsed = parse_trace(write_trace(plain), "plain.trace");
   ASSERT_TRUE(parsed.ok()) << render(parsed.diagnostics);
-  EXPECT_EQ(*parsed.trace, shrunk);
+  EXPECT_EQ(*parsed.trace, plain);
 }
 
 }  // namespace
